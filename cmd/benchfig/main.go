@@ -11,6 +11,7 @@
 //	benchfig -fig 13            # varying members vs. query time (§6.3)
 //	benchfig -fig overlay-kernel  # overlay write path: MemStore vs chunk-native
 //	benchfig -fig rle-scan        # run-encoded chunks vs per-cell relocation
+//	benchfig -fig plan            # planning cost vs scan cost, by scope size
 //	benchfig -fig obs-overhead    # trace-retention cost on the traced replay
 //	benchfig -fig ablation-pebble | ablation-mode | ablation-rep | ablation-compress
 //	benchfig -fig all
@@ -23,13 +24,14 @@ import (
 	"os"
 
 	"whatifolap/internal/bench"
+	"whatifolap/internal/chunk"
 	"whatifolap/internal/simdisk"
 	"whatifolap/internal/workload"
 )
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 11, 12, 13, parallel-scan, overlay-kernel, rle-scan, obs-overhead, ablation-pebble, ablation-mode, ablation-rep, ablation-compress, all")
+		fig       = flag.String("fig", "all", "figure to regenerate: 11, 12, 13, parallel-scan, overlay-kernel, rle-scan, plan, obs-overhead, ablation-pebble, ablation-mode, ablation-rep, ablation-compress, all")
 		reps      = flag.Int("reps", 3, "repetitions per point (fastest wins)")
 		employees = flag.Int("employees", 0, "workforce scale override")
 		accounts  = flag.Int("accounts", 0, "accounts override")
@@ -54,7 +56,7 @@ func main() {
 
 	needWorkforce := map[string]bool{
 		"11": true, "13": true, "parallel-scan": true, "overlay-kernel": true,
-		"obs-overhead":    true,
+		"obs-overhead": true, "plan": true,
 		"ablation-pebble": true, "ablation-mode": true,
 		"ablation-rep": true, "ablation-compress": true, "all": true,
 	}
@@ -92,6 +94,8 @@ func main() {
 		// rle-scan generates its own validity-window cube (FlatMonths,
 		// period-fastest chunks), so the shared workforce is not used.
 		rleScan(*reps)
+	case "plan":
+		planCost(w, *reps)
 	case "obs-overhead":
 		obsOverhead(w, *reps)
 	case "all":
@@ -105,6 +109,7 @@ func main() {
 		ablationRep(w, *reps)
 		ablationCompress(w, *reps)
 		rleScan(*reps)
+		planCost(w, *reps)
 		obsOverhead(w, *reps)
 	default:
 		fatal(fmt.Errorf("unknown figure %q", *fig))
@@ -192,6 +197,33 @@ func rleScan(reps int) {
 		fmt.Printf("%s,%d,%d,%d,%d,%.3f,%.3f,%d,%.0f\n",
 			r.Representation, r.StoreBytes, r.DenseChunks, r.SparseChunks, r.RunChunks,
 			r.WallMS, r.ScanMS, r.CellsRelocated, r.CellsPerSec)
+	}
+	fmt.Println()
+}
+
+func planCost(w *workload.Workforce, reps int) {
+	fmt.Println("# Plan cost — planning vs scanning, by query scope (target: plan_ms < scan_ms)")
+	fmt.Println("# extended forward over the first k changing employees, 4 perspectives")
+	fmt.Println("# {Jan,Apr,Jul,Oct}, serial; default workforce as generated, and the")
+	fmt.Println("# validity-window shape (FlatMonths, [64,12,1,...] chunks, run-encoded);")
+	fmt.Println("# pebble_ms is the heuristic alone on the plan's merge graph")
+	fmt.Println("shape,members,relevant_chunks,merge_edges,plan_ms,pebble_ms,scan_ms")
+	vw, err := workload.NewWorkforce(bench.RleScanConfig())
+	if err != nil {
+		fatal(err)
+	}
+	vw.Cube.Store().(*chunk.Store).EncodeRunsAll()
+	for _, shape := range []struct {
+		name string
+		w    *workload.Workforce
+	}{{"default", w}, {"vw", vw}} {
+		rows, err := bench.PlanCost(shape.w, []int{10, 30, 100, 250}, reps)
+		if err != nil {
+			fatal(err)
+		}
+		for _, r := range rows {
+			fmt.Printf("%s,%d,%d,%d,%.3f,%.3f,%.3f\n", shape.name, r.Members, r.RelevantChunks, r.MergeEdges, r.PlanMS, r.PebbleMS, r.ScanMS)
+		}
 	}
 	fmt.Println()
 }

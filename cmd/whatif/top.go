@@ -90,8 +90,9 @@ func renderTop(base string, h server.HistoryResponse, now time.Time) string {
 		last.QPS, last.Queries, last.Errors, last.SlowQueries)
 	fmt.Fprintf(&b, "  latency  p50 %.2fms  p95 %.2fms  p99 %.2fms\n",
 		last.P50Ms, last.P95Ms, last.P99Ms)
-	fmt.Fprintf(&b, "  cache    %s hit ratio   %d hits / %d misses   %s\n",
-		ratioStr(last.CacheHitRatio), last.CacheHits, last.CacheMisses, byteStr(int64(last.CacheBytes)))
+	fmt.Fprintf(&b, "  cache    %s hit ratio   %d hits / %d misses   %s of %s limit\n",
+		ratioStr(last.CacheHitRatio), last.CacheHits, last.CacheMisses,
+		byteStr(int64(last.CacheBytes)), byteStr(int64(last.CacheLimitBytes)))
 	fmt.Fprintf(&b, "  scan amp %s   %d scanned / %d returned cells\n",
 		ampStr(last.ScanAmplification), last.CellsScanned, last.CellsReturned)
 	fmt.Fprintf(&b, "  queue    %d deep   writeback %d pending   segment read %.2fms\n",

@@ -45,7 +45,7 @@ func TestTopRenderHealthView(t *testing.T) {
 				CacheHits: 90, CacheMisses: 30, CacheHitRatio: 0.75,
 				P50Ms: 1.5, P95Ms: 8.25, P99Ms: 20,
 				CellsScanned: 5000, CellsReturned: 100, ScanAmplification: 50,
-				QueueDepth: 3, CacheBytes: 2 << 20, WritebackPending: 1,
+				QueueDepth: 3, CacheBytes: 2 << 20, CacheLimitBytes: 8 << 20, WritebackPending: 1,
 				PoolResidentBytes: 64 << 20, PoolResidentChunks: 12,
 				RetainedTraces: 7, RetainedTraceBytes: 4096,
 			},
@@ -54,8 +54,9 @@ func TestTopRenderHealthView(t *testing.T) {
 	out := renderTop("http://localhost:8080", h, now)
 	for _, want := range []string{
 		"http://localhost:8080",
-		"120.5",       // qps of the newest sample
-		"75.0%",       // cache hit ratio
+		"120.5", // qps of the newest sample
+		"75.0%", // cache hit ratio
+		"2.0MiB of 8.0MiB limit",
 		"50.0x",       // scan amplification
 		"p95 8.25ms",  // latency quantiles
 		"64.0MiB",     // pool resident bytes

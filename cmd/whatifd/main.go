@@ -85,7 +85,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "query worker pool size (0 = GOMAXPROCS)")
 		scanWork    = flag.Int("scan-workers", 0, "scan workers per query (parallel merge-group scan; 0 or 1 = serial)")
 		queueCap    = flag.Int("queue", 0, "admission queue capacity (0 = 4×workers); overflow returns 429")
-		cacheBytes  = flag.Int("cache-bytes", server.DefaultCacheBytes, "result cache byte budget (0 disables)")
+		cacheBytes  = flag.Int("cache-bytes", server.DefaultCacheBytes, "result cache byte cap: the cache grows toward it only as it observes reuse (0 disables)")
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-query deadline (0 = none)")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off)")
 		slowMs      = flag.Float64("slowlog", server.DefaultSlowQueryMs, "slow-query log threshold in ms (negative disables)")

@@ -14,6 +14,7 @@ import (
 	"whatifolap/internal/core"
 	"whatifolap/internal/cube"
 	"whatifolap/internal/dimension"
+	"whatifolap/internal/pebble"
 	"whatifolap/internal/perspective"
 	"whatifolap/internal/simdisk"
 	"whatifolap/internal/workload"
@@ -713,6 +714,75 @@ func RleScan(w *workload.Workforce, reps int) ([]RleScanRow, error) {
 		return nil, err
 	}
 	return []RleScanRow{auto, sparse, rle}, nil
+}
+
+// PlanCostRow is one point of the planning-cost figure: what planning a
+// query costs against what scanning for it costs, at one scope size.
+type PlanCostRow struct {
+	Members        int
+	RelevantChunks int
+	MergeEdges     int
+	// PlanMS is the whole planning stage (relocation tables, merge
+	// graph, read schedule, merge groups); PebbleMS the pebbling
+	// heuristic alone on the plan's merge graph, rebuilt from its
+	// adjacency; ScanMS the executed scan stage.
+	PlanMS, PebbleMS, ScanMS float64
+}
+
+// PlanCost measures planning against scanning on extended-forward
+// queries over the first k changing employees for each k in scopes (4
+// perspectives {Jan,Apr,Jul,Oct}, serial). The target it tracks is
+// plan_ms < scan_ms: the §5.2 heuristic exists to keep few chunks
+// resident, not to dominate the query. It uses only what the engine
+// exposed before the dense planner too, so the same code records the
+// baseline rows at an older commit.
+func PlanCost(w *workload.Workforce, scopes []int, reps int) ([]PlanCostRow, error) {
+	e, err := core.New(w.Cube, workload.DimDepartment)
+	if err != nil {
+		return nil, err
+	}
+	var rows []PlanCostRow
+	for _, k := range scopes {
+		q := core.PerspectiveQuery{
+			Members: w.Changing[:min(k, len(w.Changing))], Perspectives: []int{0, 3, 6, 9},
+			Sem: perspective.ExtendedForward, Mode: perspective.NonVisual,
+		}
+		var plan *core.PhysicalPlan
+		planMS, err := timeIt(reps, func() (err error) {
+			plan, err = e.PlanPerspective(q)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		row := PlanCostRow{Members: len(q.Members), RelevantChunks: plan.Stats.RelevantChunks,
+			MergeEdges: plan.Stats.MergeEdges, PlanMS: planMS}
+		for i := 0; i < reps; i++ {
+			g := pebble.NewGraph()
+			for _, id := range plan.Schedule {
+				g.AddNode(id)
+			}
+			for id, nbs := range plan.Neighbors {
+				for _, nb := range nbs {
+					g.AddEdge(id, nb)
+				}
+			}
+			start := time.Now()
+			pebble.HeuristicPebble(g)
+			if ms := float64(time.Since(start)) / float64(time.Millisecond); i == 0 || ms < row.PebbleMS {
+				row.PebbleMS = ms
+			}
+			v, err := e.ExecPerspective(q)
+			if err != nil {
+				return nil, err
+			}
+			if i == 0 || v.Stats.ScanMs < row.ScanMS {
+				row.ScanMS = v.Stats.ScanMs
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // countReps tallies a store's chunks by representation.

@@ -32,6 +32,9 @@ func TestSmokeAll(t *testing.T) {
 	if _, err := AblationPebbling(w, simdisk.DefaultModel()); err != nil {
 		t.Fatal(err)
 	}
+	if rows, err := PlanCost(w, []int{2, 100}, 1); err != nil || len(rows) != 2 || rows[1].MergeEdges == 0 {
+		t.Fatalf("PlanCost: %+v %v", rows, err)
+	}
 	if _, err := AblationMode(w, 4, 1); err != nil {
 		t.Fatal(err)
 	}

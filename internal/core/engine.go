@@ -248,7 +248,7 @@ func (e *Engine) PlanPerspective(q PerspectiveQuery) (*PhysicalPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.buildPlan(target, scoped)
+	return e.buildPlan(nil, target, scoped)
 }
 
 // ExecPerspective plans and runs a perspective query, returning the
@@ -268,7 +268,7 @@ func (e *Engine) ExecPerspectiveWith(ec ExecContext, q PerspectiveQuery) (*View,
 	if err != nil {
 		return nil, err
 	}
-	plan, err := e.buildPlan(target, scoped)
+	plan, err := e.buildPlan(tr, target, scoped)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +308,7 @@ type changesPlan struct {
 
 // planChanges resolves a positive scenario into a physical plan plus
 // the extended-dimension assembly inputs.
-func (e *Engine) planChanges(q ChangesQuery) (*changesPlan, error) {
+func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery) (*changesPlan, error) {
 	if len(q.Changes) == 0 {
 		return nil, fmt.Errorf("core: empty change relation")
 	}
@@ -380,7 +380,7 @@ func (e *Engine) planChanges(q ChangesQuery) (*changesPlan, error) {
 	copy(newDims, e.base.Dims())
 	newDims[e.vi] = newDim
 
-	phys, err := e.buildPlan(target, scoped)
+	phys, err := e.buildPlan(tr, target, scoped)
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +393,7 @@ func (e *Engine) planChanges(q ChangesQuery) (*changesPlan, error) {
 // PlanChanges builds the physical plan for a positive scenario without
 // executing it (no chunk I/O).
 func (e *Engine) PlanChanges(q ChangesQuery) (*PhysicalPlan, error) {
-	cp, err := e.planChanges(q)
+	cp, err := e.planChanges(nil, q)
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +413,7 @@ func (e *Engine) ExecChanges(q ChangesQuery) (*View, error) {
 func (e *Engine) ExecChangesWith(ec ExecContext, q ChangesQuery) (*View, error) {
 	tr := trace.FromContext(ec.Ctx)
 	planStart := tr.Now()
-	cp, err := e.planChanges(q)
+	cp, err := e.planChanges(tr, q)
 	if err != nil {
 		return nil, err
 	}
@@ -484,20 +484,6 @@ func sortChunksByOrder(g *chunk.Geometry, ids []int, perm []int) []int {
 		out[i] = k.id
 	}
 	return out
-}
-
-// restKey encodes chunk coordinates with the varying dimension masked,
-// identifying a merge group.
-func restKey(ccoord []int, vi int) string {
-	b := make([]byte, 0, len(ccoord)*4)
-	for i, c := range ccoord {
-		if i == vi {
-			b = append(b, 0xff, 0xff, 0xff, 0xff) // masked coordinate
-			continue
-		}
-		b = append(b, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-	}
-	return string(b)
 }
 
 // SimulateMultiMDX evaluates a multi-perspective static query the naive

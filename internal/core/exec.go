@@ -41,15 +41,25 @@ func (t *scanTally) add(t2 scanTally) {
 	t.promotions += t2.promotions
 }
 
+// planStages names the planning sub-stages whose end offsets a plan
+// keeps in stageNs: the relocation tables and their pruning, the merge
+// dependency graph, the read schedule, and the merge-group partition.
+var planStages = [...]string{"plan.targets", "plan.graph", "plan.pebble", "plan.groups"}
+
 // recordPlanSpan claims a hindsight "plan" span covering the planning
-// stage (target pruning, merge graph, read scheduling) with the plan's
-// shape as attributes. No-op with tracing off.
+// stage with the plan's shape as attributes, and under it one child per
+// sub-stage, so a slow plan names the step that was slow. No-op with
+// tracing off.
 func recordPlanSpan(tr *trace.Trace, parent trace.SpanRef, startNs int64, p *PhysicalPlan) {
 	sp := tr.Record(parent, "plan", startNs, tr.Now())
 	sp.Int("merge_groups", int64(len(p.Groups)))
 	sp.Int("chunks", int64(len(p.Schedule)))
 	sp.IntNonZero("merge_edges", int64(p.Stats.MergeEdges))
 	sp.IntNonZero("pebbling_peak", int64(p.Stats.PeakResidentChunks))
+	for i, name := range planStages {
+		tr.Record(sp, name, startNs, p.stageNs[i])
+		startNs = p.stageNs[i]
+	}
 }
 
 // runKernel is the run-aware relocation path for run-encoded source
@@ -367,58 +377,48 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 // is released the moment its last partner is read. On an unpooled
 // store (Pin is a no-op) the tracker is not built at all.
 type pinTracker struct {
-	store     *chunk.Store
-	pos       map[int]int
-	neighbors map[int][]int
-	// outstanding counts a chunk's partners positioned after it in the
-	// schedule that have not been scanned yet.
-	outstanding map[int]int
-	pinned      map[int]bool
+	store    *chunk.Store
+	plan     *PhysicalPlan
+	schedule []int
+	// done is how much of the schedule has been scanned.
+	done int
+	// outstanding counts, per plan node of a chunk in the schedule, its
+	// partners later in the schedule that have not been scanned yet: a
+	// scanned chunk is pinned exactly while its count is positive.
+	outstanding []int32
 }
 
-func newPinTracker(store *chunk.Store, schedule []int, neighbors map[int][]int) *pinTracker {
-	pt := &pinTracker{
-		store:       store,
-		pos:         make(map[int]int, len(schedule)),
-		neighbors:   neighbors,
-		outstanding: make(map[int]int),
-		pinned:      make(map[int]bool),
-	}
-	for i, id := range schedule {
-		pt.pos[id] = i
-	}
+// newPinTracker tracks one schedule of the plan: the global one, a
+// merge group's, or a sub-task's cut — each closed under merge edges,
+// with the plan's slots ordering every chunk against its partners.
+func newPinTracker(store *chunk.Store, schedule []int, p *PhysicalPlan) *pinTracker {
+	pt := &pinTracker{store: store, plan: p, schedule: schedule, outstanding: make([]int32, len(p.nodes))}
 	for _, id := range schedule {
-		for _, nb := range neighbors[id] {
-			if pnb, ok := pt.pos[nb]; ok && pnb > pt.pos[id] {
-				pt.outstanding[id]++
+		i, _ := p.graph.Index(id)
+		for _, nb := range p.graph.Adjacent(i) {
+			if p.slot[nb] > p.slot[i] {
+				pt.outstanding[i]++
 			}
 		}
 	}
 	return pt
 }
 
-// scanned records that id was just read: pin it when partners are still
-// ahead in the schedule, and release earlier partners this read
+// scanned records that id, next in the schedule, was just read: pin it
+// when partners are still ahead, and release earlier partners this read
 // satisfies.
 func (pt *pinTracker) scanned(id int) {
-	if pt.outstanding[id] > 0 {
+	p := pt.plan
+	pt.done++
+	i, _ := p.graph.Index(id)
+	if pt.outstanding[i] > 0 {
 		//lint:pairok pins intentionally outlive scanned(): partner reads release them as outstanding counts drain, and the deferred releaseAll sweeps stragglers
 		pt.store.Pin(id)
-		pt.pinned[id] = true
 	}
-	myPos, ok := pt.pos[id]
-	if !ok {
-		return
-	}
-	for _, nb := range pt.neighbors[id] {
-		if pnb, ok := pt.pos[nb]; !ok || pnb >= myPos {
-			continue
-		}
-		if pt.outstanding[nb] > 0 {
-			pt.outstanding[nb]--
-			if pt.outstanding[nb] == 0 && pt.pinned[nb] {
-				pt.store.Unpin(nb)
-				delete(pt.pinned, nb)
+	for _, nb := range p.graph.Adjacent(i) {
+		if p.slot[nb] < p.slot[i] {
+			if pt.outstanding[nb]--; pt.outstanding[nb] == 0 {
+				pt.store.Unpin(p.nodes[nb])
 			}
 		}
 	}
@@ -427,10 +427,12 @@ func (pt *pinTracker) scanned(id int) {
 // releaseAll unpins whatever is still pinned — a no-op after a complete
 // scan, the safety net on error and cancellation paths.
 func (pt *pinTracker) releaseAll() {
-	for id := range pt.pinned {
-		pt.store.Unpin(id)
+	for _, id := range pt.schedule[:pt.done] {
+		if i, _ := pt.plan.graph.Index(id); pt.outstanding[i] > 0 {
+			pt.outstanding[i] = 0
+			pt.store.Unpin(id)
+		}
 	}
-	pt.pinned = map[int]bool{}
 }
 
 // scanInto reads the scheduled chunks in order, relocating scoped cells
@@ -461,8 +463,8 @@ func (e *Engine) scanInto(ctx context.Context, schedule []int, p *PhysicalPlan,
 	var rk *runKernel
 
 	var pins *pinTracker
-	if e.store.Pooled() && len(p.Neighbors) > 0 {
-		pins = newPinTracker(e.store, schedule, p.Neighbors)
+	if e.store.Pooled() && p.Stats.MergeEdges > 0 {
+		pins = newPinTracker(e.store, schedule, p)
 		defer pins.releaseAll()
 	}
 

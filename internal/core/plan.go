@@ -1,13 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"whatifolap/internal/pebble"
+	"whatifolap/internal/trace"
 )
 
 // ExecContext carries per-execution parameters through the engine's
@@ -25,12 +27,7 @@ type ExecContext struct {
 }
 
 // err reports the context's error, if any.
-func (ec ExecContext) err() error {
-	if ec.Ctx == nil {
-		return nil
-	}
-	return ec.Ctx.Err()
-}
+func (ec ExecContext) err() error { return ec.context().Err() }
 
 // context returns the caller's context. The zero ExecContext is the
 // documented "no cancellation" opt-out, so the nil case is normalized
@@ -65,33 +62,29 @@ type MergeGroup struct {
 	Peak int
 }
 
-// SplitChunks cuts the group's read schedule into at most maxParts
+// splitGroup cuts group gi's read schedule into at most maxParts
 // contiguous parts for intra-group scan parallelism. A cut is legal only
 // where no merge edge is in flight — every edge's two endpoints must
 // land in the same part, so each part's restriction of the schedule
 // remains a complete pebbling of the chunks it reads and the
 // neighbor-pinning executed per part never waits on a chunk another
 // part owns. Crossing-edge counts per boundary come from one
-// difference-array pass, so splitting is O(chunks + edges).
-//
-// Parts are returned in schedule order; splitting is deterministic.
-// neighbors is the plan's merge adjacency (PhysicalPlan.Neighbors).
-func (mg *MergeGroup) SplitChunks(maxParts int, neighbors map[int][]int) [][]int {
-	n := len(mg.Chunks)
+// difference-array pass, so splitting is O(chunks + edges). Parts are
+// returned in schedule order; splitting is deterministic.
+func (p *PhysicalPlan) splitGroup(gi, maxParts int) [][]int {
+	chunks := p.Groups[gi].Chunks
+	n := len(chunks)
 	if maxParts <= 1 || n <= 1 {
-		return [][]int{mg.Chunks}
-	}
-	pos := make(map[int]int, n)
-	for i, id := range mg.Chunks {
-		pos[id] = i
+		return [][]int{chunks}
 	}
 	// diff accumulates edge spans: an edge between slots i < j makes the
 	// boundaries before slots i+1..j uncuttable. After a prefix sum,
 	// crossing == 0 at slot b means no edge spans the boundary before b.
 	diff := make([]int, n+1)
-	for i, id := range mg.Chunks {
-		for _, nb := range neighbors[id] {
-			if j, ok := pos[nb]; ok && j > i {
+	for i, id := range chunks {
+		node, _ := p.graph.Index(id)
+		for _, nb := range p.graph.Adjacent(node) {
+			if j := int(p.slot[nb]); j > i {
 				diff[i+1]++
 				diff[j+1]--
 			}
@@ -103,11 +96,11 @@ func (mg *MergeGroup) SplitChunks(maxParts int, neighbors map[int][]int) [][]int
 	for b := 1; b < n; b++ {
 		crossing += diff[b]
 		if crossing == 0 && b-start >= per && len(out) < maxParts-1 {
-			out = append(out, mg.Chunks[start:b])
+			out = append(out, chunks[start:b])
 			start = b
 		}
 	}
-	return append(out, mg.Chunks[start:])
+	return append(out, chunks[start:])
 }
 
 // subTask is one unit of parallel scan work: a contiguous cut of one
@@ -135,16 +128,8 @@ func splitSubtasks(p *PhysicalPlan, targetParts int) []subTask {
 		total += len(mg.Chunks)
 	}
 	tasks := make([]subTask, 0, len(p.Groups))
-	for gi := range p.Groups {
-		mg := &p.Groups[gi]
-		want := 1
-		if total > 0 {
-			want = targetParts * len(mg.Chunks) / total
-		}
-		if want < 1 {
-			want = 1
-		}
-		parts := mg.SplitChunks(want, p.Neighbors)
+	for gi, mg := range p.Groups {
+		parts := p.splitGroup(gi, max(1, targetParts*len(mg.Chunks)/max(1, total)))
 		for i, part := range parts {
 			t := subTask{group: gi, chunks: part}
 			if len(parts) > 1 {
@@ -174,29 +159,53 @@ type PhysicalPlan struct {
 	// Schedule is the global serial chunk read order.
 	Schedule []int
 	// Groups partitions Schedule into independent merge groups, in
-	// deterministic (masked-coordinate) order.
+	// ascending order of Geometry.MaskedIDOfCoord(Rest, varying dim) —
+	// row-major over the non-varying chunk coordinates. (Before the
+	// dense planner the order was that of a little-endian byte-string
+	// key; results never depended on it.)
 	Groups []MergeGroup
 	// Neighbors is the merge dependency adjacency: for each relevant
-	// chunk, the chunks it exchanges relocated cells with. The executor
-	// feeds it to the chunk store's buffer pool as pin hints — a chunk
-	// stays pinned against eviction while any of its partners is still
+	// chunk with merge partners, the chunks it exchanges relocated cells
+	// with, ascending. The executor pins by it against eviction — a
+	// chunk stays in the buffer pool while any of its partners is still
 	// unscanned (the §5.2 pebbling objective, enforced at the pool).
 	Neighbors map[int][]int
 	// Stats carries the planning-stage statistics: source instances,
 	// relevant chunks, merge edges and groups, the pebbling peak, and
 	// the planning wall time.
 	Stats Stats
+
+	// The executor's dense form of Neighbors: graph is the one merge
+	// dependency graph over all groups, nodes the chunk ID per node
+	// number (the relevant IDs, ascending), slot the chunk's index in
+	// its group's Chunks per node. Merge partners share a group, so
+	// slots order them in every schedule the executor runs (the global
+	// one, a group's, a sub-task's cut).
+	graph *pebble.Graph
+	nodes []int
+	slot  []int32
+	// stageNs are trace offsets closing the planning sub-stages targets,
+	// graph, pebble and groups (zero with tracing off).
+	stageNs [len(planStages)]int64
 }
+
+// transfer is a cross-chunk relocation: cells of parameter chunk
+// coordinate pc move between varying chunk coordinates vs < vd, in
+// either direction — a merge edge has none.
+type transfer struct{ pc, vs, vd int32 }
 
 // buildPlan runs the planning stage: prune relocation rows that
 // contribute nothing, find the relevant chunks, build the merge
-// dependency graph, partition it into merge groups, and order the
-// reads under the engine's read-order policy.
-func (e *Engine) buildPlan(target map[int][]int, scoped []bool) (*PhysicalPlan, error) {
+// dependency graph with its merge-group partition, and order the reads
+// under the engine's read-order policy. Chunks are indexed by their rank
+// among the relevant IDs (the graph's node numbers), groups by their
+// rank among the masked IDs: no step keys a map by chunk or coordinate.
+func (e *Engine) buildPlan(tr *trace.Trace, target map[int][]int, scoped []bool) (*PhysicalPlan, error) {
 	start := time.Now()
 	g := e.store.Geometry()
-	cdV := g.ChunkDims[e.vi]
-	cdP := g.ChunkDims[e.pi]
+	cdV, cdP := g.ChunkDims[e.vi], g.ChunkDims[e.pi]
+	nV, nP := g.ChunksPerDim(e.vi), g.ChunksPerDim(e.pi)
+	strideV, strideP := g.ChunkIDStride(e.vi), g.ChunkIDStride(e.pi)
 	p := &PhysicalPlan{Order: e.order, Target: target, Scoped: scoped}
 
 	// Drop source rows that contribute nothing (every destination -1):
@@ -204,143 +213,138 @@ func (e *Engine) buildPlan(target map[int][]int, scoped []bool) (*PhysicalPlan, 
 	// perspective. Confining reads to contributing rows is the paper's
 	// §6.3 point — work must track the varying members in scope.
 	for srcOrd, row := range target {
-		live := false
-		for _, dst := range row {
-			if dst >= 0 {
-				live = true
-				break
-			}
-		}
-		if !live {
+		if !slices.ContainsFunc(row, func(dst int) bool { return dst >= 0 }) {
 			delete(target, srcOrd)
 		}
 	}
-
-	// Varying-dimension chunk indices holding source rows.
-	srcVCs := map[int]bool{}
-	for srcOrd := range target {
-		srcVCs[srcOrd/cdV] = true
-	}
 	p.Stats.SourceInstances = len(target)
+	p.stageNs[0] = tr.Now()
 
-	// Cross-chunk transfers: (vcSrc, vcDst, paramChunk) triples.
-	type triple struct{ vs, vd, pc int }
-	transfers := map[triple]bool{}
+	// Varying chunk coordinates holding source rows, and the distinct
+	// cross-chunk transfers, sorted so that one parameter coordinate's
+	// transfers are contiguous.
+	srcVC := make([]bool, nV)
+	var transfers []transfer
 	for srcOrd, row := range target {
 		vs := srcOrd / cdV
+		srcVC[vs] = true
 		for t, dstOrd := range row {
-			if dstOrd < 0 {
+			if dstOrd < 0 || dstOrd/cdV == vs {
 				continue
 			}
 			vd := dstOrd / cdV
-			if vd != vs {
-				transfers[triple{vs, vd, t / cdP}] = true
+			tf := transfer{int32(t / cdP), int32(min(vs, vd)), int32(max(vs, vd))}
+			if n := len(transfers); n == 0 || transfers[n-1] != tf {
+				transfers = append(transfers, tf)
 			}
 		}
 	}
+	slices.SortFunc(transfers, func(a, b transfer) int {
+		return cmp.Or(cmp.Compare(a.pc, b.pc), cmp.Compare(a.vs, b.vs), cmp.Compare(a.vd, b.vd))
+	})
+	transfers = slices.Compact(transfers)
 
 	// Relevant chunks: materialized chunks whose varying coordinate
-	// holds source rows, grouped by their coordinates outside the
-	// varying dimension to find merge partners.
-	type group struct {
-		rest       []int
-		paramCoord int
-		byVC       map[int]int // varying chunk coord -> chunk ID
-		graph      *pebble.Graph
-	}
-	groups := map[string]*group{}
-	var keys []string
+	// holds source rows, ascending — chunk ids[i] is graph node i. Its
+	// merge group is its masked ID (varying coordinate zeroed): merge
+	// partners differ in nothing else.
+	source := e.sourceChunkIDs()
+	ids, keys := make([]int, 0, len(source)), make([]int, 0, len(source))
 	graph := pebble.NewGraph()
-	var relevant []int
-	ccoord := make([]int, g.NumDims())
-	for _, id := range e.sourceChunkIDs() {
-		g.CoordOf(id, ccoord)
-		if !srcVCs[ccoord[e.vi]] {
-			continue
+	for _, id := range source {
+		if vc := id / strideV % nV; srcVC[vc] {
+			ids = append(ids, id)
+			keys = append(keys, id-vc*strideV)
+			graph.AddNode(id)
 		}
-		relevant = append(relevant, id)
-		graph.AddNode(id)
-		key := restKey(ccoord, e.vi)
-		grp := groups[key]
-		if grp == nil {
-			rest := make([]int, len(ccoord))
-			copy(rest, ccoord)
-			rest[e.vi] = -1
-			grp = &group{rest: rest, paramCoord: ccoord[e.pi], byVC: map[int]int{}, graph: pebble.NewGraph()}
-			groups[key] = grp
-			keys = append(keys, key)
-		}
-		grp.byVC[ccoord[e.vi]] = id
-		grp.graph.AddNode(id)
 	}
-	p.Stats.RelevantChunks = len(relevant)
+	n := len(ids)
+	p.Stats.RelevantChunks = n
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	dense := make([]int32, 2*n+len(keys)*nV)
+	label, slot, nodeAt := dense[:n], dense[n:2*n], dense[2*n:]
+	for i := range nodeAt {
+		nodeAt[i] = -1
+	}
+	sizes := make([]int, len(keys))
+	for i, id := range ids {
+		vc := id / strideV % nV
+		gi, _ := slices.BinarySearch(keys, id-vc*strideV)
+		label[i] = int32(gi)
+		nodeAt[gi*nV+vc] = int32(i)
+		sizes[gi]++
+	}
 
 	// Merge dependency edges: chunks in the same group whose varying
 	// coordinates exchange data at this group's parameter coordinate.
-	p.Neighbors = make(map[int][]int)
-	for tr := range transfers {
-		for _, grp := range groups {
-			if grp.paramCoord != tr.pc {
-				continue
+	// (A destination past the base extent — a hypothetical instance —
+	// has no source chunk to merge with.)
+	for gi, key := range keys {
+		pc := int32(key / strideP % nP)
+		at := nodeAt[gi*nV : (gi+1)*nV]
+		lo, _ := slices.BinarySearchFunc(transfers, pc, func(t transfer, pc int32) int { return cmp.Compare(t.pc, pc) })
+		for _, t := range transfers[lo:] {
+			if t.pc != pc {
+				break
 			}
-			a, okA := grp.byVC[tr.vs]
-			b, okB := grp.byVC[tr.vd]
-			if okA && okB && a != b && !graph.HasEdge(a, b) {
-				graph.AddEdge(a, b)
-				grp.graph.AddEdge(a, b)
-				p.Neighbors[a] = append(p.Neighbors[a], b)
-				p.Neighbors[b] = append(p.Neighbors[b], a)
-				p.Stats.MergeEdges++
+			if int(t.vd) < nV && at[t.vs] >= 0 && at[t.vd] >= 0 {
+				graph.AddEdge(ids[at[t.vs]], ids[at[t.vd]])
 			}
 		}
 	}
+	p.Stats.MergeEdges = graph.NumEdges()
+	p.stageNs[1] = tr.Now()
 
 	// Global read order (the serial schedule; also the baseline the
 	// read-order figures measure).
-	switch e.order {
-	case OrderPebbling:
-		sched := pebble.HeuristicPebble(graph)
-		p.Schedule = sched.Order
-		p.Stats.PeakResidentChunks = sched.Peak
-	default:
-		perm := e.readPermutation()
-		p.Schedule = sortChunksByOrder(g, relevant, perm)
-		peak, err := pebble.VerifySchedule(graph, p.Schedule)
-		if err != nil {
-			return nil, fmt.Errorf("core: sequential schedule invalid: %w", err)
-		}
-		p.Stats.PeakResidentChunks = peak
+	if e.order == OrderPebbling {
+		p.Schedule = pebble.HeuristicPebble(graph).Order
+	} else {
+		p.Schedule = sortChunksByOrder(g, ids, e.readPermutation())
 	}
+	p.stageNs[2] = tr.Now()
 
 	// Partition the schedule into merge groups. Restricting the global
-	// order to a group keeps relative order, so the restriction is a
-	// legal pebbling of the group's subgraph (all of a chunk's merge
-	// neighbors are in its own group).
-	sort.Strings(keys)
-	pos := make(map[int]int, len(p.Schedule))
-	for i, id := range p.Schedule {
-		pos[id] = i
+	// order to a group keeps relative order, so it pebbles the group's
+	// subgraph legally (a chunk's merge neighbors are all in its group);
+	// one labelled pass checks that, overall and per group.
+	peak, stats, err := pebble.VerifyGroups(graph, p.Schedule, label, len(keys))
+	if err != nil {
+		return nil, fmt.Errorf("core: %s schedule invalid: %w", e.order, err)
 	}
-	for _, key := range keys {
-		grp := groups[key]
-		mg := MergeGroup{Rest: grp.rest, Chunks: make([]int, 0, len(grp.byVC))}
-		for _, id := range grp.byVC {
-			mg.Chunks = append(mg.Chunks, id)
+	p.Stats.PeakResidentChunks = peak
+	p.Groups = make([]MergeGroup, len(keys))
+	chunks := make([]int, n)
+	rests := make([]int, len(keys)*g.NumDims())
+	for gi, key := range keys {
+		rest := rests[gi*g.NumDims() : (gi+1)*g.NumDims() : (gi+1)*g.NumDims()]
+		g.CoordOf(key, rest)
+		rest[e.vi] = -1
+		p.Groups[gi] = MergeGroup{Rest: rest, Chunks: chunks[:0:sizes[gi]], Edges: stats[gi].Edges, Peak: stats[gi].Peak}
+		chunks = chunks[sizes[gi]:]
+	}
+	p.nodes, p.graph, p.slot = ids, graph, slot
+	for _, id := range p.Schedule {
+		i, _ := graph.Index(id)
+		mg := &p.Groups[label[i]]
+		slot[i] = int32(len(mg.Chunks))
+		mg.Chunks = append(mg.Chunks, id)
+	}
+	p.Neighbors = make(map[int][]int, n)
+	partners := make([]int, 2*p.Stats.MergeEdges)
+	for i, id := range ids {
+		if adj := graph.Adjacent(i); len(adj) > 0 {
+			p.Neighbors[id] = partners[:len(adj):len(adj)]
+			for k, nb := range adj {
+				partners[k] = ids[nb]
+			}
+			partners = partners[len(adj):]
 		}
-		sort.Slice(mg.Chunks, func(i, j int) bool { return pos[mg.Chunks[i]] < pos[mg.Chunks[j]] })
-		for _, id := range mg.Chunks {
-			mg.Edges += grp.graph.Degree(id)
-		}
-		mg.Edges /= 2
-		peak, err := pebble.VerifySchedule(grp.graph, mg.Chunks)
-		if err != nil {
-			return nil, fmt.Errorf("core: merge-group schedule invalid: %w", err)
-		}
-		mg.Peak = peak
-		p.Groups = append(p.Groups, mg)
 	}
 	p.Stats.MergeGroups = len(p.Groups)
 	p.Stats.PlanMs = msSince(start)
+	p.stageNs[3] = tr.Now()
 	return p, nil
 }
 
@@ -362,34 +366,18 @@ func (p *PhysicalPlan) Describe() string {
 
 // formatIDs prints at most limit chunk IDs, eliding the rest.
 func formatIDs(ids []int, limit int) string {
-	var b strings.Builder
-	b.WriteByte('[')
-	for i, id := range ids {
-		if i == limit {
-			fmt.Fprintf(&b, "… +%d", len(ids)-limit)
-			break
-		}
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d", id)
+	if len(ids) <= limit {
+		return fmt.Sprint(ids)
 	}
-	b.WriteByte(']')
-	return b.String()
+	head := fmt.Sprint(ids[:limit])
+	return fmt.Sprintf("%s… +%d]", head[:len(head)-1], len(ids)-limit)
 }
 
 // restString prints a masked chunk coordinate: (·,0,2) with · at the
-// varying dimension.
+// varying dimension, whose -1 is the only negative coordinate.
 func restString(rest []int) string {
-	parts := make([]string, len(rest))
-	for i, c := range rest {
-		if c < 0 {
-			parts[i] = "·"
-		} else {
-			parts[i] = fmt.Sprint(c)
-		}
-	}
-	return "(" + strings.Join(parts, ",") + ")"
+	s := strings.ReplaceAll(fmt.Sprint(rest), " ", ",")
+	return "(" + strings.ReplaceAll(s[1:len(s)-1], "-1", "·") + ")"
 }
 
 // msSince reports the wall time since start in milliseconds.

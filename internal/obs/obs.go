@@ -74,6 +74,7 @@ type Sample struct {
 	// Serving gauges at sample time.
 	QueueDepth       int   `json:"queue_depth"`
 	CacheBytes       int   `json:"cache_bytes"`
+	CacheLimitBytes  int   `json:"cache_limit_bytes"`
 	WritebackPending int64 `json:"writeback_pending"`
 
 	// Buffer-pool state: gauges at sample time plus interval deltas of

@@ -13,110 +13,173 @@ package pebble
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Graph is an undirected merge-dependency graph over chunk identifiers.
+// AddNode and AddEdge only append; the first query after a mutation
+// indexes the graph densely — nodes numbered 0..n-1 in ascending ID
+// order (so comparing node numbers compares IDs), adjacency in CSR form
+// as sorted, duplicate-free node numbers in one int32 slice. Querying
+// may therefore write: a Graph is safe for concurrent readers only once
+// it has been queried and is no longer mutated.
 type Graph struct {
-	adj map[int]map[int]bool
+	ids  []int   // node IDs; ascending and distinct once indexed
+	ends []int   // edge endpoint IDs, two per AddEdge
+	off  []int32 // node i's neighbors are nbr[off[i]:off[i+1]]
+	nbr  []int32
+	// slots is an open-addressed table from ID to node number plus one
+	// (0 marks a free slot): a power of two in size, at most half full.
+	slots []int32
+	// indexed reports that off, nbr and slots reflect ids and ends.
+	indexed bool
 }
 
 // NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{adj: make(map[int]map[int]bool)}
-}
+func NewGraph() *Graph { return &Graph{} }
 
 // AddNode ensures a node exists (isolated nodes are legal: chunks with a
 // single instance still need reading).
 func (g *Graph) AddNode(x int) {
-	if g.adj[x] == nil {
-		g.adj[x] = make(map[int]bool)
-	}
+	g.ids = append(g.ids, x)
+	g.indexed = false
 }
 
-// AddEdge records that chunks x and y must be co-resident to merge.
-// Self-loops are ignored.
+// AddEdge records that chunks x and y must be co-resident to merge,
+// adding either as a node if need be. Self-loops are ignored and
+// repeated edges count once.
 func (g *Graph) AddEdge(x, y int) {
 	if x == y {
 		return
 	}
-	g.AddNode(x)
-	g.AddNode(y)
-	g.adj[x][y] = true
-	g.adj[y][x] = true
+	g.ends = append(g.ends, x, y)
+	g.indexed = false
 }
 
-// HasEdge reports whether x and y are adjacent.
-func (g *Graph) HasEdge(x, y int) bool { return g.adj[x][y] }
-
-// Nodes returns all node IDs in ascending order.
-func (g *Graph) Nodes() []int {
-	out := make([]int, 0, len(g.adj))
-	for x := range g.adj {
-		out = append(out, x)
+// index builds the dense form. Endpoints that were never AddNode'd are
+// discovered on the first pass and numbered on a second.
+func (g *Graph) index() {
+	if g.indexed {
+		return
 	}
-	sort.Ints(out)
-	return out
-}
-
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.adj) }
-
-// Degree returns the number of neighbors of x.
-func (g *Graph) Degree(x int) int { return len(g.adj[x]) }
-
-// Neighbors returns x's neighbors in ascending order.
-func (g *Graph) Neighbors(x int) []int {
-	out := make([]int, 0, len(g.adj[x]))
-	for y := range g.adj[x] {
-		out = append(out, y)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Components returns the connected components, each sorted, ordered by
-// smallest member.
-func (g *Graph) Components() [][]int {
-	seen := make(map[int]bool)
-	var comps [][]int
-	for _, start := range g.Nodes() {
-		if seen[start] {
-			continue
+	g.indexed = true
+	ends := make([]int32, len(g.ends))
+	for complete := false; !complete; {
+		slices.Sort(g.ids)
+		g.ids = slices.Compact(g.ids)
+		g.slots = make([]int32, 2<<bits.Len(uint(len(g.ids))))
+		for i, id := range g.ids {
+			g.slots[g.slot(id)] = int32(i) + 1
 		}
-		var comp []int
-		stack := []int{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, x)
-			for _, y := range g.Neighbors(x) {
-				if !seen[y] {
-					seen[y] = true
-					stack = append(stack, y)
-				}
+		complete = true
+		for k, id := range g.ends {
+			if ends[k] = g.slots[g.slot(id)] - 1; ends[k] < 0 {
+				g.ids = append(g.ids, id)
+				complete = false
 			}
 		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
 	}
-	return comps
-}
-
-// cost is the paper's node cost: cost(x) = min over neighbors y of
-// deg(y) − 1, i.e. the fewest other nodes that must be pebbled before a
-// pebble on one of x's neighbors can be removed. Isolated nodes cost 0.
-func (g *Graph) cost(x int) int {
-	best := -1
-	for y := range g.adj[x] {
-		c := g.Degree(y) - 1
-		if best < 0 || c < best {
-			best = c
+	n := len(g.ids)
+	g.off = make([]int32, n+1)
+	for _, i := range ends {
+		g.off[i+1]++
+	}
+	for i := 0; i < n; i++ {
+		g.off[i+1] += g.off[i]
+	}
+	g.nbr = make([]int32, len(ends))
+	fill := slices.Clone(g.off[:n])
+	for k := 0; k < len(ends); k += 2 {
+		a, b := ends[k], ends[k+1]
+		g.nbr[fill[a]], g.nbr[fill[b]] = b, a
+		fill[a]++
+		fill[b]++
+	}
+	// Sort each list and squeeze repeated edges out in place; the write
+	// cursor never overtakes the list being read.
+	w := int32(0)
+	for i := 0; i < n; i++ {
+		list := g.nbr[g.off[i]:g.off[i+1]]
+		slices.Sort(list)
+		g.off[i] = w
+		for k, y := range list {
+			if k == 0 || y != list[k-1] {
+				g.nbr[w] = y
+				w++
+			}
 		}
 	}
-	if best < 0 {
-		return 0
+	g.off[n] = w
+	g.nbr = g.nbr[:w]
+}
+
+// slot returns the table slot that holds node x, or the free slot where
+// the probe for it ends.
+func (g *Graph) slot(x int) int {
+	mask := len(g.slots) - 1
+	h := int(uint64(x)*0x9e3779b97f4a7c15>>32) & mask
+	for g.slots[h] > 0 && g.ids[g.slots[h]-1] != x {
+		h = (h + 1) & mask
+	}
+	return h
+}
+
+// Index returns the dense number of node x: its rank among the node IDs.
+func (g *Graph) Index(x int) (int, bool) {
+	g.index()
+	i := int(g.slots[g.slot(x)]) - 1
+	return i, i >= 0
+}
+
+// Adjacent returns the node numbers of the neighbors of node number i,
+// ascending. The slice aliases the graph's index: do not modify it.
+func (g *Graph) Adjacent(i int) []int32 {
+	g.index()
+	return g.adj(int32(i))
+}
+
+// adj is Adjacent on a graph known to be indexed.
+func (g *Graph) adj(i int32) []int32 { return g.nbr[g.off[i]:g.off[i+1]] }
+
+// NumNodes returns the node count.
+func (g *Graph) NumNodes() int {
+	g.index()
+	return len(g.ids)
+}
+
+// NumEdges returns the number of distinct edges.
+func (g *Graph) NumEdges() int {
+	g.index()
+	return len(g.nbr) / 2
+}
+
+// component appends to comp[:0] the connected component of the
+// untouched node s in breadth-first order, marking its nodes reached.
+func (g *Graph) component(s int32, state []uint8, comp []int32) []int32 {
+	comp = append(comp[:0], s)
+	state[s] = reached
+	for head := 0; head < len(comp); head++ {
+		for _, y := range g.adj(comp[head]) {
+			if state[y] == untouched {
+				state[y] = reached
+				comp = append(comp, y)
+			}
+		}
+	}
+	return comp
+}
+
+// costOf is the paper's node cost, by dense node number: cost(x) = min
+// over neighbors y of deg(y) − 1, i.e. the fewest other nodes that must
+// be pebbled before a pebble on one of x's neighbors can be removed.
+// Isolated nodes cost 0.
+func (g *Graph) costOf(i int32) int32 {
+	best := int32(0)
+	for k, y := range g.adj(i) {
+		if c := int32(len(g.adj(y))) - 1; k == 0 || c < best {
+			best = c
+		}
 	}
 	return best
 }
@@ -131,269 +194,218 @@ type Schedule struct {
 	Peak int
 }
 
+// Pebbling state of a node. A reached node is in the component being
+// pebbled; a frontier node is unpebbled with a pebbled neighbor — a
+// candidate — and is enabling once placing it lets a pebble come off.
+const (
+	untouched uint8 = iota
+	reached
+	frontier
+	enabling
+	pebbled
+)
+
 // HeuristicPebble runs the paper's heuristic on each connected component
-// and returns the combined schedule. Peak is the maximum over
-// components (slots are reused between components).
+// (in order of smallest member) and returns the combined schedule, whose
+// Peak is the maximum over components (they reuse each other's slots).
+//
+// The run is incremental: unp[q] counts q's unpebbled neighbors, so a
+// held pebble comes off exactly when its counter reaches zero, and the
+// candidates live in a min-heap instead of being re-derived each step.
+// After a placement nothing held is removable, so placing y enables a
+// removal iff unp[y] == 0 or some held neighbor q of y has unp[q] == 1;
+// both only ever turn true, and each is noticed where a counter drops.
+// A node is pushed on entering the frontier and again on turning
+// enabling; entries of nodes pebbled since are skipped on pop. Heap keys
+// pack (not enabling, cost, node number), so the smallest is the
+// heuristic's pick: enabling first, then lowest cost, then lowest ID.
 func HeuristicPebble(g *Graph) Schedule {
-	var sched Schedule
-	for _, comp := range g.Components() {
-		s := pebbleComponent(g, comp)
-		sched.Order = append(sched.Order, s.Order...)
-		if s.Peak > sched.Peak {
-			sched.Peak = s.Peak
+	n := g.NumNodes()
+	sched := Schedule{Order: make([]int, 0, n)}
+	scratch := make([]int32, 3*n)
+	unp, cost, comp := scratch[:n], scratch[n:2*n], scratch[2*n:2*n]
+	for i := range unp {
+		unp[i] = int32(len(g.adj(int32(i))))
+		cost[i] = g.costOf(int32(i))
+	}
+	state := make([]uint8, n)
+	heap := make([]uint64, 0, 2*n)
+	held := 0
+
+	enable := func(y int32) {
+		if state[y] != enabling {
+			state[y] = enabling
+			heap = heapPush(heap, uint64(cost[y])<<31|uint64(y))
+		}
+	}
+	// release handles a pebbled node whose counter just dropped (or was
+	// just placed): with no unpebbled neighbor left its pebble comes
+	// off; with one left, placing that neighbor will take it off.
+	release := func(q int32) {
+		switch unp[q] {
+		case 0:
+			held--
+		case 1:
+			for _, y := range g.adj(q) {
+				if state[y] != pebbled {
+					enable(y)
+					return
+				}
+			}
+		}
+	}
+	place := func(x int32) {
+		state[x] = pebbled
+		sched.Order = append(sched.Order, g.ids[x])
+		held++
+		sched.Peak = max(sched.Peak, held)
+		for _, q := range g.adj(x) {
+			unp[q]--
+			if state[q] == pebbled {
+				release(q) // pebbled with x unpebbled, so q held a pebble
+				continue
+			}
+			if state[q] == reached {
+				state[q] = frontier
+				heap = heapPush(heap, 1<<62|uint64(cost[q])<<31|uint64(q))
+			}
+			if unp[q] == 0 {
+				enable(q)
+			}
+		}
+		release(x)
+	}
+
+	for s := range state {
+		if state[s] != untouched {
+			continue
+		}
+		// Start with the minimum-cost node (ties: smallest ID, matching
+		// the paper's "breaking ties arbitrarily" deterministically).
+		comp = g.component(int32(s), state, comp)
+		start := comp[0]
+		for _, x := range comp[1:] {
+			if cost[x] < cost[start] || (cost[x] == cost[start] && x < start) {
+				start = x
+			}
+		}
+		place(start)
+		for len(heap) > 0 {
+			var key uint64
+			key, heap = heapPop(heap)
+			if x := int32(key & (1<<31 - 1)); state[x] != pebbled {
+				place(x)
+			}
 		}
 	}
 	return sched
 }
 
-func pebbleComponent(g *Graph, comp []int) Schedule {
-	inComp := make(map[int]bool, len(comp))
-	for _, x := range comp {
-		inComp[x] = true
+// heapPush and heapPop maintain a binary min-heap of candidate keys.
+func heapPush(h []uint64, key uint64) []uint64 {
+	h = append(h, key)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
 	}
-	pebbled := make(map[int]bool) // P: ever pebbled
-	holding := make(map[int]bool) // Q: currently holding a pebble
-	var order []int
-	peak := 0
-
-	canRemove := func(x int) bool {
-		for y := range g.adj[x] {
-			if !pebbled[y] {
-				return false
-			}
-		}
-		return true
-	}
-	removeAll := func() {
-		for {
-			removed := false
-			for x := range holding {
-				if canRemove(x) {
-					delete(holding, x)
-					removed = true
-				}
-			}
-			if !removed {
-				return
-			}
-		}
-	}
-	place := func(x int) {
-		pebbled[x] = true
-		holding[x] = true
-		order = append(order, x)
-		if len(holding) > peak {
-			peak = len(holding)
-		}
-		removeAll()
-	}
-
-	// Start with the minimum-cost node (ties: smallest ID, matching the
-	// paper's "breaking ties arbitrarily" deterministically).
-	start, bestCost := -1, 0
-	for _, x := range comp {
-		c := g.cost(x)
-		if start < 0 || c < bestCost || (c == bestCost && x < start) {
-			start, bestCost = x, c
-		}
-	}
-	place(start)
-
-	for len(order) < len(comp) {
-		// Candidates: unpebbled neighbors of P within the component.
-		type cand struct {
-			node    int
-			enables bool // placing it lets some pebble be removed
-			cost    int
-		}
-		var cands []cand
-		for x := range pebbled {
-			for y := range g.adj[x] {
-				if pebbled[y] || !inComp[y] {
-					continue
-				}
-				// Would placing y allow a removal from Q ∪ {y}?
-				enables := false
-				pebbled[y] = true
-				for q := range holding {
-					if canRemove(q) {
-						enables = true
-						break
-					}
-				}
-				if !enables && canRemove(y) {
-					enables = true
-				}
-				delete(pebbled, y)
-				cands = append(cands, cand{node: y, enables: enables, cost: g.cost(y)})
-			}
-		}
-		if len(cands) == 0 {
-			// The component's remaining nodes are unreachable from P,
-			// which cannot happen for a connected component; guard
-			// against malformed input by picking the cheapest leftover.
-			for _, x := range comp {
-				if !pebbled[x] {
-					place(x)
-					break
-				}
-			}
-			continue
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].enables != cands[j].enables {
-				return cands[i].enables
-			}
-			if cands[i].cost != cands[j].cost {
-				return cands[i].cost < cands[j].cost
-			}
-			return cands[i].node < cands[j].node
-		})
-		// Deduplicate (a node can be a neighbor of several P nodes).
-		seen := make(map[int]bool)
-		for _, c := range cands {
-			if !seen[c.node] {
-				place(c.node)
-				break
-			}
-		}
-	}
-	return Schedule{Order: order, Peak: peak}
+	return h
 }
 
-// OptimalPeak computes the minimum possible peak pebble count by
-// exhaustive state search. It is exponential and intended for verifying
-// the heuristic on small graphs (≤ maxOptimalNodes nodes).
-const maxOptimalNodes = 14
-
-// OptimalPeak returns the optimal peak for the graph, or an error when
-// the graph is too large for exact search.
-func OptimalPeak(g *Graph) (int, error) {
-	nodes := g.Nodes()
-	if len(nodes) > maxOptimalNodes {
-		return 0, fmt.Errorf("pebble: %d nodes exceed exact-search limit %d", len(nodes), maxOptimalNodes)
-	}
-	idx := make(map[int]int, len(nodes))
-	for i, x := range nodes {
-		idx[x] = i
-	}
-	nbr := make([]uint32, len(nodes))
-	for i, x := range nodes {
-		for _, y := range g.Neighbors(x) {
-			nbr[i] |= 1 << uint(idx[y])
-		}
-	}
-	full := uint32(1)<<uint(len(nodes)) - 1
-
-	// Search over states (pebbledSet, holdingSet) for the smallest k
-	// such that the graph can be pebbled with peak ≤ k.
-	type state struct{ p, q uint32 }
-	feasible := func(k int) bool {
-		start := state{0, 0}
-		seen := map[state]bool{start: true}
-		stack := []state{start}
-		for len(stack) > 0 {
-			s := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			// Remove pebbles greedily: removal is never harmful since
-			// it only frees capacity (P never shrinks).
-			q := s.q
-			for i := range nodes {
-				if q&(1<<uint(i)) != 0 && nbr[i]&^s.p == 0 {
-					q &^= 1 << uint(i)
-				}
-			}
-			s.q = q
-			if s.p == full {
-				return true
-			}
-			if popcount(s.q) >= k {
-				continue // no capacity to place; dead end
-			}
-			for i := range nodes {
-				bit := uint32(1) << uint(i)
-				if s.p&bit != 0 {
-					continue
-				}
-				ns := state{s.p | bit, s.q | bit}
-				if !seen[ns] {
-					seen[ns] = true
-					stack = append(stack, ns)
-				}
+func heapPop(h []uint64) (uint64, []uint64) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		min := i
+		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
+			if h[c] < h[min] {
+				min = c
 			}
 		}
-		return false
-	}
-	for k := 1; k <= len(nodes); k++ {
-		if feasible(k) {
-			return k, nil
+		if min == i {
+			return top, h
 		}
+		h[i], h[min] = h[min], h[i]
+		i = min
 	}
-	return len(nodes), nil
-}
-
-func popcount(x uint32) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // MaxDegreeBound returns max degree + 1, the paper's upper bound on the
 // pebbles needed.
 func MaxDegreeBound(g *Graph) int {
 	m := 0
-	for x := range g.adj {
-		if d := g.Degree(x); d > m {
-			m = d
-		}
+	for i := 0; i < g.NumNodes(); i++ {
+		m = max(m, len(g.adj(int32(i))))
 	}
 	return m + 1
 }
 
+// GroupStats is VerifyGroups' account of one group of nodes: the edges
+// inside it and the peak pebble count of the schedule restricted to it.
+type GroupStats struct{ Edges, Peak int }
+
 // VerifySchedule checks that a schedule is a legal pebbling of the graph
-// (every node pebbled exactly once) and returns the actual peak it
-// achieves. Used by tests and by the engine as a sanity check.
+// (every node pebbled exactly once) and returns the peak it achieves.
 func VerifySchedule(g *Graph, order []int) (int, error) {
-	pebbled := make(map[int]bool)
-	holding := make(map[int]bool)
-	peak := 0
+	peak, _, err := VerifyGroups(g, order, make([]int32, g.NumNodes()), 1)
+	return peak, err
+}
+
+// VerifyGroups is VerifySchedule over a graph whose nodes are
+// partitioned into k groups that no edge crosses: group[i] is the group
+// of node number i. Because groups
+// share no edge, restricting the schedule to one group pebbles that
+// group's subgraph on its own, so one pass yields the overall peak and
+// every group's edge count and peak. An edge joining two groups is an
+// error, like the schedule faults VerifySchedule reports.
+func VerifyGroups(g *Graph, order []int, group []int32, k int) (int, []GroupStats, error) {
+	n := g.NumNodes()
+	stats := make([]GroupStats, k)
+	held := make([]int, k)
+	unp := make([]int32, n)
+	for i := range unp {
+		unp[i] = int32(len(g.adj(int32(i))))
+	}
+	done := make([]bool, n)
+	total, peak := 0, 0
 	for _, x := range order {
-		if _, ok := g.adj[x]; !ok {
-			return 0, fmt.Errorf("pebble: schedule names unknown node %d", x)
+		i, ok := g.Index(x)
+		if !ok {
+			return 0, nil, fmt.Errorf("pebble: schedule names unknown node %d", x)
 		}
-		if pebbled[x] {
-			return 0, fmt.Errorf("pebble: node %d pebbled twice", x)
+		if done[i] {
+			return 0, nil, fmt.Errorf("pebble: node %d pebbled twice", x)
 		}
-		pebbled[x] = true
-		holding[x] = true
-		if len(holding) > peak {
-			peak = len(holding)
-		}
-		for {
-			removed := false
-			for q := range holding {
-				ok := true
-				for y := range g.adj[q] {
-					if !pebbled[y] {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					delete(holding, q)
-					removed = true
+		done[i] = true
+		gi := group[i]
+		total++
+		peak = max(peak, total)
+		held[gi]++
+		stats[gi].Peak = max(stats[gi].Peak, held[gi])
+		for _, q := range g.adj(int32(i)) {
+			if group[q] != gi {
+				return 0, nil, fmt.Errorf("pebble: edge %d–%d crosses groups", x, g.ids[q])
+			}
+			if unp[q]--; done[q] {
+				stats[gi].Edges++
+				if unp[q] == 0 {
+					total--
+					held[gi]--
 				}
 			}
-			if !removed {
-				break
-			}
+		}
+		if unp[i] == 0 {
+			total--
+			held[gi]--
 		}
 	}
-	if len(pebbled) != g.NumNodes() {
-		return 0, fmt.Errorf("pebble: schedule covers %d of %d nodes", len(pebbled), g.NumNodes())
+	if len(order) != n {
+		return 0, nil, fmt.Errorf("pebble: schedule covers %d of %d nodes", len(order), n)
 	}
-	return peak, nil
+	return peak, stats, nil
 }

@@ -248,22 +248,3 @@ func TestQuickHeuristicQuality(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkHeuristicPebble(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	g := NewGraph()
-	// A chain of small merge clusters, like many employees with few
-	// moves each.
-	for i := 0; i < 500; i++ {
-		base := i * 4
-		g.AddEdge(base, base+1)
-		g.AddEdge(base, base+2)
-		if r.Intn(2) == 0 {
-			g.AddEdge(base+1, base+3)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		HeuristicPebble(g)
-	}
-}

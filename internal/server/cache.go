@@ -2,6 +2,8 @@ package server
 
 import (
 	"container/list"
+	"encoding/binary"
+	"hash/maphash"
 	"sync"
 )
 
@@ -27,35 +29,100 @@ type cacheKey struct {
 // (list element, map bucket share, key struct).
 const entryOverhead = 160
 
+// initialCacheLimit is the effective byte limit a cache starts from,
+// before it has observed any reuse (or the whole budget, if smaller).
+const initialCacheLimit = 256 << 10
+
 // cacheEntry is one LRU slot.
 type cacheEntry struct {
 	key  cacheKey
 	body []byte
+	// hash identifies the key in the ghost table once the entry is
+	// evicted; stamp is the byte clock at the entry's last reference.
+	hash  uint64
+	stamp int64
 }
 
 func (e *cacheEntry) cost() int {
-	return len(e.body) + len(e.key.Query) + len(e.key.Cube) + entryOverhead
+	return len(e.body) + len(e.key.Query) + len(e.key.Cube) + len(e.key.Scenario) + entryOverhead
 }
 
-// resultCache is an LRU result cache bounded by a byte budget rather
-// than an entry count: grids vary from a single cell to thousands, so
-// counting entries would make memory use unpredictable. A non-positive
-// budget disables caching entirely.
+// ghost remembers an entry evicted for space: which key, when it was
+// last referenced, and the bytes keeping it would have taken.
+type ghost struct {
+	hash  uint64
+	stamp int64
+	cost  int
+}
+
+// resultCache is an LRU result cache bounded by bytes rather than by an
+// entry count: grids vary from a single cell to thousands, so counting
+// entries would make memory use unpredictable. A non-positive budget
+// disables caching entirely.
+//
+// The budget is a cap, not a fill target: the cache holds its working
+// set, not the last budget's worth of bodies that passed through. Its
+// effective limit starts small and grows to the largest reuse distance
+// it has observed. Distance is measured on a byte clock that advances by
+// an entry's cost on every reference to it — insert and hit alike, since
+// a hit moves an older entry in front of everything behind it just as an
+// insert does. An entry evicted for space leaves a ghost (key hash and
+// last-reference stamp); a miss on a ghosted key means the limit was too
+// small by exactly clock − stamp, and raises it to that (at most the
+// budget). Ghosts stand for at most the budget − limit bytes the cache
+// could still grow by, so a cache at its budget keeps none and is a
+// plain LRU. The limit never shrinks. A stream of never-repeated
+// queries therefore costs the initial limit, not the budget.
 type resultCache struct {
 	mu     sync.Mutex
 	budget int
+	limit  int
 	bytes  int
+	clock  int64
 	ll     *list.List // front = most recently used
 	items  map[cacheKey]*list.Element
+
+	seed       maphash.Seed
+	ghosts     map[uint64]int64 // key hash -> stamp of its newest ghost
+	ghostQ     []ghost          // eviction order, oldest first
+	ghostBytes int
 }
 
 // newResultCache creates a cache with the given byte budget.
 func newResultCache(budgetBytes int) *resultCache {
 	return &resultCache{
 		budget: budgetBytes,
+		limit:  min(initialCacheLimit, budgetBytes),
 		ll:     list.New(),
 		items:  make(map[cacheKey]*list.Element),
+		seed:   maphash.MakeSeed(),
+		ghosts: make(map[uint64]int64),
 	}
+}
+
+// hash digests a key for the ghost table. A collision can only raise
+// the limit spuriously.
+func (c *resultCache) hash(k cacheKey) uint64 {
+	var h maphash.Hash
+	h.SetSeed(c.seed)
+	for _, s := range [...]string{k.Cube, k.Query, k.Scenario} {
+		h.WriteString(s)
+		h.WriteByte(0)
+	}
+	var n [16]byte
+	binary.LittleEndian.PutUint64(n[:8], uint64(k.Version))
+	binary.LittleEndian.PutUint64(n[8:], uint64(k.ScenarioRev))
+	h.Write(n[:])
+	return h.Sum64()
+}
+
+// touch marks a reference to the entry: most recently used, stamped
+// with the byte clock, which advances by its cost. Caller holds mu.
+func (c *resultCache) touch(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	e.stamp = c.clock
+	c.clock += int64(e.cost())
+	c.ll.MoveToFront(el)
 }
 
 // Get returns the cached body for the key, marking it recently used.
@@ -69,13 +136,15 @@ func (c *resultCache) Get(key cacheKey) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
+	c.touch(el)
 	return el.Value.(*cacheEntry).body, true
 }
 
 // Put inserts (or refreshes) an entry, evicting least-recently-used
-// entries until the budget holds. A body larger than the whole budget
-// is not cached.
+// entries until the limit holds. Inserting a key whose ghost is still
+// remembered grows the limit to the reuse distance just observed, and a
+// body larger than the current limit grows it to fit; a body larger
+// than the whole budget is not cached.
 func (c *resultCache) Put(key cacheKey, body []byte) {
 	if c.budget <= 0 {
 		return
@@ -86,21 +155,38 @@ func (c *resultCache) Put(key cacheKey, body []byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		old := el.Value.(*cacheEntry)
-		c.bytes += e.cost() - old.cost()
+	el, ok := c.items[key]
+	if ok {
+		c.bytes -= el.Value.(*cacheEntry).cost()
+		e.hash = el.Value.(*cacheEntry).hash
 		el.Value = e
-		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(e)
-		c.bytes += e.cost()
+		e.hash = c.hash(key)
+		if stamp, ghosted := c.ghosts[e.hash]; ghosted {
+			delete(c.ghosts, e.hash)
+			c.limit = max(c.limit, int(min(int64(c.budget), c.clock-stamp)))
+		}
+		el = c.ll.PushFront(e)
+		c.items[key] = el
 	}
-	for c.bytes > c.budget {
+	c.bytes += e.cost()
+	c.limit = max(c.limit, e.cost())
+	c.touch(el)
+	for c.bytes > c.limit {
 		c.evictOldest()
+	}
+	for c.ghostBytes > c.budget-c.limit {
+		g := c.ghostQ[0]
+		c.ghostQ = c.ghostQ[1:]
+		c.ghostBytes -= g.cost
+		if c.ghosts[g.hash] == g.stamp {
+			delete(c.ghosts, g.hash)
+		}
 	}
 }
 
-// evictOldest removes the least-recently-used entry. Caller holds mu.
+// evictOldest removes the least-recently-used entry, leaving a ghost
+// while the cache can still grow. Caller holds mu.
 func (c *resultCache) evictOldest() {
 	el := c.ll.Back()
 	if el == nil {
@@ -109,27 +195,18 @@ func (c *resultCache) evictOldest() {
 	e := c.ll.Remove(el).(*cacheEntry)
 	delete(c.items, e.key)
 	c.bytes -= e.cost()
+	if c.limit < c.budget {
+		c.ghosts[e.hash] = e.stamp
+		c.ghostQ = append(c.ghostQ, ghost{hash: e.hash, stamp: e.stamp, cost: e.cost()})
+		c.ghostBytes += e.cost()
+	}
 }
 
 // InvalidateCube drops every entry for the named cube regardless of
 // version, returning the number removed. Called on catalog updates so
 // superseded results free their bytes immediately instead of aging out.
 func (c *resultCache) InvalidateCube(cube string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.key.Cube == cube {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-			c.bytes -= e.cost()
-			n++
-		}
-		el = next
-	}
-	return n
+	return c.invalidate(func(k cacheKey) bool { return k.Cube == cube })
 }
 
 // InvalidateScenario drops every entry for the scenario id, returning
@@ -137,13 +214,18 @@ func (c *resultCache) InvalidateCube(cube string) int {
 // revision-keyed entries are already unreachable after an edit, so this
 // is byte reclamation, not correctness.
 func (c *resultCache) InvalidateScenario(id string) int {
+	return c.invalidate(func(k cacheKey) bool { return k.Scenario == id })
+}
+
+// invalidate drops the entries whose key matches. They leave no ghosts:
+// they were not evicted for space, so they say nothing about the limit.
+func (c *resultCache) invalidate(match func(cacheKey) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.key.Scenario == id {
+		if e := el.Value.(*cacheEntry); match(e.key) {
 			c.ll.Remove(el)
 			delete(c.items, e.key)
 			c.bytes -= e.cost()
@@ -166,4 +248,12 @@ func (c *resultCache) Bytes() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
+}
+
+// Limit returns the effective byte limit: what the cache may hold now,
+// between its initial limit and its budget.
+func (c *resultCache) Limit() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.limit
 }

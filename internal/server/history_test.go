@@ -101,6 +101,9 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 	if math.Abs(sm.CacheHitRatio-0.5) > 1e-9 {
 		t.Fatalf("cache hit ratio = %v, want 0.5", sm.CacheHitRatio)
 	}
+	if sm.CacheBytes <= 0 || sm.CacheLimitBytes != initialCacheLimit {
+		t.Fatalf("cache gauges = %d bytes under a %d limit, want a body under the initial limit", sm.CacheBytes, sm.CacheLimitBytes)
+	}
 	if sm.CellsScanned <= 0 || sm.CellsReturned <= 0 {
 		t.Fatalf("cells scanned/returned = %d/%d, want positive", sm.CellsScanned, sm.CellsReturned)
 	}

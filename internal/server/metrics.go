@@ -182,12 +182,13 @@ type Metrics struct {
 	// exposition cardinality.
 	byScenario map[string]*scenarioStat
 
-	// queueDepth, cacheBytes, writebackPending and poolStats are
-	// sampled at snapshot time. writebackPending is nil unless a
+	// queueDepth, cacheBytes, cacheLimit, writebackPending and poolStats
+	// are sampled at snapshot time. writebackPending is nil unless a
 	// persister is attached (whatifd -data-dir); poolStats sums the
 	// buffer pools of the catalog's current cube versions.
 	queueDepth       func() int
 	cacheBytes       func() int
+	cacheLimit       func() int
 	writebackPending func() int64
 	poolStats        func() chunk.SpillStats
 }
@@ -314,8 +315,11 @@ type MetricsSnapshot struct {
 	CacheMisses   int64   `json:"cache_misses"`
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
 	CacheBytes    int     `json:"cache_bytes"`
-	QueueDepth    int     `json:"queue_depth"`
-	SlowQueries   int64   `json:"slow_queries"`
+	// CacheLimitBytes is what the result cache may hold now: it grows
+	// from a small start toward Config.CacheBytes as reuse is observed.
+	CacheLimitBytes int   `json:"cache_limit_bytes"`
+	QueueDepth      int   `json:"queue_depth"`
+	SlowQueries     int64 `json:"slow_queries"`
 	// CellsScanned/CellsReturned are lifetime totals;
 	// ScanAmplification their ratio (0 until something was returned).
 	CellsScanned      int64   `json:"cells_scanned"`
@@ -420,6 +424,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	if m.cacheBytes != nil {
 		s.CacheBytes = m.cacheBytes()
+		s.CacheLimitBytes = m.cacheLimit()
 	}
 	if m.writebackPending != nil {
 		s.WritebackPending = m.writebackPending()

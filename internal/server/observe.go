@@ -145,6 +145,7 @@ func (sm *obsSampler) sample() {
 	}
 	if m.cacheBytes != nil {
 		out.CacheBytes = m.cacheBytes()
+		out.CacheLimitBytes = m.cacheLimit()
 	}
 	if m.writebackPending != nil {
 		out.WritebackPending = m.writebackPending()

@@ -364,7 +364,7 @@ func TestServerExplainEndpoints(t *testing.T) {
 	if !resp.Analyze || resp.Stats.ChunksRead == 0 {
 		t.Fatalf("EXPLAIN ANALYZE did not execute: %+v", resp)
 	}
-	for _, want := range []string{"eval", "scan", "totals:", "stats:"} {
+	for _, want := range []string{"eval", "scan", "plan.targets", "plan.graph", "plan.pebble", "plan.groups", "totals:", "stats:"} {
 		if !strings.Contains(resp.Explain, want) {
 			t.Fatalf("analysis missing %q:\n%s", want, resp.Explain)
 		}
@@ -388,5 +388,13 @@ func TestServerExplainEndpoints(t *testing.T) {
 	samples := promParse(t, rec2.Body.String())
 	if samples["whatif_queries_served_total"] < 3 {
 		t.Fatalf("prom queries_served = %v, want >= 3", samples["whatif_queries_served_total"])
+	}
+	// The cache's effective limit is exported next to its size, in both
+	// renderings: it starts at the initial limit, under the 1 MiB budget.
+	if got := samples["whatif_cache_limit_bytes"]; got != initialCacheLimit {
+		t.Fatalf("prom whatif_cache_limit_bytes = %v, want %d", got, initialCacheLimit)
+	}
+	if snap := s.metrics.Snapshot(); snap.CacheLimitBytes != initialCacheLimit || snap.CacheBytes > snap.CacheLimitBytes {
+		t.Fatalf("/metrics cache_bytes %d, cache_limit_bytes %d", snap.CacheBytes, snap.CacheLimitBytes)
 	}
 }

@@ -60,6 +60,7 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	writePromCounter(w, "whatif_cells_scanned_total", "Source cells visited by chunk scans.", s.CellsScanned)
 	writePromCounter(w, "whatif_cells_returned_total", "Result-grid cells returned to clients.", s.CellsReturned)
 	writePromGauge(w, "whatif_cache_bytes", "Bytes held by the result cache.", float64(s.CacheBytes))
+	writePromGauge(w, "whatif_cache_limit_bytes", "Bytes the result cache may hold now; grows with observed reuse, up to the configured budget.", float64(s.CacheLimitBytes))
 	writePromGauge(w, "whatif_queue_depth", "Queries waiting in the executor queue.", float64(s.QueueDepth))
 	writePromGauge(w, "whatif_writeback_pending", "Segment write-backs queued or in flight.", float64(s.WritebackPending))
 	writePromGauge(w, "whatif_pool_resident_bytes", "Bytes of chunk data resident in the buffer pools.", float64(s.Pool.ResidentBytes))

@@ -49,10 +49,12 @@ type Config struct {
 	// QueueCap bounds the admission queue; a full queue sheds load with
 	// HTTP 429 (default: 4 × workers).
 	QueueCap int
-	// CacheBytes is the result cache's byte budget; 0 or negative
-	// disables caching. DefaultCacheBytes is used when left zero by
-	// cmd/whatifd, but the library treats 0 as "off" so tests can
-	// exercise the uncached path.
+	// CacheBytes is the result cache's byte budget — the most it may
+	// ever hold, not what it fills to: the cache keeps its working set,
+	// growing from a small start as it observes reuse (see resultCache).
+	// 0 or negative disables caching. DefaultCacheBytes is used when
+	// left zero by cmd/whatifd, but the library treats 0 as "off" so
+	// tests can exercise the uncached path.
 	CacheBytes int
 	// DefaultTimeout bounds each query when the request does not carry
 	// its own timeout; 0 means no deadline.
@@ -171,6 +173,7 @@ func New(catalog *Catalog, cfg Config) *Server {
 	s.tracePool.New = func() interface{} { return trace.New(cfg.TraceSpans) }
 	s.metrics.queueDepth = s.exec.QueueDepth
 	s.metrics.cacheBytes = s.cache.Bytes
+	s.metrics.cacheLimit = s.cache.Limit
 	s.metrics.poolStats = catalog.PoolStats
 	if p := catalog.Persister(); p != nil {
 		s.metrics.writebackPending = p.Pending

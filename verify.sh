@@ -71,10 +71,12 @@ stage 'go test ./...' go test ./...
 # log, and the whatif -top view), the scenario workspace
 # fork/edit/query races, the storage tier (segment reads, manifest
 # commits, background write-back), the lint suite's analyzer/driver
-# tests, and the run-encoded representation (run-aware scan kernel
-# equivalence, sub-task splitting, daemon RLE restart).
+# tests, the run-encoded representation (run-aware scan kernel
+# equivalence, sub-task splitting, daemon RLE restart), and the dense
+# planner (pebbler-vs-oracle differential tests, plan determinism, the
+# allocation pins that stand in for timing asserts on this host).
 stage 'go test -race (concurrent paths)' \
-    go test -race -run 'Concurrent|Server|Cache|Parallel|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|Subtask|History|Retain|Event|Top' ./...
+    go test -race -run 'Concurrent|Server|Cache|Parallel|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|Subtask|History|Retain|Event|Top|Pebble|Plan' ./...
 
 # Advisory (non-fatal): known-vulnerability scan, skipped when the
 # toolchain image does not ship govulncheck or has no network.
