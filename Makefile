@@ -56,11 +56,12 @@ bench:
 	go test -run XXX -bench . ./...
 
 # A fast sanity pass over the figure benchmarks, the parallel-scan
-# series, the overlay-kernel write-path comparison and the trace and
+# series, the overlay-kernel write-path comparison, the slab kernel's
+# dense, run-encoded and scenario-chain scans, and the trace and
 # trace-retention overhead guards; full numbers come from `make bench`
 # or cmd/benchfig.
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkFig|BenchmarkParallelScan|BenchmarkRelocationKernel|BenchmarkRleScan|BenchmarkTrace|BenchmarkObs' -benchtime=100ms .
+	go test -run '^$$' -bench 'BenchmarkFig|BenchmarkParallelScan|BenchmarkRelocationKernel|BenchmarkRleScan|BenchmarkScanDense|BenchmarkScanChain|BenchmarkTrace|BenchmarkObs' -benchtime=100ms .
 
 # CPU profile of the relocation kernel under the trace hooks; inspect
 # with `go tool pprof cpu.prof`.

@@ -16,9 +16,11 @@ import (
 	"whatifolap/internal/bench"
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/core"
+	"whatifolap/internal/cube"
 	"whatifolap/internal/dimension"
 	"whatifolap/internal/obs"
 	"whatifolap/internal/perspective"
+	"whatifolap/internal/scenario"
 	"whatifolap/internal/simdisk"
 	"whatifolap/internal/trace"
 	"whatifolap/internal/workload"
@@ -529,7 +531,7 @@ func subK(k int) string {
 	return string(buf[i:])
 }
 
-// --- Run-encoded scan: run kernel vs per-cell relocation ---
+// --- Run-encoded scan: value runs vs cell spans through the slab kernel ---
 
 var (
 	rleOnce sync.Once
@@ -555,8 +557,8 @@ func rleBenchWorkforce(b *testing.B) *workload.Workforce {
 }
 
 // BenchmarkRleScan runs the same serial forward query over the cube
-// stored per-cell (auto dense/sparse) and run-encoded. Only the
-// run-encoded variant takes the run-aware kernel; store_bytes and
+// stored per-cell (auto dense/sparse) and run-encoded. Both go through
+// the slab kernel — as cell spans and as value runs; store_bytes and
 // cells_relocated are reported per variant, scan throughput is the
 // cells_relocated over the scan stage captured in BENCH_rle_scan.json.
 func BenchmarkRleScan(b *testing.B) {
@@ -564,7 +566,7 @@ func BenchmarkRleScan(b *testing.B) {
 	variants := []struct {
 		name   string
 		encode bool
-	}{{"per-cell", false}, {"run-encoded", true}}
+	}{{"as-loaded", false}, {"run-encoded", true}}
 	for _, va := range variants {
 		b.Run(va.name, func(b *testing.B) {
 			c := w.Cube.Clone()
@@ -595,4 +597,84 @@ func BenchmarkRleScan(b *testing.B) {
 			b.ReportMetric(float64(st.MemBytes()), "store_bytes")
 		})
 	}
+}
+
+// --- Slab kernel: whole queries over dense chunks and a scenario chain ---
+
+// benchScan runs the standard serial forward query on c and reports the
+// scan stage's share (scan_ms) next to ns/op and allocs/op: the CI-side
+// guard for the slab kernel, whose allocations — not its timings, on
+// this host — are what a regression shows up in first.
+func benchScan(b *testing.B, c *cube.Cube, members []string) {
+	e, err := core.New(c, workload.DimDepartment)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := core.PerspectiveQuery{
+		Members: members, Perspectives: []int{0, 3, 6, 9},
+		Sem: perspective.Forward, Mode: perspective.NonVisual,
+	}
+	var cells int
+	var scanMs float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := e.ExecPerspective(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells = v.Stats.CellsRelocated
+		scanMs += v.Stats.ScanMs
+	}
+	b.ReportMetric(float64(cells), "cells_relocated")
+	b.ReportMetric(scanMs/float64(b.N), "scan_ms")
+}
+
+// BenchmarkScanDense is the dense feeder: the workforce cube as loaded
+// (every chunk over a quarter full, so dense), in the default chunk
+// layout — 20-cell slabs.
+func BenchmarkScanDense(b *testing.B) {
+	w := benchWorkforce(b)
+	benchScan(b, w.Cube, w.Changing)
+}
+
+// BenchmarkScanChain is the scenario feeder: the same query through a
+// two-layer chain whose edits touch a cell in every fourth chunk, so the
+// scan mixes resolved chunks with chunks that pass through as stored.
+func BenchmarkScanChain(b *testing.B) {
+	w := benchWorkforce(b)
+	s, err := scenario.NewLocal("bench", w.Cube)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := w.Cube.Store().(*chunk.Store)
+	g := st.Geometry()
+	ccoord, addr := make([]int, g.NumDims()), make([]int, g.NumDims())
+	for layer := 0; layer < 2; layer++ {
+		var edits []scenario.Edit
+		for i, id := range st.ChunkIDs() {
+			if i%4 != layer {
+				continue
+			}
+			g.CoordOf(id, ccoord)
+			st.PeekChunk(id).ForEach(func(off int, v float64) bool {
+				g.Join(ccoord, off, addr)
+				return false // the chunk's first cell
+			})
+			cell := make(map[string]string, len(addr))
+			for d, o := range addr {
+				dim := w.Cube.Dim(d)
+				cell[dim.Name()] = dim.Path(dim.Leaf(o).ID)
+			}
+			edits = append(edits, scenario.Edit{Op: scenario.OpSet, Cell: cell, Value: float64(i)})
+		}
+		if _, err := s.Apply(edits); err != nil {
+			b.Fatal(err)
+		}
+	}
+	view, _, err := s.View()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchScan(b, view, w.Changing)
 }

@@ -10,7 +10,7 @@
 //	benchfig -fig 12            # chunk co-location vs. query time (§6.2)
 //	benchfig -fig 13            # varying members vs. query time (§6.3)
 //	benchfig -fig overlay-kernel  # overlay write path: MemStore vs chunk-native
-//	benchfig -fig rle-scan        # run-encoded chunks vs per-cell relocation
+//	benchfig -fig rle-scan        # the scan by source chunk representation
 //	benchfig -fig plan            # planning cost vs scan cost, by scope size
 //	benchfig -fig obs-overhead    # trace-retention cost on the traced replay
 //	benchfig -fig ablation-pebble | ablation-mode | ablation-rep | ablation-compress
@@ -177,11 +177,11 @@ func parallelScan(w *workload.Workforce, reps int) {
 }
 
 func rleScan(reps int) {
-	fmt.Println("# RLE scan — run-encoded chunks vs per-cell relocation")
+	fmt.Println("# RLE scan — the scan by source chunk representation")
 	fmt.Println("# validity-window cube (FlatMonths workforce, period-fastest chunks);")
 	fmt.Println("# serial forward over all changing employees, 4 perspectives {Jan,Apr,Jul,Oct};")
-	fmt.Println("# only the run-encoded row uses the run kernel — the others measure the")
-	fmt.Println("# unchanged per-cell path")
+	fmt.Println("# every row goes through the slab kernel: dense and sparse chunks move")
+	fmt.Println("# slabs of cells, run-encoded chunks move value runs")
 	cfg := bench.RleScanConfig()
 	fmt.Fprintf(os.Stderr, "benchfig: generating flat-months workforce (%d employees)...\n", cfg.Employees)
 	w, err := workload.NewWorkforce(cfg)
@@ -229,7 +229,8 @@ func planCost(w *workload.Workforce, reps int) {
 }
 
 func overlayKernel(w *workload.Workforce, reps int) {
-	fmt.Println("# Overlay kernel — relocation write path: legacy MemStore vs chunk-native")
+	fmt.Println("# Overlay kernel — relocation write path: legacy MemStore, chunk-native")
+	fmt.Println("# per cell, chunk-native per slab (what the scan does)")
 	fmt.Println("# identical relocation stream (dynamic forward over all changing employees,")
 	fmt.Println("# 4 perspectives {Jan,Apr,Jul,Oct}) replayed into each overlay store")
 	fmt.Println("kernel,cells,wall_ms,cells_per_sec,allocs_per_cell,steady_allocs_per_cell")

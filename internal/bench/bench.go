@@ -652,13 +652,13 @@ func RleScanConfig() workload.WorkforceConfig {
 	return cfg
 }
 
-// RleScan measures the run-aware scan against the per-cell paths: the
-// same serial forward query over every changing employee at four
-// perspectives, against the cube stored as-loaded (auto dense/sparse),
-// forced sparse, and run-encoded. The run-encoded row exercises the
-// run kernel (chunk.ForEachRun + coalesced overlay run writes); the
-// other rows keep the unchanged per-cell relocation path, so the
-// comparison isolates the kernel.
+// RleScan measures the scan by source representation: the same serial
+// forward query over every changing employee at four perspectives,
+// against the cube stored as-loaded (auto dense/sparse), forced sparse,
+// and run-encoded. All three go through the slab kernel; what differs is
+// what a slab carries — its cells (dense, sparse: one bulk cell write
+// per slab) or one value (run-encoded: slabs coalesce into overlay run
+// writes) — and how many bytes the store holds.
 func RleScan(w *workload.Workforce, reps int) ([]RleScanRow, error) {
 	measure := func(label string, c *cube.Cube) (RleScanRow, error) {
 		st := c.Store().(*chunk.Store)

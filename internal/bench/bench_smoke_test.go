@@ -49,3 +49,26 @@ func TestSmokeAll(t *testing.T) {
 		t.Fatalf("compression should shrink the representation: %+v", comp)
 	}
 }
+
+// TestKernelSlabReplayMatchesPerCell: the overlay-kernel figure's slab
+// row writes exactly the cells its per-cell rows write.
+func TestKernelSlabReplayMatchesPerCell(t *testing.T) {
+	w, err := workload.NewWorkforce(workload.ConfigTiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := NewKernel(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, slabs := k.NewOverlay(), k.NewOverlay()
+	if n, m := k.Replay(cells), k.replaySlabs(slabs); n != m || slabs.Len() != cells.Len() {
+		t.Fatalf("slab replay wrote %d cells (%d held), per-cell replay %d (%d held)", m, slabs.Len(), n, cells.Len())
+	}
+	cells.NonNull(func(addr []int, v float64) bool {
+		if got := slabs.Get(addr); got != v {
+			t.Fatalf("cell %v = %v after the slab replay, %v after the per-cell one", addr, got, v)
+		}
+		return true
+	})
+}

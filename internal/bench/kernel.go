@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"whatifolap/internal/chunk"
@@ -19,11 +20,19 @@ import (
 // RunMemStore and RunChunkNative then replay the identical stream into
 // the legacy string-keyed cube.MemStore and the chunk-native
 // chunk.Overlay respectively, so the comparison isolates the overlay
-// write path the engine's scan sits on: per cell, MemStore encodes an
-// address key (allocating) and probes a string map, while Overlay does
-// integer (chunkID, offset) arithmetic and writes in place.
+// write path: per cell, MemStore encodes an address key (allocating) and
+// probes a string map, while Overlay does integer (chunkID, offset)
+// arithmetic and writes in place. RunSlab replays the same cells the way
+// the engine's scan now writes them — grouped into the slabs they left
+// their source chunks in, one Overlay.SetCellsAt per slab.
 type Kernel struct {
 	geom *chunk.Geometry
+	// slabs is the stream regrouped by destination slab, in stream
+	// order: slab i writes slabCells[i*slabLen:(i+1)*slabLen] (Null where
+	// the stream has no cell) at offset slabs[i].off of chunk slabs[i].id.
+	slabLen   int
+	slabs     []slabWrite
+	slabCells []float64
 	// The relocation stream, flattened: addrs holds cells*dims ordinals,
 	// vals the cell values.
 	addrs []int
@@ -33,6 +42,9 @@ type Kernel struct {
 	// replays can mirror the engine's per-chunk span granularity.
 	chunkEnds []int
 }
+
+// slabWrite addresses one slab of the regrouped stream.
+type slabWrite struct{ id, off int }
 
 // NewKernel plans the standard workload query against w and captures
 // its relocation stream.
@@ -57,7 +69,7 @@ func NewKernel(w *workload.Workforce) (*Kernel, error) {
 	pi := w.Cube.DimIndex(b.Param.Name())
 
 	g := st.Geometry()
-	k := &Kernel{geom: g}
+	k := &Kernel{geom: g, slabLen: min(g.OffsetStride(vi), g.OffsetStride(pi))}
 	ccoord := make([]int, g.NumDims())
 	addr := make([]int, g.NumDims())
 	for _, id := range plan.Schedule {
@@ -77,8 +89,20 @@ func NewKernel(w *workload.Workforce) (*Kernel, error) {
 				return true
 			}
 			k.addrs = append(k.addrs, addr...)
-			k.addrs[len(k.addrs)-g.NumDims()+vi] = dst
+			moved := k.addrs[len(k.addrs)-g.NumDims():]
+			moved[vi] = dst
 			k.vals = append(k.vals, v)
+			// A move changes only the varying digit, so cells that shared a
+			// source slab share a destination slab and arrive back to back.
+			id, doff := g.SplitID(moved)
+			start := doff - doff%k.slabLen
+			if n := len(k.slabs); n == 0 || k.slabs[n-1] != (slabWrite{id, start}) {
+				k.slabs = append(k.slabs, slabWrite{id, start})
+				for i := 0; i < k.slabLen; i++ {
+					k.slabCells = append(k.slabCells, math.NaN())
+				}
+			}
+			k.slabCells[len(k.slabCells)-k.slabLen+doff-start] = v
 			return true
 		})
 		if n := len(k.chunkEnds); len(k.vals) > 0 && (n == 0 || k.chunkEnds[n-1] < len(k.vals)) {
@@ -105,6 +129,10 @@ func (k *Kernel) RunMemStore() int {
 func (k *Kernel) RunChunkNative() int {
 	return k.replayOverlay(chunk.NewOverlay(k.geom))
 }
+
+// RunSlab replays the relocation stream, a slab per write, into a fresh
+// Overlay and returns the number of cells written.
+func (k *Kernel) RunSlab() int { return k.replaySlabs(chunk.NewOverlay(k.geom)) }
 
 // NewOverlay returns an empty destination overlay matching the kernel's
 // geometry, for steady-state (warm-destination) replays.
@@ -151,6 +179,14 @@ func (k *Kernel) replayOverlay(ov *chunk.Overlay) int {
 	return len(k.vals)
 }
 
+func (k *Kernel) replaySlabs(ov *chunk.Overlay) int {
+	n := 0
+	for i, w := range k.slabs {
+		n += ov.SetCellsAt(w.id, w.off, k.slabCells[i*k.slabLen:(i+1)*k.slabLen])
+	}
+	return n
+}
+
 // KernelRow is one line of the overlay-kernel comparison.
 type KernelRow struct {
 	Kernel      string
@@ -162,12 +198,12 @@ type KernelRow struct {
 	AllocsPerCell float64
 	// SteadyAllocsPerCell replays the stream into an already-warm
 	// destination: the per-cell write cost once destination chunks
-	// exist. Chunk-native is 0 here (integer arithmetic only); the
-	// MemStore path pays its address-key allocations on every write.
+	// exist. Chunk-native and slab are 0 here (integer arithmetic only);
+	// the MemStore path pays its address-key allocations on every write.
 	SteadyAllocsPerCell float64
 }
 
-// RelocationKernel compares the two overlay write paths on the standard
+// RelocationKernel compares the overlay write paths on the standard
 // workload query's relocation stream: wall time (fastest of reps),
 // write throughput, and heap allocations per relocated cell, fresh and
 // steady-state.
@@ -177,7 +213,7 @@ func RelocationKernel(w *workload.Workforce, reps int) ([]KernelRow, error) {
 		return nil, err
 	}
 	warmMem := cube.NewMemStore(k.geom.NumDims())
-	warmOv := chunk.NewOverlay(k.geom)
+	warmOv, warmSlab := chunk.NewOverlay(k.geom), chunk.NewOverlay(k.geom)
 	variants := []struct {
 		name   string
 		run    func() int
@@ -185,6 +221,7 @@ func RelocationKernel(w *workload.Workforce, reps int) ([]KernelRow, error) {
 	}{
 		{"memstore", k.RunMemStore, func() { k.replayMemStore(warmMem) }},
 		{"chunk-native", k.RunChunkNative, func() { k.replayOverlay(warmOv) }},
+		{"slab", k.RunSlab, func() { k.replaySlabs(warmSlab) }},
 	}
 	var rows []KernelRow
 	for _, v := range variants {

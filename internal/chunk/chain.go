@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the scenario-workspace read hot path: a query against a
-// scenario resolves every cell through Chain.Get (or the engine's
-// merged chunk iteration), so nothing here may allocate per resolved
-// cell or format. verify.sh's whatiflint gate enforces the no-fmt rule
-// for this file.
+// scenario resolves every cell through Chain.Get (or, chunk at a time,
+// through Chain.Resolve for the engine's scan), so nothing here may
+// allocate per resolved cell or format. verify.sh's whatiflint gate
+// enforces the no-fmt rule for this file.
 
 // Layer is one immutable delta in a scenario's layer chain: cell writes
 // in a values overlay plus explicit deletes in a tombstone overlay.
@@ -104,7 +104,7 @@ func (l *Layer) deleted(addr []int) bool { return !math.IsNaN(l.deletes.Get(addr
 // per-layer bounds check routes such addresses past narrower layers
 // and past the base. A chain whose base is a *Store and whose layers
 // all share the base geometry is "engine capable": the perspective
-// engine can scan it chunk by chunk through ForEachMerged.
+// engine can scan it chunk by chunk through Resolve.
 //
 // A chain is an immutable snapshot: scenarios build a fresh Chain per
 // query from their sealed layers, so concurrent readers never race
@@ -309,64 +309,41 @@ func (c *Chain) LayerChunkIDs() []int {
 	return ids
 }
 
-// ForEachMerged iterates the resolved cells of one chunk: base cells
-// (shadowed ones replaced or skipped per the layer chain), then layer
-// cells at offsets the base does not hold. base may be nil when the
-// base store never materialized the chunk. Returns false if fn stopped
-// the iteration. Requires an engine-capable chain (one shared
-// geometry); per-cell work is map probes and integer arithmetic only.
-func (c *Chain) ForEachMerged(id int, base *Chunk, fn func(off int, v float64) bool) bool {
+// Resolve returns chunk id as the chain reads it, for the engine's scan.
+// A chunk no layer touches passes through as stored: base itself, in
+// whatever representation, nil when the base never materialized it.
+// Otherwise the result is scratch — a dense chunk of the geometry's
+// capacity that the caller reuses across calls — overwritten with the
+// base's cells and then each layer's tombstones and writes, oldest layer
+// first so the newest wins; nil when nothing is left. Requires an
+// engine-capable chain (one shared geometry); the work is array writes
+// and two map probes per layer, no callback and no allocation.
+func (c *Chain) Resolve(id int, base, scratch *Chunk) *Chunk {
 	if !c.uniform {
-		panic("chunk: ForEachMerged on a non-uniform chain (id " + strconv.Itoa(id) + ")")
+		panic("chunk: Resolve on a non-uniform chain (id " + strconv.Itoa(id) + ")")
 	}
-	cont := true
+	first := 0
+	for first < len(c.layers) && c.layers[first].values.chunks[id] == nil && c.layers[first].deletes.chunks[id] == nil {
+		first++
+	}
+	if first == len(c.layers) {
+		return base
+	}
+	d := scratch.dense
+	nullFill(d)
 	if base != nil {
-		base.ForEach(func(off int, v float64) bool {
-			for i := len(c.layers) - 1; i >= 0; i-- {
-				l := c.layers[i]
-				if dch := l.deletes.chunks[id]; dch != nil && !math.IsNaN(dch.Get(off)) {
-					return true // deleted: skip, stay in base loop
-				}
-				if vch := l.values.chunks[id]; vch != nil {
-					if lv := vch.Get(off); !math.IsNaN(lv) {
-						cont = fn(off, lv)
-						return cont
-					}
-				}
+		base.scatter(d, false)
+	}
+	for _, l := range c.layers[first:] {
+		for i, o := range [2]*Overlay{l.deletes, l.values} {
+			if ch := o.chunks[id]; ch != nil {
+				//lint:allocok scatter's closure never escapes Chunk.ForEach, so it lives on the stack; TestScenarioChainMergedAllocs pins Resolve at 0 allocations
+				ch.scatter(d, i == 0)
 			}
-			cont = fn(off, v)
-			return cont
-		})
-		if !cont {
-			return false
 		}
 	}
-	for i := len(c.layers) - 1; i >= 0; i-- {
-		vch := c.layers[i].values.chunks[id]
-		if vch == nil {
-			continue
-		}
-		li := i
-		//lint:allocok one closure per layer per merged-chunk scan (it captures the layer index); layers are few
-		vch.ForEach(func(off int, v float64) bool {
-			if base != nil && !math.IsNaN(base.Get(off)) {
-				return true // resolved in the base pass above
-			}
-			for j := len(c.layers) - 1; j > li; j-- {
-				l := c.layers[j]
-				if dch := l.deletes.chunks[id]; dch != nil && !math.IsNaN(dch.Get(off)) {
-					return true // newer tombstone owns the offset
-				}
-				if lch := l.values.chunks[id]; lch != nil && !math.IsNaN(lch.Get(off)) {
-					return true // newer write owns the offset
-				}
-			}
-			cont = fn(off, v)
-			return cont
-		})
-		if !cont {
-			return false
-		}
+	if scratch.n = countCells(d); scratch.n == 0 {
+		return nil
 	}
-	return true
+	return scratch
 }

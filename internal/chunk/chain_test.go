@@ -2,6 +2,8 @@ package chunk
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"whatifolap/internal/cube"
@@ -109,12 +111,13 @@ func TestScenarioChainWiderLayer(t *testing.T) {
 	}
 }
 
-func TestScenarioChainForEachMerged(t *testing.T) {
+func TestScenarioChainResolveChunk(t *testing.T) {
 	c := chainFixture(t)
 	g := c.ChunkBase().Geometry()
 	resolved := map[[2]int]float64{}
 	ccoord := make([]int, 2)
 	addr := make([]int, 2)
+	scratch := NewDense(g.ChunkCap())
 	// Union of base and layer chunks, resolved chunk by chunk, must
 	// reproduce exactly what NonNull reports.
 	ids := map[int]bool{}
@@ -127,11 +130,20 @@ func TestScenarioChainForEachMerged(t *testing.T) {
 	for id := range ids {
 		base, _ := c.ChunkBase().ReadChunkInfo(id)
 		g.CoordOf(id, ccoord)
-		c.ForEachMerged(id, base, func(off int, v float64) bool {
+		ch := c.Resolve(id, base, scratch)
+		if ch == nil {
+			continue
+		}
+		n := 0
+		ch.ForEach(func(off int, v float64) bool {
 			g.Join(ccoord, off, addr)
 			resolved[[2]int{addr[0], addr[1]}] = v
+			n++
 			return true
 		})
+		if n != ch.Len() {
+			t.Fatalf("chunk %d: resolved Len = %d, holds %d cells", id, ch.Len(), n)
+		}
 	}
 	want := map[[2]int]float64{}
 	c.NonNull(func(a []int, v float64) bool {
@@ -139,7 +151,7 @@ func TestScenarioChainForEachMerged(t *testing.T) {
 		return true
 	})
 	if len(resolved) != len(want) {
-		t.Fatalf("merged iteration yielded %v, want %v", resolved, want)
+		t.Fatalf("chunk-wise resolution yielded %v, want %v", resolved, want)
 	}
 	for k, v := range want {
 		if resolved[k] != v {
@@ -190,20 +202,22 @@ func TestScenarioChainGetAllocs(t *testing.T) {
 	_ = sink
 }
 
-// TestScenarioChainMergedAllocs pins the engine-facing merged chunk
-// iteration at zero allocations per chunk once the callback is set up.
+// TestScenarioChainMergedAllocs pins the engine-facing chunk resolution
+// at zero allocations per chunk once the scratch chunk exists.
 func TestScenarioChainMergedAllocs(t *testing.T) {
 	c := chainFixture(t)
 	base, _ := c.ChunkBase().ReadChunkInfo(0)
-	var sink float64
-	fn := func(off int, v float64) bool { sink += v; return true }
+	scratch := NewDense(c.ChunkBase().Geometry().ChunkCap())
+	cells := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.ForEachMerged(0, base, fn)
+		cells += c.Resolve(0, base, scratch).Len()
 	})
 	if allocs != 0 {
-		t.Fatalf("ForEachMerged allocates %.1f per run, want 0", allocs)
+		t.Fatalf("Resolve allocates %.1f per run, want 0", allocs)
 	}
-	_ = sink
+	if cells == 0 {
+		t.Fatal("chunk 0 resolved empty; test is vacuous")
+	}
 }
 
 func TestScenarioChainMemStoreBase(t *testing.T) {
@@ -226,7 +240,7 @@ func TestScenarioChainMemStoreBase(t *testing.T) {
 
 // TestScenarioChainOverRunEncodedBase layers scenario edits over a
 // run-encoded base: reads resolve newest-wins through the encoded
-// chunks, ForEachMerged matches a plain-store twin cell for cell, and
+// chunks, Resolve matches a plain-store twin cell for cell, and
 // the base chunks stay run-encoded throughout — layer edits must never
 // force a base decode (copy-on-write applies to writes, and scenario
 // writes land in layers, not the base).
@@ -269,15 +283,19 @@ func TestScenarioChainOverRunEncodedBase(t *testing.T) {
 		pb, _ := plainChain.ChunkBase().ReadChunkInfo(id)
 		rb, _ := rleChain.ChunkBase().ReadChunkInfo(id)
 		want := map[int]float64{}
-		plainChain.ForEachMerged(id, pb, func(off int, v float64) bool {
-			want[off] = v
-			return true
-		})
+		if ch := plainChain.Resolve(id, pb, NewDense(g.ChunkCap())); ch != nil {
+			ch.ForEach(func(off int, v float64) bool {
+				want[off] = v
+				return true
+			})
+		}
 		got := map[int]float64{}
-		rleChain.ForEachMerged(id, rb, func(off int, v float64) bool {
-			got[off] = v
-			return true
-		})
+		if ch := rleChain.Resolve(id, rb, NewDense(g.ChunkCap())); ch != nil {
+			ch.ForEach(func(off int, v float64) bool {
+				got[off] = v
+				return true
+			})
+		}
 		if len(want) != len(got) {
 			t.Fatalf("chunk %d: merged %d cells, want %d", id, len(got), len(want))
 		}
@@ -292,5 +310,103 @@ func TestScenarioChainOverRunEncodedBase(t *testing.T) {
 		if c := rle.ReadChunk(id); c != nil && c.Rep() != RunEncoded {
 			t.Fatalf("base chunk %d decoded to %v by chain reads", id, c.Rep())
 		}
+	}
+}
+
+// flattenPerCell is the flat copy Flatten replaced on the commit path,
+// kept as its oracle: every resolved cell through the chain's per-cell
+// NonNull into a fresh store.
+func flattenPerCell(c *Chain, g *Geometry) *Store {
+	out := NewStore(g)
+	c.NonNull(func(addr []int, v float64) bool {
+		out.Set(addr, v)
+		return true
+	})
+	return out
+}
+
+// TestScenarioChainFlattenMatchesPerCell: the chunk-at-a-time flat copy
+// equals the per-cell one over chains of depth 0–3 on dense, sparse,
+// run-encoded and mixed bases, with tombstones, layer-only chunks, a
+// chunk tombstoned empty and newer layers overwriting older ones; it
+// owns its chunks (an edit to the copy leaves the base alone); and a
+// chain that is not engine capable falls back to the per-cell copy.
+func TestScenarioChainFlattenMatchesPerCell(t *testing.T) {
+	g := MustGeometry([]int{8, 6}, []int{4, 3})
+	rng := rand.New(rand.NewSource(7))
+	for _, rep := range []string{"dense", "sparse", "runs", "mixed"} {
+		for depth := 0; depth <= 3; depth++ {
+			st := NewStore(g)
+			for x := 0; x < 8; x++ {
+				for y := 0; y < 6; y++ {
+					if x >= 4 && y >= 3 {
+						continue // chunk 3 stays unmaterialized in the base
+					}
+					if rng.Intn(4) > 0 {
+						st.Set([]int{x, y}, float64(1+x/2))
+					}
+				}
+			}
+			switch rep {
+			case "sparse":
+				st.ForceSparseAll()
+			case "runs":
+				st.ForceRunEncodeAll()
+			case "mixed":
+				st.PeekChunk(0).ForceSparse()
+				st.PeekChunk(1).ForceRuns()
+			}
+			var layers []*Layer
+			for d := 0; d < depth; d++ {
+				l := NewLayer(g)
+				for k := 0; k < 6; k++ {
+					addr := []int{rng.Intn(8), rng.Intn(6)}
+					if rng.Intn(3) == 0 {
+						l.Delete(addr)
+					} else {
+						l.Set(addr, float64(100*(d+1)+k))
+					}
+				}
+				if d == depth-1 {
+					l.Set([]int{7, 5}, 999) // layer-only chunk
+					for x := 0; x < 4; x++ { // chunk 2 tombstoned empty
+						for y := 3; y < 6; y++ {
+							l.Delete([]int{x, y})
+						}
+					}
+				}
+				l.Seal()
+				layers = append(layers, l)
+			}
+			c := NewChain(st, layers)
+			want, got := flattenPerCell(c, g), c.Flatten(g)
+			if got.Len() != want.Len() {
+				t.Fatalf("%s depth %d: Flatten holds %d cells, per-cell copy %d", rep, depth, got.Len(), want.Len())
+			}
+			want.NonNull(func(addr []int, v float64) bool {
+				if gv := got.Get(addr); gv != v {
+					t.Errorf("%s depth %d: cell %v = %v, want %v", rep, depth, addr, gv, v)
+				}
+				return true
+			})
+			if gi, wi := got.ChunkIDs(), want.ChunkIDs(); !slices.Equal(gi, wi) {
+				t.Errorf("%s depth %d: Flatten chunks %v, per-cell copy %v", rep, depth, gi, wi)
+			}
+			before := st.Get([]int{0, 0})
+			got.Set([]int{0, 0}, -5)
+			if after := st.Get([]int{0, 0}); after != before && !(math.IsNaN(after) && math.IsNaN(before)) {
+				t.Fatalf("%s depth %d: editing the flat copy changed the base (%v → %v)", rep, depth, before, after)
+			}
+		}
+	}
+
+	base := NewStore(MustGeometry([]int{2, 2}, []int{2, 2}))
+	base.Set([]int{1, 1}, 7)
+	wide := MustGeometry([]int{3, 2}, []int{2, 2})
+	l := NewLayer(wide)
+	l.Set([]int{2, 0}, 42)
+	flat := NewChain(base, []*Layer{l}).Flatten(wide)
+	if flat.Len() != 2 || flat.Get([]int{2, 0}) != 42 || flat.Get([]int{1, 1}) != 7 {
+		t.Fatalf("wider chain flattened to %d cells, (2,0)=%v (1,1)=%v", flat.Len(), flat.Get([]int{2, 0}), flat.Get([]int{1, 1}))
 	}
 }

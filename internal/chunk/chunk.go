@@ -50,10 +50,16 @@ type Chunk struct {
 // NewDense allocates a dense chunk with the given cell capacity.
 func NewDense(capacity int) *Chunk {
 	c := &Chunk{cap: capacity, dense: make([]float64, capacity)}
-	for i := range c.dense {
-		c.dense[i] = math.NaN()
-	}
+	nullFill(c.dense)
 	return c
+}
+
+// nullFill sets every cell of d to Null.
+func nullFill(d []float64) {
+	nan := math.NaN()
+	for i := range d {
+		d[i] = nan
+	}
 }
 
 // NewSparse allocates an empty sparse chunk with the given capacity.
@@ -198,16 +204,14 @@ func (c *Chunk) ForEach(fn func(off int, v float64) bool) {
 	}
 }
 
+// toDense expands a sparse or run-encoded chunk to the dense array.
 func (c *Chunk) toDense() {
 	d := make([]float64, c.cap)
-	for i := range d {
-		d[i] = math.NaN()
-	}
-	for i, off := range c.offs {
-		d[off] = c.vals[i]
-	}
+	nullFill(d)
+	c.scatter(d, false)
 	c.dense = d
 	c.offs, c.vals = nil, nil
+	c.runOffs, c.runLens, c.runVals = nil, nil, nil
 }
 
 func (c *Chunk) toSparse() {

@@ -80,8 +80,8 @@ func (g *Geometry) ChunkCap() int { return g.chunkCap }
 
 // ChunkIDStride returns the canonical-ID increment of one step along
 // dimension dim's chunk coordinate (IDs are row-major over chunk
-// coordinates). The run-aware relocation kernel derives destination
-// chunk IDs with it instead of recomposing full coordinates.
+// coordinates). The relocation kernel derives destination chunk IDs
+// with it instead of recomposing full coordinates.
 func (g *Geometry) ChunkIDStride(dim int) int {
 	stride := 1
 	for i := dim + 1; i < len(g.chunksPer); i++ {
@@ -92,8 +92,10 @@ func (g *Geometry) ChunkIDStride(dim int) int {
 
 // OffsetStride returns the in-chunk offset increment of one step along
 // dimension dim (offsets are row-major over chunk-local digits, last
-// dimension fastest). The run kernel segments runs at multiples of
-// these strides, where the chunk-local digits of interest are constant.
+// dimension fastest). Strides nest — each is a multiple of every
+// smaller one — so an aligned block of stride offsets holds dimension
+// dim's chunk-local digit, and every slower dimension's, constant: the
+// relocation kernel's slab is such a block.
 func (g *Geometry) OffsetStride(dim int) int {
 	stride := 1
 	for i := dim + 1; i < len(g.ChunkDims); i++ {
@@ -137,7 +139,8 @@ func (g *Geometry) Split(addr []int, ccoord []int) int {
 // SplitID decomposes a cell address directly into the canonical chunk
 // ID and the in-chunk offset, without materializing the intermediate
 // chunk coordinate. It is the fusion of Split and CanonicalID and
-// allocates nothing — the relocation kernel calls it once per cell.
+// allocates nothing — point reads and writes (Store.Get, Overlay.Get and
+// Set, the scenario chain) call it once per cell.
 func (g *Geometry) SplitID(addr []int) (id, off int) {
 	for i, a := range addr {
 		if a < 0 || a >= g.Extents[i] {

@@ -10,11 +10,13 @@ import (
 
 // Overlay is a chunk-grained sparse cell store: canonical chunk ID →
 // dense-or-sparse Chunk under a Geometry. The engine's relocation scan
-// writes every moved cell into one; unlike the string-keyed
-// cube.MemStore it replaces, a write is pure integer arithmetic
-// (Geometry.SplitID) plus one map probe — no per-cell allocation once
-// the destination chunk exists. Chunks start sparse and promote to
-// dense past the occupancy threshold, exactly like Store's cells.
+// lands in one, a slab or a value run at a time (SetCellsAt, SetRunAt:
+// one map probe and one chunk-level write each, addressed by the
+// (chunk ID, offset) the kernel derives from strides); the point path
+// (Set: Geometry.SplitID plus one map probe) serves edits, merges and
+// tests. Nothing allocates once the destination chunk exists and has
+// room. Chunks start sparse and promote to dense past the occupancy
+// threshold, exactly like Store's cells.
 //
 // Overlay implements cube.Store. It is not safe for concurrent writers;
 // concurrent readers are safe once writing has stopped (the engine
@@ -77,12 +79,10 @@ func (o *Overlay) Set(addr []int, v float64) {
 func (o *Overlay) Promotions() int { return o.promotions }
 
 // SetRunAt writes n copies of v starting at offset off of the chunk
-// with canonical ID id — the run-aware relocation kernel's write path.
-// One map probe and one chunk-level run write cover the whole segment,
-// against n SplitID computations and n probes on the per-cell path.
+// with canonical ID id — the slab kernel's write path for value runs.
+// One map probe and one chunk-level run write cover the whole segment.
 // v must be non-Null and the run must lie inside the chunk (the kernel
-// segments runs at chunk-digit boundaries, so both hold by
-// construction).
+// cuts runs at slab boundaries, so both hold by construction).
 func (o *Overlay) SetRunAt(id, off, n int, v float64) {
 	c := o.chunks[id]
 	if c == nil {
@@ -96,6 +96,31 @@ func (o *Overlay) SetRunAt(id, off, n int, v float64) {
 		o.promotions++
 	}
 	o.cells += c.Len() - before
+}
+
+// SetCellsAt writes the non-null entries of cells at offsets off, off+1,
+// … of the chunk with canonical ID id and returns how many it wrote —
+// the slab kernel's write path for cells of distinct values. Null
+// entries are holes (Chunk.SetCells); a slab of nothing but holes
+// materializes no chunk. One map probe and one chunk-level splice cover
+// the whole slab.
+func (o *Overlay) SetCellsAt(id, off int, cells []float64) int {
+	c := o.chunks[id]
+	if c == nil {
+		if countCells(cells) == 0 {
+			return 0
+		}
+		c = NewSparse(o.geom.ChunkCap())
+		o.chunks[id] = c
+	}
+	wasSparse := c.dense == nil
+	before := c.Len()
+	n := c.SetCells(off, cells)
+	if wasSparse && c.dense != nil {
+		o.promotions++
+	}
+	o.cells += c.Len() - before
+	return n
 }
 
 // Absorb folds src's chunks into o: chunks o lacks are adopted by

@@ -155,6 +155,7 @@ func (s *Store) AttachTier(t Tier, budgetBytes int) error {
 		}
 	}
 	s.pool = p
+	s.ids.Store(nil) // the tier may hold chunks the store never saw
 	s.mu.Lock()
 	s.evictLocked()
 	s.mu.Unlock()

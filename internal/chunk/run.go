@@ -1,6 +1,7 @@
 // Run-length encoding over value runs: the third chunk representation
-// (alongside dense and sparse) and the run iterator the engine's
-// run-aware relocation kernel consumes.
+// (alongside dense and sparse), plus what the engine's slab-at-a-time
+// relocation kernel needs of a chunk — the span feeder (ForEachSpan)
+// and the two bulk writes its overlay lands on (SetRun, SetCells).
 //
 // A run-encoded chunk stores maximal runs of bit-identical non-Null
 // values as three parallel slices: ascending start offsets, lengths,
@@ -16,14 +17,16 @@
 // (copy-on-write) back to dense or sparse by occupancy, so scenario
 // layers and commits never mutate encoded slices in place.
 //
-// This file is on the engine's scan hot path (ForEachRun feeds the
-// relocation kernel): no fmt, and no per-cell allocation — verify.sh's
-// whatiflint gate enforces the former, the AllocsPerRun pins in
-// run_test.go the latter.
+// This file is on the engine's scan hot path (ForEachSpan feeds the
+// relocation kernel, SetRun and SetCells take its writes): no fmt, and
+// no allocation per run, slab or cell beyond a destination's growth —
+// verify.sh's whatiflint gate enforces the former, the AllocsPerRun pins
+// in run_test.go and internal/core the latter.
 package chunk
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -113,6 +116,64 @@ func (c *Chunk) ForEachRun(fn func(off, runLen int, v float64) bool) {
 	}
 }
 
+// countCells returns the number of non-null cells in d.
+func countCells(d []float64) int {
+	n := 0
+	for _, v := range d {
+		if !math.IsNaN(v) {
+			n++
+		}
+	}
+	return n
+}
+
+// scatter writes the chunk's non-null cells into the cap-sized array d,
+// leaving every other slot alone; with erase set it writes Null at those
+// offsets instead (c is a tombstone chunk).
+func (c *Chunk) scatter(d []float64, erase bool) {
+	c.ForEach(func(off int, v float64) bool {
+		if erase {
+			v = math.NaN()
+		}
+		d[off] = v
+		return true
+	})
+}
+
+// ForEachSpan hands the chunk to a slab-at-a-time consumer — the engine's
+// relocation kernel — as spans of offsets [off, off+n) in ascending
+// order. A dense chunk is one span carrying its cell array (cells[i] is
+// the cell at off+i, Null where empty). A run-encoded chunk is one span
+// per value run (cells is nil: every cell holds v). A sparse chunk is
+// one span per occupied slab, the aligned block of slab offsets around a
+// group of its cells, scattered into scratch — which must be slab long
+// and all Null, and is all Null again on return. slab must divide the
+// chunk capacity. fn must not keep or write cells. Nothing allocates on
+// any representation.
+func (c *Chunk) ForEachSpan(slab int, scratch []float64, fn func(off, n int, cells []float64, v float64)) {
+	switch {
+	case c.dense != nil:
+		fn(0, c.cap, c.dense, 0)
+	case c.runOffs != nil:
+		for i, off := range c.runOffs {
+			fn(int(off), int(c.runLens[i]), nil, c.runVals[i])
+		}
+	default:
+		nan := math.NaN()
+		for i := 0; i < len(c.offs); {
+			start := int(c.offs[i]) / slab * slab
+			j := i
+			for ; j < len(c.offs) && int(c.offs[j]) < start+slab; j++ {
+				scratch[int(c.offs[j])-start] = c.vals[j]
+			}
+			fn(start, slab, scratch, 0)
+			for ; i < j; i++ {
+				scratch[int(c.offs[i])-start] = nan
+			}
+		}
+	}
+}
+
 // runGet is the run-encoded read path: binary search for the run
 // containing off.
 func (c *Chunk) runGet(off int) float64 {
@@ -184,28 +245,25 @@ func (c *Chunk) toRuns() {
 // occupancy is at or under the sparse threshold (the same policy Set
 // applies to growing sparse chunks, in reverse).
 func (c *Chunk) decodeRuns() {
-	d := make([]float64, c.cap)
-	for i := range d {
-		d[i] = math.NaN()
-	}
-	for i, off := range c.runOffs {
-		v := c.runVals[i]
-		for j := int(off); j < int(off)+int(c.runLens[i]); j++ {
-			d[j] = v
-		}
-	}
-	c.runOffs, c.runLens, c.runVals = nil, nil, nil
-	c.dense = d
+	c.toDense()
 	if c.Occupancy() <= sparseThreshold {
 		c.toSparse()
 	}
 }
 
+// promoteFor converts a sparse chunk to dense once, up front, when k
+// more cells would cross the density threshold — the bulk writes' answer
+// to Set's cell-by-cell growth and late promotion.
+func (c *Chunk) promoteFor(k int) {
+	if c.dense == nil && float64(c.n+k) > sparseThreshold*float64(c.cap) {
+		c.toDense()
+	}
+}
+
 // SetRun writes n copies of v starting at off — the overlay write path
-// of the run-aware relocation kernel (Overlay.SetRunAt). NaN deletes
-// the range. Like Set, a run-encoded chunk decodes first and a sparse
-// chunk that would cross the density threshold promotes to dense once,
-// up front, instead of cell by cell.
+// for a value run (Overlay.SetRunAt). NaN deletes the range. Like Set, a
+// run-encoded chunk decodes first; a sparse chunk that would cross the
+// density threshold promotes once, up front (promoteFor).
 func (c *Chunk) SetRun(off, n int, v float64) {
 	if n <= 0 {
 		return
@@ -221,17 +279,7 @@ func (c *Chunk) SetRun(off, n int, v float64) {
 		}
 		return
 	}
-	if c.dense == nil && float64(c.n+n) > sparseThreshold*float64(c.cap) {
-		if c.offs == nil && c.n == 0 {
-			// Fresh chunk: allocate dense directly.
-			c.dense = make([]float64, c.cap)
-			for i := range c.dense {
-				c.dense[i] = math.NaN()
-			}
-		} else {
-			c.toDense()
-		}
-	}
+	c.promoteFor(n)
 	if c.dense != nil {
 		for i := off; i < off+n; i++ {
 			if math.IsNaN(c.dense[i]) {
@@ -244,4 +292,62 @@ func (c *Chunk) SetRun(off, n int, v float64) {
 	for i := off; i < off+n; i++ {
 		c.Set(i, v)
 	}
+}
+
+// SetCells writes the non-null entries of cells at offsets off, off+1, …
+// and returns how many it wrote — the overlay write path for a slab of
+// distinct values (Overlay.SetCellsAt). Null entries are holes, not
+// deletes: the destination keeps whatever it holds there. A sparse
+// destination takes the slab with one search and one move (none when the
+// slab lands past its last cell, as it does when a scan fills a chunk in
+// offset order) instead of a search and a move per cell.
+func (c *Chunk) SetCells(off int, cells []float64) int {
+	k := countCells(cells)
+	if k == 0 {
+		return 0
+	}
+	c.checkOff(off)
+	c.checkOff(off + len(cells) - 1)
+	if c.runOffs != nil {
+		c.decodeRuns()
+	}
+	c.promoteFor(k)
+	if c.dense != nil {
+		for i, v := range cells {
+			if !math.IsNaN(v) {
+				if math.IsNaN(c.dense[off+i]) {
+					c.n++
+				}
+				c.dense[off+i] = v
+			}
+		}
+		return k
+	}
+	n0 := len(c.offs)
+	lo := n0
+	if n0 > 0 && int(c.offs[n0-1]) >= off {
+		lo = sort.Search(n0, func(i int) bool { return c.offs[i] >= int32(off) })
+		if int(c.offs[lo]) < off+len(cells) {
+			// The range already holds cells (a rescan into a warm
+			// destination): overwrite or insert cell by cell.
+			for i, v := range cells {
+				if !math.IsNaN(v) {
+					c.Set(off+i, v)
+				}
+			}
+			return k
+		}
+	}
+	c.offs = slices.Grow(c.offs, k)[:n0+k]
+	c.vals = slices.Grow(c.vals, k)[:n0+k]
+	copy(c.offs[lo+k:], c.offs[lo:n0])
+	copy(c.vals[lo+k:], c.vals[lo:n0])
+	for i, v := range cells {
+		if !math.IsNaN(v) {
+			c.offs[lo], c.vals[lo] = int32(off+i), v
+			lo++
+		}
+	}
+	c.n += k
+	return k
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -226,32 +227,148 @@ func TestRunEncodedSetDecodesFirst(t *testing.T) {
 	}
 }
 
-// TestSetRunMatchesPerCell drives SetRun against per-cell Set on a twin
-// chunk across random ranges, values and NaN deletions.
+// TestSetRunMatchesPerCell drives the two bulk writes — SetRun and
+// SetCells — against per-cell Set on a twin chunk, from every kind of
+// destination (fresh, sparse, one slab short of promotion, dense,
+// run-encoded) across random ranges and values, with NaN deletions for
+// SetRun, and holes, overwrites of held cells and partial overlaps for
+// SetCells. Len must agree after every write, the cells bit for bit at
+// the end, and SetCells must report exactly the non-null cells it was
+// given.
 func TestSetRunMatchesPerCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 150; i++ {
-		a := randomChunk(rng, 40)
-		if rng.Intn(2) == 0 {
+	const capacity = 40
+	for i := 0; i < 300; i++ {
+		var a *Chunk
+		switch i % 5 {
+		case 0:
+			a = NewSparse(capacity)
+		case 1:
+			a = randomChunk(rng, capacity)
+			a.ForceSparse()
+		case 2: // sparse, at the promotion threshold: the next cell crosses it
+			a = NewSparse(capacity)
+			for _, off := range rng.Perm(capacity)[:capacity/4] {
+				a.Set(off, 9)
+			}
+			if a.Rep() != Sparse {
+				t.Fatal("threshold fixture already promoted")
+			}
+		case 3:
+			a = NewDense(capacity)
+			a.SetRun(0, capacity/2, 3)
+		case 4:
+			a = randomChunk(rng, capacity)
 			a.ForceRuns()
 		}
 		b := a.Clone()
 		for j := 0; j < 8; j++ {
-			off := rng.Intn(40)
-			n := 1 + rng.Intn(40-off)
-			v := float64(rng.Intn(4))
-			if rng.Intn(4) == 0 {
-				v = math.NaN()
-			}
-			a.SetRun(off, n, v)
-			for k := off; k < off+n; k++ {
-				b.Set(k, v)
+			off := rng.Intn(capacity)
+			n := 1 + rng.Intn(capacity-off)
+			if rng.Intn(2) == 0 {
+				v := float64(rng.Intn(4))
+				if rng.Intn(4) == 0 {
+					v = math.NaN()
+				}
+				a.SetRun(off, n, v)
+				for k := off; k < off+n; k++ {
+					b.Set(k, v)
+				}
+			} else {
+				cells := make([]float64, n)
+				want := 0
+				for k := range cells {
+					cells[k] = math.NaN()
+					if rng.Intn(3) > 0 {
+						cells[k] = float64(rng.Intn(4))
+						b.Set(off+k, cells[k])
+						want++
+					}
+				}
+				if got := a.SetCells(off, cells); got != want {
+					t.Fatalf("SetCells(%d,%v) wrote %d cells, want %d", off, cells, got, want)
+				}
 			}
 			if a.Len() != b.Len() {
-				t.Fatalf("Len %d vs %d after SetRun(%d,%d,%v)", a.Len(), b.Len(), off, n, v)
+				t.Fatalf("fixture %d: Len %d vs %d after write %d at [%d,%d)", i%5, a.Len(), b.Len(), j, off, off+n)
 			}
 		}
-		sameBits(t, "SetRun", cellsBits(b), cellsBits(a))
+		sameBits(t, "bulk writes", cellsBits(b), cellsBits(a))
+	}
+}
+
+// TestSetCellsSplicesSparse pins the sparse destination's bulk path: a
+// slab landing past the last held cell appends, one landing between
+// held cells splices in order, and a slab that would cross the density
+// threshold promotes the chunk once, before any cell is written.
+func TestSetCellsSplicesSparse(t *testing.T) {
+	nan := math.NaN()
+	c := NewSparse(64)
+	c.SetCells(40, []float64{1, nan, 2})
+	c.SetCells(50, []float64{3})      // append
+	c.SetCells(10, []float64{4, 5})   // before everything
+	c.SetCells(44, []float64{nan, 6}) // between
+	if c.Rep() != Sparse {
+		t.Fatalf("Rep = %v after 7 of 64 cells, want Sparse", c.Rep())
+	}
+	var offs []int
+	c.ForEach(func(off int, v float64) bool { offs = append(offs, off); return true })
+	if want := []int{10, 11, 40, 42, 45, 50}; !slices.Equal(offs, want) {
+		t.Fatalf("offsets %v, want %v", offs, want)
+	}
+	if c.Get(45) != 6 || c.Get(41) == c.Get(41) || c.Len() != 6 {
+		t.Fatalf("cell 45 = %v, cell 41 = %v, Len = %d", c.Get(45), c.Get(41), c.Len())
+	}
+	slab := make([]float64, 12) // 6 + 12 > 16 = a quarter of 64
+	c.SetCells(20, slab)
+	if c.Rep() != Dense || c.Len() != 18 {
+		t.Fatalf("Rep = %v, Len = %d after crossing the threshold; want Dense, 18", c.Rep(), c.Len())
+	}
+}
+
+// TestForEachSpanCoversEveryCell checks the kernel's feeder on all three
+// representations: the spans, laid over a Null array, reproduce the
+// chunk bit for bit; sparse spans are aligned slabs; the scratch slab
+// comes back all Null.
+func TestForEachSpanCoversEveryCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const capacity, slab = 48, 4
+	scratch := make([]float64, slab)
+	nullFill(scratch)
+	for i := 0; i < 150; i++ {
+		c := randomChunk(rng, capacity)
+		switch i % 3 {
+		case 0:
+			c.ForceSparse()
+		case 1:
+			c.ForceRuns()
+		default:
+			if c.Len() > 0 && c.Rep() != Dense {
+				c.toDense()
+			}
+		}
+		got := NewSparse(capacity)
+		c.ForEachSpan(slab, scratch, func(off, n int, cells []float64, v float64) {
+			if c.Rep() == Sparse && (off%slab != 0 || n != slab) {
+				t.Fatalf("sparse span [%d,%d) is not a slab", off, off+n)
+			}
+			for k := 0; k < n; k++ {
+				cell := v
+				if cells != nil {
+					cell = cells[k]
+				}
+				if !math.IsNaN(cell) {
+					if !math.IsNaN(got.Get(off + k)) {
+						t.Fatalf("offset %d covered twice", off+k)
+					}
+					got.Set(off+k, cell)
+				}
+			}
+		})
+		sameBits(t, [...]string{"sparse", "runs", "dense"}[i%3], cellsBits(c), cellsBits(got))
+		if countCells(scratch) != 0 {
+			t.Fatal("scratch slab not Null after ForEachSpan")
+		}
 	}
 }
 

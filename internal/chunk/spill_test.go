@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -206,4 +208,99 @@ func TestQuickSpilledMatchesResident(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// freshChunkIDs is ChunkIDs as it was before the cache: the resident
+// map and the tier's index, deduplicated and sorted from scratch.
+func freshChunkIDs(s *Store) []int {
+	if s.pool != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	var ids []int
+	for id := range s.chunks {
+		ids = append(ids, id)
+	}
+	if p := s.pool; p != nil {
+		for _, id := range p.tier.IDs() {
+			if _, resident := s.chunks[id]; !resident && !p.deleted[id] {
+				ids = append(ids, id)
+			}
+		}
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// TestChunkIDsCacheTracksMutations walks a store through everything
+// that creates, deletes or pages a chunk — a Set into a new chunk, a NaN
+// Set that empties one, PutChunk in both directions, attaching a tier,
+// eviction, fault-in, the run-encoding sweep, a clone — and after each
+// step the cached ChunkIDs must equal a fresh sort. The returned slice
+// is the caller's: scribbling on it must not reach the cache.
+func TestChunkIDsCacheTracksMutations(t *testing.T) {
+	g := MustGeometry([]int{64}, []int{4}) // 16 chunks of 4 cells
+	s := NewStore(g)
+	check := func(step string) {
+		t.Helper()
+		got := s.ChunkIDs()
+		if want := freshChunkIDs(s); !slices.Equal(got, want) {
+			t.Fatalf("%s: ChunkIDs = %v, fresh sort %v", step, got, want)
+		}
+		for i := range got {
+			got[i] = -1
+		}
+		if again := s.ChunkIDs(); slices.Contains(again, -1) {
+			t.Fatalf("%s: caller's write reached the cache: %v", step, again)
+		}
+	}
+	check("empty")
+	for _, i := range []int{40, 3, 17, 16, 63} {
+		s.Set([]int{i}, float64(i))
+		check("Set into a new chunk")
+	}
+	s.Set([]int{18}, 1)
+	check("Set into a held chunk")
+	s.Set([]int{3}, math.NaN())
+	check("NaN Set that empties a chunk")
+	s.PutChunk(7, NewDense(4))
+	check("PutChunk of an empty chunk")
+	full := NewDense(4)
+	full.SetRun(0, 4, 2)
+	s.PutChunk(7, full)
+	check("PutChunk into a new slot")
+	s.PutChunk(10, nil)
+	check("PutChunk(nil) of a held chunk")
+
+	if err := s.SpillTo(filepath.Join(t.TempDir(), "spill.bin"), 40); err != nil {
+		t.Fatal(err)
+	}
+	check("tier attached")
+	for i := 0; i < 64; i += 5 {
+		s.Set([]int{i}, float64(i))
+		check("Set under a spill budget")
+	}
+	if st := s.SpillStats(); st.Spilled == 0 {
+		t.Fatal("nothing spilled; the paging steps are vacuous")
+	}
+	faults := s.SpillStats().Faults
+	for i := 0; i < 64; i++ {
+		s.Get([]int{i})
+	}
+	if s.SpillStats().Faults == faults {
+		t.Fatal("nothing faulted in; the paging steps are vacuous")
+	}
+	check("fault-in and eviction")
+	s.Set([]int{5}, math.NaN())
+	check("NaN Set that empties a spilled chunk")
+	s.EncodeRunsAll()
+	check("EncodeRunsAll")
+
+	parent := s
+	s = parent.Clone().(*Store)
+	check("clone")
+	s.Set([]int{30}, 8)
+	check("Set on the clone")
+	s = parent
+	check("parent after the clone's Set")
 }

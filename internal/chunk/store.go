@@ -3,6 +3,7 @@ package chunk
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,6 +60,12 @@ type Store struct {
 	// (recency list, dirty/deleted sets, pins) whenever a tier is
 	// attached. Fault-in I/O runs outside it — see poolGet.
 	mu sync.Mutex
+	// ids caches what ChunkIDs computes, nil when stale: every plan asks
+	// for the sorted IDs, and they change only where a chunk ID is
+	// created or deleted (Set, PutChunk, AttachTier) — paging a chunk
+	// between the resident map and the tier keeps the set as it is.
+	// Atomic because concurrent readers may fill it at once.
+	ids atomic.Pointer[[]int]
 }
 
 // NewStore creates an empty chunked store with the given geometry.
@@ -124,11 +131,13 @@ func (s *Store) Set(addr []int, v float64) {
 		}
 		c = NewSparse(s.geom.ChunkCap())
 		s.chunks[id] = c
+		s.ids.Store(nil)
 	}
 	before := c.MemBytes()
 	c.Set(off, v)
 	if c.Len() == 0 {
 		delete(s.chunks, id)
+		s.ids.Store(nil)
 		s.noteMutation(id, -before)
 		return
 	}
@@ -234,9 +243,45 @@ func (s *Store) Clone() cube.Store {
 	return out
 }
 
+// Flatten copies the chain's resolved view into a fresh store under
+// geom, which owns every chunk it holds. An engine-capable chain whose
+// geometry is geom's goes a chunk at a time through Resolve — untouched
+// chunks are cloned in the representation the base keeps them in,
+// touched ones resolved densely and compressed by occupancy — so a
+// commit costs what the cube's chunks cost to copy, not two map probes
+// per layer per cell. Any other chain (wider layers, a base that is not
+// chunk-backed) is copied cell by cell through NonNull.
+func (c *Chain) Flatten(geom *Geometry) *Store {
+	out := NewStore(geom)
+	if !c.EngineCapable() || !sameGeometry(geom, c.baseChunks.geom) {
+		c.NonNull(func(addr []int, v float64) bool {
+			out.Set(addr, v)
+			return true
+		})
+		return out
+	}
+	scratch := NewDense(geom.ChunkCap())
+	for _, id := range append(c.baseChunks.ChunkIDs(), c.LayerChunkIDs()...) {
+		if out.chunks[id] != nil {
+			continue // named by the base and by a layer
+		}
+		if ch := c.Resolve(id, c.baseChunks.PeekChunk(id), scratch); ch != nil {
+			ch = ch.Clone()
+			ch.Compress()
+			out.PutChunk(id, ch)
+		}
+	}
+	return out
+}
+
 // ChunkIDs returns the canonical IDs of the materialized chunks —
-// resident and tier-held — sorted without duplicates.
+// resident and tier-held — sorted without duplicates. The slice is the
+// caller's own; the sort behind it is cached until an ID comes or goes,
+// so a plan over an unchanged store pays one copy and no lock.
 func (s *Store) ChunkIDs() []int {
+	if ids := s.ids.Load(); ids != nil {
+		return slices.Clone(*ids)
+	}
 	if s.pool != nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -254,7 +299,8 @@ func (s *Store) ChunkIDs() []int {
 		}
 	}
 	sort.Ints(ids)
-	return ids
+	s.ids.Store(&ids)
+	return slices.Clone(ids)
 }
 
 // NumChunks returns the number of materialized chunks, resident or
@@ -359,6 +405,7 @@ func (s *Store) PutChunk(id int, c *Chunk) {
 	if id < 0 || id >= s.geom.NumChunks() {
 		panic(fmt.Sprintf("chunk: PutChunk id %d out of range [0,%d)", id, s.geom.NumChunks()))
 	}
+	s.ids.Store(nil)
 	if c == nil || c.Len() == 0 {
 		before := 0
 		if cur, ok := s.chunks[id]; ok {

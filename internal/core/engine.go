@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"whatifolap/internal/algebra"
+	"whatifolap/internal/bitset"
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/cube"
 	"whatifolap/internal/dimension"
@@ -130,17 +131,16 @@ func (e *Engine) sourceChunkIDs() []int {
 		return ids
 	}
 	seen := make(map[int]bool, len(ids))
-	out := append([]int(nil), ids...)
 	for _, id := range ids {
 		seen[id] = true
 	}
 	for _, id := range e.chain.LayerChunkIDs() {
 		if !seen[id] {
-			out = append(out, id)
+			ids = append(ids, id)
 		}
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(ids)
+	return ids
 }
 
 // SetReadOrder selects the chunk read-order policy (default pebbling).
@@ -203,15 +203,28 @@ func (e *Engine) planPerspective(q PerspectiveQuery) (members []string, target m
 
 	target = make(map[int][]int)
 	scoped = make([]bool, varying.NumLeaves())
+	// valid holds, per instance of the member at hand, its validity set
+	// (nil: no entry, valid at every parameter leaf) — looked up once per
+	// member, not once per (member, leaf).
+	var valid []*bitset.Set
 	for _, name := range members {
 		insts := varying.Instances(name)
+		valid = valid[:0]
 		for _, inst := range insts {
 			if o := varying.Member(inst).LeafOrdinal; o >= 0 {
 				scoped[o] = true
 			}
+			valid = append(valid, e.binding.VS[inst])
 		}
 		for t := 0; t < nT; t++ {
-			src := e.binding.InstanceAt(name, t)
+			// The source is d_t, the instance valid at t (Binding.InstanceAt).
+			src := dimension.None
+			for i, vs := range valid {
+				if vs == nil || vs.Contains(t) {
+					src = insts[i]
+					break
+				}
+			}
 			if src == dimension.None {
 				continue
 			}

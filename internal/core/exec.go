@@ -29,6 +29,9 @@ type scanTally struct {
 	diskCostMs     float64
 	spillFaults    int
 	promotions     int
+	// slabs counts the slab decisions the kernel made, slabsSkipped those
+	// whose cells vanished (pruned source row or -1 destination).
+	slabs, slabsSkipped int
 }
 
 // add accumulates t2 into t.
@@ -39,6 +42,8 @@ func (t *scanTally) add(t2 scanTally) {
 	t.diskCostMs += t2.diskCostMs
 	t.spillFaults += t2.spillFaults
 	t.promotions += t2.promotions
+	t.slabs += t2.slabs
+	t.slabsSkipped += t2.slabsSkipped
 }
 
 // planStages names the planning sub-stages whose end offsets a plan
@@ -62,47 +67,58 @@ func recordPlanSpan(tr *trace.Trace, parent trace.SpanRef, startNs int64, p *Phy
 	}
 }
 
-// runKernel is the run-aware relocation path for run-encoded source
-// chunks: instead of decomposing and relocating cell by cell, it cuts
-// each value run at the chunk-digit boundaries of the varying and
-// parameter dimensions — within such a segment both digits are constant
-// (offset strides nest), so one relocation-table probe decides a whole
-// segment and the destination offsets stay contiguous. Consecutive
-// segments landing on the same destination instance coalesce into one
-// overlay run write, so a stable member's entire validity window moves
-// with O(1) table work and one SetRunAt. Vanished segments (pruned
-// source row or -1 destination) skip in O(1) without touching cells.
+// slabKernel is the engine's one relocation kernel. Relocation moves a
+// cell only along the varying dimension, and where to depends on nothing
+// but the cell's (varying instance, parameter leaf) pair. Inside a chunk
+// both are digits of the row-major offset, and offset strides nest, so
+// every aligned block of min(strideV, strideP) offsets — a slab — shares
+// both digits and with them one fate. The kernel therefore walks a span
+// of source offsets slab by slab: one relocation-table probe decides a
+// slab, the destination (chunk ID, offset) follows from strides, and the
+// slab's cells move in one overlay write. Chunk.ForEachSpan feeds it
+// every representation; a scenario chunk arrives resolved
+// (Chain.Resolve).
 //
-// All state lives on the struct and the ForEachRun callback is built
-// once per scan, so the steady-state path allocates nothing per run.
-type runKernel struct {
+// A span carries either its cells (distinct values: each surviving slab
+// is one Overlay.SetCellsAt) or one value (a run: slabs landing back to
+// back in one destination chunk — consecutive months mapping to the same
+// instance do — coalesce, so a stable member's whole validity window is
+// one Overlay.SetRunAt). All state lives on the struct: the steady-state
+// path allocates nothing per slab.
+type slabKernel struct {
 	target  map[int][]int
 	overlay *chunk.Overlay
 	vi, pi  int
 	// dimV/dimP are the chunk edges, strideV/strideP the in-chunk
-	// offset strides, of the varying and parameter dimensions.
-	dimV, dimP       int
-	strideV, strideP int
+	// offset strides, of the varying and parameter dimensions; slab is
+	// the smaller stride.
+	dimV, dimP             int
+	strideV, strideP, slab int
 	// idStrideV is the canonical-ID stride along the varying dimension
 	// in the overlay's (possibly extended) geometry.
 	idStrideV int
-	// outerIsV records which digit changes slower: runs are cut at the
-	// slower stride first so the relocation row probe (keyed by the
-	// varying ordinal) hoists out of the inner loop when possible.
-	outerIsV     bool
-	outer, inner int
-	// Per-chunk state, set by beginChunk.
+	// scratch is ForEachSpan's slab buffer for sparse chunks.
+	scratch []float64
+	// Per-chunk state, set by beginChunk. row is the relocation row of
+	// varying digit digitV, which holds up to offset rowEnd: when the
+	// varying digit is the slower one (the workforce layout) consecutive
+	// slabs share it, and the digit is derived and the table probed once
+	// per digit block, not once per slab.
 	baseV, baseP, idBase int
-	// Pending coalesced destination segment.
+	row                  []int
+	digitV, rowEnd       int
+	// Pending coalesced destination run.
 	pendID, pendOff, pendLen int
 	pendVal                  float64
-	moved                    int
-	scanned                  int
-	emit                     func(start, runLen int, v float64) bool
+	// moved counts cells written; slabs and skipped count slab decisions
+	// and those whose cells vanished (a run-encoded chunk counts a slab
+	// once per run entering it). promBase is the overlay's promotion
+	// count when the scan began.
+	moved, slabs, skipped, promBase int
 }
 
-func newRunKernel(g *chunk.Geometry, overlay *chunk.Overlay, target map[int][]int, vi, pi int) *runKernel {
-	k := &runKernel{
+func newSlabKernel(g *chunk.Geometry, overlay *chunk.Overlay, target map[int][]int, vi, pi int) *slabKernel {
+	k := &slabKernel{
 		target:  target,
 		overlay: overlay,
 		vi:      vi,
@@ -115,17 +131,12 @@ func newRunKernel(g *chunk.Geometry, overlay *chunk.Overlay, target map[int][]in
 		// scenario extends the varying dimension, changing its chunk
 		// count and therefore every ID stride above it.
 		idStrideV: overlay.Geometry().ChunkIDStride(vi),
+		promBase:  overlay.Promotions(),
 	}
-	k.outerIsV = k.strideV >= k.strideP
-	if k.outerIsV {
-		k.outer, k.inner = k.strideV, k.strideP
-	} else {
-		k.outer, k.inner = k.strideP, k.strideV
-	}
-	k.emit = func(start, runLen int, v float64) bool {
-		k.scanned += runLen
-		k.relocateRun(start, runLen, v)
-		return true
+	k.slab = min(k.strideV, k.strideP)
+	k.scratch = make([]float64, k.slab)
+	for i := range k.scratch {
+		k.scratch[i] = math.NaN()
 	}
 	return k
 }
@@ -135,73 +146,65 @@ func newRunKernel(g *chunk.Geometry, overlay *chunk.Overlay, target map[int][]in
 // geometry canonical ID of the same coordinate with the varying
 // coordinate zeroed (destination ID = idBase + dstChunkCoord·stride).
 // ccoord is restored before returning.
-func (k *runKernel) beginChunk(og *chunk.Geometry, ccoord []int) {
+func (k *slabKernel) beginChunk(og *chunk.Geometry, ccoord []int) {
 	vc := ccoord[k.vi]
 	k.baseV = vc * k.dimV
 	k.baseP = ccoord[k.pi] * k.dimP
 	ccoord[k.vi] = 0
 	k.idBase = og.CanonicalID(ccoord)
 	ccoord[k.vi] = vc
+	k.rowEnd = 0
 }
 
-// relocateRun relocates one source value run, segmenting at digit
-// boundaries. The outer loop fixes the slower digit, the inner loop the
-// faster one; when the varying digit is the outer one (a varying
-// dimension chunked coarser than the parameter dimension — the
-// workforce layout), the per-segment work is one slice index.
-func (k *runKernel) relocateRun(start, runLen int, v float64) {
-	off := start
-	end := start + runLen
-	for off < end {
-		outerEnd := off - off%k.outer + k.outer
-		if outerEnd > end {
-			outerEnd = end
+// relocateSpan relocates the source offsets [start, start+n), one slab
+// (or the part of one the span covers) per step: cells[i] is the cell at
+// start+i, or cells is nil and every cell holds v. A slab vanishes when
+// its source row was pruned — and then so does every other slab of its
+// varying digit, skipped as one block — when the row sends its parameter
+// leaf to -1, or when that leaf lies past the parameter extent: a partial
+// last chunk's padding, which a dense span covers too.
+func (k *slabKernel) relocateSpan(start, n int, cells []float64, v float64) {
+	for off, end := start, start+n; off < end; {
+		if off >= k.rowEnd { // spans ascend, so this is the next digit block
+			block := off / k.strideV
+			k.digitV = block % k.dimV
+			k.row = k.target[k.baseV+k.digitV]
+			k.rowEnd = (block + 1) * k.strideV
 		}
-		if k.outerIsV {
-			digitV := (off / k.strideV) % k.dimV
-			row := k.target[k.baseV+digitV]
-			if row == nil {
-				off = outerEnd
-				continue
+		if k.row == nil {
+			segEnd := min(k.rowEnd, end)
+			pruned := segEnd - off // one-cell slabs: the validity-window layout
+			if k.slab > 1 {
+				pruned = (segEnd-1)/k.slab - off/k.slab + 1
 			}
-			for off < outerEnd {
-				segEnd := off - off%k.strideP + k.strideP
-				if segEnd > outerEnd {
-					segEnd = outerEnd
-				}
-				dst := row[k.baseP+(off/k.strideP)%k.dimP]
-				if dst >= 0 {
-					k.emitSeg(dst, digitV, off, segEnd-off, v)
-				}
-				off = segEnd
-			}
+			k.slabs += pruned
+			k.skipped += pruned
+			off = segEnd
 			continue
 		}
-		pOrd := k.baseP + (off/k.strideP)%k.dimP
-		for off < outerEnd {
-			segEnd := off - off%k.strideV + k.strideV
-			if segEnd > outerEnd {
-				segEnd = outerEnd
+		segEnd := min(off-off%k.slab+k.slab, end)
+		k.slabs++
+		if pOrd := k.baseP + off/k.strideP%k.dimP; pOrd >= len(k.row) || k.row[pOrd] < 0 {
+			k.skipped++
+		} else {
+			dst := k.row[pOrd]
+			dstID := k.idBase + dst/k.dimV*k.idStrideV
+			dstOff := off + (dst%k.dimV-k.digitV)*k.strideV
+			if cells != nil {
+				k.moved += k.overlay.SetCellsAt(dstID, dstOff, cells[off-start:segEnd-start])
+			} else {
+				k.moveRun(dstID, dstOff, segEnd-off, v)
 			}
-			digitV := (off / k.strideV) % k.dimV
-			if row := k.target[k.baseV+digitV]; row != nil {
-				if dst := row[pOrd]; dst >= 0 {
-					k.emitSeg(dst, digitV, off, segEnd-off, v)
-				}
-			}
-			off = segEnd
 		}
+		off = segEnd
 	}
 }
 
-// emitSeg queues one destination segment, coalescing with the pending
-// one when it carries the same value and lands directly after it in the
-// same destination chunk (consecutive months mapping to the same
-// instance do, so a whole validity window flushes as one overlay run
-// write). Value equality is on bit patterns, matching run encoding.
-func (k *runKernel) emitSeg(dst, digitV, off, segLen int, v float64) {
-	dstID := k.idBase + dst/k.dimV*k.idStrideV
-	dstOff := off + (dst%k.dimV-digitV)*k.strideV
+// moveRun queues one destination run segment, coalescing with the
+// pending one when it carries the same value and lands directly after it
+// in the same destination chunk. Value equality is on bit patterns,
+// matching run encoding.
+func (k *slabKernel) moveRun(dstID, dstOff, segLen int, v float64) {
 	k.moved += segLen
 	if k.pendLen > 0 && dstID == k.pendID && dstOff == k.pendOff+k.pendLen &&
 		math.Float64bits(v) == math.Float64bits(k.pendVal) {
@@ -212,21 +215,21 @@ func (k *runKernel) emitSeg(dst, digitV, off, segLen int, v float64) {
 	k.pendID, k.pendOff, k.pendLen, k.pendVal = dstID, dstOff, segLen, v
 }
 
-// flush writes the pending destination segment, if any.
-func (k *runKernel) flush() {
+// flush writes the pending destination run, if any.
+func (k *slabKernel) flush() {
 	if k.pendLen > 0 {
 		k.overlay.SetRunAt(k.pendID, k.pendOff, k.pendLen, k.pendVal)
 		k.pendLen = 0
 	}
 }
 
-// take flushes and returns the cells moved and scanned since the last
-// take.
-func (k *runKernel) take() (moved, scanned int) {
+// finish flushes and adds the kernel's counters to the tally.
+func (k *slabKernel) finish(t *scanTally) {
 	k.flush()
-	moved, scanned = k.moved, k.scanned
-	k.moved, k.scanned = 0, 0
-	return moved, scanned
+	t.cellsRelocated += k.moved
+	t.slabs += k.slabs
+	t.slabsSkipped += k.skipped
+	t.promotions += k.overlay.Promotions() - k.promBase
 }
 
 // annotateScan attaches a tally's counters to a scan or group span.
@@ -235,6 +238,8 @@ func annotateScan(sp trace.SpanRef, t scanTally, workers int) {
 	sp.Int("chunks_read", int64(t.chunksRead))
 	sp.Int("cells_scanned", int64(t.cellsScanned))
 	sp.Int("cells_relocated", int64(t.cellsRelocated))
+	sp.IntNonZero("slabs", int64(t.slabs))
+	sp.IntNonZero("slabs_skipped", int64(t.slabsSkipped))
 	sp.IntNonZero("spill_faults", int64(t.spillFaults))
 	sp.IntNonZero("overlay_promotions", int64(t.promotions))
 	if workers > 0 {
@@ -244,11 +249,12 @@ func annotateScan(sp trace.SpanRef, t scanTally, workers int) {
 
 // execute runs the staged execution of a physical plan:
 //
-//	scan     chunk reads + cell relocation into a chunk-grained
-//	         overlay (pure integer (chunkID, offset) math, no per-cell
-//	         allocation), fanned out over merge groups when
-//	         ec.Workers > 1, serial in the plan's global schedule
-//	         otherwise;
+//	scan     chunk reads + relocation into a chunk-grained overlay, a
+//	         slab at a time (slabKernel: one table probe and one bulk
+//	         write per block of cells sharing their varying and
+//	         parameter digits, whatever the chunk's representation),
+//	         fanned out over merge groups when ec.Workers > 1, serial
+//	         in the plan's global schedule otherwise;
 //	merge    zero-copy: merge edges never cross rest-coordinate
 //	         groups, so the per-group overlays are disjoint and are
 //	         attached to a partitioned router keyed by masked chunk ID
@@ -435,13 +441,18 @@ func (pt *pinTracker) releaseAll() {
 	}
 }
 
-// scanInto reads the scheduled chunks in order, relocating scoped cells
-// through the plan's target tables into the overlay. Relocation is
-// chunk-native: the destination address decomposes to (chunkID, offset)
-// by integer arithmetic and the write allocates nothing once the
-// destination chunk exists. The context, when non-nil, is checked
-// before every chunk read. The plan is only read, so concurrent
-// scanInto calls over disjoint overlays are safe.
+// scanInto reads the scheduled chunks in order and hands each to the
+// slab kernel, which relocates its scoped slabs through the plan's
+// target tables into the overlay — one loop body for every chunk
+// representation and for scenario chunks, which the layer chain first
+// resolves into a reused dense chunk (chunks no layer touches pass
+// through as stored, and chunks only a layer holds — the planner
+// scheduled them from the chain's chunk-ID union — resolve from
+// nothing). Cells scanned are the non-null cells the chunks read hold
+// (Chunk.Len, the resolved count under a chain), whether or not a slab
+// decision ever looked at them. The context, when non-nil, is checked
+// before every chunk read. The plan is only read, so concurrent scanInto
+// calls over disjoint overlays are safe.
 //
 // Per-read attribution flows through ReadChunkInfo: modeled disk cost
 // sums into the tally, and a buffer-pool fault becomes a "fault" span
@@ -454,13 +465,11 @@ func (e *Engine) scanInto(ctx context.Context, schedule []int, p *PhysicalPlan,
 	g := e.store.Geometry()
 	og := overlay.Geometry()
 	ccoord := make([]int, g.NumDims())
-	addr := make([]int, g.NumDims())
-	out := make([]int, g.NumDims())
-	promBefore := overlay.Promotions()
-	// The run kernel is built lazily, on the first run-encoded chunk:
-	// dense and sparse chunks keep the per-cell path below, so the
-	// dense baseline in the RLE figures measures unchanged code.
-	var rk *runKernel
+	k := newSlabKernel(g, overlay, p.Target, e.vi, e.pi)
+	var resolved *chunk.Chunk
+	if e.chain != nil {
+		resolved = chunk.NewDense(g.ChunkCap())
+	}
 
 	var pins *pinTracker
 	if e.store.Pooled() && p.Stats.MergeEdges > 0 {
@@ -468,32 +477,11 @@ func (e *Engine) scanInto(ctx context.Context, schedule []int, p *PhysicalPlan,
 		defer pins.releaseAll()
 	}
 
-	// The per-cell relocation closure is hoisted out of the schedule
-	// loop: every capture (scratch buffers, plan tables, the overlay)
-	// is loop-invariant — ccoord is updated in place per chunk — so one
-	// allocation serves the whole scan instead of one per chunk.
-	relocate := func(off int, v float64) bool {
-		tally.cellsScanned++
-		g.Join(ccoord, off, addr)
-		row := p.Target[addr[e.vi]]
-		if row == nil {
-			return true
-		}
-		dst := row[addr[e.pi]]
-		if dst < 0 {
-			return true
-		}
-		copy(out, addr)
-		out[e.vi] = dst
-		overlay.Set(out, v)
-		tally.cellsRelocated++
-		return true
-	}
-
+	var err error
 	for _, id := range schedule {
 		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return tally, err
+			if err = ctx.Err(); err != nil {
+				break
 			}
 		}
 		readStart := tr.Now()
@@ -515,37 +503,19 @@ func (e *Engine) scanInto(ctx context.Context, schedule []int, p *PhysicalPlan,
 		if pins != nil {
 			pins.scanned(id)
 		}
-		if ch == nil && e.chain == nil {
+		if e.chain != nil {
+			ch = e.chain.Resolve(id, ch, resolved)
+		}
+		if ch == nil {
 			continue
 		}
 		g.CoordOf(id, ccoord)
-		if e.chain != nil {
-			// Scenario scan: resolve the chunk's cells through the layer
-			// chain (newest layer wins, tombstones skip) — including
-			// layer-only cells in chunks the base never materialized
-			// (ch == nil), which the planner scheduled via the chain's
-			// chunk-ID union.
-			e.chain.ForEachMerged(id, ch, relocate)
-			continue
-		}
-		if ch.Rep() == chunk.RunEncoded {
-			// Run-aware path: relocate whole value runs through the
-			// kernel (one table probe per digit segment, coalesced
-			// overlay run writes) instead of cell by cell.
-			if rk == nil {
-				rk = newRunKernel(g, overlay, p.Target, e.vi, e.pi)
-			}
-			rk.beginChunk(og, ccoord)
-			ch.ForEachRun(rk.emit)
-			moved, scanned := rk.take()
-			tally.cellsRelocated += moved
-			tally.cellsScanned += scanned
-			continue
-		}
-		ch.ForEach(relocate)
+		k.beginChunk(og, ccoord)
+		tally.cellsScanned += ch.Len()
+		ch.ForEachSpan(k.slab, k.scratch, k.relocateSpan)
 	}
-	tally.promotions = overlay.Promotions() - promBefore
-	return tally, nil
+	k.finish(&tally)
+	return tally, err
 }
 
 // scanParallel fans the scan out over the plan's sub-tasks — contiguous

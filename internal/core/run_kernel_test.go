@@ -12,8 +12,8 @@ import (
 )
 
 // runEncodedEngine builds a second engine over the same logical data
-// with every base chunk force run-encoded, so the scan takes the run
-// kernel instead of the per-cell path.
+// with every base chunk force run-encoded, so the scan moves value runs
+// instead of slabs of cells.
 func runEncodedEngine(t testing.TB) *Engine {
 	t.Helper()
 	c := paperdata.ChunkedWarehouse(nil)
@@ -27,10 +27,12 @@ func runEncodedEngine(t testing.TB) *Engine {
 	return e
 }
 
-// TestRunKernelMatchesPerCellPaper checks the run-aware relocation
-// kernel against the per-cell path on the paper's warehouse: for every
-// semantics × mode, serial and parallel, a run-encoded store produces
-// the exact cell set (and relocation count) of the plain store.
+// TestRunKernelMatchesPerCellPaper checks the kernel's run feeder
+// against its cell feeders through whole queries on the paper's
+// warehouse: for every semantics × mode, serial and parallel, a
+// run-encoded store produces the exact cell set (and relocation count)
+// of the plain store. (The per-cell oracle itself is in
+// slab_kernel_test.go.)
 func TestRunKernelMatchesPerCellPaper(t *testing.T) {
 	plain := newEngine(t)
 	rle := runEncodedEngine(t)

@@ -1,6 +1,6 @@
 // Reviewed for hotpathfmt: fmt here builds errors and renders rule/
 // member names at query-construction and materialization time, never
-// inside the engine's per-cell scan loop.
+// inside the engine's scan loop.
 //
 //lint:coldfmt error construction and name rendering at plan/materialize time only
 package cube

@@ -11,7 +11,7 @@
 // at most one instance of a member is valid (paper §2, §3.1).
 //
 // Reviewed for hotpathfmt: fmt here builds errors while hierarchies and
-// edit scripts are constructed, never on the per-cell scan path.
+// edit scripts are constructed, never on the scan path.
 //
 //lint:coldfmt error construction at hierarchy/edit build time only
 package dimension
@@ -456,7 +456,9 @@ func (b *Binding) ValiditySet(instance MemberID) *bitset.Set {
 // is the d_t of the paper's relocate semantics.
 func (b *Binding) InstanceAt(baseName string, t int) MemberID {
 	for _, id := range b.Varying.Instances(baseName) {
-		if b.ValiditySet(id).Contains(t) {
+		// Probe VS directly: ValiditySet builds a fresh all-ones set for
+		// every instance without an entry.
+		if vs, ok := b.VS[id]; ok && vs.Contains(t) || !ok && 0 <= t && t < b.Param.NumLeaves() {
 			return id
 		}
 	}

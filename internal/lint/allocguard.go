@@ -11,7 +11,7 @@ import (
 )
 
 // AllocGuard machine-checks the suite's 0-alloc hot-path claims. The
-// overlay kernel, the run kernel, the chain read path, the span
+// overlay write path, the slab kernel, the chain read path, the span
 // recorder and the trace-retention decision are pinned at 0 allocs/op
 // by AllocsPerRun tests — but those pins cover exactly the shapes the
 // benchmarks exercise. AllocGuard checks the files themselves, on

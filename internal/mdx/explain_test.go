@@ -62,7 +62,7 @@ func TestExplainAnalyzeOutput(t *testing.T) {
 	if stats.ChunksRead == 0 {
 		t.Fatalf("stats not collected: %+v", stats)
 	}
-	for _, want := range []string{"eval", "plan", "scan", "project", "totals:", "stats:", "chunks_read"} {
+	for _, want := range []string{"eval", "plan", "scan", "project", "totals:", "stats:", "chunks_read", "slabs=", "slabs_skipped="} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("analysis missing %q:\n%s", want, text)
 		}
@@ -107,9 +107,12 @@ func TestExplainAnalyzeTotalsMatchStats(t *testing.T) {
 		t.Fatalf("expected a parallel scan, got %d workers", stats.ScanWorkers)
 	}
 	// The parallel scan records one child span per merge group, and the
-	// groups' chunk counters sum to the scan total.
-	var groups, groupChunks int64
+	// groups' chunk and slab counters sum to the scan totals.
+	var groups, groupChunks, groupSlabs, scanSlabs int64
 	for _, s := range tr.Spans() {
+		if s.Name == "scan" {
+			scanSlabs, _ = s.Attr("slabs")
+		}
 		if s.Name != "group" {
 			continue
 		}
@@ -117,11 +120,17 @@ func TestExplainAnalyzeTotalsMatchStats(t *testing.T) {
 		if v, ok := s.Attr("chunks_read"); ok {
 			groupChunks += v
 		}
+		if v, ok := s.Attr("slabs"); ok {
+			groupSlabs += v
+		}
 	}
 	if groups == 0 {
 		t.Fatal("no per-merge-group spans recorded")
 	}
 	if groupChunks != int64(stats.ChunksRead) {
 		t.Fatalf("group spans account for %d chunk reads, stats say %d", groupChunks, stats.ChunksRead)
+	}
+	if scanSlabs == 0 || groupSlabs != scanSlabs {
+		t.Fatalf("group spans account for %d slabs, the scan span says %d", groupSlabs, scanSlabs)
 	}
 }

@@ -450,12 +450,7 @@ func (s *Scenario) View() (*cube.Cube, int64, error) {
 func (s *Scenario) Materialize() (*cube.Cube, error) {
 	layers, dims, bindings, _ := s.snapshot()
 	geom := func() *chunk.Geometry { s.mu.Lock(); defer s.mu.Unlock(); return s.geom }()
-	chain := chunk.NewChain(s.base.Store(), layers)
-	st := chunk.NewStore(geom)
-	chain.NonNull(func(addr []int, v float64) bool {
-		st.Set(addr, v)
-		return true
-	})
+	st := chunk.NewChain(s.base.Store(), layers).Flatten(geom)
 	out := cube.NewWithStore(st, dims...)
 	for _, b := range bindings {
 		if err := out.AddBinding(b); err != nil {

@@ -688,3 +688,76 @@ func TestScenarioForkEditDiffRunEncodedBase(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioMaterializeMatchesView: the commit-shape flat copy holds
+// exactly the cells the layered view resolves one at a time, over plain
+// and run-encoded bases and three edit batches (sets, a delete, a newer
+// batch overwriting an older one); on the run-encoded base the chunks no
+// layer touches are copied as stored, not expanded; and the copy is
+// detached — a later edit to the scenario does not reach it.
+func TestScenarioMaterializeMatchesView(t *testing.T) {
+	for _, encode := range []bool{false, true} {
+		w := newWorkforce(t)
+		st := w.Cube.Store().(*chunk.Store)
+		if encode && st.ForceRunEncodeAll() == 0 {
+			t.Fatal("nothing run-encoded")
+		}
+		s, err := scenario.NewManager().Create("s", "wf", 1, w.Cube)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell := func(emp, month, acct string) map[string]string {
+			return map[string]string{workload.DimDepartment: emp, workload.DimPeriod: month, workload.DimAccount: acct}
+		}
+		batches := [][]scenario.Edit{
+			{{Op: scenario.OpSet, Cell: cell("Emp00020", "Mar", "Acct001"), Value: 4242}, {Op: scenario.OpSet, Cell: cell("Emp00021", "Jul", "Acct002"), Value: 7}},
+			{{Op: scenario.OpDelete, Cell: cell("Emp00021", "Jul", "Acct002")}, {Op: scenario.OpDelete, Cell: cell("Emp00022", "Jan", "Acct000")}},
+			{{Op: scenario.OpSet, Cell: cell("Emp00020", "Mar", "Acct001"), Value: 4343}},
+		}
+		for _, b := range batches {
+			if _, err := s.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		view, _, err := s.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat, err := s.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat := mat.Store().(*chunk.Store)
+		n := 0
+		view.Store().NonNull(func(addr []int, v float64) bool {
+			n++
+			if got := flat.Get(addr); got != v {
+				t.Errorf("encode=%v: materialized cell %v = %v, view resolves %v", encode, addr, got, v)
+			}
+			return true
+		})
+		if flat.Len() != n {
+			t.Fatalf("encode=%v: materialized cube holds %d cells, view resolves %d", encode, flat.Len(), n)
+		}
+		if got := flat.Get(leafAddr(t, w.Cube, cell("Emp00020", "Mar", "Acct001"))); got != 4343 {
+			t.Fatalf("encode=%v: newest write reads %v, want 4343", encode, got)
+		}
+		if encode {
+			kept := 0
+			for _, id := range flat.ChunkIDs() {
+				if flat.PeekChunk(id).Rep() == chunk.RunEncoded {
+					kept++
+				}
+			}
+			if kept == 0 {
+				t.Fatal("no untouched chunk of the run-encoded base kept its representation")
+			}
+		}
+		if _, err := s.Apply([]scenario.Edit{{Op: scenario.OpSet, Cell: cell("Emp00020", "Mar", "Acct001"), Value: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if got := flat.Get(leafAddr(t, w.Cube, cell("Emp00020", "Mar", "Acct001"))); got != 4343 {
+			t.Fatalf("encode=%v: an edit after Materialize reached the flat copy (%v)", encode, got)
+		}
+	}
+}

@@ -38,21 +38,20 @@ type cacheEntry struct {
 	key  cacheKey
 	body []byte
 	// hash identifies the key in the ghost table once the entry is
-	// evicted; stamp is the byte clock at the entry's last reference.
-	hash  uint64
-	stamp int64
+	// evicted.
+	hash uint64
 }
 
 func (e *cacheEntry) cost() int {
 	return len(e.body) + len(e.key.Query) + len(e.key.Cube) + len(e.key.Scenario) + entryOverhead
 }
 
-// ghost remembers an entry evicted for space: which key, when it was
-// last referenced, and the bytes keeping it would have taken.
+// ghost remembers an entry evicted for space: which key, and the bytes
+// keeping it would have taken — 0 once the key has come back, or been
+// evicted again, and the ghost is dead.
 type ghost struct {
-	hash  uint64
-	stamp int64
-	cost  int
+	hash uint64
+	cost int
 }
 
 // resultCache is an LRU result cache bounded by bytes rather than by an
@@ -63,12 +62,15 @@ type ghost struct {
 // The budget is a cap, not a fill target: the cache holds its working
 // set, not the last budget's worth of bodies that passed through. Its
 // effective limit starts small and grows to the largest reuse distance
-// it has observed. Distance is measured on a byte clock that advances by
-// an entry's cost on every reference to it — insert and hit alike, since
-// a hit moves an older entry in front of everything behind it just as an
-// insert does. An entry evicted for space leaves a ghost (key hash and
-// last-reference stamp); a miss on a ghosted key means the limit was too
-// small by exactly clock − stamp, and raises it to that (at most the
+// it has observed. An entry evicted for space leaves a ghost in a queue
+// kept in eviction order; a miss on a ghosted key means the limit was
+// too small, and by how much is exact: every resident entry and every
+// live ghost evicted after this one was referenced since the key last
+// was (a hit moves an older entry in front of it just as an insert
+// does), so holding the key until now would have taken their bytes and
+// its own — each counted once however often it was referenced, which a
+// count of bytes passing through would not do, and that overshoot is
+// bodies held for nothing. The limit rises to that (at most the
 // budget). Ghosts stand for at most the budget − limit bytes the cache
 // could still grow by, so a cache at its budget keeps none and is a
 // plain LRU. The limit never shrinks. A stream of never-repeated
@@ -78,14 +80,14 @@ type resultCache struct {
 	budget int
 	limit  int
 	bytes  int
-	clock  int64
 	ll     *list.List // front = most recently used
 	items  map[cacheKey]*list.Element
 
 	seed       maphash.Seed
-	ghosts     map[uint64]int64 // key hash -> stamp of its newest ghost
+	ghosts     map[uint64]int64 // key hash -> sequence number of its live ghost
 	ghostQ     []ghost          // eviction order, oldest first
-	ghostBytes int
+	ghostSeq   int64            // sequence number of ghostQ[0]
+	ghostBytes int              // what the live ghosts stand for
 }
 
 // newResultCache creates a cache with the given byte budget.
@@ -116,15 +118,6 @@ func (c *resultCache) hash(k cacheKey) uint64 {
 	return h.Sum64()
 }
 
-// touch marks a reference to the entry: most recently used, stamped
-// with the byte clock, which advances by its cost. Caller holds mu.
-func (c *resultCache) touch(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	e.stamp = c.clock
-	c.clock += int64(e.cost())
-	c.ll.MoveToFront(el)
-}
-
 // Get returns the cached body for the key, marking it recently used.
 func (c *resultCache) Get(key cacheKey) ([]byte, bool) {
 	if c.budget <= 0 {
@@ -136,7 +129,7 @@ func (c *resultCache) Get(key cacheKey) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.touch(el)
+	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).body, true
 }
 
@@ -162,26 +155,40 @@ func (c *resultCache) Put(key cacheKey, body []byte) {
 		el.Value = e
 	} else {
 		e.hash = c.hash(key)
-		if stamp, ghosted := c.ghosts[e.hash]; ghosted {
-			delete(c.ghosts, e.hash)
-			c.limit = max(c.limit, int(min(int64(c.budget), c.clock-stamp)))
+		if seq, ghosted := c.ghosts[e.hash]; ghosted {
+			need := c.bytes
+			for _, g := range c.ghostQ[seq-c.ghostSeq:] {
+				need += g.cost
+			}
+			c.limit = max(c.limit, min(c.budget, need))
+			c.dropGhost(e.hash)
 		}
 		el = c.ll.PushFront(e)
 		c.items[key] = el
 	}
 	c.bytes += e.cost()
 	c.limit = max(c.limit, e.cost())
-	c.touch(el)
+	c.ll.MoveToFront(el)
 	for c.bytes > c.limit {
 		c.evictOldest()
 	}
-	for c.ghostBytes > c.budget-c.limit {
-		g := c.ghostQ[0]
-		c.ghostQ = c.ghostQ[1:]
-		c.ghostBytes -= g.cost
-		if c.ghosts[g.hash] == g.stamp {
-			delete(c.ghosts, g.hash)
+	for len(c.ghostQ) > 0 && (c.ghostQ[0].cost == 0 || c.ghostBytes > c.budget-c.limit) {
+		if g := c.ghostQ[0]; g.cost > 0 {
+			c.dropGhost(g.hash)
 		}
+		c.ghostQ = c.ghostQ[1:]
+		c.ghostSeq++
+	}
+}
+
+// dropGhost kills the live ghost of the hashed key, if there is one: it
+// keeps its place in the queue and stands for nothing. Caller holds mu.
+func (c *resultCache) dropGhost(hash uint64) {
+	if seq, ok := c.ghosts[hash]; ok {
+		g := &c.ghostQ[seq-c.ghostSeq]
+		c.ghostBytes -= g.cost
+		g.cost = 0
+		delete(c.ghosts, hash)
 	}
 }
 
@@ -196,8 +203,9 @@ func (c *resultCache) evictOldest() {
 	delete(c.items, e.key)
 	c.bytes -= e.cost()
 	if c.limit < c.budget {
-		c.ghosts[e.hash] = e.stamp
-		c.ghostQ = append(c.ghostQ, ghost{hash: e.hash, stamp: e.stamp, cost: e.cost()})
+		c.dropGhost(e.hash) // a colliding key's: the table holds one per hash
+		c.ghosts[e.hash] = c.ghostSeq + int64(len(c.ghostQ))
+		c.ghostQ = append(c.ghostQ, ghost{hash: e.hash, cost: e.cost()})
 		c.ghostBytes += e.cost()
 	}
 }

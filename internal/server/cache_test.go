@@ -230,6 +230,48 @@ func TestCacheClockAdvancesOnHit(t *testing.T) {
 	}
 }
 
+// TestCacheLimitCountsAnEntryOnce: the limit is the room the observed
+// reuse took, not the bytes that passed through meanwhile. Long keys
+// repeat 400 steps after their insert and short keys 50, so most short
+// keys are inserted and hit inside one long key's wait. Holding a long
+// key until its repeat takes the distinct entries referenced in between
+// — 400 new and 50 older short keys, 400 new and 399 older long ones,
+// itself — and a limit of that size loses no repeat; counting every
+// reference instead (400 more short-key hits) would hold a quarter more
+// bodies for the same hits.
+func TestCacheLimitCountsAnEntryOnce(t *testing.T) {
+	const (
+		long, short = 400, 50
+		steps       = 10 * long
+		distinct    = 2*long + long + short // entries a long key waits behind, and itself
+	)
+	s := streamCache{newResultCache(16 << 20), make([]byte, 1024)}
+	late, lateHits := 0, 0
+	for i := 0; i < steps; i++ {
+		s.ref(i)
+		s.ref(1_000_000 + i)
+		if i >= short {
+			s.ref(1_000_000 + i - short)
+		}
+		if i >= long {
+			hit := s.ref(i - long)
+			if i >= steps/2 {
+				late++
+				if hit {
+					lateHits++
+				}
+			}
+		}
+	}
+	if lateHits != late {
+		t.Fatalf("%d of %d long repeats hit once their distance had been observed; limit %d", lateHits, late, s.Limit())
+	}
+	if got, want := s.Limit(), distinct*s.entryCost(); got < want || got > want+want/100 {
+		t.Fatalf("limit = %d (%d entries), the long keys wait behind %d distinct entries (%d bytes)",
+			got, got/s.entryCost(), distinct, want)
+	}
+}
+
 func TestCacheInvalidateLeavesNoGhosts(t *testing.T) {
 	s := streamCache{newResultCache(4 << 20), make([]byte, 1024)}
 	n := initialCacheLimit / s.entryCost() / 2 // all resident, nothing evicted for space

@@ -244,7 +244,7 @@ func SpillTo(c *Cube, path string, budgetBytes int) error {
 // Returns how many chunks converted. Reads stay exact (runs decode to
 // the original bit patterns) and writes transparently decode first, so
 // this is purely a space/scan-speed trade. Queries over run-encoded
-// chunks take the engine's run-aware relocation kernel.
+// chunks move whole value runs through the engine's relocation kernel.
 func EncodeRuns(c *Cube) (int, error) {
 	st, ok := c.Store().(*chunk.Store)
 	if !ok {

@@ -71,12 +71,14 @@ stage 'go test ./...' go test ./...
 # log, and the whatif -top view), the scenario workspace
 # fork/edit/query races, the storage tier (segment reads, manifest
 # commits, background write-back), the lint suite's analyzer/driver
-# tests, the run-encoded representation (run-aware scan kernel
-# equivalence, sub-task splitting, daemon RLE restart), and the dense
-# planner (pebbler-vs-oracle differential tests, plan determinism, the
+# tests, the run-encoded representation (value-run scan equivalence,
+# sub-task splitting, daemon RLE restart), the slab relocation kernel
+# (per-cell-oracle equivalence over fixtures, random geometries and
+# scenario chains, and its allocation pins), and the dense planner
+# (pebbler-vs-oracle differential tests, plan determinism, the
 # allocation pins that stand in for timing asserts on this host).
 stage 'go test -race (concurrent paths)' \
-    go test -race -run 'Concurrent|Server|Cache|Parallel|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|Subtask|History|Retain|Event|Top|Pebble|Plan' ./...
+    go test -race -run 'Concurrent|Server|Cache|Parallel|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|Subtask|History|Retain|Event|Top|Pebble|Plan|Slab' ./...
 
 # Advisory (non-fatal): known-vulnerability scan, skipped when the
 # toolchain image does not ship govulncheck or has no network.
