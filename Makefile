@@ -1,4 +1,4 @@
-.PHONY: verify test lint lint-fix lint-stats bench bench-smoke prof scenario-demo segment-smoke obs-demo
+.PHONY: verify test lint lint-fix lint-stats loc bench bench-smoke prof scenario-demo segment-smoke obs-demo
 
 verify:
 	./verify.sh
@@ -29,6 +29,12 @@ lint-fix:
 # fails on justification directives that carry no reason.
 lint-stats:
 	sh scripts/lint-stats.sh
+
+# ROADMAP's tracked number: non-test, non-vendor Go lines per package
+# and in total, raw and code-only (blank and comment-only lines
+# dropped). `sh scripts/loc.sh DIR` counts a clone of another commit.
+loc:
+	sh scripts/loc.sh
 
 # Live curl session against an ephemeral whatifd on 127.0.0.1:18080
 # (override with SCENARIO_DEMO_PORT): create a scenario on the

@@ -103,8 +103,8 @@ func main() {
 			rc.Ctx = ctx
 		}
 		// An EXPLAIN-prefixed query dispatches like in the daemon: plain
-		// EXPLAIN plans without executing, EXPLAIN ANALYZE executes under
-		// a span trace and prints the analysis with the result.
+		// EXPLAIN plans without executing; EXPLAIN ANALYZE is an ordinary
+		// run under a span trace that also prints the analysis.
 		if q.Explain && !q.Analyze {
 			ex, err := ev.Explain(q)
 			if err != nil {
@@ -115,17 +115,6 @@ func main() {
 			fmt.Println()
 			return
 		}
-		if q.Explain {
-			text, grid, _, err := ev.ExplainAnalyze(rc, q)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "whatif:", err)
-				return
-			}
-			fmt.Print(grid)
-			fmt.Print(text)
-			fmt.Println()
-			return
-		}
 		if *explain {
 			if ex, err := ev.Explain(q); err == nil {
 				fmt.Print(ex)
@@ -133,7 +122,7 @@ func main() {
 		}
 		var tr *trace.Trace
 		var root trace.SpanRef
-		if *showTrace {
+		if *showTrace || q.Analyze {
 			tr = trace.New(0)
 			root = tr.Start(trace.SpanRef{}, "eval")
 			base := rc.Ctx
@@ -149,7 +138,10 @@ func main() {
 			return
 		}
 		fmt.Print(grid)
-		if *showTrace {
+		switch {
+		case q.Analyze:
+			fmt.Print(mdx.RenderAnalyze(tr, stats))
+		case *showTrace:
 			fmt.Print(tr.Render())
 		}
 		if *showStats {

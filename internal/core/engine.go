@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -55,12 +54,12 @@ func (o ReadOrder) String() string {
 // assemble), optionally fanning the scan out over independent merge
 // groups.
 //
-// Concurrency: configure an engine (SetReadOrder, AttachDisk, the
-// deprecated SetContext) before sharing it; after that, the Plan*,
-// Exec* and Simulate* methods mutate no engine state and are safe for
-// concurrent use on one engine over one store. The serving layer relies
-// on this — shared-snapshot queries run through a single chunk store,
-// whose read path is safe for concurrent readers (see chunk.Store).
+// Concurrency: configure an engine (SetReadOrder, AttachDisk) before
+// sharing it; after that, the Plan*, Exec* and Simulate* methods mutate
+// no engine state and are safe for concurrent use on one engine over
+// one store. The serving layer relies on this — shared-snapshot queries
+// run through a single chunk store, whose read path is safe for
+// concurrent readers (see chunk.Store).
 // Per-query state (cancellation context, scan parallelism) travels in
 // an ExecContext instead of engine fields.
 type Engine struct {
@@ -76,9 +75,6 @@ type Engine struct {
 	vi, pi  int
 	order   ReadOrder
 	disk    *simdisk.Disk
-	// ctx backs the deprecated SetContext shim; new callers thread an
-	// ExecContext through the Exec*With methods instead.
-	ctx context.Context
 }
 
 // New creates an engine over a cube whose store is a *chunk.Store —
@@ -146,15 +142,6 @@ func (e *Engine) sourceChunkIDs() []int {
 // SetReadOrder selects the chunk read-order policy (default pebbling).
 // Configuration, not per-query state: set it before sharing the engine.
 func (e *Engine) SetReadOrder(o ReadOrder) { e.order = o }
-
-// SetContext attaches a default context observed by the Exec* methods
-// that take no ExecContext.
-//
-// Deprecated: thread an ExecContext through ExecPerspectiveWith,
-// ExecChangesWith or SimulateMultiMDXWith instead. SetContext mutates
-// shared engine state, so it is not safe to call concurrently with
-// execution, and one stored context cannot serve concurrent queries.
-func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 
 // AttachDisk routes all chunk reads through a simulated disk via the
 // store's cost hook: each read's modeled cost flows back to the query
@@ -265,10 +252,10 @@ func (e *Engine) PlanPerspective(q PerspectiveQuery) (*PhysicalPlan, error) {
 }
 
 // ExecPerspective plans and runs a perspective query, returning the
-// perspective-cube view. Equivalent to ExecPerspectiveWith under the
-// deprecated SetContext context, scanning serially.
+// perspective-cube view: ExecPerspectiveWith under the zero ExecContext
+// (serial scan, no cancellation).
 func (e *Engine) ExecPerspective(q PerspectiveQuery) (*View, error) {
-	return e.ExecPerspectiveWith(ExecContext{Ctx: e.ctx}, q)
+	return e.ExecPerspectiveWith(ExecContext{}, q)
 }
 
 // ExecPerspectiveWith plans and runs a perspective query under an
@@ -415,10 +402,10 @@ func (e *Engine) PlanChanges(q ChangesQuery) (*PhysicalPlan, error) {
 
 // ExecChanges plans and runs a positive-scenario query. The result
 // view's varying dimension is extended with the hypothetical instances.
-// Equivalent to ExecChangesWith under the deprecated SetContext
-// context, scanning serially.
+// ExecChangesWith under the zero ExecContext (serial scan, no
+// cancellation).
 func (e *Engine) ExecChanges(q ChangesQuery) (*View, error) {
-	return e.ExecChangesWith(ExecContext{Ctx: e.ctx}, q)
+	return e.ExecChangesWith(ExecContext{}, q)
 }
 
 // ExecChangesWith plans and runs a positive-scenario query under an
@@ -506,12 +493,6 @@ func sortChunksByOrder(g *chunk.Geometry, ids []int, perm []int) []int {
 // statistics sum the per-query work, exposing the repeated planning and
 // chunk reads that the direct implementation avoids.
 func (e *Engine) SimulateMultiMDX(members []string, perspectives []int, mode perspective.Mode) (*View, error) {
-	return e.SimulateMultiMDXWith(ExecContext{Ctx: e.ctx}, members, perspectives, mode)
-}
-
-// SimulateMultiMDXWith is SimulateMultiMDX under an explicit
-// per-execution context.
-func (e *Engine) SimulateMultiMDXWith(ec ExecContext, members []string, perspectives []int, mode perspective.Mode) (*View, error) {
 	if len(perspectives) == 0 {
 		return nil, fmt.Errorf("core: empty perspective set")
 	}
@@ -519,10 +500,7 @@ func (e *Engine) SimulateMultiMDXWith(ec ExecContext, members []string, perspect
 	var stats Stats
 	merged := chunk.NewOverlay(e.store.Geometry())
 	for _, p := range perspectives {
-		if err := ec.err(); err != nil {
-			return nil, err
-		}
-		v, err := e.ExecPerspectiveWith(ec, PerspectiveQuery{
+		v, err := e.ExecPerspective(PerspectiveQuery{
 			Members:      members,
 			Perspectives: []int{p},
 			Sem:          perspective.Static,

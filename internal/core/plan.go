@@ -14,9 +14,8 @@ import (
 
 // ExecContext carries per-execution parameters through the engine's
 // staged pipeline. The zero value runs serially without cancellation.
-// Threading an ExecContext through the Exec*With methods replaces the
-// deprecated SetContext field: the engine holds no per-query state, so
-// one engine serves concurrent queries.
+// It travels through the Exec*With methods because the engine holds no
+// per-query state: one engine serves concurrent queries.
 type ExecContext struct {
 	// Ctx, when non-nil, is checked at chunk-iteration boundaries, so a
 	// long scan is abandoned promptly with the context's error.

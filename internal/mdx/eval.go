@@ -67,17 +67,15 @@ func (rc RunContext) context() context.Context {
 // other cubes fall back to the algebra operators.
 //
 // Concurrency: an evaluator holds no per-query state, so one evaluator
-// is safe for concurrent use — per-query parameters travel in a
-// RunContext through the *With methods (the deprecated WithContext shim
-// returns a copy and stays safe, but cannot carry per-query workers).
+// is safe for concurrent use — per-query parameters travel in the
+// RunContext each run is handed.
 type Evaluator struct {
 	cube *cube.Cube
-	// rc is the default RunContext, set only by the deprecated
-	// WithContext shim; the *With methods ignore it.
-	rc RunContext
 }
 
-// NewEvaluator creates an evaluator bound to a cube.
+// NewEvaluator creates an evaluator bound to a cube — a catalog cube or
+// a scenario's layered view, which picks its execution path exactly
+// like a base cube (see lower).
 func NewEvaluator(c *cube.Cube) *Evaluator { return &Evaluator{cube: c} }
 
 // engineStore reports whether the store can back the perspective-cube
@@ -94,38 +92,10 @@ func engineStore(s cube.Store) bool {
 	return false
 }
 
-// EvaluateScenario is the scenario-scoped evaluation entry point used
-// by the server's /scenarios/{id}/query path: it evaluates a parsed
-// query against a scenario's layered view cube (base chunks resolved
-// through the scenario's overlay layers). The view cube decides the
-// execution path exactly like a base cube — engine when its chain is
-// uniform and chunk-backed, algebra otherwise — so scenario queries
-// inherit parallel scan, tracing and statistics unchanged.
-func EvaluateScenario(rc RunContext, view *cube.Cube, q *Query) (*result.Grid, core.Stats, error) {
-	return NewEvaluator(view).RunQueryStatsWith(rc, q)
-}
-
-// WithContext returns a copy of the evaluator whose queries observe the
-// context.
-//
-// Deprecated: pass a RunContext to RunWith, RunQueryWith or
-// RunQueryStatsWith instead; explicit threading also carries the scan
-// worker count.
-func (ev *Evaluator) WithContext(ctx context.Context) *Evaluator {
-	out := *ev
-	out.rc.Ctx = ctx
-	return &out
-}
-
-// Run parses and evaluates a query in one call.
+// Run parses and evaluates a query in one call, serially and without
+// cancellation.
 func (ev *Evaluator) Run(src string) (*result.Grid, error) {
-	return ev.RunWith(ev.rc, src)
-}
-
-// RunContext is Run under a context: the query is abandoned with the
-// context's error at the next cancellation check point.
-func (ev *Evaluator) RunContext(ctx context.Context, src string) (*result.Grid, error) {
-	return ev.RunWith(RunContext{Ctx: ctx}, src)
+	return ev.RunWith(RunContext{}, src)
 }
 
 // RunWith parses and evaluates a query under an explicit RunContext.
@@ -141,36 +111,29 @@ func (ev *Evaluator) RunWith(rc RunContext, src string) (*result.Grid, error) {
 	return ev.RunQueryWith(rc, q)
 }
 
-// RunQuery evaluates a parsed query into a grid.
-func (ev *Evaluator) RunQuery(q *Query) (*result.Grid, error) {
-	return ev.RunQueryWith(ev.rc, q)
-}
-
 // RunQueryWith evaluates a parsed query under an explicit RunContext.
 func (ev *Evaluator) RunQueryWith(rc RunContext, q *Query) (*result.Grid, error) {
 	g, _, err := ev.RunQueryStatsWith(rc, q)
 	return g, err
 }
 
-// RunQueryStats evaluates a parsed query and also returns engine
-// statistics when the engine path executed (zero otherwise). The
-// benchmark harness uses this to report chunk reads and merge work.
-func (ev *Evaluator) RunQueryStats(q *Query) (*result.Grid, core.Stats, error) {
-	return ev.RunQueryStatsWith(ev.rc, q)
-}
-
-// RunQueryStatsWith evaluates a parsed query under an explicit
-// RunContext, returning engine statistics including the per-stage wall
-// times (the projection stage is timed here).
+// RunQueryStatsWith is the one way a query executes: lower it, run the
+// lowered form (engine or algebra), project the axes. It returns engine
+// statistics when the engine path executed (zero otherwise), including
+// the per-stage wall times; the projection stage is timed here.
 func (ev *Evaluator) RunQueryStatsWith(rc RunContext, q *Query) (*result.Grid, core.Stats, error) {
-	out, mode, stats, err := ev.applyScenarios(rc, q)
+	lo, err := ev.lower(q)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	out, stats, err := ev.execute(rc, lo)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
 	tr := trace.FromContext(rc.Ctx)
 	projTraceStart := tr.Now()
 	projStart := time.Now()
-	g, err := ev.project(rc, q, out, mode)
+	g, err := ev.project(rc, q, out, lo.mode)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -180,11 +143,9 @@ func (ev *Evaluator) RunQueryStatsWith(rc RunContext, q *Query) (*result.Grid, c
 }
 
 // ExplainAnalyze executes the query under a fresh span trace and
-// renders the recorded span tree followed by per-stage totals, which
-// reconcile with the returned core.Stats (the trace and the stats time
-// the same stage boundaries, so they agree to clock resolution). The
-// grid is returned too so callers can show results alongside the
-// analysis. This backs the EXPLAIN ANALYZE query prefix.
+// renders it with RenderAnalyze. The grid is returned too so callers
+// can show results alongside the analysis. This backs the EXPLAIN
+// ANALYZE query prefix for callers that hold no trace of their own.
 func (ev *Evaluator) ExplainAnalyze(rc RunContext, q *Query) (string, *result.Grid, core.Stats, error) {
 	tr := trace.New(0)
 	root := tr.Start(trace.SpanRef{}, "eval")
@@ -194,6 +155,15 @@ func (ev *Evaluator) ExplainAnalyze(rc RunContext, q *Query) (string, *result.Gr
 	if err != nil {
 		return "", nil, stats, err
 	}
+	return RenderAnalyze(tr, stats), g, stats, nil
+}
+
+// RenderAnalyze renders a finished query's span tree followed by
+// per-stage totals, which reconcile with stats (the trace and the stats
+// time the same stage boundaries, so they agree to clock resolution).
+// It is the text half of EXPLAIN ANALYZE, for callers that ran the
+// query under a trace they already hold (the daemon's pooled one).
+func RenderAnalyze(tr *trace.Trace, stats core.Stats) string {
 	var b strings.Builder
 	b.WriteString(tr.Render())
 	fmt.Fprintf(&b, "totals: plan=%.3fms scan=%.3fms merge=%.3fms project=%.3fms\n",
@@ -207,7 +177,7 @@ func (ev *Evaluator) ExplainAnalyze(rc RunContext, q *Query) (string, *result.Gr
 		fmt.Fprintf(&b, " spill_faults=%d", stats.SpillFaults)
 	}
 	b.WriteByte('\n')
-	return b.String(), g, stats, nil
+	return b.String()
 }
 
 // Explain describes how the evaluator would execute the query: which
@@ -217,62 +187,24 @@ func (ev *Evaluator) ExplainAnalyze(rc RunContext, q *Query) (string, *result.Gr
 // schedule, and the peak resident chunk count. Planning runs (it is
 // pure), but no chunks are read and nothing is executed.
 func (ev *Evaluator) Explain(q *Query) (string, error) {
+	lo, err := ev.lower(q)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
-	chunked := engineStore(ev.cube.Store())
-	engineChanges := chunked && q.Changes != nil && len(q.Perspectives) == 0 && len(q.Transfers) == 0
-	enginePersp := chunked && len(q.Perspectives) == 1 && q.Changes == nil && len(q.Transfers) == 0
-	switch {
-	case engineChanges:
+	var plan *core.PhysicalPlan
+	switch lo.path {
+	case pathEngineChanges:
 		fmt.Fprintf(&b, "path: perspective-cube engine (positive scenario, %d change rows)\n", len(q.Changes.Rows))
-		changes, varying, err := ev.resolveChanges(q.Changes)
-		if err != nil {
-			return "", err
-		}
-		eng, err := core.New(ev.cube, varying)
-		if err != nil {
-			return "", err
-		}
-		plan, err := eng.PlanChanges(core.ChangesQuery{Changes: changes, Mode: q.Changes.Mode})
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(plan.Describe())
-	case enginePersp:
+		plan, err = lo.engine.PlanChanges(lo.changes)
+	case pathEnginePerspective:
 		pc := q.Perspectives[0]
 		fmt.Fprintf(&b, "path: perspective-cube engine (%v on %s, %d perspectives, %v)\n",
 			pc.Sem, pc.Varying, len(pc.Points), pc.Mode)
-		bnd := ev.cube.BindingFor(pc.Varying)
-		if bnd == nil {
-			return "", fmt.Errorf("mdx: dimension %q has no varying binding", pc.Varying)
-		}
-		points, err := ev.resolvePerspectivePoints(ev.cube, bnd, pc.Points)
-		if err != nil {
-			return "", err
-		}
-		eng, err := core.New(ev.cube, pc.Varying)
-		if err != nil {
-			return "", err
-		}
-		members, err := ev.scopeMembers(q, bnd)
-		if err != nil {
-			return "", err
-		}
-		plan, err := eng.PlanPerspective(core.PerspectiveQuery{
-			Members: members, Perspectives: points, Sem: pc.Sem, Mode: pc.Mode,
-		})
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(plan.Describe())
-	default:
-		plan, _, err := ev.lowerToPlan(q)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "path: algebra\nplan:      %s\n", plan)
-		opt, rewrites := algebra.Optimize(plan)
-		opt, more := algebra.EliminateFullCover(opt, ev.cube)
-		rewrites = append(rewrites, more...)
+		plan, err = lo.engine.PlanPerspective(lo.persp)
+	case pathAlgebra:
+		fmt.Fprintf(&b, "path: algebra\nplan:      %s\n", lo.plan)
+		opt, rewrites := ev.optimize(lo.plan)
 		if len(rewrites) == 0 {
 			b.WriteString("optimizer: no rewrites apply\n")
 		} else {
@@ -281,82 +213,119 @@ func (ev *Evaluator) Explain(q *Query) (string, error) {
 				fmt.Fprintf(&b, "  %-24s %s\n", rw.Rule+":", rw.Detail)
 			}
 		}
+		return b.String(), nil
 	}
+	if err != nil {
+		return "", err
+	}
+	b.WriteString(plan.Describe())
 	return b.String(), nil
 }
 
-// applyScenarios computes the scenario-transformed cube (the
-// perspective cube) and the evaluation mode for non-leaf cells. Cubes
-// on chunked storage with a single what-if clause run on the
-// perspective-cube engine (under rc's context and worker count);
-// everything else lowers to an algebra plan, which is optimized (paper
-// §8's operator-manipulation direction) before execution.
-func (ev *Evaluator) applyScenarios(rc RunContext, q *Query) (*cube.Cube, perspective.Mode, core.Stats, error) {
-	mode := perspective.NonVisual
-	var stats core.Stats
-	chunked := engineStore(ev.cube.Store())
+// queryPath names the three ways a lowered query executes.
+type queryPath int
 
-	// Engine fast paths.
-	if chunked && q.Changes != nil && len(q.Perspectives) == 0 && len(q.Transfers) == 0 {
-		changes, varying, err := ev.resolveChanges(q.Changes)
+const (
+	// pathAlgebra lowers to an algebra plan, optimized (paper §8's
+	// operator-manipulation direction) before execution.
+	pathAlgebra queryPath = iota
+	// pathEnginePerspective runs a single WITH PERSPECTIVE clause on the
+	// perspective-cube engine.
+	pathEnginePerspective
+	// pathEngineChanges runs a lone WITH CHANGES clause on the engine.
+	pathEngineChanges
+)
+
+// lowered is everything decided about a query before anything runs:
+// the path, the resolved clause in the form that path consumes, and the
+// evaluation mode for non-leaf cells. Explain prints it and
+// RunQueryStatsWith executes it, so the two cannot disagree.
+type lowered struct {
+	path queryPath
+	mode perspective.Mode
+	// engine serves the two engine paths; persp or changes is its query
+	// (scope members, perspective points / change rows resolved).
+	engine  *core.Engine
+	persp   core.PerspectiveQuery
+	changes core.ChangesQuery
+	// plan is the unoptimized operator plan of the algebra path.
+	plan algebra.Plan
+}
+
+// lower decides how the query executes. Cubes on engine-capable chunked
+// storage with a single what-if clause (one WITH PERSPECTIVE, or WITH
+// CHANGES alone) get the perspective-cube engine; everything else —
+// plain queries, transfers, clause combinations, map-backed cubes and
+// scenario chains with wider layers — lowers to an algebra plan.
+func (ev *Evaluator) lower(q *Query) (lowered, error) {
+	lo := lowered{mode: perspective.NonVisual}
+	var varying string
+	single := engineStore(ev.cube.Store()) && len(q.Transfers) == 0
+	switch {
+	case single && q.Changes != nil && len(q.Perspectives) == 0:
+		changes, dim, err := ev.resolveChanges(q.Changes)
 		if err != nil {
-			return nil, mode, stats, err
+			return lo, err
 		}
-		eng, err := core.New(ev.cube, varying)
-		if err != nil {
-			return nil, mode, stats, err
-		}
-		view, err := eng.ExecChangesWith(rc.execContext(), core.ChangesQuery{Changes: changes, Mode: q.Changes.Mode})
-		if err != nil {
-			return nil, mode, stats, err
-		}
-		return view.Result(), q.Changes.Mode, view.Stats, nil
-	}
-	if chunked && len(q.Perspectives) == 1 && q.Changes == nil && len(q.Transfers) == 0 {
+		lo.path, lo.mode, varying = pathEngineChanges, q.Changes.Mode, dim
+		lo.changes = core.ChangesQuery{Changes: changes, Mode: q.Changes.Mode}
+	case single && q.Changes == nil && len(q.Perspectives) == 1:
 		pc := q.Perspectives[0]
 		b := ev.cube.BindingFor(pc.Varying)
 		if b == nil {
-			return nil, mode, stats, fmt.Errorf("mdx: dimension %q has no varying binding", pc.Varying)
+			return lo, fmt.Errorf("mdx: dimension %q has no varying binding", pc.Varying)
 		}
-		points, err := ev.resolvePerspectivePoints(ev.cube, b, pc.Points)
+		points, err := ev.resolvePerspectivePoints(b, pc.Points)
 		if err != nil {
-			return nil, mode, stats, err
-		}
-		eng, err := core.New(ev.cube, pc.Varying)
-		if err != nil {
-			return nil, mode, stats, err
+			return lo, err
 		}
 		members, err := ev.scopeMembers(q, b)
 		if err != nil {
-			return nil, mode, stats, err
+			return lo, err
 		}
-		view, err := eng.ExecPerspectiveWith(rc.execContext(), core.PerspectiveQuery{
-			Members:      members,
-			Perspectives: points,
-			Sem:          pc.Sem,
-			Mode:         pc.Mode,
-		})
-		if err != nil {
-			return nil, mode, stats, err
-		}
-		return view.Result(), pc.Mode, view.Stats, nil
+		lo.path, lo.mode, varying = pathEnginePerspective, pc.Mode, pc.Varying
+		lo.persp = core.PerspectiveQuery{Members: members, Perspectives: points, Sem: pc.Sem, Mode: pc.Mode}
+	default:
+		var err error
+		lo.plan, lo.mode, err = ev.lowerToPlan(q)
+		return lo, err
 	}
+	var err error
+	lo.engine, err = core.New(ev.cube, varying)
+	return lo, err
+}
 
-	// Algebra path: lower to a plan, optimize, execute.
-	if err := rc.err(); err != nil {
-		return nil, mode, stats, err
+// execute runs the lowered query to the scenario-transformed cube (the
+// perspective cube): on the engine under rc's context and worker
+// count, or through the optimized algebra plan.
+func (ev *Evaluator) execute(rc RunContext, lo lowered) (*cube.Cube, core.Stats, error) {
+	var view *core.View
+	var err error
+	switch lo.path {
+	case pathEngineChanges:
+		view, err = lo.engine.ExecChangesWith(rc.execContext(), lo.changes)
+	case pathEnginePerspective:
+		view, err = lo.engine.ExecPerspectiveWith(rc.execContext(), lo.persp)
+	case pathAlgebra:
+		if err := rc.err(); err != nil {
+			return nil, core.Stats{}, err
+		}
+		plan, _ := ev.optimize(lo.plan)
+		out, err := algebra.Execute(plan, ev.cube)
+		return out, core.Stats{}, err
 	}
-	plan, mode, err := ev.lowerToPlan(q)
 	if err != nil {
-		return nil, mode, stats, err
+		return nil, core.Stats{}, err
 	}
-	plan, _ = algebra.Optimize(plan)
-	plan, _ = algebra.EliminateFullCover(plan, ev.cube)
-	outCube, err := algebra.Execute(plan, ev.cube)
-	if err != nil {
-		return nil, mode, stats, err
-	}
-	return outCube, mode, stats, nil
+	return view.Result(), view.Stats, nil
+}
+
+// optimize applies the algebra rewrites to a lowered plan, returning
+// the rewritten plan and what fired.
+func (ev *Evaluator) optimize(plan algebra.Plan) (algebra.Plan, []algebra.Rewrite) {
+	opt, rewrites := algebra.Optimize(plan)
+	opt, more := algebra.EliminateFullCover(opt, ev.cube)
+	return opt, append(rewrites, more...)
 }
 
 // lowerToPlan translates the query's what-if clauses into an algebra
@@ -386,7 +355,7 @@ func (ev *Evaluator) lowerToPlan(q *Query) (algebra.Plan, perspective.Mode, erro
 		if b == nil {
 			return nil, mode, fmt.Errorf("mdx: dimension %q has no varying binding", pc.Varying)
 		}
-		points, err := ev.resolvePerspectivePoints(ev.cube, b, pc.Points)
+		points, err := ev.resolvePerspectivePoints(b, pc.Points)
 		if err != nil {
 			return nil, mode, err
 		}
@@ -398,7 +367,7 @@ func (ev *Evaluator) lowerToPlan(q *Query) (algebra.Plan, perspective.Mode, erro
 
 // resolvePerspectivePoints maps perspective member references to leaf
 // ordinals of the binding's parameter dimension.
-func (ev *Evaluator) resolvePerspectivePoints(c *cube.Cube, b *dimension.Binding, points []*MemberExpr) ([]int, error) {
+func (ev *Evaluator) resolvePerspectivePoints(b *dimension.Binding, points []*MemberExpr) ([]int, error) {
 	out := make([]int, 0, len(points))
 	for _, pt := range points {
 		ref := pt.Parts[len(pt.Parts)-1]

@@ -423,7 +423,7 @@ SELECT {Descendants([Time], 1, SELF_AND_AFTER)} ON COLUMNS,
 FROM Warehouse WHERE ([Location].[NY], [Measures].[Salary])`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.RunQuery(q); err != nil {
+		if _, err := ev.RunQueryWith(RunContext{}, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -435,7 +435,7 @@ func TestRunQueryStatsEnginePath(t *testing.T) {
 WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD
 SELECT {[Time].[Qtr1]} ON COLUMNS, {[PTE].[Joe]} ON ROWS
 FROM W WHERE ([Location].[NY], [Measures].[Salary])`)
-	_, stats, err := ev.RunQueryStats(q)
+	_, stats, err := ev.RunQueryStatsWith(RunContext{}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ FROM W WHERE ([Location].[NY], [Measures].[Salary])`)
 	}
 	// The algebra path reports zero engine stats.
 	ev2 := NewEvaluator(paperdata.Warehouse())
-	_, stats2, err := ev2.RunQueryStats(q)
+	_, stats2, err := ev2.RunQueryStatsWith(RunContext{}, q)
 	if err != nil {
 		t.Fatal(err)
 	}

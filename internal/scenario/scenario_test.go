@@ -74,7 +74,7 @@ func evalScenario(s *scenario.Scenario, query string, workers int) (string, int,
 		return "", 0, err
 	}
 	rc := mdx.RunContext{Ctx: context.Background(), Workers: workers}
-	g, stats, err := mdx.EvaluateScenario(rc, view, q)
+	g, stats, err := mdx.NewEvaluator(view).RunQueryStatsWith(rc, q)
 	if err != nil {
 		return "", 0, err
 	}

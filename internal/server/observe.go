@@ -200,29 +200,48 @@ func (sm *obsSampler) sample() {
 	sm.prevFaults = faults
 }
 
-// retainTrace applies the tail-sampling policy to one finished query:
-// it packages the outcome into an obs.TraceMeta (computing the Slow
-// flag from the server's slowlog threshold — one policy, two
-// consumers) and hands it to the ring. Returns the retained trace ID,
-// or "" (retention disabled, or the query was not sampled).
-func (s *Server) retainTrace(tr *trace.Trace, cubeName, scenarioID string, rev int64, norm string, elapsed time.Duration, qerr error) string {
-	if s.traces == nil {
-		return ""
-	}
+// recordTrace is where every executed query's trace ends up, failed or
+// not. The tail-sampling ring keeps the span tree of slow, errored and
+// 1-in-N queries; a successful query at or over the slow-query
+// threshold also enters the slow-query log, linked to its retained
+// trace — one threshold, two consumers. The log renders the trace
+// eagerly: the buffer goes back to the pool when the handler returns,
+// but the entry must outlive it. Returns the retained trace ID, or ""
+// (retention disabled, or the query was not sampled).
+func (s *Server) recordTrace(tr *trace.Trace, key cacheKey, elapsed time.Duration, qerr error) string {
+	now := time.Now()
 	ms := float64(elapsed) / float64(time.Millisecond)
-	m := obs.TraceMeta{
-		Time:        time.Now(),
-		Cube:        cubeName,
-		Scenario:    scenarioID,
-		ScenarioRev: rev,
-		Query:       norm,
-		LatencyMs:   ms,
-		Slow:        s.cfg.SlowQueryMs >= 0 && ms >= s.cfg.SlowQueryMs,
+	slow := s.cfg.SlowQueryMs >= 0 && ms >= s.cfg.SlowQueryMs
+	var id string
+	if s.traces != nil {
+		m := obs.TraceMeta{
+			Time:        now,
+			Cube:        key.Cube,
+			Scenario:    key.Scenario,
+			ScenarioRev: key.ScenarioRev,
+			Query:       key.Query,
+			LatencyMs:   ms,
+			Slow:        slow,
+		}
+		if qerr != nil {
+			m.Err = qerr.Error()
+		}
+		id = s.traces.MaybeRetain(m, tr.Spans)
 	}
-	if qerr != nil {
-		m.Err = qerr.Error()
+	if slow && qerr == nil {
+		s.metrics.SlowQueries.Add(1)
+		s.slowlog.record(SlowQueryRecord{
+			Time:        now,
+			Cube:        key.Cube,
+			Scenario:    key.Scenario,
+			ScenarioRev: key.ScenarioRev,
+			Query:       key.Query,
+			LatencyMs:   ms,
+			Trace:       tr.Render(),
+			TraceID:     id,
+		})
 	}
-	return s.traces.MaybeRetain(m, tr.Spans)
+	return id
 }
 
 // HistoryResponse is the GET /metrics/history body. Exported so the

@@ -1,0 +1,272 @@
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"whatifolap/internal/chunk"
+	"whatifolap/internal/workload"
+)
+
+// Bodies of both query endpoints for paperQuery on the paper cube (a
+// fresh scenario "s1" with zero edits on the scenario path), captured
+// at the parent of the commit that folded the two handlers into
+// serveQuery. Field order, the omitted scenario fields on /query and the
+// spelled-out "scenario_revision":0 are all part of the wire contract.
+const (
+	goldenGrid = `"columns":["Qtr1","Qtr1/Jan","Qtr1/Feb","Qtr1/Mar","Qtr2","Qtr2/Apr","Qtr2/May","Qtr2/Jun","Qtr3","Qtr3/Jul","Qtr3/Aug","Qtr3/Sep","Qtr4","Qtr4/Oct","Qtr4/Nov","Qtr4/Dec"],` +
+		`"rows":["PTE/Tom","PTE/Dave","PTE/Joe"],` +
+		`"values":[[30,10,10,10,30,10,10,10,null,null,null,null,null,null,null,null],[null,null,null,null,null,null,null,null,null,null,null,null,null,null,null,null],[40,null,10,30,null,null,null,null,null,null,null,null,null,null,null,null]],` +
+		`"stats":{"members_in_scope":3,"chunks_read":5,"cells_relocated":21,"merge_edges":1,"merge_groups":3,"scan_workers":1}}` + "\n"
+	goldenExplain = `"analyze":false,"explain":"path: perspective-cube engine (DYNAMIC FORWARD on Organization, 2 perspectives, VISUAL)\nphysical plan: 5 relevant chunks, 3 merge groups, 1 merge edges\n  read order pebbling, peak resident chunks 2\n  schedule:  [24 48 25 26 50]\n  group 0   rest=(·,0,0,0): 2 chunks [24 48], 1 edges, peak 2\n  group 1   rest=(·,0,0,1): 1 chunks [25], 0 edges, peak 1\n  group 2   rest=(·,0,1,0): 2 chunks [26 50], 0 edges, peak 1\n",` +
+		`"stats":{"members_in_scope":0,"chunks_read":0,"cells_relocated":0,"merge_edges":0,"merge_groups":0}}` + "\n"
+	goldenPlainHead    = `{"cube":"paper","version":1,`
+	goldenScenarioHead = `{"cube":"paper","version":1,"scenario":"s1","scenario_revision":0,`
+)
+
+// TestQueryEndpointsShareOnePath runs the same assertions against
+// /query and against /scenarios/{id}/query on a scenario with zero
+// edits: the two are one code path behind different targets, so they
+// must agree on the grid and the stats, keep MISS and HIT bodies
+// byte-identical, and still put the parent commit's bytes on the wire.
+func TestQueryEndpointsShareOnePath(t *testing.T) {
+	s := newPaperServer(t, Config{CacheBytes: 1 << 20})
+	h := s.Handler()
+	var sc scenarioInfoJSON
+	decode(t, do(t, h, "POST", "/scenarios", scenarioCreateRequest{Name: "g"}), http.StatusCreated, &sc)
+	if sc.ID != "s1" {
+		t.Fatalf("scenario id = %q, the goldens assume s1", sc.ID)
+	}
+
+	endpoints := []struct {
+		name, path, head string
+	}{
+		{"plain", "/query", goldenPlainHead},
+		// The scenario path's EXPLAIN body is new at this commit (the
+		// parent refused it with a 422); it is the plain body under the
+		// scenario head.
+		{"scenario", "/scenarios/s1/query", goldenScenarioHead},
+	}
+	grids := make([]queryResponse, len(endpoints))
+	for i, ep := range endpoints {
+		t.Run(ep.name, func(t *testing.T) {
+			miss := do(t, h, "POST", ep.path, queryRequest{Query: paperQuery})
+			decode(t, miss, http.StatusOK, &grids[i])
+			if got := miss.Header().Get("X-Cache"); got != "MISS" {
+				t.Fatalf("first X-Cache = %q, want MISS", got)
+			}
+			if got := miss.Header().Get("X-Cube-Version"); got != "1" {
+				t.Fatalf("X-Cube-Version = %q, want 1", got)
+			}
+			if got, want := miss.Body.String(), ep.head+goldenGrid; got != want {
+				t.Fatalf("success body drifted from the parent's\n got %s\nwant %s", got, want)
+			}
+			hit := do(t, h, "POST", ep.path, queryRequest{Query: strings.ToLower(paperQuery[:5]) + paperQuery[5:]})
+			if got := hit.Header().Get("X-Cache"); got != "HIT" {
+				t.Fatalf("repeat X-Cache = %q, want HIT", got)
+			}
+			if hit.Body.String() != miss.Body.String() {
+				t.Fatalf("HIT body differs from MISS body\n hit %s\nmiss %s", hit.Body, miss.Body)
+			}
+			ex := do(t, h, "POST", ep.path, queryRequest{Query: "EXPLAIN " + paperQuery})
+			if ex.Code != http.StatusOK {
+				t.Fatalf("EXPLAIN = %d: %s", ex.Code, ex.Body)
+			}
+			if got, want := ex.Body.String(), ep.head+goldenExplain; got != want {
+				t.Fatalf("EXPLAIN body drifted from the parent's\n got %s\nwant %s", got, want)
+			}
+			if ex.Header().Get("X-Cache") != "" {
+				t.Fatalf("EXPLAIN carries X-Cache %q; it never touches the cache", ex.Header().Get("X-Cache"))
+			}
+		})
+	}
+	plain, scen := grids[0], grids[1]
+	if fmt.Sprint(plain.Columns, plain.Rows, plain.Stats) != fmt.Sprint(scen.Columns, scen.Rows, scen.Stats) {
+		t.Fatalf("endpoints disagree:\n plain %+v\n scenario %+v", plain, scen)
+	}
+	pv, _ := json.Marshal(plain.Values)
+	sv, _ := json.Marshal(scen.Values)
+	if string(pv) != string(sv) {
+		t.Fatalf("endpoints disagree on values:\n plain %s\n scenario %s", pv, sv)
+	}
+	if plain.Scenario != "" || plain.ScenarioRevision != nil {
+		t.Fatalf("/query body carries scenario fields: %+v", plain.responseHead)
+	}
+	if scen.Scenario != "s1" || scen.ScenarioRevision == nil || *scen.ScenarioRevision != 0 {
+		t.Fatalf("scenario body head = %+v, want s1 at revision 0", scen.responseHead)
+	}
+}
+
+// TestExplainSkipsCacheAndCountsLatency pins the two accounting bugs
+// the shared path fixed: EXPLAIN is never cacheable, so it must not
+// look up (and count a miss, dragging cache_hit_ratio down), and every
+// served request observes latency exactly once.
+func TestExplainSkipsCacheAndCountsLatency(t *testing.T) {
+	s := newPaperServer(t, Config{CacheBytes: 1 << 20})
+	h := s.Handler()
+	postQuery(t, h, queryRequest{Query: paperQuery})
+	postQuery(t, h, queryRequest{Query: paperQuery})
+	before := s.Metrics().Snapshot()
+	if before.CacheMisses != 1 || before.CacheHits != 1 {
+		t.Fatalf("warm-up: %d misses, %d hits, want 1 and 1", before.CacheMisses, before.CacheHits)
+	}
+	for _, q := range []string{"EXPLAIN " + paperQuery, "explain analyze " + paperQuery, "EXPLAIN " + paperQuery} {
+		if rec := postQuery(t, h, queryRequest{Query: q}); rec.Code != http.StatusOK {
+			t.Fatalf("%.16s = %d: %s", q, rec.Code, rec.Body)
+		}
+	}
+	after := s.Metrics().Snapshot()
+	if after.CacheMisses != before.CacheMisses || after.CacheHits != before.CacheHits {
+		t.Fatalf("EXPLAIN touched the cache counters: misses %d→%d, hits %d→%d",
+			before.CacheMisses, after.CacheMisses, before.CacheHits, after.CacheHits)
+	}
+	if after.CacheHitRatio != before.CacheHitRatio {
+		t.Fatalf("cache_hit_ratio moved %v→%v under EXPLAIN", before.CacheHitRatio, after.CacheHitRatio)
+	}
+	if after.QueriesServed != 5 || after.Latency.Count != after.QueriesServed {
+		t.Fatalf("queries_served = %d, latency.count = %d; want 5 and 5", after.QueriesServed, after.Latency.Count)
+	}
+	if s.cache.Len() != 1 {
+		t.Fatalf("cache holds %d entries, want only the plain query's", s.cache.Len())
+	}
+}
+
+// TestScenarioExplain covers what deleting the scenario handler's fork
+// bought: EXPLAIN and EXPLAIN ANALYZE on /scenarios/{id}/query, over a
+// chain the engine can run and over one with a wider layer.
+func TestScenarioExplain(t *testing.T) {
+	s, w := newWorkforceServer(t, Config{})
+	h := s.Handler()
+	dept := w.Cube.DimByName(workload.DimDepartment)
+	inst := dept.Path(w.Cube.BindingFor(workload.DimDepartment).InstanceAt(w.Changing[0], 0))
+	persp := fmt.Sprintf(`
+WITH PERSPECTIVE {(Jan), (Apr)} FOR Department DYNAMIC FORWARD
+SELECT {[Account].Levels(0).Members} ON COLUMNS, {[%s]} ON ROWS
+FROM [App].[Db]
+WHERE ([Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])`, inst)
+
+	edits := map[string][]map[string]interface{}{
+		"engine": {{"op": "set", "cell": map[string]string{"Department": "Emp00012", "Period": "Mar", "Account": "Acct000"}, "value": 1}},
+		"wide": {
+			{"op": "new_member", "dim": "Account", "parent": "AllAccounts", "name": "Bonus"},
+			{"op": "set", "cell": map[string]string{"Department": "Emp00010", "Period": "Jan", "Account": "Bonus"}, "value": 500},
+		},
+	}
+	ids := map[string]string{}
+	for name, batch := range edits {
+		var sc scenarioInfoJSON
+		decode(t, do(t, h, "POST", "/scenarios", map[string]string{"name": name}), http.StatusCreated, &sc)
+		decode(t, do(t, h, "POST", "/scenarios/"+sc.ID+"/edit", map[string]interface{}{"edits": batch}), http.StatusOK, nil)
+		ids[name] = sc.ID
+	}
+	explain := func(id, prefix string) explainResponse {
+		t.Helper()
+		var resp explainResponse
+		decode(t, do(t, h, "POST", "/scenarios/"+id+"/query", queryRequest{Query: prefix + persp}), http.StatusOK, &resp)
+		if resp.Scenario != id || resp.ScenarioRevision == nil || *resp.ScenarioRevision != 1 {
+			t.Fatalf("explain head = %+v, want scenario %s at revision 1", resp.responseHead, id)
+		}
+		return resp
+	}
+
+	eng := explain(ids["engine"], "EXPLAIN ")
+	for _, want := range []string{"path: perspective-cube engine (DYNAMIC FORWARD on Department", "merge groups", "schedule:", "group 0"} {
+		if !strings.Contains(eng.Explain, want) {
+			t.Fatalf("engine-capable chain: EXPLAIN lacks %q:\n%s", want, eng.Explain)
+		}
+	}
+	if eng.Analyze || eng.Stats.ChunksRead != 0 {
+		t.Fatalf("plain EXPLAIN executed: %+v", eng)
+	}
+	if wide := explain(ids["wide"], "EXPLAIN "); !strings.HasPrefix(wide.Explain, "path: algebra\n") {
+		t.Fatalf("wide-layer chain: EXPLAIN = %q, want the algebra path", wide.Explain)
+	}
+
+	an := explain(ids["engine"], "EXPLAIN ANALYZE ")
+	if !an.Analyze || an.Stats.ChunksRead == 0 {
+		t.Fatalf("EXPLAIN ANALYZE did not execute: %+v", an)
+	}
+	for _, want := range []string{"eval", "scenario_layers=1", "cells_overridden=1", "scan", "totals:", "stats:"} {
+		if !strings.Contains(an.Explain, want) {
+			t.Fatalf("analysis lacks %q:\n%s", want, an.Explain)
+		}
+	}
+	if got := s.Metrics().Snapshot().QueryErrors; got != 0 {
+		t.Fatalf("query_errors = %d after successful scenario EXPLAINs", got)
+	}
+}
+
+// TestExplainAnalyzeIsObservedLikeAnyQuery: server-side EXPLAIN ANALYZE
+// runs in the same closure, under the same pooled trace, as an ordinary
+// query — so it reaches the slow-query log, trace retention and the
+// trace-derived histograms, and a failing one retains its trace.
+func TestExplainAnalyzeIsObservedLikeAnyQuery(t *testing.T) {
+	// A threshold this low makes every query slow, hence always retained.
+	s := newPaperServer(t, Config{SlowQueryMs: 0.000001})
+	h := s.Handler()
+	promCount := func(name string) float64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+		return promParse(t, rec.Body.String())[name]
+	}
+	chunksBefore := promCount("whatif_query_chunks_read_count")
+
+	rec := postQuery(t, h, queryRequest{Query: "EXPLAIN ANALYZE " + paperQuery})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("EXPLAIN ANALYZE = %d: %s", rec.Code, rec.Body)
+	}
+	id := rec.Header().Get("X-Trace-Id")
+	if id == "" {
+		t.Fatal("slow EXPLAIN ANALYZE lacks X-Trace-Id")
+	}
+	var tresp TraceResponse
+	decode(t, do(t, h, "GET", "/debug/trace/"+id, nil), http.StatusOK, &tresp)
+	if !strings.HasPrefix(tresp.Query, "EXPLAIN ANALYZE ") || len(tresp.Spans) == 0 {
+		t.Fatalf("retained trace = %+v, want the EXPLAIN ANALYZE query with its spans", tresp)
+	}
+	records, total := s.slowlog.snapshot()
+	if total != 1 || records[0].TraceID != id || !strings.Contains(records[0].Trace, "scan") {
+		t.Fatalf("slowlog = %+v (total %d), want one record linked to %s", records, total, id)
+	}
+	if got := promCount("whatif_query_chunks_read_count"); got != chunksBefore+1 {
+		t.Fatalf("whatif_query_chunks_read_count = %v, want %v", got, chunksBefore+1)
+	}
+	if got := s.Metrics().Snapshot().CellsScanned; got == 0 {
+		t.Fatal("cells_scanned did not move under EXPLAIN ANALYZE")
+	}
+
+	// A failing one: park the engine mid-read past a 1 ms deadline.
+	snap, err := s.catalog.Acquire("paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	st := snap.Cube.Store().(*chunk.Store)
+	releaseHook := make(chan struct{})
+	var once sync.Once
+	st.SetReadHook(func(int) { once.Do(func() { <-releaseHook }) })
+	defer st.SetReadHook(nil)
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		close(releaseHook)
+	}()
+	rec = postQuery(t, h, queryRequest{Query: "EXPLAIN ANALYZE " + paperQuery, TimeoutMs: 1})
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("timed-out EXPLAIN ANALYZE = %d, want 504: %s", rec.Code, rec.Body)
+	}
+	failedID := rec.Header().Get("X-Trace-Id")
+	if failedID == "" {
+		t.Fatal("failed EXPLAIN ANALYZE lacks X-Trace-Id")
+	}
+	decode(t, do(t, h, "GET", "/debug/trace/"+failedID, nil), http.StatusOK, &tresp)
+	if tresp.Error == "" {
+		t.Fatalf("retained trace of the failed query carries no error: %+v", tresp)
+	}
+}

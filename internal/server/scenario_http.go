@@ -1,20 +1,15 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"time"
 
-	"whatifolap/internal/core"
-	"whatifolap/internal/mdx"
 	"whatifolap/internal/result"
 	"whatifolap/internal/scenario"
-	"whatifolap/internal/trace"
 )
 
 // Scenarios returns the server's scenario manager (tests and embedders).
@@ -36,20 +31,11 @@ func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
 		return
 	}
-	if req.Cube == "" {
-		if names := s.catalog.Names(); len(names) == 1 {
-			req.Cube = names[0]
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				fmt.Sprintf("no cube named and catalog holds %d cubes", len(s.catalog.Names()))})
-			return
-		}
-	}
 	// The snapshot pins the current published version; the scenario
 	// keeps the (immutable) cube value beyond the lease.
-	snap, err := s.catalog.Acquire(req.Cube)
+	snap, status, err := s.acquireCube(req.Cube)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{err.Error()})
+		writeJSON(w, status, errorResponse{err.Error()})
 		return
 	}
 	sc, err := s.scenarios.Create(req.Name, snap.Name, snap.Version, snap.Cube)
@@ -121,22 +107,6 @@ func (s *Server) handleScenarioFork(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, child.Info())
 }
 
-// scenarioQueryResponse is the POST /scenarios/{id}/query success
-// body: the plain query shape plus the scenario coordinates the answer
-// was computed at.
-type scenarioQueryResponse struct {
-	Cube             string       `json:"cube"`
-	Version          int64        `json:"version"`
-	Scenario         string       `json:"scenario"`
-	ScenarioRevision int64        `json:"scenario_revision"`
-	Columns          []string     `json:"columns"`
-	Rows             []string     `json:"rows"`
-	PropNames        []string     `json:"prop_names,omitempty"`
-	RowProps         [][]string   `json:"row_props,omitempty"`
-	Values           [][]*float64 `json:"values"`
-	Stats            queryStats   `json:"stats"`
-}
-
 func (s *Server) handleScenarioQuery(w http.ResponseWriter, r *http.Request) {
 	sc, ok := s.scenarios.Get(r.PathValue("id"))
 	if !ok {
@@ -144,136 +114,23 @@ func (s *Server) handleScenarioQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{"unknown scenario " + r.PathValue("id")})
 		return
 	}
-	var req queryRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.metrics.QueryErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
-		return
-	}
-	norm, err := mdx.Normalize(req.Query)
-	if err != nil {
-		s.metrics.QueryErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
-
-	// The view is an immutable snapshot: later edits build new layers
-	// and bump the revision, so both the evaluation and the cache entry
-	// below stay consistent even while the scenario is edited.
-	view, rev, err := sc.View()
-	if err != nil {
-		s.metrics.QueryErrors.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{err.Error()})
-		return
-	}
-	info := sc.Info()
-
-	started := time.Now()
-	key := cacheKey{
-		Cube: sc.CubeName(), Version: sc.BaseVersion(), Query: norm,
-		Scenario: sc.ID(), ScenarioRev: rev,
-	}
-	if body, ok := s.cache.Get(key); ok {
-		s.metrics.CacheHits.Add(1)
-		s.metrics.QueriesServed.Add(1)
-		elapsed := time.Since(started)
-		s.metrics.ObserveLatency(elapsed)
-		s.metrics.ObserveScenario(sc.ID(), elapsed)
-		writeCached(w, sc.BaseVersion(), body, true)
-		return
-	}
-	s.metrics.CacheMisses.Add(1)
-
-	q, err := mdx.Parse(req.Query)
-	if err != nil {
-		s.metrics.QueryErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
-	if q.Explain {
-		s.metrics.QueryErrors.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{"EXPLAIN is not supported on the scenario path"})
-		return
-	}
-	s.metrics.CountSemantics(classify(q))
-
-	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	tr := s.tracePool.Get().(*trace.Trace)
-	defer func() {
-		tr.Reset()
-		s.tracePool.Put(tr)
-	}()
-
-	var grid *result.Grid
-	var stats core.Stats
-	err = s.exec.Do(ctx, func(ctx context.Context) error {
-		var runErr error
-		root := tr.Start(trace.SpanRef{}, "eval")
-		root.Int("scenario_layers", int64(info.Layers))
-		root.Int("cells_overridden", int64(info.CellsOverridden))
-		defer root.End()
-		ctx = trace.WithSpan(trace.NewContext(ctx, tr), root)
-		rc := mdx.RunContext{Ctx: ctx, Workers: s.cfg.ScanWorkers}
-		grid, stats, runErr = mdx.EvaluateScenario(rc, view, q)
-		return runErr
-	})
-	if err != nil {
-		if id := s.retainTrace(tr, sc.CubeName(), sc.ID(), rev, norm, time.Since(started), err); id != "" {
-			w.Header().Set("X-Trace-Id", id)
+	s.serveQuery(w, r, func(string) (queryTarget, int, error) {
+		// The view is an immutable snapshot: later edits build new layers
+		// and bump the revision, so both the evaluation and the cache
+		// entry stay consistent even while the scenario is edited.
+		view, rev, err := sc.View()
+		if err != nil {
+			return queryTarget{}, http.StatusUnprocessableEntity, err
 		}
-		s.writeQueryError(w, err)
-		return
-	}
-	s.metrics.ObserveStages(stats)
-	s.metrics.ObserveTrace(tr.Spans())
-	s.metrics.ObserveCells(int64(stats.CellsScanned), gridCells(grid))
-	traceID := s.retainTrace(tr, sc.CubeName(), sc.ID(), rev, norm, time.Since(started), nil)
-	s.observeSlow(sc.CubeName(), sc.ID(), rev, norm, time.Since(started), tr, traceID)
-
-	body, err := json.Marshal(scenarioQueryResponse{
-		Cube:             sc.CubeName(),
-		Version:          sc.BaseVersion(),
-		Scenario:         sc.ID(),
-		ScenarioRevision: rev,
-		Columns:          grid.ColLabels,
-		Rows:             grid.RowLabels,
-		PropNames:        grid.PropNames,
-		RowProps:         grid.RowProps,
-		Values:           gridValues(grid),
-		Stats: queryStats{
-			MembersInScope: stats.MembersInScope,
-			ChunksRead:     stats.ChunksRead,
-			CellsRelocated: stats.CellsRelocated,
-			MergeEdges:     stats.MergeEdges,
-			MergeGroups:    stats.MergeGroups,
-			ScanWorkers:    stats.ScanWorkers,
-		},
+		info := sc.Info()
+		return queryTarget{
+			key: cacheKey{
+				Cube: sc.CubeName(), Version: sc.BaseVersion(),
+				Scenario: sc.ID(), ScenarioRev: rev,
+			},
+			cube: view, layers: info.Layers, overridden: info.CellsOverridden,
+		}, 0, nil
 	})
-	if err != nil {
-		s.metrics.QueryErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
-		return
-	}
-	s.cache.Put(key, body)
-	s.metrics.QueriesServed.Add(1)
-	elapsed := time.Since(started)
-	s.metrics.ObserveLatency(elapsed)
-	s.metrics.ObserveScenario(sc.ID(), elapsed)
-	if traceID != "" {
-		w.Header().Set("X-Trace-Id", traceID)
-	}
-	writeCached(w, sc.BaseVersion(), body, false)
 }
 
 // gridValues converts a grid's NaN cells to JSON nulls.

@@ -318,11 +318,21 @@ type queryStats struct {
 	// merge — are aggregated at /metrics (StageSnapshot).
 }
 
-// queryResponse is the POST /query success body. Values use null for
-// the meaningless cell ⊥ (NaN is not valid JSON).
+// responseHead opens every query response: the cube version the answer
+// was computed at and, on the scenario path, the scenario coordinates
+// (the revision is a pointer so that revision 0 is still spelled out).
+type responseHead struct {
+	Cube             string `json:"cube"`
+	Version          int64  `json:"version"`
+	Scenario         string `json:"scenario,omitempty"`
+	ScenarioRevision *int64 `json:"scenario_revision,omitempty"`
+}
+
+// queryResponse is the success body of POST /query and POST
+// /scenarios/{id}/query. Values use null for the meaningless cell ⊥
+// (NaN is not valid JSON).
 type queryResponse struct {
-	Cube      string       `json:"cube"`
-	Version   int64        `json:"version"`
+	responseHead
 	Columns   []string     `json:"columns"`
 	Rows      []string     `json:"rows"`
 	PropNames []string     `json:"prop_names,omitempty"`
@@ -331,9 +341,44 @@ type queryResponse struct {
 	Stats     queryStats   `json:"stats"`
 }
 
+// explainResponse is the body for EXPLAIN [ANALYZE] queries on either
+// endpoint.
+type explainResponse struct {
+	responseHead
+	Analyze bool       `json:"analyze"`
+	Explain string     `json:"explain"`
+	Stats   queryStats `json:"stats,omitempty"`
+}
+
 // errorResponse is every non-2xx body.
 type errorResponse struct {
 	Error string `json:"error"`
+}
+
+// queryTarget is what a query request runs against, resolved by the
+// endpoint: a leased catalog snapshot (/query) or a scenario's layered
+// view (/scenarios/{id}/query). Everything after that is serveQuery.
+type queryTarget struct {
+	// key carries the cube name and version and, on the scenario path,
+	// the scenario id and revision; serveQuery adds the query.
+	key  cacheKey
+	cube *cube.Cube
+	// snap is the catalog lease to return when the request ends (nil on
+	// the scenario path: a view is an immutable value, not a lease).
+	snap *Snapshot
+	// layers and overridden describe the scenario's chain on the root
+	// span of its queries.
+	layers, overridden int
+}
+
+// head opens the response to the request the key identifies.
+func (k cacheKey) head() responseHead {
+	h := responseHead{Cube: k.Cube, Version: k.Version, Scenario: k.Scenario}
+	if k.Scenario != "" {
+		rev := k.ScenarioRev
+		h.ScenarioRevision = &rev
+	}
+	return h
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -341,6 +386,42 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
 		return
 	}
+	s.serveQuery(w, r, func(name string) (queryTarget, int, error) {
+		snap, status, err := s.acquireCube(name)
+		if err != nil {
+			return queryTarget{}, status, err
+		}
+		return queryTarget{
+			key: cacheKey{Cube: snap.Name, Version: snap.Version}, cube: snap.Cube, snap: snap,
+		}, 0, nil
+	})
+}
+
+// acquireCube leases the current version of the cube a request names —
+// no name means the catalog's only cube — or says with which status to
+// refuse the request.
+func (s *Server) acquireCube(name string) (*Snapshot, int, error) {
+	if name == "" {
+		names := s.catalog.Names()
+		if len(names) != 1 {
+			return nil, http.StatusBadRequest, fmt.Errorf("no cube named and catalog holds %d cubes", len(names))
+		}
+		name = names[0]
+	}
+	snap, err := s.catalog.Acquire(name)
+	if err != nil {
+		return nil, http.StatusNotFound, err
+	}
+	return snap, 0, nil
+}
+
+// serveQuery is the one request path of both query endpoints: decode →
+// resolve target → normalize → result cache → parse → deadline → pooled
+// trace → admission queue → metrics, slow-query log, trace retention →
+// encode → cache put. EXPLAIN and EXPLAIN ANALYZE are branches of it.
+// resolve maps the request's cube name to the target, or to the status
+// and error to refuse with.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, resolve func(cubeName string) (queryTarget, int, error)) {
 	var req queryRequest
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -348,24 +429,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
 		return
 	}
-	if req.Cube == "" {
-		if names := s.catalog.Names(); len(names) == 1 {
-			req.Cube = names[0]
-		} else {
-			s.metrics.QueryErrors.Add(1)
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				fmt.Sprintf("no cube named and catalog holds %d cubes", len(names))})
-			return
-		}
-	}
-	snap, err := s.catalog.Acquire(req.Cube)
+	t, status, err := resolve(req.Cube)
 	if err != nil {
 		s.metrics.QueryErrors.Add(1)
-		writeJSON(w, http.StatusNotFound, errorResponse{err.Error()})
+		writeJSON(w, status, errorResponse{err.Error()})
 		return
 	}
-	defer snap.Release()
-
+	if t.snap != nil {
+		defer t.snap.Release()
+	}
 	norm, err := mdx.Normalize(req.Query)
 	if err != nil {
 		s.metrics.QueryErrors.Add(1)
@@ -373,15 +445,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	started := time.Now()
-	key := cacheKey{Cube: snap.Name, Version: snap.Version, Query: norm}
-	if body, ok := s.cache.Get(key); ok {
-		s.metrics.CacheHits.Add(1)
-		s.metrics.QueriesServed.Add(1)
-		s.metrics.ObserveLatency(time.Since(started))
-		writeCached(w, snap.Version, body, true)
-		return
+	// key identifies the request to the cache, the slow-query log, trace
+	// retention and the response head. t itself stays unmodified so the
+	// execution closure copies it and a cache hit allocates nothing here.
+	key := t.key
+	key.Query = norm
+	// EXPLAIN output is never cached — ANALYZE timings differ per run,
+	// and plain EXPLAIN is pure planning, cheaper than a cache slot — so
+	// it neither looks up nor counts as a miss. The prefix is read off
+	// the normalized text because a hit must return before parsing.
+	if !strings.HasPrefix(norm, "EXPLAIN ") {
+		if body, ok := s.cache.Get(key); ok {
+			s.metrics.CacheHits.Add(1)
+			s.observeServed(key, started)
+			writeCached(w, key.Version, body, true)
+			return
+		}
+		s.metrics.CacheMisses.Add(1)
 	}
-	s.metrics.CacheMisses.Add(1)
 
 	q, err := mdx.Parse(req.Query)
 	if err != nil {
@@ -402,16 +483,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	if q.Explain {
-		// EXPLAIN output is never cached: ANALYZE timings differ per run,
-		// and plain EXPLAIN is pure planning — cheaper than a cache slot.
-		s.handleExplain(w, ctx, snap, q, started)
+	if q.Explain && !q.Analyze {
+		// Pure planning reads no chunk, so it runs inline rather than
+		// taking a worker from executing queries.
+		text, err := mdx.NewEvaluator(t.cube).Explain(q)
+		if err != nil {
+			s.metrics.QueryErrors.Add(1)
+			writeJSON(w, http.StatusUnprocessableEntity, errorResponse{err.Error()})
+			return
+		}
+		s.observeServed(key, started)
+		writeJSON(w, http.StatusOK, explainResponse{responseHead: key.head(), Explain: text})
 		return
 	}
 
-	// Every engine-backed query runs under a pooled span trace: the
-	// recorder is allocation-free, and the spans feed the trace-derived
-	// histograms plus the slow-query log.
+	// Every executed query runs under a pooled span trace: the recorder
+	// is allocation-free, and the spans feed the trace-derived
+	// histograms, the slow-query log and trace retention.
 	tr := s.tracePool.Get().(*trace.Trace)
 	defer func() {
 		tr.Reset()
@@ -427,40 +515,72 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var runErr error
 		root := tr.Start(trace.SpanRef{}, "eval")
 		defer root.End()
+		if t.key.Scenario != "" {
+			root.Int("scenario_layers", int64(t.layers))
+			root.Int("cells_overridden", int64(t.overridden))
+		}
 		ctx = trace.WithSpan(trace.NewContext(ctx, tr), root)
 		rc := mdx.RunContext{Ctx: ctx, Workers: s.cfg.ScanWorkers}
-		grid, stats, runErr = mdx.NewEvaluator(snap.Cube).RunQueryStatsWith(rc, q)
+		grid, stats, runErr = mdx.NewEvaluator(t.cube).RunQueryStatsWith(rc, q)
 		return runErr
 	})
+	// The retained trace ID travels in a header, like cache state: the
+	// cached body must stay byte-identical across hits and misses.
+	if id := s.recordTrace(tr, key, time.Since(started), err); id != "" {
+		w.Header().Set("X-Trace-Id", id)
+	}
 	if err != nil {
-		if id := s.retainTrace(tr, snap.Name, "", 0, norm, time.Since(started), err); id != "" {
-			w.Header().Set("X-Trace-Id", id)
-		}
 		s.writeQueryError(w, err)
 		return
 	}
 	s.metrics.ObserveStages(stats)
 	s.metrics.ObserveTrace(tr.Spans())
 	s.metrics.ObserveCells(int64(stats.CellsScanned), gridCells(grid))
-	elapsed := time.Since(started)
-	traceID := s.retainTrace(tr, snap.Name, "", 0, norm, elapsed, nil)
-	s.observeSlow(snap.Name, "", 0, norm, elapsed, tr, traceID)
-
-	body, err := json.Marshal(buildResponse(snap, grid, stats))
+	qs := queryStats{
+		MembersInScope: stats.MembersInScope,
+		ChunksRead:     stats.ChunksRead,
+		CellsRelocated: stats.CellsRelocated,
+		MergeEdges:     stats.MergeEdges,
+		MergeGroups:    stats.MergeGroups,
+		ScanWorkers:    stats.ScanWorkers,
+	}
+	if q.Explain {
+		// EXPLAIN ANALYZE executed like any query; only the body differs.
+		s.observeServed(key, started)
+		writeJSON(w, http.StatusOK, explainResponse{
+			responseHead: key.head(), Analyze: true, Explain: mdx.RenderAnalyze(tr, stats), Stats: qs,
+		})
+		return
+	}
+	body, err := json.Marshal(queryResponse{
+		responseHead: key.head(),
+		Columns:      grid.ColLabels,
+		Rows:         grid.RowLabels,
+		PropNames:    grid.PropNames,
+		RowProps:     grid.RowProps,
+		Values:       gridValues(grid),
+		Stats:        qs,
+	})
 	if err != nil {
 		s.metrics.QueryErrors.Add(1)
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
 		return
 	}
 	s.cache.Put(key, body)
+	s.observeServed(key, started)
+	writeCached(w, key.Version, body, false)
+}
+
+// observeServed counts one served request and its latency — every
+// request that gets a 200 passes here exactly once, so queries_served
+// and the latency histogram's count move together.
+func (s *Server) observeServed(key cacheKey, started time.Time) {
+	elapsed := time.Since(started)
 	s.metrics.QueriesServed.Add(1)
-	s.metrics.ObserveLatency(time.Since(started))
-	// The retained trace ID travels in a header, like cache state: the
-	// cached body must stay byte-identical across hits and misses.
-	if traceID != "" {
-		w.Header().Set("X-Trace-Id", traceID)
+	s.metrics.ObserveLatency(elapsed)
+	if key.Scenario != "" {
+		s.metrics.ObserveScenario(key.Scenario, elapsed)
 	}
-	writeCached(w, snap.Version, body, false)
 }
 
 // gridCells counts result cells — the denominator of the scan
@@ -474,85 +594,6 @@ func gridCells(g *result.Grid) int64 {
 		n += int64(len(row))
 	}
 	return n
-}
-
-// observeSlow records the query in the slow-query log when it crossed
-// the configured threshold. The span trace is rendered eagerly: the
-// trace buffer goes back to the pool when the handler returns, but the
-// log entry must outlive it. traceID, when non-empty, links the entry
-// to the retained trace at /debug/trace/{id} (slow queries always
-// qualify for retention, so the link is present whenever the trace
-// ring is enabled).
-func (s *Server) observeSlow(cubeName, scenarioID string, rev int64, norm string, elapsed time.Duration, tr *trace.Trace, traceID string) {
-	if s.cfg.SlowQueryMs < 0 {
-		return
-	}
-	ms := float64(elapsed) / float64(time.Millisecond)
-	if ms < s.cfg.SlowQueryMs {
-		return
-	}
-	s.metrics.SlowQueries.Add(1)
-	s.slowlog.record(SlowQueryRecord{
-		Time:        time.Now(),
-		Cube:        cubeName,
-		Scenario:    scenarioID,
-		ScenarioRev: rev,
-		Query:       norm,
-		LatencyMs:   ms,
-		Trace:       tr.Render(),
-		TraceID:     traceID,
-	})
-}
-
-// explainResponse is the POST /query body for EXPLAIN queries.
-type explainResponse struct {
-	Cube    string     `json:"cube"`
-	Version int64      `json:"version"`
-	Analyze bool       `json:"analyze"`
-	Explain string     `json:"explain"`
-	Stats   queryStats `json:"stats,omitempty"`
-}
-
-// handleExplain serves EXPLAIN (pure planning, runs inline) and
-// EXPLAIN ANALYZE (full traced execution through the admission queue,
-// like any other query).
-func (s *Server) handleExplain(w http.ResponseWriter, ctx context.Context, snap *Snapshot, q *mdx.Query, started time.Time) {
-	resp := explainResponse{Cube: snap.Name, Version: snap.Version, Analyze: q.Analyze}
-	if !q.Analyze {
-		text, err := mdx.NewEvaluator(snap.Cube).Explain(q)
-		if err != nil {
-			s.metrics.QueryErrors.Add(1)
-			writeJSON(w, http.StatusUnprocessableEntity, errorResponse{err.Error()})
-			return
-		}
-		resp.Explain = text
-		s.metrics.QueriesServed.Add(1)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	var stats core.Stats
-	err := s.exec.Do(ctx, func(ctx context.Context) error {
-		var runErr error
-		rc := mdx.RunContext{Ctx: ctx, Workers: s.cfg.ScanWorkers}
-		resp.Explain, _, stats, runErr = mdx.NewEvaluator(snap.Cube).ExplainAnalyze(rc, q)
-		return runErr
-	})
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	resp.Stats = queryStats{
-		MembersInScope: stats.MembersInScope,
-		ChunksRead:     stats.ChunksRead,
-		CellsRelocated: stats.CellsRelocated,
-		MergeEdges:     stats.MergeEdges,
-		MergeGroups:    stats.MergeGroups,
-		ScanWorkers:    stats.ScanWorkers,
-	}
-	s.metrics.ObserveStages(stats)
-	s.metrics.QueriesServed.Add(1)
-	s.metrics.ObserveLatency(time.Since(started))
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // writeQueryError maps execution errors to status codes and counters.
@@ -576,28 +617,6 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	default:
 		s.metrics.QueryErrors.Add(1)
 		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{err.Error()})
-	}
-}
-
-// buildResponse converts a grid into the wire shape.
-func buildResponse(snap *Snapshot, g *result.Grid, stats core.Stats) queryResponse {
-	values := gridValues(g)
-	return queryResponse{
-		Cube:      snap.Name,
-		Version:   snap.Version,
-		Columns:   g.ColLabels,
-		Rows:      g.RowLabels,
-		PropNames: g.PropNames,
-		RowProps:  g.RowProps,
-		Values:    values,
-		Stats: queryStats{
-			MembersInScope: stats.MembersInScope,
-			ChunksRead:     stats.ChunksRead,
-			CellsRelocated: stats.CellsRelocated,
-			MergeEdges:     stats.MergeEdges,
-			MergeGroups:    stats.MergeGroups,
-			ScanWorkers:    stats.ScanWorkers,
-		},
 	}
 }
 

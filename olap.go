@@ -274,18 +274,36 @@ func NewEngine(c *Cube, varyingDim string) (*Engine, error) {
 // NewEvaluator creates an extended-MDX evaluator bound to a cube.
 func NewEvaluator(c *Cube) *Evaluator { return mdx.NewEvaluator(c) }
 
+// evaluate is the facade's one route into the evaluator: Query,
+// QueryContext, QueryOptions, QueryScenario and ExplainAnalyze differ
+// only in the RunContext and cube they hand it. analyze runs the query
+// under a fresh trace and returns its rendering and the engine
+// statistics as well.
+func evaluate(rc mdx.RunContext, c *Cube, src string, analyze bool) (string, *Grid, EngineStats, error) {
+	ev := mdx.NewEvaluator(c)
+	if !analyze {
+		g, err := ev.RunWith(rc, src)
+		return "", g, EngineStats{}, err
+	}
+	q, err := mdx.Parse(src)
+	if err != nil {
+		return "", nil, EngineStats{}, err
+	}
+	return ev.ExplainAnalyze(rc, q)
+}
+
 // Query parses and runs an extended-MDX query against the cube.
 func Query(c *Cube, src string) (*Grid, error) {
-	return mdx.NewEvaluator(c).Run(src)
+	_, g, _, err := evaluate(mdx.RunContext{}, c, src, false)
+	return g, err
 }
 
 // QueryContext is Query under a context: deadlines and cancellation
 // are observed at chunk-iteration boundaries in the engine and between
 // result rows, so long scans abandon promptly with the context's
-// error. This is the entry point the serving layer (cmd/whatifd) and
-// the CLI's -timeout flag use.
+// error. This is the entry point the CLI's -timeout flag uses.
 func QueryContext(ctx context.Context, c *Cube, src string) (*Grid, error) {
-	return mdx.NewEvaluator(c).RunContext(ctx, src)
+	return QueryOptions(ctx, c, src, ExecOptions{})
 }
 
 // NewScenario creates a standalone scenario workspace over a cube,
@@ -311,12 +329,7 @@ func QueryScenario(ctx context.Context, s *Scenario, src string) (*Grid, error) 
 	if err != nil {
 		return nil, err
 	}
-	q, err := mdx.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	g, _, err := mdx.EvaluateScenario(mdx.RunContext{Ctx: ctx}, view, q)
-	return g, err
+	return QueryOptions(ctx, view, src, ExecOptions{})
 }
 
 // ExecOptions tunes one query execution.
@@ -343,7 +356,8 @@ func QueryOptions(ctx context.Context, c *Cube, src string, opts ExecOptions) (*
 		}
 		ctx = trace.NewContext(ctx, opts.Trace)
 	}
-	return mdx.NewEvaluator(c).RunWith(mdx.RunContext{Ctx: ctx, Workers: opts.Workers}, src)
+	_, g, _, err := evaluate(mdx.RunContext{Ctx: ctx, Workers: opts.Workers}, c, src, false)
+	return g, err
 }
 
 // NewTrace creates a span recorder holding up to maxSpans spans
@@ -364,11 +378,7 @@ func WithTrace(ctx context.Context, tr *Trace) context.Context {
 // grid and engine stats. The MDX surface reaches the same machinery
 // with an "EXPLAIN ANALYZE" query prefix.
 func ExplainAnalyze(c *Cube, src string) (string, *Grid, EngineStats, error) {
-	q, err := mdx.Parse(src)
-	if err != nil {
-		return "", nil, EngineStats{}, err
-	}
-	return mdx.NewEvaluator(c).ExplainAnalyze(mdx.RunContext{}, q)
+	return evaluate(mdx.RunContext{}, c, src, true)
 }
 
 // NormalizeQuery canonicalizes extended-MDX source without parsing it:

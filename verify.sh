@@ -60,6 +60,12 @@ stage 'lint directive audit' sh scripts/lint-stats.sh --check
 
 stage 'go build ./...' go build ./...
 
+# benchmark/ is a module of its own (replace whatifolap => ../), so the
+# stages above never see it: a deleted or re-signed engine method would
+# break it silently. Type-check it against the engine API here.
+benchmark_vet() { (cd benchmark && go vet ./...); }
+stage 'go vet ./... (benchmark module)' benchmark_vet
+
 stage 'go test ./...' go test ./...
 
 # Race-detector pass over the concurrent paths: the serving layer's
