@@ -1,10 +1,19 @@
-.PHONY: verify test lint lint-fix lint-stats loc bench bench-smoke prof scenario-demo segment-smoke obs-demo
+.PHONY: verify test fuzz lint lint-fix lint-stats loc bench bench-smoke prof scenario-demo segment-smoke obs-demo
 
 verify:
 	./verify.sh
 
 test:
 	go test ./...
+
+# Mutating fuzz runs, 10 s each (go test -fuzz takes one target and
+# one package at a time): the record codec every tier decodes through,
+# and the two parsers. verify.sh runs only their seed corpora. A failing
+# input is written under the package's testdata/fuzz/ — commit it.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime 10s ./internal/chunk
+	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/mdx
+	go test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 10s ./internal/cube
 
 # Run the repo's go/analysis suite (internal/lint) over every package,
 # exactly as verify.sh does: build cmd/whatiflint and hand it to go vet

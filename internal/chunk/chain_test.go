@@ -368,7 +368,7 @@ func TestScenarioChainFlattenMatchesPerCell(t *testing.T) {
 					}
 				}
 				if d == depth-1 {
-					l.Set([]int{7, 5}, 999) // layer-only chunk
+					l.Set([]int{7, 5}, 999)  // layer-only chunk
 					for x := 0; x < 4; x++ { // chunk 2 tombstoned empty
 						for y := 3; y < 6; y++ {
 							l.Delete([]int{x, y})

@@ -119,11 +119,12 @@ func (t *spillFile) ReadChunkAt(id int) (*Chunk, float64, error) {
 	if !ok {
 		return nil, 0, nil
 	}
-	buf := make([]byte, sp.len)
-	if _, err := t.shared.f.ReadAt(buf, sp.off); err != nil {
+	buf := RecordBuf(int(sp.len))
+	defer ReleaseRecordBuf(buf)
+	if _, err := t.shared.f.ReadAt(*buf, sp.off); err != nil {
 		return nil, 0, err
 	}
-	c, err := decodeChunk(buf, t.chunkCap)
+	c, err := decodeChunk(*buf, t.chunkCap)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -254,46 +255,94 @@ func (s *Store) SpillTo(path string, budgetBytes int) error {
 }
 
 // encodeChunk serializes a chunk: run-encoded chunks keep their runs
-// (a run record), everything else flattens to the sparse pair format.
+// (a run record), everything else flattens to the pair format, written
+// straight from the representation into an exact-size buffer.
 func encodeChunk(c *Chunk) []byte {
-	if c.Rep() == RunEncoded {
+	if c.runOffs != nil {
 		return encodeRunRecord(c)
 	}
-	buf := make([]byte, spillHeaderLen, spillHeaderLen+spillCellLen*c.Len())
-	binary.LittleEndian.PutUint32(buf, uint32(c.Len()))
-	var cell [spillCellLen]byte
-	c.ForEach(func(off int, v float64) bool {
-		binary.LittleEndian.PutUint32(cell[0:4], uint32(off))
-		binary.LittleEndian.PutUint64(cell[4:spillCellLen], math.Float64bits(v))
-		buf = append(buf, cell[:]...)
-		return true
-	})
+	buf := make([]byte, spillHeaderLen+spillCellLen*c.n)
+	binary.LittleEndian.PutUint32(buf, uint32(c.n))
+	cells := buf[spillHeaderLen:]
+	if c.dense != nil {
+		for off, v := range c.dense {
+			if !math.IsNaN(v) {
+				cells = putCell(cells, off, v)
+			}
+		}
+		return buf
+	}
+	for i, off := range c.offs {
+		cells = putCell(cells, int(off), c.vals[i])
+	}
 	return buf
 }
 
-// decodeChunk deserializes a record written by encodeChunk, restoring
-// run records to the run-encoded representation (so a tier fault never
-// silently decompresses a chunk).
+// putCell writes one pair-record cell at the head of cells and returns
+// the rest.
+func putCell(cells []byte, off int, v float64) []byte {
+	binary.LittleEndian.PutUint32(cells, uint32(off))
+	binary.LittleEndian.PutUint64(cells[4:], math.Float64bits(v))
+	return cells[spillCellLen:]
+}
+
+// decodeChunk deserializes a record written by encodeChunk into the
+// chunk it will end as, in one pass: a run record restores run-encoded
+// (a tier fault never silently decompresses), a pair record whose count
+// is past sparseThreshold fills one dense array by offset, any other
+// fills exact-length sparse slices. The chunk shares no memory with buf.
+//
+// Only records encodeChunk can emit are accepted: the byte length must
+// match the header, offsets must ascend strictly below capacity, and no
+// value is Null. Anything else is reported as corrupt, never repaired.
+// Allocation is bounded by the record's own length — the dense array is
+// made only when count > capacity/4, i.e. when the record is already
+// longer than 3 bytes per cell of capacity — so a hostile header cannot
+// size it.
 func decodeChunk(buf []byte, capacity int) (*Chunk, error) {
 	if len(buf) < spillHeaderLen {
 		return nil, io.ErrUnexpectedEOF
 	}
-	if binary.LittleEndian.Uint32(buf)&runRecordFlag != 0 {
+	head := binary.LittleEndian.Uint32(buf)
+	if head&runRecordFlag != 0 {
 		return decodeRunRecord(buf, capacity)
 	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	if len(buf) != spillHeaderLen+spillCellLen*n {
+	n := int(head)
+	cells := buf[spillHeaderLen:]
+	if len(cells)%spillCellLen != 0 || len(cells)/spillCellLen != n {
 		return nil, fmt.Errorf("chunk: corrupt spill record: %d cells in %d bytes", n, len(buf))
 	}
-	c := NewSparse(capacity)
+	c := &Chunk{cap: capacity, n: n}
+	if n == 0 {
+		return c, nil
+	}
+	dense := c.Occupancy() > sparseThreshold
+	if dense {
+		c.dense = make([]float64, capacity)
+		nullFill(c.dense)
+	} else {
+		c.offs = make([]int32, n)
+		c.vals = make([]float64, n)
+	}
+	prev := -1
 	for i := 0; i < n; i++ {
-		rec := buf[spillHeaderLen+spillCellLen*i:]
-		off := int(binary.LittleEndian.Uint32(rec))
-		v := math.Float64frombits(binary.LittleEndian.Uint64(rec[4:]))
-		if off >= capacity {
+		off := int(binary.LittleEndian.Uint32(cells))
+		v := math.Float64frombits(binary.LittleEndian.Uint64(cells[4:]))
+		cells = cells[spillCellLen:]
+		switch {
+		case off >= capacity:
 			return nil, fmt.Errorf("chunk: corrupt spill record: offset %d beyond capacity %d", off, capacity)
+		case off <= prev:
+			return nil, fmt.Errorf("chunk: corrupt spill record: offset %d after %d, not ascending", off, prev)
+		case math.IsNaN(v):
+			return nil, fmt.Errorf("chunk: corrupt spill record: offset %d holds Null", off)
 		}
-		c.Set(off, v)
+		if dense {
+			c.dense[off] = v
+		} else {
+			c.offs[i], c.vals[i] = int32(off), v
+		}
+		prev = off
 	}
 	return c, nil
 }
@@ -328,8 +377,11 @@ func decodeRunRecord(buf []byte, capacity int) (*Chunk, error) {
 	}
 	runs := int(binary.LittleEndian.Uint32(buf[0:4]) &^ runRecordFlag)
 	cells := int(binary.LittleEndian.Uint32(buf[4:8]))
-	if len(buf) != runHeaderLen+runEntryLen*runs {
+	if ents := len(buf) - runHeaderLen; ents%runEntryLen != 0 || ents/runEntryLen != runs {
 		return nil, fmt.Errorf("chunk: corrupt run record: %d runs in %d bytes", runs, len(buf))
+	}
+	if runs == 0 {
+		return nil, fmt.Errorf("chunk: corrupt run record: no runs")
 	}
 	offs := make([]int32, runs)
 	lens := make([]int32, runs)
@@ -352,9 +404,6 @@ func decodeRunRecord(buf []byte, capacity int) (*Chunk, error) {
 	}
 	if total != cells {
 		return nil, fmt.Errorf("chunk: corrupt run record: %d cells in runs, header says %d", total, cells)
-	}
-	if runs == 0 {
-		return NewSparse(capacity), nil
 	}
 	return &Chunk{cap: capacity, n: cells, runOffs: offs, runLens: lens, runVals: vals}, nil
 }

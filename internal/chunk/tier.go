@@ -3,6 +3,7 @@ package chunk
 import (
 	"encoding/binary"
 	"errors"
+	"sync"
 )
 
 // Tier is the storage layer beneath the buffer pool: a keyed store of
@@ -83,10 +84,40 @@ var ErrTierReadOnly = errors.New("chunk: tier is read-only")
 func EncodeChunk(c *Chunk) []byte { return encodeChunk(c) }
 
 // DecodeChunk deserializes a record written by EncodeChunk with the
-// given capacity: pair records restore as sparse chunks, run records as
-// run-encoded chunks (a tier fault never silently decompresses).
+// given capacity, straight into the representation the chunk ends in:
+// a pair record holding more than a quarter of the capacity restores
+// dense, a smaller one sparse, a run record run-encoded (a tier fault
+// never silently decompresses). A record EncodeChunk could not have
+// written — wrong length, offsets not strictly ascending or beyond the
+// capacity, a Null value — is an error. The chunk never aliases buf, so
+// a caller may recycle buf (RecordBuf) as soon as DecodeChunk returns.
 func DecodeChunk(buf []byte, capacity int) (*Chunk, error) {
 	return decodeChunk(buf, capacity)
+}
+
+// recordBufs recycles the buffers tiers pread encoded records into: a
+// fault's record is garbage the moment it is decoded, and at ~12 bytes
+// per cell it is larger than the chunk it yields.
+var recordBufs sync.Pool // of *[]byte
+
+// RecordBuf returns an n-byte buffer for reading one encoded record,
+// recycled where possible. Hand it back with ReleaseRecordBuf once the
+// record is decoded; its contents are unspecified.
+func RecordBuf(n int) *[]byte {
+	if b, _ := recordBufs.Get().(*[]byte); b != nil && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]byte, n)
+	return &b
+}
+
+// ReleaseRecordBuf returns a RecordBuf buffer for reuse. The caller must
+// hold no reference into it afterwards. A nil b is a no-op.
+func ReleaseRecordBuf(b *[]byte) {
+	if b != nil {
+		recordBufs.Put(b)
+	}
 }
 
 // RecordCells sizes an encoded chunk record (cell count) from its

@@ -28,6 +28,7 @@ type scanTally struct {
 	cellsRelocated int
 	diskCostMs     float64
 	spillFaults    int
+	faultMs        float64 // wall time of those faults: tier read + decode
 	promotions     int
 	// slabs counts the slab decisions the kernel made, slabsSkipped those
 	// whose cells vanished (pruned source row or -1 destination).
@@ -41,6 +42,7 @@ func (t *scanTally) add(t2 scanTally) {
 	t.cellsRelocated += t2.cellsRelocated
 	t.diskCostMs += t2.diskCostMs
 	t.spillFaults += t2.spillFaults
+	t.faultMs += t2.faultMs
 	t.promotions += t2.promotions
 	t.slabs += t2.slabs
 	t.slabsSkipped += t2.slabsSkipped
@@ -241,6 +243,7 @@ func annotateScan(sp trace.SpanRef, t scanTally, workers int) {
 	sp.IntNonZero("slabs", int64(t.slabs))
 	sp.IntNonZero("slabs_skipped", int64(t.slabsSkipped))
 	sp.IntNonZero("spill_faults", int64(t.spillFaults))
+	sp.IntNonZero("fault_us", int64(t.faultMs*1000))
 	sp.IntNonZero("overlay_promotions", int64(t.promotions))
 	if workers > 0 {
 		sp.IntNonZero("workers", int64(workers))
@@ -349,6 +352,7 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 	stats.CellsRelocated += scanT.cellsRelocated
 	stats.DiskCostMs += scanT.diskCostMs
 	stats.SpillFaults += scanT.spillFaults
+	stats.FaultMs += scanT.faultMs
 
 	// Assemble the view cube. Out-of-scope rows read from the layer
 	// chain when the engine runs over a scenario, so unrelocated cells
@@ -490,6 +494,7 @@ func (e *Engine) scanInto(ctx context.Context, schedule []int, p *PhysicalPlan,
 		tally.diskCostMs += info.CostMs
 		if info.Faulted {
 			tally.spillFaults++
+			tally.faultMs += info.FaultMs
 			sp := tr.Record(parent, "fault", readStart, tr.Now())
 			sp.Int("chunk", int64(id))
 			sp.IntNonZero("evictions", int64(info.Evictions))

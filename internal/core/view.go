@@ -240,6 +240,11 @@ type Stats struct {
 	// SpillFaults counts chunk reads this query satisfied from the
 	// spill file (buffer-pool misses), else 0 on an unpooled store.
 	SpillFaults int
+	// FaultMs is the wall time those faults took inside the buffer pool
+	// (tier read, checksum, decode) — the part of ScanMs a cold pool
+	// costs. Summed over workers, so it can exceed ScanMs on a parallel
+	// scan.
+	FaultMs float64
 	// CompressedBytes is the relocation-mapping footprint when the
 	// query ran compressed (ExecPerspectiveCompressed), else 0.
 	CompressedBytes int
@@ -270,6 +275,7 @@ func (s *Stats) Add(s2 Stats) {
 	s.Ranges += s2.Ranges
 	s.DiskCostMs += s2.DiskCostMs
 	s.SpillFaults += s2.SpillFaults
+	s.FaultMs += s2.FaultMs
 	s.PlanMs += s2.PlanMs
 	s.ScanMs += s2.ScanMs
 	s.MergeMs += s2.MergeMs

@@ -174,7 +174,7 @@ func RenderAnalyze(tr *trace.Trace, stats core.Stats) string {
 		fmt.Fprintf(&b, " disk_cost_ms=%.3f", stats.DiskCostMs)
 	}
 	if stats.SpillFaults > 0 {
-		fmt.Fprintf(&b, " spill_faults=%d", stats.SpillFaults)
+		fmt.Fprintf(&b, " spill_faults=%d fault_ms=%.3f", stats.SpillFaults, stats.FaultMs)
 	}
 	b.WriteByte('\n')
 	return b.String()

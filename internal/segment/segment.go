@@ -302,7 +302,7 @@ func (o OpenOptions) open(path string) (*File, error) {
 			len:   int64(binary.LittleEndian.Uint64(b[16:24])),
 			crc:   binary.LittleEndian.Uint32(b[24:28]),
 		}
-		if e.off < PageSize || e.off+e.len > h.fileSize {
+		if e.off < PageSize || e.len < 0 || e.off+e.len > h.fileSize {
 			return nil, fmt.Errorf("segment %s: slot %d span [%d,%d) outside file", path, e.id, e.off, e.off+e.len)
 		}
 		slots[e.id] = e
@@ -323,7 +323,7 @@ func (o OpenOptions) open(path string) (*File, error) {
 	}
 	if o.VerifyChunks {
 		for _, e := range slots {
-			if _, err := sf.readSlot(e); err != nil {
+			if err := sf.withSlot(e, func([]byte) error { return nil }); err != nil {
 				sf.closeLocked()
 				return nil, err
 			}
@@ -348,24 +348,28 @@ func (sf *File) Path() string { return sf.path }
 // Mapped reports whether reads go through an mmap'd view.
 func (sf *File) Mapped() bool { return sf.data != nil }
 
-// readSlot fetches and CRC-checks one slot's record bytes.
-func (sf *File) readSlot(e slotEntry) ([]byte, error) {
+// withSlot fetches and CRC-checks one slot's record and hands it to fn.
+// The bytes are only fn's to read, and only until it returns: they are
+// a view of the mapping, or a recycled buffer filled by pread.
+func (sf *File) withSlot(e slotEntry, fn func(rec []byte) error) error {
 	var rec []byte
 	if sf.data != nil {
 		if e.off+e.len > int64(len(sf.data)) {
-			return nil, fmt.Errorf("segment %s: slot %d beyond mapping", sf.path, e.id)
+			return fmt.Errorf("segment %s: slot %d beyond mapping", sf.path, e.id)
 		}
 		rec = sf.data[e.off : e.off+e.len]
 	} else {
-		rec = make([]byte, e.len)
+		buf := chunk.RecordBuf(int(e.len))
+		defer chunk.ReleaseRecordBuf(buf)
+		rec = *buf
 		if _, err := sf.f.ReadAt(rec, e.off); err != nil {
-			return nil, fmt.Errorf("segment %s: slot %d read: %w", sf.path, e.id, err)
+			return fmt.Errorf("segment %s: slot %d read: %w", sf.path, e.id, err)
 		}
 	}
 	if crc32.ChecksumIEEE(rec) != e.crc {
-		return nil, fmt.Errorf("segment %s: slot %d CRC mismatch", sf.path, e.id)
+		return fmt.Errorf("segment %s: slot %d CRC mismatch", sf.path, e.id)
 	}
-	return rec, nil
+	return fn(rec)
 }
 
 // ReadChunkAt implements chunk.Tier. Every read re-verifies the slot
@@ -377,15 +381,14 @@ func (sf *File) ReadChunkAt(id int) (*chunk.Chunk, float64, error) {
 	if !ok {
 		return nil, 0, nil
 	}
-	rec, err := sf.readSlot(e)
-	if err != nil {
-		return nil, 0, err
-	}
-	c, err := chunk.DecodeChunk(rec, sf.chunkCap)
-	if err != nil {
-		return nil, 0, fmt.Errorf("segment %s: slot %d: %w", sf.path, id, err)
-	}
-	return c, 0, nil
+	var c *chunk.Chunk
+	err := sf.withSlot(e, func(rec []byte) (err error) {
+		if c, err = chunk.DecodeChunk(rec, sf.chunkCap); err != nil {
+			err = fmt.Errorf("segment %s: slot %d: %w", sf.path, id, err)
+		}
+		return err
+	})
+	return c, 0, err
 }
 
 // WriteChunk implements chunk.Tier: segments are immutable.

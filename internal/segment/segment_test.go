@@ -1,11 +1,17 @@
 package segment
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"whatifolap/internal/chunk"
@@ -400,6 +406,269 @@ func TestSegmentRunEncodedRoundTrip(t *testing.T) {
 		a, b := src.Get([]int{i}), dst.Get([]int{i})
 		if math.IsNaN(a) != math.IsNaN(b) || (!math.IsNaN(a) && a != b) {
 			t.Fatalf("cell %d: src %v dst %v", i, a, b)
+		}
+	}
+}
+
+// fixtureStore builds six chunks of capacity 16, one per record shape:
+// full, sparse at exactly a quarter full, dense one cell past it, two
+// value runs (run-encoded when runs is set), one cell, empty.
+func fixtureStore(runs bool) *chunk.Store {
+	g := chunk.MustGeometry([]int{96}, []int{16})
+	s := chunk.NewStore(g)
+	vals := []float64{1.5, math.Copysign(0, -1), 0, -2.25, 1e300, 5e-324, math.Inf(1), math.Inf(-1), 7, 8, 9, 10, 11, 12, 13, 14}
+	for i := 0; i < 16; i++ {
+		s.Set([]int{i}, vals[i])
+	}
+	for _, o := range []int{1, 6, 7, 15} {
+		s.Set([]int{16 + o}, float64(o)+0.5)
+	}
+	for _, o := range []int{0, 3, 4, 9, 15} {
+		s.Set([]int{32 + o}, -float64(o)-0.25)
+	}
+	for o := 2; o < 10; o++ {
+		s.Set([]int{48 + o}, 3.5)
+	}
+	s.Set([]int{48 + 12}, math.Copysign(0, -1))
+	s.Set([]int{48 + 13}, math.Copysign(0, -1))
+	s.Set([]int{64 + 11}, 42)
+	if runs {
+		s.PeekChunk(3).ForceRuns()
+	}
+	return s
+}
+
+// describeChunk renders what a read of chunk id returned, one line in
+// testdata/parent.golden's format.
+func describeChunk(file string, id int, c *chunk.Chunk) string {
+	if c == nil {
+		return fmt.Sprintf("%s %d absent", file, id)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %d rep=%d len=%d mem=%d", file, id, c.Rep(), c.Len(), c.MemBytes())
+	c.ForEach(func(off int, v float64) bool {
+		fmt.Fprintf(&b, " %d:%016x", off, math.Float64bits(v))
+		return true
+	})
+	return b.String()
+}
+
+// TestSegmentReadsParentFixture opens segment files written before the
+// record codec was rewritten — testdata/parent-v02.seg (pair and run
+// records) and parent-v01.seg (the v01 magic, pair records only), both
+// Create(fixtureStore) at commit 8686156 — and checks every chunk reads
+// back as that commit read it (parent.golden: representation, Len,
+// MemBytes and each cell's bits), by pread and by mmap. Create at this
+// commit must also still write the v02 file byte for byte.
+func TestSegmentReadsParentFixture(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "parent.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(golden)), "\n")
+	var got []string
+	for _, file := range []string{"parent-v02.seg", "parent-v01.seg"} {
+		for _, mmap := range []bool{false, true} {
+			sf, err := Open(filepath.Join("testdata", file), OpenOptions{Mmap: mmap, VerifyChunks: true})
+			if err != nil {
+				t.Fatalf("%s mmap=%v: %v", file, mmap, err)
+			}
+			var lines []string
+			for id := 0; id < 6; id++ {
+				c, _, err := sf.ReadChunkAt(id)
+				if err != nil {
+					t.Fatalf("%s mmap=%v chunk %d: %v", file, mmap, id, err)
+				}
+				lines = append(lines, describeChunk(file, id, c))
+			}
+			sf.Close()
+			if !mmap {
+				got = append(got, lines...)
+			} else if tail := got[len(got)-len(lines):]; !slices.Equal(tail, lines) {
+				t.Fatalf("%s: mmap read differs from pread:\n%s\nvs\n%s", file, strings.Join(lines, "\n"), strings.Join(tail, "\n"))
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fixture reads differ from the parent's:\n got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	path := filepath.Join(t.TempDir(), "again.seg")
+	s := fixtureStore(true)
+	if err := Create(path, 16, []byte("fixture"), s.ChunkIDs(), s.PeekChunk); err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := os.ReadFile(filepath.Join("testdata", "parent-v02.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, parent) {
+		t.Fatal("Create no longer writes the bytes the parent commit wrote for the same store")
+	}
+}
+
+// restampChunkCap rewrites a segment's header with another chunk
+// capacity and a matching header CRC — what a hostile or damaged file
+// that still passes the header check looks like.
+func restampChunkCap(t *testing.T, path string, chunkCap uint32) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[12:16], chunkCap)
+	binary.LittleEndian.PutUint32(b[72:76], crc32.ChecksumIEEE(b[:headerLen-4]))
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSegmentHostileChunkCapMeetsShortSlot: the header's chunk capacity
+// is outside every slot's CRC, so the decoder must never size memory
+// from it alone. A huge capacity over a one-cell slot decodes to a
+// one-cell sparse chunk (a dense array would be 8 GiB); a capacity
+// smaller than the slot's offsets is reported as corrupt.
+func TestSegmentHostileChunkCapMeetsShortSlot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cube-v000001.seg")
+	s := fixtureStore(true)
+	if err := Create(path, 16, nil, s.ChunkIDs(), s.PeekChunk); err != nil {
+		t.Fatal(err)
+	}
+
+	restampChunkCap(t, path, 1<<30)
+	sf, err := Open(path, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, 4} { // the full chunk and the one-cell chunk
+		c, _, err := sf.ReadChunkAt(id)
+		if err != nil {
+			t.Fatalf("chunk %d at capacity 1<<30: %v", id, err)
+		}
+		if slot := int(sf.slots[id].len); c.Rep() != chunk.Sparse || c.MemBytes() > slot {
+			t.Fatalf("chunk %d at capacity 1<<30: %v of %d bytes from a %d-byte slot", id, c.Rep(), c.MemBytes(), slot)
+		}
+	}
+	sf.Close()
+
+	restampChunkCap(t, path, 8)
+	sf, err = Open(path, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	for _, id := range []int{0, 3, 4} { // pair, run and one-cell records, all reaching past offset 8
+		if _, _, err := sf.ReadChunkAt(id); err == nil || !strings.Contains(err.Error(), "beyond capacity 8") {
+			t.Fatalf("chunk %d at capacity 8: error %v, want one naming the capacity", id, err)
+		}
+	}
+}
+
+// TestSegmentFaultAllocs pins a steady-state fault's allocations to the
+// chunk it returns — the chunk and its dense array, or its two sparse
+// slices — on both read paths: the pread buffer is recycled, the mmap
+// path has none.
+func TestSegmentFaultAllocs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cube-v000001.seg")
+	s := fixtureStore(false)
+	if err := Create(path, 16, nil, s.ChunkIDs(), s.PeekChunk); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		sf, err := Open(path, OpenOptions{Mmap: mmap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, want := range map[int]float64{0: 2, 1: 3} { // dense, sparse
+			got := testing.AllocsPerRun(100, func() {
+				if _, _, err := sf.ReadChunkAt(id); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > want {
+				t.Errorf("mmap=%v chunk %d: %v allocations per fault, want <= %v", mmap, id, got, want)
+			}
+		}
+		sf.Close()
+	}
+}
+
+// TestSegmentConcurrentFaultIns churns a segment-backed store that
+// holds about two chunks from eight goroutines, by pread (every fault
+// borrows and returns the shared record buffer) and by mmap. Run under
+// -race by verify.sh: a chunk still aliasing a recycled buffer would
+// show as a race or a wrong cell.
+func TestSegmentConcurrentFaultIns(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cube-v000001.seg")
+	src := fixtureStore(true)
+	if err := Create(path, 16, nil, src.ChunkIDs(), src.PeekChunk); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		sf, err := Open(path, OpenOptions{Mmap: mmap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := chunk.NewStore(src.Geometry())
+		if err := dst.AttachTier(sf, 2*8*16); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(seed))
+				for k := 0; k < 400; k++ {
+					i := r.Intn(96)
+					want, got := src.Get([]int{i}), dst.Get([]int{i})
+					if math.Float64bits(want) != math.Float64bits(got) && !(math.IsNaN(want) && math.IsNaN(got)) {
+						t.Errorf("mmap=%v cell %d = %v, want %v", mmap, i, got, want)
+						return
+					}
+				}
+			}(int64(w))
+		}
+		wg.Wait()
+		if st := dst.SpillStats(); st.Faults < 6 || st.Evictions == 0 {
+			t.Fatalf("mmap=%v: %d faults, %d evictions — the pool never churned", mmap, st.Faults, st.Evictions)
+		}
+		if err := dst.CloseSpill(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSegmentNegativeSlotLengthRefused: an index entry whose length
+// reads negative (with the index and header CRCs made to match) used to
+// pass Open's span check and panic sizing the read buffer; Open now
+// refuses it.
+func TestSegmentNegativeSlotLengthRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cube-v000001.seg")
+	writeTestSegment(t, path, []byte("m"))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexOff := binary.LittleEndian.Uint64(b[40:48])
+	indexLen := binary.LittleEndian.Uint64(b[48:56])
+	index := b[indexOff : indexOff+indexLen]
+	binary.LittleEndian.PutUint64(index[16:24], ^uint64(15)) // first slot: length -16
+	binary.LittleEndian.PutUint32(b[68:72], crc32.ChecksumIEEE(index))
+	binary.LittleEndian.PutUint32(b[72:76], crc32.ChecksumIEEE(b[:headerLen-4]))
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		if sf, err := Open(path, OpenOptions{Mmap: mmap}); err == nil {
+			sf.Close()
+			t.Fatalf("mmap=%v: a slot of negative length opened", mmap)
+		} else if !strings.Contains(err.Error(), "outside file") {
+			t.Fatalf("mmap=%v: error %q does not name the slot span", mmap, err)
 		}
 	}
 }

@@ -1,16 +1,22 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"whatifolap/internal/chunk"
+	"whatifolap/internal/paperdata"
+	"whatifolap/internal/segment"
 	"whatifolap/internal/workload"
 )
 
@@ -268,5 +274,69 @@ func TestExplainAnalyzeIsObservedLikeAnyQuery(t *testing.T) {
 	decode(t, do(t, h, "GET", "/debug/trace/"+failedID, nil), http.StatusOK, &tresp)
 	if tresp.Error == "" {
 		t.Fatalf("retained trace of the failed query carries no error: %+v", tresp)
+	}
+}
+
+// TestExplainAnalyzeReportsFaultTime: a cube reopened from its segment
+// file behind a pool that holds one chunk faults on every read, and
+// EXPLAIN ANALYZE says what those faults cost — as fault_ms on the stats
+// line and fault_us on the scan span — so a cold query's time is
+// attributable without a profiler.
+func TestExplainAnalyzeReportsFaultTime(t *testing.T) {
+	orig := paperdata.ChunkedWarehouse(nil)
+	st := orig.Store().(*chunk.Store)
+	var meta bytes.Buffer
+	if err := workload.SaveSchema(orig, &meta); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "paper.seg")
+	if err := segment.Create(path, st.Geometry().ChunkCap(), meta.Bytes(), st.ChunkIDs(), st.PeekChunk); err != nil {
+		t.Fatal(err)
+	}
+	sf, err := segment.Open(path, segment.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sf.Close() })
+	cold, err := workload.LoadSchema(bytes.NewReader(sf.Meta()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Store().(*chunk.Store).AttachTier(sf, 8*st.Geometry().ChunkCap()); err != nil {
+		t.Fatal(err)
+	}
+	cat := NewCatalog()
+	if err := cat.Register("paper", cold); err != nil {
+		t.Fatal(err)
+	}
+	s := New(cat, Config{})
+	t.Cleanup(s.Close)
+
+	var resp explainResponse
+	decode(t, postQuery(t, s.Handler(), queryRequest{Query: "EXPLAIN ANALYZE " + paperQuery}), http.StatusOK, &resp)
+	number := func(pattern string) float64 {
+		t.Helper()
+		m := regexp.MustCompile(pattern).FindStringSubmatch(resp.Explain)
+		if m == nil {
+			t.Fatalf("no %s in:\n%s", pattern, resp.Explain)
+		}
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	faults := number(`stats: .* spill_faults=(\d+)`)
+	faultMs := number(`stats: .* fault_ms=([0-9.]+)`)
+	scanMs := number(`totals: .* scan=([0-9.]+)ms`)
+	spanUs := number(`(?m)^\s*scan .* fault_us=(\d+)`)
+	if int(faults) != resp.Stats.ChunksRead {
+		t.Fatalf("spill_faults = %v, want every one of the %d chunk reads to fault", faults, resp.Stats.ChunksRead)
+	}
+	if faultMs <= 0 || faultMs > scanMs {
+		t.Fatalf("fault_ms = %v, want in (0, scan_ms = %v]", faultMs, scanMs)
+	}
+	if got := spanUs / 1000; got < faultMs-0.002 || got > faultMs+0.002 {
+		t.Fatalf("scan span fault_us = %v, stats line fault_ms = %v", spanUs, faultMs)
 	}
 }

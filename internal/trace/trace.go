@@ -33,7 +33,7 @@ import (
 // maxAttrs bounds the counter annotations per span. Fixed so a span is
 // a flat value in the preallocated buffer; sized for the busiest span
 // the pipeline records (a sub-task "group" span whose scan faulted and
-// promoted carries nine).
+// promoted carries all ten).
 const maxAttrs = 10
 
 // DefaultMaxSpans is the span-buffer capacity New(0) allocates: enough

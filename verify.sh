@@ -13,6 +13,18 @@ stage() {
     echo "   [$(( $(date +%s) - stage_t0 ))s] $stage_name"
 }
 
+# gofmt: every Go file outside vendor/ (and the benchmark's build
+# directory) is formatted; any file name printed fails the gate.
+gofmt_gate() {
+    unformatted=$(find . \( -path ./vendor -o -path ./.bench_build \) -prune -o -name '*.go' -print | xargs gofmt -l)
+    if [ -n "$unformatted" ]; then
+        echo "verify: not gofmt-clean:"
+        echo "$unformatted"
+        return 1
+    fi
+}
+stage 'gofmt -l' gofmt_gate
+
 stage 'go vet ./...' go vet ./...
 
 # whatiflint: the repo's own go/analysis suite (internal/lint), run
@@ -67,6 +79,13 @@ benchmark_vet() { (cd benchmark && go vet ./...); }
 stage 'go vet ./... (benchmark module)' benchmark_vet
 
 stage 'go test ./...' go test ./...
+
+# The fuzz targets' seed corpora, by name: `go test ./...` above already
+# ran them, this stage makes a target that lost its seeds (or was
+# renamed out of the Makefile's `fuzz` list) fail loudly. `make fuzz`
+# is the mutating run.
+stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzParse|FuzzParseExpr)$' \
+    ./internal/chunk ./internal/mdx ./internal/cube
 
 # Race-detector pass over the concurrent paths: the serving layer's
 # stress, cache and httptest endpoint tests, the engine's parallel
