@@ -217,6 +217,19 @@ func (c *Chain) Set(addr []int, v float64) {
 	panic("chunk: scenario chains are read-only; write through a layer, not the chain (addr " + formatAddr(addr) + ")")
 }
 
+// formatAddr renders an address for panic messages without fmt (this
+// file is a declared hot path; the panic runs only on caller bugs).
+func formatAddr(addr []int) string {
+	s := "["
+	for i, a := range addr {
+		if i > 0 {
+			s += " "
+		}
+		s += strconv.Itoa(a)
+	}
+	return s + "]"
+}
+
 // touchedAbove reports whether any layer above i (newer) overrides addr
 // with a write or a tombstone.
 func (c *Chain) touchedAbove(i int, addr []int) bool {

@@ -152,43 +152,6 @@ func (g *Geometry) SplitID(addr []int) (id, off int) {
 	return id, off
 }
 
-// MaskedID returns the canonical chunk ID of the cell's chunk with the
-// chunk coordinate of dimension maskDim forced to zero. Chunks sharing
-// every coordinate outside maskDim — the engine's merge groups — map to
-// the same masked ID, so it serves as an integer rest key for routing a
-// cell to the merge group that owns it. Allocation-free.
-func (g *Geometry) MaskedID(addr []int, maskDim int) int {
-	id := 0
-	for i, a := range addr {
-		if a < 0 || a >= g.Extents[i] {
-			panic(fmt.Sprintf("chunk: ordinal %d out of extent %d in dimension %d", a, g.Extents[i], i))
-		}
-		c := a / g.ChunkDims[i]
-		if i == maskDim {
-			c = 0
-		}
-		id = id*g.chunksPer[i] + c
-	}
-	return id
-}
-
-// MaskedIDOfCoord is MaskedID over a chunk coordinate instead of a cell
-// address: the coordinate of dimension maskDim is ignored (it may be a
-// mask marker such as -1).
-func (g *Geometry) MaskedIDOfCoord(ccoord []int, maskDim int) int {
-	id := 0
-	for i, c := range ccoord {
-		if i == maskDim {
-			c = 0
-		}
-		if c < 0 || c >= g.chunksPer[i] {
-			panic(fmt.Sprintf("chunk: chunk coordinate %d out of range %d in dimension %d", c, g.chunksPer[i], i))
-		}
-		id = id*g.chunksPer[i] + c
-	}
-	return id
-}
-
 // Join recomposes a cell address from chunk coordinates and in-chunk
 // offset, writing into addr.
 func (g *Geometry) Join(ccoord []int, off int, addr []int) {

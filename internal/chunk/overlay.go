@@ -3,7 +3,6 @@ package chunk
 import (
 	"math"
 	"sort"
-	"strconv"
 
 	"whatifolap/internal/cube"
 )
@@ -124,13 +123,17 @@ func (o *Overlay) SetCellsAt(id, off int, cells []float64) int {
 }
 
 // Absorb folds src's chunks into o: chunks o lacks are adopted by
-// reference (O(1)), overlapping chunks merge cell by cell. The parallel
-// executor folds each merge group's sub-task overlays this way — their
-// cell sets are disjoint (relocation destinations are injective per
-// parameter leaf), so the fold is order-insensitive on content even
-// though sub-tasks of one group may materialize the same destination
-// chunk. src must share o's geometry and must not be used afterwards.
+// reference (O(1)), overlapping chunks merge cell by cell. It is the
+// parallel executor's whole merge step: the first task's overlay absorbs
+// the others. Merge groups own disjoint destination chunk IDs, so their
+// chunks are all adopted — O(destination chunks), no cell copied — and
+// only sibling sub-tasks of one split group can materialize the same
+// destination chunk; their cell sets are disjoint (relocation
+// destinations are injective per parameter leaf), so the fold is
+// order-insensitive on content. src's promotion count carries over. src
+// must share o's geometry and must not be used afterwards.
 func (o *Overlay) Absorb(src *Overlay) {
+	o.promotions += src.promotions
 	for id, sc := range src.chunks {
 		dst := o.chunks[id]
 		if dst == nil {
@@ -207,115 +210,4 @@ func (o *Overlay) MemBytes() int {
 		n += c.MemBytes()
 	}
 	return n
-}
-
-// PartitionedOverlay routes reads to the overlay owning the cell's
-// merge group, identified by the masked chunk ID (the chunk coordinate
-// with one dimension — the engine's varying dimension — zeroed). The
-// engine's parallel scan builds one Overlay per merge group; since
-// merge edges never cross rest-coordinate groups, the per-group
-// overlays are disjoint by construction and never need to be copied
-// into one store: attaching them here is the whole merge step, O(groups)
-// instead of O(cells).
-//
-// PartitionedOverlay implements cube.Store (writes route to the owning
-// part and panic when no part owns the cell's group).
-type PartitionedOverlay struct {
-	geom    *Geometry
-	maskDim int
-	parts   map[int]*Overlay
-	// order preserves attachment order for deterministic iteration.
-	order []*Overlay
-}
-
-// NewPartitionedOverlay creates an empty router under the geometry,
-// masking maskDim when computing rest keys.
-func NewPartitionedOverlay(g *Geometry, maskDim int) *PartitionedOverlay {
-	return &PartitionedOverlay{geom: g, maskDim: maskDim, parts: make(map[int]*Overlay)}
-}
-
-// Attach routes the masked chunk ID to ov. Attaching two overlays under
-// one masked ID is a bug in the caller (merge groups are disjoint).
-func (p *PartitionedOverlay) Attach(maskedID int, ov *Overlay) {
-	if _, dup := p.parts[maskedID]; dup {
-		panic("chunk: masked ID " + strconv.Itoa(maskedID) + " attached twice")
-	}
-	p.parts[maskedID] = ov
-	p.order = append(p.order, ov) //lint:allocok one append per attached merge group at plan time, not per cell
-}
-
-// NumParts returns the number of attached overlays.
-func (p *PartitionedOverlay) NumParts() int { return len(p.parts) }
-
-// Get implements cube.Store: one masked-ID computation, one map probe,
-// then the owning overlay's read path. Cells in groups no overlay owns
-// read as absent.
-func (p *PartitionedOverlay) Get(addr []int) float64 {
-	ov := p.parts[p.geom.MaskedID(addr, p.maskDim)]
-	if ov == nil {
-		return math.NaN()
-	}
-	return ov.Get(addr)
-}
-
-// Set implements cube.Store by routing to the owning part.
-func (p *PartitionedOverlay) Set(addr []int, v float64) {
-	ov := p.parts[p.geom.MaskedID(addr, p.maskDim)]
-	if ov == nil {
-		panic("chunk: no overlay part owns address " + formatAddr(addr))
-	}
-	ov.Set(addr, v)
-}
-
-// NonNull implements cube.Store: parts in attachment order (the
-// engine attaches merge groups in plan order, which is deterministic).
-func (p *PartitionedOverlay) NonNull(fn func(addr []int, v float64) bool) {
-	stopped := false
-	// Hoisted out of the part loop: the closure's captures are
-	// loop-invariant, so one allocation serves every part.
-	emit := func(addr []int, v float64) bool {
-		if !fn(addr, v) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-	for _, ov := range p.order {
-		ov.NonNull(emit)
-		if stopped {
-			return
-		}
-	}
-}
-
-// Len implements cube.Store.
-func (p *PartitionedOverlay) Len() int {
-	n := 0
-	for _, ov := range p.order {
-		n += ov.Len()
-	}
-	return n
-}
-
-// Clone implements cube.Store by flattening into a single Overlay.
-func (p *PartitionedOverlay) Clone() cube.Store {
-	out := NewOverlay(p.geom)
-	p.NonNull(func(addr []int, v float64) bool {
-		out.Set(addr, v)
-		return true
-	})
-	return out
-}
-
-// formatAddr renders an address for panic messages without fmt (this
-// file is a declared hot path; the panic runs only on caller bugs).
-func formatAddr(addr []int) string {
-	s := "["
-	for i, a := range addr {
-		if i > 0 {
-			s += " "
-		}
-		s += strconv.Itoa(a)
-	}
-	return s + "]"
 }

@@ -27,30 +27,6 @@ func TestSplitIDMatchesSplitPlusCanonicalID(t *testing.T) {
 	}
 }
 
-func TestMaskedIDGroupsRestCoordinates(t *testing.T) {
-	g := MustGeometry([]int{8, 6, 4}, []int{2, 2, 2})
-	// Addresses differing only in the masked dimension share a masked
-	// ID; addresses differing in any other chunk coordinate do not.
-	const mask = 1
-	base := []int{5, 0, 3}
-	want := g.MaskedID(base, mask)
-	for b := 0; b < 6; b++ {
-		if got := g.MaskedID([]int{5, b, 3}, mask); got != want {
-			t.Fatalf("MaskedID varies along the masked dimension: %d != %d", got, want)
-		}
-	}
-	if got := g.MaskedID([]int{1, 0, 3}, mask); got == want {
-		t.Fatal("MaskedID ignores a non-masked chunk coordinate change")
-	}
-	// MaskedIDOfCoord agrees, and accepts the -1 mask marker.
-	ccoord := make([]int, 3)
-	g.Split(base, ccoord)
-	ccoord[mask] = -1
-	if got := g.MaskedIDOfCoord(ccoord, mask); got != want {
-		t.Fatalf("MaskedIDOfCoord = %d, want %d", got, want)
-	}
-}
-
 // Property: an Overlay behaves exactly like the map-backed MemStore it
 // replaced, under random workloads of sets, deletes and reads.
 func TestQuickOverlayMatchesMemStore(t *testing.T) {
@@ -154,89 +130,88 @@ func TestOverlayZeroAllocsPerRelocatedCell(t *testing.T) {
 	}
 }
 
-func TestPartitionedOverlayRoutesByRestKey(t *testing.T) {
-	// 2-D space, mask dimension 0 (the "varying" dimension): groups are
-	// chunk columns of dimension 1.
+// The parallel scan's merge step: task overlays of different merge
+// groups own disjoint destination chunk IDs, so absorbing them adopts
+// their chunks by reference and copies no cell.
+func TestOverlayAbsorbAdoptsDisjointChunks(t *testing.T) {
+	// 2-D space, dimension 0 the "varying" one: a merge group is a chunk
+	// column of dimension 1.
 	g := MustGeometry([]int{8, 8}, []int{2, 2})
-	const mask = 0
-	po := NewPartitionedOverlay(g, mask)
-
-	ovA := NewOverlay(g) // owns cells whose dim-1 chunk coord is 0
+	ovA := NewOverlay(g) // owns dim-1 chunk coordinate 0
 	ovA.Set([]int{1, 1}, 10)
-	ovB := NewOverlay(g) // owns dim-1 chunk coord 3
-	ovB.Set([]int{6, 7}, 20)
-	po.Attach(g.MaskedID([]int{0, 1}, mask), ovA)
-	po.Attach(g.MaskedID([]int{0, 7}, mask), ovB)
+	ovA.Set([]int{0, 0}, 7)
+	ovB := NewOverlay(g) // owns dim-1 chunk coordinate 3, one chunk filled past the threshold
+	for _, addr := range [][]int{{6, 6}, {6, 7}, {7, 6}} {
+		ovB.Set(addr, 20)
+	}
+	if ovB.Promotions() != 1 {
+		t.Fatalf("fixture: ovB promoted %d chunks, want 1", ovB.Promotions())
+	}
+	idB, _ := g.SplitID([]int{6, 7})
+	chB, promA := ovB.chunks[idB], ovA.Promotions()
 
-	if po.NumParts() != 2 {
-		t.Fatalf("NumParts = %d, want 2", po.NumParts())
+	ovA.Absorb(ovB)
+	if ovA.chunks[idB] != chB {
+		t.Fatal("a chunk under an ID the absorber lacked was copied, not adopted")
 	}
-	if got := po.Get([]int{1, 1}); got != 10 {
-		t.Fatalf("routed Get = %v, want 10", got)
+	if ovA.Len() != 5 || ovA.NumChunks() != 2 || ovA.Promotions() != promA+1 {
+		t.Fatalf("Len %d, NumChunks %d, Promotions %d; want 5, 2, %d", ovA.Len(), ovA.NumChunks(), ovA.Promotions(), promA+1)
 	}
-	// Same rest key, different masked-dimension coordinate: still ovA,
-	// absent there.
-	if got := po.Get([]int{7, 1}); !math.IsNaN(got) {
-		t.Fatalf("absent cell in owned group = %v, want NaN", got)
+	if a, b := ovA.Get([]int{1, 1}), ovA.Get([]int{6, 7}); a != 10 || b != 20 {
+		t.Fatalf("Get = %v, %v; want 10, 20", a, b)
 	}
-	if got := po.Get([]int{6, 7}); got != 20 {
-		t.Fatalf("routed Get = %v, want 20", got)
+	// An absent cell of an owned group, and a group no task owned, read Null.
+	if got := ovA.Get([]int{7, 1}); !math.IsNaN(got) {
+		t.Fatalf("absent cell in an owned group = %v, want NaN", got)
 	}
-	// A group no overlay owns reads as absent.
-	if got := po.Get([]int{0, 4}); !math.IsNaN(got) {
+	if got := ovA.Get([]int{0, 4}); !math.IsNaN(got) {
 		t.Fatalf("unowned group = %v, want NaN", got)
 	}
-	if po.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", po.Len())
-	}
-	// Writes route to the owning part; unowned groups panic.
-	po.Set([]int{0, 0}, 7)
-	if ovA.Get([]int{0, 0}) != 7 {
-		t.Fatal("Set did not route to the owning part")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Set into an unowned group should panic")
-			}
-		}()
-		po.Set([]int{0, 4}, 1)
-	}()
-	// Duplicate attachment is a caller bug.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("duplicate Attach should panic")
-			}
-		}()
-		po.Attach(g.MaskedID([]int{0, 1}, mask), ovB)
-	}()
-	// NonNull covers all parts; Clone flattens.
 	n := 0
-	po.NonNull(func(addr []int, v float64) bool { n++; return true })
-	if n != 3 {
-		t.Fatalf("NonNull visited %d cells, want 3", n)
-	}
-	cl := po.Clone()
-	if cl.Len() != 3 || cl.Get([]int{6, 7}) != 20 {
-		t.Fatal("Clone lost cells")
+	ovA.NonNull(func(addr []int, v float64) bool { n++; return true })
+	if n != 5 {
+		t.Fatalf("NonNull visited %d cells, want 5", n)
 	}
 }
 
-// PartitionedOverlay reads must be allocation-free too: viewStore.Get
-// resolves every scoped read through the router.
-func TestPartitionedOverlayZeroAllocGet(t *testing.T) {
-	g := MustGeometry([]int{16, 16}, []int{4, 4})
-	po := NewPartitionedOverlay(g, 0)
-	ov := NewOverlay(g)
-	for a := 0; a < 4; a++ {
-		for b := 0; b < 4; b++ {
-			ov.Set([]int{a, b}, 1)
+// Sibling sub-tasks of one split group can materialize the same
+// destination chunk: their disjoint cell sets merge cell by cell, and a
+// promotion the merge itself triggers is counted.
+func TestOverlayAbsorbMergesSiblingChunks(t *testing.T) {
+	g := MustGeometry([]int{4, 4}, []int{4, 4}) // one 16-cell chunk; dense past 4 cells
+	a, b := NewOverlay(g), NewOverlay(g)
+	for i := 0; i < 3; i++ {
+		a.Set([]int{0, i}, float64(1+i))
+		b.Set([]int{1, i}, float64(11+i))
+	}
+	dst := a.chunks[0]
+	a.Absorb(b)
+	if a.chunks[0] != dst || a.NumChunks() != 1 {
+		t.Fatal("an overlapping chunk must merge into the absorber's chunk")
+	}
+	if a.Len() != 6 || a.Promotions() != 1 {
+		t.Fatalf("Len %d, Promotions %d; want 6, 1", a.Len(), a.Promotions())
+	}
+	for i := 0; i < 3; i++ {
+		if x, y := a.Get([]int{0, i}), a.Get([]int{1, i}); x != float64(1+i) || y != float64(11+i) {
+			t.Fatalf("column %d = %v, %v after the merge", i, x, y)
 		}
 	}
-	po.Attach(g.MaskedID([]int{0, 0}, 0), ov)
+}
+
+// Reads of the absorbed overlay stay allocation-free: viewStore.Get
+// resolves every scoped read of a parallel scan's view through it.
+func TestOverlayAbsorbedZeroAllocGet(t *testing.T) {
+	g := MustGeometry([]int{16, 16}, []int{4, 4})
+	ov, part := NewOverlay(g), NewOverlay(g)
+	for a := 0; a < 4; a++ {
+		for b := 0; b < 4; b++ {
+			part.Set([]int{a, b}, 1)
+		}
+	}
+	ov.Absorb(part)
 	addr := []int{2, 3}
-	if allocs := testing.AllocsPerRun(1000, func() { _ = po.Get(addr) }); allocs != 0 {
-		t.Fatalf("PartitionedOverlay.Get: %v allocs, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { _ = ov.Get(addr) }); allocs != 0 {
+		t.Fatalf("Get on an absorbed overlay: %v allocs, want 0", allocs)
 	}
 }

@@ -150,14 +150,10 @@ func (e *Engine) ExecPerspectiveCompressed(q PerspectiveQuery) (*View, error) {
 		base: e.store, vi: e.vi, pi: e.pi,
 		scoped: scoped, forward: target, inverse: inverse,
 	}
-	result := cube.NewWithStore(ms, e.base.Dims()...)
-	for _, b := range e.base.Bindings() {
-		if err := result.AddBinding(b); err != nil {
-			return nil, err
-		}
+	view, err := e.assemble(ms, nil, nil, q.Mode)
+	if err != nil {
+		return nil, err
 	}
-	result.SetRules(e.base.Rules())
-	view := &View{input: e.base, result: result, mode: q.Mode}
 	view.Stats = Stats{
 		MembersInScope:  len(members),
 		SourceInstances: len(target),

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"whatifolap/internal/algebra"
@@ -115,6 +117,25 @@ func (e *Engine) readStore() cube.Store {
 		return e.chain
 	}
 	return e.store
+}
+
+// assemble wires a result store into the view cube: under dims and
+// bindings, or the base cube's own when dims is nil, with the base
+// cube's rules.
+func (e *Engine) assemble(store cube.Store, dims []*dimension.Dimension,
+	bindings []*dimension.Binding, mode perspective.Mode) (*View, error) {
+
+	if dims == nil {
+		dims, bindings = e.base.Dims(), e.base.Bindings()
+	}
+	result := cube.NewWithStore(store, dims...)
+	for _, b := range bindings {
+		if err := result.AddBinding(b); err != nil {
+			return nil, err
+		}
+	}
+	result.SetRules(e.base.Rules())
+	return &View{input: e.base, result: result, mode: mode}, nil
 }
 
 // sourceChunkIDs returns the chunk IDs the planner must consider: the
@@ -273,7 +294,7 @@ func (e *Engine) ExecPerspectiveWith(ec ExecContext, q PerspectiveQuery) (*View,
 		return nil, err
 	}
 	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, plan)
-	view, stats, err := e.execute(ec, plan, nil, nil, q.Mode)
+	view, stats, err := e.execute(ec, plan, nil, nil, nil, q.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -418,14 +439,12 @@ func (e *Engine) ExecChangesWith(ec ExecContext, q ChangesQuery) (*View, error) 
 		return nil, err
 	}
 	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, cp.phys)
-	view, stats, err := e.execute(ec, cp.phys, cp.newDims, cp.newBindings, q.Mode)
+	view, stats, err := e.execute(ec, cp.phys, cp.newDims, cp.newBindings, cp.baseOrd, q.Mode)
 	if err != nil {
 		return nil, err
 	}
 	stats.MembersInScope = cp.affected
 	view.Stats = stats
-	// Remap the view store through baseOrd.
-	view.result.Store().(*viewStore).baseOrd = cp.baseOrd
 	return view, nil
 }
 
@@ -465,6 +484,8 @@ func (e *Engine) readPermutation() []int {
 	return perm
 }
 
+// sortChunksByOrder orders chunk IDs by their Geometry.OrderID under the
+// dimension permutation; the keys are unique per chunk.
 func sortChunksByOrder(g *chunk.Geometry, ids []int, perm []int) []int {
 	type kv struct{ key, id int }
 	keyed := make([]kv, len(ids))
@@ -473,12 +494,7 @@ func sortChunksByOrder(g *chunk.Geometry, ids []int, perm []int) []int {
 		g.CoordOf(id, ccoord)
 		keyed[i] = kv{key: g.OrderID(ccoord, perm), id: id}
 	}
-	// Insertion-stable sort by key.
-	for i := 1; i < len(keyed); i++ {
-		for j := i; j > 0 && keyed[j].key < keyed[j-1].key; j-- {
-			keyed[j], keyed[j-1] = keyed[j-1], keyed[j]
-		}
-	}
+	slices.SortFunc(keyed, func(a, b kv) int { return cmp.Compare(a.key, b.key) })
 	out := make([]int, len(ids))
 	for i, k := range keyed {
 		out[i] = k.id
@@ -514,8 +530,7 @@ func (e *Engine) SimulateMultiMDX(members []string, perspectives []int, mode per
 		// set. Under static semantics a surviving instance keeps its
 		// original values, so overlapping rows agree and overwriting is
 		// sound.
-		ov := v.result.Store().(*viewStore).overlay
-		ov.NonNull(func(addr []int, val float64) bool {
+		v.result.Store().(*viewStore).overlay.NonNull(func(addr []int, val float64) bool {
 			merged.Set(addr, val)
 			stats.CellsRelocated++
 			return true
@@ -526,13 +541,11 @@ func (e *Engine) SimulateMultiMDX(members []string, perspectives []int, mode per
 	// merged overlay.
 	last := combined.result.Store().(*viewStore)
 	vs := &viewStore{base: e.readStore(), overlay: merged, vi: e.vi, scoped: last.scoped}
-	result := cube.NewWithStore(vs, e.base.Dims()...)
-	for _, b := range e.base.Bindings() {
-		if err := result.AddBinding(b); err != nil {
-			return nil, err
-		}
+	view, err := e.assemble(vs, nil, nil, mode)
+	if err != nil {
+		return nil, err
 	}
-	result.SetRules(e.base.Rules())
 	stats.MembersInScope = combined.Stats.MembersInScope
-	return &View{input: e.base, result: result, mode: mode, Stats: stats}, nil
+	view.Stats = stats
+	return view, nil
 }

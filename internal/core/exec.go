@@ -4,10 +4,10 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"whatifolap/internal/chunk"
-	"whatifolap/internal/cube"
 	"whatifolap/internal/dimension"
 	"whatifolap/internal/perspective"
 	"whatifolap/internal/trace"
@@ -16,9 +16,9 @@ import (
 // This file is a query hot path: span recording happens here, span
 // formatting must not (no fmt import — verify.sh enforces it).
 
-// scanTally accumulates one scan unit's counters. Per-group tallies are
-// summed in group order at the merge barrier, so parallel statistics
-// are deterministic. diskCostMs sums the per-read costs returned by
+// scanTally accumulates one scan task's counters. Per-task tallies are
+// summed in task order when the scan ends, so parallel statistics are
+// deterministic. diskCostMs sums the per-read costs returned by
 // the store's cost hook — the race-free replacement for diffing the
 // disk's global counters around the execution, which let overlapping
 // queries absorb each other's I/O cost.
@@ -255,37 +255,32 @@ func annotateScan(sp trace.SpanRef, t scanTally, workers int) {
 //	scan     chunk reads + relocation into a chunk-grained overlay, a
 //	         slab at a time (slabKernel: one table probe and one bulk
 //	         write per block of cells sharing their varying and
-//	         parameter digits, whatever the chunk's representation),
-//	         fanned out over merge groups when ec.Workers > 1, serial
-//	         in the plan's global schedule otherwise;
-//	merge    zero-copy: merge edges never cross rest-coordinate
-//	         groups, so the per-group overlays are disjoint and are
-//	         attached to a partitioned router keyed by masked chunk ID
-//	         — O(groups), not O(cells) (a no-op when serial, where the
-//	         scan writes the final overlay directly);
+//	         parameter digits, whatever the chunk's representation).
+//	         The scan is a task list run by one driver (scan): the whole
+//	         global schedule as one task on the calling goroutine, or,
+//	         when ec.Workers > 1, the merge groups' crossing-free cuts
+//	         on a bounded pool, each task into an overlay of its own;
+//	merge    the first task's overlay absorbs the others (Overlay.Absorb).
+//	         Merge edges never cross rest-coordinate groups, so groups
+//	         own disjoint destination chunks and are adopted by
+//	         reference — O(destination chunks), no cell copied; only
+//	         sibling cuts of one split group meet in a chunk. Nothing to
+//	         do, and no span, when the scan was one task;
 //	assemble wiring the overlay view cube.
 //
 // When newDims is nil the view shares the base cube's dimensions;
-// otherwise the view exposes newDims/newBindings (positive scenarios).
+// otherwise the view exposes newDims/newBindings and reads unscoped rows
+// of the base through baseOrd (positive scenarios).
 func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.Dimension,
-	newBindings []*dimension.Binding, mode perspective.Mode) (*View, Stats, error) {
+	newBindings []*dimension.Binding, baseOrd []int, mode perspective.Mode) (*View, Stats, error) {
 
 	stats := p.Stats
-	workers := ec.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	// Cut each group's schedule into sub-tasks at crossing-free edge
-	// boundaries, so the scan fans out over min(workers, chunks) units
-	// instead of min(workers, groups).
-	var tasks []subTask
-	if workers > 1 {
-		tasks = splitSubtasks(p, workers)
-		if workers > len(tasks) {
-			workers = len(tasks)
-		}
-	}
+	tasks := scanTasks(p, ec.Workers)
+	workers := min(max(ec.Workers, 1), len(tasks))
 	stats.ScanWorkers = workers
+	if len(tasks) > 1 {
+		stats.ScanSubtasks = len(tasks)
+	}
 
 	// The overlay's geometry matches the base store's, except that a
 	// positive scenario extends the varying dimension with hypothetical
@@ -309,44 +304,14 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 
 	scanSp := tr.Start(parent, "scan")
 	scanStart := time.Now()
-	var scanT scanTally
-	var overlay cube.Store
-	if workers > 1 {
-		stats.ScanSubtasks = len(tasks)
-		overlays, tallies, err := e.scanParallel(ec, p, og, tasks, workers, tr, scanSp)
-		if err != nil {
-			scanSp.End()
-			return nil, stats, err
-		}
-		for _, t := range tallies {
-			scanT.add(t)
-		}
-		stats.ScanMs = msSince(scanStart)
-		annotateScan(scanSp, scanT, workers)
+	scanT, err := e.scan(ec, p, og, tasks, workers, tr, scanSp)
+	if err != nil {
 		scanSp.End()
-		mergeSp := tr.Start(parent, "merge")
-		mergeStart := time.Now()
-		po := chunk.NewPartitionedOverlay(og, e.vi)
-		for gi, mg := range p.Groups {
-			po.Attach(og.MaskedIDOfCoord(mg.Rest, e.vi), overlays[gi])
-		}
-		overlay = po
-		stats.MergeMs = msSince(mergeStart)
-		mergeSp.Int("groups", int64(len(p.Groups)))
-		mergeSp.End()
-	} else {
-		ov := chunk.NewOverlay(og)
-		t, err := e.scanInto(ec.Ctx, p.Schedule, p, ov, tr, scanSp)
-		if err != nil {
-			scanSp.End()
-			return nil, stats, err
-		}
-		scanT.add(t)
-		overlay = ov
-		stats.ScanMs = msSince(scanStart)
-		annotateScan(scanSp, scanT, 1)
-		scanSp.End()
+		return nil, stats, err
 	}
+	stats.ScanMs = msSince(scanStart)
+	annotateScan(scanSp, scanT, workers)
+	scanSp.End()
 	stats.ChunksRead += scanT.chunksRead
 	stats.CellsScanned += scanT.cellsScanned
 	stats.CellsRelocated += scanT.cellsRelocated
@@ -354,30 +319,26 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 	stats.SpillFaults += scanT.spillFaults
 	stats.FaultMs += scanT.faultMs
 
+	overlay := tasks[0].overlay
+	if len(tasks) > 1 {
+		mergeSp := tr.Start(parent, "merge")
+		mergeStart := time.Now()
+		for _, t := range tasks[1:] {
+			overlay.Absorb(t.overlay)
+		}
+		stats.MergeMs = msSince(mergeStart)
+		mergeSp.Int("groups", int64(len(p.Groups)))
+		mergeSp.End()
+	}
+
 	// Assemble the view cube. Out-of-scope rows read from the layer
 	// chain when the engine runs over a scenario, so unrelocated cells
 	// reflect scenario edits too.
 	assembleSp := tr.Start(parent, "assemble")
 	defer assembleSp.End()
-	vs := &viewStore{base: e.readStore(), overlay: overlay, vi: e.vi, scoped: p.Scoped}
-	var result *cube.Cube
-	if newDims == nil {
-		result = cube.NewWithStore(vs, e.base.Dims()...)
-		for _, b := range e.base.Bindings() {
-			if err := result.AddBinding(b); err != nil {
-				return nil, stats, err
-			}
-		}
-	} else {
-		result = cube.NewWithStore(vs, newDims...)
-		for _, b := range newBindings {
-			if err := result.AddBinding(b); err != nil {
-				return nil, stats, err
-			}
-		}
-	}
-	result.SetRules(e.base.Rules())
-	return &View{input: e.base, result: result, mode: mode}, stats, nil
+	vs := &viewStore{base: e.readStore(), overlay: overlay, vi: e.vi, scoped: p.Scoped, baseOrd: baseOrd}
+	view, err := e.assemble(vs, newDims, newBindings, mode)
+	return view, stats, err
 }
 
 // pinTracker enforces the executor side of the pebbling objective on a
@@ -523,88 +484,75 @@ func (e *Engine) scanInto(ctx context.Context, schedule []int, p *PhysicalPlan,
 	return tally, err
 }
 
-// scanParallel fans the scan out over the plan's sub-tasks — contiguous
-// crossing-free cuts of merge-group schedules — on a bounded worker
-// pool. Each sub-task scans into a private chunk-grained overlay in its
-// cut's schedule order: merge edges never cross groups, and sub-task
-// cuts never separate an edge's endpoints, so the pebbling order stays
-// legal per task. At the barrier, sibling sub-tasks of one group fold
-// into the group overlay (Overlay.Absorb) in task order — their cell
-// sets are disjoint because relocation destinations are injective per
-// parameter leaf — and the caller attaches the group overlays to a
-// partitioned router. Cells from different groups can never collide
-// (they differ in a non-varying coordinate), so the routed overlay is
-// identical to the serial scan's. Each sub-task records a "group" child
-// span under scanSp with its own tally and, when its group was split, a
-// "subtask" attribute (safe from worker goroutines: span slots are
-// claimed atomically).
-func (e *Engine) scanParallel(ec ExecContext, p *PhysicalPlan, og *chunk.Geometry,
-	tasks []subTask, workers int, tr *trace.Trace, scanSp trace.SpanRef) ([]*chunk.Overlay, []scanTally, error) {
+// scan is the one scan driver: it runs the task list on workers
+// goroutines — the caller's and workers-1 more, each claiming the next
+// unclaimed task — and leaves every task its overlay and tally; the sum
+// it returns adds the tallies in task order, so statistics are
+// deterministic at any worker count. The serial scan is the case of one
+// task holding the global schedule: it runs here, on the calling
+// goroutine, its fault spans directly under scanSp. A task of a longer
+// list scans into its private overlay in its cut's schedule order —
+// merge edges never cross groups, and cuts never separate an edge's
+// endpoints, so the pebbling order stays legal per task and no task pins
+// for another — under a "group" child span carrying its own tally and,
+// when its group was split, a "subtask" attribute (span slots are
+// claimed atomically, so worker goroutines may record). The first error
+// wins and cancels the sibling workers, which notice before their next
+// chunk read.
+func (e *Engine) scan(ec ExecContext, p *PhysicalPlan, og *chunk.Geometry, tasks []subTask, workers int,
+	tr *trace.Trace, scanSp trace.SpanRef) (scanTally, error) {
 
-	taskOvs := make([]*chunk.Overlay, len(tasks))
-	tallies := make([]scanTally, len(tasks))
-
-	ctx, cancel := context.WithCancel(ec.context())
+	ctx, cancel := context.WithCancel(ec.Context())
 	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel() // stop the feeder and the sibling workers promptly
-		})
+	// What the workers share, as one struct so that it escapes to them as
+	// one allocation; err belongs to the worker that won failed and is
+	// read after the barrier.
+	var sh struct {
+		next   atomic.Int64
+		failed atomic.Bool
+		err    error
+		wg     sync.WaitGroup
 	}
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ti := range work {
-				task := tasks[ti]
-				//lint:allocok one overlay per merge-group task by design; the task, not the cell, is the unit of work
-				ov := chunk.NewOverlay(og)
-				gsp := tr.Start(scanSp, "group")
+	work := func() {
+		defer sh.wg.Done()
+		for {
+			ti := int(sh.next.Add(1)) - 1
+			if ti >= len(tasks) {
+				return
+			}
+			task := &tasks[ti]
+			//lint:allocok one overlay per scan task by design; the task, not the cell, is the unit of work
+			task.overlay = chunk.NewOverlay(og)
+			sp := scanSp
+			var gsp trace.SpanRef // the no-op ref when the scan is one task
+			if len(tasks) > 1 {
+				gsp = tr.Start(scanSp, "group")
 				gsp.Int("group", int64(task.group))
 				gsp.IntNonZero("subtask", int64(task.part))
-				t, err := e.scanInto(ctx, task.chunks, p, ov, tr, gsp)
-				annotateScan(gsp, t, 0)
-				gsp.End()
-				tallies[ti] = t
-				if err != nil {
-					fail(err)
-					return
-				}
-				taskOvs[ti] = ov
+				sp = gsp
 			}
-		}()
-	}
-feed:
-	for ti := range tasks {
-		select {
-		case work <- ti:
-		case <-ctx.Done():
-			break feed
+			var err error
+			task.tally, err = e.scanInto(ctx, task.chunks, p, task.overlay, tr, sp)
+			annotateScan(gsp, task.tally, 0)
+			gsp.End()
+			if err != nil {
+				if sh.failed.CompareAndSwap(false, true) {
+					sh.err = err
+					cancel()
+				}
+				return
+			}
 		}
 	}
-	close(work)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ec.err()
+	sh.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
 	}
-	if firstErr != nil {
-		return nil, nil, firstErr
+	work()
+	sh.wg.Wait()
+	var total scanTally
+	for i := range tasks {
+		total.add(tasks[i].tally)
 	}
-	overlays := make([]*chunk.Overlay, len(p.Groups))
-	for ti, task := range tasks {
-		if overlays[task.group] == nil {
-			overlays[task.group] = taskOvs[ti]
-		} else {
-			overlays[task.group].Absorb(taskOvs[ti])
-		}
-	}
-	return overlays, tallies, nil
+	return total, sh.err
 }

@@ -106,8 +106,8 @@ func TestKernelMatchesLegacyMemStorePaper(t *testing.T) {
 			}
 			pov := overlayOf(t, par)
 			if par.Stats.ScanWorkers > 1 {
-				if _, ok := pov.(*chunk.PartitionedOverlay); !ok {
-					t.Fatalf("parallel overlay is %T, want *chunk.PartitionedOverlay", pov)
+				if _, ok := pov.(*chunk.Overlay); !ok {
+					t.Fatalf("parallel overlay is %T, want *chunk.Overlay", pov)
 				}
 			}
 			if got := dumpStore(pov); !sameCells(want, got) {

@@ -11,6 +11,7 @@ import (
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/paperdata"
 	"whatifolap/internal/perspective"
+	"whatifolap/internal/trace"
 	"whatifolap/internal/workload"
 )
 
@@ -240,5 +241,118 @@ func TestParallelScanCancellation(t *testing.T) {
 				t.Fatalf("%d chunk reads after cancelling at %d", n, cancelAt)
 			}
 		})
+	}
+}
+
+// TestEmptyAndUncuttablePlansScanSerially pins the task list's two edge
+// cases at every worker count. A plan with nothing to read (no instance
+// of Joe is valid in May, so every relocation row prunes) and a plan
+// whose split yields a single task both run, and report, as the serial
+// scan: one worker, no sub-tasks, no merge, no group span.
+func TestEmptyAndUncuttablePlansScanSerially(t *testing.T) {
+	// One chunk column along the varying dimension: a single merge group.
+	wh := paperdata.Warehouse()
+	column, err := New(paperdata.ChunkedWarehouse([]int{3, wh.Dim(1).NumLeaves(), wh.Dim(2).NumLeaves(), wh.Dim(3).NumLeaves()}), "Organization")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		e      *Engine
+		q      PerspectiveQuery
+		chunks bool
+	}{
+		{"empty", newEngine(t), PerspectiveQuery{Members: []string{"Joe"}, Perspectives: []int{paperdata.May}, Sem: perspective.Static}, false},
+		{"one task", column, PerspectiveQuery{Members: []string{"Joe"}, Perspectives: []int{paperdata.Feb, paperdata.Apr}, Sem: perspective.Forward}, true},
+	} {
+		e := c.e
+		plan, err := e.PlanPerspective(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(splitSubtasks(plan, 4)); got > 1 || (got == 1) != c.chunks {
+			t.Fatalf("%s: fixture splits into %d tasks at 4 workers", c.name, got)
+		}
+		for _, workers := range []int{0, 1, 4} {
+			tr := trace.New(0)
+			root := tr.Start(trace.SpanRef{}, "eval")
+			ctx := trace.WithSpan(trace.NewContext(context.Background(), tr), root)
+			v, err := e.ExecPerspectiveWith(ExecContext{Ctx: ctx, Workers: workers}, c.q)
+			root.End()
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+			}
+			s := v.Stats
+			if s.ScanWorkers != 1 || s.ScanSubtasks != 0 || s.MergeMs != 0 {
+				t.Fatalf("%s workers=%d: ScanWorkers %d, ScanSubtasks %d, MergeMs %v; want 1, 0, 0",
+					c.name, workers, s.ScanWorkers, s.ScanSubtasks, s.MergeMs)
+			}
+			if (s.ChunksRead > 0) != c.chunks || (overlayOf(t, v).Len() > 0) != c.chunks {
+				t.Fatalf("%s workers=%d: %d chunks read, %d overlay cells", c.name, workers, s.ChunksRead, overlayOf(t, v).Len())
+			}
+			for _, sp := range tr.Spans() {
+				if sp.Name == "group" || sp.Name == "merge" {
+					t.Fatalf("%s workers=%d: a one-task scan recorded a %q span", c.name, workers, sp.Name)
+				}
+			}
+		}
+	}
+}
+
+// TestScanReleasesEveryPoolPin is the runtime twin of the releasepair lint:
+// over a buffer pool small enough to evict, a query whose plan has merge
+// edges pins chunks while their partners are unscanned, and every pin is
+// gone when the scan returns — completed or cancelled from the read hook
+// with pins outstanding — at one worker and at four.
+func TestScanReleasesEveryPoolPin(t *testing.T) {
+	w, err := workload.NewWorkforce(workload.ConfigTiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := w.Cube.Store().(*chunk.Store)
+	if err := st.SpillTo(t.TempDir()+"/cube.spill", st.MemBytes()/8); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(w.Cube, workload.DimDepartment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := PerspectiveQuery{
+		Members: w.Changing, Perspectives: []int{0, 3, 6, 9},
+		Sem: perspective.Forward, Mode: perspective.NonVisual,
+	}
+	if plan, err := e.PlanPerspective(q); err != nil || plan.Stats.MergeEdges == 0 {
+		t.Fatalf("fixture plan has no merge edges (err %v): nothing would be pinned", err)
+	}
+	for _, workers := range []int{1, 4} {
+		for _, cancelled := range []bool{false, true} {
+			ctx, cancel := context.WithCancel(context.Background())
+			evictions := st.SpillStats().Evictions
+			held := 0 // the hook runs under the store's hook mutex
+			st.SetReadHook(func(int) {
+				if n := st.SpillStats().Pinned; n > held {
+					held = n
+					if cancelled {
+						cancel()
+					}
+				}
+			})
+			_, err := e.ExecPerspectiveWith(ExecContext{Ctx: ctx, Workers: workers}, q)
+			st.SetReadHook(nil)
+			cancel()
+			label := fmt.Sprintf("workers=%d cancelled=%v", workers, cancelled)
+			if cancelled != errors.Is(err, context.Canceled) || (!cancelled && err != nil) {
+				t.Fatalf("%s: err = %v", label, err)
+			}
+			if held == 0 {
+				t.Fatalf("%s: the scan never held a pin; test is vacuous", label)
+			}
+			if !cancelled && st.SpillStats().Evictions == evictions {
+				t.Fatalf("%s: budget too large, nothing evicted; test is vacuous", label)
+			}
+			if n := st.SpillStats().Pinned; n != 0 {
+				t.Fatalf("%s: %d chunks still pinned after the scan (%d held at peak)", label, n, held)
+			}
+		}
 	}
 }

@@ -8,30 +8,38 @@ import (
 	"strings"
 	"time"
 
+	"whatifolap/internal/chunk"
 	"whatifolap/internal/pebble"
 	"whatifolap/internal/trace"
 )
 
-// ExecContext carries per-execution parameters through the engine's
-// staged pipeline. The zero value runs serially without cancellation.
-// It travels through the Exec*With methods because the engine holds no
-// per-query state: one engine serves concurrent queries.
+// ExecContext carries per-execution parameters through the evaluator
+// (as mdx.RunContext, an alias) and the engine's staged pipeline. The
+// zero value runs serially without cancellation. It travels through the
+// Exec*With methods because the engine holds no per-query state: one
+// engine serves concurrent queries.
 type ExecContext struct {
-	// Ctx, when non-nil, is checked at chunk-iteration boundaries, so a
-	// long scan is abandoned promptly with the context's error.
+	// Ctx, when non-nil, is checked at chunk-iteration boundaries and
+	// between grid rows of the projection, so a long query is abandoned
+	// promptly with the context's error.
 	Ctx context.Context
 	// Workers bounds the scan fan-out over independent merge groups.
 	// Values <= 1 scan serially in the plan's global read order.
 	Workers int
 }
 
-// err reports the context's error, if any.
-func (ec ExecContext) err() error { return ec.context().Err() }
+// Err reports the context's error, if any.
+func (ec ExecContext) Err() error {
+	if ec.Ctx == nil {
+		return nil
+	}
+	return ec.Ctx.Err()
+}
 
-// context returns the caller's context. The zero ExecContext is the
+// Context returns the caller's context. The zero ExecContext is the
 // documented "no cancellation" opt-out, so the nil case is normalized
 // here, at the API boundary, and nowhere deeper in the pipeline.
-func (ec ExecContext) context() context.Context {
+func (ec ExecContext) Context() context.Context {
 	if ec.Ctx != nil {
 		return ec.Ctx
 	}
@@ -102,11 +110,12 @@ func (p *PhysicalPlan) splitGroup(gi, maxParts int) [][]int {
 	return append(out, chunks[start:])
 }
 
-// subTask is one unit of parallel scan work: a contiguous cut of one
-// merge group's read schedule. Relocation destinations are injective
-// per parameter leaf, so the overlay cell sets written by sibling
-// sub-tasks of one group are disjoint and fold order-insensitively
-// (Overlay.Absorb) at the merge barrier.
+// subTask is one unit of scan work — a contiguous cut of one merge
+// group's read schedule, or the whole global schedule of a serial scan —
+// and, once the driver ran it, what it produced. Relocation destinations
+// are injective per parameter leaf, so the overlay cell sets written by
+// sibling sub-tasks of one group are disjoint and fold order-
+// insensitively (Overlay.Absorb) in the merge step.
 type subTask struct {
 	group  int
 	chunks []int
@@ -114,6 +123,9 @@ type subTask struct {
 	// group was split, 0 when the group runs as a single task — the
 	// "subtask" span attribute, elided for unsplit groups.
 	part int
+	// overlay and tally are the task's private results, set by scan.
+	overlay *chunk.Overlay
+	tally   scanTally
 }
 
 // splitSubtasks cuts every merge group's schedule into sub-tasks,
@@ -140,6 +152,20 @@ func splitSubtasks(p *PhysicalPlan, targetParts int) []subTask {
 	return tasks
 }
 
+// scanTasks is the scan's task list, the one place a serial and a
+// parallel execution differ: the whole global schedule as a single task,
+// or — when workers > 1 and the plan cuts into more than one — the
+// sub-tasks. An empty plan and a plan with a single uncuttable group are
+// therefore serial scans at any worker count.
+func scanTasks(p *PhysicalPlan, workers int) []subTask {
+	if workers > 1 {
+		if tasks := splitSubtasks(p, workers); len(tasks) > 1 {
+			return tasks
+		}
+	}
+	return []subTask{{chunks: p.Schedule}}
+}
+
 // PhysicalPlan is the engine's inspectable physical execution plan for
 // one relocation query: the relocation tables, which chunks to read in
 // what order, and the merge-group partition the parallel scan fans out
@@ -158,10 +184,10 @@ type PhysicalPlan struct {
 	// Schedule is the global serial chunk read order.
 	Schedule []int
 	// Groups partitions Schedule into independent merge groups, in
-	// ascending order of Geometry.MaskedIDOfCoord(Rest, varying dim) —
-	// row-major over the non-varying chunk coordinates. (Before the
-	// dense planner the order was that of a little-endian byte-string
-	// key; results never depended on it.)
+	// ascending order of masked chunk ID (the canonical ID of Rest with
+	// the varying coordinate zeroed) — row-major over the non-varying
+	// chunk coordinates. (Before the dense planner the order was that of
+	// a little-endian byte-string key; results never depended on it.)
 	Groups []MergeGroup
 	// Neighbors is the merge dependency adjacency: for each relevant
 	// chunk with merge partners, the chunks it exchanges relocated cells

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"whatifolap/internal/algebra"
@@ -57,7 +58,9 @@ func TestPlanDeterministic(t *testing.T) {
 		g := e.store.Geometry()
 		last := -1
 		for gi, mg := range plans[0].Groups {
-			id := g.MaskedIDOfCoord(mg.Rest, e.vi)
+			rest := slices.Clone(mg.Rest)
+			rest[e.vi] = 0
+			id := g.CanonicalID(rest)
 			if id <= last {
 				t.Fatalf("%s: group %d has masked ID %d after %d", name, gi, id, last)
 			}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"whatifolap/internal/algebra"
+	"whatifolap/internal/chunk"
 	"whatifolap/internal/cube"
 	"whatifolap/internal/dimension"
 	"whatifolap/internal/perspective"
@@ -23,12 +24,12 @@ import (
 // varying dimension, shifting leaf ordinals).
 type viewStore struct {
 	base cube.Store
-	// overlay holds the relocated cells: a chunk-grained chunk.Overlay
-	// from a serial scan, a chunk.PartitionedOverlay routing to the
-	// per-group overlays after a parallel scan, or a merged store from
-	// the multi-MDX simulation. Reads of scoped rows resolve here with
-	// pure integer (chunkID, offset) arithmetic.
-	overlay cube.Store
+	// overlay holds the relocated cells: the scan's one product — the
+	// single task's overlay, or the first task's after it absorbed the
+	// others — or the multi-MDX simulation's merged overlay. Reads of
+	// scoped rows resolve here with pure integer (chunkID, offset)
+	// arithmetic and one map probe.
+	overlay *chunk.Overlay
 	vi      int
 	// scoped marks varying leaf ordinals (in view coordinates) owned by
 	// the overlay.
@@ -221,10 +222,11 @@ type Stats struct {
 	ScanSubtasks int
 	// PlanMs, ScanMs, MergeMs and ProjectMs are the per-stage wall
 	// times in milliseconds: plan (target pruning, merge graph, read
-	// scheduling), scan (chunk reads + cell relocation), merge
-	// (attaching per-group overlays to the partitioned router — O(merge
-	// groups), no per-cell copying; zero on a serial scan), project
-	// (grid projection, filled in by the mdx layer).
+	// scheduling), scan (chunk reads + cell relocation), merge (the
+	// first task's overlay adopting the other tasks' chunks by reference
+	// — O(destination chunks), cells copied only where sibling cuts of
+	// one group share a chunk; zero on a serial scan), project (grid
+	// projection, filled in by the mdx layer).
 	PlanMs    float64
 	ScanMs    float64
 	MergeMs   float64

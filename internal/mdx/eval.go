@@ -1,7 +1,6 @@
 package mdx
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -26,41 +25,11 @@ type Coord struct {
 type Tuple []Coord
 
 // RunContext carries per-query execution parameters through the
-// evaluator into the engine: cancellation (checked at chunk-iteration
-// boundaries and between grid rows during projection) and the engine's
-// scan parallelism. The zero value runs serially without cancellation.
-type RunContext struct {
-	// Ctx, when non-nil, bounds the query: it is observed at
-	// chunk-iteration boundaries in the engine and between grid rows.
-	Ctx context.Context
-	// Workers fans the engine's chunk scan out over independent merge
-	// groups; <= 1 scans serially.
-	Workers int
-}
-
-// execContext converts the run context into the engine's form.
-func (rc RunContext) execContext() core.ExecContext {
-	return core.ExecContext{Ctx: rc.Ctx, Workers: rc.Workers}
-}
-
-// err reports the run context's error, if any.
-func (rc RunContext) err() error {
-	if rc.Ctx == nil {
-		return nil
-	}
-	return rc.Ctx.Err()
-}
-
-// context returns the caller's context. The zero RunContext is the
-// documented "no cancellation" opt-out, normalized here at the API
-// boundary and nowhere deeper.
-func (rc RunContext) context() context.Context {
-	if rc.Ctx != nil {
-		return rc.Ctx
-	}
-	//lint:ctxok API-boundary shim: a zero RunContext documents the caller's opt-out of cancellation
-	return context.Background()
-}
+// evaluator into the engine — it is the engine's ExecContext:
+// cancellation (checked at chunk-iteration boundaries and between grid
+// rows during projection) and the engine's scan parallelism. The zero
+// value runs serially without cancellation.
+type RunContext = core.ExecContext
 
 // Evaluator runs extended-MDX queries against a cube. Cubes backed by
 // chunked storage get the perspective-cube engine for what-if clauses;
@@ -149,7 +118,7 @@ func (ev *Evaluator) RunQueryStatsWith(rc RunContext, q *Query) (*result.Grid, c
 func (ev *Evaluator) ExplainAnalyze(rc RunContext, q *Query) (string, *result.Grid, core.Stats, error) {
 	tr := trace.New(0)
 	root := tr.Start(trace.SpanRef{}, "eval")
-	rc.Ctx = trace.WithSpan(trace.NewContext(rc.context(), tr), root)
+	rc.Ctx = trace.WithSpan(trace.NewContext(rc.Context(), tr), root)
 	g, stats, err := ev.RunQueryStatsWith(rc, q)
 	root.End()
 	if err != nil {
@@ -303,11 +272,11 @@ func (ev *Evaluator) execute(rc RunContext, lo lowered) (*cube.Cube, core.Stats,
 	var err error
 	switch lo.path {
 	case pathEngineChanges:
-		view, err = lo.engine.ExecChangesWith(rc.execContext(), lo.changes)
+		view, err = lo.engine.ExecChangesWith(rc, lo.changes)
 	case pathEnginePerspective:
-		view, err = lo.engine.ExecPerspectiveWith(rc.execContext(), lo.persp)
+		view, err = lo.engine.ExecPerspectiveWith(rc, lo.persp)
 	case pathAlgebra:
-		if err := rc.err(); err != nil {
+		if err := rc.Err(); err != nil {
 			return nil, core.Stats{}, err
 		}
 		plan, _ := ev.optimize(lo.plan)
@@ -624,7 +593,7 @@ func (ev *Evaluator) project(rc RunContext, q *Query, out *cube.Cube, mode persp
 	}
 	ids := make([]dimension.MemberID, out.NumDims())
 	for i, rt := range rows {
-		if err := rc.err(); err != nil {
+		if err := rc.Err(); err != nil {
 			return nil, err
 		}
 		g.RowLabels[i] = ev.tupleLabel(out, rt)

@@ -12,40 +12,36 @@ import (
 	"strconv"
 	"time"
 
+	"whatifolap/internal/chunk"
 	"whatifolap/internal/obs"
 	"whatifolap/internal/trace"
 )
 
-// obsSampler holds the previous tick's counter state so each
+// counterReading is one reading of the lifetime counters the history
+// differences, and of the pool's state (zero without a pool).
+type counterReading struct {
+	at time.Time
+
+	queries, errors, slow  int64
+	cacheHits, cacheMisses int64
+	scanned, returned      int64
+	// lat are the latency histogram's per-bucket counts; differencing two
+	// readings gives the interval's bucket counts, which quantileCounts
+	// turns into interval quantiles.
+	lat []int64
+	// segSumMicro/segCount difference the segment-read histogram's sum
+	// and count into an interval mean.
+	segSumMicro, segCount int64
+	pool                  chunk.SpillStats
+}
+
+// obsSampler holds the previous tick's counter reading so each
 // obs.Sample reports interval deltas, not lifetime totals. sample runs
 // on the collector goroutine only (or, in tests, called directly with
-// the collector disabled), so the prev fields need no locking.
+// the collector disabled), so prev needs no locking.
 type obsSampler struct {
-	s *Server
-
-	prevTime time.Time
-
-	prevQueries     int64
-	prevErrors      int64
-	prevSlow        int64
-	prevCacheHits   int64
-	prevCacheMisses int64
-	prevScanned     int64
-	prevReturned    int64
-
-	// prevLat are the latency histogram's per-bucket counts at the last
-	// tick; differencing two snapshots gives the interval's bucket
-	// counts, which quantileCounts turns into interval quantiles.
-	prevLat []int64
-
-	// prevSegSumMicro/prevSegCount difference the segment-read
-	// histogram's sum and count into an interval mean.
-	prevSegSumMicro int64
-	prevSegCount    int64
-
-	prevEvictions int64
-	prevFaults    int64
-
+	s    *Server
+	prev counterReading
 	// underPressure is the eviction-pressure edge detector: a tick with
 	// evictions starts pressure, a tick without ends it. Edge-triggered
 	// events, not one per tick — sustained pressure is one event pair.
@@ -60,24 +56,28 @@ func newObsSampler(s *Server) *obsSampler {
 	return sm
 }
 
-func (sm *obsSampler) prime() {
+func (sm *obsSampler) prime() { sm.prev = sm.read() }
+
+// read takes one reading of every counter the sampler differences.
+func (sm *obsSampler) read() counterReading {
 	m := sm.s.metrics
-	sm.prevTime = time.Now()
-	sm.prevQueries = m.QueriesServed.Load()
-	sm.prevErrors = m.QueryErrors.Load()
-	sm.prevSlow = m.SlowQueries.Load()
-	sm.prevCacheHits = m.CacheHits.Load()
-	sm.prevCacheMisses = m.CacheMisses.Load()
-	sm.prevScanned = m.CellsScanned.Load()
-	sm.prevReturned = m.CellsReturned.Load()
-	sm.prevLat = m.latency.countsSnapshot()
-	sm.prevSegSumMicro = m.segmentReadMs.sumMicro.Load()
-	sm.prevSegCount = m.segmentReadMs.count.Load()
-	if m.poolStats != nil {
-		ps := m.poolStats()
-		sm.prevEvictions = int64(ps.Evictions)
-		sm.prevFaults = int64(ps.Faults)
+	r := counterReading{
+		at:          time.Now(),
+		queries:     m.QueriesServed.Load(),
+		errors:      m.QueryErrors.Load(),
+		slow:        m.SlowQueries.Load(),
+		cacheHits:   m.CacheHits.Load(),
+		cacheMisses: m.CacheMisses.Load(),
+		scanned:     m.CellsScanned.Load(),
+		returned:    m.CellsReturned.Load(),
+		lat:         m.latency.countsSnapshot(),
+		segSumMicro: m.segmentReadMs.sumMicro.Load(),
+		segCount:    m.segmentReadMs.count.Load(),
 	}
+	if m.poolStats != nil {
+		r.pool = m.poolStats()
+	}
+	return r
 }
 
 // sample reads the counters, differences them against the previous
@@ -85,29 +85,28 @@ func (sm *obsSampler) prime() {
 // eviction-pressure edge events.
 func (sm *obsSampler) sample() {
 	m := sm.s.metrics
-	now := time.Now()
-	interval := now.Sub(sm.prevTime)
+	cur, prev := sm.read(), sm.prev
+	sm.prev = cur
+	interval := cur.at.Sub(prev.at)
 
 	out := obs.Sample{
-		UnixMs:     now.UnixMilli(),
-		IntervalMs: float64(interval) / float64(time.Millisecond),
+		UnixMs:        cur.at.UnixMilli(),
+		IntervalMs:    float64(interval) / float64(time.Millisecond),
+		Queries:       cur.queries - prev.queries,
+		Errors:        cur.errors - prev.errors,
+		SlowQueries:   cur.slow - prev.slow,
+		CacheHits:     cur.cacheHits - prev.cacheHits,
+		CacheMisses:   cur.cacheMisses - prev.cacheMisses,
+		CellsScanned:  cur.scanned - prev.scanned,
+		CellsReturned: cur.returned - prev.returned,
+
+		PoolResidentBytes:  cur.pool.ResidentBytes,
+		PoolResidentChunks: cur.pool.Resident,
+		PoolSpilledChunks:  cur.pool.Spilled,
+		PoolPinned:         cur.pool.Pinned,
+		PoolEvictions:      int64(cur.pool.Evictions - prev.pool.Evictions),
+		PoolFaults:         int64(cur.pool.Faults - prev.pool.Faults),
 	}
-
-	queries := m.QueriesServed.Load()
-	errors := m.QueryErrors.Load()
-	slow := m.SlowQueries.Load()
-	hits := m.CacheHits.Load()
-	misses := m.CacheMisses.Load()
-	scanned := m.CellsScanned.Load()
-	returned := m.CellsReturned.Load()
-
-	out.Queries = queries - sm.prevQueries
-	out.Errors = errors - sm.prevErrors
-	out.SlowQueries = slow - sm.prevSlow
-	out.CacheHits = hits - sm.prevCacheHits
-	out.CacheMisses = misses - sm.prevCacheMisses
-	out.CellsScanned = scanned - sm.prevScanned
-	out.CellsReturned = returned - sm.prevReturned
 	if interval > 0 {
 		out.QPS = float64(out.Queries) / interval.Seconds()
 	}
@@ -122,22 +121,16 @@ func (sm *obsSampler) sample() {
 		out.ScanAmplification = -1
 	}
 
-	lat := m.latency.countsSnapshot()
-	delta := make([]int64, len(lat))
-	for i := range lat {
-		delta[i] = lat[i]
-		if i < len(sm.prevLat) {
-			delta[i] -= sm.prevLat[i]
-		}
+	delta := make([]int64, len(cur.lat))
+	for i := range delta {
+		delta[i] = cur.lat[i] - prev.lat[i]
 	}
 	out.P50Ms = quantileCounts(m.latency.bounds, delta, 0.50)
 	out.P95Ms = quantileCounts(m.latency.bounds, delta, 0.95)
 	out.P99Ms = quantileCounts(m.latency.bounds, delta, 0.99)
 
-	segSum := m.segmentReadMs.sumMicro.Load()
-	segCount := m.segmentReadMs.count.Load()
-	if dn := segCount - sm.prevSegCount; dn > 0 {
-		out.SegmentReadMs = float64(segSum-sm.prevSegSumMicro) / 1e6 / float64(dn)
+	if dn := cur.segCount - prev.segCount; dn > 0 {
+		out.SegmentReadMs = float64(cur.segSumMicro-prev.segSumMicro) / 1e6 / float64(dn)
 	}
 
 	if m.queueDepth != nil {
@@ -149,19 +142,6 @@ func (sm *obsSampler) sample() {
 	}
 	if m.writebackPending != nil {
 		out.WritebackPending = m.writebackPending()
-	}
-
-	var evictions, faults int64
-	if m.poolStats != nil {
-		ps := m.poolStats()
-		out.PoolResidentBytes = ps.ResidentBytes
-		out.PoolResidentChunks = ps.Resident
-		out.PoolSpilledChunks = ps.Spilled
-		out.PoolPinned = ps.Pinned
-		evictions = int64(ps.Evictions)
-		faults = int64(ps.Faults)
-		out.PoolEvictions = evictions - sm.prevEvictions
-		out.PoolFaults = faults - sm.prevFaults
 	}
 
 	rs := sm.s.traces.Stats()
@@ -184,20 +164,6 @@ func (sm *obsSampler) sample() {
 			"resident_bytes": strconv.Itoa(out.PoolResidentBytes),
 		})
 	}
-
-	sm.prevTime = now
-	sm.prevQueries = queries
-	sm.prevErrors = errors
-	sm.prevSlow = slow
-	sm.prevCacheHits = hits
-	sm.prevCacheMisses = misses
-	sm.prevScanned = scanned
-	sm.prevReturned = returned
-	sm.prevLat = lat
-	sm.prevSegSumMicro = segSum
-	sm.prevSegCount = segCount
-	sm.prevEvictions = evictions
-	sm.prevFaults = faults
 }
 
 // recordTrace is where every executed query's trace ends up, failed or

@@ -314,8 +314,8 @@ type queryStats struct {
 	// Wall-clock stage times (scan_ms, merge_ms, ...) are deliberately
 	// NOT in the body: responses must be byte-identical for identical
 	// queries so the result cache can serve stored bodies verbatim.
-	// Per-stage means — where merge ~0 shows the zero-copy partitioned
-	// merge — are aggregated at /metrics (StageSnapshot).
+	// Per-stage means — where merge ~0 shows the merge adopting chunks
+	// by reference — are aggregated at /metrics (StageSnapshot).
 }
 
 // responseHead opens every query response: the cube version the answer

@@ -78,6 +78,12 @@ stage 'go build ./...' go build ./...
 benchmark_vet() { (cd benchmark && go vet ./...); }
 stage 'go vet ./... (benchmark module)' benchmark_vet
 
+# ...and run it: all five workloads, both modes, at the tiny scale, with
+# every answer checked against the algebra path, so an engine change
+# that breaks the benchmark at run time fails here, not in the driver.
+benchmark_test() { (cd benchmark && go test ./...); }
+stage 'go test ./... (benchmark module)' benchmark_test
+
 stage 'go test ./...' go test ./...
 
 # The fuzz targets' seed corpora, by name: `go test ./...` above already
