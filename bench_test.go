@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"whatifolap/internal/bench"
+	"whatifolap/internal/bitset"
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/core"
 	"whatifolap/internal/cube"
@@ -601,18 +602,19 @@ func BenchmarkRleScan(b *testing.B) {
 
 // --- Slab kernel: whole queries over dense chunks and a scenario chain ---
 
-// benchScan runs the standard serial forward query on c and reports the
-// scan stage's share (scan_ms) next to ns/op and allocs/op: the CI-side
-// guard for the slab kernel, whose allocations — not its timings, on
-// this host — are what a regression shows up in first.
-func benchScan(b *testing.B, c *cube.Cube, members []string) {
+// benchScan runs the standard serial forward query on c, under the
+// footprint fp if any, and reports the scan stage's share (scan_ms) next
+// to ns/op and allocs/op: the CI-side guard for the slab kernel, whose
+// allocations — not its timings, on this host — are what a regression
+// shows up in first.
+func benchScan(b *testing.B, c *cube.Cube, members []string, fp core.Footprint) {
 	e, err := core.New(c, workload.DimDepartment)
 	if err != nil {
 		b.Fatal(err)
 	}
 	q := core.PerspectiveQuery{
 		Members: members, Perspectives: []int{0, 3, 6, 9},
-		Sem: perspective.Forward, Mode: perspective.NonVisual,
+		Sem: perspective.Forward, Mode: perspective.NonVisual, Footprint: fp,
 	}
 	var cells int
 	var scanMs float64
@@ -635,7 +637,22 @@ func benchScan(b *testing.B, c *cube.Cube, members []string) {
 // layout — 20-cell slabs.
 func BenchmarkScanDense(b *testing.B) {
 	w := benchWorkforce(b)
-	benchScan(b, w.Cube, w.Changing)
+	benchScan(b, w.Cube, w.Changing, nil)
+}
+
+// BenchmarkScanDenseFootprint is the same scan under the footprint of a
+// one-account, one-scenario report: every slab survives and its mask
+// passes one cell of it (of four, on the bench cube) — the mask path's
+// number outside the daemon (make bench-smoke picks it up by
+// BenchmarkScanDense's name).
+func BenchmarkScanDenseFootprint(b *testing.B) {
+	w := benchWorkforce(b)
+	fp := make(core.Footprint, w.Cube.NumDims())
+	for _, name := range []string{workload.DimAccount, workload.DimScenario} {
+		d := w.Cube.DimIndex(name)
+		fp[d] = bitset.FromSlice(w.Cube.Dim(d).NumLeaves(), []int{0})
+	}
+	benchScan(b, w.Cube, w.Changing, fp)
 }
 
 // BenchmarkScanChain is the scenario feeder: the same query through a
@@ -676,5 +693,5 @@ func BenchmarkScanChain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchScan(b, view, w.Changing)
+	benchScan(b, view, w.Changing, nil)
 }

@@ -80,7 +80,7 @@ func NewKernel(w *workload.Workforce) (*Kernel, error) {
 		g.CoordOf(id, ccoord)
 		ch.ForEach(func(off int, v float64) bool {
 			g.Join(ccoord, off, addr)
-			row := plan.Target[addr[vi]]
+			row := plan.Target.Row(addr[vi])
 			if row == nil {
 				return true
 			}

@@ -25,11 +25,12 @@ import (
 // store. For a scoped row o, the value at (o, t, ē) is the base value
 // at (inverse[o][t], t, ē); unscoped rows read through unchanged.
 type mappedStore struct {
-	base    cube.Store
-	vi, pi  int
-	scoped  []bool
-	forward map[int][]int // source ordinal -> destination per t
-	inverse map[int][]int // destination ordinal -> source per t
+	base   cube.Store
+	vi, pi int
+	scoped []bool
+	// forward maps source ordinal -> destination per t, inverse
+	// destination ordinal -> source per t.
+	forward, inverse *RelocTable
 }
 
 // Get implements cube.Store.
@@ -38,7 +39,7 @@ func (s *mappedStore) Get(addr []int) float64 {
 	if !s.scoped[o] {
 		return s.base.Get(addr)
 	}
-	row := s.inverse[o]
+	row := s.inverse.Row(o)
 	if row == nil {
 		return cube.Null
 	}
@@ -66,7 +67,7 @@ func (s *mappedStore) NonNull(fn func(addr []int, v float64) bool) {
 		if !s.scoped[o] {
 			return fn(addr, v)
 		}
-		row := s.forward[o]
+		row := s.forward.Row(o)
 		if row == nil {
 			return true // scoped row with no sources: vanished
 		}
@@ -105,14 +106,7 @@ func (s *mappedStore) Clone() cube.Store {
 // MappingBytes estimates the compressed representation's footprint:
 // 8 bytes per (instance, parameter leaf) mapping entry, both directions.
 func (s *mappedStore) MappingBytes() int {
-	n := 0
-	for _, row := range s.forward {
-		n += 8 * len(row)
-	}
-	for _, row := range s.inverse {
-		n += 8 * len(row)
-	}
-	return n
+	return 8 * s.forward.width * (s.forward.Len() + s.inverse.Len())
 }
 
 // ExecPerspectiveCompressed evaluates a perspective query without
@@ -125,26 +119,21 @@ func (e *Engine) ExecPerspectiveCompressed(q PerspectiveQuery) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	nT := e.binding.Param.NumLeaves()
-	inverse := make(map[int][]int, len(target))
-	for srcOrd, row := range target {
+	inverse := newRelocTable(e.store.Geometry(), e.vi, e.binding.Param.NumLeaves(), target.Len())
+	target.each(func(srcOrd int, row []int) {
 		for t, dst := range row {
 			if dst < 0 {
 				continue
 			}
-			irow, ok := inverse[dst]
-			if !ok {
-				irow = make([]int, nT)
-				for i := range irow {
-					irow[i] = -1
-				}
-				inverse[dst] = irow
-			}
-			if irow[t] >= 0 && irow[t] != srcOrd {
-				return nil, fmt.Errorf("core: relocation mapping not invertible at ordinal %d, t %d", dst, t)
+			irow := inverse.add(dst)
+			if irow[t] >= 0 && irow[t] != srcOrd && err == nil {
+				err = fmt.Errorf("core: relocation mapping not invertible at ordinal %d, t %d", dst, t)
 			}
 			irow[t] = srcOrd
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	ms := &mappedStore{
 		base: e.store, vi: e.vi, pi: e.pi,
@@ -156,7 +145,7 @@ func (e *Engine) ExecPerspectiveCompressed(q PerspectiveQuery) (*View, error) {
 	}
 	view.Stats = Stats{
 		MembersInScope:  len(members),
-		SourceInstances: len(target),
+		SourceInstances: target.Len(),
 		CompressedBytes: ms.MappingBytes(),
 	}
 	if q.Sem.Dynamic() {

@@ -192,39 +192,77 @@ type PerspectiveQuery struct {
 	Perspectives []int
 	Sem          perspective.Semantics
 	Mode         perspective.Mode
+	// Footprint, when non-nil, declares the leaf cells of the perspective
+	// cube the caller will read; the engine relocates no other cell, and
+	// the view answers no other read of a scoped row (see Footprint).
+	Footprint Footprint
+}
+
+// checkFootprint validates a caller's footprint against a result cube
+// whose varying dimension has nVarying leaves.
+func (e *Engine) checkFootprint(fp Footprint, nVarying int) error {
+	if fp == nil {
+		return nil
+	}
+	return fp.check(e.leafCounts(nVarying))
+}
+
+// leafCounts returns the leaf count per dimension of a result cube
+// whose varying dimension has nVarying leaves.
+func (e *Engine) leafCounts(nVarying int) []int {
+	leaves := make([]int, e.base.NumDims())
+	for i := range leaves {
+		leaves[i] = e.base.Dim(i).NumLeaves()
+	}
+	leaves[e.vi] = nVarying
+	return leaves
 }
 
 // planPerspective resolves the query scope and builds the relocation
-// tables: for every source instance ordinal, the destination ordinal
-// per parameter leaf (-1 = cell vanishes).
-func (e *Engine) planPerspective(q PerspectiveQuery) (members []string, target map[int][]int, scoped []bool, err error) {
+// table: for every source instance ordinal, the destination ordinal per
+// parameter leaf (-1 = the cell vanishes, or lands off the footprint).
+func (e *Engine) planPerspective(q PerspectiveQuery) (members []string, target *RelocTable, scoped []bool, err error) {
 	members = q.Members
 	if len(members) == 0 {
 		members = e.binding.Varying.VaryingMembers()
+	}
+	varying := e.binding.Varying
+	fp := q.Footprint
+	if err := e.checkFootprint(fp, varying.NumLeaves()); err != nil {
+		return nil, nil, nil, err
 	}
 	res, err := perspective.ApplyMembers(q.Sem, e.binding, q.Perspectives, members)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	varying := e.binding.Varying
 	nT := e.binding.Param.NumLeaves()
 
-	target = make(map[int][]int)
+	// Every instance of a scoped member can be a source; none other can.
+	instances := 0
+	for _, name := range members {
+		instances += len(varying.Instances(name))
+	}
+	target = newRelocTable(e.store.Geometry(), e.vi, nT, instances)
 	scoped = make([]bool, varying.NumLeaves())
-	// valid holds, per instance of the member at hand, its validity set
-	// (nil: no entry, valid at every parameter leaf) — looked up once per
+	// valid and moved hold, per instance of the member at hand, its
+	// validity set (nil: no entry, valid at every parameter leaf) and its
+	// set under the scenario (nil: it vanishes) — looked up once per
 	// member, not once per (member, leaf).
-	var valid []*bitset.Set
+	var valid, moved []*bitset.Set
 	for _, name := range members {
 		insts := varying.Instances(name)
-		valid = valid[:0]
+		valid, moved = valid[:0], moved[:0]
 		for _, inst := range insts {
 			if o := varying.Member(inst).LeafOrdinal; o >= 0 {
 				scoped[o] = true
 			}
 			valid = append(valid, e.binding.VS[inst])
+			moved = append(moved, res.VSOut[inst])
 		}
 		for t := 0; t < nT; t++ {
+			if !fp.has(e.pi, t) {
+				continue
+			}
 			// The source is d_t, the instance valid at t (Binding.InstanceAt).
 			src := dimension.None
 			for i, vs := range valid {
@@ -237,23 +275,17 @@ func (e *Engine) planPerspective(q PerspectiveQuery) (members []string, target m
 				continue
 			}
 			dst := dimension.None
-			for _, inst := range insts {
-				if vs := res.VSOut[inst]; vs != nil && vs.Contains(t) {
-					dst = inst
+			for i, vs := range moved {
+				if vs != nil && vs.Contains(t) {
+					dst = insts[i]
 					break
 				}
 			}
-			srcOrd := varying.Member(src).LeafOrdinal
-			row, ok := target[srcOrd]
-			if !ok {
-				row = make([]int, nT)
-				for i := range row {
-					row[i] = -1
-				}
-				target[srcOrd] = row
-			}
+			row := target.add(varying.Member(src).LeafOrdinal)
 			if dst != dimension.None {
-				row[t] = varying.Member(dst).LeafOrdinal
+				if o := varying.Member(dst).LeafOrdinal; fp.has(e.vi, o) {
+					row[t] = o
+				}
 			}
 		}
 	}
@@ -269,7 +301,7 @@ func (e *Engine) PlanPerspective(q PerspectiveQuery) (*PhysicalPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.buildPlan(nil, target, scoped)
+	return e.buildPlan(nil, target, scoped, q.Footprint)
 }
 
 // ExecPerspective plans and runs a perspective query, returning the
@@ -289,7 +321,7 @@ func (e *Engine) ExecPerspectiveWith(ec ExecContext, q PerspectiveQuery) (*View,
 	if err != nil {
 		return nil, err
 	}
-	plan, err := e.buildPlan(tr, target, scoped)
+	plan, err := e.buildPlan(tr, target, scoped, q.Footprint)
 	if err != nil {
 		return nil, err
 	}
@@ -314,6 +346,15 @@ func (e *Engine) ExecPerspectiveWith(ec ExecContext, q PerspectiveQuery) (*View,
 type ChangesQuery struct {
 	Changes []algebra.Change
 	Mode    perspective.Mode
+	// Split, when non-nil, is algebra.PlanSplit(binding, Changes) as the
+	// caller already computed it — the MDX layer resolves its axes against
+	// the split's dimension before the engine runs; nil has the engine
+	// compute it.
+	Split *algebra.SplitPlan
+	// Footprint, when non-nil, declares the leaf cells of the result cube
+	// (whose varying dimension is the split's) the caller will read; see
+	// PerspectiveQuery.Footprint.
+	Footprint Footprint
 }
 
 // changesPlan pairs the physical plan of a positive scenario with the
@@ -333,49 +374,67 @@ func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery) (*changesPlan, err
 	if len(q.Changes) == 0 {
 		return nil, fmt.Errorf("core: empty change relation")
 	}
-	plan, err := algebra.PlanSplit(e.binding, q.Changes)
-	if err != nil {
-		return nil, err
+	plan := q.Split
+	if plan == nil {
+		var err error
+		if plan, err = algebra.PlanSplit(e.binding, q.Changes); err != nil {
+			return nil, err
+		}
 	}
 	oldDim := e.binding.Varying
 	newDim := plan.Dim
 	nT := e.binding.Param.NumLeaves()
+	fp := q.Footprint
+	if err := e.checkFootprint(fp, newDim.NumLeaves()); err != nil {
+		return nil, err
+	}
 
-	// Affected base members: those named by any change.
-	affected := map[string]bool{}
+	// Affected base members: those named by any change, in the order the
+	// relation first names them (a plan is a deterministic value, down to
+	// the order of its table's rows).
+	var affected []string
+	seen := map[string]bool{}
 	for _, ch := range q.Changes {
-		affected[ch.Member] = true
+		if !seen[ch.Member] {
+			seen[ch.Member] = true
+			affected = append(affected, ch.Member)
+		}
 	}
 	// Scope: every instance (old and new) of an affected member, in NEW
 	// ordinals.
 	scoped := make([]bool, newDim.NumLeaves())
-	for name := range affected {
+	for _, name := range affected {
 		for _, inst := range newDim.Instances(name) {
 			if o := newDim.Member(inst).LeafOrdinal; o >= 0 {
 				scoped[o] = true
 			}
 		}
 	}
-	// Relocation tables keyed by OLD ordinals, destinations in NEW
+	// Relocation table indexed by OLD ordinals, destinations in NEW
 	// ordinals. Affected instances without a redirect entry copy
 	// identically (the overlay owns their rows).
-	target := make(map[int][]int)
-	for name := range affected {
+	instances := 0
+	for _, name := range affected {
+		instances += len(oldDim.Instances(name))
+	}
+	target := newRelocTable(e.store.Geometry(), e.vi, nT, instances)
+	for _, name := range affected {
 		for _, inst := range oldDim.Instances(name) {
 			srcOrd := oldDim.Member(inst).LeafOrdinal
 			if srcOrd < 0 {
 				continue
 			}
-			row := make([]int, nT)
+			row := target.add(srcOrd)
 			redir := plan.Redirect[inst]
 			for t := 0; t < nT; t++ {
 				dstID := inst
 				if redir != nil {
 					dstID = redir[t]
 				}
-				row[t] = newDim.Member(dstID).LeafOrdinal
+				if o := newDim.Member(dstID).LeafOrdinal; fp.has(e.pi, t) && fp.has(e.vi, o) {
+					row[t] = o
+				}
 			}
-			target[srcOrd] = row
 		}
 	}
 	// Ordinal remap for unaffected rows: view ordinal -> base ordinal.
@@ -401,7 +460,7 @@ func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery) (*changesPlan, err
 	copy(newDims, e.base.Dims())
 	newDims[e.vi] = newDim
 
-	phys, err := e.buildPlan(tr, target, scoped)
+	phys, err := e.buildPlan(tr, target, scoped, fp)
 	if err != nil {
 		return nil, err
 	}

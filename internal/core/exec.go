@@ -31,8 +31,10 @@ type scanTally struct {
 	faultMs        float64 // wall time of those faults: tier read + decode
 	promotions     int
 	// slabs counts the slab decisions the kernel made, slabsSkipped those
-	// whose cells vanished (pruned source row or -1 destination).
-	slabs, slabsSkipped int
+	// whose cells vanished (pruned source row or -1 destination);
+	// cellsOffGrid the cells of surviving slabs the footprint's mask kept
+	// out of the overlay.
+	slabs, slabsSkipped, cellsOffGrid int
 }
 
 // add accumulates t2 into t.
@@ -46,6 +48,7 @@ func (t *scanTally) add(t2 scanTally) {
 	t.promotions += t2.promotions
 	t.slabs += t2.slabs
 	t.slabsSkipped += t2.slabsSkipped
+	t.cellsOffGrid += t2.cellsOffGrid
 }
 
 // planStages names the planning sub-stages whose end offsets a plan
@@ -63,6 +66,8 @@ func recordPlanSpan(tr *trace.Trace, parent trace.SpanRef, startNs int64, p *Phy
 	sp.Int("chunks", int64(len(p.Schedule)))
 	sp.IntNonZero("merge_edges", int64(p.Stats.MergeEdges))
 	sp.IntNonZero("pebbling_peak", int64(p.Stats.PeakResidentChunks))
+	sp.IntNonZero("footprint_cells", int64(p.footprintCells))
+	sp.IntNonZero("chunks_pruned", int64(p.chunksPruned))
 	for i, name := range planStages {
 		tr.Record(sp, name, startNs, p.stageNs[i])
 		startNs = p.stageNs[i]
@@ -85,10 +90,13 @@ func recordPlanSpan(tr *trace.Trace, parent trace.SpanRef, startNs int64, p *Phy
 // is one Overlay.SetCellsAt) or one value (a run: slabs landing back to
 // back in one destination chunk — consecutive months mapping to the same
 // instance do — coalesce, so a stable member's whole validity window is
-// one Overlay.SetRunAt). All state lives on the struct: the steady-state
-// path allocates nothing per slab.
+// one Overlay.SetRunAt). Under a footprint a surviving slab moves only
+// the cells its merge group's mask passes (slabMask: one flag per slab,
+// one run list inside it, built with the plan); without one the mask is
+// the whole slab, and the writes are the same. All state lives on the
+// struct: the steady-state path allocates nothing per slab.
 type slabKernel struct {
-	target  map[int][]int
+	target  *RelocTable
 	overlay *chunk.Overlay
 	vi, pi  int
 	// dimV/dimP are the chunk edges, strideV/strideP the in-chunk
@@ -101,25 +109,34 @@ type slabKernel struct {
 	idStrideV int
 	// scratch is ForEachSpan's slab buffer for sparse chunks.
 	scratch []float64
-	// Per-chunk state, set by beginChunk. row is the relocation row of
-	// varying digit digitV, which holds up to offset rowEnd: when the
-	// varying digit is the slower one (the workforce layout) consecutive
-	// slabs share it, and the digit is derived and the table probed once
-	// per digit block, not once per slab.
-	baseV, baseP, idBase int
-	row                  []int
-	digitV, rowEnd       int
+	// whole is the mask of a chunk wholly on the footprint: one run, the
+	// slab.
+	whole slabMask
+	// Per-chunk state, set by beginChunk. mask is the chunk's merge
+	// group's (masked: it is not the whole slab), rowOf the relocation
+	// table's index of the chunk's varying coordinate. row is the relocation row of varying digit digitV, which
+	// holds up to offset rowEnd: when the varying digit is the slower one
+	// (the workforce layout) consecutive slabs share it, and the digit is
+	// derived and the table probed once per digit block, not once per
+	// slab.
+	mask           *slabMask
+	masked         bool
+	rowOf          []int32
+	baseP, idBase  int
+	row            []int
+	digitV, rowEnd int
 	// Pending coalesced destination run.
 	pendID, pendOff, pendLen int
 	pendVal                  float64
-	// moved counts cells written; slabs and skipped count slab decisions
-	// and those whose cells vanished (a run-encoded chunk counts a slab
-	// once per run entering it). promBase is the overlay's promotion
-	// count when the scan began.
-	moved, slabs, skipped, promBase int
+	// moved counts cells written, offGrid those a surviving slab's mask
+	// kept back; slabs and skipped count slab decisions and those whose
+	// cells vanished (a run-encoded chunk counts a slab once per run
+	// entering it). promBase is the overlay's promotion count when the
+	// scan began.
+	moved, offGrid, slabs, skipped, promBase int
 }
 
-func newSlabKernel(g *chunk.Geometry, overlay *chunk.Overlay, target map[int][]int, vi, pi int) *slabKernel {
+func newSlabKernel(g *chunk.Geometry, overlay *chunk.Overlay, target *RelocTable, vi, pi int) *slabKernel {
 	k := &slabKernel{
 		target:  target,
 		overlay: overlay,
@@ -136,6 +153,7 @@ func newSlabKernel(g *chunk.Geometry, overlay *chunk.Overlay, target map[int][]i
 		promBase:  overlay.Promotions(),
 	}
 	k.slab = min(k.strideV, k.strideP)
+	k.whole.runs = []offRun{{0, k.slab}}
 	k.scratch = make([]float64, k.slab)
 	for i := range k.scratch {
 		k.scratch[i] = math.NaN()
@@ -146,11 +164,16 @@ func newSlabKernel(g *chunk.Geometry, overlay *chunk.Overlay, target map[int][]i
 // beginChunk positions the kernel on a source chunk: ccoord is the
 // chunk's coordinate in the source geometry and idBase the overlay-
 // geometry canonical ID of the same coordinate with the varying
-// coordinate zeroed (destination ID = idBase + dstChunkCoord·stride).
+// coordinate zeroed (destination ID = idBase + dstChunkCoord·stride);
+// mask is its merge group's, nil for a chunk wholly on the footprint.
 // ccoord is restored before returning.
-func (k *slabKernel) beginChunk(og *chunk.Geometry, ccoord []int) {
+func (k *slabKernel) beginChunk(og *chunk.Geometry, ccoord []int, mask *slabMask) {
+	k.mask, k.masked = mask, mask != nil
+	if !k.masked {
+		k.mask = &k.whole
+	}
 	vc := ccoord[k.vi]
-	k.baseV = vc * k.dimV
+	k.rowOf = k.target.index[vc]
 	k.baseP = ccoord[k.pi] * k.dimP
 	ccoord[k.vi] = 0
 	k.idBase = og.CanonicalID(ccoord)
@@ -164,13 +187,18 @@ func (k *slabKernel) beginChunk(og *chunk.Geometry, ccoord []int) {
 // its source row was pruned — and then so does every other slab of its
 // varying digit, skipped as one block — when the row sends its parameter
 // leaf to -1, or when that leaf lies past the parameter extent: a partial
-// last chunk's padding, which a dense span covers too.
+// last chunk's padding, which a dense span covers too. A surviving slab
+// moves the cells its chunk's mask passes.
 func (k *slabKernel) relocateSpan(start, n int, cells []float64, v float64) {
 	for off, end := start, start+n; off < end; {
 		if off >= k.rowEnd { // spans ascend, so this is the next digit block
 			block := off / k.strideV
 			k.digitV = block % k.dimV
-			k.row = k.target[k.baseV+k.digitV]
+			k.row = nil
+			if k.rowOf != nil && k.rowOf[k.digitV] >= 0 {
+				w := k.target.width
+				k.row = k.target.rows[int(k.rowOf[k.digitV])*w:][:w]
+			}
 			k.rowEnd = (block + 1) * k.strideV
 		}
 		if k.row == nil {
@@ -191,15 +219,45 @@ func (k *slabKernel) relocateSpan(start, n int, cells []float64, v float64) {
 		} else {
 			dst := k.row[pOrd]
 			dstID := k.idBase + dst/k.dimV*k.idStrideV
-			dstOff := off + (dst%k.dimV-k.digitV)*k.strideV
-			if cells != nil {
-				k.moved += k.overlay.SetCellsAt(dstID, dstOff, cells[off-start:segEnd-start])
-			} else {
-				k.moveRun(dstID, dstOff, segEnd-off, v)
+			shift := (dst%k.dimV - k.digitV) * k.strideV // destination offset - source offset
+			slabStart := off - off%k.slab
+			moved := 0
+			if k.mask.outer == nil || k.mask.outer[off/k.slab] {
+				for _, r := range k.mask.runs {
+					lo, hi := max(slabStart+r.lo, off), min(slabStart+r.hi, segEnd)
+					if lo >= hi {
+						continue
+					}
+					if cells != nil {
+						moved += k.overlay.SetCellsAt(dstID, lo+shift, cells[lo-start:hi-start])
+					} else {
+						k.moveRun(dstID, lo+shift, hi-lo, v)
+						moved += hi - lo
+					}
+				}
+			}
+			k.moved += moved
+			if k.masked {
+				if cells != nil {
+					k.offGrid += countNonNull(cells[off-start:segEnd-start]) - moved
+				} else {
+					k.offGrid += segEnd - off - moved
+				}
 			}
 		}
 		off = segEnd
 	}
+}
+
+// countNonNull counts the cells that are not Null.
+func countNonNull(cells []float64) int {
+	n := 0
+	for _, c := range cells {
+		if c == c {
+			n++
+		}
+	}
+	return n
 }
 
 // moveRun queues one destination run segment, coalescing with the
@@ -207,7 +265,6 @@ func (k *slabKernel) relocateSpan(start, n int, cells []float64, v float64) {
 // in the same destination chunk. Value equality is on bit patterns,
 // matching run encoding.
 func (k *slabKernel) moveRun(dstID, dstOff, segLen int, v float64) {
-	k.moved += segLen
 	if k.pendLen > 0 && dstID == k.pendID && dstOff == k.pendOff+k.pendLen &&
 		math.Float64bits(v) == math.Float64bits(k.pendVal) {
 		k.pendLen += segLen
@@ -231,6 +288,7 @@ func (k *slabKernel) finish(t *scanTally) {
 	t.cellsRelocated += k.moved
 	t.slabs += k.slabs
 	t.slabsSkipped += k.skipped
+	t.cellsOffGrid += k.offGrid
 	t.promotions += k.overlay.Promotions() - k.promBase
 }
 
@@ -242,6 +300,7 @@ func annotateScan(sp trace.SpanRef, t scanTally, workers int) {
 	sp.Int("cells_relocated", int64(t.cellsRelocated))
 	sp.IntNonZero("slabs", int64(t.slabs))
 	sp.IntNonZero("slabs_skipped", int64(t.slabsSkipped))
+	sp.IntNonZero("cells_off_grid", int64(t.cellsOffGrid))
 	sp.IntNonZero("spill_faults", int64(t.spillFaults))
 	sp.IntNonZero("fault_us", int64(t.faultMs*1000))
 	sp.IntNonZero("overlay_promotions", int64(t.promotions))
@@ -476,7 +535,7 @@ func (e *Engine) scanInto(ctx context.Context, schedule []int, p *PhysicalPlan,
 			continue
 		}
 		g.CoordOf(id, ccoord)
-		k.beginChunk(og, ccoord)
+		k.beginChunk(og, ccoord, p.maskOf(id))
 		tally.cellsScanned += ch.Len()
 		ch.ForEachSpan(k.slab, k.scratch, k.relocateSpan)
 	}

@@ -1,0 +1,187 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+
+	"whatifolap/internal/bitset"
+	"whatifolap/internal/chunk"
+)
+
+// Footprint is the set of leaf cells of a query's result cube that the
+// query's caller will read: per dimension in schema order, the leaf
+// ordinals (of the result cube — a positive scenario's varying entry
+// counts the hypothetical instances too) a read can name. A nil entry
+// leaves its dimension unrestricted; a nil Footprint restricts nothing.
+//
+// It complements the scope. The scope (PerspectiveQuery.Members, the
+// members a change relation names) says which varying members' rows the
+// overlay owns; the footprint says which cells of those rows anyone will
+// look at, so the engine relocates only those: it is the slice/dice that
+// commutes with relocation (algebra.pushable, rule 4), applied to the
+// physical plan. A scoped cell off the footprint reads ⊥ from the
+// resulting view whatever the scenario holds there, so a view built
+// under a footprint answers exactly the reads the footprint declared and
+// must not outlive the query that declared them.
+type Footprint []*bitset.Set
+
+// has reports whether leaf ordinal o of dimension d is on the footprint.
+func (f Footprint) has(d, o int) bool {
+	return f == nil || f[d] == nil || f[d].Contains(o)
+}
+
+// check validates a caller's footprint against the result cube's leaf
+// counts per dimension.
+func (f Footprint) check(leaves []int) error {
+	if len(f) != len(leaves) {
+		return fmt.Errorf("core: footprint names %d dimensions, the cube has %d", len(f), len(leaves))
+	}
+	for d, set := range f {
+		if set != nil && set.Universe() != leaves[d] {
+			return fmt.Errorf("core: footprint of dimension %d is over %d leaves, the result cube has %d", d, set.Universe(), leaves[d])
+		}
+	}
+	return nil
+}
+
+// cells returns the number of leaf cells on the footprint of a result
+// cube with the given leaf counts per dimension.
+func (f Footprint) cells(leaves []int) int {
+	n := 1
+	for d, set := range f {
+		if set != nil {
+			n *= set.Len()
+		} else {
+			n *= leaves[d]
+		}
+	}
+	return n
+}
+
+// chunkFilter is one non-varying dimension's share of the planner's
+// relevant-chunk test: on[c] reports whether chunk coordinate c of the
+// dimension holds a footprint leaf.
+type chunkFilter struct {
+	idStride, n int
+	on          []bool
+}
+
+// chunkFilters returns a filter for every dimension but the varying one
+// whose footprint leaves some chunk coordinate empty. (The varying
+// dimension is filtered through the relocation table: a chunk row none
+// of whose instances feeds an on-footprint destination has no source
+// row left.)
+func (f Footprint) chunkFilters(g *chunk.Geometry, vi int) []chunkFilter {
+	var out []chunkFilter
+	for d, set := range f {
+		if set == nil || d == vi {
+			continue
+		}
+		on := make([]bool, g.ChunksPerDim(d))
+		for _, o := range set.Slice() {
+			on[o/g.ChunkDims[d]] = true
+		}
+		if slices.Contains(on, false) {
+			out = append(out, chunkFilter{idStride: g.ChunkIDStride(d), n: len(on), on: on})
+		}
+	}
+	return out
+}
+
+// offRun is a run [lo, hi) of offsets relative to a slab's start.
+type offRun struct{ lo, hi int }
+
+// slabMask is one merge group's share of the footprint, in the form the
+// slab kernel applies: the dimensions other than the varying and the
+// parameter one, whose chunk coordinates the group's chunks share. A
+// slab holds the digits of the dimensions slower than it constant and
+// runs over those faster than it, so the mask factors the same way: one
+// flag per slab of the chunk for the slower digits, one run list inside
+// the slab for the faster ones. The varying and parameter digits are
+// not its business — the relocation table carries their share of the
+// footprint as -1 entries.
+type slabMask struct {
+	// runs are the on-footprint offset intervals of one slab, ascending
+	// and disjoint.
+	runs []offRun
+	// outer[s] reports whether slab s of the chunk (offset / slab length)
+	// has every slower digit on the footprint; nil when they all have.
+	outer []bool
+}
+
+// maskBuilder builds the slab masks of one plan's merge groups.
+type maskBuilder struct {
+	g    *chunk.Geometry
+	fp   Footprint
+	slab int
+	// inner and outer are the restricted dimensions faster and slower
+	// than the slab.
+	inner, outer []int
+}
+
+func newMaskBuilder(g *chunk.Geometry, fp Footprint, vi, pi int) *maskBuilder {
+	mb := &maskBuilder{g: g, fp: fp, slab: min(g.OffsetStride(vi), g.OffsetStride(pi))}
+	for d, set := range fp {
+		switch {
+		case set == nil || d == vi || d == pi:
+		case g.OffsetStride(d) < mb.slab:
+			mb.inner = append(mb.inner, d)
+		default:
+			mb.outer = append(mb.outer, d)
+		}
+	}
+	return mb
+}
+
+// pass reports whether the cell at in-chunk offset off of a chunk at
+// coordinate rest has its digit of every dimension in dims on the
+// footprint. Padding past a dimension's extent passes: no cell lives
+// there, and counting it in keeps a fully covered chunk's mask whole.
+func (mb *maskBuilder) pass(rest []int, dims []int, off int) bool {
+	for _, d := range dims {
+		cd := mb.g.ChunkDims[d]
+		o := rest[d]*cd + off/mb.g.OffsetStride(d)%cd
+		if o < mb.g.Extents[d] && !mb.fp[d].Contains(o) {
+			return false
+		}
+	}
+	return true
+}
+
+// forRest returns the mask of the merge group at chunk coordinate rest
+// (the varying coordinate is ignored), or nil when every cell of the
+// group's chunks passes — always, under a nil footprint.
+func (mb *maskBuilder) forRest(rest []int) *slabMask {
+	if len(mb.inner)+len(mb.outer) == 0 {
+		return nil
+	}
+	m := &slabMask{}
+	whole := true
+	if len(mb.inner) == 0 {
+		m.runs = []offRun{{0, mb.slab}}
+	}
+	for off := 0; off < mb.slab && len(mb.inner) > 0; off++ {
+		if !mb.pass(rest, mb.inner, off) {
+			whole = false
+			continue
+		}
+		if n := len(m.runs); n > 0 && m.runs[n-1].hi == off {
+			m.runs[n-1].hi++
+		} else {
+			m.runs = append(m.runs, offRun{off, off + 1})
+		}
+	}
+	if len(mb.outer) > 0 {
+		outer := make([]bool, mb.g.ChunkCap()/mb.slab)
+		for s := range outer {
+			outer[s] = mb.pass(rest, mb.outer, s*mb.slab)
+		}
+		if slices.Contains(outer, false) {
+			m.outer, whole = outer, false
+		}
+	}
+	if whole {
+		return nil
+	}
+	return m
+}

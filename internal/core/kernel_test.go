@@ -32,7 +32,7 @@ func legacyOverlay(e *Engine, p *PhysicalPlan) *cube.MemStore {
 		g.CoordOf(id, ccoord)
 		ch.ForEach(func(off int, v float64) bool {
 			g.Join(ccoord, off, addr)
-			row := p.Target[addr[e.vi]]
+			row := p.Target.Row(addr[e.vi])
 			if row == nil {
 				return true
 			}

@@ -67,6 +67,9 @@ type MergeGroup struct {
 	// Peak is the peak co-resident chunk count when the group's
 	// schedule is pebbled on its own subgraph.
 	Peak int
+	// mask is the group's share of the plan's footprint, nil when every
+	// cell of its chunks is on it.
+	mask *slabMask
 }
 
 // splitGroup cuts group gi's read schedule into at most maxParts
@@ -175,12 +178,19 @@ func scanTasks(p *PhysicalPlan, workers int) []subTask {
 type PhysicalPlan struct {
 	// Order is the read-order policy the schedule was built under.
 	Order ReadOrder
-	// Target maps each source varying ordinal to its destination
-	// ordinal per parameter leaf (-1 = the cell vanishes). Read-only
-	// after planning; scan workers share it.
-	Target map[int][]int
+	// Target is the relocation table: per source varying ordinal, the
+	// destination ordinal per parameter leaf (-1 = the cell vanishes or
+	// lands off the footprint). Read-only after planning; scan workers
+	// share it.
+	Target *RelocTable
 	// Scoped marks varying leaf ordinals owned by the query's overlay.
 	Scoped []bool
+	// Footprint is the query's footprint (nil: none declared), already
+	// folded into Target, the relevant chunks and the groups' masks.
+	Footprint Footprint
+	// SourceChunks is the number of materialized chunks the planner chose
+	// the relevant ones from.
+	SourceChunks int
 	// Schedule is the global serial chunk read order.
 	Schedule []int
 	// Groups partitions Schedule into independent merge groups, in
@@ -202,16 +212,32 @@ type PhysicalPlan struct {
 
 	// The executor's dense form of Neighbors: graph is the one merge
 	// dependency graph over all groups, nodes the chunk ID per node
-	// number (the relevant IDs, ascending), slot the chunk's index in
-	// its group's Chunks per node. Merge partners share a group, so
-	// slots order them in every schedule the executor runs (the global
-	// one, a group's, a sub-task's cut).
-	graph *pebble.Graph
-	nodes []int
-	slot  []int32
+	// number (the relevant IDs, ascending), label and slot the chunk's
+	// group and its index in that group's Chunks per node. Merge partners
+	// share a group, so slots order them in every schedule the executor
+	// runs (the global one, a group's, a sub-task's cut).
+	graph       *pebble.Graph
+	nodes       []int
+	label, slot []int32
+	// masked reports that some group carries a mask; footprintCells and
+	// chunksPruned are the plan span's attributes: leaf cells on the
+	// footprint, and chunks holding source rows that it took off the
+	// schedule.
+	masked                       bool
+	footprintCells, chunksPruned int
 	// stageNs are trace offsets closing the planning sub-stages targets,
 	// graph, pebble and groups (zero with tracing off).
 	stageNs [len(planStages)]int64
+}
+
+// maskOf returns the mask of scheduled chunk id's merge group: nil for
+// a chunk wholly on the footprint — every chunk of a plan without one.
+func (p *PhysicalPlan) maskOf(id int) *slabMask {
+	if !p.masked {
+		return nil
+	}
+	i, _ := p.graph.Index(id)
+	return p.Groups[p.label[i]].mask
 }
 
 // transfer is a cross-chunk relocation: cells of parameter chunk
@@ -225,24 +251,28 @@ type transfer struct{ pc, vs, vd int32 }
 // under the engine's read-order policy. Chunks are indexed by their rank
 // among the relevant IDs (the graph's node numbers), groups by their
 // rank among the masked IDs: no step keys a map by chunk or coordinate.
-func (e *Engine) buildPlan(tr *trace.Trace, target map[int][]int, scoped []bool) (*PhysicalPlan, error) {
+func (e *Engine) buildPlan(tr *trace.Trace, target *RelocTable, scoped []bool, fp Footprint) (*PhysicalPlan, error) {
 	start := time.Now()
 	g := e.store.Geometry()
 	cdV, cdP := g.ChunkDims[e.vi], g.ChunkDims[e.pi]
 	nV, nP := g.ChunksPerDim(e.vi), g.ChunksPerDim(e.pi)
 	strideV, strideP := g.ChunkIDStride(e.vi), g.ChunkIDStride(e.pi)
-	p := &PhysicalPlan{Order: e.order, Target: target, Scoped: scoped}
+	p := &PhysicalPlan{Order: e.order, Target: target, Scoped: scoped, Footprint: fp}
+	if fp != nil {
+		p.footprintCells = fp.cells(e.leafCounts(len(scoped)))
+	}
 
 	// Drop source rows that contribute nothing (every destination -1):
 	// e.g. under static semantics, instances not valid at any
-	// perspective. Confining reads to contributing rows is the paper's
+	// perspective, and under a footprint, instances that only feed
+	// off-grid cells. Confining reads to contributing rows is the paper's
 	// §6.3 point — work must track the varying members in scope.
-	for srcOrd, row := range target {
+	target.each(func(srcOrd int, row []int) {
 		if !slices.ContainsFunc(row, func(dst int) bool { return dst >= 0 }) {
-			delete(target, srcOrd)
+			target.drop(srcOrd)
 		}
-	}
-	p.Stats.SourceInstances = len(target)
+	})
+	p.Stats.SourceInstances = target.Len()
 	p.stageNs[0] = tr.Now()
 
 	// Varying chunk coordinates holding source rows, and the distinct
@@ -250,7 +280,7 @@ func (e *Engine) buildPlan(tr *trace.Trace, target map[int][]int, scoped []bool)
 	// transfers are contiguous.
 	srcVC := make([]bool, nV)
 	var transfers []transfer
-	for srcOrd, row := range target {
+	target.each(func(srcOrd int, row []int) {
 		vs := srcOrd / cdV
 		srcVC[vs] = true
 		for t, dstOrd := range row {
@@ -263,25 +293,35 @@ func (e *Engine) buildPlan(tr *trace.Trace, target map[int][]int, scoped []bool)
 				transfers = append(transfers, tf)
 			}
 		}
-	}
+	})
 	slices.SortFunc(transfers, func(a, b transfer) int {
 		return cmp.Or(cmp.Compare(a.pc, b.pc), cmp.Compare(a.vs, b.vs), cmp.Compare(a.vd, b.vd))
 	})
 	transfers = slices.Compact(transfers)
 
 	// Relevant chunks: materialized chunks whose varying coordinate
-	// holds source rows, ascending — chunk ids[i] is graph node i. Its
-	// merge group is its masked ID (varying coordinate zeroed): merge
-	// partners differ in nothing else.
+	// holds source rows and whose every other coordinate holds a
+	// footprint leaf, ascending — chunk ids[i] is graph node i. Its merge
+	// group is its masked ID (varying coordinate zeroed): merge partners
+	// differ in nothing else, so the footprint keeps or drops a group
+	// whole.
 	source := e.sourceChunkIDs()
+	p.SourceChunks = len(source)
+	filters := fp.chunkFilters(g, e.vi)
 	ids, keys := make([]int, 0, len(source)), make([]int, 0, len(source))
 	graph := pebble.NewGraph()
 	for _, id := range source {
-		if vc := id / strideV % nV; srcVC[vc] {
-			ids = append(ids, id)
-			keys = append(keys, id-vc*strideV)
-			graph.AddNode(id)
+		vc := id / strideV % nV
+		if !srcVC[vc] {
+			continue
 		}
+		if slices.ContainsFunc(filters, func(f chunkFilter) bool { return !f.on[id/f.idStride%f.n] }) {
+			p.chunksPruned++
+			continue
+		}
+		ids = append(ids, id)
+		keys = append(keys, id-vc*strideV)
+		graph.AddNode(id)
 	}
 	n := len(ids)
 	p.Stats.RelevantChunks = n
@@ -342,14 +382,16 @@ func (e *Engine) buildPlan(tr *trace.Trace, target map[int][]int, scoped []bool)
 	p.Groups = make([]MergeGroup, len(keys))
 	chunks := make([]int, n)
 	rests := make([]int, len(keys)*g.NumDims())
+	masks := newMaskBuilder(g, fp, e.vi, e.pi)
 	for gi, key := range keys {
 		rest := rests[gi*g.NumDims() : (gi+1)*g.NumDims() : (gi+1)*g.NumDims()]
 		g.CoordOf(key, rest)
 		rest[e.vi] = -1
-		p.Groups[gi] = MergeGroup{Rest: rest, Chunks: chunks[:0:sizes[gi]], Edges: stats[gi].Edges, Peak: stats[gi].Peak}
+		p.Groups[gi] = MergeGroup{Rest: rest, Chunks: chunks[:0:sizes[gi]], Edges: stats[gi].Edges, Peak: stats[gi].Peak, mask: masks.forRest(rest)}
+		p.masked = p.masked || p.Groups[gi].mask != nil
 		chunks = chunks[sizes[gi]:]
 	}
-	p.nodes, p.graph, p.slot = ids, graph, slot
+	p.nodes, p.graph, p.label, p.slot = ids, graph, label, slot
 	for _, id := range p.Schedule {
 		i, _ := graph.Index(id)
 		mg := &p.Groups[label[i]]

@@ -22,7 +22,7 @@ import (
 // the target table and written to the overlay on its own. It shares
 // nothing with the kernel but the plan — no slabs, no strides, no bulk
 // writes — so any divergence is a kernel bug.
-func perCellScan(e *Engine, schedule []int, target map[int][]int, overlay *chunk.Overlay) (scanned, relocated int) {
+func perCellScan(e *Engine, schedule []int, target *RelocTable, overlay *chunk.Overlay) (scanned, relocated int) {
 	g := e.store.Geometry()
 	ccoord := make([]int, g.NumDims())
 	addr := make([]int, g.NumDims())
@@ -30,7 +30,7 @@ func perCellScan(e *Engine, schedule []int, target map[int][]int, overlay *chunk
 	relocate := func(off int, v float64) bool {
 		scanned++
 		g.Join(ccoord, off, addr)
-		row := target[addr[e.vi]]
+		row := target.Row(addr[e.vi])
 		if row == nil {
 			return true
 		}
@@ -256,7 +256,7 @@ func TestSlabKernelMatchesPerCell(t *testing.T) {
 							t.Fatalf("%s: %v", label, err)
 						}
 						tally := assertKernelMatchesOracle(t, label, e, oracle, p, e.store.Geometry())
-						relocated += len(p.Target)
+						relocated += p.Stats.SourceInstances
 						// A dense chunk is decided slab by slab, every slab once.
 						g := e.store.Geometry()
 						perChunk := g.ChunkCap() / min(g.OffsetStride(e.vi), g.OffsetStride(e.pi))
@@ -336,12 +336,12 @@ func randomKernelCase(rng *rand.Rand) (e *Engine, p *PhysicalPlan, og *chunk.Geo
 	og = chunk.MustGeometry(oext, g.ChunkDims)
 
 	// One injective source→destination map per parameter leaf.
-	target := make(map[int][]int)
+	target := newRelocTable(g, vi, ext[pi], 0)
 	kind := make([]int, ext[vi])
 	for src := range kind {
 		kind[src] = rng.Intn(4) // 0 absent, 1 all -1, 2 identity, 3 moves
 		if kind[src] != 0 {
-			target[src] = make([]int, ext[pi])
+			target.add(src)
 		}
 	}
 	for leaf := 0; leaf < ext[pi]; leaf++ {
@@ -355,17 +355,17 @@ func randomKernelCase(rng *rand.Rand) (e *Engine, p *PhysicalPlan, og *chunk.Geo
 		for src, k := range kind {
 			switch k {
 			case 1:
-				target[src][leaf] = -1
+				target.Row(src)[leaf] = -1
 			case 2:
-				target[src][leaf] = src
+				target.Row(src)[leaf] = src
 			case 3:
-				target[src][leaf] = -1
+				target.Row(src)[leaf] = -1
 				for len(free) > 0 && rng.Intn(5) > 0 {
 					dst := free[0]
 					free = free[1:]
 					if !taken[dst] {
 						taken[dst] = true
-						target[src][leaf] = dst
+						target.Row(src)[leaf] = dst
 						break
 					}
 				}

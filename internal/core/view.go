@@ -40,7 +40,10 @@ type viewStore struct {
 	baseOrd []int
 }
 
-// Get implements cube.Store.
+// Get implements cube.Store. The remapped read rewrites the varying
+// ordinal in the caller's address for the length of the base read and
+// restores it, rather than copying the address per cell: an address
+// belongs to the goroutine reading with it.
 func (s *viewStore) Get(addr []int) float64 {
 	o := addr[s.vi]
 	if s.scoped[o] {
@@ -53,10 +56,10 @@ func (s *viewStore) Get(addr []int) float64 {
 	if bo < 0 {
 		return cube.Null
 	}
-	tmp := make([]int, len(addr))
-	copy(tmp, addr)
-	tmp[s.vi] = bo
-	return s.base.Get(tmp)
+	addr[s.vi] = bo
+	v := s.base.Get(addr)
+	addr[s.vi] = o
+	return v
 }
 
 // Set implements cube.Store. Views are read-only products of a what-if

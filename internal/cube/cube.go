@@ -7,6 +7,7 @@ package cube
 
 import (
 	"fmt"
+	"sync"
 
 	"whatifolap/internal/dimension"
 )
@@ -131,15 +132,24 @@ func (c *Cube) IsLeafCell(ids []dimension.MemberID) bool {
 // Ordinals converts an all-leaf member tuple to a leaf-ordinal address.
 // The second result is false if any coordinate is non-leaf.
 func (c *Cube) Ordinals(ids []dimension.MemberID) ([]int, bool) {
-	addr := make([]int, len(ids))
+	addr, ok := c.appendOrdinals(make([]int, 0, len(ids)), ids)
+	if !ok {
+		return nil, false
+	}
+	return addr, true
+}
+
+// appendOrdinals appends the tuple's leaf ordinals to dst, stopping —
+// and reporting false — at the first non-leaf coordinate.
+func (c *Cube) appendOrdinals(dst []int, ids []dimension.MemberID) ([]int, bool) {
 	for i, id := range ids {
 		o := c.dims[i].Member(id).LeafOrdinal
 		if o < 0 {
-			return nil, false
+			return dst, false
 		}
-		addr[i] = o
+		dst = append(dst, o)
 	}
-	return addr, true
+	return dst, true
 }
 
 // MemberTuple converts a leaf-ordinal address back to member IDs.
@@ -165,14 +175,27 @@ func derivedKey(ids []dimension.MemberID) string {
 	return EncodeAddr(addr)
 }
 
+// addrPool recycles the leaf addresses Value reads with. The store is
+// behind an interface, so an address built per call would escape to the
+// heap — one object per leaf cell a query's projection reads.
+var addrPool = sync.Pool{New: func() any { return new([]int) }}
+
 // Value returns the stored value of the cell identified by the member
 // tuple: the base value for leaf cells, the materialized derived value
 // for non-leaf cells (Null if not materialized). It does not evaluate
 // rules; see RuleSet.EvalCell for rule evaluation.
 func (c *Cube) Value(ids []dimension.MemberID) float64 {
 	c.checkTuple(ids)
-	if addr, ok := c.Ordinals(ids); ok {
-		return c.store.Get(addr)
+	buf := addrPool.Get().(*[]int)
+	addr, leaf := c.appendOrdinals((*buf)[:0], ids)
+	v := Null
+	if leaf {
+		v = c.store.Get(addr)
+	}
+	*buf = addr
+	addrPool.Put(buf)
+	if leaf {
+		return v
 	}
 	if v, ok := c.derived[derivedKey(ids)]; ok {
 		return v

@@ -134,6 +134,34 @@ func (rs *RuleSet) SetDefaultAgg(f AggFunc) { rs.defaultAgg = f }
 // Rules returns the formula rules in registration order.
 func (rs *RuleSet) Rules() []*Rule { return rs.rules }
 
+// FormulaDims returns the names of the dimensions the formula rules
+// target or reference. Evaluating a cell replaces its coordinate in such
+// a dimension by whatever member a formula names (Margin reads Sales and
+// COGS) and leaves every other coordinate alone, so a cell's reads stay
+// inside its own leaf descendants in every dimension but these.
+func (rs *RuleSet) FormulaDims() map[string]bool {
+	dims := make(map[string]bool)
+	var walk func(e Expr)
+	walk = func(e Expr) {
+		switch x := e.(type) {
+		case Unary:
+			walk(x.X)
+		case Binary:
+			walk(x.L)
+			walk(x.R)
+		case Ref:
+			if x.Dim != "" {
+				dims[x.Dim] = true
+			}
+		}
+	}
+	for _, r := range rs.rules {
+		dims[r.Dim] = true
+		walk(r.Expr)
+	}
+	return dims
+}
+
 // findRule returns the most specific applicable formula rule for the
 // cell, or nil.
 func (rs *RuleSet) findRule(c *Cube, ids []dimension.MemberID) *Rule {

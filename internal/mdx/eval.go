@@ -2,10 +2,12 @@ package mdx
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"whatifolap/internal/algebra"
+	"whatifolap/internal/bitset"
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/core"
 	"whatifolap/internal/cube"
@@ -102,7 +104,7 @@ func (ev *Evaluator) RunQueryStatsWith(rc RunContext, q *Query) (*result.Grid, c
 	tr := trace.FromContext(rc.Ctx)
 	projTraceStart := tr.Now()
 	projStart := time.Now()
-	g, err := ev.project(rc, q, out, lo.mode)
+	g, err := ev.project(rc, q, out, lo)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
@@ -187,8 +189,31 @@ func (ev *Evaluator) Explain(q *Query) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	b.WriteString(describeFootprint(lo.schema, plan))
 	b.WriteString(plan.Describe())
 	return b.String(), nil
+}
+
+// describeFootprint renders the footprint line of an engine plan: per
+// dimension of the result schema, how many of its leaves the grid can
+// read, and what that left of the cube's chunks.
+func describeFootprint(schema *cube.Cube, plan *core.PhysicalPlan) string {
+	var parts []string
+	restricted := false
+	for d, set := range plan.Footprint {
+		dim := schema.Dim(d)
+		if set == nil {
+			parts = append(parts, dim.Name()+" all (rules)")
+			continue
+		}
+		restricted = true
+		parts = append(parts, fmt.Sprintf("%s %d/%d", dim.Name(), set.Len(), dim.NumLeaves()))
+	}
+	if !restricted {
+		return "footprint: none (formula rules reach every dimension)\n"
+	}
+	return fmt.Sprintf("footprint: %s; %d of %d source chunks on the grid\n",
+		strings.Join(parts, ", "), plan.Stats.RelevantChunks, plan.SourceChunks)
 }
 
 // queryPath names the three ways a lowered query executes.
@@ -213,10 +238,19 @@ type lowered struct {
 	path queryPath
 	mode perspective.Mode
 	// engine serves the two engine paths; persp or changes is its query
-	// (scope members, perspective points / change rows resolved).
+	// (scope members, perspective points / change rows resolved, the
+	// footprint of the grid declared).
 	engine  *core.Engine
 	persp   core.PerspectiveQuery
 	changes core.ChangesQuery
+	// schema and grid, on the engine paths, are the result cube's schema
+	// — known before anything runs: the input's, with the varying
+	// dimension a WITH CHANGES clause splits — and the axes and slicer
+	// resolved against it, once, for the scope, the footprint and the
+	// projection. The algebra path learns its schema by executing, and
+	// resolves its grid when it projects.
+	schema *cube.Cube
+	grid   *grid
 	// plan is the unoptimized operator plan of the algebra path.
 	plan algebra.Plan
 }
@@ -228,16 +262,34 @@ type lowered struct {
 // scenario chains with wider layers — lowers to an algebra plan.
 func (ev *Evaluator) lower(q *Query) (lowered, error) {
 	lo := lowered{mode: perspective.NonVisual}
-	var varying string
 	single := engineStore(ev.cube.Store()) && len(q.Transfers) == 0
 	switch {
 	case single && q.Changes != nil && len(q.Perspectives) == 0:
-		changes, dim, err := ev.resolveChanges(q.Changes)
+		changes, varying, err := ev.resolveChanges(q.Changes)
 		if err != nil {
 			return lo, err
 		}
-		lo.path, lo.mode, varying = pathEngineChanges, q.Changes.Mode, dim
-		lo.changes = core.ChangesQuery{Changes: changes, Mode: q.Changes.Mode}
+		lo.path, lo.mode = pathEngineChanges, q.Changes.Mode
+		if lo.engine, err = core.New(ev.cube, varying); err != nil {
+			return lo, err
+		}
+		// The split is metadata only: it yields the result schema, with
+		// the hypothetical instances the axes may name, before any chunk is
+		// read; the engine plans from the same split.
+		split, err := algebra.PlanSplit(lo.engine.Binding(), changes)
+		if err != nil {
+			return lo, err
+		}
+		dims := slices.Clone(ev.cube.Dims())
+		dims[ev.cube.DimIndex(varying)] = split.Dim
+		lo.schema = cube.New(dims...)
+		lo.schema.SetRules(ev.cube.Rules())
+		if lo.grid, err = ev.resolveGrid(lo.schema, q); err != nil {
+			return lo, err
+		}
+		lo.changes = core.ChangesQuery{Changes: changes, Mode: lo.mode, Split: split,
+			Footprint: footprint(lo.schema, lo.grid, lo.mode)}
+		return lo, nil
 	case single && q.Changes == nil && len(q.Perspectives) == 1:
 		pc := q.Perspectives[0]
 		b := ev.cube.BindingFor(pc.Varying)
@@ -248,19 +300,17 @@ func (ev *Evaluator) lower(q *Query) (lowered, error) {
 		if err != nil {
 			return lo, err
 		}
-		members, err := ev.scopeMembers(q, b)
-		if err != nil {
+		lo.path, lo.mode, lo.schema = pathEnginePerspective, pc.Mode, ev.cube
+		if lo.grid, err = ev.resolveGrid(lo.schema, q); err != nil {
 			return lo, err
 		}
-		lo.path, lo.mode, varying = pathEnginePerspective, pc.Mode, pc.Varying
-		lo.persp = core.PerspectiveQuery{Members: members, Perspectives: points, Sem: pc.Sem, Mode: pc.Mode}
-	default:
-		var err error
-		lo.plan, lo.mode, err = ev.lowerToPlan(q)
+		lo.persp = core.PerspectiveQuery{Members: lo.grid.scopeMembers(b, ev.cube.DimIndex(pc.Varying)),
+			Perspectives: points, Sem: pc.Sem, Mode: pc.Mode, Footprint: footprint(lo.schema, lo.grid, lo.mode)}
+		lo.engine, err = core.New(ev.cube, pc.Varying)
 		return lo, err
 	}
 	var err error
-	lo.engine, err = core.New(ev.cube, varying)
+	lo.plan, lo.mode, err = ev.lowerToPlan(q)
 	return lo, err
 }
 
@@ -353,57 +403,117 @@ func (ev *Evaluator) resolvePerspectivePoints(b *dimension.Binding, points []*Me
 	return out, nil
 }
 
-// scopeMembers extracts the varying-dimension base members referenced by
-// the query's axes, to bound the engine's work (paper §6.3). An empty
-// result defers to the engine's default scope.
-func (ev *Evaluator) scopeMembers(q *Query, b *dimension.Binding) ([]string, error) {
-	vi := ev.cube.DimIndex(b.Varying.Name())
+// scopeMembers extracts the varying-dimension base members the grid
+// references (vi is the varying dimension's index), to bound the
+// engine's work (paper §6.3). An empty result defers to the engine's
+// default scope.
+func (gr *grid) scopeMembers(b *dimension.Binding, vi int) []string {
 	seen := map[string]bool{}
 	var names []string
-	for _, ax := range q.Axes {
-		tuples, err := ev.evalSet(ev.cube, ax.Set)
-		if err != nil {
-			return nil, err
+	add := func(name string) {
+		if !seen[name] {
+			seen[name] = true
+			names = append(names, name)
 		}
+	}
+	for _, tuples := range [][]Tuple{gr.cols, gr.rows, {gr.slicer}} {
 		for _, tp := range tuples {
 			for _, co := range tp {
 				if co.Dim != vi {
 					continue
 				}
 				m := b.Varying.Member(co.Member)
-				if m.LeafOrdinal < 0 {
-					// A non-leaf scope member covers all varying
-					// members below it.
-					for _, o := range b.Varying.LeafDescendants(co.Member) {
-						name := b.Varying.Leaf(o).Name
-						if !seen[name] {
-							seen[name] = true
-							names = append(names, name)
-						}
-					}
+				if m.LeafOrdinal >= 0 {
+					add(m.Name)
 					continue
 				}
-				if !seen[m.Name] {
-					seen[m.Name] = true
-					names = append(names, m.Name)
+				// A non-leaf scope member covers all varying members
+				// below it.
+				for _, o := range b.Varying.LeafDescendants(co.Member) {
+					add(b.Varying.Leaf(o).Name)
 				}
 			}
 		}
 	}
-	for _, w := range q.Where {
-		dim, id, err := ev.resolveMember(ev.cube, w)
-		if err != nil {
-			return nil, err
+	return names
+}
+
+// footprint computes the query's leaf footprint — what core.Footprint
+// promises the engine: per dimension of the result schema, the leaf
+// ordinals a cell of the grid can make project read from the result
+// cube. A cell's coordinate in a dimension is the member its row tuple
+// names, else its column tuple's, else the slicer's, else the root.
+// Under VISUAL a cell rolls up the leaf descendants of each coordinate;
+// under NONVISUAL only an all-leaf cell reads the result at all — every
+// other one is retained from the input (Definition 4.5) — so a
+// coordinate contributes itself if it is a leaf and nothing otherwise,
+// and a grid of roll-ups has an empty footprint. A dimension a formula
+// rule targets or references stays open (nil): evaluating Margin reads
+// Sales and COGS, whatever the grid names.
+func footprint(schema *cube.Cube, gr *grid, mode perspective.Mode) core.Footprint {
+	open := schema.Rules().FormulaDims()
+	fp := make(core.Footprint, schema.NumDims())
+	for d := range fp {
+		if dim := schema.Dim(d); !open[dim.Name()] {
+			fp[d] = bitset.New(dim.NumLeaves())
 		}
-		if dim == vi {
-			name := b.Varying.Member(id).Name
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
+	}
+	expanded := map[Coord]bool{}
+	add := func(co Coord) {
+		set := fp[co.Dim]
+		if set == nil {
+			return
+		}
+		dim := schema.Dim(co.Dim)
+		switch o := dim.Member(co.Member).LeafOrdinal; {
+		case o >= 0:
+			set.Add(o)
+		case mode == perspective.Visual && !expanded[co]:
+			expanded[co] = true
+			for _, o := range dim.LeafDescendants(co.Member) {
+				set.Add(o)
 			}
 		}
 	}
-	return names, nil
+	// named[d] counts the axes every tuple of which names dimension d; a
+	// dimension neither axis always names also takes its default member.
+	// (seen stamps a dimension with the last tuple that named it, so a
+	// tuple naming it twice counts once.)
+	named := make([]int, len(fp))
+	inTuples := make([]int, len(fp))
+	seen := make([]int, len(fp))
+	stamp := 0
+	for _, tuples := range [][]Tuple{gr.cols, gr.rows} {
+		clear(inTuples)
+		for _, tp := range tuples {
+			stamp++
+			for _, co := range tp {
+				add(co)
+				if seen[co.Dim] != stamp {
+					seen[co.Dim] = stamp
+					inTuples[co.Dim]++
+				}
+			}
+		}
+		for d, n := range inTuples {
+			if n == len(tuples) {
+				named[d]++
+			}
+		}
+	}
+	for d := range fp {
+		if named[d] > 0 {
+			continue
+		}
+		def := Coord{Dim: d, Member: schema.Dim(d).Root()}
+		for _, co := range gr.slicer {
+			if co.Dim == d {
+				def = co
+			}
+		}
+		add(def)
+	}
+	return fp
 }
 
 // resolveTransfer maps a TRANSFER clause onto the algebra operator:
@@ -532,37 +642,45 @@ func (ev *Evaluator) resolveChanges(cc *ChangesClause) ([]algebra.Change, string
 	return out, varying, nil
 }
 
-// project evaluates the axes and builds the output grid.
-func (ev *Evaluator) project(rc RunContext, q *Query, out *cube.Cube, mode perspective.Mode) (*result.Grid, error) {
-	var cols, rows []Tuple
-	var hasCols, hasRows, rowsNonEmpty, colsNonEmpty bool
+// grid is a query's axes and slicer resolved to member tuples of one
+// cube schema.
+type grid struct {
+	cols, rows                 []Tuple
+	slicer                     Tuple
+	colsNonEmpty, rowsNonEmpty bool
+}
+
+// resolveGrid evaluates the query's axis sets and slicer against the
+// dimensions of c.
+func (ev *Evaluator) resolveGrid(c *cube.Cube, q *Query) (*grid, error) {
+	gr := &grid{}
+	var hasCols, hasRows bool
 	for _, ax := range q.Axes {
-		tuples, err := ev.evalSet(out, ax.Set)
+		tuples, err := ev.evalSet(c, ax.Set)
 		if err != nil {
 			return nil, err
 		}
 		switch ax.Name {
 		case "COLUMNS":
-			cols, hasCols = tuples, true
-			colsNonEmpty = ax.NonEmpty
+			gr.cols, hasCols = tuples, true
+			gr.colsNonEmpty = ax.NonEmpty
 		case "ROWS":
-			rows, hasRows = tuples, true
-			rowsNonEmpty = ax.NonEmpty
+			gr.rows, hasRows = tuples, true
+			gr.rowsNonEmpty = ax.NonEmpty
 		}
 	}
 	// An absent axis contributes a single all-default tuple; a present
 	// axis whose set evaluated empty stays empty.
 	if !hasCols {
-		cols = []Tuple{{}}
+		gr.cols = []Tuple{{}}
 	}
 	if !hasRows {
-		rows = []Tuple{{}}
+		gr.rows = []Tuple{{}}
 	}
 
 	// Slicer.
-	var slicer Tuple
 	onAxis := map[int]bool{}
-	for _, tuples := range [][]Tuple{cols, rows} {
+	for _, tuples := range [][]Tuple{gr.cols, gr.rows} {
 		for _, tp := range tuples {
 			for _, co := range tp {
 				onAxis[co.Dim] = true
@@ -570,15 +688,30 @@ func (ev *Evaluator) project(rc RunContext, q *Query, out *cube.Cube, mode persp
 		}
 	}
 	for _, w := range q.Where {
-		dim, id, err := ev.resolveMember(out, w)
+		dim, id, err := ev.resolveMember(c, w)
 		if err != nil {
 			return nil, fmt.Errorf("mdx: slicer: %w", err)
 		}
 		if onAxis[dim] {
-			return nil, fmt.Errorf("mdx: dimension %s appears both on an axis and in the slicer", out.Dim(dim).Name())
+			return nil, fmt.Errorf("mdx: dimension %s appears both on an axis and in the slicer", c.Dim(dim).Name())
 		}
-		slicer = append(slicer, Coord{Dim: dim, Member: id})
+		gr.slicer = append(gr.slicer, Coord{Dim: dim, Member: id})
 	}
+	return gr, nil
+}
+
+// project builds the output grid from the result cube out: over the
+// grid the lowering resolved, or — on the algebra path, whose result
+// schema exists only now — over the one it resolves here.
+func (ev *Evaluator) project(rc RunContext, q *Query, out *cube.Cube, lo lowered) (*result.Grid, error) {
+	gr := lo.grid
+	if gr == nil {
+		var err error
+		if gr, err = ev.resolveGrid(out, q); err != nil {
+			return nil, err
+		}
+	}
+	cols, rows, slicer, mode := gr.cols, gr.rows, gr.slicer, lo.mode
 
 	g := result.New(len(rows), len(cols))
 	for j, tp := range cols {
@@ -618,10 +751,10 @@ func (ev *Evaluator) project(rc RunContext, q *Query, out *cube.Cube, mode persp
 			g.Values[i][j] = v
 		}
 	}
-	if rowsNonEmpty {
+	if gr.rowsNonEmpty {
 		g.DropEmptyRows()
 	}
-	if colsNonEmpty {
+	if gr.colsNonEmpty {
 		g.DropEmptyCols()
 	}
 	return g, nil

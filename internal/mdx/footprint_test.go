@@ -1,0 +1,618 @@
+package mdx
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"whatifolap/internal/chunk"
+	"whatifolap/internal/core"
+	"whatifolap/internal/cube"
+	"whatifolap/internal/dimension"
+	"whatifolap/internal/paperdata"
+	"whatifolap/internal/perspective"
+	"whatifolap/internal/result"
+	"whatifolap/internal/scenario"
+	"whatifolap/internal/trace"
+	"whatifolap/internal/workload"
+)
+
+// footprintSeed seeds TestFootprintEquivalence; a failure prints the
+// seed of the case that failed, and -footprint.seed=N -footprint.cases=1
+// replays it alone.
+var (
+	footprintSeed  = flag.Int64("footprint.seed", 20, "first case seed of TestFootprintEquivalence")
+	footprintCases = flag.Int("footprint.cases", 0, "number of cases of TestFootprintEquivalence (0: the whole matrix)")
+)
+
+// chunkedCopy rebuilds c over a chunk store with the given chunk edges,
+// keeping its dimensions, bindings and rules.
+func chunkedCopy(c *cube.Cube, chunkDims []int) *cube.Cube {
+	extents := make([]int, c.NumDims())
+	for i := range extents {
+		extents[i] = c.Dim(i).NumLeaves()
+	}
+	st := chunk.NewStore(chunk.MustGeometry(extents, chunkDims))
+	c.Store().NonNull(func(addr []int, v float64) bool {
+		st.Set(addr, v)
+		return true
+	})
+	out := cube.NewWithStore(st, c.Dims()...)
+	for _, b := range c.Bindings() {
+		if err := out.AddBinding(b); err != nil {
+			panic(err)
+		}
+	}
+	out.SetRules(c.Rules())
+	return out
+}
+
+// forceRepresentation rewrites every chunk of a chunk-backed cube as
+// dense, sparse or run-encoded, whatever its occupancy.
+func forceRepresentation(c *cube.Cube, rep string) {
+	st := c.Store().(*chunk.Store)
+	for _, id := range st.ChunkIDs() {
+		src := st.PeekChunk(id)
+		ch := chunk.NewDense(src.Cap())
+		src.ForEach(func(off int, v float64) bool { ch.Set(off, v); return true })
+		switch rep {
+		case "sparse":
+			ch.ForceSparse()
+		case "runs":
+			ch.ForceRuns()
+		}
+		st.PutChunk(id, ch)
+	}
+}
+
+// footprintCube is one cube of the property test's corpus.
+type footprintCube struct {
+	name    string
+	varying string
+	build   func(t *testing.T) *cube.Cube
+}
+
+var footprintCubes = []footprintCube{
+	{"paper", "Organization", func(*testing.T) *cube.Cube { return paperdata.ChunkedWarehouse(nil) }},
+	// Formula rules on Measures (Margin, Margin%), one of them scoped to
+	// a market: the footprint must leave Measures open.
+	{"retail", "Product", func(t *testing.T) *cube.Cube {
+		rt, err := workload.NewRetailByTime(workload.ConfigRetail())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chunkedCopy(rt.Cube, []int{4, 5, 2, 3})
+	}},
+	// The benchmark's two layouts: quarter-deep chunks holding every
+	// account and scenario (slabs of accounts × scenarios to mask), and
+	// year-deep single-account chunks (one merge group per account and
+	// scenario to drop whole).
+	{"workforce-wf", workload.DimDepartment, func(t *testing.T) *cube.Cube {
+		w, err := workload.NewWorkforce(workload.ConfigTiny())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.Cube
+	}},
+	{"workforce-vw", workload.DimDepartment, func(t *testing.T) *cube.Cube {
+		cfg := workload.ConfigTiny()
+		cfg.FlatMonths = true
+		cfg.ChunkDims = []int{16, 12, 1, 1, 1, 1, 1}
+		w, err := workload.NewWorkforce(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.Cube
+	}},
+}
+
+// queryGen draws random extended-MDX queries over one cube.
+type queryGen struct {
+	rng     *rand.Rand
+	c       *cube.Cube
+	varying int
+	param   *dimension.Dimension
+}
+
+func (g *queryGen) ref(di int, id dimension.MemberID) string {
+	d := g.c.Dim(di)
+	s := "[" + d.Name() + "]"
+	if p := d.Path(id); p != "" {
+		s += ".[" + strings.ReplaceAll(p, "/", "].[") + "]"
+	}
+	return s
+}
+
+// member draws a member of dimension di: any member, the root included,
+// or — leaf set — a leaf.
+func (g *queryGen) member(di int, leaf bool) dimension.MemberID {
+	d := g.c.Dim(di)
+	if leaf {
+		return d.Leaf(g.rng.Intn(d.NumLeaves())).ID
+	}
+	return dimension.MemberID(g.rng.Intn(d.NumMembers()))
+}
+
+func (g *queryGen) nonLeaf(di int) dimension.MemberID {
+	d := g.c.Dim(di)
+	for {
+		if id := g.member(di, false); d.Member(id).LeafOrdinal < 0 {
+			return id
+		}
+	}
+}
+
+// set draws a one-dimension set expression over dimension di.
+func (g *queryGen) set(di int) string {
+	d := g.c.Dim(di)
+	switch g.rng.Intn(5) {
+	case 0:
+		return g.ref(di, g.nonLeaf(di)) + ".Children"
+	case 1:
+		return fmt.Sprintf("[%s].Levels(%d).Members", d.Name(), g.rng.Intn(d.Height(d.Root())+1))
+	case 2:
+		flag := []string{"SELF", "AFTER", "SELF_AND_AFTER"}[g.rng.Intn(3)]
+		return fmt.Sprintf("Descendants(%s, %d, %s)", g.ref(di, g.nonLeaf(di)), g.rng.Intn(3), flag)
+	case 3:
+		return "Descendants(" + g.ref(di, g.nonLeaf(di)) + ")"
+	}
+	var refs []string
+	for i := 1 + g.rng.Intn(3); i > 0; i-- {
+		refs = append(refs, g.ref(di, g.member(di, g.rng.Intn(2) == 0)))
+	}
+	return strings.Join(refs, ", ")
+}
+
+// axis draws an axis set over the dimensions dims (one or two): a plain
+// set, a cross join, tuples naming both dimensions, or a set whose
+// tuples name different dimensions.
+func (g *queryGen) axis(dims []int) string {
+	if len(dims) == 1 {
+		return "{" + g.set(dims[0]) + "}"
+	}
+	a, b := dims[0], dims[1]
+	switch g.rng.Intn(3) {
+	case 0:
+		return "{CrossJoin({" + g.set(a) + "}, {" + g.set(b) + "})}"
+	case 1:
+		var tuples []string
+		for i := 1 + g.rng.Intn(3); i > 0; i-- {
+			tuples = append(tuples, "("+g.ref(a, g.member(a, g.rng.Intn(2) == 0))+", "+g.ref(b, g.member(b, g.rng.Intn(2) == 0))+")")
+		}
+		return "{" + strings.Join(tuples, ", ") + "}"
+	}
+	return "{" + g.set(a) + ", " + g.set(b) + "}"
+}
+
+// selectText draws the SELECT: up to two dimensions per axis, sometimes
+// no ROWS axis, and a slicer over the dimensions left — half the time a
+// leaf of each, as reports are written (a NONVISUAL grid reads the
+// result only where every coordinate is a leaf), else any member of some
+// of them, so that a dimension is on no axis and in no slicer.
+func (g *queryGen) selectText() string {
+	dims := g.rng.Perm(g.c.NumDims())
+	take := func(n int) []int {
+		n = min(n, len(dims))
+		out := dims[:n]
+		dims = dims[n:]
+		return out
+	}
+	s := "SELECT " + g.axis(take(1+g.rng.Intn(2))) + " ON COLUMNS"
+	if g.rng.Intn(5) > 0 {
+		s += ", " + g.axis(take(1+g.rng.Intn(2))) + " ON ROWS"
+	}
+	s += " FROM C"
+	var slicer []string
+	pinned := g.rng.Intn(2) == 0
+	for _, di := range dims {
+		if pinned || g.rng.Intn(3) > 0 {
+			slicer = append(slicer, g.ref(di, g.member(di, pinned || g.rng.Intn(4) > 0)))
+		}
+	}
+	if len(slicer) > 0 {
+		s += " WHERE (" + strings.Join(slicer, ", ") + ")"
+	}
+	return s
+}
+
+func (g *queryGen) perspective(sem perspective.Semantics, mode perspective.Mode) string {
+	var points []string
+	for _, o := range g.rng.Perm(g.param.NumLeaves())[:1+g.rng.Intn(3)] {
+		points = append(points, "("+g.param.Leaf(o).Name+")")
+	}
+	return fmt.Sprintf("WITH PERSPECTIVE {%s} FOR %s %v %v ", strings.Join(points, ", "), g.c.Dim(g.varying).Name(), sem, mode)
+}
+
+// changes draws a one-row change relation: a leaf instance moves to a
+// sibling of its parent from some moment on. It also returns the
+// reference the instance has after the move.
+func (g *queryGen) changes(mode perspective.Mode) (with, moved string) {
+	d := g.c.Dim(g.varying)
+	inst := d.Member(g.member(g.varying, true))
+	siblings := d.Member(d.Member(inst.Parent).Parent).Children
+	to := inst.Parent
+	for to == inst.Parent {
+		to = siblings[g.rng.Intn(len(siblings))]
+	}
+	at := g.param.Leaf(1 + g.rng.Intn(g.param.NumLeaves()-1)).Name
+	with = fmt.Sprintf("WITH CHANGES {(%s, %s, %s, [%s])} %v ",
+		g.ref(g.varying, inst.ID), g.ref(g.varying, inst.Parent), g.ref(g.varying, to), at, mode)
+	return with, g.ref(g.varying, to) + ".[" + inst.Name + "]"
+}
+
+// recordingStore wraps a result cube's store and records the first read
+// of an address outside the footprint.
+type recordingStore struct {
+	cube.Store
+	fp    core.Footprint
+	reads int
+	stray []int
+}
+
+func (s *recordingStore) Get(addr []int) float64 {
+	s.reads++
+	for d, set := range s.fp {
+		if set != nil && !set.Contains(addr[d]) && s.stray == nil {
+			s.stray = append([]int(nil), addr...)
+		}
+	}
+	return s.Store.Get(addr)
+}
+
+// runBothWays runs one query through the engine twice from one
+// lowering — under the footprint the lowering derived, projecting
+// through a store that checks every read against it, and under none —
+// and requires the same grid, cell for cell. It reports the engine
+// statistics of the footprinted run.
+func runBothWays(t *testing.T, label string, ev *Evaluator, src string, workers int) (core.Stats, bool) {
+	t.Helper()
+	q, err := Parse(src)
+	if err != nil {
+		t.Fatalf("%s: generated query does not parse: %v\n%s", label, err, src)
+	}
+	lo, err := ev.lower(q)
+	if err != nil {
+		return core.Stats{}, false // e.g. a change the binding refuses
+	}
+	if lo.path == pathAlgebra {
+		t.Fatalf("%s: engine-capable cube lowered to the algebra path\n%s", label, src)
+	}
+	fp := lo.persp.Footprint
+	if lo.path == pathEngineChanges {
+		fp = lo.changes.Footprint
+	}
+	if fp == nil {
+		t.Fatalf("%s: the lowering declared no footprint\n%s", label, src)
+	}
+	rc := RunContext{Workers: workers}
+	project := func(lo lowered, wrap func(cube.Store) cube.Store) (*result.Grid, core.Stats) {
+		out, stats, err := ev.execute(rc, lo)
+		if err != nil {
+			t.Fatalf("%s: execute: %v\n%s", label, err, src)
+		}
+		view := cube.NewWithStore(wrap(out.Store()), out.Dims()...)
+		for _, b := range out.Bindings() {
+			if err := view.AddBinding(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		view.SetRules(out.Rules())
+		g, err := ev.project(rc, q, view, lo)
+		if err != nil {
+			t.Fatalf("%s: project: %v\n%s", label, err, src)
+		}
+		return g, stats
+	}
+	rec := &recordingStore{fp: fp}
+	got, stats := project(lo, func(s cube.Store) cube.Store { rec.Store = s; return rec })
+	if rec.stray != nil {
+		t.Fatalf("%s: project read %v, outside the footprint it declared\n%s", label, rec.stray, src)
+	}
+	lo.persp.Footprint, lo.changes.Footprint = nil, nil
+	want, full := project(lo, func(s cube.Store) cube.Store { return s })
+	sameGrid(t, label+": under the footprint vs without\n"+src, got, want)
+	if stats.ChunksRead > full.ChunksRead || stats.CellsRelocated > full.CellsRelocated {
+		t.Fatalf("%s: the footprint made the engine read %d chunks and write %d cells, %d and %d without\n%s",
+			label, stats.ChunksRead, stats.CellsRelocated, full.ChunksRead, full.CellsRelocated, src)
+	}
+	return stats, true
+}
+
+// TestFootprintEquivalence is the footprint's property test: over
+// random axis sets (members, .Children, .Levels(n).Members, Descendants,
+// CrossJoin, tuples, sets mixing dimensions, a dimension on no axis),
+// random slicers, the five semantics × two modes and WITH CHANGES — on
+// the paper warehouse, the retail cube (formula rules), and the tiny
+// workforce cube in both benchmark layouts, with the chunks dense,
+// sparse and run-encoded, at 1, 2 and 8 workers, under a scenario chain
+// of depth 0 to 2 — a query answers the same grid whether the engine
+// relocates its footprint or everything; and project, watched through a
+// recording store, never reads an address off the footprint it declared,
+// which is what makes the partial overlay safe.
+func TestFootprintEquivalence(t *testing.T) {
+	sems := []perspective.Semantics{perspective.Static, perspective.Forward, perspective.Backward,
+		perspective.ExtendedForward, perspective.ExtendedBackward}
+	modes := []perspective.Mode{perspective.NonVisual, perspective.Visual}
+	seed := *footprintSeed
+	cases, ran, pruned, skipped := 0, 0, 0, 0
+	for _, fc := range footprintCubes {
+		for _, rep := range []string{"dense", "sparse", "runs"} {
+			base := fc.build(t)
+			forceRepresentation(base, rep)
+			sc, err := scenario.NewLocal("footprint", base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for depth := 0; depth <= 2; depth++ {
+				c := base
+				if depth > 0 {
+					// One more layer: overwrite a few held cells.
+					rng := rand.New(rand.NewSource(seed))
+					var edits []scenario.Edit
+					base.Store().NonNull(func(addr []int, v float64) bool {
+						if len(edits) == 0 || rng.Intn(20) == 0 {
+							cell := make(map[string]string, len(addr))
+							for i, o := range addr {
+								cell[base.Dim(i).Name()] = base.Dim(i).Path(base.Dim(i).Leaf(o).ID)
+							}
+							edits = append(edits, scenario.Edit{Op: scenario.OpSet, Cell: cell, Value: v + float64(depth)})
+						}
+						return len(edits) < 25
+					})
+					if _, err := sc.Apply(edits); err != nil {
+						t.Fatal(err)
+					}
+					if c, _, err = sc.View(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ev := NewEvaluator(c)
+				b := c.BindingFor(fc.varying)
+				for _, workers := range []int{1, 2, 8} {
+					// Every semantics × mode, and a change relation in each
+					// mode, per configuration.
+					for k := 0; k < len(sems)*len(modes)+len(modes); k++ {
+						if *footprintCases > 0 && cases >= *footprintCases {
+							return
+						}
+						cases++
+						seed++
+						g := &queryGen{rng: rand.New(rand.NewSource(seed)), c: c, varying: c.DimIndex(fc.varying), param: b.Param}
+						var with string
+						if k < len(sems)*len(modes) {
+							with = g.perspective(sems[k/len(modes)], modes[k%len(modes)])
+						} else {
+							with, _ = g.changes(modes[k-len(sems)*len(modes)])
+						}
+						label := fmt.Sprintf("seed %d (%s, %s, chain depth %d, %d workers)", seed, fc.name, rep, depth, workers)
+						stats, ok := runBothWays(t, label, ev, with+g.selectText(), workers)
+						if !ok {
+							skipped++
+							continue
+						}
+						ran++
+						if stats.ChunksRead == 0 {
+							pruned++
+						}
+					}
+				}
+			}
+		}
+	}
+	// Many grids lie where the cube holds no chunk or are roll-ups under
+	// NONVISUAL, and plan nothing; the rest must still be a corpus.
+	t.Logf("%d queries compared, %d of them planned no chunk, %d refused by the lowering", ran, pruned, skipped)
+	if *footprintCases == 0 && (skipped*10 > ran || (ran-pruned)*4 < ran || pruned*10 < ran) {
+		t.Fatalf("coverage: %d compared, %d with an empty plan, %d refused", ran, pruned, skipped)
+	}
+}
+
+// sameGrid requires two grids to agree on labels and, cell for cell, on
+// values (Null ≡ Null).
+func sameGrid(t *testing.T, label string, got, want *result.Grid) {
+	t.Helper()
+	if fmt.Sprint(got.ColLabels, got.RowLabels) != fmt.Sprint(want.ColLabels, want.RowLabels) {
+		t.Fatalf("%s: labels %v %v, want %v %v", label, got.ColLabels, got.RowLabels, want.ColLabels, want.RowLabels)
+	}
+	for i := range want.Values {
+		for j, w := range want.Values[i] {
+			if g := got.Values[i][j]; g != w && !(cube.IsNull(g) && cube.IsNull(w)) {
+				t.Fatalf("%s: cell (%s, %s) = %v, want %v", label, want.RowLabels[i], want.ColLabels[j], g, w)
+			}
+		}
+	}
+}
+
+// spanAttrs runs a query under a trace and returns the attributes of its
+// first span of each name.
+func spanAttrs(t *testing.T, ev *Evaluator, q *Query, attrs map[string][]string) map[string]int64 {
+	t.Helper()
+	tr := trace.New(0)
+	root := tr.Start(trace.SpanRef{}, "eval")
+	ctx := trace.WithSpan(trace.NewContext(context.Background(), tr), root)
+	if _, _, err := ev.RunQueryStatsWith(RunContext{Ctx: ctx}, q); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	out := map[string]int64{}
+	for _, s := range tr.Spans() {
+		for _, name := range attrs[s.Name] {
+			if v, ok := s.Attr(name); ok {
+				if _, seen := out[name]; !seen {
+					out[name] = v
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestFootprintEmptyPlansNothing: a NONVISUAL grid of roll-ups retains
+// every cell from the input (Definition 4.5), so its footprint is empty
+// and the engine plans, reads and relocates nothing — on one worker,
+// whatever it was offered — while the answer is the plain SELECT's.
+func TestFootprintEmptyPlansNothing(t *testing.T) {
+	w, err := workload.NewWorkforce(workload.ConfigTiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(w.Cube)
+	sel := `SELECT {[Period].Levels(1).Members} ON COLUMNS, {[Department].Levels(1).Members} ON ROWS
+FROM [App].[Db] WHERE ([Account].[Acct001], [Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])`
+	for _, mode := range []string{"NONVISUAL", "VISUAL"} {
+		q := MustParse("WITH PERSPECTIVE {(Jan), (Jul)} FOR Department DYNAMIC FORWARD " + mode + " " + sel)
+		g, stats, err := ev.RunQueryStatsWith(RunContext{Workers: 8}, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := ev.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode == "VISUAL" {
+			// The control: the same grid re-aggregated reads the cube.
+			if stats.ChunksRead == 0 || stats.CellsRelocated == 0 || !strings.Contains(text, "Period 12/12") {
+				t.Fatalf("VISUAL roll-up read nothing: %+v\n%s", stats, text)
+			}
+			continue
+		}
+		if stats.ChunksRead != 0 || stats.CellsRelocated != 0 || stats.MergeGroups != 0 || stats.ScanWorkers != 1 {
+			t.Fatalf("NONVISUAL roll-up: %+v, want no chunk read, one worker", stats)
+		}
+		if stats.MembersInScope == 0 {
+			t.Fatalf("the scope is the departments' members whatever the footprint: %+v", stats)
+		}
+		plain, err := ev.Run(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGrid(t, "NONVISUAL roll-up vs plain SELECT", g, plain)
+		if !strings.Contains(text, "Period 0/12") || !strings.Contains(text, "; 0 of ") {
+			t.Fatalf("EXPLAIN does not show the empty footprint:\n%s", text)
+		}
+	}
+}
+
+// TestFootprintChangesHypotheticalInstance: under WITH CHANGES the axes
+// resolve against the split's schema, so a slicer can name the instance
+// the change creates; the footprint is then that one new ordinal, the
+// engine relocates the moved months of one row and nothing else, and the
+// answer is the algebra path's.
+func TestFootprintChangesHypotheticalInstance(t *testing.T) {
+	with := "WITH CHANGES {([FTE].[Lisa], [FTE], [PTE], [Apr])} VISUAL "
+	sel := `SELECT {[Time].Levels(0).Members} ON COLUMNS, {[Measures].[Salary]} ON ROWS
+FROM W WHERE ([Location].[NY], [Organization].[PTE].[Lisa])`
+	q := MustParse(with + sel)
+	ev := NewEvaluator(paperdata.ChunkedWarehouse(nil))
+	lo, err := ev.lower(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vi := lo.schema.DimIndex("Organization")
+	if fp := lo.changes.Footprint; fp == nil || fp[vi].Len() != 1 ||
+		fp[vi].Min() != lo.schema.Dim(vi).Member(lo.schema.Dim(vi).MustLookup("PTE/Lisa")).LeafOrdinal {
+		t.Fatalf("varying footprint = %v, want the hypothetical instance PTE/Lisa alone", lo.changes.Footprint)
+	}
+	g, stats, err := ev.RunQueryStatsWith(RunContext{}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEvaluator(paperdata.Warehouse()).Run(with + sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGrid(t, "hypothetical instance", g, want)
+	moved := 0
+	for _, v := range g.Values[0] {
+		if !cube.IsNull(v) {
+			moved++
+		}
+	}
+	if moved == 0 || stats.CellsRelocated != moved {
+		t.Fatalf("%d cells relocated for a row of %d non-null cells: %+v", stats.CellsRelocated, moved, stats)
+	}
+	lo.changes.Footprint = nil
+	if _, full, err := ev.execute(RunContext{}, lo); err != nil || full.CellsRelocated <= stats.CellsRelocated {
+		t.Fatalf("without the footprint: %+v, %v", full, err)
+	}
+}
+
+// TestFootprintRuleDimensionStaysOpen: Margin reads Sales and COGS, so a
+// slicer on Measures must not restrict Measures — while the other sliced
+// dimension still is — and the answer is the algebra path's.
+func TestFootprintRuleDimensionStaysOpen(t *testing.T) {
+	rt, err := workload.NewRetailByTime(workload.ConfigRetail())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := `WITH PERSPECTIVE {(Jan)} FOR Product DYNAMIC FORWARD VISUAL
+SELECT {[Time].Children} ON COLUMNS, {[Product].Children} ON ROWS
+FROM Retail WHERE ([Market].[East].[E1], [Measures].[Margin%])`
+	q := MustParse(src)
+	ev := NewEvaluator(chunkedCopy(rt.Cube, []int{4, 5, 2, 3}))
+	lo, err := ev.lower(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := lo.persp.Footprint
+	if fp[lo.schema.DimIndex("Measures")] != nil || fp[lo.schema.DimIndex("Market")].Len() != 1 {
+		t.Fatalf("footprint = %v, want Measures open and Market one leaf", fp)
+	}
+	g, _, err := ev.RunQueryStatsWith(RunContext{}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEvaluator(rt.Cube).Run(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGrid(t, "Margin% under a footprint", g, want)
+	text, err := ev.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "Measures all (rules)") || !strings.Contains(text, "Market 1/6") {
+		t.Fatalf("EXPLAIN footprint line:\n%s", text)
+	}
+
+	// A rule set that reaches every dimension lifts the footprint whole.
+	c := chunkedCopy(rt.Cube, []int{4, 5, 2, 3})
+	rules := cube.NewRuleSet()
+	rules.MustAddFormula("Measures", "Margin", "Sales - COGS")
+	rules.MustAddFormula("Product", "Nothing", "[Time].[Jan] + [Market].[East]")
+	c.SetRules(rules)
+	text, err = NewEvaluator(c).Explain(MustParse(strings.Replace(src, "Margin%", "Margin", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "\nfootprint: none (formula rules reach every dimension)\n") {
+		t.Fatalf("EXPLAIN under all-reaching rules:\n%s", text)
+	}
+}
+
+// TestFootprintSpans: the plan span carries the footprint's size and the
+// chunks it took off the schedule, the scan span the cells surviving
+// slabs held back — and none of the three appears on a query whose
+// footprint excludes nothing.
+func TestFootprintSpans(t *testing.T) {
+	ev := NewEvaluator(paperdata.ChunkedWarehouse(nil))
+	attrs := map[string][]string{"plan": {"footprint_cells", "chunks_pruned"}, "scan": {"cells_off_grid", "cells_relocated"}}
+	got := spanAttrs(t, ev, MustParse(`
+WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD VISUAL
+SELECT {Descendants([Time], 1, SELF_AND_AFTER)} ON COLUMNS, {[PTE].Children} ON ROWS
+FROM W WHERE ([Location].[NY], [Measures].[Salary])`), attrs)
+	// 3 instances × NY × 12 months × Salary; one chunk of the other
+	// measures dropped; NY shares its slabs with a neighbour.
+	if got["footprint_cells"] != 36 || got["chunks_pruned"] != 1 || got["cells_off_grid"] == 0 || got["cells_relocated"] != 8 {
+		t.Fatalf("span attributes = %v", got)
+	}
+	got = spanAttrs(t, ev, MustParse(`
+WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD VISUAL
+SELECT {[Time]} ON COLUMNS, {[Organization]} ON ROWS FROM W`), attrs)
+	if _, ok := got["chunks_pruned"]; ok || got["cells_off_grid"] != 0 || got["cells_relocated"] == 0 {
+		t.Fatalf("whole-cube grid: span attributes = %v", got)
+	}
+}

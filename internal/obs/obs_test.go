@@ -282,3 +282,40 @@ func TestHistoryCollectorTicks(t *testing.T) {
 		t.Fatal("nil collector interval should be 0")
 	}
 }
+
+// TestRetainBoundsHealthySamples: healthy samples are a bounded recent
+// window. Beyond maxSampledResident a new one displaces the oldest
+// sample — so a ring far below its byte budget stops growing with the
+// queries served — and never a slow or errored trace, however old.
+func TestRetainBoundsHealthySamples(t *testing.T) {
+	r := NewTraceRing(64<<20, 1) // sample every healthy query
+	slow := r.MaybeRetain(TraceMeta{Slow: true}, testSpans)
+	failed := r.MaybeRetain(TraceMeta{Err: "boom"}, testSpans)
+	var ids []string
+	for i := 0; i < maxSampledResident+8; i++ {
+		ids = append(ids, r.MaybeRetain(TraceMeta{Query: "q"}, testSpans))
+	}
+	st := r.Stats()
+	if st.Count != maxSampledResident+2 || st.Evicted != 8 {
+		t.Fatalf("ring holds %d traces after evicting %d, want %d and 8", st.Count, st.Evicted, maxSampledResident+2)
+	}
+	for _, id := range []string{slow, failed, ids[8], ids[len(ids)-1]} {
+		if _, ok := r.Get(id); !ok {
+			t.Fatalf("trace %s was displaced by a healthy sample", id)
+		}
+	}
+	if _, ok := r.Get(ids[7]); ok {
+		t.Fatal("a healthy sample older than the window is still resident")
+	}
+	list := r.List()
+	if list[0].ID != ids[len(ids)-1] || list[len(list)-1].ID != slow || list[len(list)-2].ID != failed {
+		t.Fatalf("List() is not newest first with the old slow and errored traces last")
+	}
+	bytes := 0
+	for _, rt := range list {
+		bytes += rt.bytes
+	}
+	if bytes != st.Bytes {
+		t.Fatalf("ring accounts %d bytes, its traces %d", st.Bytes, bytes)
+	}
+}

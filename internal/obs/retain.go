@@ -57,11 +57,21 @@ const (
 	attrCost          = 24
 )
 
+// maxSampledResident bounds the healthy samples a ring holds at once.
+// They are a recent baseline to read slow traces against, so a few
+// dozen do; without the bound a ring below its byte budget grows with
+// every 64th query the server completes — the faster the server, the
+// larger its heap — and, once full, turns over at the rate of healthy
+// traffic, taking the slow and errored traces it exists for with it.
+const maxSampledResident = 32
+
 // TraceRing retains query traces under a byte budget, oldest evicted
 // first. Retention policy is tail-sampling: errored queries always,
 // slow queries always, and one in sampleEvery healthy queries —
 // rare-but-interesting executions survive, steady traffic is sampled
-// thinly enough to stay cheap.
+// thinly enough to stay cheap: a healthy sample beyond the newest
+// maxSampledResident displaces the oldest sample, never a slow or
+// errored trace.
 type TraceRing struct {
 	budget      int
 	sampleEvery int64
@@ -77,6 +87,7 @@ type TraceRing struct {
 	queue   []*RetainedTrace // oldest first
 	byID    map[string]*RetainedTrace
 	bytes   int
+	sampled int // resident traces whose Reason is "sampled"
 	evicted int64
 }
 
@@ -130,20 +141,43 @@ func (r *TraceRing) MaybeRetain(m TraceMeta, spans func() []trace.Span) string {
 		rt.bytes += spanCost + attrCost*len(rt.Spans[i].Attrs)
 	}
 	r.mu.Lock()
+	if reason == "sampled" && r.sampled == maxSampledResident {
+		for i, old := range r.queue {
+			if old.Reason == "sampled" {
+				r.drop(i)
+				break
+			}
+		}
+	}
 	r.queue = append(r.queue, rt) //lint:allocok retention is per-trace and already snapshots spans; queue growth is amortized and bounded by the byte budget
 	r.byID[rt.ID] = rt
 	r.bytes += rt.bytes
+	if reason == "sampled" {
+		r.sampled++
+	}
 	// Evict oldest-first down to budget, but always keep the newest
 	// retention: a single oversized trace is still addressable.
 	for r.bytes > r.budget && len(r.queue) > 1 {
-		old := r.queue[0]
-		r.queue = r.queue[1:]
-		delete(r.byID, old.ID)
-		r.bytes -= old.bytes
-		r.evicted++
+		r.drop(0)
 	}
 	r.mu.Unlock()
 	return rt.ID
+}
+
+// drop evicts the i-th oldest trace. Caller holds mu.
+func (r *TraceRing) drop(i int) {
+	old := r.queue[i]
+	if i == 0 {
+		r.queue = r.queue[1:]
+	} else {
+		r.queue = r.queue[:i+copy(r.queue[i:], r.queue[i+1:])]
+	}
+	delete(r.byID, old.ID)
+	r.bytes -= old.bytes
+	if old.Reason == "sampled" {
+		r.sampled--
+	}
+	r.evicted++
 }
 
 // nextID builds a process-unique trace ID without formatting

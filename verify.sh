@@ -105,11 +105,14 @@ stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzParse|FuzzParseE
 # tests, the run-encoded representation (value-run scan equivalence,
 # sub-task splitting, daemon RLE restart), the slab relocation kernel
 # (per-cell-oracle equivalence over fixtures, random geometries and
-# scenario chains, and its allocation pins), and the dense planner
+# scenario chains, and its allocation pins), the dense planner
 # (pebbler-vs-oracle differential tests, plan determinism, the
-# allocation pins that stand in for timing asserts on this host).
+# allocation pins that stand in for timing asserts on this host), and
+# the query footprint (the grid-equivalence property test at 1, 2 and 8
+# scan workers, the random-geometry mask oracle, the masked scan's
+# allocation pin).
 stage 'go test -race (concurrent paths)' \
-    go test -race -run 'Concurrent|Server|Cache|Parallel|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|Subtask|History|Retain|Event|Top|Pebble|Plan|Slab' ./...
+    go test -race -run 'Concurrent|Server|Cache|Parallel|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|Subtask|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint' ./...
 
 # Advisory (non-fatal): known-vulnerability scan, skipped when the
 # toolchain image does not ship govulncheck or has no network.
