@@ -1,6 +1,6 @@
-// Command whatiflint runs the engine's go/analysis suite
+// Command whatiflint runs the engine's six go/analysis rules
 // (internal/lint): hotpathfmt, semexhaustive, ctxflow, lockguard,
-// monotonic, allocguard, releasepair and atomicfield.
+// monotonic and releasepair.
 //
 // It speaks two protocols:
 //
@@ -30,6 +30,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"whatifolap/internal/lint"
@@ -43,10 +44,28 @@ func main() {
 	for _, arg := range os.Args[1:] {
 		if arg == "-V=full" || arg == "--V=full" || arg == "-flags" || arg == "--flags" ||
 			strings.HasSuffix(arg, ".cfg") {
-			unitchecker.Main(lint.Analyzers()...) // never returns
+			unitchecker.Main(named(lint.Analyzers())...) // never returns
 		}
 	}
 	os.Exit(standalone())
+}
+
+// named prefixes every diagnostic with its analyzer's name: go vet's
+// plain output prints only the position and the message, and a gate
+// failure should say which rule fired.
+func named(as []*analysis.Analyzer) []*analysis.Analyzer {
+	for _, a := range as {
+		run := a.Run
+		a.Run = func(pass *analysis.Pass) (interface{}, error) {
+			report := pass.Report
+			pass.Report = func(d analysis.Diagnostic) {
+				d.Message = a.Name + ": " + d.Message
+				report(d)
+			}
+			return run(pass)
+		}
+	}
+	return as
 }
 
 // jsonDiag is one -json output record.

@@ -252,7 +252,7 @@ func (c *Chain) NonNull(fn func(addr []int, v float64) bool) {
 	stopped := false
 	for i := len(c.layers) - 1; i >= 0 && !stopped; i-- {
 		li := i
-		//lint:allocok one closure per layer per NonNull call (it captures the layer index); layers are few, cells are many
+		// One closure per layer, not per cell: layers are few.
 		c.layers[i].values.NonNull(func(addr []int, v float64) bool {
 			if c.touchedAbove(li, addr) {
 				return true
@@ -350,7 +350,8 @@ func (c *Chain) Resolve(id int, base, scratch *Chunk) *Chunk {
 	for _, l := range c.layers[first:] {
 		for i, o := range [2]*Overlay{l.deletes, l.values} {
 			if ch := o.chunks[id]; ch != nil {
-				//lint:allocok scatter's closure never escapes Chunk.ForEach, so it lives on the stack; TestScenarioChainMergedAllocs pins Resolve at 0 allocations
+				// scatter's closure stays on the stack; TestScenarioChainMergedAllocs
+				// pins Resolve at 0 allocations.
 				ch.scatter(d, i == 0)
 			}
 		}

@@ -143,7 +143,7 @@ func (o *Overlay) Absorb(src *Overlay) {
 		}
 		before := dst.Len()
 		wasSparse := dst.dense == nil
-		//lint:allocok one closure per absorbed chunk during the merge fold, not per cell; it captures the per-chunk destination
+		// One closure per absorbed chunk, not per cell.
 		sc.ForEach(func(off int, v float64) bool {
 			dst.Set(off, v)
 			return true

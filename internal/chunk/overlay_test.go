@@ -130,6 +130,28 @@ func TestOverlayZeroAllocsPerRelocatedCell(t *testing.T) {
 	}
 }
 
+// The slab kernel's write paths: a run or a slab of cells written into
+// a resident dense chunk allocates nothing.
+func TestOverlaySlabWritesAllocateNothing(t *testing.T) {
+	g := MustGeometry([]int{16, 16}, []int{4, 4})
+	ov := NewOverlay(g)
+	full := make([]float64, g.ChunkCap())
+	for i := range full {
+		full[i] = 1
+	}
+	ov.SetCellsAt(0, 0, full)
+	if ov.Promotions() != 1 {
+		t.Fatal("a fully written chunk was not promoted to dense")
+	}
+	cells := []float64{2, math.NaN(), 3, 4}
+	if allocs := testing.AllocsPerRun(1000, func() { ov.SetCellsAt(0, 4, cells) }); allocs != 0 {
+		t.Fatalf("Overlay.SetCellsAt on a resident dense chunk: %v allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { ov.SetRunAt(0, 8, 4, 5) }); allocs != 0 {
+		t.Fatalf("Overlay.SetRunAt on a resident dense chunk: %v allocs, want 0", allocs)
+	}
+}
+
 // The parallel scan's merge step: task overlays of different merge
 // groups own disjoint destination chunk IDs, so absorbing them adopts
 // their chunks by reference and copies no cell.

@@ -173,6 +173,36 @@ func TestForEachRunAllocs(t *testing.T) {
 	_ = sink
 }
 
+// TestForEachSpanAllocs pins the slab kernel's read path: visiting a
+// chunk's spans allocates nothing on any representation.
+func TestForEachSpanAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base := randomChunk(rng, 64)
+	sparse := base.Clone()
+	sparse.ForceSparse()
+	dense := base.Clone()
+	if dense.Rep() != Dense {
+		dense.toDense()
+	}
+	rle := base.Clone()
+	rle.ForceRuns()
+	scratch := make([]float64, 8)
+	for i := range scratch {
+		scratch[i] = math.NaN()
+	}
+	sink := 0
+	fn := func(off, n int, cells []float64, v float64) { sink += n }
+	for _, tc := range []struct {
+		name string
+		c    *Chunk
+	}{{"sparse", sparse}, {"dense", dense}, {"run-encoded", rle}} {
+		if avg := testing.AllocsPerRun(100, func() { tc.c.ForEachSpan(8, scratch, fn) }); avg != 0 {
+			t.Errorf("%s: ForEachSpan allocates %.1f per iteration, want 0", tc.name, avg)
+		}
+	}
+	_ = sink
+}
+
 func TestEncodeRunsThreshold(t *testing.T) {
 	// Alternating values: every cell its own run, ratio 1 > 0.5.
 	c := NewSparse(16)

@@ -33,7 +33,9 @@ type mappedStore struct {
 	forward, inverse *RelocTable
 }
 
-// Get implements cube.Store.
+// Get implements cube.Store. A scoped read rewrites the varying ordinal
+// in the caller's address for the length of the base read and restores
+// it, as viewStore.Get does, rather than copying the address per cell.
 func (s *mappedStore) Get(addr []int) float64 {
 	o := addr[s.vi]
 	if !s.scoped[o] {
@@ -47,10 +49,10 @@ func (s *mappedStore) Get(addr []int) float64 {
 	if src < 0 {
 		return cube.Null
 	}
-	tmp := make([]int, len(addr))
-	copy(tmp, addr)
-	tmp[s.vi] = src
-	return s.base.Get(tmp)
+	addr[s.vi] = src
+	v := s.base.Get(addr)
+	addr[s.vi] = o
+	return v
 }
 
 // Set implements cube.Store; compressed views are read-only.

@@ -580,7 +580,7 @@ func (e *Engine) scan(ec ExecContext, p *PhysicalPlan, og *chunk.Geometry, tasks
 				return
 			}
 			task := &tasks[ti]
-			//lint:allocok one overlay per scan task by design; the task, not the cell, is the unit of work
+			// One overlay per scan task: the task, not the cell, is the unit of work.
 			task.overlay = chunk.NewOverlay(og)
 			sp := scanSp
 			var gsp trace.SpanRef // the no-op ref when the scan is one task

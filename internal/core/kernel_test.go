@@ -71,8 +71,9 @@ func overlayOf(t *testing.T, v *View) cube.Store {
 
 // TestKernelMatchesLegacyMemStorePaper pins the tentpole invariant on
 // the paper's warehouse: at every semantics × mode, the chunk-native
-// overlay (serial) and the partitioned per-group overlays (parallel)
-// hold exactly the cells the legacy MemStore kernel produces.
+// overlay, built by one scan task (serial) or merged from several
+// (parallel), holds exactly the cells the legacy MemStore kernel
+// produces.
 func TestKernelMatchesLegacyMemStorePaper(t *testing.T) {
 	e := newEngine(t)
 	for _, sem := range allSemantics {
@@ -111,7 +112,7 @@ func TestKernelMatchesLegacyMemStorePaper(t *testing.T) {
 				}
 			}
 			if got := dumpStore(pov); !sameCells(want, got) {
-				t.Fatalf("%v/%v: partitioned overlay differs from legacy kernel (%d vs %d cells)",
+				t.Fatalf("%v/%v: parallel overlay differs from legacy kernel (%d vs %d cells)",
 					sem, mode, len(got), len(want))
 			}
 		}
@@ -120,9 +121,9 @@ func TestKernelMatchesLegacyMemStorePaper(t *testing.T) {
 
 // TestKernelQuickLegacyEquivalenceWorkforce is the property form over a
 // generated workforce cube: for random scopes, perspective sets,
-// semantics and modes, the chunk-native serial overlay, the parallel
-// partitioned overlay and the legacy MemStore kernel agree cell for
-// cell.
+// semantics and modes, the chunk-native overlay built serially, the
+// one merged from the parallel scan's tasks and the legacy MemStore
+// kernel agree cell for cell.
 func TestKernelQuickLegacyEquivalenceWorkforce(t *testing.T) {
 	w, err := workload.NewWorkforce(workload.ConfigTiny())
 	if err != nil {

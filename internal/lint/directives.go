@@ -35,18 +35,9 @@ import (
 //	                                critical section
 //	//lint:wallclock <reason>       on a wall-clock read in a monotonic
 //	                                file: justify the wall-clock use
-//	//lint:allocok <reason>         on an allocation site in a 0-alloc
-//	                                hot-path file: justify the heap
-//	                                allocation (amortized per-query
-//	                                setup is the usual reason)
 //	//lint:pairok <reason>          on a paired acquire (or the exit it
 //	                                leaks through): justify leaving the
 //	                                resource unreleased on that path
-//	//lint:atomicok <reason>        on a plain access to a field that is
-//	                                elsewhere accessed via sync/atomic:
-//	                                justify the unsynchronized access
-//	                                (pre-publication init, under-lock
-//	                                snapshots)
 //
 // A justification directive applies to the line it is on or to the
 // line directly below it (i.e. it may trail the statement or sit on

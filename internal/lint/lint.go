@@ -2,7 +2,7 @@
 // the engine's hardest-won invariants — the ones previously enforced
 // only by convention, a grep in verify.sh, and reviewer memory.
 //
-// The analyzers and the invariant each encodes:
+// The six analyzers and the invariant each encodes:
 //
 //	hotpathfmt    declared hot-path files (per-chunk scan, span
 //	              recording, overlay writes) must not import fmt,
@@ -30,28 +30,16 @@
 //	              clock (time.Since against an epoch); wall-clock
 //	              extraction (Unix*, Format, Round, Truncate) is
 //	              forbidden in files marked //lint:monotonic.
-//	allocguard    declared 0-alloc hot-path files must not contain
-//	              heap-allocating SSA ops: interface boxing, capturing
-//	              closures in loops, append without preallocation
-//	              evidence, map makes in loops, string conversions,
-//	              variadic slice builds — and must not call, from a
-//	              loop, a function whose entry block provably
-//	              allocates (the Allocates fact, cross-package).
 //	releasepair   paired operations balance on every control-flow
 //	              path including early returns and panics:
 //	              Lock/Unlock, buffer-pool Pin/Unpin, segment
 //	              CloneTier/Close, trace span Start/End, scenario
 //	              layer NewLayer/Seal. Must-held leaks at explicit
 //	              returns carry a suggested fix (make lint-fix).
-//	atomicfield   a struct field accessed through sync/atomic anywhere
-//	              must be accessed atomically everywhere; mixed
-//	              plain/atomic access is reported at the plain site,
-//	              with per-field object facts and an AtomicFieldSet
-//	              package fact so cross-package accessors are caught.
 //
-// allocguard and releasepair share ssax, the suite's SSA-lite
-// foundation (internal/lint/ssax): blocks, instructions, alloc sites
-// and exit classification lowered from the ctrlflow CFGs.
+// releasepair walks ssax, the suite's SSA-lite foundation
+// (internal/lint/ssax): blocks, instructions and exit classification
+// lowered from the ctrlflow CFGs.
 //
 // Escape hatches are explicit //lint: directives that must carry a
 // reason; see directives.go. cmd/whatiflint is the driver: it speaks
@@ -74,8 +62,6 @@ func Analyzers() []*analysis.Analyzer {
 		CtxFlow,
 		LockGuard,
 		Monotonic,
-		AllocGuard,
 		ReleasePair,
-		AtomicField,
 	}
 }

@@ -97,23 +97,11 @@ func TestLintMonotonicFix(t *testing.T) {
 	}
 }
 
-func TestLintAllocGuard(t *testing.T) {
-	// allocx/hot.go is marked //lint:hotpath; allochelp is the
-	// fact-exporting dependency (Allocates flows through the driver).
-	linttest.Run(t, "testdata", AllocGuard, "allocx")
-}
-
 func TestLintReleasePair(t *testing.T) {
 	override(t, &releasepairPkgs, "pairx")
 	override(t, &releasepairPairs,
 		"pairx.Mu.Lock:Unlock,pairx.Pool.Pin:Unpin@1,pairx.T.Start:End,pairx.NewRes:Seal")
 	linttest.Run(t, "testdata", ReleasePair, "pairx")
-}
-
-func TestLintAtomicField(t *testing.T) {
-	// atomuse holds no sync/atomic call: its diagnostic only fires if
-	// atomx's facts crossed the package boundary.
-	linttest.Run(t, "testdata", AtomicField, "atomx", "atomuse")
 }
 
 // TestLintReleasePairFix applies releasepair's suggested fixes (insert
@@ -166,15 +154,13 @@ func TestLintReleasePairFix(t *testing.T) {
 	}
 }
 
-// TestLintFactGobRoundTrip pins that every fact type the new analyzers
+// TestLintFactGobRoundTrip pins that every fact type the analyzers
 // export survives gob encoding — the serialization go vet's
 // unitchecker uses to ship facts between packages — so the offline
 // driver and the -vettool gate see identical cross-package behavior.
 func TestLintFactGobRoundTrip(t *testing.T) {
 	facts := []analysis.Fact{
-		&Allocates{Why: "map/channel allocation in the entry block"},
-		&AtomicallyAccessed{},
-		&AtomicFieldSet{Fields: []string{"Counter.N"}},
+		&ReachesFormatting{Chain: []string{"whatifolap/internal/shim", "fmt"}},
 	}
 	for _, f := range facts {
 		var buf bytes.Buffer

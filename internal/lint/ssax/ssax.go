@@ -1,6 +1,6 @@
 // Package ssax is whatiflint's SSA-lite foundation: a per-function
-// intermediate form built over the ctrlflow CFGs that the allocation
-// and release-pairing analyzers share, in the role
+// intermediate form built over the ctrlflow CFGs that the
+// release-pairing analyzer walks, in the role
 // golang.org/x/tools/go/analysis/passes/buildssa plays for upstream
 // analyzers.
 //
@@ -9,22 +9,16 @@
 // vendored the analysis framework from — carries only the x/tools
 // subset the standard vet suite needs, which does not include go/ssa
 // or buildssa. Rather than hand-porting a ~20k-line package, ssax
-// lowers exactly the slice of SSA these analyzers consume:
+// lowers exactly the slice of SSA releasepair consumes:
 //
 //   - basic blocks (from golang.org/x/tools/go/cfg via ctrlflow) with
 //     per-block instruction lists in approximate evaluation order:
-//     calls (plain, deferred, go), assignments, channel operations;
+//     calls (plain, deferred, go), assignments, channel sends,
+//     returns;
 //   - exit classification: every block with no successors is a
 //     function exit, split into return exits (explicit and the
 //     materialized implicit return) and panic exits — the paths a
-//     must-release analysis has to prove balanced;
-//   - heap-allocation sites with the reason the op allocates:
-//     interface boxing of non-pointer-shaped values, capturing
-//     closures, append calls with their capacity-evidence state,
-//     map/channel makes, string conversions, and variadic calls that
-//     build their argument slice;
-//   - local definition sites (for capacity-evidence queries) and
-//     loop extents (for per-iteration-allocation policies).
+//     must-release analysis has to prove balanced.
 //
 // The Result is position-addressable: consumers look functions up by
 // their *ast.FuncDecl / *ast.FuncLit node, exactly like buildssa's
@@ -43,10 +37,10 @@ import (
 )
 
 // Analyzer builds the SSA-lite form for every function in the package.
-// It reports nothing; its Result feeds allocguard and releasepair.
+// It reports nothing; its Result feeds releasepair.
 var Analyzer = &analysis.Analyzer{
 	Name:       "whatifssa",
-	Doc:        "build whatiflint's SSA-lite per-function form (blocks, instructions, alloc sites, exits) for the allocation and release-pairing analyzers",
+	Doc:        "build whatiflint's SSA-lite per-function form (blocks, instructions, exits) for the release-pairing analyzer",
 	Run:        run,
 	Requires:   []*analysis.Analyzer{ctrlflow.Analyzer},
 	ResultType: reflect.TypeOf((*Result)(nil)),
@@ -70,38 +64,8 @@ func (r *Result) All() []*Func { return r.order }
 type Func struct {
 	Node   ast.Node // *ast.FuncDecl or *ast.FuncLit
 	Name   string   // declared name, or "func literal"
-	Sig    *types.Signature
 	Blocks []*Block
-	Allocs []Alloc
-	// Defs records, per local variable, the expressions assigned to it
-	// anywhere in the function (declaration initializers and plain
-	// assignments), in source order. Multi-value assignments from a
-	// single call record the call for each variable.
-	Defs map[*types.Var][]ast.Expr
-
-	loops []span // extents of for/range bodies lexically in this function
-	entry span   // extent of the entry block's nodes
 }
-
-// span is a half-open position interval.
-type span struct{ lo, hi token.Pos }
-
-func (s span) contains(p token.Pos) bool { return p >= s.lo && p < s.hi }
-
-// InLoop reports whether pos lies inside a for/range body of this
-// function (nested function literals have their own loop extents).
-func (f *Func) InLoop(pos token.Pos) bool {
-	for _, s := range f.loops {
-		if s.contains(pos) {
-			return true
-		}
-	}
-	return false
-}
-
-// InEntry reports whether pos lies in the function's entry block — an
-// operation there executes unconditionally on every call.
-func (f *Func) InEntry(pos token.Pos) bool { return f.entry.contains(pos) }
 
 // Block is one basic block with lowered instructions.
 type Block struct {
@@ -135,7 +99,6 @@ const (
 	KGo                      // goroutine launch
 	KAssign                  // assignment or short variable declaration
 	KSend                    // channel send
-	KRecv                    // channel receive
 	KReturn                  // return statement
 )
 
@@ -147,83 +110,15 @@ type Instr struct {
 	Callee *types.Func   // static callee, nil for dynamic calls
 	Lhs    []ast.Expr    // KAssign
 	Rhs    []ast.Expr    // KAssign
-	Define bool          // KAssign via :=
 	// Stmt marks a KCall lowered from a standalone expression
 	// statement: its results, if any, are discarded.
 	Stmt bool
 }
 
-// AllocKind is the reason an operation heap-allocates.
-type AllocKind int
-
-const (
-	// AllocBox converts a concrete non-pointer-shaped value to an
-	// interface type; the value escapes to the heap.
-	AllocBox AllocKind = iota
-	// AllocClosure builds a closure over captured variables.
-	AllocClosure
-	// AllocAppend may grow its backing array. Capacity records whether
-	// the function shows preallocation evidence for the target.
-	AllocAppend
-	// AllocMake makes a map or channel, or builds a map literal.
-	AllocMake
-	// AllocConvString converts string↔[]byte/[]rune (or rune→string),
-	// copying the contents.
-	AllocConvString
-	// AllocVariadic calls a variadic function with non-spread
-	// arguments, building the argument slice.
-	AllocVariadic
-)
-
-func (k AllocKind) String() string {
-	switch k {
-	case AllocBox:
-		return "interface boxing"
-	case AllocClosure:
-		return "capturing closure"
-	case AllocAppend:
-		return "append"
-	case AllocMake:
-		return "map/channel allocation"
-	case AllocConvString:
-		return "string conversion"
-	case AllocVariadic:
-		return "variadic slice"
-	}
-	return "allocation"
-}
-
-// Alloc is one heap-allocation site.
-type Alloc struct {
-	Kind AllocKind
-	Pos  token.Pos
-	Node ast.Node
-	// From is the boxed operand type (AllocBox) or converted type
-	// (AllocConvString).
-	From types.Type
-	// Target is the appended-to local variable, when it is a simple
-	// local (AllocAppend).
-	Target *types.Var
-	// Capacity reports preallocation evidence for Target: a
-	// make(T, len, cap) definition in the same function, or a
-	// caller-provided parameter (AllocAppend).
-	Capacity bool
-	// Callee is the variadic callee (AllocVariadic).
-	Callee *types.Func
-	// InLoop and InEntry cache the containing function's placement
-	// queries for this site.
-	InLoop  bool
-	InEntry bool
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
 	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
 	r := &Result{funcs: make(map[ast.Node]*Func)}
-	b := &builder{
-		pass:      pass,
-		allDefs:   make(map[*types.Var][]ast.Expr),
-		paramVars: make(map[*types.Var]bool),
-	}
+	b := &builder{pass: pass}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -250,90 +145,27 @@ func (r *Result) add(f *Func) {
 
 type builder struct {
 	pass *analysis.Pass
-	// allDefs and paramVars span every function built so far, so
-	// closures resolve capacity evidence for captured variables against
-	// their enclosing function's definitions and parameters.
-	allDefs   map[*types.Var][]ast.Expr
-	paramVars map[*types.Var]bool
 }
 
 func (b *builder) build(node ast.Node, name string, g *cfg.CFG) *Func {
 	if g == nil || len(g.Blocks) == 0 {
 		return nil
 	}
-	var body *ast.BlockStmt
-	var sig *types.Signature
-	switch n := node.(type) {
-	case *ast.FuncDecl:
-		body = n.Body
-		if fn, ok := b.pass.TypesInfo.Defs[n.Name].(*types.Func); ok {
-			sig, _ = fn.Type().(*types.Signature)
-		}
-	case *ast.FuncLit:
-		body = n.Body
-		if tv, ok := b.pass.TypesInfo.Types[n]; ok {
-			sig, _ = tv.Type.Underlying().(*types.Signature)
-		}
-	}
-	f := &Func{
-		Node: node,
-		Name: name,
-		Sig:  sig,
-		Defs: make(map[*types.Var][]ast.Expr),
-	}
-	if sig != nil {
-		for i := 0; i < sig.Params().Len(); i++ {
-			b.paramVars[sig.Params().At(i)] = true
-		}
-		if recv := sig.Recv(); recv != nil {
-			b.paramVars[recv] = true
-		}
-	}
-	f.collectLoops(body)
+	f := &Func{Node: node, Name: name}
 	for _, cb := range g.Blocks {
 		blk := &Block{Index: int(cb.Index)}
 		for _, s := range cb.Succs {
 			blk.Succs = append(blk.Succs, int(s.Index))
 		}
 		for _, n := range cb.Nodes {
-			b.lower(f, blk, n)
+			b.lower(blk, n)
 		}
 		if len(cb.Succs) == 0 && cb.Live {
 			classifyExit(blk, cb)
 		}
 		f.Blocks = append(f.Blocks, blk)
 	}
-	if len(g.Blocks[0].Nodes) > 0 {
-		f.entry = span{g.Blocks[0].Nodes[0].Pos(), g.Blocks[0].Nodes[len(g.Blocks[0].Nodes)-1].End()}
-	}
-	b.collectAllocs(f, body)
-	b.resolveAppendEvidence(f)
 	return f
-}
-
-// collectLoops records the extents of for/range bodies lexically inside
-// the function (not descending into nested function literals), and the
-// function's local definition sites.
-func (f *Func) collectLoops(body *ast.BlockStmt) {
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.ForStmt:
-				if m.Body != nil {
-					f.loops = append(f.loops, span{m.Body.Pos(), m.Body.End()})
-				}
-			case *ast.RangeStmt:
-				if m.Body != nil {
-					f.loops = append(f.loops, span{m.Body.Pos(), m.Body.End()})
-				}
-			}
-			return true
-		})
-	}
-	walk(body)
 }
 
 // classifyExit marks blk as a return or panic exit of its function.
@@ -362,8 +194,8 @@ func classifyExit(blk *Block, cb *cfg.Block) {
 }
 
 // lower appends the instructions of one CFG node to blk, in approximate
-// evaluation order, and records local definition sites.
-func (b *builder) lower(f *Func, blk *Block, node ast.Node) {
+// evaluation order.
+func (b *builder) lower(blk *Block, node ast.Node) {
 	info := b.pass.TypesInfo
 	stmtCalls := make(map[*ast.CallExpr]bool)
 	ast.Inspect(node, func(m ast.Node) bool {
@@ -380,92 +212,38 @@ func (b *builder) lower(f *Func, blk *Block, node ast.Node) {
 			return false // its body is a separate Func
 		case *ast.DeferStmt:
 			for _, arg := range m.Call.Args {
-				b.lower(f, blk, arg)
+				b.lower(blk, arg)
 			}
 			blk.Instrs = append(blk.Instrs, Instr{Kind: KDefer, Node: m, Call: m.Call, Callee: staticCallee(info, m.Call)})
 			return false
 		case *ast.GoStmt:
 			for _, arg := range m.Call.Args {
-				b.lower(f, blk, arg)
+				b.lower(blk, arg)
 			}
 			blk.Instrs = append(blk.Instrs, Instr{Kind: KGo, Node: m, Call: m.Call, Callee: staticCallee(info, m.Call)})
 			return false
 		case *ast.SendStmt:
 			blk.Instrs = append(blk.Instrs, Instr{Kind: KSend, Node: m})
-		case *ast.UnaryExpr:
-			if m.Op == token.ARROW {
-				blk.Instrs = append(blk.Instrs, Instr{Kind: KRecv, Node: m})
-			}
 		case *ast.CallExpr:
 			if tv, ok := info.Types[m.Fun]; ok && tv.IsType() {
 				return true // conversion, not a call
 			}
 			blk.Instrs = append(blk.Instrs, Instr{Kind: KCall, Node: m, Call: m, Callee: staticCallee(info, m), Stmt: stmtCalls[m]})
 		case *ast.AssignStmt:
-			in := Instr{Kind: KAssign, Node: m, Lhs: m.Lhs, Rhs: m.Rhs, Define: m.Tok == token.DEFINE}
-			blk.Instrs = append(blk.Instrs, in)
-			b.recordDefs(f, m.Lhs, m.Rhs)
+			blk.Instrs = append(blk.Instrs, Instr{Kind: KAssign, Node: m, Lhs: m.Lhs, Rhs: m.Rhs})
 		case *ast.ValueSpec:
 			if len(m.Values) > 0 {
 				lhs := make([]ast.Expr, len(m.Names))
 				for i, name := range m.Names {
 					lhs[i] = name
 				}
-				blk.Instrs = append(blk.Instrs, Instr{Kind: KAssign, Node: m, Lhs: lhs, Rhs: m.Values, Define: true})
-			}
-			for _, name := range m.Names {
-				if v, ok := info.Defs[name].(*types.Var); ok && len(m.Values) > 0 {
-					rhs := m.Values[0]
-					if len(m.Values) == len(m.Names) {
-						rhs = m.Values[indexOfIdent(m.Names, name)]
-					}
-					f.Defs[v] = append(f.Defs[v], rhs)
-					b.allDefs[v] = append(b.allDefs[v], rhs)
-				}
+				blk.Instrs = append(blk.Instrs, Instr{Kind: KAssign, Node: m, Lhs: lhs, Rhs: m.Values})
 			}
 		case *ast.ReturnStmt:
 			blk.Instrs = append(blk.Instrs, Instr{Kind: KReturn, Node: m})
 		}
 		return true
 	})
-}
-
-func indexOfIdent(names []*ast.Ident, want *ast.Ident) int {
-	for i, n := range names {
-		if n == want {
-			return i
-		}
-	}
-	return 0
-}
-
-// recordDefs maps assigned local variables to their defining
-// expressions. A multi-value RHS (single call) defines every LHS.
-func (b *builder) recordDefs(f *Func, lhs, rhs []ast.Expr) {
-	info := b.pass.TypesInfo
-	for i, l := range lhs {
-		id, ok := l.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		var v *types.Var
-		if d, ok := info.Defs[id].(*types.Var); ok {
-			v = d
-		} else if u, ok := info.Uses[id].(*types.Var); ok && !u.IsField() && u.Parent() != nil && u.Parent() != b.pass.Pkg.Scope() {
-			v = u
-		}
-		if v == nil {
-			continue
-		}
-		switch {
-		case len(rhs) == len(lhs):
-			f.Defs[v] = append(f.Defs[v], rhs[i])
-			b.allDefs[v] = append(b.allDefs[v], rhs[i])
-		case len(rhs) == 1:
-			f.Defs[v] = append(f.Defs[v], rhs[0])
-			b.allDefs[v] = append(b.allDefs[v], rhs[0])
-		}
-	}
 }
 
 // staticCallee resolves the static callee of a call, or nil for

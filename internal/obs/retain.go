@@ -149,7 +149,7 @@ func (r *TraceRing) MaybeRetain(m TraceMeta, spans func() []trace.Span) string {
 			}
 		}
 	}
-	r.queue = append(r.queue, rt) //lint:allocok retention is per-trace and already snapshots spans; queue growth is amortized and bounded by the byte budget
+	r.queue = append(r.queue, rt) // amortized growth, bounded by the byte budget
 	r.byID[rt.ID] = rt
 	r.bytes += rt.bytes
 	if reason == "sampled" {

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 
@@ -26,9 +24,7 @@ type scenarioCreateRequest struct {
 
 func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 	var req scenarioCreateRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
+	if !s.decodeBody(w, r, &req, false) {
 		return
 	}
 	// The snapshot pins the current published version; the scenario
@@ -71,9 +67,7 @@ func (s *Server) handleScenarioEdit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req scenarioEditRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
+	if !s.decodeBody(w, r, &req, false) {
 		return
 	}
 	if _, err := sc.Apply(req.Edits); err != nil {
@@ -93,10 +87,8 @@ type scenarioForkRequest struct {
 
 func (s *Server) handleScenarioFork(w http.ResponseWriter, r *http.Request) {
 	var req scenarioForkRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	// An empty body means default naming.
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
+	if !s.decodeBody(w, r, &req, true) {
 		return
 	}
 	child, err := s.scenarios.Fork(r.PathValue("id"), req.Name)

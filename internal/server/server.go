@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -272,11 +273,11 @@ func (s *Server) UpdateCube(name string, mutate func(c *cube.Cube) (*cube.Cube, 
 //	DELETE /scenarios/{id}             discard
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/cubes", s.handleCubes)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("POST /query", s.handleQuery)
+	mux.HandleFunc("GET /cubes", s.handleCubes)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics/history", s.handleMetricsHistory)
-	mux.HandleFunc("/debug/slowlog", s.handleSlowlog)
+	mux.HandleFunc("GET /debug/slowlog", s.handleSlowlog)
 	mux.HandleFunc("GET /debug/trace", s.handleTraceList)
 	mux.HandleFunc("GET /debug/trace/{id}", s.handleTrace)
 	mux.HandleFunc("GET /debug/events", s.handleEvents)
@@ -382,10 +383,6 @@ func (k cacheKey) head() responseHead {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
-		return
-	}
 	s.serveQuery(w, r, func(name string) (queryTarget, int, error) {
 		snap, status, err := s.acquireCube(name)
 		if err != nil {
@@ -423,10 +420,8 @@ func (s *Server) acquireCube(name string) (*Snapshot, int, error) {
 // and error to refuse with.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, resolve func(cubeName string) (queryTarget, int, error)) {
 	var req queryRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if !s.decodeBody(w, r, &req, false) {
 		s.metrics.QueryErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
 		return
 	}
 	t, status, err := resolve(req.Cube)
@@ -638,20 +633,12 @@ func classify(q *mdx.Query) string {
 }
 
 func (s *Server) handleCubes(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET only"})
-		return
-	}
 	writeJSON(w, http.StatusOK, struct {
 		Cubes []CubeInfo `json:"cubes"`
 	}{s.catalog.List()})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET only"})
-		return
-	}
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
@@ -669,10 +656,6 @@ type slowlogResponse struct {
 }
 
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET only"})
-		return
-	}
 	records, total := s.slowlog.snapshot()
 	writeJSON(w, http.StatusOK, slowlogResponse{
 		ThresholdMs: s.cfg.SlowQueryMs,
@@ -685,6 +668,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")
+}
+
+// decodeBody decodes the request's JSON body, capped at MaxBodyBytes,
+// into v. A body that does not decode — an empty one too, unless
+// emptyOK — is answered 400 and decodeBody reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, emptyOK bool) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil || emptyOK && errors.Is(err, io.EOF) {
+		return true
+	}
+	writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

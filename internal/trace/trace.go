@@ -257,7 +257,7 @@ func WithSpan(ctx context.Context, sp SpanRef) context.Context {
 	if !sp.Valid() {
 		return ctx
 	}
-	//lint:allocok context plumbing at query-setup boundaries, not per cell; WithValue allocates its own node anyway
+	// Called at query-setup boundaries, never per cell.
 	return context.WithValue(ctx, spanCtxKey{}, sp)
 }
 

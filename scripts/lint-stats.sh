@@ -6,9 +6,10 @@
 # where the lint gate has been waived and why. With --check it only
 # enforces the contract: markers (hotpath, monotonic) declare analyzer
 # scope and need no reason, justification directives (coldfmt,
-# hotpathok, semdefault, ctxok, lockok, wallclock, allocok, pairok,
-# atomicok) suppress a diagnostic and must say why; any reasonless
-# justification fails the script. verify.sh runs the --check mode.
+# hotpathok, semdefault, ctxok, lockok, wallclock, pairok) suppress a
+# diagnostic and must say why. A reasonless justification fails the
+# script, and so does any other directive name: no analyzer reads it,
+# so it would silence nothing. verify.sh runs the --check mode.
 #
 # vendor/ and testdata/ are excluded (testdata deliberately contains
 # bare directives to test the "needs a reason" diagnostics), as are
@@ -24,8 +25,9 @@ find . -name '*.go' \
     -exec grep -Hn '//lint:' {} + \
 | awk -v mode="$mode" '
     BEGIN {
-        n = split("coldfmt hotpathok semdefault ctxok lockok wallclock allocok pairok atomicok", j, " ")
+        n = split("coldfmt hotpathok semdefault ctxok lockok wallclock pairok", j, " ")
         for (i = 1; i <= n; i++) just[j[i]] = 1
+        mark["hotpath"] = mark["monotonic"] = 1
     }
     {
         split($0, p, ":")
@@ -37,7 +39,10 @@ find . -name '*.go' \
         gsub(/^[ \t]+|[ \t\r]+$/, "", reason)
         count[rule]++
         if (mode != "--check") printf "%-11s %-34s %s\n", rule, loc, reason
-        if (just[rule] && reason == "") {
+        if (!(rule in just) && !(rule in mark)) {
+            bad++
+            printf "lint-stats: unknown directive //lint:%s at %s\n", rule, loc
+        } else if ((rule in just) && reason == "") {
             bad++
             printf "lint-stats: reasonless //lint:%s at %s\n", rule, loc
         }
@@ -48,7 +53,7 @@ find . -name '*.go' \
             for (r in count) printf "%4d  //lint:%s\n", count[r], r
         }
         if (bad > 0) {
-            printf "lint-stats: %d justification directive(s) without a reason\n", bad
+            printf "lint-stats: %d unknown or reasonless directive(s)\n", bad
             exit 1
         }
     }

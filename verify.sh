@@ -27,9 +27,9 @@ stage 'gofmt -l' gofmt_gate
 
 stage 'go vet ./...' go vet ./...
 
-# whatiflint: the repo's own go/analysis suite (internal/lint), run
-# through go vet's -vettool protocol so findings arrive per package with
-# file:line positions. It machine-checks the invariants verify.sh used
+# whatiflint: the repo's own go/analysis suite of six analyzers
+# (internal/lint), run through go vet's -vettool protocol so findings
+# arrive per package with file:line positions. It machine-checks the invariants verify.sh used
 # to grep for and several it never could:
 #   hotpathfmt    - no fmt/reflect/log on declared hot-path files
 #                   (internal/trace/trace.go, internal/core/exec.go,
@@ -44,16 +44,9 @@ stage 'go vet ./...' go vet ./...
 #   lockguard     - no blocking calls (disk, segment, obs sinks) while
 #                   chunk-store mutexes are held
 #   monotonic     - span-recording paths stay on the monotonic clock
-#   allocguard    - the declared hot-path files stay heap-silent: no
-#                   interface boxing, string conversions, capturing
-#                   closures or map makes in loops, growth appends, or
-#                   loop calls into helpers that allocate (tracked via
-#                   cross-package facts)
 #   releasepair   - every acquire (Lock, Pin, span Start, NewLayer,
 #                   CloneTier) is released on every path, including
 #                   early returns and panics
-#   atomicfield   - a field accessed through sync/atomic is accessed
-#                   atomically everywhere, across packages
 # Each diagnostic names the rule and the fix; escape hatches are
 # reviewable //lint: directives carrying a reason (see DESIGN.md).
 whatiflint_gate() {
