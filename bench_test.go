@@ -323,7 +323,7 @@ func BenchmarkObsRetainOff(b *testing.B) {
 	tr := trace.New(8192)
 	k.ReplayTraced(tr, trace.SpanRef{}, ov)
 	var ring *obs.TraceRing
-	meta := obs.TraceMeta{Cube: "wf", Query: "bench", LatencyMs: 1}
+	meta := obs.TraceMeta{QueryIdentity: obs.QueryIdentity{Cube: "wf", Query: "bench", LatencyMs: 1}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cells int
@@ -349,7 +349,7 @@ func BenchmarkObsRetainOn(b *testing.B) {
 	tr := trace.New(8192)
 	k.ReplayTraced(tr, trace.SpanRef{}, ov)
 	ring := obs.NewTraceRing(4<<20, 64)
-	meta := obs.TraceMeta{Cube: "wf", Query: "bench", LatencyMs: 1}
+	meta := obs.TraceMeta{QueryIdentity: obs.QueryIdentity{Cube: "wf", Query: "bench", LatencyMs: 1}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cells int

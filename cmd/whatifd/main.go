@@ -10,7 +10,8 @@
 //	GET  /metrics        counters, cache hit ratio, queue depth, p50/p95/p99
 //	                     (?format=prom for Prometheus text exposition)
 //	GET  /metrics/history  in-process metrics time-series (interval deltas)
-//	GET  /debug/slowlog  recent slow queries with their span traces
+//	GET  /debug/slowlog  slow queries still in the retained-trace ring, newest
+//	                     first, with their span trees (-retain-bytes bounds it)
 //	GET  /debug/trace    retained trace summaries; /debug/trace/{id} one tree
 //	GET  /debug/events   structured component lifecycle events
 //	GET  /healthz        liveness
@@ -89,15 +90,11 @@ func main() {
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-query deadline (0 = none)")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off)")
 		slowMs      = flag.Float64("slowlog", server.DefaultSlowQueryMs, "slow-query log threshold in ms (negative disables)")
-		slowCap     = flag.Int("slowlog-cap", 0, "slow-query ring buffer capacity (0 = default)")
-		traceSpans  = flag.Int("trace-spans", 0, "span buffer size per traced query (0 = default)")
 		dataDir     = flag.String("data-dir", "", "persistent data directory: restore cubes from it at startup and write published versions back as segment files (empty = in-memory only)")
 		useMmap     = flag.Bool("mmap", false, "with -data-dir, serve segment reads through a read-only memory map instead of pread")
 		rle         = flag.Bool("rle", true, "run-length encode eligible chunks of every served cube at startup (smaller resident set, run-aware scans)")
 		obsEvery    = flag.Duration("obs-interval", 0, "metrics-history sampling cadence (0 = default 1s, negative disables)")
-		historyCap  = flag.Int("history", 0, "metrics-history ring capacity in samples (0 = default)")
-		retainBytes = flag.Int("retain-bytes", 0, "retained-trace ring byte budget (0 = default 4 MiB, negative disables)")
-		traceSample = flag.Int("trace-sample", 0, "retain every Nth healthy query trace (0 = default 64, negative = slow/errored only)")
+		retainBytes = flag.Int("retain-bytes", 0, "retained-trace ring byte budget, which also holds the slow-query log (0 = default 4 MiB, negative disables both)")
 	)
 	flag.Var(&loads, "load", "serve a cube dump as name=path (repeatable; text or binary format)")
 	flag.Parse()
@@ -189,12 +186,8 @@ func main() {
 		CacheBytes:       *cacheBytes,
 		DefaultTimeout:   *timeout,
 		SlowQueryMs:      *slowMs,
-		SlowlogCap:       *slowCap,
-		TraceSpans:       *traceSpans,
 		ObsInterval:      *obsEvery,
-		HistoryCap:       *historyCap,
 		RetainTraceBytes: *retainBytes,
-		TraceSampleEvery: *traceSample,
 		Events:           events,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}

@@ -41,7 +41,7 @@ func ObsOverhead(w *workload.Workforce, reps int) ([]ObsRow, error) {
 	ov := k.NewOverlay()
 	k.ReplayTraced(nil, trace.SpanRef{}, ov) // warm destination chunks
 
-	meta := obs.TraceMeta{Cube: "wf", Query: "bench", LatencyMs: 1}
+	meta := obs.TraceMeta{QueryIdentity: obs.QueryIdentity{Cube: "wf", Query: "bench", LatencyMs: 1}}
 	run := func(ring *obs.TraceRing) func() error {
 		return func() error {
 			tr.Reset()

@@ -17,8 +17,8 @@ type Event struct {
 	Fields map[string]string `json:"fields,omitempty"`
 }
 
-// DefaultEventLogCap is the event capacity NewEventLog(0) allocates.
-const DefaultEventLogCap = 256
+// DefaultEventLogSize is the event capacity NewEventLog(0) allocates.
+const DefaultEventLogSize = 256
 
 // EventLog is a fixed-capacity ring of lifecycle events with an
 // optional JSON-lines sink: every event is retained for /debug/events
@@ -35,10 +35,10 @@ type EventLog struct {
 }
 
 // NewEventLog creates an event log holding up to capacity events
-// (DefaultEventLogCap when capacity <= 0), tee'd to sink when non-nil.
+// (DefaultEventLogSize when capacity <= 0), tee'd to sink when non-nil.
 func NewEventLog(capacity int, sink io.Writer) *EventLog {
 	if capacity <= 0 {
-		capacity = DefaultEventLogCap
+		capacity = DefaultEventLogSize
 	}
 	return &EventLog{buf: make([]Event, 0, capacity), sink: sink}
 }

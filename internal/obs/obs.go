@@ -91,9 +91,9 @@ type Sample struct {
 	RetainedTraceBytes int `json:"retained_trace_bytes"`
 }
 
-// DefaultHistoryCap is the sample capacity NewHistory(0) allocates:
+// DefaultHistorySize is the sample capacity NewHistory(0) allocates:
 // ten minutes of history at the default one-second cadence.
-const DefaultHistoryCap = 600
+const DefaultHistorySize = 600
 
 // History is a fixed-capacity ring of Samples: writes overwrite the
 // oldest once full, reads return an oldest-first copy. One mutex is
@@ -107,10 +107,10 @@ type History struct {
 }
 
 // NewHistory creates a history ring holding up to capacity samples
-// (DefaultHistoryCap when capacity <= 0).
+// (DefaultHistorySize when capacity <= 0).
 func NewHistory(capacity int) *History {
 	if capacity <= 0 {
-		capacity = DefaultHistoryCap
+		capacity = DefaultHistorySize
 	}
 	return &History{buf: make([]Sample, 0, capacity)}
 }

@@ -83,7 +83,7 @@ func TestRetainReasonsAndSampling(t *testing.T) {
 	if rt, ok := r.Get(id); !ok || rt.Reason != "error" {
 		t.Fatalf("Get(%q) = %+v, %v; want reason error", id, rt, ok)
 	}
-	id = r.MaybeRetain(TraceMeta{Slow: true, LatencyMs: 900}, testSpans)
+	id = r.MaybeRetain(TraceMeta{QueryIdentity: QueryIdentity{LatencyMs: 900}, Slow: true}, testSpans)
 	if rt, ok := r.Get(id); !ok || rt.Reason != "slow" {
 		t.Fatalf("slow query retained as %+v, %v", rt, ok)
 	}
@@ -91,7 +91,7 @@ func TestRetainReasonsAndSampling(t *testing.T) {
 	// Healthy queries: exactly one in three.
 	var sampled int
 	for i := 0; i < 9; i++ {
-		if r.MaybeRetain(TraceMeta{Query: "q"}, testSpans) != "" {
+		if r.MaybeRetain(TraceMeta{QueryIdentity: QueryIdentity{Query: "q"}}, testSpans) != "" {
 			sampled++
 		}
 	}
@@ -127,7 +127,7 @@ func TestRetainByteBudgetEviction(t *testing.T) {
 	r := NewTraceRing(perTrace*3, 1) // sample everything
 	ids := make([]string, 0, 8)
 	for i := 0; i < 8; i++ {
-		ids = append(ids, r.MaybeRetain(TraceMeta{Query: "q"}, func() []trace.Span { return spans }))
+		ids = append(ids, r.MaybeRetain(TraceMeta{QueryIdentity: QueryIdentity{Query: "q"}}, func() []trace.Span { return spans }))
 	}
 	st := r.Stats()
 	if st.Bytes > st.Budget {
@@ -154,7 +154,7 @@ func TestRetainByteBudgetEviction(t *testing.T) {
 
 	// A single trace above budget must still be kept (and addressable).
 	tiny := NewTraceRing(1, 1)
-	id := tiny.MaybeRetain(TraceMeta{Query: strings.Repeat("x", 100)}, func() []trace.Span { return spans })
+	id := tiny.MaybeRetain(TraceMeta{QueryIdentity: QueryIdentity{Query: strings.Repeat("x", 100)}}, func() []trace.Span { return spans })
 	if _, ok := tiny.Get(id); !ok {
 		t.Fatal("oversized sole trace was evicted")
 	}
@@ -164,7 +164,7 @@ func TestRetainDisabledZeroAllocs(t *testing.T) {
 	// The common path — retention disabled (nil ring) or a healthy
 	// unsampled query — must not allocate: it runs after every query.
 	var nilRing *TraceRing
-	m := TraceMeta{Query: "q"}
+	m := TraceMeta{QueryIdentity: QueryIdentity{Query: "q"}}
 	spans := func() []trace.Span { t.Fatal("spans snapshotted on non-retained query"); return nil }
 	if got := testing.AllocsPerRun(100, func() {
 		if nilRing.MaybeRetain(m, spans) != "" {
@@ -293,7 +293,7 @@ func TestRetainBoundsHealthySamples(t *testing.T) {
 	failed := r.MaybeRetain(TraceMeta{Err: "boom"}, testSpans)
 	var ids []string
 	for i := 0; i < maxSampledResident+8; i++ {
-		ids = append(ids, r.MaybeRetain(TraceMeta{Query: "q"}, testSpans))
+		ids = append(ids, r.MaybeRetain(TraceMeta{QueryIdentity: QueryIdentity{Query: "q"}}, testSpans))
 	}
 	st := r.Stats()
 	if st.Count != maxSampledResident+2 || st.Evicted != 8 {

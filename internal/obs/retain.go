@@ -18,26 +18,39 @@ import (
 	"whatifolap/internal/trace"
 )
 
+// QueryIdentity is what every surface listing a retained query says
+// about it: when it finished, the cube and, on the scenario path, the
+// scenario id and workspace revision it ran against, its normalized
+// text and its latency. The server's /debug/slowlog and /debug/trace
+// entries embed it, so their shared JSON keys are declared once, here.
+type QueryIdentity struct {
+	Time        time.Time `json:"time"`
+	Cube        string    `json:"cube"`
+	Scenario    string    `json:"scenario,omitempty"`
+	ScenarioRev int64     `json:"scenario_revision,omitempty"`
+	Query       string    `json:"query"`
+	LatencyMs   float64   `json:"latency_ms"`
+}
+
 // TraceMeta identifies one query execution to the retention ring. The
 // caller (who owns the latency threshold policy) pre-computes Slow;
 // the ring only decides retention and storage.
 type TraceMeta struct {
-	Time        time.Time
-	Cube        string
-	Scenario    string
-	ScenarioRev int64
-	Query       string
-	LatencyMs   float64
+	QueryIdentity
 	// Err is the execution error, already formatted (the ring must not
 	// format), empty on success.
 	Err string
-	// Slow marks a latency at or above the caller's slowlog threshold.
+	// Slow marks a latency at or above the caller's slow-query threshold.
 	Slow bool
+	// Dropped counts the spans the recorder discarded because its buffer
+	// was full; a rendering of the retained spans says so.
+	Dropped int
 }
 
 // RetainedTrace is one kept query trace: identity, outcome, and the
-// full span tree (not rendered text — /debug/trace/{id} renders on
-// read, and tests reconcile span attributes against query stats).
+// full span tree (not rendered text — /debug/trace/{id} and
+// /debug/slowlog render on read, and tests reconcile span attributes
+// against query stats).
 type RetainedTrace struct {
 	ID     string
 	Meta   TraceMeta

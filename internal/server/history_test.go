@@ -10,7 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"whatifolap/internal/chunk"
 )
@@ -19,13 +22,13 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	// Empty recorder: every quantile is 0.
 	h := newHistogram([]float64{10, 20})
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got := h.quantile(q); got != 0 {
+		if got := h.read().quantile(q); got != 0 {
 			t.Fatalf("empty quantile(%v) = %v, want 0", q, got)
 		}
 	}
 
-	// No bounds at all: quantileCounts must not panic.
-	if got := quantileCounts(nil, nil, 0.5); got != 0 {
+	// No bounds at all: quantile must not panic.
+	if got := (histReading{}).quantile(0.5); got != 0 {
 		t.Fatalf("quantile of boundless histogram = %v, want 0", got)
 	}
 
@@ -34,7 +37,7 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	h1.observe(3)
 	h1.observe(7)
 	for _, q := range []float64{0.5, 0.99} {
-		if got := h1.quantile(q); got <= 0 || got > 10 {
+		if got := h1.read().quantile(q); got <= 0 || got > 10 {
 			t.Fatalf("single-bucket quantile(%v) = %v, want within (0,10]", q, got)
 		}
 	}
@@ -47,25 +50,60 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 		h2.observe(1e6)
 	}
 	for _, q := range []float64{0.5, 0.99} {
-		if got := h2.quantile(q); got != 20 {
+		if got := h2.read().quantile(q); got != 20 {
 			t.Fatalf("+Inf-bucket quantile(%v) = %v, want clamp to 20", q, got)
 		}
 	}
 
-	// Interval deltas: a second snapshot minus the first isolates the
+	// Interval deltas: a second reading minus the first isolates the
 	// new observations, and the shared kernel prices only those.
 	h3 := newHistogram([]float64{10, 20})
 	h3.observe(5)
-	before := h3.countsSnapshot()
+	before := h3.read()
 	h3.observe(15)
 	h3.observe(15)
-	after := h3.countsSnapshot()
-	delta := make([]int64, len(after))
-	for i := range after {
-		delta[i] = after[i] - before[i]
+	delta := h3.read().minus(before)
+	if got := delta.quantile(0.5); got <= 10 || got > 20 {
+		t.Fatalf("interval quantile = %v, want within (10,20] (delta %v)", got, delta.counts)
 	}
-	if got := quantileCounts(h3.bounds, delta, 0.5); got <= 10 || got > 20 {
-		t.Fatalf("interval quantile = %v, want within (10,20] (delta %v)", got, delta)
+	if sum := delta.summary(); sum.Count != 2 || math.Abs(sum.MeanMs-15) > 1e-9 {
+		t.Fatalf("interval summary = %+v, want 2 observations of mean 15", sum)
+	}
+}
+
+// TestSnapshotQuantilesOrderedUnderLoad pins that one snapshot's
+// quantiles describe one set of observations: with a few slow
+// observations recorded and fast ones streaming in, reading the buckets
+// anew for each quantile could put p50 above p95. More streamers than
+// cores get the snapshotting goroutine preempted mid-snapshot, where
+// the distribution moves fastest: right after the fast stream starts.
+func TestSnapshotQuantilesOrderedUnderLoad(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		m := NewMetrics()
+		for i := 0; i < 50; i++ {
+			m.ObserveLatency(900 * time.Millisecond)
+		}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					m.ObserveLatency(50 * time.Microsecond)
+				}
+			}()
+		}
+		for i := 0; i < 50; i++ {
+			l := m.Snapshot().Latency
+			if l.P50Ms > l.P95Ms || l.P95Ms > l.P99Ms {
+				stop.Store(true)
+				wg.Wait()
+				t.Fatalf("round %d, snapshot %d: p50 %v, p95 %v, p99 %v out of order", round, i, l.P50Ms, l.P95Ms, l.P99Ms)
+			}
+		}
+		stop.Store(true)
+		wg.Wait()
 	}
 }
 
@@ -245,7 +283,7 @@ func TestSlowlogTraceIDAndRevision(t *testing.T) {
 		t.Fatal("slow scenario query lacks X-Trace-Id")
 	}
 
-	records, total := s.slowlog.snapshot()
+	records, total := s.slowQueries(), s.metrics.SlowQueries.Load()
 	if total != 1 || len(records) != 1 {
 		t.Fatalf("slowlog = %d records, want 1", total)
 	}
@@ -319,7 +357,7 @@ func TestHistoryEvictionPressureEvents(t *testing.T) {
 	s.metrics.poolStats = func() chunk.SpillStats {
 		return chunk.SpillStats{Evictions: evictions, ResidentBytes: 1 << 20}
 	}
-	s.sampler.prime()
+	s.sampler = newObsSampler(s)
 
 	count := func(typ string) int {
 		events, _ := s.events.Snapshot()

@@ -33,13 +33,12 @@ var chunksReadBuckets = []float64{
 // histogram is a fixed-bucket histogram with atomic counters, in the
 // style of expvar: cheap to update from many goroutines, read by
 // snapshotting. Buckets are cumulative only at exposition time; counts
-// here are per-bucket. The sum is kept in micro-units so it stays a
-// single atomic integer.
+// here are per-bucket, and the observation count is their total. The
+// sum is kept in micro-units so it stays a single atomic integer.
 type histogram struct {
 	bounds   []float64
 	counts   []atomic.Int64 // len(bounds)+1; the last bucket is +Inf
 	sumMicro atomic.Int64
-	count    atomic.Int64
 }
 
 func newHistogram(bounds []float64) *histogram {
@@ -51,7 +50,6 @@ func (h *histogram) observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.sumMicro.Add(int64(v * 1e6))
-	h.count.Add(1)
 }
 
 // observeDuration records one duration in milliseconds.
@@ -59,46 +57,71 @@ func (h *histogram) observeDuration(d time.Duration) {
 	h.observe(float64(d) / float64(time.Millisecond))
 }
 
-func (h *histogram) sum() float64 { return float64(h.sumMicro.Load()) / 1e6 }
-
-// quantile estimates the q-th quantile over the histogram's lifetime
-// counts. Exposition-time only; the per-read snapshot allocation is
-// off the query path.
-func (h *histogram) quantile(q float64) float64 {
-	return quantileCounts(h.bounds, h.countsSnapshot(), q)
+// histReading is one read of a histogram's buckets and sum. Everything
+// derived from a reading — count, mean, every quantile, the prom
+// buckets — describes the same observations, however many are recorded
+// meanwhile; the history collector differences two readings into one
+// interval's.
+type histReading struct {
+	bounds   []float64
+	counts   []int64 // len(bounds)+1; the last bucket is +Inf
+	sumMicro int64
 }
 
-// countsSnapshot copies the per-bucket counts (len(bounds)+1, last is
-// +Inf). The collector differences two such snapshots to compute
-// interval quantiles.
-func (h *histogram) countsSnapshot() []int64 {
-	out := make([]int64, len(h.counts))
+// read takes one reading. Exposition-time only; the allocation is off
+// the query path.
+func (h *histogram) read() histReading {
+	r := histReading{bounds: h.bounds, counts: make([]int64, len(h.counts)), sumMicro: h.sumMicro.Load()}
 	for i := range h.counts {
-		out[i] = h.counts[i].Load()
+		r.counts[i] = h.counts[i].Load()
 	}
-	return out
+	return r
 }
 
-// quantileCounts estimates the q-th quantile (0 < q < 1) from
-// per-bucket counts (len(bounds)+1, the last bucket +Inf) with linear
+// minus is the reading of the observations made between prev and r.
+func (r histReading) minus(prev histReading) histReading {
+	d := histReading{bounds: r.bounds, counts: make([]int64, len(r.counts)), sumMicro: r.sumMicro - prev.sumMicro}
+	for i := range d.counts {
+		d.counts[i] = r.counts[i] - prev.counts[i]
+	}
+	return d
+}
+
+func (r histReading) count() int64 {
+	var n int64
+	for _, c := range r.counts {
+		n += c
+	}
+	return n
+}
+
+// summary is the reading's count, mean and p50/p95/p99 — zero when it
+// holds no observation.
+func (r histReading) summary() LatencySnapshot {
+	n := r.count()
+	if n == 0 {
+		return LatencySnapshot{}
+	}
+	return LatencySnapshot{
+		Count:  n,
+		MeanMs: float64(r.sumMicro) / 1e6 / float64(n),
+		P50Ms:  r.quantile(0.50),
+		P95Ms:  r.quantile(0.95),
+		P99Ms:  r.quantile(0.99),
+	}
+}
+
+// quantile estimates the q-th quantile (0 < q < 1) with linear
 // interpolation inside the winning bucket (the Prometheus
 // histogram_quantile convention): the estimate moves smoothly with the
 // rank instead of jumping between bucket bounds. The first bucket
 // interpolates from 0; a rank landing in the +Inf bucket clamps to the
 // largest finite bound, since no upper edge exists to interpolate
-// toward. Zero total — an empty recorder, or an interval delta with no
-// observations — returns 0. It is the shared quantile kernel: lifetime
-// quantiles pass a histogram's counts, the history collector passes
-// the bucket deltas of one sampling interval.
-func quantileCounts(bounds []float64, counts []int64, q float64) float64 {
-	if len(bounds) == 0 {
-		return 0
-	}
-	var total int64
-	for _, n := range counts {
-		total += n
-	}
-	if total == 0 {
+// toward. An empty reading — a quiet recorder, or an interval with no
+// observations — returns 0.
+func (r histReading) quantile(q float64) float64 {
+	total := r.count()
+	if len(r.bounds) == 0 || total == 0 {
 		return 0
 	}
 	rank := q * float64(total)
@@ -106,21 +129,21 @@ func quantileCounts(bounds []float64, counts []int64, q float64) float64 {
 		rank = 1
 	}
 	var cum float64
-	for i := range counts {
-		n := float64(counts[i])
+	for i := range r.counts {
+		n := float64(r.counts[i])
 		if cum+n >= rank {
-			if i >= len(bounds) {
-				return bounds[len(bounds)-1]
+			if i >= len(r.bounds) {
+				break
 			}
 			lo := 0.0
 			if i > 0 {
-				lo = bounds[i-1]
+				lo = r.bounds[i-1]
 			}
-			return lo + (bounds[i]-lo)*(rank-cum)/n
+			return lo + (r.bounds[i]-lo)*(rank-cum)/n
 		}
 		cum += n
 	}
-	return bounds[len(bounds)-1]
+	return r.bounds[len(r.bounds)-1]
 }
 
 // LatencySnapshot summarizes the latency histogram.
@@ -293,6 +316,14 @@ func (m *Metrics) ObserveScenario(id string, d time.Duration) {
 	m.mu.Unlock()
 }
 
+// ForgetScenario drops a deleted scenario's attribution, so by_scenario
+// and the whatif_scenario_* series name only live workspaces.
+func (m *Metrics) ForgetScenario(id string) {
+	m.mu.Lock()
+	delete(m.byScenario, id)
+	m.mu.Unlock()
+}
+
 // StageSnapshot reports the mean per-stage pipeline time, in
 // milliseconds, over the queries observed so far.
 type StageSnapshot struct {
@@ -339,6 +370,12 @@ type MetricsSnapshot struct {
 	// ByScenario attributes scenario-path queries per scenario id;
 	// absent when no scenario query has been served.
 	ByScenario map[string]ScenarioSnapshot `json:"by_scenario,omitempty"`
+
+	// at is when the snapshot was taken; latency and segmentRead are the
+	// readings Latency and SegmentRead summarize. The history collector
+	// differences two snapshots through them.
+	at                   time.Time
+	latency, segmentRead histReading
 }
 
 // PoolSnapshot is the buffer-pool aggregate in MetricsSnapshot:
@@ -354,8 +391,9 @@ type PoolSnapshot struct {
 
 // Snapshot captures the current metric values.
 func (m *Metrics) Snapshot() MetricsSnapshot {
+	now := time.Now()
 	s := MetricsSnapshot{
-		UptimeSeconds: time.Since(m.start).Seconds(),
+		UptimeSeconds: now.Sub(m.start).Seconds(),
 		QueriesServed: m.QueriesServed.Load(),
 		QueryErrors:   m.QueryErrors.Load(),
 		Overloaded:    m.Overloaded.Load(),
@@ -367,6 +405,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		CellsScanned:  m.CellsScanned.Load(),
 		CellsReturned: m.CellsReturned.Load(),
 		BySemantics:   make(map[string]int64),
+		at:            now,
+		latency:       m.latency.read(),
+		segmentRead:   m.segmentReadMs.read(),
 	}
 	if lookups := s.CacheHits + s.CacheMisses; lookups > 0 {
 		s.CacheHitRatio = float64(s.CacheHits) / float64(lookups)
@@ -374,24 +415,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	if s.CellsReturned > 0 {
 		s.ScanAmplification = float64(s.CellsScanned) / float64(s.CellsReturned)
 	}
-	if n := m.latency.count.Load(); n > 0 {
-		s.Latency = LatencySnapshot{
-			Count:  n,
-			MeanMs: m.latency.sum() / float64(n),
-			P50Ms:  m.latency.quantile(0.50),
-			P95Ms:  m.latency.quantile(0.95),
-			P99Ms:  m.latency.quantile(0.99),
-		}
-	}
-	if n := m.segmentReadMs.count.Load(); n > 0 {
-		s.SegmentRead = LatencySnapshot{
-			Count:  n,
-			MeanMs: m.segmentReadMs.sum() / float64(n),
-			P50Ms:  m.segmentReadMs.quantile(0.50),
-			P95Ms:  m.segmentReadMs.quantile(0.95),
-			P99Ms:  m.segmentReadMs.quantile(0.99),
-		}
-	}
+	s.Latency = s.latency.summary()
+	s.SegmentRead = s.segmentRead.summary()
 	if n := m.stageCount.Load(); n > 0 {
 		s.Stages = StageSnapshot{
 			Count:     n,

@@ -1,10 +1,10 @@
 package server
 
 // Continuous observability, server side: the sampler closure the
-// obs.Collector drives (counter differencing lives here, next to the
-// counters), the tail-sampling retention hook the query handlers call,
-// and the HTTP handlers for /metrics/history, /debug/trace[/{id}] and
-// /debug/events. The mechanisms (rings, ticker, budget accounting)
+// obs.Collector drives (it differences two Metrics snapshots), the
+// tail-sampling retention hook the query handlers call, and the HTTP
+// handlers for /metrics/history, /debug/slowlog, /debug/trace[/{id}]
+// and /debug/events. The mechanisms (rings, ticker, budget accounting)
 // live in internal/obs; this file is the policy glue.
 
 import (
@@ -12,100 +12,67 @@ import (
 	"strconv"
 	"time"
 
-	"whatifolap/internal/chunk"
 	"whatifolap/internal/obs"
 	"whatifolap/internal/trace"
 )
 
-// counterReading is one reading of the lifetime counters the history
-// differences, and of the pool's state (zero without a pool).
-type counterReading struct {
-	at time.Time
-
-	queries, errors, slow  int64
-	cacheHits, cacheMisses int64
-	scanned, returned      int64
-	// lat are the latency histogram's per-bucket counts; differencing two
-	// readings gives the interval's bucket counts, which quantileCounts
-	// turns into interval quantiles.
-	lat []int64
-	// segSumMicro/segCount difference the segment-read histogram's sum
-	// and count into an interval mean.
-	segSumMicro, segCount int64
-	pool                  chunk.SpillStats
-}
-
-// obsSampler holds the previous tick's counter reading so each
+// obsSampler holds the previous tick's metrics snapshot so each
 // obs.Sample reports interval deltas, not lifetime totals. sample runs
 // on the collector goroutine only (or, in tests, called directly with
 // the collector disabled), so prev needs no locking.
 type obsSampler struct {
 	s    *Server
-	prev counterReading
+	prev MetricsSnapshot
 	// underPressure is the eviction-pressure edge detector: a tick with
 	// evictions starts pressure, a tick without ends it. Edge-triggered
 	// events, not one per tick — sustained pressure is one event pair.
 	underPressure bool
 }
 
-// newObsSampler primes the baseline so the first tick reports a full
-// interval of deltas from server start.
+// newObsSampler takes the baseline snapshot so the first tick reports
+// a full interval of deltas from server start.
 func newObsSampler(s *Server) *obsSampler {
-	sm := &obsSampler{s: s}
-	sm.prime()
-	return sm
+	return &obsSampler{s: s, prev: s.metrics.Snapshot()}
 }
 
-func (sm *obsSampler) prime() { sm.prev = sm.read() }
-
-// read takes one reading of every counter the sampler differences.
-func (sm *obsSampler) read() counterReading {
-	m := sm.s.metrics
-	r := counterReading{
-		at:          time.Now(),
-		queries:     m.QueriesServed.Load(),
-		errors:      m.QueryErrors.Load(),
-		slow:        m.SlowQueries.Load(),
-		cacheHits:   m.CacheHits.Load(),
-		cacheMisses: m.CacheMisses.Load(),
-		scanned:     m.CellsScanned.Load(),
-		returned:    m.CellsReturned.Load(),
-		lat:         m.latency.countsSnapshot(),
-		segSumMicro: m.segmentReadMs.sumMicro.Load(),
-		segCount:    m.segmentReadMs.count.Load(),
-	}
-	if m.poolStats != nil {
-		r.pool = m.poolStats()
-	}
-	return r
-}
-
-// sample reads the counters, differences them against the previous
-// tick, pushes one obs.Sample into the history ring, and emits
-// eviction-pressure edge events.
+// sample differences the current metrics snapshot against the previous
+// tick's, pushes one obs.Sample into the history ring, and emits
+// eviction-pressure edge events. Counters become interval deltas —
+// the latency and segment-read histograms bucket by bucket, so the
+// quantiles and mean are the interval's — and gauges are read as they
+// stand in the current snapshot.
 func (sm *obsSampler) sample() {
-	m := sm.s.metrics
-	cur, prev := sm.read(), sm.prev
+	cur, prev := sm.s.metrics.Snapshot(), sm.prev
 	sm.prev = cur
 	interval := cur.at.Sub(prev.at)
+	lat := cur.latency.minus(prev.latency).summary()
 
 	out := obs.Sample{
 		UnixMs:        cur.at.UnixMilli(),
 		IntervalMs:    float64(interval) / float64(time.Millisecond),
-		Queries:       cur.queries - prev.queries,
-		Errors:        cur.errors - prev.errors,
-		SlowQueries:   cur.slow - prev.slow,
-		CacheHits:     cur.cacheHits - prev.cacheHits,
-		CacheMisses:   cur.cacheMisses - prev.cacheMisses,
-		CellsScanned:  cur.scanned - prev.scanned,
-		CellsReturned: cur.returned - prev.returned,
+		Queries:       cur.QueriesServed - prev.QueriesServed,
+		Errors:        cur.QueryErrors - prev.QueryErrors,
+		SlowQueries:   cur.SlowQueries - prev.SlowQueries,
+		CacheHits:     cur.CacheHits - prev.CacheHits,
+		CacheMisses:   cur.CacheMisses - prev.CacheMisses,
+		CellsScanned:  cur.CellsScanned - prev.CellsScanned,
+		CellsReturned: cur.CellsReturned - prev.CellsReturned,
+		P50Ms:         lat.P50Ms,
+		P95Ms:         lat.P95Ms,
+		P99Ms:         lat.P99Ms,
+		SegmentReadMs: cur.segmentRead.minus(prev.segmentRead).summary().MeanMs,
 
-		PoolResidentBytes:  cur.pool.ResidentBytes,
-		PoolResidentChunks: cur.pool.Resident,
-		PoolSpilledChunks:  cur.pool.Spilled,
-		PoolPinned:         cur.pool.Pinned,
-		PoolEvictions:      int64(cur.pool.Evictions - prev.pool.Evictions),
-		PoolFaults:         int64(cur.pool.Faults - prev.pool.Faults),
+		QueueDepth:       cur.QueueDepth,
+		CacheBytes:       cur.CacheBytes,
+		CacheLimitBytes:  cur.CacheLimitBytes,
+		WritebackPending: cur.WritebackPending,
+
+		PoolResidentBytes:  cur.Pool.ResidentBytes,
+		PoolResidentChunks: cur.Pool.ResidentChunks,
+		PoolSpilledChunks:  cur.Pool.SpilledChunks,
+		PoolPinned:         cur.Pool.Pinned,
+		PoolEvictions:      int64(cur.Pool.Evictions - prev.Pool.Evictions),
+		PoolFaults:         int64(cur.Pool.Faults - prev.Pool.Faults),
 	}
 	if interval > 0 {
 		out.QPS = float64(out.Queries) / interval.Seconds()
@@ -119,29 +86,6 @@ func (sm *obsSampler) sample() {
 		out.ScanAmplification = float64(out.CellsScanned) / float64(out.CellsReturned)
 	} else {
 		out.ScanAmplification = -1
-	}
-
-	delta := make([]int64, len(cur.lat))
-	for i := range delta {
-		delta[i] = cur.lat[i] - prev.lat[i]
-	}
-	out.P50Ms = quantileCounts(m.latency.bounds, delta, 0.50)
-	out.P95Ms = quantileCounts(m.latency.bounds, delta, 0.95)
-	out.P99Ms = quantileCounts(m.latency.bounds, delta, 0.99)
-
-	if dn := cur.segCount - prev.segCount; dn > 0 {
-		out.SegmentReadMs = float64(cur.segSumMicro-prev.segSumMicro) / 1e6 / float64(dn)
-	}
-
-	if m.queueDepth != nil {
-		out.QueueDepth = m.queueDepth()
-	}
-	if m.cacheBytes != nil {
-		out.CacheBytes = m.cacheBytes()
-		out.CacheLimitBytes = m.cacheLimit()
-	}
-	if m.writebackPending != nil {
-		out.WritebackPending = m.writebackPending()
 	}
 
 	rs := sm.s.traces.Stats()
@@ -167,47 +111,78 @@ func (sm *obsSampler) sample() {
 }
 
 // recordTrace is where every executed query's trace ends up, failed or
-// not. The tail-sampling ring keeps the span tree of slow, errored and
-// 1-in-N queries; a successful query at or over the slow-query
-// threshold also enters the slow-query log, linked to its retained
-// trace — one threshold, two consumers. The log renders the trace
-// eagerly: the buffer goes back to the pool when the handler returns,
-// but the entry must outlive it. Returns the retained trace ID, or ""
-// (retention disabled, or the query was not sampled).
+// not. A successful query at or over the slow-query threshold counts
+// as slow; the tail-sampling ring keeps the span tree of slow, errored
+// and 1-in-N queries, and is the slow-query log's only store. Returns
+// the retained trace ID, or "" (retention disabled, or the query was
+// not sampled).
 func (s *Server) recordTrace(tr *trace.Trace, key cacheKey, elapsed time.Duration, qerr error) string {
-	now := time.Now()
 	ms := float64(elapsed) / float64(time.Millisecond)
 	slow := s.cfg.SlowQueryMs >= 0 && ms >= s.cfg.SlowQueryMs
-	var id string
-	if s.traces != nil {
-		m := obs.TraceMeta{
-			Time:        now,
-			Cube:        key.Cube,
-			Scenario:    key.Scenario,
-			ScenarioRev: key.ScenarioRev,
-			Query:       key.Query,
-			LatencyMs:   ms,
-			Slow:        slow,
-		}
-		if qerr != nil {
-			m.Err = qerr.Error()
-		}
-		id = s.traces.MaybeRetain(m, tr.Spans)
-	}
 	if slow && qerr == nil {
 		s.metrics.SlowQueries.Add(1)
-		s.slowlog.record(SlowQueryRecord{
-			Time:        now,
+	}
+	if s.traces == nil {
+		return ""
+	}
+	m := obs.TraceMeta{
+		QueryIdentity: obs.QueryIdentity{
+			Time:        time.Now(),
 			Cube:        key.Cube,
 			Scenario:    key.Scenario,
 			ScenarioRev: key.ScenarioRev,
 			Query:       key.Query,
 			LatencyMs:   ms,
-			Trace:       tr.Render(),
-			TraceID:     id,
-		})
+		},
+		Slow:    slow,
+		Dropped: tr.Dropped(),
 	}
-	return id
+	if qerr != nil {
+		m.Err = qerr.Error()
+	}
+	return s.traces.MaybeRetain(m, tr.Spans)
+}
+
+// renderRetained is a retained trace's span tree as text, the same on
+// every endpoint that shows it.
+func renderRetained(rt *obs.RetainedTrace) string {
+	return trace.RenderSpans(rt.Spans, rt.Meta.Dropped)
+}
+
+// SlowQueryRecord is one /debug/slowlog entry: a retained slow query's
+// identity, its span tree rendered when the log is read, and the ID
+// that addresses the same tree at /debug/trace/{id}.
+type SlowQueryRecord struct {
+	obs.QueryIdentity
+	Trace   string `json:"trace,omitempty"`
+	TraceID string `json:"trace_id,omitempty"`
+}
+
+// slowlogResponse is the GET /debug/slowlog body. Total counts every
+// slow query served; Queries are the ones the trace ring still holds.
+type slowlogResponse struct {
+	ThresholdMs float64           `json:"threshold_ms"`
+	Total       int64             `json:"total"`
+	Queries     []SlowQueryRecord `json:"queries"`
+}
+
+// slowQueries lists the trace ring's slow traces, newest first.
+func (s *Server) slowQueries() []SlowQueryRecord {
+	out := make([]SlowQueryRecord, 0)
+	for _, rt := range s.traces.List() {
+		if rt.Reason == "slow" {
+			out = append(out, SlowQueryRecord{QueryIdentity: rt.Meta.QueryIdentity, Trace: renderRetained(rt), TraceID: rt.ID})
+		}
+	}
+	return out
+}
+
+func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, slowlogResponse{
+		ThresholdMs: s.cfg.SlowQueryMs,
+		Total:       s.metrics.SlowQueries.Load(),
+		Queries:     s.slowQueries(),
+	})
 }
 
 // HistoryResponse is the GET /metrics/history body. Exported so the
@@ -240,35 +215,32 @@ type TraceSpan struct {
 	Attrs   map[string]int64 `json:"attrs,omitempty"`
 }
 
+// traceHead opens every /debug/trace entry: the trace ID, the query's
+// identity, and why the ring kept it.
+type traceHead struct {
+	ID string `json:"id"`
+	obs.QueryIdentity
+	Reason string `json:"reason"`
+	Error  string `json:"error,omitempty"`
+}
+
+func headOf(rt *obs.RetainedTrace) traceHead {
+	return traceHead{ID: rt.ID, QueryIdentity: rt.Meta.QueryIdentity, Reason: rt.Reason, Error: rt.Meta.Err}
+}
+
 // TraceResponse is the GET /debug/trace/{id} body: the query's
 // identity, outcome, raw spans, and the rendered tree for humans.
 type TraceResponse struct {
-	ID          string      `json:"id"`
-	Time        time.Time   `json:"time"`
-	Cube        string      `json:"cube"`
-	Scenario    string      `json:"scenario,omitempty"`
-	ScenarioRev int64       `json:"scenario_revision,omitempty"`
-	Query       string      `json:"query"`
-	LatencyMs   float64     `json:"latency_ms"`
-	Reason      string      `json:"reason"`
-	Error       string      `json:"error,omitempty"`
-	Spans       []TraceSpan `json:"spans"`
-	Rendered    string      `json:"rendered"`
+	traceHead
+	Spans    []TraceSpan `json:"spans"`
+	Rendered string      `json:"rendered"`
 }
 
 func toTraceResponse(rt *obs.RetainedTrace) TraceResponse {
 	resp := TraceResponse{
-		ID:          rt.ID,
-		Time:        rt.Meta.Time,
-		Cube:        rt.Meta.Cube,
-		Scenario:    rt.Meta.Scenario,
-		ScenarioRev: rt.Meta.ScenarioRev,
-		Query:       rt.Meta.Query,
-		LatencyMs:   rt.Meta.LatencyMs,
-		Reason:      rt.Reason,
-		Error:       rt.Meta.Err,
-		Spans:       make([]TraceSpan, len(rt.Spans)),
-		Rendered:    trace.RenderSpans(rt.Spans),
+		traceHead: headOf(rt),
+		Spans:     make([]TraceSpan, len(rt.Spans)),
+		Rendered:  renderRetained(rt),
 	}
 	for i, sp := range rt.Spans {
 		ts := TraceSpan{
@@ -301,16 +273,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // traceSummary is one entry of the GET /debug/trace listing.
 type traceSummary struct {
-	ID          string    `json:"id"`
-	Time        time.Time `json:"time"`
-	Cube        string    `json:"cube"`
-	Scenario    string    `json:"scenario,omitempty"`
-	ScenarioRev int64     `json:"scenario_revision,omitempty"`
-	Query       string    `json:"query"`
-	LatencyMs   float64   `json:"latency_ms"`
-	Reason      string    `json:"reason"`
-	Error       string    `json:"error,omitempty"`
-	Spans       int       `json:"spans"`
+	traceHead
+	Spans int `json:"spans"`
 }
 
 // traceListResponse is the GET /debug/trace body.
@@ -326,18 +290,7 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 		Traces: make([]traceSummary, len(retained)),
 	}
 	for i, rt := range retained {
-		resp.Traces[i] = traceSummary{
-			ID:          rt.ID,
-			Time:        rt.Meta.Time,
-			Cube:        rt.Meta.Cube,
-			Scenario:    rt.Meta.Scenario,
-			ScenarioRev: rt.Meta.ScenarioRev,
-			Query:       rt.Meta.Query,
-			LatencyMs:   rt.Meta.LatencyMs,
-			Reason:      rt.Reason,
-			Error:       rt.Meta.Err,
-			Spans:       len(rt.Spans),
-		}
+		resp.Traces[i] = traceSummary{traceHead: headOf(rt), Spans: len(rt.Spans)}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

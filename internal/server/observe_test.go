@@ -21,7 +21,7 @@ func TestQuantileInterpolation(t *testing.T) {
 	h := newHistogram([]float64{10, 20})
 
 	// Empty histogram reports 0.
-	if got := h.quantile(0.5); got != 0 {
+	if got := h.read().quantile(0.5); got != 0 {
 		t.Fatalf("empty quantile = %v, want 0", got)
 	}
 
@@ -30,10 +30,10 @@ func TestQuantileInterpolation(t *testing.T) {
 	// bucket: 0 + 10*(1-0)/1 = 10... for q where rank>=1. Low q keeps
 	// rank at the 1-sample floor, so all quantiles agree.
 	h.observe(4)
-	if p50, p99 := h.quantile(0.5), h.quantile(0.99); p50 != p99 {
+	if p50, p99 := h.read().quantile(0.5), h.read().quantile(0.99); p50 != p99 {
 		t.Fatalf("single sample: p50 %v != p99 %v", p50, p99)
 	}
-	if got := h.quantile(0.5); got <= 0 || got > 10 {
+	if got := h.read().quantile(0.5); got <= 0 || got > 10 {
 		t.Fatalf("single-sample quantile %v outside its bucket (0,10]", got)
 	}
 
@@ -47,16 +47,16 @@ func TestQuantileInterpolation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h2.observe(15)
 	}
-	if got := h2.quantile(0.5); math.Abs(got-10) > 1e-9 {
+	if got := h2.read().quantile(0.5); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("edge-rank p50 = %v, want 10", got)
 	}
 	// p75: rank 15 → 5 of the second bucket's 10 samples → halfway
 	// through (10, 20] = 15.
-	if got := h2.quantile(0.75); math.Abs(got-15) > 1e-9 {
+	if got := h2.read().quantile(0.75); math.Abs(got-15) > 1e-9 {
 		t.Fatalf("interpolated p75 = %v, want 15", got)
 	}
 	// p25: rank 5 → halfway through (0, 10] = 5.
-	if got := h2.quantile(0.25); math.Abs(got-5) > 1e-9 {
+	if got := h2.read().quantile(0.25); math.Abs(got-5) > 1e-9 {
 		t.Fatalf("interpolated p25 = %v, want 5", got)
 	}
 
@@ -66,7 +66,7 @@ func TestQuantileInterpolation(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h3.observe(1000)
 	}
-	if got := h3.quantile(0.99); got != 20 {
+	if got := h3.read().quantile(0.99); got != 20 {
 		t.Fatalf("+Inf-bucket quantile = %v, want clamp to 20", got)
 	}
 }
@@ -252,40 +252,15 @@ func TestConcurrentMetricsTraceObservers(t *testing.T) {
 	if s.QueriesServed != 800 || s.Latency.Count != 800 {
 		t.Fatalf("lost updates: served=%d latency=%d, want 800/800", s.QueriesServed, s.Latency.Count)
 	}
-	if m.chunksRead.count.Load() != 800 || m.spillFaultMs.count.Load() != 800 {
+	if m.chunksRead.read().count() != 800 || m.spillFaultMs.read().count() != 800 {
 		t.Fatalf("lost trace observations: chunks=%d faults=%d",
-			m.chunksRead.count.Load(), m.spillFaultMs.count.Load())
+			m.chunksRead.read().count(), m.spillFaultMs.read().count())
 	}
 }
 
-func TestSlowlogRingBuffer(t *testing.T) {
-	l := newSlowlog(3)
-	for i := 1; i <= 5; i++ {
-		l.record(SlowQueryRecord{Query: strconv.Itoa(i), LatencyMs: float64(i)})
-	}
-	records, total := l.snapshot()
-	if total != 5 {
-		t.Fatalf("total = %d, want 5", total)
-	}
-	var got []string
-	for _, r := range records {
-		got = append(got, r.Query)
-	}
-	// Capacity 3, newest first: 5, 4, 3.
-	want := []string{"5", "4", "3"}
-	if len(got) != len(want) {
-		t.Fatalf("retained %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("retained %v, want %v", got, want)
-		}
-	}
-}
-
-func TestServerSlowlogCapturesTrace(t *testing.T) {
+func TestServerSlowlogRendersRetainedTrace(t *testing.T) {
 	// Threshold so low every query is slow.
-	s := newPaperServer(t, Config{SlowQueryMs: 0.000001, SlowlogCap: 8})
+	s := newPaperServer(t, Config{SlowQueryMs: 0.000001})
 	h := s.Handler()
 
 	rec := postQuery(t, h, queryRequest{Query: paperQuery})
@@ -327,8 +302,58 @@ func TestServerSlowlogCapturesTrace(t *testing.T) {
 	if rec := postQuery(t, h2, queryRequest{Query: paperQuery}); rec.Code != http.StatusOK {
 		t.Fatalf("query = %d", rec.Code)
 	}
-	if _, total := s2.slowlog.snapshot(); total != 0 {
-		t.Fatalf("disabled slowlog recorded %d queries", total)
+	if n, total := len(s2.slowQueries()), s2.Metrics().SlowQueries.Load(); n != 0 || total != 0 {
+		t.Fatalf("disabled slowlog holds %d entries of %d", n, total)
+	}
+
+	// Without a trace ring the log keeps no entries, yet total still
+	// counts every slow query.
+	s3 := newPaperServer(t, Config{SlowQueryMs: 0.000001, RetainTraceBytes: -1})
+	h3 := s3.Handler()
+	if rec := postQuery(t, h3, queryRequest{Query: paperQuery}); rec.Code != http.StatusOK {
+		t.Fatalf("query = %d", rec.Code)
+	}
+	rec = httptest.NewRecorder()
+	h3.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/slowlog", nil))
+	resp = slowlogResponse{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Total != 1 || resp.Queries == nil || len(resp.Queries) != 0 {
+		t.Fatalf("slowlog without retention = %+v, want total 1 and an empty list", resp)
+	}
+}
+
+// TestDroppedSpansRenderAlike: a trace whose buffer overflowed says so
+// in the same words wherever it is rendered — the recorder's own
+// Render, /debug/trace/{id} and /debug/slowlog.
+func TestDroppedSpansRenderAlike(t *testing.T) {
+	s := newPaperServer(t, Config{SlowQueryMs: 0.000001})
+	h := s.Handler()
+
+	tr := trace.New(2)
+	root := tr.Start(trace.SpanRef{}, "eval")
+	tr.Start(root, "plan").End()
+	tr.Start(root, "scan").End() // the buffer is full: dropped
+	root.End()
+	want := tr.Render()
+	if !strings.Contains(want, "(+1 spans dropped: buffer full)") {
+		t.Fatalf("recorder rendering lacks the dropped line:\n%s", want)
+	}
+	id := s.recordTrace(tr, cacheKey{Cube: "paper", Query: "q"}, time.Millisecond, nil)
+	if id == "" {
+		t.Fatal("slow trace not retained")
+	}
+
+	var tresp TraceResponse
+	decode(t, do(t, h, "GET", "/debug/trace/"+id, nil), http.StatusOK, &tresp)
+	if tresp.Rendered != want {
+		t.Fatalf("/debug/trace/%s rendered\n%s\nwant\n%s", id, tresp.Rendered, want)
+	}
+	var slow slowlogResponse
+	decode(t, do(t, h, "GET", "/debug/slowlog", nil), http.StatusOK, &slow)
+	if len(slow.Queries) != 1 || slow.Queries[0].TraceID != id || slow.Queries[0].Trace != want {
+		t.Fatalf("/debug/slowlog = %+v, want one entry for %s rendered\n%s", slow.Queries, id, want)
 	}
 }
 

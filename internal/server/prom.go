@@ -13,20 +13,21 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// writePromHistogram renders one histogram family in text format 0.0.4:
-// cumulative le-labelled buckets ending at +Inf, then _sum and _count.
-func writePromHistogram(w io.Writer, name, help string, h *histogram) {
+// writePromHistogram renders one histogram reading in text format
+// 0.0.4: cumulative le-labelled buckets ending at +Inf, then _sum and
+// _count (which equals the +Inf bucket: both come from one reading).
+func writePromHistogram(w io.Writer, name, help string, r histReading) {
 	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	var cum int64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
+	for i, b := range r.bounds {
+		cum += r.counts[i]
 		fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, promFloat(b), cum)
 	}
-	cum += h.counts[len(h.bounds)].Load()
+	cum += r.counts[len(r.bounds)]
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %s\n", name, promFloat(h.sum()))
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
+	fmt.Fprintf(w, "%s_sum %s\n", name, promFloat(float64(r.sumMicro)/1e6))
+	fmt.Fprintf(w, "%s_count %d\n", name, cum)
 }
 
 func writePromCounter(w io.Writer, name, help string, v int64) {
@@ -118,9 +119,9 @@ func (m *Metrics) WriteProm(w io.Writer) {
 		writePromCounter(w, "whatif_stage_queries_total", "Engine-backed queries contributing to stage totals.", s.Stages.Count)
 	}
 
-	writePromHistogram(w, "whatif_query_latency_ms", "End-to-end query latency in milliseconds.", m.latency)
-	writePromHistogram(w, "whatif_query_chunks_read", "Chunks read per engine-backed query.", m.chunksRead)
-	writePromHistogram(w, "whatif_merge_group_span_ms", "Per-merge-group scan span duration in milliseconds.", m.groupSpanMs)
-	writePromHistogram(w, "whatif_spill_fault_ms", "Spill fault-in duration in milliseconds.", m.spillFaultMs)
-	writePromHistogram(w, "whatif_segment_read_ms", "Durable segment fault-in duration in milliseconds.", m.segmentReadMs)
+	writePromHistogram(w, "whatif_query_latency_ms", "End-to-end query latency in milliseconds.", s.latency)
+	writePromHistogram(w, "whatif_query_chunks_read", "Chunks read per engine-backed query.", m.chunksRead.read())
+	writePromHistogram(w, "whatif_merge_group_span_ms", "Per-merge-group scan span duration in milliseconds.", m.groupSpanMs.read())
+	writePromHistogram(w, "whatif_spill_fault_ms", "Spill fault-in duration in milliseconds.", m.spillFaultMs.read())
+	writePromHistogram(w, "whatif_segment_read_ms", "Durable segment fault-in duration in milliseconds.", s.segmentRead)
 }

@@ -248,7 +248,7 @@ func TestExplainAnalyzeIsObservedLikeAnyQuery(t *testing.T) {
 	if !strings.HasPrefix(tresp.Query, "EXPLAIN ANALYZE ") || len(tresp.Spans) == 0 {
 		t.Fatalf("retained trace = %+v, want the EXPLAIN ANALYZE query with its spans", tresp)
 	}
-	records, total := s.slowlog.snapshot()
+	records, total := s.slowQueries(), s.metrics.SlowQueries.Load()
 	if total != 1 || records[0].TraceID != id || !strings.Contains(records[0].Trace, "scan") {
 		t.Fatalf("slowlog = %+v (total %d), want one record linked to %s", records, total, id)
 	}

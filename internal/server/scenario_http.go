@@ -231,6 +231,7 @@ func (s *Server) handleScenarioDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cache.InvalidateScenario(id)
+	s.metrics.ForgetScenario(id)
 	s.events.Log("scenario_delete", map[string]string{"scenario": id})
 	writeJSON(w, http.StatusOK, struct {
 		Deleted string `json:"deleted"`

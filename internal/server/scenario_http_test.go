@@ -304,7 +304,7 @@ WHERE ([Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [Valu
 
 	// Slowlog: the scenario-path record carries the id, the plain one
 	// does not; the scenario record's trace carries the layer attrs.
-	records, _ := s.slowlog.snapshot()
+	records := s.slowQueries()
 	if len(records) < 2 {
 		t.Fatalf("slowlog records = %d, want ≥ 2", len(records))
 	}
@@ -338,5 +338,34 @@ WHERE ([Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [Valu
 	}
 	if !strings.Contains(text, "whatif_scenario_latency_ms_total{scenario=") {
 		t.Fatal("prom exposition missing scenario latency counter")
+	}
+}
+
+// TestScenarioDeleteForgetsMetrics: deleting a workspace drops its
+// attribution, so a server whose analysts create and discard scenarios
+// all day does not grow one by_scenario entry per scenario ever seen.
+func TestScenarioDeleteForgetsMetrics(t *testing.T) {
+	s, _ := newWorkforceServer(t, Config{})
+	h := s.Handler()
+
+	var keep, gone scenarioInfoJSON
+	decode(t, do(t, h, "POST", "/scenarios", map[string]string{"name": "keep"}), http.StatusCreated, &keep)
+	decode(t, do(t, h, "POST", "/scenarios", map[string]string{"name": "gone"}), http.StatusCreated, &gone)
+	for _, id := range []string{keep.ID, gone.ID} {
+		decode(t, do(t, h, "POST", "/scenarios/"+id+"/query", queryRequest{Query: rollupQuery}), http.StatusOK, nil)
+	}
+	decode(t, do(t, h, "DELETE", "/scenarios/"+gone.ID, nil), http.StatusOK, nil)
+
+	by := s.Metrics().Snapshot().ByScenario
+	if _, ok := by[gone.ID]; ok {
+		t.Fatalf("by_scenario still names deleted %s: %+v", gone.ID, by)
+	}
+	if by[keep.ID].Queries != 1 {
+		t.Fatalf("by_scenario = %+v, want 1 query for live %s", by, keep.ID)
+	}
+	var prom strings.Builder
+	s.Metrics().WriteProm(&prom)
+	if label := fmt.Sprintf("scenario=%q", gone.ID); strings.Contains(prom.String(), label) {
+		t.Fatalf("prom exposition still carries %s:\n%s", label, prom.String())
 	}
 }

@@ -60,40 +60,22 @@ type Config struct {
 	// DefaultTimeout bounds each query when the request does not carry
 	// its own timeout; 0 means no deadline.
 	DefaultTimeout time.Duration
-	// MaxBodyBytes bounds the /query request body (default 1 MiB).
-	MaxBodyBytes int64
-	// SlowQueryMs is the slow-query log threshold in milliseconds:
-	// engine-backed queries at or above it are recorded with their span
-	// trace at /debug/slowlog. 0 uses DefaultSlowQueryMs; negative
-	// disables the log.
+	// SlowQueryMs is the slow-query threshold in milliseconds: a query
+	// at or above it counts in slow_queries and keeps its span trace in
+	// the trace ring, which /debug/slowlog lists. 0 uses
+	// DefaultSlowQueryMs; negative disables the log.
 	SlowQueryMs float64
-	// SlowlogCap bounds the slow-query ring buffer (default 128).
-	SlowlogCap int
-	// TraceSpans sizes each query's span buffer (default
-	// trace.DefaultMaxSpans). Spans beyond the cap are dropped, never
-	// allocated.
-	TraceSpans int
 	// ObsInterval is the metrics-history collector cadence: every tick
 	// one obs.Sample of counter deltas and gauge levels is appended to
 	// the ring served at /metrics/history. 0 uses DefaultObsInterval;
 	// negative disables the collector (tests drive sampling directly).
 	ObsInterval time.Duration
-	// HistoryCap bounds the metrics-history ring (default
-	// obs.DefaultHistoryCap samples — ten minutes at one per second).
-	HistoryCap int
 	// RetainTraceBytes is the tail-sampled trace ring's byte budget:
-	// slow, errored and 1-in-N queries keep their full span trees,
-	// addressable at /debug/trace/{id}. 0 uses DefaultRetainTraceBytes;
-	// negative disables retention.
+	// slow, errored and one in retainOneIn healthy queries keep their
+	// full span trees, addressable at /debug/trace/{id}. 0 uses
+	// DefaultRetainTraceBytes; negative disables retention, and with it
+	// the slow-query log's entries.
 	RetainTraceBytes int
-	// TraceSampleEvery retains every Nth query regardless of latency so
-	// the ring always holds representative healthy traces. 0 uses
-	// DefaultTraceSampleEvery; negative keeps only slow/errored queries.
-	TraceSampleEvery int
-	// EventLogCap bounds the structured component-event ring served at
-	// /debug/events (default obs.DefaultEventLogCap). Ignored when
-	// Events is set.
-	EventLogCap int
 	// Events, when non-nil, replaces the server's own event log — the
 	// daemon passes one with an os.Stderr sink so lifecycle events reach
 	// the operator as JSON lines as well as /debug/events.
@@ -107,8 +89,6 @@ const DefaultCacheBytes = 32 << 20
 // leaves SlowQueryMs zero.
 const DefaultSlowQueryMs = 250
 
-const defaultSlowlogCap = 128
-
 // DefaultObsInterval is the metrics-history sampling cadence when
 // Config leaves ObsInterval zero.
 const DefaultObsInterval = time.Second
@@ -117,9 +97,13 @@ const DefaultObsInterval = time.Second
 // when Config leaves RetainTraceBytes zero.
 const DefaultRetainTraceBytes = 4 << 20
 
-// DefaultTraceSampleEvery retains one healthy query in this many when
-// Config leaves TraceSampleEvery zero.
-const DefaultTraceSampleEvery = 64
+// retainOneIn is the trace ring's healthy-query sampling rate: one
+// query in this many keeps its trace regardless of latency, so the
+// ring always holds representative healthy traces.
+const retainOneIn = 64
+
+// maxBodyBytes bounds every request body.
+const maxBodyBytes = 1 << 20
 
 // Server wires catalog, executor, cache and metrics together behind an
 // http.Handler. Create with New, serve Handler(), stop with Close.
@@ -128,14 +112,14 @@ type Server struct {
 	exec      *Executor
 	cache     *resultCache
 	metrics   *Metrics
-	slowlog   *slowlog
 	scenarios *scenario.Manager
 	cfg       Config
 
 	// Observability: history ring + its collector, tail-sampled trace
-	// retention, structured event log, and the sampler holding the
-	// previous tick's counter state. traces and events are nil-safe, so
-	// disabled configurations cost one pointer check on the query path.
+	// retention (which also holds the slow-query log), structured event
+	// log, and the sampler holding the previous tick's snapshot. traces
+	// and events are nil-safe, so disabled configurations cost one
+	// pointer check on the query path.
 	history   *obs.History
 	collector *obs.Collector
 	traces    *obs.TraceRing
@@ -156,9 +140,6 @@ func New(catalog *Catalog, cfg Config) *Server {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4 * cfg.Workers
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	if cfg.SlowQueryMs == 0 {
 		cfg.SlowQueryMs = DefaultSlowQueryMs
 	}
@@ -167,11 +148,10 @@ func New(catalog *Catalog, cfg Config) *Server {
 		exec:      NewExecutor(cfg.Workers, cfg.QueueCap),
 		cache:     newResultCache(cfg.CacheBytes),
 		metrics:   NewMetrics(),
-		slowlog:   newSlowlog(cfg.SlowlogCap),
 		scenarios: scenario.NewManager(),
 		cfg:       cfg,
 	}
-	s.tracePool.New = func() interface{} { return trace.New(cfg.TraceSpans) }
+	s.tracePool.New = func() interface{} { return trace.New(0) }
 	s.metrics.queueDepth = s.exec.QueueDepth
 	s.metrics.cacheBytes = s.cache.Bytes
 	s.metrics.cacheLimit = s.cache.Limit
@@ -182,7 +162,7 @@ func New(catalog *Catalog, cfg Config) *Server {
 
 	s.events = cfg.Events
 	if s.events == nil {
-		s.events = obs.NewEventLog(cfg.EventLogCap, nil)
+		s.events = obs.NewEventLog(0, nil)
 	}
 	if p := catalog.Persister(); p != nil {
 		p.SetEventLog(s.events)
@@ -192,16 +172,9 @@ func New(catalog *Catalog, cfg Config) *Server {
 		if budget == 0 {
 			budget = DefaultRetainTraceBytes
 		}
-		every := cfg.TraceSampleEvery
-		if every == 0 {
-			every = DefaultTraceSampleEvery
-		}
-		if every < 0 {
-			every = 0 // slow/errored only
-		}
-		s.traces = obs.NewTraceRing(budget, every)
+		s.traces = obs.NewTraceRing(budget, retainOneIn)
 	}
-	s.history = obs.NewHistory(cfg.HistoryCap)
+	s.history = obs.NewHistory(0)
 	s.sampler = newObsSampler(s)
 	if cfg.ObsInterval >= 0 {
 		interval := cfg.ObsInterval
@@ -255,7 +228,8 @@ func (s *Server) UpdateCube(name string, mutate func(c *cube.Cube) (*cube.Cube, 
 //	GET  /metrics          counters + histogram snapshot (JSON; ?format=prom
 //	                       for Prometheus text exposition)
 //	GET  /metrics/history  metrics time-series ring (per-interval deltas)
-//	GET  /debug/slowlog    recent slow queries with their span traces
+//	GET  /debug/slowlog    the trace ring's slow queries, newest first,
+//	                       trees rendered on read; total counts them all
 //	GET  /debug/trace      retained trace summaries (tail sampling)
 //	GET  /debug/trace/{id} one retained trace's full span tree
 //	GET  /debug/events     structured component lifecycle events
@@ -648,33 +622,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.metrics.Snapshot())
 }
 
-// slowlogResponse is the GET /debug/slowlog body.
-type slowlogResponse struct {
-	ThresholdMs float64           `json:"threshold_ms"`
-	Total       int64             `json:"total"`
-	Queries     []SlowQueryRecord `json:"queries"`
-}
-
-func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	records, total := s.slowlog.snapshot()
-	writeJSON(w, http.StatusOK, slowlogResponse{
-		ThresholdMs: s.cfg.SlowQueryMs,
-		Total:       total,
-		Queries:     records,
-	})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")
 }
 
-// decodeBody decodes the request's JSON body, capped at MaxBodyBytes,
+// decodeBody decodes the request's JSON body, capped at maxBodyBytes,
 // into v. A body that does not decode — an empty one too, unless
 // emptyOK — is answered 400 and decodeBody reports false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, emptyOK bool) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	err := json.NewDecoder(r.Body).Decode(v)
 	if err == nil || emptyOK && errors.Is(err, io.EOF) {
 		return true

@@ -118,27 +118,22 @@ func (t *Trace) Render() string {
 	if t == nil {
 		return ""
 	}
-	var b strings.Builder
-	renderSpans(&b, t.Spans())
-	if d := t.Dropped(); d > 0 {
-		fmt.Fprintf(&b, "(+%d spans dropped: buffer full)\n", d)
-	}
-	return b.String()
+	return RenderSpans(t.Spans(), t.Dropped())
 }
 
-// RenderSpans renders an already-snapshotted span slice in the same
-// tree format — used by /debug/trace/{id}, whose spans outlive the
-// pooled recorder they were captured from.
-func RenderSpans(spans []Span) string {
+// RenderSpans renders an already-snapshotted span slice, and the count
+// of spans its recorder dropped, in the same tree format — used by the
+// server's retained traces, whose spans outlive the pooled recorder
+// they were captured from.
+func RenderSpans(spans []Span, dropped int) string {
 	var b strings.Builder
-	renderSpans(&b, spans)
-	return b.String()
-}
-
-func renderSpans(b *strings.Builder, spans []Span) {
 	for _, root := range TreeOf(spans) {
-		renderNode(b, root, 0)
+		renderNode(&b, root, 0)
 	}
+	if dropped > 0 {
+		fmt.Fprintf(&b, "(+%d spans dropped: buffer full)\n", dropped)
+	}
+	return b.String()
 }
 
 func renderNode(b *strings.Builder, n *Node, depth int) {

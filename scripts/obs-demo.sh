@@ -4,8 +4,9 @@
 # filling while queries run (cache hit ratio climbing as the result
 # cache warms, scan amplification appearing), a slow query's retained
 # span tree fetched back by the X-Trace-Id the response carried, and
-# the structured lifecycle event log. Run via `make obs-demo`; needs
-# curl and jq on PATH.
+# the structured lifecycle event log. It exits non-zero when a check
+# on what the daemon served fails. Run via `make obs-demo`; needs curl
+# and jq on PATH.
 set -eu
 
 PORT="${OBS_DEMO_PORT:-18081}"
@@ -14,6 +15,19 @@ BIN="${TMPDIR:-/tmp}/whatifd.obsdemo.$$"
 DATA_DIR=$(mktemp -d "${TMPDIR:-/tmp}/whatifd.obsdemo.data.XXXXXX")
 
 say() { printf '\n== %s\n' "$*"; }
+
+# check DESC JQ-ARGS... runs jq -e over the JSON on stdin and fails the
+# demo unless the filter yields true.
+check() {
+    desc=$1
+    shift
+    if jq -e "$@" >/dev/null; then
+        echo "check ok: $desc"
+    else
+        echo "obs-demo: check failed: $desc" >&2
+        exit 1
+    fi
+}
 
 # Cleanup runs on every exit path so a half-finished demo never leaves
 # a stray daemon, a built binary, or the data directory behind.
@@ -69,18 +83,24 @@ say "metrics history: hit ratio climbs, scan amplification fades as hits take ov
 curl -fsS "$BASE/metrics/history" | jq '{interval_ms, total, series: [
     .samples[] | select(.queries > 0) |
     {queries, qps, cache_hit_ratio, scan_amplification, p95_ms}]}'
+curl -fsS "$BASE/metrics/history" | check "the history holds a sample with queries > 0" \
+    'any(.samples[]; .queries > 0)'
 
 say "a fresh query's response carries its retained trace id"
 TID=$(curl -fsS -X POST "$BASE/query" -d "$(query Sep)" \
     -o /dev/null -D - | tr -d '\r' | awk -F': ' 'tolower($1)=="x-trace-id"{print $2}')
 echo "trace id: $TID"
+[ -n "$TID" ] || { echo "obs-demo: check failed: the slow query carried no X-Trace-Id" >&2; exit 1; }
 
 say "fetch the span tree back at /debug/trace/$TID"
 curl -fsS "$BASE/debug/trace/$TID" | jq '{id, reason, query, latency_ms, spans: (.spans | length)}'
 curl -fsS "$BASE/debug/trace/$TID" | jq -r .rendered
+curl -fsS "$BASE/debug/trace/$TID" | check "the trace was retained as slow" '.reason == "slow"'
 
 say "the slowlog entry points at the same trace"
 curl -fsS "$BASE/debug/slowlog" | jq '.queries[0] | {query, latency_ms, trace_id}'
+curl -fsS "$BASE/debug/slowlog" | check "the newest slowlog entry is trace $TID" \
+    --arg tid "$TID" '.queries[0].trace_id == $tid'
 
 say "retained-trace ring (newest first)"
 curl -fsS "$BASE/debug/trace" | jq '{stats, newest: .traces[0]}'
