@@ -8,10 +8,14 @@ test:
 
 # Mutating fuzz runs, 10 s each (go test -fuzz takes one target and
 # one package at a time): the record codec every tier decodes through,
-# and the two parsers. verify.sh runs only their seed corpora. A failing
-# input is written under the package's testdata/fuzz/ — commit it.
+# the segment reader, and the two parsers. verify.sh runs only their
+# seed corpora. A failing input is written under the package's
+# testdata/fuzz/ — commit it. Segment inputs are page-aligned files of
+# 12 KiB and more, which the default minimizer spends a minute on per
+# new input, so its minimization is capped.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime 10s ./internal/chunk
+	go test -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s -fuzzminimizetime 3s ./internal/segment
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/mdx
 	go test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 10s ./internal/cube
 
@@ -70,13 +74,12 @@ segment-smoke:
 bench:
 	go test -run XXX -bench . ./...
 
-# A fast sanity pass over the figure benchmarks, the parallel-scan
-# series, the overlay-kernel write-path comparison, the slab kernel's
-# dense, run-encoded and scenario-chain scans, and the trace and
-# trace-retention overhead guards; full numbers come from `make bench`
-# or cmd/benchfig.
+# A fast sanity pass over the figure benchmarks, the overlay-kernel
+# write-path comparison, the slab kernel's dense, run-encoded and
+# scenario-chain scans, and the trace and trace-retention overhead
+# guards; full numbers come from `make bench` or cmd/benchfig.
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkFig|BenchmarkParallelScan|BenchmarkRelocationKernel|BenchmarkRleScan|BenchmarkScanDense|BenchmarkScanChain|BenchmarkTrace|BenchmarkObs' -benchtime=100ms .
+	go test -run '^$$' -bench 'BenchmarkFig|BenchmarkRelocationKernel|BenchmarkRleScan|BenchmarkScanDense|BenchmarkScanChain|BenchmarkTrace|BenchmarkObs' -benchtime=100ms .
 
 # CPU profile of the relocation kernel under the trace hooks; inspect
 # with `go tool pprof cpu.prof`.

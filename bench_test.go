@@ -181,33 +181,6 @@ func BenchmarkFig13Members(b *testing.B) {
 	}
 }
 
-// --- Parallel merge-group scan ---
-
-func BenchmarkParallelScan(b *testing.B) {
-	// The same dynamic-forward query at increasing scan-worker counts.
-	// Speedup is bounded by the host's cores and by merge_groups (the
-	// number of independently scannable schedule partitions).
-	w := benchWorkforce(b)
-	e := newBenchEngine(b)
-	q := core.PerspectiveQuery{
-		Members: w.Changing, Perspectives: []int{0, 3, 6, 9},
-		Sem: perspective.Forward, Mode: perspective.NonVisual,
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(subK(workers), func(b *testing.B) {
-			var groups int
-			for i := 0; i < b.N; i++ {
-				v, err := e.ExecPerspectiveWith(core.ExecContext{Workers: workers}, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				groups = v.Stats.MergeGroups
-			}
-			b.ReportMetric(float64(groups), "merge_groups")
-		})
-	}
-}
-
 // --- Relocation kernel: overlay write path ---
 
 // BenchmarkRelocationKernel replays one query's relocation stream into

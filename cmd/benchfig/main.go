@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 11, 12, 13, parallel-scan, overlay-kernel, rle-scan, plan, obs-overhead, ablation-pebble, ablation-mode, ablation-rep, ablation-compress, all")
+		fig       = flag.String("fig", "all", "figure to regenerate: 11, 12, 13, overlay-kernel, rle-scan, plan, obs-overhead, ablation-pebble, ablation-mode, ablation-rep, ablation-compress, all")
 		reps      = flag.Int("reps", 3, "repetitions per point (fastest wins)")
 		employees = flag.Int("employees", 0, "workforce scale override")
 		accounts  = flag.Int("accounts", 0, "accounts override")
@@ -55,7 +55,7 @@ func main() {
 	}
 
 	needWorkforce := map[string]bool{
-		"11": true, "13": true, "parallel-scan": true, "overlay-kernel": true,
+		"11": true, "13": true, "overlay-kernel": true,
 		"obs-overhead": true, "plan": true,
 		"ablation-pebble": true, "ablation-mode": true,
 		"ablation-rep": true, "ablation-compress": true, "all": true,
@@ -78,8 +78,6 @@ func main() {
 		fig12(*reps)
 	case "13":
 		fig13(w, *reps)
-	case "parallel-scan":
-		parallelScan(w, *reps)
 	case "overlay-kernel":
 		overlayKernel(w, *reps)
 	case "ablation-pebble":
@@ -102,7 +100,6 @@ func main() {
 		fig11(w, *reps)
 		fig12(*reps)
 		fig13(w, *reps)
-		parallelScan(w, *reps)
 		overlayKernel(w, *reps)
 		ablationPebble(w)
 		ablationMode(w, *reps)
@@ -157,21 +154,6 @@ func fig13(w *workload.Workforce, reps int) {
 	}
 	for _, r := range rows {
 		fmt.Printf("%d,%.3f,%d,%d\n", r.Members, r.WallMS, r.Instances, r.ChunksRead)
-	}
-	fmt.Println()
-}
-
-func parallelScan(w *workload.Workforce, reps int) {
-	fmt.Println("# Parallel scan — scan workers vs. query time")
-	fmt.Println("# dynamic forward over all changing employees, 4 perspectives {Jan,Apr,Jul,Oct};")
-	fmt.Println("# the scan fans out over independent merge groups, speedup relative to 1 worker")
-	fmt.Println("workers,wall_ms,speedup,merge_groups,subtasks,chunk_reads")
-	rows, err := bench.ParallelScan(w, []int{1, 2, 4, 8}, reps)
-	if err != nil {
-		fatal(err)
-	}
-	for _, r := range rows {
-		fmt.Printf("%d,%.3f,%.2f,%d,%d,%d\n", r.Workers, r.WallMS, r.Speedup, r.MergeGroups, r.Subtasks, r.ChunkReads)
 	}
 	fmt.Println()
 }

@@ -51,7 +51,6 @@ func main() {
 		explain   = flag.Bool("explain", false, "print the evaluation path and physical plan before each result")
 		showTrace = flag.Bool("trace", false, "print the span tree of each query's execution")
 		timeout   = flag.Duration("timeout", 0, "per-query deadline (e.g. 5s); 0 disables")
-		workers   = flag.Int("workers", 1, "scan workers per query (parallel merge-group scan; 1 = serial)")
 		scenFile  = flag.String("scenario", "", "apply a JSON scenario edit script before querying (array of edits or {\"edits\": [...]})")
 		topMode   = flag.Bool("top", false, "live terminal health view over a running whatifd's /metrics/history")
 		topAddr   = flag.String("addr", "http://127.0.0.1:8080", "daemon base URL for -top")
@@ -96,7 +95,7 @@ func main() {
 		// The deadline feeds the same cancellation mechanism the query
 		// daemon uses: checked at chunk-iteration boundaries in the
 		// engine and between grid rows.
-		rc := olap.RunContext{Workers: *workers}
+		var rc olap.RunContext
 		if *timeout > 0 {
 			ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 			defer cancel()
@@ -148,9 +147,8 @@ func main() {
 			fmt.Printf("-- scope=%d members, instances=%d, chunks read=%d, cells relocated=%d, merge edges=%d, peak resident=%d\n",
 				stats.MembersInScope, stats.SourceInstances, stats.ChunksRead,
 				stats.CellsRelocated, stats.MergeEdges, stats.PeakResidentChunks)
-			fmt.Printf("-- groups=%d, workers=%d, plan=%.2fms, scan=%.2fms, merge=%.2fms, project=%.2fms\n",
-				stats.MergeGroups, stats.ScanWorkers,
-				stats.PlanMs, stats.ScanMs, stats.MergeMs, stats.ProjectMs)
+			fmt.Printf("-- groups=%d, plan=%.2fms, scan=%.2fms, project=%.2fms\n",
+				stats.MergeGroups, stats.PlanMs, stats.ScanMs, stats.ProjectMs)
 		}
 		fmt.Println()
 	}

@@ -84,7 +84,6 @@ func main() {
 		paper       = flag.Bool("paper", false, "serve the paper's Fig. 1/2 example warehouse as cube \"paper\"")
 		wf          = flag.Bool("workforce", false, "serve the default generated workforce dataset as cube \"workforce\"")
 		workers     = flag.Int("workers", 0, "query worker pool size (0 = GOMAXPROCS)")
-		scanWork    = flag.Int("scan-workers", 0, "scan workers per query (parallel merge-group scan; 0 or 1 = serial)")
 		queueCap    = flag.Int("queue", 0, "admission queue capacity (0 = 4×workers); overflow returns 429")
 		cacheBytes  = flag.Int("cache-bytes", server.DefaultCacheBytes, "result cache byte cap: the cache grows toward it only as it observes reuse (0 disables)")
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-query deadline (0 = none)")
@@ -181,7 +180,6 @@ func main() {
 
 	svc := server.New(catalog, server.Config{
 		Workers:          *workers,
-		ScanWorkers:      *scanWork,
 		QueueCap:         *queueCap,
 		CacheBytes:       *cacheBytes,
 		DefaultTimeout:   *timeout,

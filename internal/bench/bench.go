@@ -554,68 +554,6 @@ func AblationChunkRep(w *workload.Workforce, reps int) ([]RepRow, error) {
 	return []RepRow{auto, comp}, nil
 }
 
-// ParallelScanRow is one point of the scan-parallelism series: wall
-// time of the same dynamic-forward query at a given scan-worker count.
-type ParallelScanRow struct {
-	Workers     int
-	WallMS      float64
-	Speedup     float64 // serial wall time / this wall time
-	MergeGroups int
-	// Subtasks is how many schedule cuts the scan fanned out over —
-	// above MergeGroups when intra-group splitting applied, 0 serial.
-	Subtasks   int
-	ChunkReads int
-}
-
-// ParallelScan measures the staged pipeline's parallel scan: a
-// dynamic-forward query over every changing employee with four
-// perspectives, executed at each worker count. Workers = 1 is the
-// serial baseline the speedups are relative to. Each merge group's
-// schedule is further cut into crossing-free sub-tasks, so the fan-out
-// is bounded by min(cores, chunks), not min(cores, merge groups).
-// Results are identical at every worker count; only the wall time
-// changes, bounded by the host's core count.
-func ParallelScan(w *workload.Workforce, workers []int, reps int) ([]ParallelScanRow, error) {
-	e, err := core.New(w.Cube, workload.DimDepartment)
-	if err != nil {
-		return nil, err
-	}
-	q := core.PerspectiveQuery{
-		Members: w.Changing, Perspectives: []int{0, 3, 6, 9},
-		Sem: perspective.Forward, Mode: perspective.NonVisual,
-	}
-	var rows []ParallelScanRow
-	serialMS := 0.0
-	for _, n := range workers {
-		var stats core.Stats
-		wall, err := timeIt(reps, func() error {
-			v, err := e.ExecPerspectiveWith(core.ExecContext{Workers: n}, q)
-			if err == nil {
-				stats = v.Stats
-			}
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := ParallelScanRow{
-			Workers:     n,
-			WallMS:      wall,
-			MergeGroups: stats.MergeGroups,
-			Subtasks:    stats.ScanSubtasks,
-			ChunkReads:  stats.ChunksRead,
-		}
-		if serialMS == 0 {
-			serialMS = wall
-		}
-		if wall > 0 {
-			row.Speedup = serialMS / wall
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // RleScanRow is one representation's point of the run-encoding figure:
 // resident store footprint and relocation-scan throughput of the same
 // forward query over a validity-window cube (FlatMonths workforce,

@@ -12,8 +12,7 @@ import (
 // lands in one, a slab or a value run at a time (SetCellsAt, SetRunAt:
 // one map probe and one chunk-level write each, addressed by the
 // (chunk ID, offset) the kernel derives from strides); the point path
-// (Set: Geometry.SplitID plus one map probe) serves edits, merges and
-// tests. Nothing allocates once the destination chunk exists and has
+// (Set: Geometry.SplitID plus one map probe) serves edits and tests. Nothing allocates once the destination chunk exists and has
 // room. Chunks start sparse and promote to dense past the occupancy
 // threshold, exactly like Store's cells.
 //
@@ -27,7 +26,7 @@ type Overlay struct {
 	cells  int
 	// promotions counts chunks that crossed the occupancy threshold and
 	// switched from sparse to dense representation during writes — the
-	// trace attribute behind per-merge-group "overlay_promotions".
+	// scan span's "overlay_promotions" attribute.
 	promotions int
 }
 
@@ -120,39 +119,6 @@ func (o *Overlay) SetCellsAt(id, off int, cells []float64) int {
 	}
 	o.cells += c.Len() - before
 	return n
-}
-
-// Absorb folds src's chunks into o: chunks o lacks are adopted by
-// reference (O(1)), overlapping chunks merge cell by cell. It is the
-// parallel executor's whole merge step: the first task's overlay absorbs
-// the others. Merge groups own disjoint destination chunk IDs, so their
-// chunks are all adopted — O(destination chunks), no cell copied — and
-// only sibling sub-tasks of one split group can materialize the same
-// destination chunk; their cell sets are disjoint (relocation
-// destinations are injective per parameter leaf), so the fold is
-// order-insensitive on content. src's promotion count carries over. src
-// must share o's geometry and must not be used afterwards.
-func (o *Overlay) Absorb(src *Overlay) {
-	o.promotions += src.promotions
-	for id, sc := range src.chunks {
-		dst := o.chunks[id]
-		if dst == nil {
-			o.chunks[id] = sc
-			o.cells += sc.Len()
-			continue
-		}
-		before := dst.Len()
-		wasSparse := dst.dense == nil
-		// One closure per absorbed chunk, not per cell.
-		sc.ForEach(func(off int, v float64) bool {
-			dst.Set(off, v)
-			return true
-		})
-		if wasSparse && dst.dense != nil {
-			o.promotions++
-		}
-		o.cells += dst.Len() - before
-	}
 }
 
 // NonNull implements cube.Store. Chunks are visited in canonical ID

@@ -151,89 +151,3 @@ func TestOverlaySlabWritesAllocateNothing(t *testing.T) {
 		t.Fatalf("Overlay.SetRunAt on a resident dense chunk: %v allocs, want 0", allocs)
 	}
 }
-
-// The parallel scan's merge step: task overlays of different merge
-// groups own disjoint destination chunk IDs, so absorbing them adopts
-// their chunks by reference and copies no cell.
-func TestOverlayAbsorbAdoptsDisjointChunks(t *testing.T) {
-	// 2-D space, dimension 0 the "varying" one: a merge group is a chunk
-	// column of dimension 1.
-	g := MustGeometry([]int{8, 8}, []int{2, 2})
-	ovA := NewOverlay(g) // owns dim-1 chunk coordinate 0
-	ovA.Set([]int{1, 1}, 10)
-	ovA.Set([]int{0, 0}, 7)
-	ovB := NewOverlay(g) // owns dim-1 chunk coordinate 3, one chunk filled past the threshold
-	for _, addr := range [][]int{{6, 6}, {6, 7}, {7, 6}} {
-		ovB.Set(addr, 20)
-	}
-	if ovB.Promotions() != 1 {
-		t.Fatalf("fixture: ovB promoted %d chunks, want 1", ovB.Promotions())
-	}
-	idB, _ := g.SplitID([]int{6, 7})
-	chB, promA := ovB.chunks[idB], ovA.Promotions()
-
-	ovA.Absorb(ovB)
-	if ovA.chunks[idB] != chB {
-		t.Fatal("a chunk under an ID the absorber lacked was copied, not adopted")
-	}
-	if ovA.Len() != 5 || ovA.NumChunks() != 2 || ovA.Promotions() != promA+1 {
-		t.Fatalf("Len %d, NumChunks %d, Promotions %d; want 5, 2, %d", ovA.Len(), ovA.NumChunks(), ovA.Promotions(), promA+1)
-	}
-	if a, b := ovA.Get([]int{1, 1}), ovA.Get([]int{6, 7}); a != 10 || b != 20 {
-		t.Fatalf("Get = %v, %v; want 10, 20", a, b)
-	}
-	// An absent cell of an owned group, and a group no task owned, read Null.
-	if got := ovA.Get([]int{7, 1}); !math.IsNaN(got) {
-		t.Fatalf("absent cell in an owned group = %v, want NaN", got)
-	}
-	if got := ovA.Get([]int{0, 4}); !math.IsNaN(got) {
-		t.Fatalf("unowned group = %v, want NaN", got)
-	}
-	n := 0
-	ovA.NonNull(func(addr []int, v float64) bool { n++; return true })
-	if n != 5 {
-		t.Fatalf("NonNull visited %d cells, want 5", n)
-	}
-}
-
-// Sibling sub-tasks of one split group can materialize the same
-// destination chunk: their disjoint cell sets merge cell by cell, and a
-// promotion the merge itself triggers is counted.
-func TestOverlayAbsorbMergesSiblingChunks(t *testing.T) {
-	g := MustGeometry([]int{4, 4}, []int{4, 4}) // one 16-cell chunk; dense past 4 cells
-	a, b := NewOverlay(g), NewOverlay(g)
-	for i := 0; i < 3; i++ {
-		a.Set([]int{0, i}, float64(1+i))
-		b.Set([]int{1, i}, float64(11+i))
-	}
-	dst := a.chunks[0]
-	a.Absorb(b)
-	if a.chunks[0] != dst || a.NumChunks() != 1 {
-		t.Fatal("an overlapping chunk must merge into the absorber's chunk")
-	}
-	if a.Len() != 6 || a.Promotions() != 1 {
-		t.Fatalf("Len %d, Promotions %d; want 6, 1", a.Len(), a.Promotions())
-	}
-	for i := 0; i < 3; i++ {
-		if x, y := a.Get([]int{0, i}), a.Get([]int{1, i}); x != float64(1+i) || y != float64(11+i) {
-			t.Fatalf("column %d = %v, %v after the merge", i, x, y)
-		}
-	}
-}
-
-// Reads of the absorbed overlay stay allocation-free: viewStore.Get
-// resolves every scoped read of a parallel scan's view through it.
-func TestOverlayAbsorbedZeroAllocGet(t *testing.T) {
-	g := MustGeometry([]int{16, 16}, []int{4, 4})
-	ov, part := NewOverlay(g), NewOverlay(g)
-	for a := 0; a < 4; a++ {
-		for b := 0; b < 4; b++ {
-			part.Set([]int{a, b}, 1)
-		}
-	}
-	ov.Absorb(part)
-	addr := []int{2, 3}
-	if allocs := testing.AllocsPerRun(1000, func() { _ = ov.Get(addr) }); allocs != 0 {
-		t.Fatalf("Get on an absorbed overlay: %v allocs, want 0", allocs)
-	}
-}

@@ -24,10 +24,8 @@ import (
 // spill fault-ins go through the buffer pool, which overlaps distinct
 // chunks' I/O and deduplicates same-chunk faults. Mutation (Set,
 // PutChunk, CompressAll, SpillTo) must not race with readers; the
-// serving layer guarantees this by publishing cubes copy-on-write.
-// Both the serving layer's cross-query concurrency and the engine's
-// intra-query parallel merge-group scan (core.ExecContext.Workers)
-// lean on the concurrent-reader guarantee.
+// serving layer guarantees this by publishing cubes copy-on-write, and
+// its concurrent queries lean on the concurrent-reader guarantee.
 type Store struct {
 	geom   *Geometry
 	chunks map[int]*Chunk // resident chunks by canonical ID

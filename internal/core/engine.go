@@ -52,9 +52,8 @@ func (o ReadOrder) String() string {
 // Engine evaluates what-if queries over a chunk-backed cube with one
 // varying dimension binding, as a staged pipeline: Plan* builds an
 // inspectable PhysicalPlan (target pruning, merge groups, dependency
-// graph, read schedule), Exec* executes it (scan → relocate → merge →
-// assemble), optionally fanning the scan out over independent merge
-// groups.
+// graph, read schedule), Exec* executes it (scan → relocate →
+// assemble) on the calling goroutine.
 //
 // Concurrency: configure an engine (SetReadOrder, AttachDisk) before
 // sharing it; after that, the Plan*, Exec* and Simulate* methods mutate
@@ -62,8 +61,8 @@ func (o ReadOrder) String() string {
 // one store. The serving layer relies on this — shared-snapshot queries
 // run through a single chunk store, whose read path is safe for
 // concurrent readers (see chunk.Store).
-// Per-query state (cancellation context, scan parallelism) travels in
-// an ExecContext instead of engine fields.
+// Per-query state (the cancellation context) travels in an
+// ExecContext instead of engine fields.
 type Engine struct {
 	base  *cube.Cube
 	store *chunk.Store
@@ -306,14 +305,13 @@ func (e *Engine) PlanPerspective(q PerspectiveQuery) (*PhysicalPlan, error) {
 
 // ExecPerspective plans and runs a perspective query, returning the
 // perspective-cube view: ExecPerspectiveWith under the zero ExecContext
-// (serial scan, no cancellation).
+// (no cancellation).
 func (e *Engine) ExecPerspective(q PerspectiveQuery) (*View, error) {
 	return e.ExecPerspectiveWith(ExecContext{}, q)
 }
 
 // ExecPerspectiveWith plans and runs a perspective query under an
-// explicit per-execution context: cancellation from ec.Ctx, scan
-// parallelism from ec.Workers.
+// explicit per-execution context: cancellation from ec.Ctx.
 func (e *Engine) ExecPerspectiveWith(ec ExecContext, q PerspectiveQuery) (*View, error) {
 	tr := trace.FromContext(ec.Ctx)
 	planStart := tr.Now()
@@ -482,8 +480,7 @@ func (e *Engine) PlanChanges(q ChangesQuery) (*PhysicalPlan, error) {
 
 // ExecChanges plans and runs a positive-scenario query. The result
 // view's varying dimension is extended with the hypothetical instances.
-// ExecChangesWith under the zero ExecContext (serial scan, no
-// cancellation).
+// ExecChangesWith under the zero ExecContext (no cancellation).
 func (e *Engine) ExecChanges(q ChangesQuery) (*View, error) {
 	return e.ExecChangesWith(ExecContext{}, q)
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"whatifolap/internal/chunk"
@@ -16,12 +14,10 @@ import (
 // This file is a query hot path: span recording happens here, span
 // formatting must not (no fmt import — verify.sh enforces it).
 
-// scanTally accumulates one scan task's counters. Per-task tallies are
-// summed in task order when the scan ends, so parallel statistics are
-// deterministic. diskCostMs sums the per-read costs returned by
-// the store's cost hook — the race-free replacement for diffing the
-// disk's global counters around the execution, which let overlapping
-// queries absorb each other's I/O cost.
+// scanTally accumulates the scan's counters. diskCostMs sums the
+// per-read costs returned by the store's cost hook — the race-free
+// replacement for diffing the disk's global counters around the
+// execution, which let overlapping queries absorb each other's I/O cost.
 type scanTally struct {
 	chunksRead     int
 	cellsScanned   int
@@ -35,20 +31,6 @@ type scanTally struct {
 	// cellsOffGrid the cells of surviving slabs the footprint's mask kept
 	// out of the overlay.
 	slabs, slabsSkipped, cellsOffGrid int
-}
-
-// add accumulates t2 into t.
-func (t *scanTally) add(t2 scanTally) {
-	t.chunksRead += t2.chunksRead
-	t.cellsScanned += t2.cellsScanned
-	t.cellsRelocated += t2.cellsRelocated
-	t.diskCostMs += t2.diskCostMs
-	t.spillFaults += t2.spillFaults
-	t.faultMs += t2.faultMs
-	t.promotions += t2.promotions
-	t.slabs += t2.slabs
-	t.slabsSkipped += t2.slabsSkipped
-	t.cellsOffGrid += t2.cellsOffGrid
 }
 
 // planStages names the planning sub-stages whose end offsets a plan
@@ -292,9 +274,9 @@ func (k *slabKernel) finish(t *scanTally) {
 	t.promotions += k.overlay.Promotions() - k.promBase
 }
 
-// annotateScan attaches a tally's counters to a scan or group span.
-// No-op refs (tracing off) make every call free.
-func annotateScan(sp trace.SpanRef, t scanTally, workers int) {
+// annotateScan attaches a tally's counters to the scan span. A no-op
+// ref (tracing off) makes every call free.
+func annotateScan(sp trace.SpanRef, t scanTally) {
 	sp.Int("chunks_read", int64(t.chunksRead))
 	sp.Int("cells_scanned", int64(t.cellsScanned))
 	sp.Int("cells_relocated", int64(t.cellsRelocated))
@@ -304,9 +286,6 @@ func annotateScan(sp trace.SpanRef, t scanTally, workers int) {
 	sp.IntNonZero("spill_faults", int64(t.spillFaults))
 	sp.IntNonZero("fault_us", int64(t.faultMs*1000))
 	sp.IntNonZero("overlay_promotions", int64(t.promotions))
-	if workers > 0 {
-		sp.IntNonZero("workers", int64(workers))
-	}
 }
 
 // execute runs the staged execution of a physical plan:
@@ -315,16 +294,10 @@ func annotateScan(sp trace.SpanRef, t scanTally, workers int) {
 //	         slab at a time (slabKernel: one table probe and one bulk
 //	         write per block of cells sharing their varying and
 //	         parameter digits, whatever the chunk's representation).
-//	         The scan is a task list run by one driver (scan): the whole
-//	         global schedule as one task on the calling goroutine, or,
-//	         when ec.Workers > 1, the merge groups' crossing-free cuts
-//	         on a bounded pool, each task into an overlay of its own;
-//	merge    the first task's overlay absorbs the others (Overlay.Absorb).
-//	         Merge edges never cross rest-coordinate groups, so groups
-//	         own disjoint destination chunks and are adopted by
-//	         reference — O(destination chunks), no cell copied; only
-//	         sibling cuts of one split group meet in a chunk. Nothing to
-//	         do, and no span, when the scan was one task;
+//	         One pass over the plan's global schedule on the calling
+//	         goroutine, so the resident chunk count is the pebbling
+//	         peak EXPLAIN prints and a panic unwinds through the
+//	         caller's recover;
 //	assemble wiring the overlay view cube.
 //
 // When newDims is nil the view shares the base cube's dimensions;
@@ -334,12 +307,6 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 	newBindings []*dimension.Binding, baseOrd []int, mode perspective.Mode) (*View, Stats, error) {
 
 	stats := p.Stats
-	tasks := scanTasks(p, ec.Workers)
-	workers := min(max(ec.Workers, 1), len(tasks))
-	stats.ScanWorkers = workers
-	if len(tasks) > 1 {
-		stats.ScanSubtasks = len(tasks)
-	}
 
 	// The overlay's geometry matches the base store's, except that a
 	// positive scenario extends the varying dimension with hypothetical
@@ -361,15 +328,16 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 	tr := trace.FromContext(ec.Ctx)
 	parent := trace.SpanFromContext(ec.Ctx)
 
+	overlay := chunk.NewOverlay(og)
 	scanSp := tr.Start(parent, "scan")
 	scanStart := time.Now()
-	scanT, err := e.scan(ec, p, og, tasks, workers, tr, scanSp)
+	scanT, err := e.scanInto(ec.Ctx, p, overlay, tr, scanSp)
 	if err != nil {
 		scanSp.End()
 		return nil, stats, err
 	}
 	stats.ScanMs = msSince(scanStart)
-	annotateScan(scanSp, scanT, workers)
+	annotateScan(scanSp, scanT)
 	scanSp.End()
 	stats.ChunksRead += scanT.chunksRead
 	stats.CellsScanned += scanT.cellsScanned
@@ -377,18 +345,6 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 	stats.DiskCostMs += scanT.diskCostMs
 	stats.SpillFaults += scanT.spillFaults
 	stats.FaultMs += scanT.faultMs
-
-	overlay := tasks[0].overlay
-	if len(tasks) > 1 {
-		mergeSp := tr.Start(parent, "merge")
-		mergeStart := time.Now()
-		for _, t := range tasks[1:] {
-			overlay.Absorb(t.overlay)
-		}
-		stats.MergeMs = msSince(mergeStart)
-		mergeSp.Int("groups", int64(len(p.Groups)))
-		mergeSp.End()
-	}
 
 	// Assemble the view cube. Out-of-scope rows read from the layer
 	// chain when the engine runs over a scenario, so unrelocated cells
@@ -407,23 +363,21 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 // is released the moment its last partner is read. On an unpooled
 // store (Pin is a no-op) the tracker is not built at all.
 type pinTracker struct {
-	store    *chunk.Store
-	plan     *PhysicalPlan
-	schedule []int
-	// done is how much of the schedule has been scanned.
+	store *chunk.Store
+	plan  *PhysicalPlan
+	// done is how much of the plan's schedule has been scanned.
 	done int
-	// outstanding counts, per plan node of a chunk in the schedule, its
-	// partners later in the schedule that have not been scanned yet: a
-	// scanned chunk is pinned exactly while its count is positive.
+	// outstanding counts, per plan node, its partners later in the
+	// schedule that have not been scanned yet: a scanned chunk is pinned
+	// exactly while its count is positive.
 	outstanding []int32
 }
 
-// newPinTracker tracks one schedule of the plan: the global one, a
-// merge group's, or a sub-task's cut — each closed under merge edges,
-// with the plan's slots ordering every chunk against its partners.
-func newPinTracker(store *chunk.Store, schedule []int, p *PhysicalPlan) *pinTracker {
-	pt := &pinTracker{store: store, plan: p, schedule: schedule, outstanding: make([]int32, len(p.nodes))}
-	for _, id := range schedule {
+// newPinTracker tracks the plan's global schedule, whose order the
+// plan's slots give between every chunk and its partners.
+func newPinTracker(store *chunk.Store, p *PhysicalPlan) *pinTracker {
+	pt := &pinTracker{store: store, plan: p, outstanding: make([]int32, len(p.nodes))}
+	for _, id := range p.Schedule {
 		i, _ := p.graph.Index(id)
 		for _, nb := range p.graph.Adjacent(i) {
 			if p.slot[nb] > p.slot[i] {
@@ -457,7 +411,7 @@ func (pt *pinTracker) scanned(id int) {
 // releaseAll unpins whatever is still pinned — a no-op after a complete
 // scan, the safety net on error and cancellation paths.
 func (pt *pinTracker) releaseAll() {
-	for _, id := range pt.schedule[:pt.done] {
+	for _, id := range pt.plan.Schedule[:pt.done] {
 		if i, _ := pt.plan.graph.Index(id); pt.outstanding[i] > 0 {
 			pt.outstanding[i] = 0
 			pt.store.Unpin(id)
@@ -465,7 +419,7 @@ func (pt *pinTracker) releaseAll() {
 	}
 }
 
-// scanInto reads the scheduled chunks in order and hands each to the
+// scanInto reads the plan's scheduled chunks in order and hands each to the
 // slab kernel, which relocates its scoped slabs through the plan's
 // target tables into the overlay — one loop body for every chunk
 // representation and for scenario chunks, which the layer chain first
@@ -475,15 +429,15 @@ func (pt *pinTracker) releaseAll() {
 // nothing). Cells scanned are the non-null cells the chunks read hold
 // (Chunk.Len, the resolved count under a chain), whether or not a slab
 // decision ever looked at them. The context, when non-nil, is checked
-// before every chunk read. The plan is only read, so concurrent scanInto
-// calls over disjoint overlays are safe.
+// before every chunk read. The plan is only read, so concurrent queries
+// may share it.
 //
 // Per-read attribution flows through ReadChunkInfo: modeled disk cost
 // sums into the tally, and a buffer-pool fault becomes a "fault" span
 // under parent — recorded in hindsight via tr.Now()/tr.Record, so a
 // pool hit costs no span slot (and, with tracing off, nothing at all).
-func (e *Engine) scanInto(ctx context.Context, schedule []int, p *PhysicalPlan,
-	overlay *chunk.Overlay, tr *trace.Trace, parent trace.SpanRef) (scanTally, error) {
+func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.Overlay,
+	tr *trace.Trace, parent trace.SpanRef) (scanTally, error) {
 
 	var tally scanTally
 	g := e.store.Geometry()
@@ -497,12 +451,12 @@ func (e *Engine) scanInto(ctx context.Context, schedule []int, p *PhysicalPlan,
 
 	var pins *pinTracker
 	if e.store.Pooled() && p.Stats.MergeEdges > 0 {
-		pins = newPinTracker(e.store, schedule, p)
+		pins = newPinTracker(e.store, p)
 		defer pins.releaseAll()
 	}
 
 	var err error
-	for _, id := range schedule {
+	for _, id := range p.Schedule {
 		if ctx != nil {
 			if err = ctx.Err(); err != nil {
 				break
@@ -541,77 +495,4 @@ func (e *Engine) scanInto(ctx context.Context, schedule []int, p *PhysicalPlan,
 	}
 	k.finish(&tally)
 	return tally, err
-}
-
-// scan is the one scan driver: it runs the task list on workers
-// goroutines — the caller's and workers-1 more, each claiming the next
-// unclaimed task — and leaves every task its overlay and tally; the sum
-// it returns adds the tallies in task order, so statistics are
-// deterministic at any worker count. The serial scan is the case of one
-// task holding the global schedule: it runs here, on the calling
-// goroutine, its fault spans directly under scanSp. A task of a longer
-// list scans into its private overlay in its cut's schedule order —
-// merge edges never cross groups, and cuts never separate an edge's
-// endpoints, so the pebbling order stays legal per task and no task pins
-// for another — under a "group" child span carrying its own tally and,
-// when its group was split, a "subtask" attribute (span slots are
-// claimed atomically, so worker goroutines may record). The first error
-// wins and cancels the sibling workers, which notice before their next
-// chunk read.
-func (e *Engine) scan(ec ExecContext, p *PhysicalPlan, og *chunk.Geometry, tasks []subTask, workers int,
-	tr *trace.Trace, scanSp trace.SpanRef) (scanTally, error) {
-
-	ctx, cancel := context.WithCancel(ec.Context())
-	defer cancel()
-	// What the workers share, as one struct so that it escapes to them as
-	// one allocation; err belongs to the worker that won failed and is
-	// read after the barrier.
-	var sh struct {
-		next   atomic.Int64
-		failed atomic.Bool
-		err    error
-		wg     sync.WaitGroup
-	}
-	work := func() {
-		defer sh.wg.Done()
-		for {
-			ti := int(sh.next.Add(1)) - 1
-			if ti >= len(tasks) {
-				return
-			}
-			task := &tasks[ti]
-			// One overlay per scan task: the task, not the cell, is the unit of work.
-			task.overlay = chunk.NewOverlay(og)
-			sp := scanSp
-			var gsp trace.SpanRef // the no-op ref when the scan is one task
-			if len(tasks) > 1 {
-				gsp = tr.Start(scanSp, "group")
-				gsp.Int("group", int64(task.group))
-				gsp.IntNonZero("subtask", int64(task.part))
-				sp = gsp
-			}
-			var err error
-			task.tally, err = e.scanInto(ctx, task.chunks, p, task.overlay, tr, sp)
-			annotateScan(gsp, task.tally, 0)
-			gsp.End()
-			if err != nil {
-				if sh.failed.CompareAndSwap(false, true) {
-					sh.err = err
-					cancel()
-				}
-				return
-			}
-		}
-	}
-	sh.wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go work()
-	}
-	work()
-	sh.wg.Wait()
-	var total scanTally
-	for i := range tasks {
-		total.add(tasks[i].tally)
-	}
-	return total, sh.err
 }

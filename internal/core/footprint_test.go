@@ -106,7 +106,7 @@ func TestFootprintQuickRandomGeometry(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		got := chunk.NewOverlay(og)
-		tally, err := e.scanInto(nil, p.Schedule, p, got, nil, trace.SpanRef{})
+		tally, err := e.scanInto(nil, p, got, nil, trace.SpanRef{})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -201,7 +201,7 @@ func TestFootprintScanAllocs(t *testing.T) {
 			t.Fatalf("%s: masked %v, %d chunks scheduled of %d: the footprint should mask slabs, not drop chunks", rep, p.masked, len(p.Schedule), len(full.Schedule))
 		}
 		scan := func(p *PhysicalPlan, ov *chunk.Overlay) scanTally {
-			tally, err := e.scanInto(nil, p.Schedule, p, ov, nil, trace.SpanRef{})
+			tally, err := e.scanInto(nil, p, ov, nil, trace.SpanRef{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,8 +225,8 @@ func TestFootprintScanAllocs(t *testing.T) {
 // TestFootprintPlansOnlyTheGrid checks the plan-level effects on the
 // validity-window layout, where every (account, scenario) pair is a
 // merge group: a footprint of one pair keeps one group of eight; an
-// empty footprint plans nothing and scans serially; a footprint over the
-// wrong schema is refused.
+// empty footprint plans and reads nothing; a footprint over the wrong
+// schema is refused.
 func TestFootprintPlansOnlyTheGrid(t *testing.T) {
 	cfg := workload.ConfigTiny()
 	cfg.ChunkDims = []int{16, 12, 1, 1, 1, 1, 1}
@@ -259,12 +259,12 @@ func TestFootprintPlansOnlyTheGrid(t *testing.T) {
 	}
 
 	q.Footprint[w.Cube.DimIndex(workload.DimPeriod)] = bitset.New(cfg.Months)
-	v, err := e.ExecPerspectiveWith(ExecContext{Workers: 8}, q)
+	v, err := e.ExecPerspective(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := v.Stats; s.ChunksRead != 0 || s.CellsRelocated != 0 || s.SourceInstances != 0 || s.ScanWorkers != 1 || s.ScanSubtasks != 0 {
-		t.Fatalf("empty footprint: %+v, want nothing read by one worker", s)
+	if s := v.Stats; s.ChunksRead != 0 || s.CellsRelocated != 0 || s.SourceInstances != 0 {
+		t.Fatalf("empty footprint: %+v, want nothing read", s)
 	}
 
 	short := make(Footprint, w.Cube.NumDims())

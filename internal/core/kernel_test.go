@@ -71,9 +71,7 @@ func overlayOf(t *testing.T, v *View) cube.Store {
 
 // TestKernelMatchesLegacyMemStorePaper pins the tentpole invariant on
 // the paper's warehouse: at every semantics × mode, the chunk-native
-// overlay, built by one scan task (serial) or merged from several
-// (parallel), holds exactly the cells the legacy MemStore kernel
-// produces.
+// overlay holds exactly the cells the legacy MemStore kernel produces.
 func TestKernelMatchesLegacyMemStorePaper(t *testing.T) {
 	e := newEngine(t)
 	for _, sem := range allSemantics {
@@ -88,31 +86,16 @@ func TestKernelMatchesLegacyMemStorePaper(t *testing.T) {
 			}
 			want := dumpStore(legacyOverlay(e, plan))
 
-			serial, err := e.ExecPerspective(q)
+			v, err := e.ExecPerspective(q)
 			if err != nil {
-				t.Fatalf("%v/%v serial: %v", sem, mode, err)
+				t.Fatalf("%v/%v: %v", sem, mode, err)
 			}
-			sov := overlayOf(t, serial)
+			sov := overlayOf(t, v)
 			if _, ok := sov.(*chunk.Overlay); !ok {
-				t.Fatalf("serial overlay is %T, want *chunk.Overlay", sov)
+				t.Fatalf("overlay is %T, want *chunk.Overlay", sov)
 			}
 			if got := dumpStore(sov); !sameCells(want, got) {
-				t.Fatalf("%v/%v: serial chunk-native overlay differs from legacy kernel (%d vs %d cells)",
-					sem, mode, len(got), len(want))
-			}
-
-			par, err := e.ExecPerspectiveWith(ExecContext{Workers: 4}, q)
-			if err != nil {
-				t.Fatalf("%v/%v parallel: %v", sem, mode, err)
-			}
-			pov := overlayOf(t, par)
-			if par.Stats.ScanWorkers > 1 {
-				if _, ok := pov.(*chunk.Overlay); !ok {
-					t.Fatalf("parallel overlay is %T, want *chunk.Overlay", pov)
-				}
-			}
-			if got := dumpStore(pov); !sameCells(want, got) {
-				t.Fatalf("%v/%v: parallel overlay differs from legacy kernel (%d vs %d cells)",
+				t.Fatalf("%v/%v: chunk-native overlay differs from legacy kernel (%d vs %d cells)",
 					sem, mode, len(got), len(want))
 			}
 		}
@@ -121,8 +104,7 @@ func TestKernelMatchesLegacyMemStorePaper(t *testing.T) {
 
 // TestKernelQuickLegacyEquivalenceWorkforce is the property form over a
 // generated workforce cube: for random scopes, perspective sets,
-// semantics and modes, the chunk-native overlay built serially, the
-// one merged from the parallel scan's tasks and the legacy MemStore
+// semantics and modes, the chunk-native overlay and the legacy MemStore
 // kernel agree cell for cell.
 func TestKernelQuickLegacyEquivalenceWorkforce(t *testing.T) {
 	w, err := workload.NewWorkforce(workload.ConfigTiny())
@@ -133,7 +115,7 @@ func TestKernelQuickLegacyEquivalenceWorkforce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	property := func(memberBits, perspBits uint16, semPick, modePick, workerPick uint8) bool {
+	property := func(memberBits, perspBits uint16, semPick, modePick uint8) bool {
 		var members []string
 		for i, name := range w.Changing {
 			if memberBits&(1<<uint(i%16)) != 0 {
@@ -158,19 +140,13 @@ func TestKernelQuickLegacyEquivalenceWorkforce(t *testing.T) {
 			Sem:          allSemantics[int(semPick)%len(allSemantics)],
 			Mode:         []perspective.Mode{perspective.NonVisual, perspective.Visual}[int(modePick)%2],
 		}
-		workers := []int{2, 4, 8}[int(workerPick)%3]
-
 		plan, perr := e.PlanPerspective(q)
-		serial, serr := e.ExecPerspective(q)
-		par, parErr := e.ExecPerspectiveWith(ExecContext{Workers: workers}, q)
-		if perr != nil || serr != nil || parErr != nil {
-			// All three paths must fail together with the same error.
-			return perr != nil && serr != nil && parErr != nil &&
-				perr.Error() == serr.Error() && serr.Error() == parErr.Error()
+		v, err := e.ExecPerspective(q)
+		if perr != nil || err != nil {
+			// Planning and execution must fail together with the same error.
+			return perr != nil && err != nil && perr.Error() == err.Error()
 		}
-		want := dumpStore(legacyOverlay(e, plan))
-		return sameCells(want, dumpStore(overlayOf(t, serial))) &&
-			sameCells(want, dumpStore(overlayOf(t, par)))
+		return sameCells(dumpStore(legacyOverlay(e, plan)), dumpStore(overlayOf(t, v)))
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -196,7 +172,7 @@ func TestKernelAmortizedAllocsPerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov := chunk.NewOverlay(e.store.Geometry())
-	tally, err := e.scanInto(nil, plan.Schedule, plan, ov, nil, trace.SpanRef{})
+	tally, err := e.scanInto(nil, plan, ov, nil, trace.SpanRef{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +180,7 @@ func TestKernelAmortizedAllocsPerCell(t *testing.T) {
 		t.Fatal("no cells relocated; test is vacuous")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.scanInto(nil, plan.Schedule, plan, ov, nil, trace.SpanRef{}); err != nil {
+		if _, err := e.scanInto(nil, plan, ov, nil, trace.SpanRef{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -8,14 +8,13 @@ import (
 	"strings"
 	"time"
 
-	"whatifolap/internal/chunk"
 	"whatifolap/internal/pebble"
 	"whatifolap/internal/trace"
 )
 
 // ExecContext carries per-execution parameters through the evaluator
 // (as mdx.RunContext, an alias) and the engine's staged pipeline. The
-// zero value runs serially without cancellation. It travels through the
+// zero value runs without cancellation. It travels through the
 // Exec*With methods because the engine holds no per-query state: one
 // engine serves concurrent queries.
 type ExecContext struct {
@@ -23,9 +22,6 @@ type ExecContext struct {
 	// between grid rows of the projection, so a long query is abandoned
 	// promptly with the context's error.
 	Ctx context.Context
-	// Workers bounds the scan fan-out over independent merge groups.
-	// Values <= 1 scan serially in the plan's global read order.
-	Workers int
 }
 
 // Err reports the context's error, if any.
@@ -47,13 +43,13 @@ func (ec ExecContext) Context() context.Context {
 	return context.Background()
 }
 
-// MergeGroup is one independent unit of scan work: the relevant chunks
-// sharing every chunk coordinate outside the varying dimension. A merge
-// edge connects chunks that exchange relocated cells, and relocation
-// only moves a cell along the varying dimension, so both endpoints of
-// any edge share all non-varying coordinates — edges cannot cross
-// groups, which is what lets groups scan concurrently while the
-// pebbling order is preserved within each.
+// MergeGroup is the relevant chunks sharing every chunk coordinate
+// outside the varying dimension. A merge edge connects chunks that
+// exchange relocated cells, and relocation only moves a cell along the
+// varying dimension, so both endpoints of any edge share all non-varying
+// coordinates — edges cannot cross groups. A group is the unit the
+// footprint keeps or drops whole, and its own pebbling peak says how
+// much of the global peak one slice of the cube needs.
 type MergeGroup struct {
 	// Rest is the chunk coordinate with the varying dimension masked to
 	// -1, identifying the group.
@@ -72,116 +68,18 @@ type MergeGroup struct {
 	mask *slabMask
 }
 
-// splitGroup cuts group gi's read schedule into at most maxParts
-// contiguous parts for intra-group scan parallelism. A cut is legal only
-// where no merge edge is in flight — every edge's two endpoints must
-// land in the same part, so each part's restriction of the schedule
-// remains a complete pebbling of the chunks it reads and the
-// neighbor-pinning executed per part never waits on a chunk another
-// part owns. Crossing-edge counts per boundary come from one
-// difference-array pass, so splitting is O(chunks + edges). Parts are
-// returned in schedule order; splitting is deterministic.
-func (p *PhysicalPlan) splitGroup(gi, maxParts int) [][]int {
-	chunks := p.Groups[gi].Chunks
-	n := len(chunks)
-	if maxParts <= 1 || n <= 1 {
-		return [][]int{chunks}
-	}
-	// diff accumulates edge spans: an edge between slots i < j makes the
-	// boundaries before slots i+1..j uncuttable. After a prefix sum,
-	// crossing == 0 at slot b means no edge spans the boundary before b.
-	diff := make([]int, n+1)
-	for i, id := range chunks {
-		node, _ := p.graph.Index(id)
-		for _, nb := range p.graph.Adjacent(node) {
-			if j := int(p.slot[nb]); j > i {
-				diff[i+1]++
-				diff[j+1]--
-			}
-		}
-	}
-	per := (n + maxParts - 1) / maxParts
-	out := make([][]int, 0, maxParts)
-	start, crossing := 0, 0
-	for b := 1; b < n; b++ {
-		crossing += diff[b]
-		if crossing == 0 && b-start >= per && len(out) < maxParts-1 {
-			out = append(out, chunks[start:b])
-			start = b
-		}
-	}
-	return append(out, chunks[start:])
-}
-
-// subTask is one unit of scan work — a contiguous cut of one merge
-// group's read schedule, or the whole global schedule of a serial scan —
-// and, once the driver ran it, what it produced. Relocation destinations
-// are injective per parameter leaf, so the overlay cell sets written by
-// sibling sub-tasks of one group are disjoint and fold order-
-// insensitively (Overlay.Absorb) in the merge step.
-type subTask struct {
-	group  int
-	chunks []int
-	// part is the 1-based index of this cut within its group when the
-	// group was split, 0 when the group runs as a single task — the
-	// "subtask" span attribute, elided for unsplit groups.
-	part int
-	// overlay and tally are the task's private results, set by scan.
-	overlay *chunk.Overlay
-	tally   scanTally
-}
-
-// splitSubtasks cuts every merge group's schedule into sub-tasks,
-// allocating the targetParts budget to groups in proportion to their
-// chunk counts (each group gets at least one task), so scan parallelism
-// scales with min(workers, chunks) instead of min(workers, groups) —
-// one huge group no longer serializes the scan.
-func splitSubtasks(p *PhysicalPlan, targetParts int) []subTask {
-	total := 0
-	for _, mg := range p.Groups {
-		total += len(mg.Chunks)
-	}
-	tasks := make([]subTask, 0, len(p.Groups))
-	for gi, mg := range p.Groups {
-		parts := p.splitGroup(gi, max(1, targetParts*len(mg.Chunks)/max(1, total)))
-		for i, part := range parts {
-			t := subTask{group: gi, chunks: part}
-			if len(parts) > 1 {
-				t.part = i + 1
-			}
-			tasks = append(tasks, t)
-		}
-	}
-	return tasks
-}
-
-// scanTasks is the scan's task list, the one place a serial and a
-// parallel execution differ: the whole global schedule as a single task,
-// or — when workers > 1 and the plan cuts into more than one — the
-// sub-tasks. An empty plan and a plan with a single uncuttable group are
-// therefore serial scans at any worker count.
-func scanTasks(p *PhysicalPlan, workers int) []subTask {
-	if workers > 1 {
-		if tasks := splitSubtasks(p, workers); len(tasks) > 1 {
-			return tasks
-		}
-	}
-	return []subTask{{chunks: p.Schedule}}
-}
-
 // PhysicalPlan is the engine's inspectable physical execution plan for
 // one relocation query: the relocation tables, which chunks to read in
-// what order, and the merge-group partition the parallel scan fans out
-// over. A plan is a pure value — building one performs no chunk I/O and
-// mutates no engine state — so it can be printed (Describe), tested
-// stage by stage, and executed concurrently.
+// what order, and the merge-group partition of those chunks. A plan is
+// a pure value — building one performs no chunk I/O and mutates no
+// engine state — so it can be printed (Describe), tested stage by
+// stage, and executed concurrently.
 type PhysicalPlan struct {
 	// Order is the read-order policy the schedule was built under.
 	Order ReadOrder
 	// Target is the relocation table: per source varying ordinal, the
 	// destination ordinal per parameter leaf (-1 = the cell vanishes or
-	// lands off the footprint). Read-only after planning; scan workers
-	// share it.
+	// lands off the footprint). Read-only after planning.
 	Target *RelocTable
 	// Scoped marks varying leaf ordinals owned by the query's overlay.
 	Scoped []bool
@@ -191,7 +89,7 @@ type PhysicalPlan struct {
 	// SourceChunks is the number of materialized chunks the planner chose
 	// the relevant ones from.
 	SourceChunks int
-	// Schedule is the global serial chunk read order.
+	// Schedule is the global chunk read order the scan follows.
 	Schedule []int
 	// Groups partitions Schedule into independent merge groups, in
 	// ascending order of masked chunk ID (the canonical ID of Rest with
@@ -214,8 +112,7 @@ type PhysicalPlan struct {
 	// dependency graph over all groups, nodes the chunk ID per node
 	// number (the relevant IDs, ascending), label and slot the chunk's
 	// group and its index in that group's Chunks per node. Merge partners
-	// share a group, so slots order them in every schedule the executor
-	// runs (the global one, a group's, a sub-task's cut).
+	// share a group, so slots order them as the global schedule does.
 	graph       *pebble.Graph
 	nodes       []int
 	label, slot []int32
@@ -361,8 +258,8 @@ func (e *Engine) buildPlan(tr *trace.Trace, target *RelocTable, scoped []bool, f
 	p.Stats.MergeEdges = graph.NumEdges()
 	p.stageNs[1] = tr.Now()
 
-	// Global read order (the serial schedule; also the baseline the
-	// read-order figures measure).
+	// The global read order (also the baseline the read-order figures
+	// measure).
 	if e.order == OrderPebbling {
 		p.Schedule = pebble.HeuristicPebble(graph).Order
 	} else {
@@ -416,8 +313,7 @@ func (e *Engine) buildPlan(tr *trace.Trace, target *RelocTable, scoped []bool, f
 }
 
 // Describe renders the plan for explain output: chunk and group counts,
-// the read schedule, and the merge-group partition the parallel scan
-// fans out over.
+// the read schedule, and the merge-group partition.
 func (p *PhysicalPlan) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "physical plan: %d relevant chunks, %d merge groups, %d merge edges\n",

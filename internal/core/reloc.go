@@ -16,7 +16,7 @@ import (
 // one-employee query does not pay for four thousand), the planner reads
 // off which chunk rows are sources, and the scan kernel, positioned on a
 // chunk, probes one small array. Rows are cut from one arena. Read-only
-// once planned; scan workers share it.
+// once planned.
 type RelocTable struct {
 	width, edge int
 	// index[vc][digit] is the row number of source ordinal

@@ -212,26 +212,17 @@ type Stats struct {
 	// PeakResidentChunks is the peak number of chunks that must be
 	// co-resident under the chosen read order (pebbling peak).
 	PeakResidentChunks int
-	// MergeGroups is the number of independent merge groups the scan
-	// can fan out over (chunks sharing all non-varying coordinates).
+	// MergeGroups is the number of merge groups (chunks sharing all
+	// non-varying coordinates).
 	MergeGroups int
-	// ScanWorkers is the number of scan workers the execution used
-	// (1 = serial).
-	ScanWorkers int
-	// ScanSubtasks is the number of sub-tasks the parallel scan cut the
-	// merge-group schedules into (0 on a serial scan). It exceeds
-	// MergeGroups when intra-group splitting found crossing-free cut
-	// points, which is what lets ScanWorkers exceed MergeGroups.
-	ScanSubtasks int
-	// PlanMs, ScanMs, MergeMs and ProjectMs are the per-stage wall
-	// times in milliseconds: plan (target pruning, merge graph, read
-	// scheduling), scan (chunk reads + cell relocation), merge (the
-	// first task's overlay adopting the other tasks' chunks by reference
-	// — O(destination chunks), cells copied only where sibling cuts of
-	// one group share a chunk; zero on a serial scan), project (grid
-	// projection, filled in by the mdx layer).
-	PlanMs    float64
-	ScanMs    float64
+	// PlanMs, ScanMs and ProjectMs are the per-stage wall times in
+	// milliseconds: plan (target pruning, merge graph, read scheduling),
+	// scan (chunk reads + cell relocation), project (grid projection,
+	// filled in by the mdx layer).
+	PlanMs float64
+	ScanMs float64
+	// MergeMs is always 0: the scan writes one overlay, so there is no
+	// merge stage. It stays for callers that still subtract it.
 	MergeMs   float64
 	ProjectMs float64
 	// Ranges is the number of perspective ranges processed (dynamic
@@ -247,8 +238,7 @@ type Stats struct {
 	SpillFaults int
 	// FaultMs is the wall time those faults took inside the buffer pool
 	// (tier read, checksum, decode) — the part of ScanMs a cold pool
-	// costs. Summed over workers, so it can exceed ScanMs on a parallel
-	// scan.
+	// costs.
 	FaultMs float64
 	// CompressedBytes is the relocation-mapping footprint when the
 	// query ran compressed (ExecPerspectiveCompressed), else 0.
@@ -271,18 +261,11 @@ func (s *Stats) Add(s2 Stats) {
 	if s2.MergeGroups > s.MergeGroups {
 		s.MergeGroups = s2.MergeGroups
 	}
-	if s2.ScanWorkers > s.ScanWorkers {
-		s.ScanWorkers = s2.ScanWorkers
-	}
-	if s2.ScanSubtasks > s.ScanSubtasks {
-		s.ScanSubtasks = s2.ScanSubtasks
-	}
 	s.Ranges += s2.Ranges
 	s.DiskCostMs += s2.DiskCostMs
 	s.SpillFaults += s2.SpillFaults
 	s.FaultMs += s2.FaultMs
 	s.PlanMs += s2.PlanMs
 	s.ScanMs += s2.ScanMs
-	s.MergeMs += s2.MergeMs
 	s.ProjectMs += s2.ProjectMs
 }

@@ -29,8 +29,7 @@ type Tuple []Coord
 // RunContext carries per-query execution parameters through the
 // evaluator into the engine — it is the engine's ExecContext:
 // cancellation (checked at chunk-iteration boundaries and between grid
-// rows during projection) and the engine's scan parallelism. The zero
-// value runs serially without cancellation.
+// rows during projection). The zero value runs without cancellation.
 type RunContext = core.ExecContext
 
 // Evaluator runs extended-MDX queries against a cube. Cubes backed by
@@ -137,10 +136,10 @@ func (ev *Evaluator) ExplainAnalyze(rc RunContext, q *Query) (string, *result.Gr
 func RenderAnalyze(tr *trace.Trace, stats core.Stats) string {
 	var b strings.Builder
 	b.WriteString(tr.Render())
-	fmt.Fprintf(&b, "totals: plan=%.3fms scan=%.3fms merge=%.3fms project=%.3fms\n",
-		tr.StageMs("plan"), tr.StageMs("scan"), tr.StageMs("merge"), tr.StageMs("project"))
-	fmt.Fprintf(&b, "stats:  chunks_read=%d cells_relocated=%d merge_groups=%d workers=%d",
-		stats.ChunksRead, stats.CellsRelocated, stats.MergeGroups, stats.ScanWorkers)
+	fmt.Fprintf(&b, "totals: plan=%.3fms scan=%.3fms project=%.3fms\n",
+		tr.StageMs("plan"), tr.StageMs("scan"), tr.StageMs("project"))
+	fmt.Fprintf(&b, "stats:  chunks_read=%d cells_relocated=%d merge_groups=%d",
+		stats.ChunksRead, stats.CellsRelocated, stats.MergeGroups)
 	if stats.DiskCostMs > 0 {
 		fmt.Fprintf(&b, " disk_cost_ms=%.3f", stats.DiskCostMs)
 	}
@@ -315,8 +314,8 @@ func (ev *Evaluator) lower(q *Query) (lowered, error) {
 }
 
 // execute runs the lowered query to the scenario-transformed cube (the
-// perspective cube): on the engine under rc's context and worker
-// count, or through the optimized algebra plan.
+// perspective cube): on the engine under rc's context, or through the
+// optimized algebra plan.
 func (ev *Evaluator) execute(rc RunContext, lo lowered) (*cube.Cube, core.Stats, error) {
 	var view *core.View
 	var err error

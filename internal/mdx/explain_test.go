@@ -81,7 +81,7 @@ func TestExplainAnalyzeTotalsMatchStats(t *testing.T) {
 	tr := trace.New(0)
 	root := tr.Start(trace.SpanRef{}, "eval")
 	ctx := trace.WithSpan(trace.NewContext(context.Background(), tr), root)
-	_, stats, err := ev.RunQueryStatsWith(RunContext{Ctx: ctx, Workers: 4}, q)
+	_, stats, err := ev.RunQueryStatsWith(RunContext{Ctx: ctx}, q)
 	root.End()
 	if err != nil {
 		t.Fatal(err)
@@ -100,37 +100,19 @@ func TestExplainAnalyzeTotalsMatchStats(t *testing.T) {
 	}
 	check("plan", stats.PlanMs)
 	check("scan", stats.ScanMs)
-	check("merge", stats.MergeMs)
 	check("project", stats.ProjectMs)
 
-	if stats.ScanWorkers < 2 {
-		t.Fatalf("expected a parallel scan, got %d workers", stats.ScanWorkers)
-	}
-	// The parallel scan records one child span per merge group, and the
-	// groups' chunk and slab counters sum to the scan totals.
-	var groups, groupChunks, groupSlabs, scanSlabs int64
+	// The one scan span carries the scan's counters.
 	for _, s := range tr.Spans() {
-		if s.Name == "scan" {
-			scanSlabs, _ = s.Attr("slabs")
-		}
-		if s.Name != "group" {
+		if s.Name != "scan" {
 			continue
 		}
-		groups++
-		if v, ok := s.Attr("chunks_read"); ok {
-			groupChunks += v
+		chunks, _ := s.Attr("chunks_read")
+		slabs, _ := s.Attr("slabs")
+		if chunks != int64(stats.ChunksRead) || slabs == 0 {
+			t.Fatalf("scan span: %d chunk reads and %d slabs, stats say %d chunk reads", chunks, slabs, stats.ChunksRead)
 		}
-		if v, ok := s.Attr("slabs"); ok {
-			groupSlabs += v
-		}
+		return
 	}
-	if groups == 0 {
-		t.Fatal("no per-merge-group spans recorded")
-	}
-	if groupChunks != int64(stats.ChunksRead) {
-		t.Fatalf("group spans account for %d chunk reads, stats say %d", groupChunks, stats.ChunksRead)
-	}
-	if scanSlabs == 0 || groupSlabs != scanSlabs {
-		t.Fatalf("group spans account for %d slabs, the scan span says %d", groupSlabs, scanSlabs)
-	}
+	t.Fatal("no scan span recorded")
 }

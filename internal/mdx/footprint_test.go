@@ -267,7 +267,7 @@ func (s *recordingStore) Get(addr []int) float64 {
 // through a store that checks every read against it, and under none —
 // and requires the same grid, cell for cell. It reports the engine
 // statistics of the footprinted run.
-func runBothWays(t *testing.T, label string, ev *Evaluator, src string, workers int) (core.Stats, bool) {
+func runBothWays(t *testing.T, label string, ev *Evaluator, src string) (core.Stats, bool) {
 	t.Helper()
 	q, err := Parse(src)
 	if err != nil {
@@ -287,7 +287,7 @@ func runBothWays(t *testing.T, label string, ev *Evaluator, src string, workers 
 	if fp == nil {
 		t.Fatalf("%s: the lowering declared no footprint\n%s", label, src)
 	}
-	rc := RunContext{Workers: workers}
+	var rc RunContext
 	project := func(lo lowered, wrap func(cube.Store) cube.Store) (*result.Grid, core.Stats) {
 		out, stats, err := ev.execute(rc, lo)
 		if err != nil {
@@ -327,7 +327,7 @@ func runBothWays(t *testing.T, label string, ev *Evaluator, src string, workers 
 // random slicers, the five semantics × two modes and WITH CHANGES — on
 // the paper warehouse, the retail cube (formula rules), and the tiny
 // workforce cube in both benchmark layouts, with the chunks dense,
-// sparse and run-encoded, at 1, 2 and 8 workers, under a scenario chain
+// sparse and run-encoded, under a scenario chain
 // of depth 0 to 2 — a query answers the same grid whether the engine
 // relocates its footprint or everything; and project, watched through a
 // recording store, never reads an address off the footprint it declared,
@@ -371,32 +371,30 @@ func TestFootprintEquivalence(t *testing.T) {
 				}
 				ev := NewEvaluator(c)
 				b := c.BindingFor(fc.varying)
-				for _, workers := range []int{1, 2, 8} {
-					// Every semantics × mode, and a change relation in each
-					// mode, per configuration.
-					for k := 0; k < len(sems)*len(modes)+len(modes); k++ {
-						if *footprintCases > 0 && cases >= *footprintCases {
-							return
-						}
-						cases++
-						seed++
-						g := &queryGen{rng: rand.New(rand.NewSource(seed)), c: c, varying: c.DimIndex(fc.varying), param: b.Param}
-						var with string
-						if k < len(sems)*len(modes) {
-							with = g.perspective(sems[k/len(modes)], modes[k%len(modes)])
-						} else {
-							with, _ = g.changes(modes[k-len(sems)*len(modes)])
-						}
-						label := fmt.Sprintf("seed %d (%s, %s, chain depth %d, %d workers)", seed, fc.name, rep, depth, workers)
-						stats, ok := runBothWays(t, label, ev, with+g.selectText(), workers)
-						if !ok {
-							skipped++
-							continue
-						}
-						ran++
-						if stats.ChunksRead == 0 {
-							pruned++
-						}
+				// Every semantics × mode, and a change relation in each
+				// mode, per configuration.
+				for k := 0; k < len(sems)*len(modes)+len(modes); k++ {
+					if *footprintCases > 0 && cases >= *footprintCases {
+						return
+					}
+					cases++
+					seed++
+					g := &queryGen{rng: rand.New(rand.NewSource(seed)), c: c, varying: c.DimIndex(fc.varying), param: b.Param}
+					var with string
+					if k < len(sems)*len(modes) {
+						with = g.perspective(sems[k/len(modes)], modes[k%len(modes)])
+					} else {
+						with, _ = g.changes(modes[k-len(sems)*len(modes)])
+					}
+					label := fmt.Sprintf("seed %d (%s, %s, chain depth %d)", seed, fc.name, rep, depth)
+					stats, ok := runBothWays(t, label, ev, with+g.selectText())
+					if !ok {
+						skipped++
+						continue
+					}
+					ran++
+					if stats.ChunksRead == 0 {
+						pruned++
 					}
 				}
 			}
@@ -452,8 +450,8 @@ func spanAttrs(t *testing.T, ev *Evaluator, q *Query, attrs map[string][]string)
 
 // TestFootprintEmptyPlansNothing: a NONVISUAL grid of roll-ups retains
 // every cell from the input (Definition 4.5), so its footprint is empty
-// and the engine plans, reads and relocates nothing — on one worker,
-// whatever it was offered — while the answer is the plain SELECT's.
+// and the engine plans, reads and relocates nothing, while the answer
+// is the plain SELECT's.
 func TestFootprintEmptyPlansNothing(t *testing.T) {
 	w, err := workload.NewWorkforce(workload.ConfigTiny())
 	if err != nil {
@@ -464,7 +462,7 @@ func TestFootprintEmptyPlansNothing(t *testing.T) {
 FROM [App].[Db] WHERE ([Account].[Acct001], [Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])`
 	for _, mode := range []string{"NONVISUAL", "VISUAL"} {
 		q := MustParse("WITH PERSPECTIVE {(Jan), (Jul)} FOR Department DYNAMIC FORWARD " + mode + " " + sel)
-		g, stats, err := ev.RunQueryStatsWith(RunContext{Workers: 8}, q)
+		g, stats, err := ev.RunQueryStatsWith(RunContext{}, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,8 +477,8 @@ FROM [App].[Db] WHERE ([Account].[Acct001], [Scenario].[Current], [Currency].[Lo
 			}
 			continue
 		}
-		if stats.ChunksRead != 0 || stats.CellsRelocated != 0 || stats.MergeGroups != 0 || stats.ScanWorkers != 1 {
-			t.Fatalf("NONVISUAL roll-up: %+v, want no chunk read, one worker", stats)
+		if stats.ChunksRead != 0 || stats.CellsRelocated != 0 || stats.MergeGroups != 0 {
+			t.Fatalf("NONVISUAL roll-up: %+v, want no chunk read", stats)
 		}
 		if stats.MembersInScope == 0 {
 			t.Fatalf("the scope is the departments' members whatever the footprint: %+v", stats)

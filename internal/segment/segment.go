@@ -277,6 +277,14 @@ func (o OpenOptions) open(path string) (*File, error) {
 	if h.indexLen != int64(h.numSlots*indexEntrySz) {
 		return nil, fmt.Errorf("segment %s: index length %d does not fit %d slots", path, h.indexLen, h.numSlots)
 	}
+	// A matching CRC catches damage, not hostile values: region offsets
+	// and lengths size the reads below, so each region must lie inside
+	// the file (compared without overflow: they are arbitrary int64s).
+	inFile := func(off, n int64) bool { return off >= 0 && n >= 0 && off <= h.fileSize && n <= h.fileSize-off }
+	if !inFile(h.metaOff, h.metaLen) || !inFile(h.indexOff, h.indexLen) {
+		return nil, fmt.Errorf("segment %s: meta [%d,+%d) or index [%d,+%d) outside the %d-byte file",
+			path, h.metaOff, h.metaLen, h.indexOff, h.indexLen, h.fileSize)
+	}
 
 	meta := make([]byte, h.metaLen)
 	if _, err := f.ReadAt(meta, h.metaOff); err != nil {
@@ -302,7 +310,7 @@ func (o OpenOptions) open(path string) (*File, error) {
 			len:   int64(binary.LittleEndian.Uint64(b[16:24])),
 			crc:   binary.LittleEndian.Uint32(b[24:28]),
 		}
-		if e.off < PageSize || e.len < 0 || e.off+e.len > h.fileSize {
+		if e.off < PageSize || !inFile(e.off, e.len) {
 			return nil, fmt.Errorf("segment %s: slot %d span [%d,%d) outside file", path, e.id, e.off, e.off+e.len)
 		}
 		slots[e.id] = e

@@ -672,3 +672,85 @@ func TestSegmentNegativeSlotLengthRefused(t *testing.T) {
 		}
 	}
 }
+
+// restamp recomputes the meta, index and header CRCs of segment bytes
+// b in place, wherever the header's region fields point inside b, so a
+// mutation of a region size or slot entry gets past the checksums to the
+// code that trusts them.
+func restamp(b []byte) {
+	if len(b) < headerLen {
+		return
+	}
+	for _, r := range [][3]int{{24, 32, 64}, {40, 48, 68}} { // meta, index: offset, length, CRC fields
+		off, n := binary.LittleEndian.Uint64(b[r[0]:]), binary.LittleEndian.Uint64(b[r[1]:])
+		if off <= uint64(len(b)) && n <= uint64(len(b))-off {
+			binary.LittleEndian.PutUint32(b[r[2]:], crc32.ChecksumIEEE(b[off:off+n]))
+		}
+	}
+	binary.LittleEndian.PutUint32(b[72:76], crc32.ChecksumIEEE(b[:headerLen-4]))
+}
+
+// FuzzOpenSegment writes arbitrary bytes to a file — with the header's
+// checksums recomputed over them, or as they are — and opens it by pread
+// and by mmap, then reads every chunk the index names: each call returns
+// an error or a chunk, never a panic.
+func FuzzOpenSegment(f *testing.F) {
+	for _, name := range []string{"parent-v01.seg", "parent-v02.seg"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b, false)
+	}
+	// A fresh two-chunk segment and its truncations inside the header,
+	// inside the index and by its last byte.
+	s := chunk.NewStore(chunk.MustGeometry([]int{8}, []int{4}))
+	for i, v := range []float64{1, 2, 3, 4, 5, 6, 7, 8} {
+		s.Set([]int{i}, v)
+	}
+	path := filepath.Join(f.TempDir(), "two.seg")
+	if err := Create(path, 4, []byte("m"), s.ChunkIDs(), s.PeekChunk); err != nil {
+		f.Fatal(err)
+	}
+	two, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	indexOff := binary.LittleEndian.Uint64(two[40:48])
+	for _, n := range []int{len(two), headerLen / 2, int(indexOff) + indexEntrySz/2, len(two) - 1} {
+		f.Add(two[:n], false)
+	}
+	// Reproducers, restamped: region sizes Open used to hand to make
+	// unchecked (a negative meta length panicked, a huge one sized the
+	// allocation), and a slot length that, summed with the slot offset,
+	// overflowed past the span check and panicked the read.
+	for _, edit := range []struct{ at, v uint64 }{{32, ^uint64(0)}, {32, 1 << 40}, {indexOff + 16, math.MaxInt64}} {
+		b := append([]byte(nil), two...)
+		binary.LittleEndian.PutUint64(b[edit.at:], edit.v)
+		f.Add(b, true)
+	}
+
+	// One file per fuzzing process: its inputs run one at a time.
+	path = filepath.Join(f.TempDir(), "f.seg")
+	f.Fuzz(func(t *testing.T, b []byte, stamp bool) {
+		if stamp {
+			b = append([]byte(nil), b...)
+			restamp(b)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mmap := range []bool{false, true} {
+			sf, err := Open(path, OpenOptions{Mmap: mmap})
+			if err != nil {
+				continue
+			}
+			for _, id := range sf.IDs() {
+				if c, _, err := sf.ReadChunkAt(id); (c == nil) == (err == nil) {
+					t.Fatalf("mmap=%v chunk %d: chunk %v with error %v", mmap, id, c != nil, err)
+				}
+			}
+			sf.Close()
+		}
+	})
+}

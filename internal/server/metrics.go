@@ -18,9 +18,9 @@ var latencyBucketsMs = []float64{
 	1000, 2000, 5000, 10000, 30000,
 }
 
-// spanBucketsMs bound the trace-derived duration histograms (merge-
-// group scan spans, spill fault-ins): these are intra-query stages, so
-// the range starts well below a millisecond.
+// spanBucketsMs bound the trace-derived duration histograms (spill
+// fault-ins, segment reads): these are intra-query stages, so the range
+// starts well below a millisecond.
 var spanBucketsMs = []float64{
 	0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 500,
 }
@@ -181,11 +181,10 @@ type Metrics struct {
 	latency *histogram
 
 	// Trace-derived histograms, fed by ObserveTrace from each query's
-	// span tree: chunk reads per query, per-merge-group scan span
-	// durations, spill fault-in durations, and the subset of faults
-	// served by the durable segment tier (real storage reads).
+	// span tree: chunk reads per query, spill fault-in durations, and the
+	// subset of faults served by the durable segment tier (real storage
+	// reads).
 	chunksRead    *histogram
-	groupSpanMs   *histogram
 	spillFaultMs  *histogram
 	segmentReadMs *histogram
 
@@ -193,7 +192,6 @@ type Metrics struct {
 	// sample count, fed by ObserveStages after engine-backed queries.
 	stagePlanUs    atomic.Int64
 	stageScanUs    atomic.Int64
-	stageMergeUs   atomic.Int64
 	stageProjectUs atomic.Int64
 	stageCount     atomic.Int64
 
@@ -238,7 +236,6 @@ func NewMetrics() *Metrics {
 		byScenario:    make(map[string]*scenarioStat),
 		latency:       newHistogram(latencyBucketsMs),
 		chunksRead:    newHistogram(chunksReadBuckets),
-		groupSpanMs:   newHistogram(spanBucketsMs),
 		spillFaultMs:  newHistogram(spanBucketsMs),
 		segmentReadMs: newHistogram(spanBucketsMs),
 	}
@@ -255,19 +252,17 @@ func (m *Metrics) ObserveCells(scanned, returned int64) {
 }
 
 // ObserveStages records one query's staged-pipeline timings
-// (plan / scan / merge / project) from the engine stats.
+// (plan / scan / project) from the engine stats.
 func (m *Metrics) ObserveStages(s core.Stats) {
 	m.stagePlanUs.Add(int64(s.PlanMs * 1000))
 	m.stageScanUs.Add(int64(s.ScanMs * 1000))
-	m.stageMergeUs.Add(int64(s.MergeMs * 1000))
 	m.stageProjectUs.Add(int64(s.ProjectMs * 1000))
 	m.stageCount.Add(1)
 }
 
 // ObserveTrace folds one finished query's span tree into the
 // trace-derived histograms: "scan" spans contribute the query's chunk
-// reads, each "group" span its merge-group scan duration, each "fault"
-// span its fault-in duration — faults flagged durable (served by the
+// reads, each "fault" span its fault-in duration — faults flagged durable (served by the
 // segment tier, not the scratch spill file) also feed the
 // segment-read histogram. Call after the traced execution has returned
 // (snapshotting must not race recording).
@@ -281,8 +276,6 @@ func (m *Metrics) ObserveTrace(spans []trace.Span) {
 			if v, ok := s.Attr("chunks_read"); ok {
 				chunks += v
 			}
-		case "group":
-			m.groupSpanMs.observe(s.Ms())
 		case "fault":
 			m.spillFaultMs.observe(s.Ms())
 			if v, ok := s.Attr("durable"); ok && v > 0 {
@@ -330,7 +323,6 @@ type StageSnapshot struct {
 	Count     int64   `json:"count"`
 	PlanMs    float64 `json:"plan_ms"`
 	ScanMs    float64 `json:"scan_ms"`
-	MergeMs   float64 `json:"merge_ms"`
 	ProjectMs float64 `json:"project_ms"`
 }
 
@@ -422,7 +414,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 			Count:     n,
 			PlanMs:    float64(m.stagePlanUs.Load()) / 1000 / float64(n),
 			ScanMs:    float64(m.stageScanUs.Load()) / 1000 / float64(n),
-			MergeMs:   float64(m.stageMergeUs.Load()) / 1000 / float64(n),
 			ProjectMs: float64(m.stageProjectUs.Load()) / 1000 / float64(n),
 		}
 	}

@@ -111,7 +111,6 @@ func (m *Metrics) WriteProm(w io.Writer) {
 		}{
 			{"plan", s.Stages.PlanMs},
 			{"scan", s.Stages.ScanMs},
-			{"merge", s.Stages.MergeMs},
 			{"project", s.Stages.ProjectMs},
 		} {
 			fmt.Fprintf(w, "whatif_stage_ms_total{stage=%q} %s\n", st.name, promFloat(st.ms*n))
@@ -121,7 +120,6 @@ func (m *Metrics) WriteProm(w io.Writer) {
 
 	writePromHistogram(w, "whatif_query_latency_ms", "End-to-end query latency in milliseconds.", s.latency)
 	writePromHistogram(w, "whatif_query_chunks_read", "Chunks read per engine-backed query.", m.chunksRead.read())
-	writePromHistogram(w, "whatif_merge_group_span_ms", "Per-merge-group scan span duration in milliseconds.", m.groupSpanMs.read())
 	writePromHistogram(w, "whatif_spill_fault_ms", "Spill fault-in duration in milliseconds.", m.spillFaultMs.read())
 	writePromHistogram(w, "whatif_segment_read_ms", "Durable segment fault-in duration in milliseconds.", s.segmentRead)
 }

@@ -40,13 +40,9 @@ const StatusClientClosedRequest = 499
 
 // Config parameterizes the service. Zero values choose sane defaults.
 type Config struct {
-	// Workers bounds query parallelism (default: GOMAXPROCS).
+	// Workers bounds query parallelism (default: GOMAXPROCS). Each
+	// query scans on the worker that runs it.
 	Workers int
-	// ScanWorkers bounds each query's intra-query parallelism: the
-	// engine's chunk scan fans out over independent merge groups on
-	// this many workers. 0 or 1 scans serially — the right default when
-	// Workers already saturates the cores with concurrent queries.
-	ScanWorkers int
 	// QueueCap bounds the admission queue; a full queue sheds load with
 	// HTTP 429 (default: 4 × workers).
 	QueueCap int
@@ -285,12 +281,10 @@ type queryStats struct {
 	CellsRelocated int `json:"cells_relocated"`
 	MergeEdges     int `json:"merge_edges"`
 	MergeGroups    int `json:"merge_groups"`
-	ScanWorkers    int `json:"scan_workers,omitempty"`
-	// Wall-clock stage times (scan_ms, merge_ms, ...) are deliberately
-	// NOT in the body: responses must be byte-identical for identical
-	// queries so the result cache can serve stored bodies verbatim.
-	// Per-stage means — where merge ~0 shows the merge adopting chunks
-	// by reference — are aggregated at /metrics (StageSnapshot).
+	// Wall-clock stage times (scan_ms, ...) are deliberately NOT in the
+	// body: responses must be byte-identical for identical queries so the
+	// result cache can serve stored bodies verbatim. Per-stage means are
+	// aggregated at /metrics (StageSnapshot).
 }
 
 // responseHead opens every query response: the cube version the answer
@@ -317,12 +311,13 @@ type queryResponse struct {
 }
 
 // explainResponse is the body for EXPLAIN [ANALYZE] queries on either
-// endpoint.
+// endpoint. Stats is set only under ANALYZE: plain EXPLAIN executes
+// nothing, so it has no statistics to report.
 type explainResponse struct {
 	responseHead
-	Analyze bool       `json:"analyze"`
-	Explain string     `json:"explain"`
-	Stats   queryStats `json:"stats,omitempty"`
+	Analyze bool        `json:"analyze"`
+	Explain string      `json:"explain"`
+	Stats   *queryStats `json:"stats,omitempty"`
 }
 
 // errorResponse is every non-2xx body.
@@ -489,7 +484,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, resolve func
 			root.Int("cells_overridden", int64(t.overridden))
 		}
 		ctx = trace.WithSpan(trace.NewContext(ctx, tr), root)
-		rc := mdx.RunContext{Ctx: ctx, Workers: s.cfg.ScanWorkers}
+		rc := mdx.RunContext{Ctx: ctx}
 		grid, stats, runErr = mdx.NewEvaluator(t.cube).RunQueryStatsWith(rc, q)
 		return runErr
 	})
@@ -511,13 +506,12 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, resolve func
 		CellsRelocated: stats.CellsRelocated,
 		MergeEdges:     stats.MergeEdges,
 		MergeGroups:    stats.MergeGroups,
-		ScanWorkers:    stats.ScanWorkers,
 	}
 	if q.Explain {
 		// EXPLAIN ANALYZE executed like any query; only the body differs.
 		s.observeServed(key, started)
 		writeJSON(w, http.StatusOK, explainResponse{
-			responseHead: key.head(), Analyze: true, Explain: mdx.RenderAnalyze(tr, stats), Stats: qs,
+			responseHead: key.head(), Analyze: true, Explain: mdx.RenderAnalyze(tr, stats), Stats: &qs,
 		})
 		return
 	}

@@ -330,3 +330,53 @@ func TestServerTimeoutReturns504(t *testing.T) {
 		t.Fatalf("timed_out counter = %d, want 1", got)
 	}
 }
+
+// TestServerScanPanicIs500 injects a panic into the engine's chunk scan
+// — a read hook that panics on the third chunk read of a query whose
+// plan has merge edges, over a cube spilled behind a small buffer pool —
+// and requires the serving layer to answer it like any failed query: a
+// 500 naming the panic, one more query error, every pool pin released
+// while the panic unwound, and a healthy server afterwards.
+func TestServerScanPanicIs500(t *testing.T) {
+	s, w := newWorkforceServer(t, Config{})
+	h := s.Handler()
+	st := w.Cube.Store().(*chunk.Store)
+	if err := st.SpillTo(t.TempDir()+"/cube.spill", st.MemBytes()/8); err != nil {
+		t.Fatal(err)
+	}
+	query := `
+WITH PERSPECTIVE {(Jan), (Apr), (Jul), (Oct)} FOR Department DYNAMIC FORWARD VISUAL
+SELECT {[Account].Levels(0).Members} ON COLUMNS, {[Department].Levels(0).Members} ON ROWS
+FROM [App].[Db]
+WHERE ([Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])`
+
+	reads, pinned := 0, 0 // the hook runs under the store's hook mutex
+	st.SetReadHook(func(int) {
+		if reads++; reads == 3 {
+			pinned = st.SpillStats().Pinned
+			panic("injected read fault")
+		}
+	})
+	errorsBefore := s.Metrics().Snapshot().QueryErrors
+	rec := do(t, h, "POST", "/query", queryRequest{Cube: "wf", Query: query})
+	st.SetReadHook(nil)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "query panicked") {
+		t.Fatalf("panicking query = %d %s, want 500 naming the panic", rec.Code, rec.Body)
+	}
+	if pinned == 0 {
+		t.Fatal("no chunk was pinned when the scan panicked; test is vacuous")
+	}
+	snap := s.Metrics().Snapshot()
+	if snap.QueryErrors != errorsBefore+1 {
+		t.Fatalf("query_errors = %d, want %d", snap.QueryErrors, errorsBefore+1)
+	}
+	if snap.Pool.Pinned != 0 {
+		t.Fatalf("%d chunks still pinned after the panic (%d at the panic)", snap.Pool.Pinned, pinned)
+	}
+
+	var resp queryResponse
+	decode(t, do(t, h, "POST", "/query", queryRequest{Cube: "wf", Query: query}), http.StatusOK, &resp)
+	if resp.Stats.MergeEdges == 0 {
+		t.Fatal("the query's plan has no merge edges: nothing would be pinned")
+	}
+}

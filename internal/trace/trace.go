@@ -32,13 +32,12 @@ import (
 
 // maxAttrs bounds the counter annotations per span. Fixed so a span is
 // a flat value in the preallocated buffer; sized for the busiest span
-// the pipeline records (a sub-task "group" span whose scan faulted and
-// promoted carries all ten).
+// the pipeline records (a "scan" span whose reads faulted, whose slabs
+// were masked and whose overlay promoted carries nine).
 const maxAttrs = 10
 
 // DefaultMaxSpans is the span-buffer capacity New(0) allocates: enough
-// for a deep merge graph (one span per merge group and per spill
-// fault) without growing.
+// for a cold scan (one span per spill fault) without growing.
 const DefaultMaxSpans = 512
 
 // Attr is one integer annotation on a span. Keys must be static

@@ -95,8 +95,8 @@ type (
 	EngineStats = core.Stats
 	// ReadOrder selects the engine's chunk read-order policy.
 	ReadOrder = core.ReadOrder
-	// ExecContext carries per-execution settings (context, scan
-	// workers) into the engine's ExecPerspectiveWith/ExecChangesWith.
+	// ExecContext carries the per-execution cancellation context into
+	// the engine's ExecPerspectiveWith/ExecChangesWith.
 	ExecContext = core.ExecContext
 	// PhysicalPlan is the engine's inspectable execution plan: pruned
 	// relocation targets, merge groups and the chunk read schedule.
@@ -334,21 +334,17 @@ func QueryScenario(ctx context.Context, s *Scenario, src string) (*Grid, error) 
 
 // ExecOptions tunes one query execution.
 type ExecOptions struct {
-	// Workers bounds the engine's parallel chunk scan: the scan fans
-	// out over independent merge groups on up to Workers goroutines.
-	// 0 or 1 scans serially in the plan's global read order.
-	Workers int
 	// Trace, when non-nil, records the execution's span tree into the
-	// given recorder (parse, plan, per-merge-group scans, spill faults,
-	// merge, project). Recording is lock-free and allocation-free; a nil
-	// Trace costs nothing.
+	// given recorder (parse, plan, scan, spill faults, project).
+	// Recording is lock-free and allocation-free; a nil Trace costs
+	// nothing.
 	Trace *Trace
 }
 
 // QueryOptions is QueryContext with execution options: the context and
-// the scan-worker bound are threaded through the evaluator into the
-// engine for this run only, so one cube can serve differently
-// configured queries concurrently.
+// the trace recorder are threaded through the evaluator into the engine
+// for this run only, so one cube can serve differently configured
+// queries concurrently.
 func QueryOptions(ctx context.Context, c *Cube, src string, opts ExecOptions) (*Grid, error) {
 	if opts.Trace != nil {
 		if ctx == nil {
@@ -356,7 +352,7 @@ func QueryOptions(ctx context.Context, c *Cube, src string, opts ExecOptions) (*
 		}
 		ctx = trace.NewContext(ctx, opts.Trace)
 	}
-	_, g, _, err := evaluate(mdx.RunContext{Ctx: ctx, Workers: opts.Workers}, c, src, false)
+	_, g, _, err := evaluate(mdx.RunContext{Ctx: ctx}, c, src, false)
 	return g, err
 }
 

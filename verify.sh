@@ -83,29 +83,28 @@ stage 'go test ./...' go test ./...
 # ran them, this stage makes a target that lost its seeds (or was
 # renamed out of the Makefile's `fuzz` list) fail loudly. `make fuzz`
 # is the mutating run.
-stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzParse|FuzzParseExpr)$' \
-    ./internal/chunk ./internal/mdx ./internal/cube
+stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|FuzzParse|FuzzParseExpr)$' \
+    ./internal/chunk ./internal/segment ./internal/mdx ./internal/cube
 
 # Race-detector pass over the concurrent paths: the serving layer's
-# stress, cache and httptest endpoint tests, the engine's parallel
-# merge-group scan and overlay-kernel equivalence tests, the buffer
-# pool's concurrent fault-in tests, the observability layer (span
-# recorder, trace-derived histograms, slow-query log, EXPLAIN, the
-# metrics-history collector, tail-sampled trace retention, the event
-# log, and the whatif -top view), the scenario workspace
-# fork/edit/query races, the storage tier (segment reads, manifest
-# commits, background write-back), the lint suite's analyzer/driver
-# tests, the run-encoded representation (value-run scan equivalence,
-# sub-task splitting, daemon RLE restart), the slab relocation kernel
+# stress, cache and httptest endpoint tests, the engine's scan
+# (cancellation, pool pins, merge-group planning) and overlay-kernel
+# equivalence tests, the buffer pool's concurrent fault-in tests, the
+# observability layer (span recorder, trace-derived histograms,
+# slow-query log, EXPLAIN, the metrics-history collector, tail-sampled
+# trace retention, the event log, and the whatif -top view), the
+# scenario workspace fork/edit/query races, the storage tier (segment
+# reads, manifest commits, background write-back), the lint suite's
+# analyzer/driver tests, the run-encoded representation (value-run scan
+# equivalence, daemon RLE restart), the slab relocation kernel
 # (per-cell-oracle equivalence over fixtures, random geometries and
 # scenario chains, and its allocation pins), the dense planner
 # (pebbler-vs-oracle differential tests, plan determinism, the
 # allocation pins that stand in for timing asserts on this host), and
-# the query footprint (the grid-equivalence property test at 1, 2 and 8
-# scan workers, the random-geometry mask oracle, the masked scan's
-# allocation pin).
+# the query footprint (the grid-equivalence property test, the
+# random-geometry mask oracle, the masked scan's allocation pin).
 stage 'go test -race (concurrent paths)' \
-    go test -race -run 'Concurrent|Server|Cache|Parallel|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|Subtask|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint' ./...
+    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint' ./...
 
 # Advisory (non-fatal): known-vulnerability scan, skipped when the
 # toolchain image does not ship govulncheck or has no network.
