@@ -7,15 +7,16 @@ test:
 	go test ./...
 
 # Mutating fuzz runs, 10 s each (go test -fuzz takes one target and
-# one package at a time): the record codec every tier decodes through,
-# the segment reader, and the two parsers. verify.sh runs only their
-# seed corpora. A failing input is written under the package's
-# testdata/fuzz/ — commit it. Segment inputs are page-aligned files of
-# 12 KiB and more, which the default minimizer spends a minute on per
-# new input, so its minimization is capped.
+# one package at a time): the record codec every fault decodes through,
+# the segment reader, the manifest loader, and the two parsers.
+# verify.sh runs only their seed corpora. A failing input is written
+# under the package's testdata/fuzz/ — commit it. Segment inputs are
+# page-aligned files of 12 KiB and more, which the default minimizer
+# spends a minute on per new input, so its minimization is capped.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime 10s ./internal/chunk
 	go test -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s -fuzzminimizetime 3s ./internal/segment
+	go test -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime 10s ./internal/segment
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/mdx
 	go test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 10s ./internal/cube
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"runtime/metrics"
 	"strings"
 	"testing"
@@ -19,23 +18,23 @@ import (
 // It repairs what the new decoder rejects (unordered, duplicate or Null
 // cells), so the two are compared only on records encodeChunk emits.
 func refDecodeChunk(buf []byte, capacity int) (*Chunk, error) {
-	if len(buf) < spillHeaderLen {
+	if len(buf) < pairHeaderLen {
 		return nil, io.ErrUnexpectedEOF
 	}
 	if binary.LittleEndian.Uint32(buf)&runRecordFlag != 0 {
 		return decodeRunRecord(buf, capacity)
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
-	if len(buf) != spillHeaderLen+spillCellLen*n {
-		return nil, fmt.Errorf("chunk: corrupt spill record: %d cells in %d bytes", n, len(buf))
+	if len(buf) != pairHeaderLen+pairCellLen*n {
+		return nil, fmt.Errorf("chunk: corrupt pair record: %d cells in %d bytes", n, len(buf))
 	}
 	c := NewSparse(capacity)
 	for i := 0; i < n; i++ {
-		rec := buf[spillHeaderLen+spillCellLen*i:]
+		rec := buf[pairHeaderLen+pairCellLen*i:]
 		off := int(binary.LittleEndian.Uint32(rec))
 		v := math.Float64frombits(binary.LittleEndian.Uint64(rec[4:]))
 		if off >= capacity {
-			return nil, fmt.Errorf("chunk: corrupt spill record: offset %d beyond capacity %d", off, capacity)
+			return nil, fmt.Errorf("chunk: corrupt pair record: offset %d beyond capacity %d", off, capacity)
 		}
 		c.Set(off, v)
 	}
@@ -174,7 +173,7 @@ func TestDecodeRejectsWhatEncodeCannotEmit(t *testing.T) {
 	}{
 		{"no header", good[:3], io.ErrUnexpectedEOF.Error()},
 		{"truncated", good[:len(good)-1], "2 cells in 27 bytes"},
-		{"truncated by a cell", good[:len(good)-spillCellLen], "2 cells in 16 bytes"},
+		{"truncated by a cell", good[:len(good)-pairCellLen], "2 cells in 16 bytes"},
 		{"trailing bytes", append(append([]byte(nil), good...), 0), "2 cells in 29 bytes"},
 		{"trailing cell", pairRecord(1, []uint32{3, 9}, []float64{1, 2}), "1 cells in 28 bytes"},
 		{"descending", pairRecord(2, []uint32{9, 3}, []float64{1, 2}), "offset 3 after 9, not ascending"},
@@ -263,28 +262,6 @@ func TestRecordBufRecycles(t *testing.T) {
 		t.Fatalf("steady-state RecordBuf: %v allocations, want 0", got)
 	}
 	ReleaseRecordBuf(nil)
-}
-
-// TestSpillFaultAllocs pins a steady-state spill-file fault to the
-// allocations of the chunk it returns: the record buffer is recycled.
-func TestSpillFaultAllocs(t *testing.T) {
-	const capacity = 3840
-	tier, err := newSpillFile(filepath.Join(t.TempDir(), "spill.bin"), capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tier.Close()
-	if err := tier.WriteChunk(7, filled(capacity, 2400)); err != nil {
-		t.Fatal(err)
-	}
-	got := testing.AllocsPerRun(100, func() {
-		if c, _, err := tier.ReadChunkAt(7); err != nil || c.Len() != 2400 {
-			t.Fatalf("read: %v", err)
-		}
-	})
-	if got > 2 {
-		t.Fatalf("spill fault of a dense chunk: %v allocations, want <= 2 (the chunk and its array)", got)
-	}
 }
 
 // Bounds on what one decodeChunk call may allocate, in bytes per record

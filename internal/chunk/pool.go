@@ -7,11 +7,9 @@ import (
 
 // Buffer pool: the paper's testbed holds a 20.2 GB cube behind a 256 MB
 // cube cache. AttachTier gives a Store the same discipline — a
-// resident-memory budget with least-recently-used chunks held by a
-// backing Tier and faulted back in on access. The pool is tier-
-// agnostic: the scratch spill file (SpillTo), the simulated disk
-// (simdisk.Tier) and the persistent segment store (internal/segment)
-// all plug in behind the same fault/evict protocol.
+// resident-memory budget with least-recently-used chunks held only by
+// a backing Tier, an immutable segment file (internal/segment), and
+// faulted back in on access.
 //
 // It is a small buffer pool, not just a cache: recency tracking is an
 // O(1) intrusive list (not a slice scan), chunks can be pinned against
@@ -21,13 +19,42 @@ import (
 // so concurrent queries faulting different chunks overlap their reads
 // instead of serializing behind one mutex.
 //
-// Dirty tracking makes eviction write-back rather than write-through:
-// a chunk faulted from the tier stays in the tier, so evicting it
-// clean is a free drop; only chunks mutated since their last write
-// (or never written) are pushed out through WriteChunk. On a read-only
-// tier dirty chunks simply stay resident — the budget yields rather
-// than lose data — and deletions are tracked in a side set instead of
-// being pushed down.
+// The pool only ever reads its tier. A chunk faulted from the tier is
+// clean, so evicting it is a free drop. A chunk created or mutated
+// since is dirty and stays resident — the budget yields rather than
+// lose data — and a deleted chunk the tier still holds is tracked in a
+// side set. No eviction does I/O, so nothing under the pool lock
+// touches storage.
+
+// Tier is the storage beneath the buffer pool: an immutable keyed set
+// of serialized chunks the pool faults from. Implementations must be
+// safe for concurrent use by themselves: the pool calls ReadChunkAt
+// outside the store mutex (so distinct chunks' fault I/O overlaps) and
+// the metadata methods under it. A Tier must therefore never call back
+// into the owning Store.
+type Tier interface {
+	// ReadChunkAt loads the chunk with the given canonical ID. It
+	// returns (nil, 0, nil) when the tier does not hold the chunk. The
+	// float64 is always 0 — the pool measures fault wall time itself —
+	// and remains only because benchmark/layers.go reads three results.
+	ReadChunkAt(id int) (*Chunk, float64, error)
+	// Contains reports whether the tier holds a chunk, without loading.
+	Contains(id int) bool
+	// IDs returns the canonical IDs of all chunks the tier holds, in
+	// unspecified order.
+	IDs() []int
+	// Cells returns the cell count of a held chunk without loading it
+	// (0 when absent). Store.Len sizes non-resident chunks with it.
+	Cells(id int) int
+	// Close releases this reference to the tier. The pool calls it from
+	// Store.CloseSpill after faulting everything resident.
+	Close() error
+	// CloneTier returns another reference to the tier, so Store.Clone
+	// shares it instead of forcing every chunk resident; the clone must
+	// be Closed too. It returns (nil, false) once the tier is closed,
+	// and Clone then falls back to full materialization.
+	CloneTier() (Tier, bool)
+}
 
 // lruNode is one resident chunk's slot in the intrusive recency list.
 type lruNode struct {
@@ -53,23 +80,19 @@ type bufferPool struct {
 	// the lock; waiters block on the channel instead of re-reading.
 	inflight map[int]chan struct{}
 	// dirty marks resident chunks whose latest content is not in the
-	// tier; eviction must write them back (or keep them, read-only).
+	// tier; eviction skips them.
 	dirty map[int]bool
 	// deleted marks chunks the tier still holds but the store has
-	// deleted — needed only when the tier is read-only and cannot
-	// Remove. Reads treat them as absent; Len/ChunkIDs skip them.
+	// deleted. Reads treat them as absent; Len/ChunkIDs skip them.
 	deleted map[int]bool
 	// residentBytes approximates resident chunk memory.
 	residentBytes int
 	faults        int
 	evictions     int
-	// readOnly and durable cache the tier's static properties.
-	readOnly bool
-	durable  bool
 }
 
 func newBufferPool(t Tier, budgetBytes int) *bufferPool {
-	p := &bufferPool{
+	return &bufferPool{
 		tier:     t,
 		budget:   budgetBytes,
 		nodes:    make(map[int]*lruNode),
@@ -77,12 +100,7 @@ func newBufferPool(t Tier, budgetBytes int) *bufferPool {
 		inflight: make(map[int]chan struct{}),
 		dirty:    make(map[int]bool),
 		deleted:  make(map[int]bool),
-		readOnly: t.ReadOnly(),
 	}
-	if d, ok := t.(DurableTier); ok {
-		p.durable = d.Durable()
-	}
-	return p
 }
 
 // lruPushBack appends a node as most recently used.
@@ -136,9 +154,9 @@ func (p *bufferPool) drop(id int) {
 
 // AttachTier puts the store's chunks behind a backing tier with a
 // resident-memory budget. Resident chunks the tier does not already
-// hold are marked dirty (eviction writes them back); chunks only the
-// tier holds fault in on access. A store can have at most one tier;
-// attaching a second is an error.
+// hold are marked dirty and stay resident; chunks the tier holds are
+// evictable and fault back in on access. A store can have at most one
+// tier; attaching a second is an error.
 func (s *Store) AttachTier(t Tier, budgetBytes int) error {
 	if s.pool != nil {
 		return fmt.Errorf("chunk: store already has a backing tier")
@@ -186,8 +204,8 @@ type SpillStats struct {
 	Spilled  int
 	// Faults counts loads from the backing tier.
 	Faults int
-	// Evictions counts resident chunks pushed out of the pool (written
-	// back when dirty, dropped when the tier already held them).
+	// Evictions counts clean resident chunks dropped from the pool (the
+	// tier still holds them; dirty chunks are never evicted).
 	Evictions int
 	// Pinned is the number of distinct chunk ids currently pinned.
 	Pinned int
@@ -227,11 +245,6 @@ func (s *Store) SpillStats() SpillStats {
 // Pooled reports whether a backing tier (buffer pool) is attached. The
 // executor skips its pin bookkeeping entirely on unpooled stores.
 func (s *Store) Pooled() bool { return s.pool != nil }
-
-// Tiered reports whether the attached tier, if any, is durable — its
-// chunks survive process restart. Serving layers use it to decide
-// whether a store needs persisting.
-func (s *Store) Tiered() bool { return s.pool != nil && s.pool.durable }
 
 // Pin marks a chunk unevictable until a matching Unpin. The executor
 // pins chunks whose merge-dependency partners are still unscanned, so
@@ -293,15 +306,6 @@ func (s *Store) CloseSpill() error {
 	return err
 }
 
-// SyncTier flushes the backing tier's buffered writes, if any. No-op
-// without a tier.
-func (s *Store) SyncTier() error {
-	if s.pool == nil {
-		return nil
-	}
-	return s.pool.tier.Sync()
-}
-
 // chunkAt returns the chunk for id, faulting it in from the backing
 // tier when necessary. It returns nil when the chunk exists nowhere.
 // With a tier attached, lookups go through the pool (short map/recency
@@ -319,17 +323,14 @@ func (s *Store) chunkAt(id int) *Chunk {
 }
 
 // faultInfo describes what one poolGet did: whether it faulted the
-// chunk in from the tier, how long the fault I/O took, the tier's
-// modeled cost, how many evictions it triggered, whether the chunk was
-// pinned, and whether a durable tier served it. It feeds ReadInfo so
-// the engine can attribute pool behaviour per query.
+// chunk in from the tier, how long the fault I/O took, how many
+// evictions it triggered and whether the chunk was pinned. It feeds
+// ReadInfo so the engine can attribute pool behaviour per query.
 type faultInfo struct {
 	faulted   bool
 	faultMs   float64
-	costMs    float64
 	evictions int
 	pinned    bool
-	durable   bool
 }
 
 // poolGet is the buffer pool's lookup: resident hit, wait on an
@@ -361,9 +362,8 @@ func (s *Store) poolGet(id int) (*Chunk, faultInfo, error) {
 		s.mu.Unlock()
 
 		faultStart := time.Now()
-		c, costMs, err := p.tier.ReadChunkAt(id)
+		c, _, err := p.tier.ReadChunkAt(id)
 		fi.faultMs = float64(time.Since(faultStart)) / float64(time.Millisecond)
-		fi.costMs = costMs
 
 		s.mu.Lock()
 		delete(p.inflight, id)
@@ -373,8 +373,7 @@ func (s *Store) poolGet(id int) (*Chunk, faultInfo, error) {
 			return nil, fi, err
 		}
 		if c == nil {
-			// The tier lost the chunk between Contains and the read
-			// (concurrent Remove); treat as absent.
+			// Defensive: Contains said yes, the read found nothing.
 			s.mu.Unlock()
 			close(ch)
 			return nil, fi, nil
@@ -386,12 +385,10 @@ func (s *Store) poolGet(id int) (*Chunk, faultInfo, error) {
 		p.residentBytes += c.MemBytes()
 		p.faults++
 		fi.faulted = true
-		fi.durable = p.durable
 		// A transient pin keeps this fault's own chunk out of the
 		// eviction pass it triggers: when every other resident chunk is
-		// unevictable (pinned, or dirty on a read-only tier), the walk
-		// would otherwise reach the tail and drop the chunk we are
-		// about to hand to the caller.
+		// unevictable (pinned or dirty), the walk would otherwise reach
+		// the tail and drop the chunk we are about to hand to the caller.
 		p.pins[id]++
 		fi.evictions = s.evictLocked()
 		p.pins[id]--
@@ -405,14 +402,12 @@ func (s *Store) poolGet(id int) (*Chunk, faultInfo, error) {
 	}
 }
 
-// evictLocked pushes least-recently-used unpinned chunks out of the
+// evictLocked drops least-recently-used clean, unpinned chunks from the
 // resident set until it fits the budget (always keeping at least one
-// chunk resident), returning the number evicted. Dirty chunks are
-// written back through the tier first; clean chunks are dropped (the
-// tier already holds them). On a read-only tier dirty chunks are
-// skipped like pinned ones — the budget yields rather than lose data.
-// Pinned and skipped chunks keep their recency position. Caller holds
-// mu.
+// chunk resident), returning the number evicted. The tier still holds
+// every clean chunk, so a drop does no I/O. Dirty chunks are skipped
+// like pinned ones — the budget yields rather than lose data — and
+// skipped chunks keep their recency position. Caller holds mu.
 func (s *Store) evictLocked() int {
 	p := s.pool
 	if p == nil {
@@ -422,7 +417,7 @@ func (s *Store) evictLocked() int {
 	n := p.head
 	for p.residentBytes > p.budget && len(p.nodes) > 1 && n != nil {
 		next := n.next
-		if p.pins[n.id] > 0 {
+		if p.pins[n.id] > 0 || p.dirty[n.id] {
 			n = next
 			continue
 		}
@@ -433,16 +428,6 @@ func (s *Store) evictLocked() int {
 			p.drop(victim)
 			n = next
 			continue
-		}
-		if p.dirty[victim] {
-			if p.readOnly {
-				n = next
-				continue
-			}
-			if err := p.tier.WriteChunk(victim, c); err != nil {
-				panic(fmt.Sprintf("chunk: tier write-back for chunk %d: %v", victim, err))
-			}
-			delete(p.dirty, victim)
 		}
 		p.residentBytes -= c.MemBytes()
 		p.evictions++
@@ -470,16 +455,11 @@ func (s *Store) noteMutation(id int, delta int) {
 		p.dirty[id] = true
 		delete(p.deleted, id)
 	} else {
-		// Deleted: drop the recency slot and the tier's copy (or mark
-		// it deleted when the tier cannot remove).
+		// Deleted: drop the recency slot, and hide the tier's copy.
 		p.drop(id)
 		delete(p.dirty, id)
 		if p.tier.Contains(id) {
-			if p.readOnly {
-				p.deleted[id] = true
-			} else if err := p.tier.Remove(id); err != nil {
-				panic(fmt.Sprintf("chunk: tier remove for chunk %d: %v", id, err))
-			}
+			p.deleted[id] = true
 		}
 	}
 	s.evictLocked()

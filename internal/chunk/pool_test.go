@@ -6,21 +6,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// fillSpilled loads 64 cells (16 chunks) into a spilled store with a
-// ~2-chunk budget, so most chunks live in the spill file.
-func fillSpilled(t *testing.T) *Store {
-	t.Helper()
-	s := spillStore(t, 70)
-	for i := 0; i < 64; i++ {
-		s.Set([]int{i}, float64(i+1))
-	}
-	return s
-}
-
 func TestPoolPinPreventsEviction(t *testing.T) {
-	s := fillSpilled(t)
+	s := pagedStore(t, 70)
 
 	// Fault chunk 0 in and pin it.
 	if got := s.Get([]int{0}); got != 1 {
@@ -90,7 +80,7 @@ func TestPoolPinPreventsEviction(t *testing.T) {
 // overlap distinct chunks' I/O and deduplicate same-chunk faults
 // without corrupting values. Run under -race by verify.sh.
 func TestPoolConcurrentFaultIns(t *testing.T) {
-	s := fillSpilled(t)
+	s := pagedStore(t, 70)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for w := 0; w < 8; w++ {
@@ -128,7 +118,7 @@ func TestPoolConcurrentFaultIns(t *testing.T) {
 // removed and reinstalled: the atomic hook pointer and hookMu must keep
 // this race-free (hook state itself needs no synchronization).
 func TestPoolConcurrentReadersWithHook(t *testing.T) {
-	s := fillSpilled(t)
+	s := pagedStore(t, 70)
 	var hits atomic.Int64
 	count := func(id int) { hits.Add(1) }
 	s.SetReadHook(count)
@@ -177,5 +167,39 @@ func TestPoolConcurrentReadersWithHook(t *testing.T) {
 	s.ReadChunk(0)
 	if hits.Load() != before+1 {
 		t.Fatal("re-installed hook not observing reads")
+	}
+}
+
+// A read or cost hook that panics, recovered by the reader, must leave
+// the hook mutex free: the next hooked read, on another goroutine,
+// returns instead of waiting forever on a lock the panic never released.
+func TestPoolReadAfterHookPanic(t *testing.T) {
+	s := pagedStore(t, 70)
+	for _, install := range []func(hook func(int)){
+		func(hook func(int)) { s.SetCostHook(nil); s.SetReadHook(hook) },
+		func(hook func(int)) { s.SetReadHook(nil); s.SetCostHook(func(id int) float64 { hook(id); return 1 }) },
+	} {
+		install(func(int) { panic("injected hook fault") })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("the hook's panic did not reach the reader")
+				}
+			}()
+			s.ReadChunk(0)
+		}()
+
+		var hits atomic.Int64
+		install(func(int) { hits.Add(1) })
+		done := make(chan *Chunk, 1)
+		go func() { done <- s.ReadChunk(1) }()
+		select {
+		case c := <-done:
+			if c == nil || hits.Load() != 1 {
+				t.Fatalf("read after the recovered panic: chunk %v, %d hook calls", c != nil, hits.Load())
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("a hooked read after a recovered hook panic did not return within 2 s")
+		}
 	}
 }

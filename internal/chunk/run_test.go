@@ -3,7 +3,6 @@ package chunk
 import (
 	"math"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -475,9 +474,7 @@ func TestRunRecordCorruptRejected(t *testing.T) {
 func TestEncodeRunsAllPoolAccounting(t *testing.T) {
 	g := MustGeometry([]int{64}, []int{16}) // 4 chunks of 16
 	s := NewStore(g)
-	if err := s.SpillTo(filepath.Join(t.TempDir(), "spill.bin"), 1<<20); err != nil {
-		t.Fatal(err)
-	}
+	pageOut(t, s, 1<<20)
 	for i := 0; i < 64; i++ {
 		s.Set([]int{i}, 9.75) // one value → one run per chunk
 	}
@@ -502,28 +499,22 @@ func TestEncodeRunsAllPoolAccounting(t *testing.T) {
 	}
 }
 
-// TestRunEncodedSpillRoundTrip faults run-encoded chunks through the
-// spill tier: eviction writes run records, the fault restores them
-// still compressed.
+// TestRunEncodedSpillRoundTrip faults run-encoded chunks through a
+// tier: the tier holds run records, and the fault restores them still
+// compressed.
 func TestRunEncodedSpillRoundTrip(t *testing.T) {
 	g := MustGeometry([]int{64}, []int{16})
 	s := NewStore(g)
-	if err := s.SpillTo(filepath.Join(t.TempDir(), "spill.bin"), 1<<20); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 64; i++ {
 		s.Set([]int{i}, float64(1+i/16)) // one run per chunk
 	}
 	if n := s.EncodeRunsAll(); n != 4 {
 		t.Fatalf("EncodeRunsAll = %d, want 4", n)
 	}
-	// Shrink the budget to force eviction of everything but one chunk.
-	s.mu.Lock()
-	s.pool.budget = s.pool.residentBytes / 4
-	s.evictLocked()
-	s.mu.Unlock()
+	// A budget of a quarter of the encoded bytes keeps one chunk resident.
+	pageOut(t, s, s.MemBytes()/4)
 	if st := s.SpillStats(); st.Spilled == 0 {
-		t.Fatal("nothing spilled under the shrunken budget")
+		t.Fatal("nothing spilled under a quarter budget")
 	}
 	for i := 0; i < 64; i++ {
 		if got, want := s.Get([]int{i}), float64(1+i/16); got != want {

@@ -3,30 +3,16 @@ package chunk
 import (
 	"math"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
-func spillStore(t *testing.T, budget int) *Store {
-	t.Helper()
-	g := MustGeometry([]int{64}, []int{4}) // 16 chunks of 4 cells
-	s := NewStore(g)
-	if err := s.SpillTo(filepath.Join(t.TempDir(), "spill.bin"), budget); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func TestSpillEvictsUnderBudget(t *testing.T) {
 	// Budget for roughly 2 resident chunks (dense chunk = 32 B,
 	// sparse 12 B/cell).
-	s := spillStore(t, 70)
-	for i := 0; i < 64; i++ {
-		s.Set([]int{i}, float64(i+1))
-	}
+	s := pagedStore(t, 70)
 	st := s.SpillStats()
 	if st.Spilled == 0 {
 		t.Fatalf("nothing spilled: resident=%d spilled=%d", st.Resident, st.Spilled)
@@ -52,12 +38,13 @@ func TestSpillEvictsUnderBudget(t *testing.T) {
 }
 
 func TestSpillNonNullAndClone(t *testing.T) {
-	s := spillStore(t, 70)
+	s := NewStore(MustGeometry([]int{64}, []int{4}))
 	want := map[int]float64{}
 	for i := 0; i < 64; i += 3 {
 		s.Set([]int{i}, float64(i))
 		want[i] = float64(i)
 	}
+	pageOut(t, s, 70)
 	delete(want, 0)
 	s.Set([]int{0}, math.NaN())
 	got := map[int]float64{}
@@ -82,36 +69,33 @@ func TestSpillNonNullAndClone(t *testing.T) {
 }
 
 func TestSpillRewriteSupersedesSpilledCopy(t *testing.T) {
-	s := spillStore(t, 70)
-	for i := 0; i < 64; i++ {
-		s.Set([]int{i}, 1)
-	}
-	// Overwrite a value in what is very likely a spilled chunk (the
-	// oldest), then verify the new value survives further evictions.
+	s := pagedStore(t, 70)
+	// Overwrite a value in a chunk the tier holds, then verify the new
+	// value survives further evictions.
 	s.Set([]int{0}, 42)
 	for i := 0; i < 64; i++ {
-		s.Set([]int{i}, s.Get([]int{i})) // churn the LRU
+		s.Get([]int{i}) // churn the LRU
 	}
 	if got := s.Get([]int{0}); got != 42 {
 		t.Fatalf("rewritten cell = %v, want 42", got)
 	}
-	// Deleting the last cell of a spilled chunk removes it everywhere.
-	s.Set([]int{0}, math.NaN())
-	s.Set([]int{1}, math.NaN())
-	s.Set([]int{2}, math.NaN())
-	s.Set([]int{3}, math.NaN())
+	// Deleting the last cell of a tier-held chunk removes it everywhere.
+	s.Set([]int{4}, math.NaN())
+	s.Set([]int{5}, math.NaN())
+	s.Set([]int{6}, math.NaN())
+	s.Set([]int{7}, math.NaN())
 	for _, id := range s.ChunkIDs() {
-		if id == 0 {
-			t.Fatal("chunk 0 should be gone after deleting its cells")
+		if id == 1 {
+			t.Fatal("chunk 1 should be gone after deleting its cells")
 		}
+	}
+	if s.Len() != 60 || s.NumChunks() != 15 || !math.IsNaN(s.Get([]int{5})) {
+		t.Fatalf("after deleting chunk 1: Len=%d NumChunks=%d Get(5)=%v", s.Len(), s.NumChunks(), s.Get([]int{5}))
 	}
 }
 
 func TestCloseSpill(t *testing.T) {
-	s := spillStore(t, 70)
-	for i := 0; i < 64; i++ {
-		s.Set([]int{i}, float64(i))
-	}
+	s := pagedStore(t, 70)
 	if err := s.CloseSpill(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +104,7 @@ func TestCloseSpill(t *testing.T) {
 		t.Fatalf("after CloseSpill: resident=%d spilled=%d", st.Resident, st.Spilled)
 	}
 	for i := 0; i < 64; i++ {
-		if s.Get([]int{i}) != float64(i) {
+		if s.Get([]int{i}) != float64(i+1) {
 			t.Fatal("data lost at CloseSpill")
 		}
 	}
@@ -131,19 +115,15 @@ func TestCloseSpill(t *testing.T) {
 }
 
 func TestSpillErrors(t *testing.T) {
-	g := MustGeometry([]int{8}, []int{4})
-	s := NewStore(g)
-	if err := s.SpillTo(filepath.Join(t.TempDir(), "a"), 0); err == nil {
+	s := NewStore(MustGeometry([]int{8}, []int{4}))
+	if err := s.AttachTier(newRecordTier(s), 0); err == nil {
 		t.Fatal("zero budget should fail")
 	}
-	if err := s.SpillTo(filepath.Join(t.TempDir(), "b"), 100); err != nil {
+	if err := s.AttachTier(newRecordTier(s), 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SpillTo(filepath.Join(t.TempDir(), "c"), 100); err == nil {
-		t.Fatal("double SpillTo should fail")
-	}
-	if err := s.SpillTo("/nonexistent/dir/x", 100); err == nil {
-		t.Fatal("unwritable path should fail")
+	if err := s.AttachTier(newRecordTier(s), 100); err == nil {
+		t.Fatal("a second tier should fail")
 	}
 }
 
@@ -171,29 +151,32 @@ func TestEncodeDecodeChunkRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: a spilled store behaves exactly like an unspilled one under
-// a random workload, for random tiny budgets.
+// Property: a paged store behaves exactly like a resident one under a
+// random workload, for random tiny budgets — writes before paging out
+// come back from the tier, writes and deletes after it stay resident
+// over the tier's stale copies.
 func TestQuickSpilledMatchesResident(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := MustGeometry([]int{40}, []int{1 + r.Intn(5)})
 		plain := NewStore(g)
 		spilled := NewStore(g)
-		dir := t.TempDir()
-		if err := spilled.SpillTo(filepath.Join(dir, "s.bin"), 24+r.Intn(100)); err != nil {
-			return false
-		}
-		for i := 0; i < 300; i++ {
-			a := []int{r.Intn(40)}
-			if r.Intn(4) == 0 {
-				plain.Set(a, math.NaN())
-				spilled.Set(a, math.NaN())
-			} else {
-				v := float64(1 + r.Intn(50))
-				plain.Set(a, v)
-				spilled.Set(a, v)
+		edit := func(stores ...*Store) {
+			for i := 0; i < 150; i++ {
+				a := []int{r.Intn(40)}
+				v := math.NaN()
+				if r.Intn(4) != 0 {
+					v = float64(1 + r.Intn(50))
+				}
+				for _, s := range stores {
+					s.Set(a, v)
+				}
+				spilled.Get([]int{r.Intn(40)}) // churn the pool
 			}
 		}
+		edit(plain, spilled)
+		pageOut(t, spilled, 24+r.Intn(100))
+		edit(plain, spilled)
 		if plain.Len() != spilled.Len() || plain.NumChunks() != spilled.NumChunks() {
 			return false
 		}
@@ -272,16 +255,14 @@ func TestChunkIDsCacheTracksMutations(t *testing.T) {
 	s.PutChunk(10, nil)
 	check("PutChunk(nil) of a held chunk")
 
-	if err := s.SpillTo(filepath.Join(t.TempDir(), "spill.bin"), 40); err != nil {
-		t.Fatal(err)
-	}
+	pageOut(t, s, 40)
 	check("tier attached")
+	if st := s.SpillStats(); st.Spilled == 0 {
+		t.Fatal("nothing spilled; the paging steps are vacuous")
+	}
 	for i := 0; i < 64; i += 5 {
 		s.Set([]int{i}, float64(i))
 		check("Set under a spill budget")
-	}
-	if st := s.SpillStats(); st.Spilled == 0 {
-		t.Fatal("nothing spilled; the paging steps are vacuous")
 	}
 	faults := s.SpillStats().Faults
 	for i := 0; i < 64; i++ {
@@ -291,8 +272,10 @@ func TestChunkIDsCacheTracksMutations(t *testing.T) {
 		t.Fatal("nothing faulted in; the paging steps are vacuous")
 	}
 	check("fault-in and eviction")
-	s.Set([]int{5}, math.NaN())
-	check("NaN Set that empties a spilled chunk")
+	for _, i := range []int{16, 17, 18} {
+		s.Set([]int{i}, math.NaN())
+	}
+	check("NaN Sets that empty a tier-held chunk")
 	s.EncodeRunsAll()
 	check("EncodeRunsAll")
 

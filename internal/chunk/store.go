@@ -21,9 +21,9 @@ import (
 // (Get, ReadChunk, PeekChunk, NonNull, ChunkIDs, SpillStats, Pin,
 // Unpin) — read accounting is atomic, the read hook is swapped
 // atomically (SetReadHook is safe against concurrent readers), and
-// spill fault-ins go through the buffer pool, which overlaps distinct
+// segment fault-ins go through the buffer pool, which overlaps distinct
 // chunks' I/O and deduplicates same-chunk faults. Mutation (Set,
-// PutChunk, CompressAll, SpillTo) must not race with readers; the
+// PutChunk, CompressAll, AttachTier) must not race with readers; the
 // serving layer guarantees this by publishing cubes copy-on-write, and
 // its concurrent queries lean on the concurrent-reader guarantee.
 type Store struct {
@@ -45,14 +45,13 @@ type Store struct {
 	// exactly the cost of its own reads — the race-free replacement for
 	// diffing the disk's global counters around an execution.
 	costHook atomic.Pointer[func(id int) float64]
-	// hookMu serializes read-hook invocations. It is deliberately
-	// separate from mu: a slow hook (the simulated disk's cost model)
-	// must not block other queries' pool fault-ins.
+	// hookMu serializes read-hook invocations (callHooks). It is
+	// deliberately separate from mu: a slow hook (the simulated disk's
+	// cost model) must not block other queries' pool fault-ins.
 	hookMu sync.Mutex
-	// pool, when non-nil, pages least-recently-used chunks out to a
-	// backing Tier (SpillTo's scratch file, simdisk's deterministic
-	// model, or a persistent segment) so the resident set fits a
-	// memory budget.
+	// pool, when non-nil, drops least-recently-used clean chunks and
+	// faults them back from a backing Tier (an immutable segment file)
+	// so the resident set fits a memory budget.
 	pool *bufferPool
 	// mu guards the resident chunk map and the buffer-pool bookkeeping
 	// (recency list, dirty/deleted sets, pins) whenever a tier is
@@ -192,13 +191,11 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Clone implements cube.Store. When the backing tier supports cheap
-// views (CloneableTier — the spill file and the segment store do), the
-// clone shares the tier read-only and stays within the same resident
-// budget instead of forcing every chunk into memory; its subsequent
-// mutations stay resident (the shared tier is immutable from the
-// clone's side). Tiers without view support fall back to a fully
-// resident clone.
+// Clone implements cube.Store. A pooled store's clone shares the
+// immutable tier (CloneTier) and stays within the same resident budget
+// instead of forcing every chunk into memory; its subsequent mutations
+// stay resident. A tier closed under it falls back to a fully resident
+// clone.
 func (s *Store) Clone() cube.Store {
 	out := NewStore(s.geom)
 	if s.pool == nil {
@@ -208,11 +205,8 @@ func (s *Store) Clone() cube.Store {
 		return out
 	}
 	s.mu.Lock()
-	var nt Tier
-	if ct, ok := s.pool.tier.(CloneableTier); ok {
-		//lint:pairok a nil clone has nothing to close, and a non-nil one hands its ownership to newBufferPool below
-		nt, _ = ct.CloneTier()
-	}
+	//lint:pairok a nil clone has nothing to close, and a non-nil one hands its ownership to newBufferPool below
+	nt, _ := s.pool.tier.CloneTier()
 	if nt == nil {
 		s.mu.Unlock()
 		// Fallback: materialize everything through the pool.
@@ -325,10 +319,9 @@ func (s *Store) NumChunks() int {
 // the buffer pool did to satisfy the read. The engine turns faulted
 // reads into trace spans and sums CostMs into per-query statistics.
 type ReadInfo struct {
-	// CostMs is this read's modeled I/O cost: the cost hook's charge
-	// plus, on a fault, the backing tier's own modeled cost (simdisk's
-	// deterministic tier charges here; real-file tiers charge 0 and
-	// are measured by FaultMs instead).
+	// CostMs is the cost hook's charge for this read (the simulated
+	// disk's model); 0 without a hook. Real faults are measured by
+	// FaultMs instead.
 	CostMs float64
 	// Faulted reports that the chunk was loaded from the backing tier.
 	Faulted bool
@@ -341,9 +334,6 @@ type ReadInfo struct {
 	// Pinned reports that the chunk was pinned at read time (a merge
 	// partner protected it against eviction).
 	Pinned bool
-	// Durable reports that the fault was served by a durable tier (the
-	// segment store) — real storage I/O, not scratch-file traffic.
-	Durable bool
 }
 
 // ReadChunk fetches the chunk with the given canonical ID, counting the
@@ -366,14 +356,7 @@ func (s *Store) ReadChunkInfo(id int) (*Chunk, ReadInfo) {
 	rh := s.readHook.Load()
 	ch := s.costHook.Load()
 	if rh != nil || ch != nil {
-		s.hookMu.Lock()
-		if rh != nil {
-			(*rh)(id)
-		}
-		if ch != nil {
-			info.CostMs = (*ch)(id)
-		}
-		s.hookMu.Unlock()
+		info.CostMs = s.callHooks(id, rh, ch)
 	}
 	if s.pool == nil {
 		return s.chunks[id], info
@@ -382,13 +365,26 @@ func (s *Store) ReadChunkInfo(id int) (*Chunk, ReadInfo) {
 	if err != nil {
 		panic(fmt.Sprintf("chunk: tier fault for chunk %d: %v", id, err))
 	}
-	info.CostMs += fi.costMs
 	info.Faulted = fi.faulted
 	info.FaultMs = fi.faultMs
 	info.Evictions = fi.evictions
 	info.Pinned = fi.pinned
-	info.Durable = fi.durable
 	return c, info
+}
+
+// callHooks invokes the read and cost hooks under hookMu, returning the
+// cost hook's charge. The deferred unlock releases hookMu even when a
+// hook panics, so a recovered panic cannot wedge the next hooked read.
+func (s *Store) callHooks(id int, rh *func(int), ch *func(int) float64) (costMs float64) {
+	s.hookMu.Lock()
+	defer s.hookMu.Unlock()
+	if rh != nil {
+		(*rh)(id)
+	}
+	if ch != nil {
+		costMs = (*ch)(id)
+	}
+	return costMs
 }
 
 // PeekChunk fetches a chunk without read accounting (metadata scans).

@@ -10,6 +10,7 @@ import (
 	"whatifolap/internal/dimension"
 	"whatifolap/internal/paperdata"
 	"whatifolap/internal/perspective"
+	"whatifolap/internal/segment"
 	"whatifolap/internal/simdisk"
 )
 
@@ -548,12 +549,12 @@ func TestChangesNonVisualAggregateOfNewInstance(t *testing.T) {
 }
 
 // TestEngineOverSpilledStore runs a perspective query against a store
-// whose chunks mostly live in a spill file (the paper's cube-behind-a-
+// whose chunks mostly live in a segment file (the paper's cube-behind-a-
 // cache configuration): results must match the fully resident run.
 func TestEngineOverSpilledStore(t *testing.T) {
 	c := paperdata.ChunkedWarehouse(nil)
 	st := c.Store().(*chunk.Store)
-	if err := st.SpillTo(t.TempDir()+"/cube.spill", 200); err != nil {
+	if err := segment.PageOut(st, t.TempDir()+"/cube.seg", 200); err != nil {
 		t.Fatal(err)
 	}
 	if st.SpillStats().Spilled == 0 {

@@ -475,9 +475,6 @@ func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.O
 			if info.Pinned {
 				sp.Int("pinned", 1)
 			}
-			if info.Durable {
-				sp.Int("durable", 1)
-			}
 		}
 		if pins != nil {
 			pins.scanned(id)

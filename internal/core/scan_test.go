@@ -9,6 +9,7 @@ import (
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/paperdata"
 	"whatifolap/internal/perspective"
+	"whatifolap/internal/segment"
 	"whatifolap/internal/trace"
 	"whatifolap/internal/workload"
 )
@@ -220,7 +221,7 @@ func TestScanReleasesEveryPoolPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := w.Cube.Store().(*chunk.Store)
-	if err := st.SpillTo(t.TempDir()+"/cube.spill", st.MemBytes()/8); err != nil {
+	if err := segment.PageOut(st, t.TempDir()+"/cube.seg", st.MemBytes()/8); err != nil {
 		t.Fatal(err)
 	}
 	e, err := New(w.Cube, workload.DimDepartment)

@@ -234,7 +234,7 @@ type Stats struct {
 	// own reads even when concurrent queries share the disk.
 	DiskCostMs float64
 	// SpillFaults counts chunk reads this query satisfied from the
-	// spill file (buffer-pool misses), else 0 on an unpooled store.
+	// segment file (buffer-pool misses), else 0 on an unpooled store.
 	SpillFaults int
 	// FaultMs is the wall time those faults took inside the buffer pool
 	// (tier read, checksum, decode) — the part of ScanMs a cold pool

@@ -16,8 +16,10 @@ import (
 // LockGuard encodes the buffer pool's "I/O outside the lock" rule: the
 // chunk store's mutexes order map/tier bookkeeping only; fault-in I/O,
 // channel handshakes and other blocking operations must happen with
-// the lock released (spill.go's fault-in drops the lock around ReadAt
-// and re-acquires it to publish — that shape is the invariant).
+// the lock released (pool.go's poolGet drops the lock around
+// ReadChunkAt and re-acquires it to publish — that shape is the
+// invariant). It checks the blocking call's own function only: a helper
+// that blocks while its caller holds the lock is outside its view.
 //
 // The analyzer runs a forward may-held dataflow over each function's
 // control-flow graph: mu.Lock()/RLock() acquires, a non-deferred
@@ -28,15 +30,14 @@ import (
 //   - channel sends and receives
 //   - calls into blocked packages (simdisk: every call is priced I/O;
 //     segment: every exported entry point does file I/O)
-//   - ReadAt / WriteAt / Sync methods (file and spill-tier I/O)
-//   - ReadChunkAt / WriteChunk methods (storage-tier fault-in and
-//     write-back — the chunk.Tier read/write surface)
+//   - ReadAt / WriteAt / Sync methods (file I/O)
+//   - ReadChunkAt methods (chunk.Tier fault-in)
 //   - sync.WaitGroup.Wait and time.Sleep
 //
 // Annotate //lint:lockok <reason> for a reviewed exception.
 var LockGuard = &analysis.Analyzer{
 	Name:     "lockguard",
-	Doc:      "no blocking calls (tier fault-in/write-back I/O, channel ops, simdisk reads) while holding chunk-store/buffer-pool mutexes",
+	Doc:      "no blocking calls (tier fault-in I/O, channel ops, simdisk reads) while holding chunk-store/buffer-pool mutexes",
 	Run:      runLockGuard,
 	Requires: []*analysis.Analyzer{ctrlflow.Analyzer},
 }
@@ -253,8 +254,8 @@ func blockingCallee(fn *types.Func, selfPkg string) string {
 	switch fn.Name() {
 	case "ReadAt", "WriteAt", "Sync":
 		return fn.Name() + " I/O"
-	case "ReadChunkAt", "WriteChunk":
-		return fn.Name() + " tier I/O"
+	case "ReadChunkAt":
+		return "ReadChunkAt tier I/O"
 	case "Wait":
 		if pkg.Path() == "sync" && namedTypeName(sig.Recv().Type()) == "WaitGroup" {
 			return "sync.WaitGroup.Wait"

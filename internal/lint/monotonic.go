@@ -28,7 +28,7 @@ var Monotonic = &analysis.Analyzer{
 	Run:  runMonotonic,
 }
 
-var monotonicFiles = "internal/trace/trace.go,internal/core/exec.go,internal/chunk/spill.go"
+var monotonicFiles = "internal/trace/trace.go,internal/core/exec.go,internal/chunk/pool.go"
 
 func init() {
 	Monotonic.Flags.StringVar(&monotonicFiles, "files",

@@ -57,7 +57,7 @@ var (
 		ModulePath + "/internal/chunk.Store.Pin:Unpin@1",
 		ModulePath + "/internal/trace.Trace.Start:End",
 		ModulePath + "/internal/segment.File.CloneTier:Close",
-		ModulePath + "/internal/chunk.CloneableTier.CloneTier:Close",
+		ModulePath + "/internal/chunk.Tier.CloneTier:Close",
 		ModulePath + "/internal/chunk.NewLayer:Seal",
 	}, ",")
 )

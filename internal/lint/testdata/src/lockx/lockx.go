@@ -29,7 +29,7 @@ func (p *pool) diskUnderDefer() int {
 	return diskx.Read(7) // want `diskx I/O \(diskx.Read\) while p.mu may be held`
 }
 
-// faultInCorrect is the spill.go fault-in shape: drop the lock around
+// faultInCorrect is the pool's fault-in shape: drop the lock around
 // the blocking work, re-acquire to publish. Nothing is flagged.
 func (p *pool) faultInCorrect(buf []byte) int {
 	p.mu.Lock()
@@ -69,11 +69,10 @@ func (p *pool) waitUnderLock() {
 	p.mu.Unlock()
 }
 
-// tier mirrors chunk.Tier's read/write surface: fault-in and
-// write-back are file I/O and must run outside the pool lock.
+// tier mirrors chunk.Tier's read surface: fault-in is file I/O and
+// must run outside the pool lock.
 type tier interface {
 	ReadChunkAt(id int) ([]byte, error)
-	WriteChunk(id int, b []byte) error
 }
 
 type tiered struct {
@@ -85,13 +84,6 @@ func (p *tiered) faultUnderLock(id int) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.t.ReadChunkAt(id) // want `ReadChunkAt tier I/O while p.mu may be held`
-}
-
-func (p *tiered) writebackUnderLock(id int, b []byte) error {
-	p.mu.Lock()
-	err := p.t.WriteChunk(id, b) // want `WriteChunk tier I/O while p.mu may be held`
-	p.mu.Unlock()
-	return err
 }
 
 // faultOutsideLock is the pool's real shape: drop the lock, fault in,

@@ -99,10 +99,18 @@ func readManifest(path string) (*Manifest, error) {
 	if m.Cubes == nil {
 		m.Cubes = make(map[string][]CubeVersion)
 	}
+	// A file must name a plain file of the directory ("..", "." and "/"
+	// are their own filepath.Base). Commit writes each cube's versions
+	// strictly ascending, and Latest and Restore take the last entry as
+	// the newest: any other order is corruption, and the load falls back
+	// as for a torn file.
 	for name, vs := range m.Cubes {
-		for _, v := range vs {
-			if v.Version <= 0 || v.File == "" || v.File != filepath.Base(v.File) {
+		for i, v := range vs {
+			if v.Version <= 0 || v.File == "" || v.File == "." || v.File == ".." || filepath.Dir(v.File) != "." {
 				return nil, fmt.Errorf("segment: %s: bad entry %+v for cube %q", path, v, name)
+			}
+			if i > 0 && v.Version <= vs[i-1].Version {
+				return nil, fmt.Errorf("segment: %s: cube %q lists version %d after %d, not ascending", path, name, v.Version, vs[i-1].Version)
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 // Package segment is the persistent storage tier: one immutable,
 // checksummed, page-aligned segment file per published cube version,
 // plus a crash-safe manifest (manifest.go) naming the versions a data
-// directory holds. A segment file implements chunk.Tier read-only, so
-// the buffer pool faults chunks straight off real storage — pin
-// counts, LRU and fault-in dedup (the paper's §5.2 pebbling machinery)
-// finally manage genuine I/O instead of simulated cost.
+// directory holds. A segment file is the one chunk.Tier, so the buffer
+// pool faults chunks straight off real storage — pin counts, LRU and
+// fault-in dedup (the paper's §5.2 pebbling machinery) manage genuine
+// I/O instead of simulated cost.
 //
 // File layout (all integers little-endian):
 //
@@ -187,6 +187,25 @@ func Create(path string, chunkCap int, meta []byte, ids []int, read func(id int)
 	return syncDir(filepath.Dir(path))
 }
 
+// PageOut writes s's chunks to a new segment file at path and attaches
+// it as s's tier under a resident budget of budgetBytes: chunks beyond
+// the budget leave memory and fault back from the file on access.
+// Writes made afterwards stay resident — the file never changes.
+func PageOut(s *chunk.Store, path string, budgetBytes int) error {
+	if err := Create(path, s.Geometry().ChunkCap(), nil, s.ChunkIDs(), s.PeekChunk); err != nil {
+		return err
+	}
+	sf, err := Open(path, OpenOptions{})
+	if err != nil {
+		return err
+	}
+	if err := s.AttachTier(sf, budgetBytes); err != nil {
+		sf.Close()
+		return err
+	}
+	return nil
+}
+
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -210,9 +229,9 @@ type OpenOptions struct {
 	VerifyChunks bool
 }
 
-// File is an open segment: an immutable, read-only chunk.Tier whose
-// contents survive restart (Durable() == true). Safe for concurrent
-// readers; the slot map is never mutated after Open.
+// File is an open segment: an immutable chunk.Tier whose contents
+// survive restart. Safe for concurrent readers; the slot map is never
+// mutated after Open.
 type File struct {
 	path     string
 	meta     []byte
@@ -382,8 +401,7 @@ func (sf *File) withSlot(e slotEntry, fn func(rec []byte) error) error {
 
 // ReadChunkAt implements chunk.Tier. Every read re-verifies the slot
 // CRC — a bit flip on disk surfaces as an error, never as a wrong
-// cell. The modeled cost is 0: this is real I/O, measured by the
-// buffer pool as fault wall time.
+// cell. The float64 result is always 0 (see chunk.Tier).
 func (sf *File) ReadChunkAt(id int) (*chunk.Chunk, float64, error) {
 	e, ok := sf.slots[id]
 	if !ok {
@@ -398,12 +416,6 @@ func (sf *File) ReadChunkAt(id int) (*chunk.Chunk, float64, error) {
 	})
 	return c, 0, err
 }
-
-// WriteChunk implements chunk.Tier: segments are immutable.
-func (sf *File) WriteChunk(int, *chunk.Chunk) error { return chunk.ErrTierReadOnly }
-
-// Remove implements chunk.Tier: segments are immutable.
-func (sf *File) Remove(int) error { return chunk.ErrTierReadOnly }
 
 // Contains implements chunk.Tier.
 func (sf *File) Contains(id int) bool {
@@ -428,20 +440,7 @@ func (sf *File) Cells(id int) int {
 	return 0
 }
 
-// Len implements chunk.Tier.
-func (sf *File) Len() int { return len(sf.slots) }
-
-// Sync implements chunk.Tier. Segments are written synced and never
-// change afterwards.
-func (sf *File) Sync() error { return nil }
-
-// ReadOnly implements chunk.Tier.
-func (sf *File) ReadOnly() bool { return true }
-
-// Durable implements chunk.DurableTier.
-func (sf *File) Durable() bool { return true }
-
-// CloneTier implements chunk.CloneableTier. A segment is immutable, so
+// CloneTier implements chunk.Tier. A segment is immutable, so
 // the clone is the segment itself with another reference: Store.Clone
 // on a segment-backed cube shares the file, and the last Close
 // releases it.

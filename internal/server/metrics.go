@@ -181,11 +181,8 @@ type Metrics struct {
 	latency *histogram
 
 	// Trace-derived histograms, fed by ObserveTrace from each query's
-	// span tree: chunk reads per query, spill fault-in durations, and the
-	// subset of faults served by the durable segment tier (real storage
-	// reads).
+	// span tree: chunk reads per query and segment fault-in durations.
 	chunksRead    *histogram
-	spillFaultMs  *histogram
 	segmentReadMs *histogram
 
 	// Per-stage pipeline time accumulators (microseconds) plus the
@@ -236,7 +233,6 @@ func NewMetrics() *Metrics {
 		byScenario:    make(map[string]*scenarioStat),
 		latency:       newHistogram(latencyBucketsMs),
 		chunksRead:    newHistogram(chunksReadBuckets),
-		spillFaultMs:  newHistogram(spanBucketsMs),
 		segmentReadMs: newHistogram(spanBucketsMs),
 	}
 }
@@ -262,10 +258,9 @@ func (m *Metrics) ObserveStages(s core.Stats) {
 
 // ObserveTrace folds one finished query's span tree into the
 // trace-derived histograms: "scan" spans contribute the query's chunk
-// reads, each "fault" span its fault-in duration — faults flagged durable (served by the
-// segment tier, not the scratch spill file) also feed the
-// segment-read histogram. Call after the traced execution has returned
-// (snapshotting must not race recording).
+// reads, each "fault" span (a segment read) its fault-in duration. Call
+// after the traced execution has returned (snapshotting must not race
+// recording).
 func (m *Metrics) ObserveTrace(spans []trace.Span) {
 	var chunks int64
 	sawScan := false
@@ -277,10 +272,7 @@ func (m *Metrics) ObserveTrace(spans []trace.Span) {
 				chunks += v
 			}
 		case "fault":
-			m.spillFaultMs.observe(s.Ms())
-			if v, ok := s.Attr("durable"); ok && v > 0 {
-				m.segmentReadMs.observe(s.Ms())
-			}
+			m.segmentReadMs.observe(s.Ms())
 		}
 	}
 	if sawScan {

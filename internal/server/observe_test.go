@@ -191,7 +191,7 @@ func TestPromExpositionRoundTrip(t *testing.T) {
 
 	// Every histogram family renders the full structure.
 	for _, fam := range []string{
-		"whatif_query_latency_ms", "whatif_query_chunks_read", "whatif_spill_fault_ms",
+		"whatif_query_latency_ms", "whatif_query_chunks_read", "whatif_segment_read_ms",
 	} {
 		for _, suf := range []string{`_bucket{le="+Inf"}`, "_sum", "_count"} {
 			if _, ok := samples[fam+suf]; !ok {
@@ -246,9 +246,9 @@ func TestConcurrentMetricsTraceObservers(t *testing.T) {
 	if s.QueriesServed != 800 || s.Latency.Count != 800 {
 		t.Fatalf("lost updates: served=%d latency=%d, want 800/800", s.QueriesServed, s.Latency.Count)
 	}
-	if m.chunksRead.read().count() != 800 || m.spillFaultMs.read().count() != 800 {
+	if m.chunksRead.read().count() != 800 || m.segmentReadMs.read().count() != 800 {
 		t.Fatalf("lost trace observations: chunks=%d faults=%d",
-			m.chunksRead.read().count(), m.spillFaultMs.read().count())
+			m.chunksRead.read().count(), m.segmentReadMs.read().count())
 	}
 }
 

@@ -120,6 +120,5 @@ func (m *Metrics) WriteProm(w io.Writer) {
 
 	writePromHistogram(w, "whatif_query_latency_ms", "End-to-end query latency in milliseconds.", s.latency)
 	writePromHistogram(w, "whatif_query_chunks_read", "Chunks read per engine-backed query.", m.chunksRead.read())
-	writePromHistogram(w, "whatif_spill_fault_ms", "Spill fault-in duration in milliseconds.", m.spillFaultMs.read())
 	writePromHistogram(w, "whatif_segment_read_ms", "Durable segment fault-in duration in milliseconds.", s.segmentRead)
 }

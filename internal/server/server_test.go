@@ -14,6 +14,7 @@ import (
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/cube"
 	"whatifolap/internal/paperdata"
+	"whatifolap/internal/segment"
 )
 
 // paperQuery is the paper's Fig. 4-style running-example query.
@@ -341,7 +342,7 @@ func TestServerScanPanicIs500(t *testing.T) {
 	s, w := newWorkforceServer(t, Config{})
 	h := s.Handler()
 	st := w.Cube.Store().(*chunk.Store)
-	if err := st.SpillTo(t.TempDir()+"/cube.spill", st.MemBytes()/8); err != nil {
+	if err := segment.PageOut(st, t.TempDir()+"/cube.seg", st.MemBytes()/8); err != nil {
 		t.Fatal(err)
 	}
 	query := `

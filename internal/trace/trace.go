@@ -37,7 +37,7 @@ import (
 const maxAttrs = 10
 
 // DefaultMaxSpans is the span-buffer capacity New(0) allocates: enough
-// for a cold scan (one span per spill fault) without growing.
+// for a cold scan (one span per pool fault) without growing.
 const DefaultMaxSpans = 512
 
 // Attr is one integer annotation on a span. Keys must be static

@@ -46,6 +46,7 @@ import (
 	"whatifolap/internal/perspective"
 	"whatifolap/internal/result"
 	"whatifolap/internal/scenario"
+	"whatifolap/internal/segment"
 	"whatifolap/internal/simdisk"
 	"whatifolap/internal/trace"
 	"whatifolap/internal/workload"
@@ -225,17 +226,20 @@ func NewChunkedCube(chunkDims []int, dims ...*Dimension) (*Cube, error) {
 	return cube.NewWithStore(chunk.NewStore(g), dims...), nil
 }
 
-// SpillTo bounds a chunk-backed cube's resident memory: least-recently-
-// used chunks are serialized to the given file and faulted back in on
-// access — the paper's cube-behind-a-cache configuration (its testbed
-// held a 20.2 GB cube behind a 256 MB cache). The cube must be chunk-
-// backed (NewChunkedCube, PaperWarehouseChunked, NewWorkforce).
+// SpillTo bounds a chunk-backed cube's resident memory: it writes the
+// cube's chunks to a checksummed segment file at path, and from then on
+// least-recently-used chunks leave memory and fault back from the file
+// — the paper's cube-behind-a-cache configuration (its testbed held a
+// 20.2 GB cube behind a 256 MB cache). The file is never rewritten:
+// cells written afterwards stay resident, and the budget yields to
+// them. The cube must be chunk-backed (NewChunkedCube,
+// PaperWarehouseChunked, NewWorkforce).
 func SpillTo(c *Cube, path string, budgetBytes int) error {
 	st, ok := c.Store().(*chunk.Store)
 	if !ok {
 		return fmt.Errorf("olap: SpillTo requires a chunk-backed cube, got %T", c.Store())
 	}
-	return st.SpillTo(path, budgetBytes)
+	return segment.PageOut(st, path, budgetBytes)
 }
 
 // EncodeRuns sweeps a chunk-backed cube's resident chunks into the
@@ -254,9 +258,11 @@ func EncodeRuns(c *Cube) (int, error) {
 }
 
 // CubeSpillStats reports the buffer-pool state of a chunk-backed cube:
-// chunk counts on each side of the budget line, fault-ins, evictions,
-// and currently pinned chunks. Without a spill tier (no SpillTo call)
-// only Resident is populated. Safe to call while queries run.
+// chunk counts on each side of the budget line, fault-ins, evictions
+// (clean chunks dropped; the segment file still holds them), and
+// currently pinned chunks. Without a segment behind the cube (no
+// SpillTo call, not restored from a data directory) only Resident is
+// populated. Safe to call while queries run.
 func CubeSpillStats(c *Cube) (SpillStats, error) {
 	st, ok := c.Store().(*chunk.Store)
 	if !ok {

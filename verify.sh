@@ -83,7 +83,7 @@ stage 'go test ./...' go test ./...
 # ran them, this stage makes a target that lost its seeds (or was
 # renamed out of the Makefile's `fuzz` list) fail loudly. `make fuzz`
 # is the mutating run.
-stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|FuzzParse|FuzzParseExpr)$' \
+stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|FuzzLoadManifest|FuzzParse|FuzzParseExpr)$' \
     ./internal/chunk ./internal/segment ./internal/mdx ./internal/cube
 
 # Race-detector pass over the concurrent paths: the serving layer's
