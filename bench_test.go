@@ -345,12 +345,13 @@ func BenchmarkAblationPebbling(b *testing.B) {
 		b.Run(order.String(), func(b *testing.B) {
 			e := newBenchEngine(b)
 			e.SetReadOrder(order)
-			disk := simdisk.MustNew(simdisk.DefaultModel())
-			e.AttachDisk(disk)
+			st := w.Cube.Store().(*chunk.Store)
+			var ids []int
+			st.SetReadHook(func(id int) { ids = append(ids, id) })
+			defer st.SetReadHook(nil)
 			var peak int
-			var diskMS float64
 			for i := 0; i < b.N; i++ {
-				disk.Reset()
+				ids = ids[:0]
 				v, err := e.ExecPerspective(core.PerspectiveQuery{
 					Members: w.Changing, Perspectives: []int{0, 6},
 					Sem: perspective.Forward, Mode: perspective.NonVisual,
@@ -359,8 +360,8 @@ func BenchmarkAblationPebbling(b *testing.B) {
 					b.Fatal(err)
 				}
 				peak = v.Stats.PeakResidentChunks
-				diskMS = v.Stats.DiskCostMs
 			}
+			diskMS, _ := simdisk.DefaultModel().Cost(ids)
 			b.ReportMetric(float64(peak), "peak_chunks")
 			b.ReportMetric(diskMS, "disk_ms/op")
 		})

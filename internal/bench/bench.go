@@ -125,7 +125,7 @@ type Fig12Row struct {
 	// TotalChunks is the cube's materialized chunk count (the cube
 	// grows as padding is inserted, paper: 20 G → 27.5 G).
 	TotalChunks int
-	// DiskMS is the modeled I/O time of the query.
+	// DiskMS is the seek model's price of the query's recorded read order.
 	DiskMS float64
 	// WallMS is the measured in-memory execution time.
 	WallMS float64
@@ -140,7 +140,7 @@ type Fig12Config struct {
 	MaxMultiple int
 	// Months is the period extent.
 	Months int
-	// Model is the simulated-disk cost model.
+	// Model is the seek-cost model that prices the recorded read order.
 	Model simdisk.Model
 }
 
@@ -161,8 +161,12 @@ func Fig12Defaults() Fig12Config {
 // with two instances, while the physical separation between the
 // instances' chunks is grown in multiples of the base separation. Query
 // time rises with separation and then stabilizes once seek cost
-// saturates.
+// saturates. The store's read hook records the last rep's read order,
+// which cfg.Model prices once the query has run.
 func Fig12(cfg Fig12Config, reps int) ([]Fig12Row, error) {
+	if err := cfg.Model.Validate(); err != nil {
+		return nil, err
+	}
 	var rows []Fig12Row
 	for mult := 1; mult <= cfg.MaxMultiple; mult++ {
 		c, err := buildSeparationCube(cfg.BaseSeparation*mult, cfg.Months)
@@ -173,32 +177,30 @@ func Fig12(cfg Fig12Config, reps int) ([]Fig12Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		disk := simdisk.MustNew(cfg.Model)
-		e.AttachDisk(disk)
 		q := core.PerspectiveQuery{
 			Members:      []string{"EmpX"},
 			Perspectives: []int{0, 3, 6, 9},
 			Sem:          perspective.Forward,
 			Mode:         perspective.NonVisual,
 		}
-		var stats core.Stats
+		st := c.Store().(*chunk.Store)
+		var order []int
+		st.SetReadHook(func(id int) { order = append(order, id) })
 		wall, err := timeIt(reps, func() error {
-			disk.Reset()
-			v, err := e.ExecPerspective(q)
-			if err == nil {
-				stats = v.Stats
-			}
+			order = order[:0]
+			_, err := e.ExecPerspective(q)
 			return err
 		})
+		st.SetReadHook(nil)
 		if err != nil {
 			return nil, err
 		}
-		st := c.Store().(*chunk.Store)
+		diskMS, _ := cfg.Model.Cost(order)
 		rows = append(rows, Fig12Row{
 			Multiple:         mult,
 			SeparationChunks: cfg.BaseSeparation * mult,
 			TotalChunks:      st.NumChunks(),
-			DiskMS:           stats.DiskCostMs,
+			DiskMS:           diskMS,
 			WallMS:           wall,
 		})
 	}
@@ -330,8 +332,13 @@ type PebbleRow struct {
 
 // AblationPebbling compares the pebbling heuristic against sequential
 // read orders on a forward query over all changing employees: peak
-// co-resident chunks (the §5.2 objective) and modeled disk cost.
+// co-resident chunks (the §5.2 objective) and the modeled disk cost of
+// the read order the store's read hook recorded.
 func AblationPebbling(w *workload.Workforce, model simdisk.Model) ([]PebbleRow, error) {
+	if err := model.Validate(); err != nil {
+		return nil, err
+	}
+	st := w.Cube.Store().(*chunk.Store)
 	var rows []PebbleRow
 	for _, order := range []core.ReadOrder{core.OrderPebbling, core.OrderVaryingFirst,
 		core.OrderVaryingLast, core.OrderCanonical} {
@@ -340,22 +347,24 @@ func AblationPebbling(w *workload.Workforce, model simdisk.Model) ([]PebbleRow, 
 			return nil, err
 		}
 		e.SetReadOrder(order)
-		disk := simdisk.MustNew(model)
-		e.AttachDisk(disk)
+		var ids []int
+		st.SetReadHook(func(id int) { ids = append(ids, id) })
 		v, err := e.ExecPerspective(core.PerspectiveQuery{
 			Members:      w.Changing,
 			Perspectives: []int{0, 6},
 			Sem:          perspective.Forward,
 			Mode:         perspective.NonVisual,
 		})
+		st.SetReadHook(nil)
 		if err != nil {
 			return nil, err
 		}
+		diskMS, seek := model.Cost(ids)
 		rows = append(rows, PebbleRow{
 			Order:      order.String(),
 			PeakChunks: v.Stats.PeakResidentChunks,
-			DiskMS:     v.Stats.DiskCostMs,
-			SeekChunks: disk.Stats().SeekChunks,
+			DiskMS:     diskMS,
+			SeekChunks: seek,
 		})
 	}
 	return rows, nil

@@ -23,7 +23,7 @@ func TestSmokeAll(t *testing.T) {
 		t.Fatalf("Fig12: %v %v", r12, err)
 	}
 	if r12[1].DiskMS <= r12[0].DiskMS {
-		t.Logf("warning: disk cost not increasing: %+v", r12)
+		t.Fatalf("Fig12: modeled disk cost not increasing with separation: %+v", r12)
 	}
 	r13, err := Fig13(w, 2, 6, 1)
 	if err != nil || len(r13) != 3 {
@@ -47,6 +47,48 @@ func TestSmokeAll(t *testing.T) {
 	}
 	if len(comp) != 2 || comp[1].Bytes >= comp[0].Bytes {
 		t.Fatalf("compression should shrink the representation: %+v", comp)
+	}
+}
+
+// TestModeledColumnsPinned pins the seek model's figure columns — Fig 12's
+// co-location curve and the read-order ablation — to exact values, so a
+// change in how reads are recorded or priced cannot move them silently.
+func TestModeledColumnsPinned(t *testing.T) {
+	r12, err := Fig12(Fig12Defaults(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMS := []float64{4.14, 8.14, 12.14, 13.14, 13.14}
+	if len(r12) != len(wantMS) {
+		t.Fatalf("Fig12: %d rows, want %d", len(r12), len(wantMS))
+	}
+	for i, r := range r12 {
+		if r.DiskMS != wantMS[i] {
+			t.Errorf("Fig12 %dx: DiskMS = %v, want %v", r.Multiple, r.DiskMS, wantMS[i])
+		}
+	}
+
+	w, err := workload.NewWorkforce(workload.ConfigTiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := AblationPebbling(w, simdisk.DefaultModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []PebbleRow{
+		{Order: "pebbling", PeakChunks: 2, DiskMS: 0.5780000000000001, SeekChunks: 18},
+		{Order: "varying-first", PeakChunks: 2, DiskMS: 0.5850000000000002, SeekChunks: 25},
+		{Order: "varying-last", PeakChunks: 3, DiskMS: 0.5670000000000001, SeekChunks: 7},
+		{Order: "canonical", PeakChunks: 3, DiskMS: 0.5670000000000001, SeekChunks: 7},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("AblationPebbling: %+v, want %+v", rows, want)
+	}
+	for i := range want {
+		if rows[i] != want[i] {
+			t.Errorf("AblationPebbling row %d = %+v, want %+v", i, rows[i], want[i])
+		}
 	}
 }
 

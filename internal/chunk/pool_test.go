@@ -170,36 +170,31 @@ func TestPoolConcurrentReadersWithHook(t *testing.T) {
 	}
 }
 
-// A read or cost hook that panics, recovered by the reader, must leave
-// the hook mutex free: the next hooked read, on another goroutine,
-// returns instead of waiting forever on a lock the panic never released.
+// A read hook that panics, recovered by the reader, must leave the hook
+// mutex free: the next hooked read, on another goroutine, returns
+// instead of waiting forever on a lock the panic never released.
 func TestPoolReadAfterHookPanic(t *testing.T) {
 	s := pagedStore(t, 70)
-	for _, install := range []func(hook func(int)){
-		func(hook func(int)) { s.SetCostHook(nil); s.SetReadHook(hook) },
-		func(hook func(int)) { s.SetReadHook(nil); s.SetCostHook(func(id int) float64 { hook(id); return 1 }) },
-	} {
-		install(func(int) { panic("injected hook fault") })
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("the hook's panic did not reach the reader")
-				}
-			}()
-			s.ReadChunk(0)
-		}()
-
-		var hits atomic.Int64
-		install(func(int) { hits.Add(1) })
-		done := make(chan *Chunk, 1)
-		go func() { done <- s.ReadChunk(1) }()
-		select {
-		case c := <-done:
-			if c == nil || hits.Load() != 1 {
-				t.Fatalf("read after the recovered panic: chunk %v, %d hook calls", c != nil, hits.Load())
+	s.SetReadHook(func(int) { panic("injected hook fault") })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the hook's panic did not reach the reader")
 			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("a hooked read after a recovered hook panic did not return within 2 s")
+		}()
+		s.ReadChunk(0)
+	}()
+
+	var hits atomic.Int64
+	s.SetReadHook(func(int) { hits.Add(1) })
+	done := make(chan *Chunk, 1)
+	go func() { done <- s.ReadChunk(1) }()
+	select {
+	case c := <-done:
+		if c == nil || hits.Load() != 1 {
+			t.Fatalf("read after the recovered panic: chunk %v, %d hook calls", c != nil, hits.Load())
 		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a hooked read after a recovered hook panic did not return within 2 s")
 	}
 }

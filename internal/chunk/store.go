@@ -38,16 +38,9 @@ type Store struct {
 	// a concurrent reader; the hook itself is invoked under hookMu, so
 	// hook state needs no synchronization of its own.
 	readHook atomic.Pointer[func(id int)]
-	// costHook, when set, charges every chunk read against an I/O cost
-	// model (the simulated disk attaches here) and returns that read's
-	// modeled cost in milliseconds. Unlike the observer readHook, the
-	// return value flows back to the reader, so a query accumulates
-	// exactly the cost of its own reads — the race-free replacement for
-	// diffing the disk's global counters around an execution.
-	costHook atomic.Pointer[func(id int) float64]
-	// hookMu serializes read-hook invocations (callHooks). It is
-	// deliberately separate from mu: a slow hook (the simulated disk's
-	// cost model) must not block other queries' pool fault-ins.
+	// hookMu serializes read-hook invocations (callReadHook). It is
+	// deliberately separate from mu: a slow hook must not block other
+	// queries' pool fault-ins.
 	hookMu sync.Mutex
 	// pool, when non-nil, drops least-recently-used clean chunks and
 	// faults them back from a backing Tier (an immutable segment file)
@@ -83,19 +76,6 @@ func (s *Store) SetReadHook(fn func(id int)) {
 		return
 	}
 	s.readHook.Store(&fn)
-}
-
-// SetCostHook installs fn to charge chunk reads against an I/O cost
-// model; fn returns the modeled cost of the read in milliseconds,
-// which ReadChunkInfo reports back to the reader. Pass nil to remove.
-// Like SetReadHook, the swap is atomic and invocation is serialized
-// under the hook mutex.
-func (s *Store) SetCostHook(fn func(id int) float64) {
-	if fn == nil {
-		s.costHook.Store(nil)
-		return
-	}
-	s.costHook.Store(&fn)
 }
 
 // Reads returns the number of chunk reads so far.
@@ -314,15 +294,10 @@ func (s *Store) NumChunks() int {
 	return n
 }
 
-// ReadInfo attributes one chunk read to the query that issued it: the
-// modeled I/O cost from the cost hook, and — on a pooled store — what
-// the buffer pool did to satisfy the read. The engine turns faulted
-// reads into trace spans and sums CostMs into per-query statistics.
+// ReadInfo attributes one chunk read to the query that issued it: on a
+// pooled store, what the buffer pool did to satisfy the read. The
+// engine turns faulted reads into trace spans and per-query statistics.
 type ReadInfo struct {
-	// CostMs is the cost hook's charge for this read (the simulated
-	// disk's model); 0 without a hook. Real faults are measured by
-	// FaultMs instead.
-	CostMs float64
 	// Faulted reports that the chunk was loaded from the backing tier.
 	Faulted bool
 	// FaultMs is the wall time of the fault-in I/O and decode (0 on a
@@ -337,54 +312,40 @@ type ReadInfo struct {
 }
 
 // ReadChunk fetches the chunk with the given canonical ID, counting the
-// read and notifying the read and cost hooks (the simulated disk). A
-// nil return means the chunk is empty (not materialized).
+// read and notifying the read hook. A nil return means the chunk is
+// empty (not materialized).
 func (s *Store) ReadChunk(id int) *Chunk {
 	c, _ := s.ReadChunkInfo(id)
 	return c
 }
 
-// ReadChunkInfo is ReadChunk with per-read attribution: the modeled
-// I/O cost of exactly this read, and the buffer pool's hit/fault/
-// eviction/pin outcome. This is the engine's read path — per-query
-// disk cost and per-fault trace spans are built from the returned
-// ReadInfo rather than from global counters, so concurrent queries
-// never absorb each other's I/O.
+// ReadChunkInfo is ReadChunk with per-read attribution: the buffer
+// pool's hit/fault/eviction/pin outcome for exactly this read. This is
+// the engine's read path — per-fault trace spans are built from the
+// returned ReadInfo rather than from global counters, so concurrent
+// queries never absorb each other's I/O.
 func (s *Store) ReadChunkInfo(id int) (*Chunk, ReadInfo) {
 	s.reads.Add(1)
-	var info ReadInfo
-	rh := s.readHook.Load()
-	ch := s.costHook.Load()
-	if rh != nil || ch != nil {
-		info.CostMs = s.callHooks(id, rh, ch)
+	if rh := s.readHook.Load(); rh != nil {
+		s.callReadHook(id, *rh)
 	}
 	if s.pool == nil {
-		return s.chunks[id], info
+		return s.chunks[id], ReadInfo{}
 	}
 	c, fi, err := s.poolGet(id)
 	if err != nil {
 		panic(fmt.Sprintf("chunk: tier fault for chunk %d: %v", id, err))
 	}
-	info.Faulted = fi.faulted
-	info.FaultMs = fi.faultMs
-	info.Evictions = fi.evictions
-	info.Pinned = fi.pinned
-	return c, info
+	return c, ReadInfo{Faulted: fi.faulted, FaultMs: fi.faultMs, Evictions: fi.evictions, Pinned: fi.pinned}
 }
 
-// callHooks invokes the read and cost hooks under hookMu, returning the
-// cost hook's charge. The deferred unlock releases hookMu even when a
-// hook panics, so a recovered panic cannot wedge the next hooked read.
-func (s *Store) callHooks(id int, rh *func(int), ch *func(int) float64) (costMs float64) {
+// callReadHook invokes the read hook under hookMu. The deferred unlock
+// releases hookMu even when the hook panics, so a recovered panic
+// cannot wedge the next hooked read.
+func (s *Store) callReadHook(id int, fn func(int)) {
 	s.hookMu.Lock()
 	defer s.hookMu.Unlock()
-	if rh != nil {
-		(*rh)(id)
-	}
-	if ch != nil {
-		costMs = (*ch)(id)
-	}
-	return costMs
+	fn(id)
 }
 
 // PeekChunk fetches a chunk without read accounting (metadata scans).

@@ -12,7 +12,6 @@ import (
 	"whatifolap/internal/cube"
 	"whatifolap/internal/dimension"
 	"whatifolap/internal/perspective"
-	"whatifolap/internal/simdisk"
 	"whatifolap/internal/trace"
 )
 
@@ -55,12 +54,12 @@ func (o ReadOrder) String() string {
 // graph, read schedule), Exec* executes it (scan → relocate →
 // assemble) on the calling goroutine.
 //
-// Concurrency: configure an engine (SetReadOrder, AttachDisk) before
-// sharing it; after that, the Plan*, Exec* and Simulate* methods mutate
-// no engine state and are safe for concurrent use on one engine over
-// one store. The serving layer relies on this — shared-snapshot queries
-// run through a single chunk store, whose read path is safe for
-// concurrent readers (see chunk.Store).
+// Concurrency: configure an engine (SetReadOrder) before sharing it;
+// after that, the Plan*, Exec* and Simulate* methods mutate no engine
+// state and are safe for concurrent use on one engine over one store.
+// The serving layer relies on this — shared-snapshot queries run
+// through a single chunk store, whose read path is safe for concurrent
+// readers (see chunk.Store).
 // Per-query state (the cancellation context) travels in an
 // ExecContext instead of engine fields.
 type Engine struct {
@@ -75,7 +74,6 @@ type Engine struct {
 	binding *dimension.Binding
 	vi, pi  int
 	order   ReadOrder
-	disk    *simdisk.Disk
 }
 
 // New creates an engine over a cube whose store is a *chunk.Store —
@@ -162,20 +160,6 @@ func (e *Engine) sourceChunkIDs() []int {
 // SetReadOrder selects the chunk read-order policy (default pebbling).
 // Configuration, not per-query state: set it before sharing the engine.
 func (e *Engine) SetReadOrder(o ReadOrder) { e.order = o }
-
-// AttachDisk routes all chunk reads through a simulated disk via the
-// store's cost hook: each read's modeled cost flows back to the query
-// that issued it (Stats.DiskCostMs), so concurrent queries sharing the
-// disk never absorb each other's I/O. Configuration, not per-query
-// state: attach before sharing the engine.
-func (e *Engine) AttachDisk(d *simdisk.Disk) {
-	e.disk = d
-	if d == nil {
-		e.store.SetCostHook(nil)
-		return
-	}
-	e.store.SetCostHook(d.Hook())
-}
 
 // Binding returns the engine's varying/parameter binding.
 func (e *Engine) Binding() *dimension.Binding { return e.binding }

@@ -14,15 +14,11 @@ import (
 // This file is a query hot path: span recording happens here, span
 // formatting must not (no fmt import — verify.sh enforces it).
 
-// scanTally accumulates the scan's counters. diskCostMs sums the
-// per-read costs returned by the store's cost hook — the race-free
-// replacement for diffing the disk's global counters around the
-// execution, which let overlapping queries absorb each other's I/O cost.
+// scanTally accumulates the scan's counters.
 type scanTally struct {
 	chunksRead     int
 	cellsScanned   int
 	cellsRelocated int
-	diskCostMs     float64
 	spillFaults    int
 	faultMs        float64 // wall time of those faults: tier read + decode
 	promotions     int
@@ -342,7 +338,6 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 	stats.ChunksRead += scanT.chunksRead
 	stats.CellsScanned += scanT.cellsScanned
 	stats.CellsRelocated += scanT.cellsRelocated
-	stats.DiskCostMs += scanT.diskCostMs
 	stats.SpillFaults += scanT.spillFaults
 	stats.FaultMs += scanT.faultMs
 
@@ -432,10 +427,10 @@ func (pt *pinTracker) releaseAll() {
 // before every chunk read. The plan is only read, so concurrent queries
 // may share it.
 //
-// Per-read attribution flows through ReadChunkInfo: modeled disk cost
-// sums into the tally, and a buffer-pool fault becomes a "fault" span
-// under parent — recorded in hindsight via tr.Now()/tr.Record, so a
-// pool hit costs no span slot (and, with tracing off, nothing at all).
+// Per-read attribution flows through ReadChunkInfo: a buffer-pool
+// fault sums into the tally and becomes a "fault" span under parent —
+// recorded in hindsight via tr.Now()/tr.Record, so a pool hit costs no
+// span slot (and, with tracing off, nothing at all).
 func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.Overlay,
 	tr *trace.Trace, parent trace.SpanRef) (scanTally, error) {
 
@@ -465,7 +460,6 @@ func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.O
 		readStart := tr.Now()
 		ch, info := e.store.ReadChunkInfo(id)
 		tally.chunksRead++
-		tally.diskCostMs += info.CostMs
 		if info.Faulted {
 			tally.spillFaults++
 			tally.faultMs += info.FaultMs

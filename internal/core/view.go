@@ -228,11 +228,6 @@ type Stats struct {
 	// Ranges is the number of perspective ranges processed (dynamic
 	// semantics only).
 	Ranges int
-	// DiskCostMs is the modeled I/O time if a simulated disk is
-	// attached, else 0. Accumulated from the per-read costs the chunk
-	// store's cost hook returns, so a query is charged for exactly its
-	// own reads even when concurrent queries share the disk.
-	DiskCostMs float64
 	// SpillFaults counts chunk reads this query satisfied from the
 	// segment file (buffer-pool misses), else 0 on an unpooled store.
 	SpillFaults int
@@ -262,7 +257,6 @@ func (s *Stats) Add(s2 Stats) {
 		s.MergeGroups = s2.MergeGroups
 	}
 	s.Ranges += s2.Ranges
-	s.DiskCostMs += s2.DiskCostMs
 	s.SpillFaults += s2.SpillFaults
 	s.FaultMs += s2.FaultMs
 	s.PlanMs += s2.PlanMs

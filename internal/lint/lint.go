@@ -22,7 +22,7 @@
 //	              from the caller), and functions that loop over chunk
 //	              reads must accept a context to observe between reads.
 //	lockguard     no blocking operation — chunk fault-in I/O, channel
-//	              sends/receives, simdisk reads, WaitGroup waits —
+//	              sends/receives, segment reads, WaitGroup waits —
 //	              while holding a chunk.Store / buffer-pool mutex
 //	              (the "I/O outside the lock" rule from the pebbling
 //	              buffer-pool work).

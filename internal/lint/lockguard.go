@@ -28,8 +28,9 @@ import (
 // lock may be held is reported:
 //
 //   - channel sends and receives
-//   - calls into blocked packages (simdisk: every call is priced I/O;
-//     segment: every exported entry point does file I/O)
+//   - calls into blocked packages (segment: every exported entry point
+//     does file I/O; obs: its sinks flush to writers and join collector
+//     goroutines)
 //   - ReadAt / WriteAt / Sync methods (file I/O)
 //   - ReadChunkAt methods (chunk.Tier fault-in)
 //   - sync.WaitGroup.Wait and time.Sleep
@@ -37,15 +38,14 @@ import (
 // Annotate //lint:lockok <reason> for a reviewed exception.
 var LockGuard = &analysis.Analyzer{
 	Name:     "lockguard",
-	Doc:      "no blocking calls (tier fault-in I/O, channel ops, simdisk reads) while holding chunk-store/buffer-pool mutexes",
+	Doc:      "no blocking calls (tier fault-in I/O, channel ops, segment reads) while holding chunk-store/buffer-pool mutexes",
 	Run:      runLockGuard,
 	Requires: []*analysis.Analyzer{ctrlflow.Analyzer},
 }
 
 var (
 	lockguardPkgs      = ModulePath + "/internal/chunk," + ModulePath + "/internal/segment"
-	lockguardBlockPkgs = ModulePath + "/internal/simdisk," + ModulePath + "/internal/segment," +
-		ModulePath + "/internal/obs"
+	lockguardBlockPkgs = ModulePath + "/internal/segment," + ModulePath + "/internal/obs"
 )
 
 func init() {

@@ -48,18 +48,27 @@ type Evaluator struct {
 // like a base cube (see lower).
 func NewEvaluator(c *cube.Cube) *Evaluator { return &Evaluator{cube: c} }
 
-// engineStore reports whether the store can back the perspective-cube
+// engineCube reports whether the cube can back the perspective-cube
 // engine: chunked storage, directly or through an engine-capable
-// scenario layer chain (a chain carrying wider layers — hypothetical
-// new members — evaluates through the algebra path instead).
-func engineStore(s cube.Store) bool {
-	switch st := s.(type) {
+// scenario layer chain, whose geometry spans the cube's dimensions. A
+// scenario that added members evaluates through the algebra path: its
+// dimensions are wider than the base chunks even before a layer holds a
+// cell under a new member.
+func engineCube(c *cube.Cube) bool {
+	var st *chunk.Store
+	switch s := c.Store().(type) {
 	case *chunk.Store:
-		return true
+		st = s
 	case *chunk.Chain:
-		return st.EngineCapable()
+		if !s.EngineCapable() {
+			return false
+		}
+		st = s.ChunkBase()
+	default:
+		return false
 	}
-	return false
+	return slices.EqualFunc(c.Dims(), st.Geometry().Extents,
+		func(d *dimension.Dimension, leaves int) bool { return d.NumLeaves() == leaves })
 }
 
 // Run parses and evaluates a query in one call, serially and without
@@ -140,9 +149,6 @@ func RenderAnalyze(tr *trace.Trace, stats core.Stats) string {
 		tr.StageMs("plan"), tr.StageMs("scan"), tr.StageMs("project"))
 	fmt.Fprintf(&b, "stats:  chunks_read=%d cells_relocated=%d merge_groups=%d",
 		stats.ChunksRead, stats.CellsRelocated, stats.MergeGroups)
-	if stats.DiskCostMs > 0 {
-		fmt.Fprintf(&b, " disk_cost_ms=%.3f", stats.DiskCostMs)
-	}
 	if stats.SpillFaults > 0 {
 		fmt.Fprintf(&b, " spill_faults=%d fault_ms=%.3f", stats.SpillFaults, stats.FaultMs)
 	}
@@ -258,10 +264,10 @@ type lowered struct {
 // storage with a single what-if clause (one WITH PERSPECTIVE, or WITH
 // CHANGES alone) get the perspective-cube engine; everything else —
 // plain queries, transfers, clause combinations, map-backed cubes and
-// scenario chains with wider layers — lowers to an algebra plan.
+// scenario views with new members — lowers to an algebra plan.
 func (ev *Evaluator) lower(q *Query) (lowered, error) {
 	lo := lowered{mode: perspective.NonVisual}
-	single := engineStore(ev.cube.Store()) && len(q.Transfers) == 0
+	single := engineCube(ev.cube) && len(q.Transfers) == 0
 	switch {
 	case single && q.Changes != nil && len(q.Perspectives) == 0:
 		changes, varying, err := ev.resolveChanges(q.Changes)

@@ -1,9 +1,15 @@
 package mdx
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzParse asserts the extended-MDX parser never panics, whatever the
-// input. Errors are the expected outcome for garbage.
+// input. Errors are the expected outcome for garbage. It also checks
+// Normalize, the result cache's key: normalizing is idempotent, and a
+// normalized query parses to the same AST as its source (or both fail),
+// so two texts sharing a key always mean the same query.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"select {x} on columns from [A]",
@@ -20,6 +26,20 @@ func FuzzParse(f *testing.F) {
 		q, err := Parse(src)
 		if err == nil && q == nil {
 			t.Fatal("nil query without error")
+		}
+		norm, nerr := Normalize(src)
+		if nerr != nil {
+			return
+		}
+		if again, err := Normalize(norm); err != nil || again != norm {
+			t.Fatalf("Normalize not idempotent: %q -> %q -> %q (%v)", src, norm, again, err)
+		}
+		nq, nqErr := Parse(norm)
+		if (err == nil) != (nqErr == nil) {
+			t.Fatalf("Parse(%q) err = %v, but Parse of its normal form %q err = %v", src, err, norm, nqErr)
+		}
+		if err == nil && !reflect.DeepEqual(q, nq) {
+			t.Fatalf("%q and its normal form %q parse to different queries:\n%#v\n%#v", src, norm, q, nq)
 		}
 	})
 }

@@ -310,6 +310,15 @@ func (s *Scenario) Apply(edits []Edit) (int64, error) {
 					restore()
 					return 0, err
 				}
+				// A binding's validity sets span its parameter dimension's
+				// leaves; a new leaf there would leave them on the old
+				// universe.
+				for _, b := range s.bindings {
+					if b.Param == s.dims[di] {
+						restore()
+						return 0, fmt.Errorf("scenario %s: cannot add a member to %q: it is the parameter dimension of %q", s.id, e.Dim, b.Varying.Name())
+					}
+				}
 				if _, err := s.dims[di].AddHypothetical(e.Parent, e.Name); err != nil {
 					restore()
 					return 0, fmt.Errorf("scenario %s: %w", s.id, err)

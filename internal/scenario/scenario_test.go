@@ -435,6 +435,45 @@ func TestScenarioValidityEdit(t *testing.T) {
 	}
 }
 
+// TestScenarioNewMemberWithoutCells: a batch that only introduces a
+// member widens the view's dimension without writing a layer. A query
+// whose rows roll up over the new member must see the view's dimensions
+// (through the general path, since the base chunk geometry no longer
+// spans them) and, the member being empty, answer as before.
+func TestScenarioNewMemberWithoutCells(t *testing.T) {
+	w := newWorkforce(t)
+	s, err := scenario.NewLocal("new-member", w.Cube)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(sem, mode string) string {
+		return fmt.Sprintf(`
+WITH PERSPECTIVE {(Jan), (Jul)} FOR Department %s %s
+SELECT {[Account].Levels(0).Members} ON COLUMNS,
+       {CrossJoin({[Dept00]}, {Descendants([Period], 1, SELF_AND_AFTER)})} ON ROWS
+FROM [App].[Db]
+WHERE ([Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])`, sem, mode)
+	}
+	before := make(map[string]string)
+	for _, sem := range allSemantics {
+		for _, mode := range allModes {
+			before[sem+" "+mode] = queryScenario(t, s, query(sem, mode))
+		}
+	}
+	if _, err := s.Apply([]scenario.Edit{
+		{Op: scenario.OpNewMember, Dim: workload.DimDepartment, Parent: "Dept00", Name: "EmpHypo"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sem := range allSemantics {
+		for _, mode := range allModes {
+			if got := queryScenario(t, s, query(sem, mode)); got != before[sem+" "+mode] {
+				t.Fatalf("%s %s: answer changed after adding an empty member:\n%s\nwas\n%s", sem, mode, got, before[sem+" "+mode])
+			}
+		}
+	}
+}
+
 // TestScenarioQueriesRunOnEngine checks that perspective queries over a
 // scenario holding cell edits are answered by the engine's chunk scan,
 // not the algebra fallback.
@@ -486,6 +525,7 @@ WHERE ([Period].[Jan], [Scenario].[Current], [Currency].[Local], [Version].[BU V
 		}, // structural edit then failing cell edit
 		{{Op: scenario.OpNewMember, Dim: workload.DimDepartment, Parent: "Dept00/Emp00000", Name: "X"}},  // leaf parent
 		{{Op: scenario.OpValidity, Dim: workload.DimAccount, Member: "Acct000", From: "Jan", To: "Feb"}}, // no varying binding
+		{{Op: scenario.OpNewMember, Dim: workload.DimPeriod, Parent: "Q1", Name: "Jan2"}},                // a binding's parameter dimension
 	}
 	for i, batch := range bad {
 		if _, err := s.Apply(batch); err == nil {

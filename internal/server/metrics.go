@@ -18,9 +18,8 @@ var latencyBucketsMs = []float64{
 	1000, 2000, 5000, 10000, 30000,
 }
 
-// spanBucketsMs bound the trace-derived duration histograms (spill
-// fault-ins, segment reads): these are intra-query stages, so the range
-// starts well below a millisecond.
+// spanBucketsMs bound the trace-derived segment-read histogram: an
+// intra-query stage, so the range starts well below a millisecond.
 var spanBucketsMs = []float64{
 	0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 500,
 }

@@ -10,16 +10,15 @@
 //
 // where distance is the number of chunks between the head position and
 // the target. The saturating min term reproduces the plateau; the linear
-// term reproduces the initial growth. The model attaches to a
-// chunk.Store through its read hook, so every engine chunk read is
-// accounted without the engine knowing about disks.
+// term reproduces the initial growth. The model is a pure function of
+// a read order: a caller records the chunk IDs a query read (the chunk
+// store's read hook) and prices that sequence with Model.Cost after the
+// query has run, so the engine never knows about disks.
 package simdisk
 
 import (
 	"fmt"
 	"math"
-	"sync"
-	"time"
 )
 
 // Model holds the seek-cost parameters. All costs are in milliseconds of
@@ -58,102 +57,19 @@ func (m Model) ReadCost(from, to int) float64 {
 	return m.Base + math.Min(dist*m.PerChunk, m.SeekCap) + m.Transfer
 }
 
-// Disk accumulates modeled I/O cost over a sequence of chunk reads. The
-// zero value is not usable; create with New.
-//
-// Concurrency: a Disk is safe for concurrent use. The head position
-// and the counters update together under an internal mutex, so
-// concurrent queries sharing one disk interleave reads exactly as a
-// shared physical head would, and Stats always returns a consistent
-// snapshot. Per-query cost attribution does NOT come from diffing
-// Stats around an execution (two overlapping queries would each absorb
-// the other's cost) — Read returns the cost of each individual read,
-// and the engine sums the costs of its own reads into its per-query
-// statistics (core.Stats.DiskCostMs) via the chunk store's cost hook.
-type Disk struct {
-	model Model
-
-	mu    sync.Mutex
-	head  int
-	stats Stats
-}
-
-// Stats summarizes the disk activity so far.
-type Stats struct {
-	// Reads is the number of chunk reads.
-	Reads int
-	// SeekChunks is the total head travel in chunks.
-	SeekChunks int
-	// CostMs is the total modeled time in milliseconds.
-	CostMs float64
-}
-
-// Cost returns the modeled time as a duration.
-func (s Stats) Cost() time.Duration {
-	return time.Duration(s.CostMs * float64(time.Millisecond))
-}
-
-// New creates a disk with the head parked at position 0.
-func New(model Model) (*Disk, error) {
-	if err := model.Validate(); err != nil {
-		return nil, err
+// Cost prices reading the chunks at positions ids in order, with the
+// head parked at 0: the modeled time in milliseconds and the total head
+// travel in chunks.
+func (m Model) Cost(ids []int) (ms float64, seekChunks int) {
+	head := 0
+	for _, id := range ids {
+		ms += m.ReadCost(head, id)
+		if id > head {
+			seekChunks += id - head
+		} else {
+			seekChunks += head - id
+		}
+		head = id
 	}
-	return &Disk{model: model}, nil
-}
-
-// MustNew is New that panics on error.
-func MustNew(model Model) *Disk {
-	d, err := New(model)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// Read models a read of the chunk at the given physical position and
-// returns its cost. Safe for concurrent use; the cost returned is the
-// cost of exactly this read, so callers can attribute it to the query
-// that issued it.
-func (d *Disk) Read(pos int) float64 {
-	d.mu.Lock()
-	c := d.model.ReadCost(d.head, pos)
-	if pos > d.head {
-		d.stats.SeekChunks += pos - d.head
-	} else {
-		d.stats.SeekChunks += d.head - pos
-	}
-	d.head = pos
-	d.stats.Reads++
-	d.stats.CostMs += c
-	d.mu.Unlock()
-	return c
-}
-
-// Hook returns a cost hook suitable for chunk.(*Store).SetCostHook:
-// every chunk read is charged against the disk model and the modeled
-// cost flows back to the reader for per-query attribution.
-func (d *Disk) Hook() func(id int) float64 {
-	return d.Read
-}
-
-// Stats returns a consistent copy of the accumulated statistics.
-func (d *Disk) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
-// Reset parks the head at 0 and clears statistics.
-func (d *Disk) Reset() {
-	d.mu.Lock()
-	d.head = 0
-	d.stats = Stats{}
-	d.mu.Unlock()
-}
-
-// Head returns the current head position.
-func (d *Disk) Head() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.head
+	return ms, seekChunks
 }

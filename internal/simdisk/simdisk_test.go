@@ -44,64 +44,50 @@ func TestCostMonotoneThenFlat(t *testing.T) {
 	}
 }
 
+// TestDiskAccumulation: the head starts at 0 and follows the read
+// order — 0→3 costs 1+3, 3→1 costs 1+2, 1→1 costs 1 and travels nowhere.
 func TestDiskAccumulation(t *testing.T) {
-	d := MustNew(Model{Base: 1, PerChunk: 1, SeekCap: 100, Transfer: 0})
-	d.Read(3) // head 0 -> 3: 1 + 3 = 4
-	d.Read(1) // head 3 -> 1: 1 + 2 = 3
-	s := d.Stats()
-	if s.Reads != 2 {
-		t.Fatalf("Reads = %d", s.Reads)
+	m := Model{Base: 1, PerChunk: 1, SeekCap: 100, Transfer: 0}
+	ms, seek := m.Cost([]int{3, 1, 1})
+	if ms != 8 || seek != 5 {
+		t.Fatalf("Cost = %v ms, %d chunks; want 8 ms, 5 chunks", ms, seek)
 	}
-	if s.SeekChunks != 5 {
-		t.Fatalf("SeekChunks = %d, want 5", s.SeekChunks)
-	}
-	if s.CostMs != 7 {
-		t.Fatalf("CostMs = %v, want 7", s.CostMs)
-	}
-	if d.Head() != 1 {
-		t.Fatalf("Head = %d, want 1", d.Head())
-	}
-	d.Reset()
-	if d.Stats().Reads != 0 || d.Head() != 0 {
-		t.Fatal("Reset failed")
+	if ms, seek := m.Cost(nil); ms != 0 || seek != 0 {
+		t.Fatalf("Cost(nil) = %v ms, %d chunks; want 0, 0", ms, seek)
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if _, err := New(Model{Base: -1}); err == nil {
-		t.Fatal("negative cost should fail validation")
-	}
-	if err := DefaultModel().Validate(); err != nil {
-		t.Fatalf("default model invalid: %v", err)
-	}
-}
-
-func TestStatsCostDuration(t *testing.T) {
-	s := Stats{CostMs: 1.5}
-	if got := s.Cost().Microseconds(); got != 1500 {
-		t.Fatalf("Cost = %dµs, want 1500", got)
-	}
-}
-
+// TestHookIntegrationWithChunkStore: the store's read hook records the
+// chunk ids in read order, and Model.Cost prices that order afterwards.
 func TestHookIntegrationWithChunkStore(t *testing.T) {
 	g := chunk.MustGeometry([]int{100}, []int{10})
 	st := chunk.NewStore(g)
 	for i := 0; i < 100; i += 10 {
 		st.Set([]int{i}, 1)
 	}
-	d := MustNew(Model{Base: 1, PerChunk: 1, SeekCap: 1000, Transfer: 0})
-	st.SetCostHook(d.Hook())
+	var order []int
+	st.SetReadHook(func(id int) { order = append(order, id) })
 	st.ReadChunk(0)
 	st.ReadChunk(9) // long seek
 	st.ReadChunk(9) // no seek
-	s := d.Stats()
-	if s.Reads != 3 {
-		t.Fatalf("Reads = %d", s.Reads)
+	st.SetReadHook(nil)
+	if len(order) != 3 {
+		t.Fatalf("recorded %d reads, want 3", len(order))
 	}
-	if s.SeekChunks != 9 {
-		t.Fatalf("SeekChunks = %d, want 9", s.SeekChunks)
+	ms, seek := Model{Base: 1, PerChunk: 1, SeekCap: 1000, Transfer: 0}.Cost(order)
+	if seek != 9 {
+		t.Fatalf("SeekChunks = %d, want 9", seek)
 	}
-	if s.CostMs != 3+9 {
-		t.Fatalf("CostMs = %v, want 12", s.CostMs)
+	if ms != 3+9 {
+		t.Fatalf("CostMs = %v, want 12", ms)
+	}
+}
+
+func TestValidate(t *testing.T) {
+	if err := (Model{Base: -1}).Validate(); err == nil {
+		t.Fatal("negative cost should fail validation")
+	}
+	if err := DefaultModel().Validate(); err != nil {
+		t.Fatalf("default model invalid: %v", err)
 	}
 }

@@ -47,7 +47,6 @@ import (
 	"whatifolap/internal/result"
 	"whatifolap/internal/scenario"
 	"whatifolap/internal/segment"
-	"whatifolap/internal/simdisk"
 	"whatifolap/internal/trace"
 	"whatifolap/internal/workload"
 )
@@ -111,10 +110,6 @@ type (
 	Grid = result.Grid
 	// Evaluator runs extended-MDX queries against a cube.
 	Evaluator = mdx.Evaluator
-	// DiskModel parameterizes the simulated disk.
-	DiskModel = simdisk.Model
-	// Disk accumulates modeled I/O cost.
-	Disk = simdisk.Disk
 	// Trace records an execution's span tree with near-zero overhead;
 	// thread one through a query with WithTrace or ExecOptions.Trace.
 	Trace = trace.Trace
@@ -421,14 +416,6 @@ func CellValue(input, output *Cube, ids []MemberID, mode Mode) (float64, error) 
 func Select(c *Cube, dim string, p Predicate) (*Cube, error) {
 	return algebra.Select(c, dim, p)
 }
-
-// NewDisk creates a simulated disk for I/O cost modeling; attach it to
-// an engine with Engine.AttachDisk.
-func NewDisk(m DiskModel) (*Disk, error) { return simdisk.New(m) }
-
-// DefaultDiskModel returns seek-cost parameters shaped like the paper's
-// mid-2000s testbed drive.
-func DefaultDiskModel() DiskModel { return simdisk.DefaultModel() }
 
 // PaperWarehouse builds the paper's running example (Fig. 1/2): the
 // workforce warehouse in which employee Joe is reclassified FTE → PTE →

@@ -90,19 +90,13 @@ func TestBuildCubeFromScratch(t *testing.T) {
 	}
 }
 
-// TestEngineThroughFacade runs the chunked engine via the facade with a
-// simulated disk attached.
+// TestEngineThroughFacade configures the chunked engine via the facade.
 func TestEngineThroughFacade(t *testing.T) {
 	c := olap.PaperWarehouseChunked()
 	e, err := olap.NewEngine(c, "Organization")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := olap.NewDisk(olap.DefaultDiskModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.AttachDisk(d)
 	e.SetReadOrder(olap.OrderPebbling)
 	// The engine type is core.Engine; its query types are internal, so
 	// facade users drive it through extended MDX instead.
