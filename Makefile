@@ -9,8 +9,8 @@ test:
 # Mutating fuzz runs, 10 s each (go test -fuzz takes one target and
 # one package at a time): the record codec every fault decodes through,
 # the segment reader, the manifest loader, the two parsers (FuzzParse
-# also checks Normalize, the result cache's key) and scenario edit
-# batches.
+# also checks Normalize, the result cache's key), scenario edit
+# batches and raw POST /query bodies against the server.
 # verify.sh runs only their seed corpora. A failing input is written
 # under the package's testdata/fuzz/ — commit it. Segment inputs are
 # page-aligned files of 12 KiB and more, which the default minimizer
@@ -22,6 +22,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/mdx
 	go test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 10s ./internal/cube
 	go test -run '^$$' -fuzz '^FuzzScenarioApply$$' -fuzztime 10s ./internal/scenario
+	go test -run '^$$' -fuzz '^FuzzServeQuery$$' -fuzztime 10s ./internal/server
 
 # Run the repo's go/analysis suite (internal/lint) over every package,
 # exactly as verify.sh does: build cmd/whatiflint and hand it to go vet

@@ -19,12 +19,12 @@ import (
 // so concurrent queries faulting different chunks overlap their reads
 // instead of serializing behind one mutex.
 //
-// The pool only ever reads its tier. A chunk faulted from the tier is
-// clean, so evicting it is a free drop. A chunk created or mutated
-// since is dirty and stays resident — the budget yields rather than
-// lose data — and a deleted chunk the tier still holds is tracked in a
-// side set. No eviction does I/O, so nothing under the pool lock
-// touches storage.
+// A paged store is read-only: its chunk set is the tier's, every
+// resident chunk is a clean copy of a tier chunk, and evicting one is a
+// free drop. Set and PutChunk panic on it; a cube that must change gets
+// a resident Clone, and a change that must last is published as a new
+// version. No eviction does I/O, so nothing under the pool lock touches
+// storage.
 
 // Tier is the storage beneath the buffer pool: an immutable keyed set
 // of serialized chunks the pool faults from. Implementations must be
@@ -41,19 +41,11 @@ type Tier interface {
 	// Contains reports whether the tier holds a chunk, without loading.
 	Contains(id int) bool
 	// IDs returns the canonical IDs of all chunks the tier holds, in
-	// unspecified order.
+	// unspecified order, in a slice the caller owns.
 	IDs() []int
 	// Cells returns the cell count of a held chunk without loading it
-	// (0 when absent). Store.Len sizes non-resident chunks with it.
+	// (0 when absent). Store.Len sizes the store from it.
 	Cells(id int) int
-	// Close releases this reference to the tier. The pool calls it from
-	// Store.CloseSpill after faulting everything resident.
-	Close() error
-	// CloneTier returns another reference to the tier, so Store.Clone
-	// shares it instead of forcing every chunk resident; the clone must
-	// be Closed too. It returns (nil, false) once the tier is closed,
-	// and Clone then falls back to full materialization.
-	CloneTier() (Tier, bool)
 }
 
 // lruNode is one resident chunk's slot in the intrusive recency list.
@@ -79,12 +71,6 @@ type bufferPool struct {
 	// inflight marks chunk ids whose fault-in I/O is running outside
 	// the lock; waiters block on the channel instead of re-reading.
 	inflight map[int]chan struct{}
-	// dirty marks resident chunks whose latest content is not in the
-	// tier; eviction skips them.
-	dirty map[int]bool
-	// deleted marks chunks the tier still holds but the store has
-	// deleted. Reads treat them as absent; Len/ChunkIDs skip them.
-	deleted map[int]bool
 	// residentBytes approximates resident chunk memory.
 	residentBytes int
 	faults        int
@@ -98,8 +84,6 @@ func newBufferPool(t Tier, budgetBytes int) *bufferPool {
 		nodes:    make(map[int]*lruNode),
 		pins:     make(map[int]int),
 		inflight: make(map[int]chan struct{}),
-		dirty:    make(map[int]bool),
-		deleted:  make(map[int]bool),
 	}
 }
 
@@ -153,10 +137,11 @@ func (p *bufferPool) drop(id int) {
 }
 
 // AttachTier puts the store's chunks behind a backing tier with a
-// resident-memory budget. Resident chunks the tier does not already
-// hold are marked dirty and stay resident; chunks the tier holds are
-// evictable and fault back in on access. A store can have at most one
-// tier; attaching a second is an error.
+// resident-memory budget, and makes the store read-only: from then on
+// its chunk set is the tier's, resident chunks are evictable clean
+// copies, and the rest fault in on access. Every resident chunk must be
+// one the tier holds, with the same cells. A store can have at most
+// one tier; attaching a second is an error.
 func (s *Store) AttachTier(t Tier, budgetBytes int) error {
 	if s.pool != nil {
 		return fmt.Errorf("chunk: store already has a backing tier")
@@ -164,13 +149,15 @@ func (s *Store) AttachTier(t Tier, budgetBytes int) error {
 	if budgetBytes <= 0 {
 		return fmt.Errorf("chunk: tier budget must be positive, got %d", budgetBytes)
 	}
+	for id := range s.chunks {
+		if !t.Contains(id) {
+			return fmt.Errorf("chunk: resident chunk %d is not in the tier", id)
+		}
+	}
 	p := newBufferPool(t, budgetBytes)
 	for id, c := range s.chunks {
 		p.touch(id)
 		p.residentBytes += c.MemBytes()
-		if !t.Contains(id) {
-			p.dirty[id] = true
-		}
 	}
 	s.pool = p
 	s.ids.Store(nil) // the tier may hold chunks the store never saw
@@ -178,21 +165,6 @@ func (s *Store) AttachTier(t Tier, budgetBytes int) error {
 	s.evictLocked()
 	s.mu.Unlock()
 	return nil
-}
-
-// attachPoolClone installs a pre-built pool on a freshly cloned store.
-// Unlike AttachTier it preserves the parent's dirty/deleted bookkeeping
-// verbatim: a parent's dirty resident chunk must stay dirty in the
-// clone even when the shared tier holds a stale copy of it.
-func (s *Store) attachPoolClone(p *bufferPool) {
-	for id, c := range s.chunks {
-		p.touch(id)
-		p.residentBytes += c.MemBytes()
-	}
-	s.pool = p
-	s.mu.Lock()
-	s.evictLocked()
-	s.mu.Unlock()
 }
 
 // SpillStats describes the buffer pool's state. The zero value is
@@ -204,8 +176,8 @@ type SpillStats struct {
 	Spilled  int
 	// Faults counts loads from the backing tier.
 	Faults int
-	// Evictions counts clean resident chunks dropped from the pool (the
-	// tier still holds them; dirty chunks are never evicted).
+	// Evictions counts resident chunks dropped from the pool (the tier
+	// still holds them).
 	Evictions int
 	// Pinned is the number of distinct chunk ids currently pinned.
 	Pinned int
@@ -225,16 +197,9 @@ func (s *Store) SpillStats() SpillStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.pool
-	spilled := 0
-	for _, id := range p.tier.IDs() {
-		if _, resident := s.chunks[id]; resident || p.deleted[id] {
-			continue
-		}
-		spilled++
-	}
 	return SpillStats{
 		Resident:      len(s.chunks),
-		Spilled:       spilled,
+		Spilled:       len(p.tier.IDs()) - len(s.chunks),
 		Faults:        p.faults,
 		Evictions:     p.evictions,
 		Pinned:        len(p.pins),
@@ -276,34 +241,6 @@ func (s *Store) Unpin(id int) {
 		}
 	}
 	s.mu.Unlock()
-}
-
-// CloseSpill detaches and closes the backing tier after faulting every
-// tier-only chunk back into memory. The store remains fully usable.
-func (s *Store) CloseSpill() error {
-	if s.pool == nil {
-		return nil
-	}
-	// Lift the budget so faulting in does not re-evict mid-iteration.
-	s.mu.Lock()
-	p := s.pool
-	p.budget = int(^uint(0) >> 1)
-	var ids []int
-	for _, id := range p.tier.IDs() {
-		if _, resident := s.chunks[id]; resident || p.deleted[id] {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	for _, id := range ids {
-		if _, _, err := s.poolGet(id); err != nil {
-			return err
-		}
-	}
-	err := p.tier.Close()
-	s.pool = nil
-	return err
 }
 
 // chunkAt returns the chunk for id, faulting it in from the backing
@@ -353,7 +290,7 @@ func (s *Store) poolGet(id int) (*Chunk, faultInfo, error) {
 			<-ch
 			continue
 		}
-		if p.deleted[id] || !p.tier.Contains(id) {
+		if !p.tier.Contains(id) {
 			s.mu.Unlock()
 			return nil, fi, nil
 		}
@@ -378,8 +315,7 @@ func (s *Store) poolGet(id int) (*Chunk, faultInfo, error) {
 			close(ch)
 			return nil, fi, nil
 		}
-		// The tier keeps its copy: the resident chunk starts clean, so
-		// a later eviction without mutation is a free drop.
+		// The tier keeps its copy, so a later eviction is a free drop.
 		s.chunks[id] = c
 		p.touch(id)
 		p.residentBytes += c.MemBytes()
@@ -387,8 +323,8 @@ func (s *Store) poolGet(id int) (*Chunk, faultInfo, error) {
 		fi.faulted = true
 		// A transient pin keeps this fault's own chunk out of the
 		// eviction pass it triggers: when every other resident chunk is
-		// unevictable (pinned or dirty), the walk would otherwise reach
-		// the tail and drop the chunk we are about to hand to the caller.
+		// pinned, the walk would otherwise reach the tail and drop the
+		// chunk we are about to hand to the caller.
 		p.pins[id]++
 		fi.evictions = s.evictLocked()
 		p.pins[id]--
@@ -402,12 +338,11 @@ func (s *Store) poolGet(id int) (*Chunk, faultInfo, error) {
 	}
 }
 
-// evictLocked drops least-recently-used clean, unpinned chunks from the
+// evictLocked drops least-recently-used unpinned chunks from the
 // resident set until it fits the budget (always keeping at least one
-// chunk resident), returning the number evicted. The tier still holds
-// every clean chunk, so a drop does no I/O. Dirty chunks are skipped
-// like pinned ones — the budget yields rather than lose data — and
-// skipped chunks keep their recency position. Caller holds mu.
+// chunk resident), returning the number evicted. The tier holds every
+// resident chunk, so a drop does no I/O. Pinned chunks are skipped and
+// keep their recency position. Caller holds mu.
 func (s *Store) evictLocked() int {
 	p := s.pool
 	if p == nil {
@@ -417,7 +352,7 @@ func (s *Store) evictLocked() int {
 	n := p.head
 	for p.residentBytes > p.budget && len(p.nodes) > 1 && n != nil {
 		next := n.next
-		if p.pins[n.id] > 0 || p.dirty[n.id] {
+		if p.pins[n.id] > 0 {
 			n = next
 			continue
 		}
@@ -437,30 +372,4 @@ func (s *Store) evictLocked() int {
 		n = next
 	}
 	return evicted
-}
-
-// noteMutation updates pool accounting after a resident chunk changed
-// size, or after a chunk was created or deleted.
-func (s *Store) noteMutation(id int, delta int) {
-	if s.pool == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.pool
-	p.residentBytes += delta
-	if _, resident := s.chunks[id]; resident {
-		p.touch(id)
-		// The resident copy now supersedes whatever the tier holds.
-		p.dirty[id] = true
-		delete(p.deleted, id)
-	} else {
-		// Deleted: drop the recency slot, and hide the tier's copy.
-		p.drop(id)
-		delete(p.dirty, id)
-		if p.tier.Contains(id) {
-			p.deleted[id] = true
-		}
-	}
-	s.evictLocked()
 }

@@ -474,10 +474,10 @@ func TestRunRecordCorruptRejected(t *testing.T) {
 func TestEncodeRunsAllPoolAccounting(t *testing.T) {
 	g := MustGeometry([]int{64}, []int{16}) // 4 chunks of 16
 	s := NewStore(g)
-	pageOut(t, s, 1<<20)
 	for i := 0; i < 64; i++ {
 		s.Set([]int{i}, 9.75) // one value → one run per chunk
 	}
+	pageOut(t, s, 1<<20)
 	before := s.SpillStats().ResidentBytes
 	if before != s.MemBytes() {
 		t.Fatalf("accounting %d != MemBytes %d before encode", before, s.MemBytes())

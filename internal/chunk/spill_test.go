@@ -44,9 +44,9 @@ func TestSpillNonNullAndClone(t *testing.T) {
 		s.Set([]int{i}, float64(i))
 		want[i] = float64(i)
 	}
-	pageOut(t, s, 70)
 	delete(want, 0)
 	s.Set([]int{0}, math.NaN())
+	pageOut(t, s, 70)
 	got := map[int]float64{}
 	s.NonNull(func(addr []int, v float64) bool {
 		got[addr[0]] = v
@@ -60,57 +60,51 @@ func TestSpillNonNullAndClone(t *testing.T) {
 			t.Fatalf("cell %d = %v, want %v", k, got[k], v)
 		}
 	}
-	cl := s.Clone()
+	// The clone of a paged store is resident, equal and writable, and
+	// its writes never reach the paged store.
+	cl := s.Clone().(*Store)
+	if cl.Pooled() || cl.NumChunks() != s.NumChunks() || cl.Len() != len(want) {
+		t.Fatalf("clone: pooled=%v NumChunks=%d/%d Len=%d/%d", cl.Pooled(), cl.NumChunks(), s.NumChunks(), cl.Len(), len(want))
+	}
 	for k, v := range want {
 		if cl.Get([]int{k}) != v {
 			t.Fatalf("clone cell %d differs", k)
 		}
 	}
-}
-
-func TestSpillRewriteSupersedesSpilledCopy(t *testing.T) {
-	s := pagedStore(t, 70)
-	// Overwrite a value in a chunk the tier holds, then verify the new
-	// value survives further evictions.
-	s.Set([]int{0}, 42)
-	for i := 0; i < 64; i++ {
-		s.Get([]int{i}) // churn the LRU
+	cl.Set([]int{3}, -1)
+	cl.Set([]int{6}, math.NaN())
+	if cl.Get([]int{3}) != -1 || !math.IsNaN(cl.Get([]int{6})) {
+		t.Fatal("clone writes did not read back")
 	}
-	if got := s.Get([]int{0}); got != 42 {
-		t.Fatalf("rewritten cell = %v, want 42", got)
-	}
-	// Deleting the last cell of a tier-held chunk removes it everywhere.
-	s.Set([]int{4}, math.NaN())
-	s.Set([]int{5}, math.NaN())
-	s.Set([]int{6}, math.NaN())
-	s.Set([]int{7}, math.NaN())
-	for _, id := range s.ChunkIDs() {
-		if id == 1 {
-			t.Fatal("chunk 1 should be gone after deleting its cells")
-		}
-	}
-	if s.Len() != 60 || s.NumChunks() != 15 || !math.IsNaN(s.Get([]int{5})) {
-		t.Fatalf("after deleting chunk 1: Len=%d NumChunks=%d Get(5)=%v", s.Len(), s.NumChunks(), s.Get([]int{5}))
+	if s.Get([]int{3}) != 3 || s.Get([]int{6}) != 6 {
+		t.Fatal("clone writes reached the paged store")
 	}
 }
 
-func TestCloseSpill(t *testing.T) {
+// A paged store is read-only: Set and PutChunk panic with one message,
+// whether the chunk is resident, spilled or absent.
+func TestPagedStoreIsReadOnly(t *testing.T) {
 	s := pagedStore(t, 70)
-	if err := s.CloseSpill(); err != nil {
-		t.Fatal(err)
+	writes := map[string]func(){
+		"Set resident":   func() { s.Set([]int{63}, 1) },
+		"Set spilled":    func() { s.Set([]int{0}, 1) },
+		"Set NaN":        func() { s.Set([]int{0}, math.NaN()) },
+		"PutChunk":       func() { s.PutChunk(2, NewDense(4)) },
+		"PutChunk(nil)":  func() { s.PutChunk(2, nil) },
+		"PutChunk range": func() { s.PutChunk(99, nil) },
 	}
-	st := s.SpillStats()
-	if st.Spilled != 0 || st.Resident != 16 {
-		t.Fatalf("after CloseSpill: resident=%d spilled=%d", st.Resident, st.Spilled)
+	for name, write := range writes {
+		func() {
+			defer func() {
+				if r := recover(); r != "chunk: a paged store is read-only" {
+					t.Errorf("%s: recovered %v, want the read-only panic", name, r)
+				}
+			}()
+			write()
+		}()
 	}
-	for i := 0; i < 64; i++ {
-		if s.Get([]int{i}) != float64(i+1) {
-			t.Fatal("data lost at CloseSpill")
-		}
-	}
-	// Idempotent on a store without a tier.
-	if err := s.CloseSpill(); err != nil {
-		t.Fatal(err)
+	if s.Len() != 64 || s.NumChunks() != 16 || s.Get([]int{0}) != 1 || s.Get([]int{63}) != 64 {
+		t.Fatalf("a refused write changed the store: Len=%d NumChunks=%d", s.Len(), s.NumChunks())
 	}
 }
 
@@ -125,6 +119,20 @@ func TestSpillErrors(t *testing.T) {
 	if err := s.AttachTier(newRecordTier(s), 100); err == nil {
 		t.Fatal("a second tier should fail")
 	}
+
+	// A resident chunk the tier lacks would vanish from the chunk set:
+	// attaching refuses it and leaves the store writable.
+	s = NewStore(MustGeometry([]int{8}, []int{4}))
+	s.Set([]int{1}, 1)
+	tier := newRecordTier(s)
+	s.Set([]int{6}, 2)
+	if err := s.AttachTier(tier, 100); err == nil {
+		t.Fatal("a resident chunk the tier lacks should fail")
+	}
+	if s.Pooled() {
+		t.Fatal("a refused attach left a tier behind")
+	}
+	s.Set([]int{7}, 3)
 }
 
 func TestEncodeDecodeChunkRoundTrip(t *testing.T) {
@@ -151,33 +159,51 @@ func TestEncodeDecodeChunkRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: a paged store behaves exactly like a resident one under a
-// random workload, for random tiny budgets — writes before paging out
-// come back from the tier, writes and deletes after it stay resident
-// over the tier's stale copies.
+// Property: a paged store reads exactly like a resident one, for random
+// tiny budgets, under churn from reads, pins and representation sweeps
+// after paging out — every write happens before it.
 func TestQuickSpilledMatchesResident(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := MustGeometry([]int{40}, []int{1 + r.Intn(5)})
 		plain := NewStore(g)
 		spilled := NewStore(g)
-		edit := func(stores ...*Store) {
-			for i := 0; i < 150; i++ {
-				a := []int{r.Intn(40)}
-				v := math.NaN()
-				if r.Intn(4) != 0 {
-					v = float64(1 + r.Intn(50))
+		for i := 0; i < 300; i++ {
+			a := []int{r.Intn(40)}
+			v := math.NaN()
+			if r.Intn(4) != 0 {
+				v = float64(1 + r.Intn(50))
+			}
+			plain.Set(a, v)
+			spilled.Set(a, v)
+		}
+		pageOut(t, spilled, 24+r.Intn(100))
+		sweeps := []func() int{spilled.CompressAll, spilled.ForceSparseAll, spilled.EncodeRunsAll, spilled.ForceRunEncodeAll}
+		var pinned []int
+		for i := 0; i < 150; i++ {
+			switch r.Intn(8) {
+			case 0:
+				id := r.Intn(g.NumChunks())
+				spilled.Pin(id)
+				pinned = append(pinned, id)
+			case 1:
+				if len(pinned) > 0 {
+					spilled.Unpin(pinned[len(pinned)-1])
+					pinned = pinned[:len(pinned)-1]
 				}
-				for _, s := range stores {
-					s.Set(a, v)
-				}
-				spilled.Get([]int{r.Intn(40)}) // churn the pool
+			case 2:
+				sweeps[r.Intn(len(sweeps))]()
+			default:
+				spilled.Get([]int{r.Intn(40)})
 			}
 		}
-		edit(plain, spilled)
-		pageOut(t, spilled, 24+r.Intn(100))
-		edit(plain, spilled)
+		for _, id := range pinned {
+			spilled.Unpin(id)
+		}
 		if plain.Len() != spilled.Len() || plain.NumChunks() != spilled.NumChunks() {
+			return false
+		}
+		if st := spilled.SpillStats(); st.Pinned != 0 || st.Resident+st.Spilled != plain.NumChunks() {
 			return false
 		}
 		for i := 0; i < 40; i++ {
@@ -193,22 +219,16 @@ func TestQuickSpilledMatchesResident(t *testing.T) {
 	}
 }
 
-// freshChunkIDs is ChunkIDs as it was before the cache: the resident
-// map and the tier's index, deduplicated and sorted from scratch.
+// freshChunkIDs is ChunkIDs as it was before the cache: the tier's
+// index on a paged store, the resident map otherwise, sorted from
+// scratch.
 func freshChunkIDs(s *Store) []int {
-	if s.pool != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	var ids []int
-	for id := range s.chunks {
-		ids = append(ids, id)
-	}
 	if p := s.pool; p != nil {
-		for _, id := range p.tier.IDs() {
-			if _, resident := s.chunks[id]; !resident && !p.deleted[id] {
-				ids = append(ids, id)
-			}
+		ids = p.tier.IDs()
+	} else {
+		for id := range s.chunks {
+			ids = append(ids, id)
 		}
 	}
 	sort.Ints(ids)
@@ -218,9 +238,10 @@ func freshChunkIDs(s *Store) []int {
 // TestChunkIDsCacheTracksMutations walks a store through everything
 // that creates, deletes or pages a chunk — a Set into a new chunk, a NaN
 // Set that empties one, PutChunk in both directions, attaching a tier,
-// eviction, fault-in, the run-encoding sweep, a clone — and after each
-// step the cached ChunkIDs must equal a fresh sort. The returned slice
-// is the caller's: scribbling on it must not reach the cache.
+// eviction, fault-in, the run-encoding sweep, a clone and a write to it
+// — and after each step the cached ChunkIDs must equal a fresh sort.
+// The returned slice is the caller's: scribbling on it must not reach
+// the cache.
 func TestChunkIDsCacheTracksMutations(t *testing.T) {
 	g := MustGeometry([]int{64}, []int{4}) // 16 chunks of 4 cells
 	s := NewStore(g)
@@ -260,10 +281,6 @@ func TestChunkIDsCacheTracksMutations(t *testing.T) {
 	if st := s.SpillStats(); st.Spilled == 0 {
 		t.Fatal("nothing spilled; the paging steps are vacuous")
 	}
-	for i := 0; i < 64; i += 5 {
-		s.Set([]int{i}, float64(i))
-		check("Set under a spill budget")
-	}
 	faults := s.SpillStats().Faults
 	for i := 0; i < 64; i++ {
 		s.Get([]int{i})
@@ -272,10 +289,6 @@ func TestChunkIDsCacheTracksMutations(t *testing.T) {
 		t.Fatal("nothing faulted in; the paging steps are vacuous")
 	}
 	check("fault-in and eviction")
-	for _, i := range []int{16, 17, 18} {
-		s.Set([]int{i}, math.NaN())
-	}
-	check("NaN Sets that empty a tier-held chunk")
 	s.EncodeRunsAll()
 	check("EncodeRunsAll")
 

@@ -23,9 +23,11 @@ import (
 // atomically (SetReadHook is safe against concurrent readers), and
 // segment fault-ins go through the buffer pool, which overlaps distinct
 // chunks' I/O and deduplicates same-chunk faults. Mutation (Set,
-// PutChunk, CompressAll, AttachTier) must not race with readers; the
-// serving layer guarantees this by publishing cubes copy-on-write, and
-// its concurrent queries lean on the concurrent-reader guarantee.
+// PutChunk, the representation sweeps, AttachTier) must not race with
+// readers. A store with a tier is read-only — Set and PutChunk panic —
+// so a published cube changes only by publishing a new version, and
+// the serving layer's concurrent queries lean on the concurrent-reader
+// guarantee.
 type Store struct {
 	geom   *Geometry
 	chunks map[int]*Chunk // resident chunks by canonical ID
@@ -42,13 +44,13 @@ type Store struct {
 	// deliberately separate from mu: a slow hook must not block other
 	// queries' pool fault-ins.
 	hookMu sync.Mutex
-	// pool, when non-nil, drops least-recently-used clean chunks and
-	// faults them back from a backing Tier (an immutable segment file)
-	// so the resident set fits a memory budget.
+	// pool, when non-nil, drops least-recently-used chunks and faults
+	// them back from a backing Tier (an immutable segment file) so the
+	// resident set fits a memory budget. It makes the store read-only.
 	pool *bufferPool
 	// mu guards the resident chunk map and the buffer-pool bookkeeping
-	// (recency list, dirty/deleted sets, pins) whenever a tier is
-	// attached. Fault-in I/O runs outside it — see poolGet.
+	// (recency list, pins, byte total) whenever a tier is attached.
+	// Fault-in I/O runs outside it — see poolGet.
 	mu sync.Mutex
 	// ids caches what ChunkIDs computes, nil when stale: every plan asks
 	// for the sorted IDs, and they change only where a chunk ID is
@@ -96,12 +98,13 @@ func (s *Store) Get(addr []int) float64 {
 	return c.Get(off)
 }
 
-// Set implements cube.Store.
+// Set implements cube.Store. It panics on a paged store.
 func (s *Store) Set(addr []int, v float64) {
+	s.mustBeWritable()
 	ccoord := make([]int, s.geom.NumDims())
 	off := s.geom.Split(addr, ccoord)
 	id := s.geom.CanonicalID(ccoord)
-	c := s.chunkAt(id)
+	c := s.chunks[id]
 	if c == nil {
 		if math.IsNaN(v) {
 			return
@@ -110,15 +113,19 @@ func (s *Store) Set(addr []int, v float64) {
 		s.chunks[id] = c
 		s.ids.Store(nil)
 	}
-	before := c.MemBytes()
 	c.Set(off, v)
 	if c.Len() == 0 {
 		delete(s.chunks, id)
 		s.ids.Store(nil)
-		s.noteMutation(id, -before)
-		return
 	}
-	s.noteMutation(id, c.MemBytes()-before)
+}
+
+// mustBeWritable panics on a store with a tier: its chunks are the
+// tier's, and the tier never changes.
+func (s *Store) mustBeWritable() {
+	if s.pool != nil {
+		panic("chunk: a paged store is read-only")
+	}
 }
 
 // NonNull implements cube.Store. Chunks are visited in canonical ID
@@ -149,69 +156,31 @@ func (s *Store) NonNull(fn func(addr []int, v float64) bool) {
 	}
 }
 
-// Len implements cube.Store. Tier-held chunks contribute without
-// being loaded (the tier sizes them from its index).
+// Len implements cube.Store. A paged store sizes its chunks from the
+// tier's index without loading them.
 func (s *Store) Len() int {
-	if s.pool != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	n := 0
-	for _, c := range s.chunks {
-		n += c.Len()
-	}
 	if p := s.pool; p != nil {
 		for _, id := range p.tier.IDs() {
-			if _, resident := s.chunks[id]; resident || p.deleted[id] {
-				continue
-			}
 			n += p.tier.Cells(id)
 		}
+		return n
+	}
+	for _, c := range s.chunks {
+		n += c.Len()
 	}
 	return n
 }
 
-// Clone implements cube.Store. A pooled store's clone shares the
-// immutable tier (CloneTier) and stays within the same resident budget
-// instead of forcing every chunk into memory; its subsequent mutations
-// stay resident. A tier closed under it falls back to a fully resident
-// clone.
+// Clone implements cube.Store. The clone is resident and writable: a
+// paged store's chunks are faulted through the pool and copied.
 func (s *Store) Clone() cube.Store {
 	out := NewStore(s.geom)
-	if s.pool == nil {
-		for id, c := range s.chunks {
+	for _, id := range s.ChunkIDs() {
+		if c := s.chunkAt(id); c != nil {
 			out.chunks[id] = c.Clone()
 		}
-		return out
 	}
-	s.mu.Lock()
-	//lint:pairok a nil clone has nothing to close, and a non-nil one hands its ownership to newBufferPool below
-	nt, _ := s.pool.tier.CloneTier()
-	if nt == nil {
-		s.mu.Unlock()
-		// Fallback: materialize everything through the pool.
-		for _, id := range s.ChunkIDs() {
-			if c := s.chunkAt(id); c != nil {
-				out.chunks[id] = c.Clone()
-			}
-		}
-		return out
-	}
-	p := newBufferPool(nt, s.pool.budget)
-	for id, c := range s.chunks {
-		out.chunks[id] = c.Clone()
-	}
-	// Dirty/deleted survive verbatim: the cloned view may hold a stale
-	// copy of a chunk the parent mutated in place, and must not serve
-	// it after an eviction or count a deleted chunk.
-	for id := range s.pool.dirty {
-		p.dirty[id] = true
-	}
-	for id := range s.pool.deleted {
-		p.deleted[id] = true
-	}
-	s.mu.Unlock()
-	out.attachPoolClone(p)
 	return out
 }
 
@@ -247,26 +216,19 @@ func (c *Chain) Flatten(geom *Geometry) *Store {
 }
 
 // ChunkIDs returns the canonical IDs of the materialized chunks —
-// resident and tier-held — sorted without duplicates. The slice is the
-// caller's own; the sort behind it is cached until an ID comes or goes,
-// so a plan over an unchanged store pays one copy and no lock.
+// a paged store's are its tier's — sorted. The slice is the caller's
+// own; the sort behind it is cached until an ID comes or goes, so a
+// plan over an unchanged store pays one copy and no lock.
 func (s *Store) ChunkIDs() []int {
 	if ids := s.ids.Load(); ids != nil {
 		return slices.Clone(*ids)
 	}
-	if s.pool != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	ids := make([]int, 0, len(s.chunks))
-	for id := range s.chunks {
-		ids = append(ids, id)
-	}
+	var ids []int
 	if p := s.pool; p != nil {
-		for _, id := range p.tier.IDs() {
-			if _, resident := s.chunks[id]; resident || p.deleted[id] {
-				continue
-			}
+		ids = p.tier.IDs()
+	} else {
+		ids = make([]int, 0, len(s.chunks))
+		for id := range s.chunks {
 			ids = append(ids, id)
 		}
 	}
@@ -278,20 +240,10 @@ func (s *Store) ChunkIDs() []int {
 // NumChunks returns the number of materialized chunks, resident or
 // tier-held.
 func (s *Store) NumChunks() int {
-	if s.pool != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	n := len(s.chunks)
 	if p := s.pool; p != nil {
-		for _, id := range p.tier.IDs() {
-			if _, resident := s.chunks[id]; resident || p.deleted[id] {
-				continue
-			}
-			n++
-		}
+		return len(p.tier.IDs())
 	}
-	return n
+	return len(s.chunks)
 }
 
 // ReadInfo attributes one chunk read to the query that issued it: on a
@@ -355,30 +307,21 @@ func (s *Store) PeekChunk(id int) *Chunk { return s.chunkAt(id) }
 // PutChunk installs a chunk at the given canonical ID, replacing any
 // existing chunk. A nil or empty chunk deletes the slot. The chunk's
 // capacity must match the geometry's chunk capacity; a mismatch would
-// corrupt offset decoding.
+// corrupt offset decoding. It panics on a paged store.
 func (s *Store) PutChunk(id int, c *Chunk) {
+	s.mustBeWritable()
 	if id < 0 || id >= s.geom.NumChunks() {
 		panic(fmt.Sprintf("chunk: PutChunk id %d out of range [0,%d)", id, s.geom.NumChunks()))
 	}
 	s.ids.Store(nil)
 	if c == nil || c.Len() == 0 {
-		before := 0
-		if cur, ok := s.chunks[id]; ok {
-			before = cur.MemBytes()
-		}
 		delete(s.chunks, id)
-		s.noteMutation(id, -before)
 		return
 	}
 	if c.Cap() != s.geom.ChunkCap() {
 		panic(fmt.Sprintf("chunk: PutChunk capacity %d does not match geometry chunk capacity %d", c.Cap(), s.geom.ChunkCap()))
 	}
-	before := 0
-	if cur, ok := s.chunks[id]; ok {
-		before = cur.MemBytes()
-	}
 	s.chunks[id] = c
-	s.noteMutation(id, c.MemBytes()-before)
 }
 
 // MemBytes estimates the store's resident size.
@@ -390,37 +333,28 @@ func (s *Store) MemBytes() int {
 	return n
 }
 
-// residentIDs snapshots the resident chunk IDs (under mu when pooled)
-// so a representation sweep can mutate accounting — which may evict —
-// without iterating the map it is shrinking.
-func (s *Store) residentIDs() []int {
+// convertAll applies a representation conversion to every resident
+// chunk. On a paged store a converted chunk holds the same cells as its
+// tier copy, so it stays clean and evictable: the sweep adds its byte
+// delta to the pool's total — without this, the pool would keep
+// charging a compressed chunk at its old size, defeating the
+// byte-budgeted LRU — and evicts down to the budget.
+func (s *Store) convertAll(convert func(c *Chunk) bool) int {
 	if s.pool != nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	ids := make([]int, 0, len(s.chunks))
-	for id := range s.chunks {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
-// convertAll applies a representation conversion to every resident
-// chunk, flowing the byte delta of each conversion through the pool's
-// accounting — without this, a pooled store would keep charging a
-// compressed chunk at its old size, defeating the byte-budgeted LRU.
-func (s *Store) convertAll(convert func(c *Chunk) bool) int {
-	n := 0
-	for _, id := range s.residentIDs() {
-		c := s.chunks[id]
-		if c == nil {
-			continue // evicted by an earlier conversion's accounting
-		}
+	n, delta := 0, 0
+	for _, c := range s.chunks {
 		before := c.MemBytes()
 		if convert(c) {
 			n++
-			s.noteMutation(id, c.MemBytes()-before)
+			delta += c.MemBytes() - before
 		}
+	}
+	if p := s.pool; p != nil {
+		p.residentBytes += delta
+		s.evictLocked()
 	}
 	return n
 }

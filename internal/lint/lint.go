@@ -32,10 +32,10 @@
 //	              forbidden in files marked //lint:monotonic.
 //	releasepair   paired operations balance on every control-flow
 //	              path including early returns and panics:
-//	              Lock/Unlock, buffer-pool Pin/Unpin, segment
-//	              CloneTier/Close, trace span Start/End, scenario
-//	              layer NewLayer/Seal. Must-held leaks at explicit
-//	              returns carry a suggested fix (make lint-fix).
+//	              Lock/Unlock, buffer-pool Pin/Unpin, trace span
+//	              Start/End, scenario layer NewLayer/Seal. Must-held
+//	              leaks at explicit returns carry a suggested fix
+//	              (make lint-fix).
 //
 // releasepair walks ssax, the suite's SSA-lite foundation
 // (internal/lint/ssax): blocks, instructions and exit classification

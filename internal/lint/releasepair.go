@@ -23,11 +23,11 @@ import (
 //     clears the obligation.
 //   - result pairs: the acquire returns the resource and the release
 //     is a method on the result (sp := tr.Start(...) / sp.End(),
-//     CloneTier/Close, NewLayer/Seal). Ownership transfer ends the
-//     obligation: returning the resource, passing it as an argument,
-//     storing it anywhere, or sending it on a channel all count as
-//     handing the release duty to someone else. Plain method calls on
-//     the resource (sp.Int(...)) do not.
+//     NewLayer/Seal). Ownership transfer ends the obligation:
+//     returning the resource, passing it as an argument, storing it
+//     anywhere, or sending it on a channel all count as handing the
+//     release duty to someone else. Plain method calls on the resource
+//     (sp.Int(...)) do not.
 //
 // The analysis is a forward may-held dataflow over the CFG: a resource
 // held at a return or panic exit is reported at that exit. When the
@@ -37,7 +37,7 @@ import (
 // on the acquire (or the exit) is the reviewed escape hatch.
 var ReleasePair = &analysis.Analyzer{
 	Name:     "releasepair",
-	Doc:      "paired operations (Lock/Unlock, Pin/Unpin, CloneTier/Close, span Start/End, NewLayer/Seal) must balance on every path, including early returns and panics",
+	Doc:      "paired operations (Lock/Unlock, Pin/Unpin, span Start/End, NewLayer/Seal) must balance on every path, including early returns and panics",
 	Run:      runReleasePair,
 	Requires: []*analysis.Analyzer{ssax.Analyzer},
 }
@@ -56,8 +56,6 @@ var (
 		"sync.RWMutex.RLock:RUnlock",
 		ModulePath + "/internal/chunk.Store.Pin:Unpin@1",
 		ModulePath + "/internal/trace.Trace.Start:End",
-		ModulePath + "/internal/segment.File.CloneTier:Close",
-		ModulePath + "/internal/chunk.Tier.CloneTier:Close",
 		ModulePath + "/internal/chunk.NewLayer:Seal",
 	}, ",")
 )

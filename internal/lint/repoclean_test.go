@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -10,11 +13,14 @@ import (
 	"testing"
 )
 
-// TestLintConfigNamesRealFiles: the analyzers gate files and packages by
-// name, so a rename would silently drop one from its gate. Every
-// hot-path and monotonic file suffix must name a non-test Go file of the
-// repository, and every package lockguard and releasepair check or
-// treat as blocking must exist.
+// TestLintConfigNamesRealFiles: the analyzers gate files, packages and
+// pairs by name, so a rename would silently drop one from its gate.
+// Every hot-path and monotonic file suffix must name a non-test Go file
+// of the repository, every package lockguard and releasepair check or
+// treat as blocking must exist, and every module-local releasepair pair
+// must name a real acquire — a method of its type (interface methods
+// included) or a package function — and a real release on the same
+// type, or on the acquire's result type for a result pair.
 func TestLintConfigNamesRealFiles(t *testing.T) {
 	root := filepath.Join("..", "..")
 	for _, list := range []string{hotpathFiles, monotonicFiles} {
@@ -36,6 +42,101 @@ func TestLintConfigNamesRealFiles(t *testing.T) {
 			if gos, _ := filepath.Glob(filepath.Join(root, rel, "*.go")); len(gos) == 0 {
 				t.Errorf("package %q has no Go files", pkg)
 			}
+		}
+	}
+	for _, sp := range parsePairSpecs(releasepairPairs) {
+		rel, ok := strings.CutPrefix(sp.pkg, ModulePath+"/")
+		if !ok {
+			continue // a standard-library pair (sync)
+		}
+		decls := declaredFuncs(t, filepath.Join(root, rel))
+		acq := sp.acq
+		if sp.typ != "" {
+			acq = sp.typ + "." + sp.acq
+		}
+		res, ok := decls[acq]
+		if !ok {
+			t.Errorf("releasepair pair %s.%s:%s: %s declares no %s", sp.pkg, acq, sp.rel, rel, acq)
+			continue
+		}
+		owner := sp.typ // keyed: the release is on the same receiver
+		if res != "" {
+			owner = res // result pair: the release is on the resource
+		}
+		if _, ok := decls[owner+"."+sp.rel]; !ok {
+			t.Errorf("releasepair pair %s.%s:%s: %s declares no %s.%s", sp.pkg, acq, sp.rel, rel, owner, sp.rel)
+		}
+	}
+}
+
+// declaredFuncs maps every function ("F") and method ("T.M", interface
+// methods included) a package's non-test files declare to the type
+// name of its first result, "" when that is not a local named type.
+func declaredFuncs(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	fset := token.NewFileSet()
+	out := map[string]string{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				if d.Recv != nil {
+					name = localTypeName(d.Recv.List[0].Type) + "." + name
+				}
+				out[name] = firstResultType(d.Type)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					if it, ok := ts.Type.(*ast.InterfaceType); ok {
+						for _, m := range it.Methods.List {
+							ft, _ := m.Type.(*ast.FuncType)
+							for _, n := range m.Names {
+								out[ts.Name.Name+"."+n.Name] = firstResultType(ft)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// firstResultType is the local type name of a signature's first result.
+func firstResultType(ft *ast.FuncType) string {
+	if ft == nil || ft.Results == nil || len(ft.Results.List) == 0 {
+		return ""
+	}
+	return localTypeName(ft.Results.List[0].Type)
+}
+
+// localTypeName strips pointers and type arguments from a type
+// expression and returns its name, "" when it names no local type.
+func localTypeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
 		}
 	}
 }

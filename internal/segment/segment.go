@@ -189,8 +189,8 @@ func Create(path string, chunkCap int, meta []byte, ids []int, read func(id int)
 
 // PageOut writes s's chunks to a new segment file at path and attaches
 // it as s's tier under a resident budget of budgetBytes: chunks beyond
-// the budget leave memory and fault back from the file on access.
-// Writes made afterwards stay resident — the file never changes.
+// the budget leave memory and fault back from the file on access. The
+// file never changes, so s is read-only afterwards; Clone it to write.
 func PageOut(s *chunk.Store, path string, budgetBytes int) error {
 	if err := Create(path, s.Geometry().ChunkCap(), nil, s.ChunkIDs(), s.PeekChunk); err != nil {
 		return err
@@ -242,7 +242,6 @@ type File struct {
 	data []byte // non-nil when mmap'd
 
 	mu     sync.Mutex
-	refs   int
 	closed bool
 }
 
@@ -341,7 +340,6 @@ func (o OpenOptions) open(path string) (*File, error) {
 		chunkCap: h.chunkCap,
 		slots:    slots,
 		f:        f,
-		refs:     1,
 	}
 	if o.Mmap {
 		if data, err := syscall.Mmap(int(f.Fd()), 0, int(st.Size()), syscall.PROT_READ, syscall.MAP_SHARED); err == nil {
@@ -440,27 +438,12 @@ func (sf *File) Cells(id int) int {
 	return 0
 }
 
-// CloneTier implements chunk.Tier. A segment is immutable, so
-// the clone is the segment itself with another reference: Store.Clone
-// on a segment-backed cube shares the file, and the last Close
-// releases it.
-func (sf *File) CloneTier() (chunk.Tier, bool) {
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
-	if sf.closed {
-		return nil, false
-	}
-	sf.refs++
-	return sf, true
-}
-
-// Close implements chunk.Tier, dropping one reference; the file (and
-// any mapping) is released when the last reference closes.
+// Close releases the file and any mapping. A second call is a no-op.
+// Reads after Close fail.
 func (sf *File) Close() error {
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-	sf.refs--
-	if sf.refs > 0 || sf.closed {
+	if sf.closed {
 		return nil
 	}
 	return sf.closeLocked()

@@ -73,8 +73,16 @@ func TestSegmentRoundTrip(t *testing.T) {
 			}
 		}
 		mustFault(t, dst)
-		if err := dst.CloseSpill(); err != nil {
+		// Close releases the file once: a second call is a no-op, and
+		// the file is really closed — a fresh read errors.
+		if err := sf.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if err := sf.Close(); err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+		if _, _, err := sf.ReadChunkAt(sf.IDs()[0]); err == nil {
+			t.Fatal("read after Close should fail")
 		}
 	}
 }
@@ -161,43 +169,6 @@ func TestSegmentCreateAtomicity(t *testing.T) {
 	err := Create(filepath.Join(dir, "nope", "x.seg"), 4, nil, nil, func(int) *chunk.Chunk { return nil })
 	if err == nil {
 		t.Fatal("create in missing dir should fail")
-	}
-}
-
-func TestSegmentCloneTierRefcount(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "c-v000001.seg")
-	src := writeTestSegment(t, path, nil)
-
-	sf, err := Open(path, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := chunk.NewStore(src.Geometry())
-	if err := a.AttachTier(sf, 100); err != nil {
-		t.Fatal(err)
-	}
-	b := a.Clone().(*chunk.Store)
-	if !b.Pooled() {
-		t.Fatal("clone of segment-backed store should stay pooled")
-	}
-	// Closing the original keeps the clone readable (shared refcount).
-	if err := a.CloseSpill(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		want := src.Get([]int{i})
-		got := b.Get([]int{i})
-		if math.IsNaN(want) != math.IsNaN(got) || (!math.IsNaN(want) && want != got) {
-			t.Fatalf("cell %d after original closed: %v vs %v", i, got, want)
-		}
-	}
-	if err := b.CloseSpill(); err != nil {
-		t.Fatal(err)
-	}
-	// The file is really closed now: a fresh read errors.
-	if _, _, err := sf.ReadChunkAt(0); err == nil {
-		t.Fatal("read after final close should fail")
 	}
 }
 
@@ -633,7 +604,7 @@ func TestSegmentConcurrentFaultIns(t *testing.T) {
 		if st := dst.SpillStats(); st.Faults < 6 || st.Evictions == 0 {
 			t.Fatalf("mmap=%v: %d faults, %d evictions — the pool never churned", mmap, st.Faults, st.Evictions)
 		}
-		if err := dst.CloseSpill(); err != nil {
+		if err := sf.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,12 +12,12 @@ import (
 )
 
 // Catalog is the serving layer's cube registry: named, versioned,
-// reference-counted cubes. Published cube values are immutable — admin
-// updates go through Update, which clones the current version, mutates
-// the private clone, and publishes it under the next version number
-// (copy-on-write). In-flight queries keep the snapshot they acquired,
-// so they see a consistent cube for their whole execution while new
-// queries pick up the new version.
+// reference-counted cubes. Published cube values are immutable — the
+// one way a served cube changes is Publish, which a scenario commit
+// drives with the scenario's materialized cube as the next version.
+// In-flight queries keep the snapshot they acquired, so they see a
+// consistent cube for their whole execution while new queries pick up
+// the new version.
 type Catalog struct {
 	mu      sync.RWMutex
 	entries map[string]*catalogEntry
@@ -30,9 +30,9 @@ type Catalog struct {
 // catalogEntry tracks one named cube across versions.
 type catalogEntry struct {
 	name string
-	// updateMu serializes Update calls per cube so two admins cannot
-	// clone the same base version concurrently.
-	updateMu sync.Mutex
+	// publishMu serializes Publish calls per cube, so two commits
+	// cannot both check and bump the same base version.
+	publishMu sync.Mutex
 	// cur is the published version; swapped under Catalog.mu.
 	cur *cubeVersion
 	// active counts in-flight snapshots across all versions.
@@ -85,7 +85,7 @@ func (c *Catalog) enqueuePersist(name string, version int64, cb *cube.Cube) {
 }
 
 // Register publishes a cube under a name at version 1. The caller must
-// not mutate the cube afterwards; use Update for subsequent changes.
+// not mutate the cube afterwards; later versions go through Publish.
 func (c *Catalog) Register(name string, cb *cube.Cube) error {
 	if name == "" {
 		return fmt.Errorf("server: empty cube name")
@@ -159,52 +159,19 @@ func (c *Catalog) Acquire(name string) (*Snapshot, error) {
 	return &Snapshot{Name: name, Version: cur.version, Cube: cur.cube, entry: e}, nil
 }
 
-// Update applies a copy-on-write mutation to the named cube: mutate
-// receives a deep clone of the current version and returns the cube to
-// publish (return its argument after in-place edits, or a derived cube
-// such as an ApplyChanges result). On success the version is bumped and
-// the new version number returned. In-flight snapshots are unaffected.
-func (c *Catalog) Update(name string, mutate func(*cube.Cube) (*cube.Cube, error)) (int64, error) {
-	c.mu.RLock()
-	e, ok := c.entries[name]
-	c.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("server: unknown cube %q", name)
-	}
-	e.updateMu.Lock()
-	defer e.updateMu.Unlock()
-
-	c.mu.RLock()
-	base := e.cur
-	c.mu.RUnlock()
-
-	next, err := mutate(base.cube.Clone())
-	if err != nil {
-		return 0, err
-	}
-	if next == nil {
-		return 0, fmt.Errorf("server: update of %q returned no cube", name)
-	}
-	nv := &cubeVersion{version: base.version + 1, cube: next}
-	c.mu.Lock()
-	e.cur = nv
-	c.mu.Unlock()
-	c.enqueuePersist(name, nv.version, next)
-	return nv.version, nil
-}
-
 // ErrVersionConflict reports a Publish whose expected base version no
 // longer matches the published one — the cube moved underneath the
 // scenario since it was created.
 var ErrVersionConflict = fmt.Errorf("server: cube version conflict")
 
 // Publish installs a pre-built cube as the next version of the named
-// entry — the scenario commit path, where the cube to publish is a
-// materialized scenario rather than a mutation of the current version.
+// entry — the scenario commit path, where the cube to publish is the
+// materialized scenario, a new cube that shares no storage with the
+// current version. It is the only way a registered cube changes.
 // When want is non-zero the publish is optimistic: it fails with
 // ErrVersionConflict unless the current version still equals want, so
-// a scenario pinned to a stale base cannot silently overwrite catalog
-// updates that landed after it forked off.
+// a scenario pinned to a stale base cannot silently overwrite versions
+// published after it forked off.
 func (c *Catalog) Publish(name string, want int64, next *cube.Cube) (int64, error) {
 	if next == nil {
 		return 0, fmt.Errorf("server: publish of %q with no cube", name)
@@ -215,8 +182,8 @@ func (c *Catalog) Publish(name string, want int64, next *cube.Cube) (int64, erro
 	if !ok {
 		return 0, fmt.Errorf("server: unknown cube %q", name)
 	}
-	e.updateMu.Lock()
-	defer e.updateMu.Unlock()
+	e.publishMu.Lock()
+	defer e.publishMu.Unlock()
 
 	c.mu.RLock()
 	base := e.cur

@@ -1,10 +1,9 @@
 package server
 
 import (
-	"fmt"
+	"errors"
 	"testing"
 
-	"whatifolap/internal/cube"
 	"whatifolap/internal/paperdata"
 )
 
@@ -51,20 +50,19 @@ func TestCatalogUpdateCopyOnWrite(t *testing.T) {
 	addr := make([]int, old.Cube.NumDims())
 	before := old.Cube.Leaf(addr)
 
-	v, err := c.Update("paper", func(cl *cube.Cube) (*cube.Cube, error) {
-		cl.SetLeaf(addr, before+1000)
-		return cl, nil
-	})
+	next := old.Cube.Clone()
+	next.SetLeaf(addr, before+1000)
+	v, err := c.Publish("paper", 1, next)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != 2 {
-		t.Fatalf("Update version = %d, want 2", v)
+		t.Fatalf("Publish version = %d, want 2", v)
 	}
 	// The in-flight snapshot still reads the old value; a fresh acquire
 	// sees the new version and the new value.
 	if got := old.Cube.Leaf(addr); got != before {
-		t.Fatalf("acquired snapshot changed under update: %v -> %v", before, got)
+		t.Fatalf("acquired snapshot changed under publish: %v -> %v", before, got)
 	}
 	fresh, err := c.Acquire("paper")
 	if err != nil {
@@ -78,12 +76,11 @@ func TestCatalogUpdateCopyOnWrite(t *testing.T) {
 		t.Fatalf("fresh value = %v, want %v", got, before+1000)
 	}
 
-	if _, err := c.Update("paper", func(cl *cube.Cube) (*cube.Cube, error) {
-		return nil, fmt.Errorf("boom")
-	}); err == nil {
-		t.Fatal("failing mutate did not propagate its error")
+	// A publish against the superseded base conflicts and bumps nothing.
+	if _, err := c.Publish("paper", 1, old.Cube.Clone()); !errors.Is(err, ErrVersionConflict) {
+		t.Fatalf("stale publish = %v, want ErrVersionConflict", err)
 	}
 	if got := c.List()[0].Version; got != 2 {
-		t.Fatalf("failed update bumped the version to %d", got)
+		t.Fatalf("failed publish bumped the version to %d", got)
 	}
 }

@@ -204,6 +204,27 @@ func TestPromExpositionRoundTrip(t *testing.T) {
 // TestConcurrentMetricsTraceObservers hammers every metrics update path
 // while snapshots and prom expositions run; run under -race this pins
 // the lock-free design.
+// Stage totals count engine-run queries only: a plain query answered
+// on the algebra path has no plan or scan to add, and leaves stage_ms
+// and its count where they were.
+func TestStageTotalsCountEngineQueriesOnly(t *testing.T) {
+	s := newPaperServer(t, Config{})
+	h := s.Handler()
+	plain := `SELECT {[Time].[Qtr1]} ON COLUMNS, {[PTE].Children} ON ROWS
+FROM W WHERE ([Location].[NY], [Measures].[Salary])`
+	for _, step := range []struct {
+		query string
+		want  int64
+	}{{plain, 0}, {paperQuery, 1}} {
+		if rec := postQuery(t, h, queryRequest{Query: step.query}); rec.Code != http.StatusOK {
+			t.Fatalf("query = %d: %s", rec.Code, rec.Body)
+		}
+		if got := s.Metrics().Snapshot().Stages; got.Count != step.want {
+			t.Fatalf("after %.30q: stage_ms = %+v, want count %d", step.query, got, step.want)
+		}
+	}
+}
+
 func TestConcurrentMetricsTraceObservers(t *testing.T) {
 	m := NewMetrics()
 	tr := trace.New(0)

@@ -23,7 +23,7 @@ import (
 // restarted daemon restores its catalog — versions included — without
 // re-ingesting workload dumps.
 //
-// Write-back is asynchronous: Publish/Update/Register return as soon as
+// Write-back is asynchronous: Publish/Register return as soon as
 // the new version is visible to queries; a background goroutine encodes
 // the segment and commits the manifest. Queries never wait on storage,
 // and a crash before write-back completes simply loses the not-yet-

@@ -2,12 +2,13 @@ package server
 
 import (
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
-	"whatifolap/internal/cube"
+	"whatifolap/internal/chunk"
 	"whatifolap/internal/paperdata"
 	"whatifolap/internal/segment"
 )
@@ -31,10 +32,8 @@ func TestPersisterRoundTrip(t *testing.T) {
 	if err := cat.Register("paper", orig); err != nil {
 		t.Fatal(err)
 	}
-	// An update publishes version 2; both versions become durable.
-	if _, err := cat.Update("paper", func(c *cube.Cube) (*cube.Cube, error) {
-		return c, nil
-	}); err != nil {
+	// A publish makes version 2; both versions become durable.
+	if _, err := cat.Publish("paper", 1, orig.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Flush(); err != nil {
@@ -84,15 +83,94 @@ func TestPersisterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCommitOverRestoredCube is the one write path over a paged base: a
+// scenario over a cube restored from its segment file reads the base
+// through the buffer pool, and its commit publishes a resident v2 that
+// is written back and restores with the edit and every other cell.
+func TestCommitOverRestoredCube(t *testing.T) {
+	dir := t.TempDir()
+	cat, p := persistedCatalog(t, dir)
+	orig := paperdata.ChunkedWarehouse(nil)
+	if err := cat.Register("paper", orig); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	cat2, p2 := persistedCatalog(t, dir)
+	if _, err := p2.Restore(cat2); err != nil {
+		t.Fatal(err)
+	}
+	v1, err := cat2.Acquire("paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v1.Release()
+	base, ok := v1.Cube.Store().(*chunk.Store)
+	if !ok || !base.Pooled() {
+		t.Fatalf("restored store is %T, pooled=%v; want a paged chunk store", v1.Cube.Store(), ok && base.Pooled())
+	}
+	srv := New(cat2, Config{ObsInterval: -1})
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	var sc scenarioInfoJSON
+	decode(t, do(t, h, "POST", "/scenarios", map[string]string{"name": "raise"}), http.StatusCreated, &sc)
+	decode(t, do(t, h, "POST", "/scenarios/"+sc.ID+"/edit", map[string]interface{}{
+		"edits": []map[string]interface{}{
+			{"op": "set", "cell": map[string]string{"Organization": "FTE/Lisa", "Time": "Jan", "Location": "NY", "Measures": "Salary"}, "value": 7777},
+		},
+	}), http.StatusOK, nil)
+	var committed struct {
+		Version int64 `json:"version"`
+	}
+	decode(t, do(t, h, "POST", "/scenarios/"+sc.ID+"/commit", nil), http.StatusOK, &committed)
+	if committed.Version != 2 {
+		t.Fatalf("commit version = %d, want 2", committed.Version)
+	}
+	if err := p2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := base.SpillStats(); st.Faults == 0 || st.Pinned != 0 {
+		t.Fatalf("v1 pool after the commit: %+v, want faults and no pins", st)
+	}
+	if pinned := cat2.PoolStats().Pinned; pinned != 0 {
+		t.Fatalf("%d chunks pinned after the commit", pinned)
+	}
+
+	cat3, p3 := persistedCatalog(t, dir)
+	if _, err := p3.Restore(cat3); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := cat3.Acquire("paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Release()
+	if v2.Version != 2 {
+		t.Fatalf("restored version %d, want 2", v2.Version)
+	}
+	edited := 0
+	orig.Store().NonNull(func(addr []int, v float64) bool {
+		if got := v2.Cube.Leaf(addr); got == 7777 && v != 7777 {
+			edited++
+		} else if got != v {
+			t.Fatalf("cell %v = %v, want %v", addr, got, v)
+		}
+		return true
+	})
+	if edited != 1 || v2.Cube.NumCells() != orig.NumCells() {
+		t.Fatalf("restored v2: %d edited cells, %d cells; want 1 and %d", edited, v2.Cube.NumCells(), orig.NumCells())
+	}
+}
+
 func TestPersisterRestoreFallsBackOnCorruptSegment(t *testing.T) {
 	dir := t.TempDir()
 	cat, p := persistedCatalog(t, dir)
 	if err := cat.Register("paper", paperdata.ChunkedWarehouse(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.Update("paper", func(c *cube.Cube) (*cube.Cube, error) {
-		return c, nil
-	}); err != nil {
+	if _, err := cat.Publish("paper", 1, paperdata.ChunkedWarehouse(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Flush(); err != nil {
@@ -177,10 +255,9 @@ func TestWritebackConcurrentPublishes(t *testing.T) {
 		go func(name string) {
 			defer wg.Done()
 			for v := 0; v < 3; v++ {
-				if _, err := cat.Update(name, func(c *cube.Cube) (*cube.Cube, error) {
-					c.SetLeaf([]int{0, 0, 0, 0}, float64(v))
-					return c, nil
-				}); err != nil {
+				next := paperdata.ChunkedWarehouse(nil)
+				next.SetLeaf([]int{0, 0, 0, 0}, float64(v))
+				if _, err := cat.Publish(name, 0, next); err != nil {
 					t.Error(err)
 					return
 				}

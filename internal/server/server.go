@@ -21,6 +21,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -197,24 +198,6 @@ func (s *Server) Close() {
 	if p := s.catalog.Persister(); p != nil {
 		_ = p.Flush()
 	}
-}
-
-// UpdateCube applies a copy-on-write catalog update and invalidates the
-// result cache for that cube. This is the server-side hook for
-// WITH CHANGES-style admin updates: in-flight queries finish on their
-// acquired snapshot; subsequent queries see the bumped version and miss
-// the cache.
-func (s *Server) UpdateCube(name string, mutate func(c *cube.Cube) (*cube.Cube, error)) (int64, error) {
-	v, err := s.catalog.Update(name, mutate)
-	if err != nil {
-		return 0, err
-	}
-	s.cache.InvalidateCube(name)
-	s.events.Log("cube_update", map[string]string{
-		"cube":    name,
-		"version": fmt.Sprint(v),
-	})
-	return v, nil
 }
 
 // Handler returns the HTTP surface:
@@ -497,8 +480,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, resolve func
 		s.writeQueryError(w, err)
 		return
 	}
-	s.metrics.ObserveStages(stats)
-	s.metrics.ObserveTrace(tr.Spans())
+	// Only the engine records a plan span, and before any fault span,
+	// so a full span buffer cannot drop it: algebra-path queries have
+	// no plan or scan time to add to the stage totals.
+	spans := tr.Spans()
+	if slices.ContainsFunc(spans, func(sp trace.Span) bool { return sp.Name == "plan" }) {
+		s.metrics.ObserveStages(stats)
+	}
+	s.metrics.ObserveTrace(spans)
 	s.metrics.ObserveCells(int64(stats.CellsScanned), gridCells(grid))
 	qs := queryStats{
 		MembersInScope: stats.MembersInScope,

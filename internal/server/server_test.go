@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"whatifolap/internal/chunk"
-	"whatifolap/internal/cube"
 	"whatifolap/internal/paperdata"
 	"whatifolap/internal/segment"
 )
@@ -154,26 +153,31 @@ func TestServerUpdateBumpsVersionAndMissesCache(t *testing.T) {
 	if rec := postQuery(t, h, queryRequest{Query: paperQuery}); rec.Code != http.StatusOK {
 		t.Fatalf("warm-up query = %d: %s", rec.Code, rec.Body)
 	}
-	v, err := s.UpdateCube("paper", func(c *cube.Cube) (*cube.Cube, error) {
-		c.SetLeaf(make([]int, c.NumDims()), 12345)
-		return c, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	// A served cube changes only by a scenario commit.
+	var sc scenarioInfoJSON
+	decode(t, do(t, h, "POST", "/scenarios", map[string]string{"name": "raise"}), http.StatusCreated, &sc)
+	decode(t, do(t, h, "POST", "/scenarios/"+sc.ID+"/edit", map[string]interface{}{
+		"edits": []map[string]interface{}{
+			{"op": "set", "cell": map[string]string{"Organization": "PTE/Joe", "Time": "Jan", "Location": "NY", "Measures": "Salary"}, "value": 12345},
+		},
+	}), http.StatusOK, nil)
+	var committed struct {
+		Version int64 `json:"version"`
 	}
-	if v != 2 {
-		t.Fatalf("UpdateCube version = %d, want 2", v)
+	decode(t, do(t, h, "POST", "/scenarios/"+sc.ID+"/commit", nil), http.StatusOK, &committed)
+	if committed.Version != 2 {
+		t.Fatalf("commit version = %d, want 2", committed.Version)
 	}
 
 	rec := postQuery(t, h, queryRequest{Query: paperQuery})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("post-update query = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("post-commit query = %d: %s", rec.Code, rec.Body)
 	}
 	if got := rec.Header().Get("X-Cache"); got != "MISS" {
-		t.Fatalf("post-update X-Cache = %q, want MISS (version bump)", got)
+		t.Fatalf("post-commit X-Cache = %q, want MISS (version bump)", got)
 	}
 	if got := rec.Header().Get("X-Cube-Version"); got != "2" {
-		t.Fatalf("post-update X-Cube-Version = %q, want 2", got)
+		t.Fatalf("post-commit X-Cube-Version = %q, want 2", got)
 	}
 }
 

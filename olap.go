@@ -225,10 +225,10 @@ func NewChunkedCube(chunkDims []int, dims ...*Dimension) (*Cube, error) {
 // cube's chunks to a checksummed segment file at path, and from then on
 // least-recently-used chunks leave memory and fault back from the file
 // — the paper's cube-behind-a-cache configuration (its testbed held a
-// 20.2 GB cube behind a 256 MB cache). The file is never rewritten:
-// cells written afterwards stay resident, and the budget yields to
-// them. The cube must be chunk-backed (NewChunkedCube,
-// PaperWarehouseChunked, NewWorkforce).
+// 20.2 GB cube behind a 256 MB cache). The file is never rewritten, so
+// the cube is read-only afterwards: writing a cell panics, and a cube
+// to edit is a Clone, which is resident. The cube must be chunk-backed
+// (NewChunkedCube, PaperWarehouseChunked, NewWorkforce).
 func SpillTo(c *Cube, path string, budgetBytes int) error {
 	st, ok := c.Store().(*chunk.Store)
 	if !ok {
@@ -242,7 +242,9 @@ func SpillTo(c *Cube, path string, budgetBytes int) error {
 // when its bit-identical value runs number at most half its cells.
 // Returns how many chunks converted. Reads stay exact (runs decode to
 // the original bit patterns) and writes transparently decode first, so
-// this is purely a space/scan-speed trade. Queries over run-encoded
+// this is purely a space/scan-speed trade. On a spilled cube only the
+// resident chunks convert; they stay evictable, and a chunk faulted
+// back later keeps the file's representation. Queries over run-encoded
 // chunks move whole value runs through the engine's relocation kernel.
 func EncodeRuns(c *Cube) (int, error) {
 	st, ok := c.Store().(*chunk.Store)
@@ -254,8 +256,8 @@ func EncodeRuns(c *Cube) (int, error) {
 
 // CubeSpillStats reports the buffer-pool state of a chunk-backed cube:
 // chunk counts on each side of the budget line, fault-ins, evictions
-// (clean chunks dropped; the segment file still holds them), and
-// currently pinned chunks. Without a segment behind the cube (no
+// (chunks dropped; the segment file still holds them), and currently
+// pinned chunks. Without a segment behind the cube (no
 // SpillTo call, not restored from a data directory) only Resident is
 // populated. Safe to call while queries run.
 func CubeSpillStats(c *Cube) (SpillStats, error) {

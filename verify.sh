@@ -44,9 +44,9 @@ stage 'go vet ./...' go vet ./...
 #   lockguard     - no blocking calls (disk, segment, obs sinks) while
 #                   chunk-store mutexes are held
 #   monotonic     - span-recording paths stay on the monotonic clock
-#   releasepair   - every acquire (Lock, Pin, span Start, NewLayer,
-#                   CloneTier) is released on every path, including
-#                   early returns and panics
+#   releasepair   - every acquire (Lock, Pin, span Start, NewLayer)
+#                   is released on every path, including early
+#                   returns and panics
 # Each diagnostic names the rule and the fix; escape hatches are
 # reviewable //lint: directives carrying a reason (see DESIGN.md).
 whatiflint_gate() {
@@ -83,8 +83,8 @@ stage 'go test ./...' go test ./...
 # ran them, this stage makes a target that lost its seeds (or was
 # renamed out of the Makefile's `fuzz` list) fail loudly. `make fuzz`
 # is the mutating run.
-stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|FuzzLoadManifest|FuzzParse|FuzzParseExpr|FuzzScenarioApply)$' \
-    ./internal/chunk ./internal/segment ./internal/mdx ./internal/cube ./internal/scenario
+stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|FuzzLoadManifest|FuzzParse|FuzzParseExpr|FuzzScenarioApply|FuzzServeQuery)$' \
+    ./internal/chunk ./internal/segment ./internal/mdx ./internal/cube ./internal/scenario ./internal/server
 
 # Race-detector pass over the concurrent paths: the serving layer's
 # stress, cache and httptest endpoint tests, the engine's scan
