@@ -8,7 +8,8 @@ test:
 
 # Mutating fuzz runs, 10 s each (go test -fuzz takes one target and
 # one package at a time): the record codec every fault decodes through,
-# the segment reader, the manifest loader, the two parsers (FuzzParse
+# the segment reader, the manifest loader, the binary schema / dump
+# loader every restore and -load decodes, the two parsers (FuzzParse
 # also checks Normalize, the result cache's key), scenario edit
 # batches and raw POST /query bodies against the server.
 # verify.sh runs only their seed corpora. A failing input is written
@@ -19,6 +20,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime 10s ./internal/chunk
 	go test -run '^$$' -fuzz '^FuzzOpenSegment$$' -fuzztime 10s -fuzzminimizetime 3s ./internal/segment
 	go test -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime 10s ./internal/segment
+	go test -run '^$$' -fuzz '^FuzzLoadSchema$$' -fuzztime 10s ./internal/workload
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/mdx
 	go test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 10s ./internal/cube
 	go test -run '^$$' -fuzz '^FuzzScenarioApply$$' -fuzztime 10s ./internal/scenario

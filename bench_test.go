@@ -420,7 +420,7 @@ func BenchmarkAblationChunkRep(b *testing.B) {
 			c := w.Cube
 			if compress {
 				c = w.Cube.Clone()
-				// CompressAll is on the concrete chunk store.
+				// ForceSparseAll is on the concrete chunk store.
 				type compressor interface{ ForceSparseAll() int }
 				c.Store().(compressor).ForceSparseAll()
 			}
@@ -547,7 +547,7 @@ func BenchmarkRleScan(b *testing.B) {
 			c := w.Cube.Clone()
 			st := c.Store().(*chunk.Store)
 			if va.encode {
-				if n := st.EncodeRunsAll(); n == 0 {
+				if n := st.Settle(); n == 0 {
 					b.Fatal("nothing run-encoded")
 				}
 			}

@@ -194,7 +194,7 @@ func planCost(w *workload.Workforce, reps int) {
 	if err != nil {
 		fatal(err)
 	}
-	vw.Cube.Store().(*chunk.Store).EncodeRunsAll()
+	vw.Cube.Store().(*chunk.Store).Settle()
 	for _, shape := range []struct {
 		name string
 		w    *workload.Workforce

@@ -31,12 +31,16 @@
 // /debug/pprof/ — kept off the query port so profiling endpoints are
 // never exposed where queries are.
 //
+// Every published cube version (initial registration, scenario commit)
+// is settled first: each chunk is run-length encoded where its value
+// runs pay, otherwise stored sparse or dense by occupancy, and keeps
+// that form for as long as the version is served.
+//
 // With -data-dir the daemon is persistent: every published cube version
-// (initial registration, admin update, scenario commit) is written back
-// to the directory as a checksummed segment file behind a crash-safe
-// manifest, and a restart restores the catalog — version numbers
-// included — without re-ingesting dumps. -mmap serves segment reads
-// through a read-only memory map instead of pread.
+// is written back to the directory as a checksummed segment file behind
+// a crash-safe manifest, and a restart restores the catalog — version
+// numbers included — without re-ingesting dumps. -mmap serves segment
+// reads through a read-only memory map instead of pread.
 //
 // Cube sources mirror cmd/whatif: -paper, -workforce, and repeatable
 // -load name=path flags accepting both dump formats of cmd/cubegen.
@@ -91,7 +95,6 @@ func main() {
 		slowMs      = flag.Float64("slowlog", server.DefaultSlowQueryMs, "slow-query log threshold in ms (negative disables)")
 		dataDir     = flag.String("data-dir", "", "persistent data directory: restore cubes from it at startup and write published versions back as segment files (empty = in-memory only)")
 		useMmap     = flag.Bool("mmap", false, "with -data-dir, serve segment reads through a read-only memory map instead of pread")
-		rle         = flag.Bool("rle", true, "run-length encode eligible chunks of every served cube at startup (smaller resident set, run-aware scans)")
 		obsEvery    = flag.Duration("obs-interval", 0, "metrics-history sampling cadence (0 = default 1s, negative disables)")
 		retainBytes = flag.Int("retain-bytes", 0, "retained-trace ring byte budget, which also holds the slow-query log (0 = default 4 MiB, negative disables both)")
 	)
@@ -159,25 +162,6 @@ func main() {
 	if len(names) == 0 {
 		fatal(errors.New("no cubes: pass -paper, -workforce, -load name=path, or -data-dir with restorable cubes"))
 	}
-	if *rle {
-		// Sweep before serving: conversion is a representation change,
-		// not a version change, so nothing is re-persisted — restored
-		// segments already hold run records where they paid off.
-		for _, name := range names {
-			snap, err := catalog.Acquire(name)
-			if err != nil {
-				continue
-			}
-			if n, err := olap.EncodeRuns(snap.Cube); err == nil && n > 0 {
-				events.Log("run_encode", map[string]string{
-					"cube":   name,
-					"chunks": fmt.Sprint(n),
-				})
-			}
-			snap.Release()
-		}
-	}
-
 	svc := server.New(catalog, server.Config{
 		Workers:          *workers,
 		QueueCap:         *queueCap,

@@ -18,6 +18,10 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"whatifolap/internal/chunk"
+	"whatifolap/internal/segment"
+	"whatifolap/internal/workload"
 )
 
 // freePort reserves an ephemeral port and releases it for the daemon.
@@ -163,20 +167,7 @@ func TestWhatifdKill9RestartRoundTrip(t *testing.T) {
 
 	// Wait for the asynchronous write-back queue to drain: after this
 	// the segment files and manifest are durable on disk.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var m struct {
-			WritebackPending int64 `json:"writeback_pending"`
-		}
-		getJSON(t, base+"/metrics", &m)
-		if m.WritebackPending == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("write-back queue never drained (pending=%d)", m.WritebackPending)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	waitWriteback(t, base)
 
 	// Kill -9: no graceful shutdown, no flush hook.
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
@@ -210,12 +201,98 @@ func TestWhatifdKill9RestartRoundTrip(t *testing.T) {
 	cmd2.Wait()
 }
 
-// TestWhatifdRleKill9Restart is the -rle variant of the kill -9 round
-// trip: the daemon run-length encodes its cubes at startup, serves
-// queries from run-encoded chunks, persists a committed scenario, dies
-// without a flush hook, and the restarted daemon — which re-sweeps the
-// restored store — answers with the committed values.
-func TestWhatifdRleKill9Restart(t *testing.T) {
+// writeRunEncodableDump saves the tiny validity-window workforce —
+// flat months, period-fastest chunks, so every chunk's value runs pay —
+// as a binary dump for -load.
+func writeRunEncodableDump(t *testing.T, path string) {
+	t.Helper()
+	cfg := workload.ConfigTiny()
+	cfg.FlatMonths = true
+	cfg.ChunkDims = []int{64, 12, 1, 1, 1, 1, 1}
+	w, err := workload.NewWorkforce(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.SaveBinary(w.Cube, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkSegmentsRunEncoded opens every written version of the cube and
+// fails unless each of its chunks is stored run-encoded.
+func checkSegmentsRunEncoded(t *testing.T, dataDir, name string, versions int) {
+	t.Helper()
+	man, _, err := segment.LoadManifest(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := man.Versions(name)
+	if len(vs) != versions {
+		t.Fatalf("manifest holds %d versions of %s, want %d", len(vs), name, versions)
+	}
+	for _, v := range vs {
+		sf, err := segment.Open(filepath.Join(dataDir, v.File), segment.OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := sf.IDs()
+		for _, id := range ids {
+			c, _, err := sf.ReadChunkAt(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Rep() != chunk.RunEncoded {
+				t.Fatalf("v%d chunk %d written %v, want run-encoded", v.Version, id, c.Rep())
+			}
+		}
+		sf.Close()
+		if len(ids) == 0 {
+			t.Fatalf("v%d holds no chunks", v.Version)
+		}
+	}
+}
+
+// waitWriteback polls /metrics until the write-back queue is empty.
+func waitWriteback(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var m struct {
+			WritebackPending int64 `json:"writeback_pending"`
+		}
+		getJSON(t, base+"/metrics", &m)
+		if m.WritebackPending == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("write-back queue never drained (pending=%d)", m.WritebackPending)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// empJanQuery reads one leaf cell of the workforce: Emp00010's
+// Acct000 in January, at the dimensions' first leaves elsewhere — the
+// cell a scenario edit that names only Department, Period and Account
+// addresses.
+const empJanQuery = `SELECT {[Period].[Jan]} ON COLUMNS, {[Emp00010]} ON ROWS
+FROM [App].[Db]
+WHERE ([Account].[Acct000], [Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])`
+
+// TestWhatifdRunEncodedKill9Restart is the kill -9 round trip over a
+// cube whose chunks are run-encoded: the daemon loads a validity-window
+// dump, publication settles it run-encoded, a one-cell commit publishes
+// a v2 that is run-encoded too, both segments are written with run
+// records, and after a kill -9 the restarted daemon answers from the
+// restored segment with the committed value.
+func TestWhatifdRunEncodedKill9Restart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and restarts the daemon binary")
 	}
@@ -224,26 +301,28 @@ func TestWhatifdRleKill9Restart(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	dump := filepath.Join(tmp, "vw.bin")
+	writeRunEncodableDump(t, dump)
 	dataDir := filepath.Join(tmp, "data")
 
 	port := freePort(t)
 	base := fmt.Sprintf("http://127.0.0.1:%d", port)
-	cmd := startDaemon(t, bin, port, "-paper", "-rle", "-data-dir", dataDir)
+	cmd := startDaemon(t, bin, port, "-load", "vw="+dump, "-data-dir", dataDir)
 
 	var g gridJSON
-	postJSON(t, base+"/query", map[string]interface{}{"cube": "paper", "query": fteJanQuery}, &g)
-	if g.Version != 1 || oneCell(t, g) != 20 {
-		t.Fatalf("baseline over run-encoded chunks: version %d cell %v, want v1 cell 20", g.Version, oneCell(t, g))
+	postJSON(t, base+"/query", map[string]interface{}{"cube": "vw", "query": empJanQuery}, &g)
+	if g.Version != 1 || oneCell(t, g) == 42 {
+		t.Fatalf("baseline: version %d cell %v, want v1 and a cell other than 42", g.Version, oneCell(t, g))
 	}
 
 	var sc struct {
 		ID string `json:"id"`
 	}
-	postJSON(t, base+"/scenarios", map[string]string{"name": "raise", "cube": "paper"}, &sc)
+	postJSON(t, base+"/scenarios", map[string]string{"name": "raise", "cube": "vw"}, &sc)
 	postJSON(t, base+"/scenarios/"+sc.ID+"/edit", map[string]interface{}{
 		"edits": []map[string]interface{}{
 			{"op": "set", "cell": map[string]string{
-				"Organization": "FTE/Lisa", "Location": "NY", "Time": "Jan", "Measures": "Salary",
+				"Department": "Emp00010", "Period": "Jan", "Account": "Acct000",
 			}, "value": 42},
 		},
 	}, nil)
@@ -254,21 +333,8 @@ func TestWhatifdRleKill9Restart(t *testing.T) {
 	if committed.Version != 2 {
 		t.Fatalf("commit version = %d, want 2", committed.Version)
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var m struct {
-			WritebackPending int64 `json:"writeback_pending"`
-		}
-		getJSON(t, base+"/metrics", &m)
-		if m.WritebackPending == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("write-back queue never drained (pending=%d)", m.WritebackPending)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	waitWriteback(t, base)
+	checkSegmentsRunEncoded(t, dataDir, "vw", 2)
 
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
@@ -277,12 +343,12 @@ func TestWhatifdRleKill9Restart(t *testing.T) {
 
 	port2 := freePort(t)
 	base2 := fmt.Sprintf("http://127.0.0.1:%d", port2)
-	cmd2 := startDaemon(t, bin, port2, "-rle", "-data-dir", dataDir)
+	cmd2 := startDaemon(t, bin, port2, "-data-dir", dataDir)
 
 	var g2 gridJSON
-	postJSON(t, base2+"/query", map[string]interface{}{"cube": "paper", "query": fteJanQuery}, &g2)
-	if g2.Version != 2 || oneCell(t, g2) != 10+42 {
-		t.Fatalf("restored: version %d cell %v, want v2 cell 52", g2.Version, oneCell(t, g2))
+	postJSON(t, base2+"/query", map[string]interface{}{"cube": "vw", "query": empJanQuery}, &g2)
+	if g2.Version != 2 || oneCell(t, g2) != 42 {
+		t.Fatalf("restored: version %d cell %v, want v2 cell 42", g2.Version, oneCell(t, g2))
 	}
 
 	cmd2.Process.Signal(syscall.SIGTERM)

@@ -655,7 +655,7 @@ func RleScan(w *workload.Workforce, reps int) ([]RleScanRow, error) {
 		return nil, err
 	}
 	rleCube := w.Cube.Clone()
-	rleCube.Store().(*chunk.Store).EncodeRunsAll()
+	rleCube.Store().(*chunk.Store).Settle()
 	rle, err := measure("run-encoded", rleCube)
 	if err != nil {
 		return nil, err

@@ -27,8 +27,8 @@ const (
 )
 
 // sparseThreshold is the occupancy fraction above which a sparse chunk
-// is converted to dense, and below which SetRepresentation(Sparse)
-// compresses.
+// is converted to dense, and at or below which Compress converts a
+// dense one to sparse.
 const sparseThreshold = 0.25
 
 // Chunk is one n-dimensional tile of the cell space. The zero value is

@@ -35,6 +35,18 @@ func TestGeometryErrors(t *testing.T) {
 	if _, err := NewGeometry([]int{4}, []int{0}); err == nil {
 		t.Fatal("zero chunk dim should fail")
 	}
+	// 2^64 cells overflow an int; a 2^32-cell chunk overflows its
+	// int32 offsets. A decoded schema can claim either.
+	wide := make([]int, 64)
+	for i := range wide {
+		wide[i] = 2
+	}
+	if _, err := NewGeometry(wide, wide); err == nil {
+		t.Fatal("a cell count past MaxInt should fail")
+	}
+	if _, err := NewGeometry([]int{1 << 16, 1 << 16}, []int{1 << 16, 1 << 16}); err == nil {
+		t.Fatal("a chunk capacity past MaxInt32 should fail")
+	}
 	// Chunk dim larger than extent is clamped, not an error.
 	g := MustGeometry([]int{3}, []int{10})
 	if g.ChunkDims[0] != 3 || g.ChunksPerDim(0) != 1 {

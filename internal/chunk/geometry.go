@@ -11,7 +11,10 @@
 // full float64 array; sparse chunks hold sorted (offset, value) pairs.
 package chunk
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Geometry describes the chunking of an n-dimensional cell space.
 type Geometry struct {
@@ -35,6 +38,7 @@ func NewGeometry(extents, chunkDims []int) (*Geometry, error) {
 		chunksPer: make([]int, len(extents)),
 		chunkCap:  1,
 	}
+	cells := 1
 	for i := range extents {
 		if extents[i] <= 0 {
 			return nil, fmt.Errorf("chunk: extent %d of dimension %d must be positive", extents[i], i)
@@ -45,8 +49,16 @@ func NewGeometry(extents, chunkDims []int) (*Geometry, error) {
 		if chunkDims[i] > extents[i] {
 			g.ChunkDims[i] = extents[i]
 		}
+		if cells > math.MaxInt/extents[i] {
+			return nil, fmt.Errorf("chunk: geometry %v has more cells than an int counts", extents)
+		}
+		cells *= extents[i]
 		g.chunksPer[i] = (extents[i] + g.ChunkDims[i] - 1) / g.ChunkDims[i]
 		g.chunkCap *= g.ChunkDims[i]
+	}
+	// Chunks address their cells with int32 offsets.
+	if g.chunkCap > math.MaxInt32 {
+		return nil, fmt.Errorf("chunk: chunk capacity %d exceeds the int32 offset range", g.chunkCap)
 	}
 	return g, nil
 }

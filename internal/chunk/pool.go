@@ -182,9 +182,9 @@ type SpillStats struct {
 	// Pinned is the number of distinct chunk ids currently pinned.
 	Pinned int
 	// ResidentBytes is the pool's byte accounting of resident chunks —
-	// what the eviction budget compares against. Representation sweeps
-	// (CompressAll, EncodeRunsAll, …) flow their byte deltas into it,
-	// so an encoded store's budget headroom grows with the encoding.
+	// what the eviction budget compares against. After the attach it
+	// changes only on a fault or an eviction: a paged store is
+	// read-only, so no chunk changes representation while resident.
 	ResidentBytes int
 }
 

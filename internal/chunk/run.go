@@ -200,6 +200,14 @@ func (c *Chunk) EncodeRuns() bool {
 	return true
 }
 
+// Settle gives the chunk the representation it is published in: run
+// encoded when the runs pay (EncodeRuns), otherwise sparse or dense by
+// occupancy (Compress). It reports whether a conversion happened; a
+// settled chunk converts nothing. Catalog publication settles every
+// chunk of a version before it is served or written back, and nothing
+// changes a chunk's representation afterwards.
+func (c *Chunk) Settle() bool { return c.EncodeRuns() || c.Compress() }
+
 // ForceRuns converts a dense or sparse chunk to the run-encoded
 // representation regardless of the run ratio. On low-repetition data
 // this *grows* the footprint (16 bytes per length-1 run vs. 8 dense);
@@ -210,17 +218,6 @@ func (c *Chunk) ForceRuns() bool {
 		return false
 	}
 	c.toRuns()
-	return true
-}
-
-// DecodeRuns converts a run-encoded chunk back to dense or sparse
-// (chosen by occupancy, like every other write path). It reports
-// whether a conversion happened.
-func (c *Chunk) DecodeRuns() bool {
-	if c.runOffs == nil {
-		return false
-	}
-	c.decodeRuns()
 	return true
 }
 

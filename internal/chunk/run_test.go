@@ -83,11 +83,9 @@ func TestRunEncodeRoundTrip(t *testing.T) {
 				t.Fatalf("encoded Get(%d) = %v, want bits %#x (present=%v)", off, got, wb, present)
 			}
 		}
-		if !c.DecodeRuns() {
-			t.Fatal("DecodeRuns refused an encoded chunk")
-		}
+		c.decodeRuns()
 		if c.Rep() == RunEncoded {
-			t.Fatal("still run-encoded after DecodeRuns")
+			t.Fatal("still run-encoded after decodeRuns")
 		}
 		sameBits(t, "decode", want, cellsBits(c))
 	}
@@ -468,33 +466,36 @@ func TestRunRecordCorruptRejected(t *testing.T) {
 	}
 }
 
-// TestEncodeRunsAllPoolAccounting checks satellite invariant: a pooled
-// store's resident-byte accounting follows representation sweeps, so
-// run encoding creates real budget headroom.
-func TestEncodeRunsAllPoolAccounting(t *testing.T) {
+// TestSettledPoolAccounting: a store settled before it is paged out is
+// charged its encoded bytes from the attach on, and a settle after
+// paging converts nothing and leaves the accounting alone.
+func TestSettledPoolAccounting(t *testing.T) {
 	g := MustGeometry([]int{64}, []int{16}) // 4 chunks of 16
 	s := NewStore(g)
 	for i := 0; i < 64; i++ {
 		s.Set([]int{i}, 9.75) // one value → one run per chunk
 	}
+	dense := s.MemBytes()
+	if n := s.Settle(); n != 4 {
+		t.Fatalf("Settle converted %d chunks, want 4", n)
+	}
+	if s.MemBytes() >= dense {
+		t.Fatalf("settled bytes %d did not shrink from %d", s.MemBytes(), dense)
+	}
 	pageOut(t, s, 1<<20)
-	before := s.SpillStats().ResidentBytes
-	if before != s.MemBytes() {
-		t.Fatalf("accounting %d != MemBytes %d before encode", before, s.MemBytes())
+	before := s.SpillStats()
+	if before.ResidentBytes != s.MemBytes() {
+		t.Fatalf("accounting %d != MemBytes %d after paging", before.ResidentBytes, s.MemBytes())
 	}
-	if n := s.EncodeRunsAll(); n != 4 {
-		t.Fatalf("EncodeRunsAll converted %d chunks, want 4", n)
+	if n := s.Settle(); n != 0 {
+		t.Fatalf("Settle on a paged store converted %d chunks", n)
 	}
-	after := s.SpillStats().ResidentBytes
-	if after != s.MemBytes() {
-		t.Fatalf("accounting %d != MemBytes %d after encode", after, s.MemBytes())
-	}
-	if after >= before {
-		t.Fatalf("resident bytes %d did not shrink from %d", after, before)
+	if after := s.SpillStats(); after != before {
+		t.Fatalf("Settle on a paged store moved the pool: %+v -> %+v", before, after)
 	}
 	for i := 0; i < 64; i++ {
 		if got := s.Get([]int{i}); got != 9.75 {
-			t.Fatalf("Get(%d) = %v after encode", i, got)
+			t.Fatalf("Get(%d) = %v after settling", i, got)
 		}
 	}
 }
@@ -508,8 +509,8 @@ func TestRunEncodedSpillRoundTrip(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.Set([]int{i}, float64(1+i/16)) // one run per chunk
 	}
-	if n := s.EncodeRunsAll(); n != 4 {
-		t.Fatalf("EncodeRunsAll = %d, want 4", n)
+	if n := s.Settle(); n != 4 {
+		t.Fatalf("Settle = %d, want 4", n)
 	}
 	// A budget of a quarter of the encoded bytes keeps one chunk resident.
 	pageOut(t, s, s.MemBytes()/4)
@@ -555,8 +556,8 @@ func TestRunPropertyQuick(t *testing.T) {
 			case 3:
 				if step%2 == 0 {
 					c.ForceRuns()
-				} else {
-					c.DecodeRuns()
+				} else if c.Rep() == RunEncoded {
+					c.decodeRuns()
 				}
 			}
 		}

@@ -81,17 +81,25 @@ func TestSpillNonNullAndClone(t *testing.T) {
 	}
 }
 
-// A paged store is read-only: Set and PutChunk panic with one message,
-// whether the chunk is resident, spilled or absent.
+// A paged store is read-only: Set, PutChunk and the forced
+// representation sweeps panic with one message, whether the chunk is
+// resident, spilled or absent, and Settle converts nothing — the
+// store's chunks and its pool accounting stay as the tier left them.
 func TestPagedStoreIsReadOnly(t *testing.T) {
 	s := pagedStore(t, 70)
 	writes := map[string]func(){
-		"Set resident":   func() { s.Set([]int{63}, 1) },
-		"Set spilled":    func() { s.Set([]int{0}, 1) },
-		"Set NaN":        func() { s.Set([]int{0}, math.NaN()) },
-		"PutChunk":       func() { s.PutChunk(2, NewDense(4)) },
-		"PutChunk(nil)":  func() { s.PutChunk(2, nil) },
-		"PutChunk range": func() { s.PutChunk(99, nil) },
+		"Set resident":      func() { s.Set([]int{63}, 1) },
+		"Set spilled":       func() { s.Set([]int{0}, 1) },
+		"Set NaN":           func() { s.Set([]int{0}, math.NaN()) },
+		"PutChunk":          func() { s.PutChunk(2, NewDense(4)) },
+		"PutChunk(nil)":     func() { s.PutChunk(2, nil) },
+		"PutChunk range":    func() { s.PutChunk(99, nil) },
+		"ForceSparseAll":    func() { s.ForceSparseAll() },
+		"ForceRunEncodeAll": func() { s.ForceRunEncodeAll() },
+	}
+	stats, bytes := s.SpillStats(), s.MemBytes()
+	if stats.Resident == 0 {
+		t.Fatal("nothing resident; the sweeps are vacuous")
 	}
 	for name, write := range writes {
 		func() {
@@ -102,6 +110,12 @@ func TestPagedStoreIsReadOnly(t *testing.T) {
 			}()
 			write()
 		}()
+	}
+	if n := s.Settle(); n != 0 {
+		t.Fatalf("Settle on a paged store converted %d chunks", n)
+	}
+	if got := s.SpillStats(); got != stats || s.MemBytes() != bytes {
+		t.Fatalf("a refused write or Settle moved the pool: %+v (%d B) -> %+v (%d B)", stats, bytes, got, s.MemBytes())
 	}
 	if s.Len() != 64 || s.NumChunks() != 16 || s.Get([]int{0}) != 1 || s.Get([]int{63}) != 64 {
 		t.Fatalf("a refused write changed the store: Len=%d NumChunks=%d", s.Len(), s.NumChunks())
@@ -160,8 +174,8 @@ func TestEncodeDecodeChunkRoundTrip(t *testing.T) {
 }
 
 // Property: a paged store reads exactly like a resident one, for random
-// tiny budgets, under churn from reads, pins and representation sweeps
-// after paging out — every write happens before it.
+// tiny budgets, under churn from reads, pins and settles after paging
+// out — every write happens before it.
 func TestQuickSpilledMatchesResident(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -178,7 +192,6 @@ func TestQuickSpilledMatchesResident(t *testing.T) {
 			spilled.Set(a, v)
 		}
 		pageOut(t, spilled, 24+r.Intn(100))
-		sweeps := []func() int{spilled.CompressAll, spilled.ForceSparseAll, spilled.EncodeRunsAll, spilled.ForceRunEncodeAll}
 		var pinned []int
 		for i := 0; i < 150; i++ {
 			switch r.Intn(8) {
@@ -192,7 +205,9 @@ func TestQuickSpilledMatchesResident(t *testing.T) {
 					pinned = pinned[:len(pinned)-1]
 				}
 			case 2:
-				sweeps[r.Intn(len(sweeps))]()
+				if spilled.Settle() != 0 {
+					return false
+				}
 			default:
 				spilled.Get([]int{r.Intn(40)})
 			}
@@ -238,7 +253,7 @@ func freshChunkIDs(s *Store) []int {
 // TestChunkIDsCacheTracksMutations walks a store through everything
 // that creates, deletes or pages a chunk — a Set into a new chunk, a NaN
 // Set that empties one, PutChunk in both directions, attaching a tier,
-// eviction, fault-in, the run-encoding sweep, a clone and a write to it
+// eviction, fault-in, a settle, a clone and a write to it
 // — and after each step the cached ChunkIDs must equal a fresh sort.
 // The returned slice is the caller's: scribbling on it must not reach
 // the cache.
@@ -289,8 +304,8 @@ func TestChunkIDsCacheTracksMutations(t *testing.T) {
 		t.Fatal("nothing faulted in; the paging steps are vacuous")
 	}
 	check("fault-in and eviction")
-	s.EncodeRunsAll()
-	check("EncodeRunsAll")
+	s.Settle()
+	check("Settle")
 
 	parent := s
 	s = parent.Clone().(*Store)

@@ -185,13 +185,14 @@ func (s *Store) Clone() cube.Store {
 }
 
 // Flatten copies the chain's resolved view into a fresh store under
-// geom, which owns every chunk it holds. An engine-capable chain whose
-// geometry is geom's goes a chunk at a time through Resolve — untouched
-// chunks are cloned in the representation the base keeps them in,
-// touched ones resolved densely and compressed by occupancy — so a
-// commit costs what the cube's chunks cost to copy, not two map probes
-// per layer per cell. Any other chain (wider layers, a base that is not
-// chunk-backed) is copied cell by cell through NonNull.
+// geom, which owns every chunk it holds, and settles each chunk it
+// builds, so the store is ready to publish. An engine-capable chain
+// whose geometry is geom's goes a chunk at a time through Resolve —
+// untouched chunks are cloned from the base, touched ones resolved
+// densely — so a commit costs what the cube's chunks cost to copy, not
+// two map probes per layer per cell. Any other chain (wider layers, a
+// base that is not chunk-backed) is copied cell by cell through
+// NonNull.
 func (c *Chain) Flatten(geom *Geometry) *Store {
 	out := NewStore(geom)
 	if !c.EngineCapable() || !sameGeometry(geom, c.baseChunks.geom) {
@@ -199,6 +200,7 @@ func (c *Chain) Flatten(geom *Geometry) *Store {
 			out.Set(addr, v)
 			return true
 		})
+		out.Settle()
 		return out
 	}
 	scratch := NewDense(geom.ChunkCap())
@@ -208,7 +210,7 @@ func (c *Chain) Flatten(geom *Geometry) *Store {
 		}
 		if ch := c.Resolve(id, c.baseChunks.PeekChunk(id), scratch); ch != nil {
 			ch = ch.Clone()
-			ch.Compress()
+			ch.Settle()
 			out.PutChunk(id, ch)
 		}
 	}
@@ -333,56 +335,40 @@ func (s *Store) MemBytes() int {
 	return n
 }
 
-// convertAll applies a representation conversion to every resident
-// chunk. On a paged store a converted chunk holds the same cells as its
-// tier copy, so it stays clean and evictable: the sweep adds its byte
-// delta to the pool's total — without this, the pool would keep
-// charging a compressed chunk at its old size, defeating the
-// byte-budgeted LRU — and evicts down to the budget.
+// convertAll applies a representation conversion to every chunk of a
+// resident store, returning how many converted. It panics on a paged
+// store: its chunks are the tier's.
 func (s *Store) convertAll(convert func(c *Chunk) bool) int {
-	if s.pool != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	n, delta := 0, 0
+	s.mustBeWritable()
+	n := 0
 	for _, c := range s.chunks {
-		before := c.MemBytes()
 		if convert(c) {
 			n++
-			delta += c.MemBytes() - before
 		}
-	}
-	if p := s.pool; p != nil {
-		p.residentBytes += delta
-		s.evictLocked()
 	}
 	return n
 }
 
-// CompressAll converts all dense chunks under the density threshold to
-// sparse representation, returning the number converted. This is the
-// "cube reorganization" step of the co-location experiment.
-func (s *Store) CompressAll() int {
-	return s.convertAll(func(c *Chunk) bool { return c.Compress() })
+// Settle settles every chunk (Chunk.Settle), returning the number
+// converted. A paged store converts nothing and returns 0: its chunks
+// are its segment's, settled when the version was published.
+func (s *Store) Settle() int {
+	if s.pool != nil {
+		return 0
+	}
+	return s.convertAll((*Chunk).Settle)
 }
 
 // ForceSparseAll converts every chunk to the sparse representation
-// regardless of occupancy (representation ablation).
+// regardless of occupancy (representation ablation). It panics on a
+// paged store.
 func (s *Store) ForceSparseAll() int {
-	return s.convertAll(func(c *Chunk) bool { return c.ForceSparse() })
+	return s.convertAll((*Chunk).ForceSparse)
 }
 
-// EncodeRunsAll run-length encodes every resident chunk whose run ratio
-// clears the encoding threshold, returning the number converted. This
-// is the ingest/Seal-time compression step: whatifd applies it after
-// loading a cube, and a pooled store's resident bytes (and therefore
-// its spill budget) shrink to the encoded size.
-func (s *Store) EncodeRunsAll() int {
-	return s.convertAll(func(c *Chunk) bool { return c.EncodeRuns() })
-}
-
-// ForceRunEncodeAll run-length encodes every resident chunk regardless
-// of run ratio (representation ablation and kernel equivalence tests).
+// ForceRunEncodeAll run-length encodes every chunk regardless of run
+// ratio (representation ablation and kernel equivalence tests). It
+// panics on a paged store.
 func (s *Store) ForceRunEncodeAll() int {
-	return s.convertAll(func(c *Chunk) bool { return c.ForceRuns() })
+	return s.convertAll((*Chunk).ForceRuns)
 }

@@ -84,8 +84,19 @@ func (c *Catalog) enqueuePersist(name string, version int64, cb *cube.Cube) {
 	}
 }
 
-// Register publishes a cube under a name at version 1. The caller must
-// not mutate the cube afterwards; later versions go through Publish.
+// settle gives a chunk-backed cube's chunks their published
+// representation (chunk.Store.Settle) before the version is served or
+// written back. A paged cube — a restored one — is settled already.
+func settle(cb *cube.Cube) {
+	if st, ok := cb.Store().(*chunk.Store); ok {
+		st.Settle()
+	}
+}
+
+// Register publishes a cube under a name at version 1. It settles the
+// cube's chunks first, so the served version and the one written back
+// hold the same bytes. The caller must not touch the cube afterwards;
+// later versions go through Publish.
 func (c *Catalog) Register(name string, cb *cube.Cube) error {
 	if name == "" {
 		return fmt.Errorf("server: empty cube name")
@@ -93,6 +104,7 @@ func (c *Catalog) Register(name string, cb *cube.Cube) error {
 	if cb == nil {
 		return fmt.Errorf("server: nil cube for %q", name)
 	}
+	settle(cb)
 	c.mu.Lock()
 	if _, dup := c.entries[name]; dup {
 		c.mu.Unlock()
@@ -109,7 +121,9 @@ func (c *Catalog) Register(name string, cb *cube.Cube) error {
 
 // RegisterVersion publishes a cube under a name at an explicit version
 // number — the restore path, where the data directory already holds
-// the version and persisting it again would be a wasted rewrite.
+// the version and persisting it again would be a wasted rewrite. Like
+// Register it settles the cube first, which converts nothing on a cube
+// restored from its segment.
 func (c *Catalog) RegisterVersion(name string, version int64, cb *cube.Cube) error {
 	if name == "" {
 		return fmt.Errorf("server: empty cube name")
@@ -120,6 +134,7 @@ func (c *Catalog) RegisterVersion(name string, version int64, cb *cube.Cube) err
 	if version <= 0 {
 		return fmt.Errorf("server: cube %q version must be positive, got %d", name, version)
 	}
+	settle(cb)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.entries[name]; dup {
@@ -167,7 +182,8 @@ var ErrVersionConflict = fmt.Errorf("server: cube version conflict")
 // Publish installs a pre-built cube as the next version of the named
 // entry — the scenario commit path, where the cube to publish is the
 // materialized scenario, a new cube that shares no storage with the
-// current version. It is the only way a registered cube changes.
+// current version and whose chunks chunk.Chain.Flatten settled. It is
+// the only way a registered cube changes.
 // When want is non-zero the publish is optimistic: it fails with
 // ErrVersionConflict unless the current version still equals want, so
 // a scenario pinned to a stale base cannot silently overwrite versions

@@ -21,7 +21,10 @@ import (
 // version is written back to a data directory as one segment file
 // (internal/segment) and recorded in the directory's manifest, so a
 // restarted daemon restores its catalog — versions included — without
-// re-ingesting workload dumps.
+// re-ingesting workload dumps. A version is settled (its chunks' dense,
+// sparse or run-encoded form chosen, chunk.Store.Settle) before it is
+// published, so the segment records exactly the chunks the catalog
+// serves, and the restored version holds the same bytes.
 //
 // Write-back is asynchronous: Publish/Register return as soon as
 // the new version is visible to queries; a background goroutine encodes
@@ -51,8 +54,10 @@ type Persister struct {
 	lastErr error
 
 	// events, when set, receives writeback / writeback_error lifecycle
-	// events. Set once at startup via SetEventLog; nil-safe to log to.
-	events *obs.EventLog
+	// events. Set at startup via SetEventLog, possibly while a
+	// write-back Register queued is already running, hence atomic; a
+	// nil log is safe to log to.
+	events atomic.Pointer[obs.EventLog]
 }
 
 // DefaultResidentBudget is the buffer-pool byte budget for cubes
@@ -77,7 +82,7 @@ func (p *Persister) Dir() string { return p.dir }
 
 // SetEventLog attaches the structured event log. Call before serving
 // (server.New does); write-backs completed earlier are not replayed.
-func (p *Persister) SetEventLog(l *obs.EventLog) { p.events = l }
+func (p *Persister) SetEventLog(l *obs.EventLog) { p.events.Store(l) }
 
 // Recovered reports that opening fell back to the previous manifest.
 func (p *Persister) Recovered() bool { return p.recovered }
@@ -188,14 +193,14 @@ func (p *Persister) Enqueue(name string, version int64, cb *cube.Cube) {
 			p.errMu.Lock()
 			p.lastErr = fmt.Errorf("server: write-back %s v%d: %w", name, version, err)
 			p.errMu.Unlock()
-			p.events.Log("writeback_error", map[string]string{
+			p.events.Load().Log("writeback_error", map[string]string{
 				"cube":    name,
 				"version": fmt.Sprint(version),
 				"error":   err.Error(),
 			})
 			return
 		}
-		p.events.Log("writeback", map[string]string{
+		p.events.Load().Log("writeback", map[string]string{
 			"cube":    name,
 			"version": fmt.Sprint(version),
 			"cells":   fmt.Sprint(cb.NumCells()),

@@ -5,12 +5,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/paperdata"
 	"whatifolap/internal/segment"
+	"whatifolap/internal/workload"
 )
 
 // persistedCatalog builds a catalog writing through a persister in dir.
@@ -305,5 +307,98 @@ func TestWritebackConcurrentPublishes(t *testing.T) {
 	defer snap.Release()
 	if got := snap.Cube.Leaf([]int{0, 0, 0, 0}); got != 2 {
 		t.Fatalf("restored leaf = %v, want 2", got)
+	}
+}
+
+// TestWritebackPublishedVersionsAreSettled: publication decides each
+// chunk's representation once. The registered v1 and the committed v2
+// are settled before they are served or written back — every chunk is
+// run-encoded, and settling a copy converts nothing — and the restored
+// v2 holds, chunk by chunk, the representation and bytes that were
+// served.
+func TestWritebackPublishedVersionsAreSettled(t *testing.T) {
+	// The tiny validity-window workforce: flat months and
+	// period-fastest chunks, so every chunk's value runs pay.
+	cfg := workload.ConfigTiny()
+	cfg.FlatMonths = true
+	cfg.ChunkDims = []int{64, 12, 1, 1, 1, 1, 1}
+	w, err := workload.NewWorkforce(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cat, p := persistedCatalog(t, dir)
+	if err := cat.Register("vw", w.Cube); err != nil {
+		t.Fatal(err)
+	}
+	checkSettled := func(label string, st *chunk.Store) {
+		t.Helper()
+		ids := st.ChunkIDs()
+		if len(ids) == 0 {
+			t.Fatalf("%s holds no chunks", label)
+		}
+		for _, id := range ids {
+			c := st.PeekChunk(id)
+			if c.Rep() != chunk.RunEncoded || c.Clone().Settle() {
+				t.Fatalf("%s chunk %d is %v and not settled", label, id, c.Rep())
+			}
+		}
+	}
+	v1, err := cat.Acquire("vw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSettled("served v1", v1.Cube.Store().(*chunk.Store))
+	v1.Release()
+
+	srv := New(cat, Config{ObsInterval: -1})
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	var sc scenarioInfoJSON
+	decode(t, do(t, h, "POST", "/scenarios", map[string]string{"name": "raise"}), http.StatusCreated, &sc)
+	decode(t, do(t, h, "POST", "/scenarios/"+sc.ID+"/edit", map[string]interface{}{
+		"edits": []map[string]interface{}{
+			{"op": "set", "cell": map[string]string{"Department": "Emp00010", "Period": "Jan", "Account": "Acct000"}, "value": 42},
+		},
+	}), http.StatusOK, nil)
+	var committed struct {
+		Version int64 `json:"version"`
+	}
+	decode(t, do(t, h, "POST", "/scenarios/"+sc.ID+"/commit", nil), http.StatusOK, &committed)
+	if committed.Version != 2 {
+		t.Fatalf("commit version = %d, want 2", committed.Version)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	served, err := cat.Acquire("vw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer served.Release()
+	sst := served.Cube.Store().(*chunk.Store)
+	checkSettled("served v2", sst)
+
+	cat2, p2 := persistedCatalog(t, dir)
+	if _, err := p2.Restore(cat2); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := cat2.Acquire("vw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Release()
+	if restored.Version != 2 {
+		t.Fatalf("restored version %d, want 2", restored.Version)
+	}
+	rst := restored.Cube.Store().(*chunk.Store)
+	if got, want := rst.ChunkIDs(), sst.ChunkIDs(); !slices.Equal(got, want) {
+		t.Fatalf("restored chunk ids %v, served %v", got, want)
+	}
+	for _, id := range sst.ChunkIDs() {
+		a, b := sst.PeekChunk(id), rst.PeekChunk(id)
+		if a.Rep() != b.Rep() || a.MemBytes() != b.MemBytes() {
+			t.Fatalf("chunk %d: served %v %d B, restored %v %d B", id, a.Rep(), a.MemBytes(), b.Rep(), b.MemBytes())
+		}
 	}
 }

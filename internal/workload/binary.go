@@ -196,7 +196,12 @@ func (br *binReader) str() string {
 	return string(b)
 }
 
-// LoadBinary reads a cube written by SaveBinary.
+// LoadBinary reads a cube written by SaveBinary. The stream is
+// untrusted — a segment's meta region or a dump named on the command
+// line — so every count is bounded by the bytes that follow it (no
+// slice is sized from a count before its elements are read), every
+// ordinal and member id is checked against its dimension, and a
+// malformed stream is an error, never a panic.
 func LoadBinary(r io.Reader) (*cube.Cube, error) {
 	br := &binReader{r: bufio.NewReader(r)}
 	if magic := br.bytes(len(binMagic)); string(magic) != binMagic {
@@ -213,8 +218,13 @@ func LoadBinary(r io.Reader) (*cube.Cube, error) {
 		return nil, fmt.Errorf("workload: implausible dimension count %d", ndims)
 	}
 	dims := make([]*dimension.Dimension, ndims)
+	seen := make(map[string]bool, ndims)
 	for i := range dims {
 		name := br.str()
+		if seen[name] {
+			return nil, fmt.Errorf("workload: duplicate dimension %q", name)
+		}
+		seen[name] = true
 		flags := br.u8()
 		d := dimension.New(name, flags&1 != 0)
 		if flags&2 != 0 {
@@ -248,9 +258,16 @@ func LoadBinary(r io.Reader) (*cube.Cube, error) {
 	var binds []bindRec
 	for i := 0; i < nBind; i++ {
 		rec := bindRec{vi: br.u16(), pi: br.u16(), vs: map[dimension.MemberID][]int{}}
+		if br.err != nil {
+			return nil, br.err
+		}
 		if rec.vi >= ndims || rec.pi >= ndims {
 			return nil, fmt.Errorf("workload: binding references dimension out of range")
 		}
+		if rec.vi == rec.pi {
+			return nil, fmt.Errorf("workload: binding of %s to itself", dims[rec.vi].Name())
+		}
+		varying, param := dims[rec.vi], dims[rec.pi]
 		nVS := br.u32()
 		for j := 0; j < nVS; j++ {
 			id := br.i32()
@@ -258,9 +275,20 @@ func LoadBinary(r io.Reader) (*cube.Cube, error) {
 			if br.err != nil {
 				return nil, br.err
 			}
-			ords := make([]int, nOrds)
-			for k := range ords {
-				ords[k] = br.u32()
+			if id < 0 || int(id) >= varying.NumMembers() {
+				return nil, fmt.Errorf("workload: validity set references member %d outside dimension %s", id, varying.Name())
+			}
+			// Grow as the ordinals arrive: nOrds is only a claim.
+			var ords []int
+			for k := 0; k < nOrds; k++ {
+				o := br.u32()
+				if br.err != nil {
+					return nil, br.err
+				}
+				if o >= param.NumLeaves() {
+					return nil, fmt.Errorf("workload: validity ordinal %d outside the %d leaves of %s", o, param.NumLeaves(), param.Name())
+				}
+				ords = append(ords, o)
 			}
 			rec.vs[dimension.MemberID(id)] = ords
 		}
@@ -295,9 +323,6 @@ func LoadBinary(r io.Reader) (*cube.Cube, error) {
 	for _, rec := range binds {
 		b := dimension.NewBinding(dims[rec.vi], dims[rec.pi])
 		for id, ords := range rec.vs {
-			if int(id) >= dims[rec.vi].NumMembers() {
-				return nil, fmt.Errorf("workload: validity set references member %d outside dimension %s", id, dims[rec.vi].Name())
-			}
 			b.SetVS(id, ords...)
 		}
 		if err := c.AddBinding(b); err != nil {

@@ -237,21 +237,19 @@ func SpillTo(c *Cube, path string, budgetBytes int) error {
 	return segment.PageOut(st, path, budgetBytes)
 }
 
-// EncodeRuns sweeps a chunk-backed cube's resident chunks into the
-// run-length-encoded representation where it pays: a chunk converts
-// when its bit-identical value runs number at most half its cells.
-// Returns how many chunks converted. Reads stay exact (runs decode to
-// the original bit patterns) and writes transparently decode first, so
-// this is purely a space/scan-speed trade. On a spilled cube only the
-// resident chunks convert; they stay evictable, and a chunk faulted
-// back later keeps the file's representation. Queries over run-encoded
-// chunks move whole value runs through the engine's relocation kernel.
+// EncodeRuns settles a chunk-backed cube's chunks: each is run-length
+// encoded where its bit-identical value runs number at most half its
+// cells, and otherwise kept sparse or dense by occupancy. Returns how
+// many chunks converted. A cube the server catalog published is settled
+// already and converts nothing; so does a paged cube (SpillTo, or one
+// restored from a data directory), whose chunks are its segment's.
+// Reads stay exact (runs decode to the original bit patterns).
 func EncodeRuns(c *Cube) (int, error) {
 	st, ok := c.Store().(*chunk.Store)
 	if !ok {
 		return 0, fmt.Errorf("olap: EncodeRuns requires a chunk-backed cube, got %T", c.Store())
 	}
-	return st.EncodeRunsAll(), nil
+	return st.Settle(), nil
 }
 
 // CubeSpillStats reports the buffer-pool state of a chunk-backed cube:

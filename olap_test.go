@@ -174,6 +174,40 @@ func TestNewChunkedCubeValidation(t *testing.T) {
 	}
 }
 
+// A paged cube's chunks are its segment's: EncodeRuns converts none of
+// them, even where a resident copy would run-encode, and leaves the
+// buffer pool as it was.
+func TestEncodeRunsConvertsNothingOnSpilledCube(t *testing.T) {
+	cfg := olap.WorkforceConfig{
+		Employees: 60, Departments: 6, ChangingEmployees: 10,
+		MinMoves: 1, MaxMoves: 4, Months: 12, Accounts: 4, Scenarios: 2,
+		Seed: 1, FlatMonths: true, ChunkDims: []int{64, 12, 1, 1, 1, 1, 1},
+	}
+	w, err := olap.NewWorkforce(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := olap.EncodeRuns(w.Cube.Clone()); err != nil || n == 0 {
+		t.Fatalf("resident EncodeRuns = %d, %v; want conversions", n, err)
+	}
+	if err := olap.SpillTo(w.Cube, t.TempDir()+"/vw.seg", 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	before, err := olap.CubeSpillStats(w.Cube)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Resident == 0 {
+		t.Fatalf("nothing resident after SpillTo: %+v", before)
+	}
+	if n, err := olap.EncodeRuns(w.Cube); err != nil || n != 0 {
+		t.Fatalf("EncodeRuns on a spilled cube = %d, %v; want 0", n, err)
+	}
+	if after, _ := olap.CubeSpillStats(w.Cube); after != before {
+		t.Fatalf("EncodeRuns moved the pool: %+v -> %+v", before, after)
+	}
+}
+
 func TestSpillThroughFacade(t *testing.T) {
 	c := olap.PaperWarehouseChunked()
 	if err := olap.SpillTo(c, t.TempDir()+"/cube.spill", 200); err != nil {
@@ -200,6 +234,9 @@ FROM W WHERE ([Location].[NY], [Measures].[Salary])`)
 		t.Fatalf("spill stats after a query = %+v, want fault-ins", st)
 	}
 	// Non-chunked cubes are rejected.
+	if _, err := olap.EncodeRuns(olap.PaperWarehouse()); err == nil {
+		t.Fatal("EncodeRuns over MemStore should fail")
+	}
 	if err := olap.SpillTo(olap.PaperWarehouse(), t.TempDir()+"/x", 100); err == nil {
 		t.Fatal("SpillTo over MemStore should fail")
 	}

@@ -83,8 +83,8 @@ stage 'go test ./...' go test ./...
 # ran them, this stage makes a target that lost its seeds (or was
 # renamed out of the Makefile's `fuzz` list) fail loudly. `make fuzz`
 # is the mutating run.
-stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|FuzzLoadManifest|FuzzParse|FuzzParseExpr|FuzzScenarioApply|FuzzServeQuery)$' \
-    ./internal/chunk ./internal/segment ./internal/mdx ./internal/cube ./internal/scenario ./internal/server
+stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|FuzzLoadManifest|FuzzLoadSchema|FuzzParse|FuzzParseExpr|FuzzScenarioApply|FuzzServeQuery)$' \
+    ./internal/chunk ./internal/segment ./internal/workload ./internal/mdx ./internal/cube ./internal/scenario ./internal/server
 
 # Race-detector pass over the concurrent paths: the serving layer's
 # stress, cache and httptest endpoint tests, the engine's scan
@@ -96,15 +96,18 @@ stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|Fuzz
 # scenario workspace fork/edit/query races, the storage tier (segment
 # reads, manifest commits, background write-back), the lint suite's
 # analyzer/driver tests, the run-encoded representation (value-run scan
-# equivalence, daemon RLE restart), the slab relocation kernel
-# (per-cell-oracle equivalence over fixtures, random geometries and
-# scenario chains, and its allocation pins), the dense planner
-# (pebbler-vs-oracle differential tests, plan determinism, the
-# allocation pins that stand in for timing asserts on this host), and
-# the query footprint (the grid-equivalence property test, the
-# random-geometry mask oracle, the masked scan's allocation pin).
+# equivalence, the daemon's run-encoded kill -9 restart), the slab
+# relocation kernel (per-cell-oracle equivalence over fixtures, random
+# geometries and scenario chains, and its allocation pins), the dense
+# planner (pebbler-vs-oracle differential tests, plan determinism, the
+# allocation pins that stand in for timing asserts on this host), the
+# query footprint (the grid-equivalence property test, the
+# random-geometry mask oracle, the masked scan's allocation pin), and
+# the server's executor (overload, close, canceled queued tasks), the
+# persister's asynchronous write-back, the catalog's leases, snapshot
+# quantiles under load and scenario commits.
 stage 'go test -race (concurrent paths)' \
-    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint' ./...
+    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint|Executor|Persist|Catalog|UnderLoad|Commit' ./...
 
 # Advisory (non-fatal): known-vulnerability scan, skipped when the
 # toolchain image does not ship govulncheck or has no network.
