@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"whatifolap/internal/algebra"
 	"whatifolap/internal/bench"
 	"whatifolap/internal/bitset"
 	"whatifolap/internal/chunk"
@@ -668,4 +669,96 @@ func BenchmarkScanChain(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchScan(b, view, w.Changing, nil)
+}
+
+// BenchmarkProject times the projection of a department report — the
+// cold-pool workload's query: one department's quarters and months by
+// every account, VISUAL — on the ConfigDefault workforce, over one
+// engine view: compiled (View.Project, one accumulator pass over the
+// chunks holding the grid's leaves) against algebra.CellValue per grid
+// cell (a leaf walk each, as the algebra path projects).
+func BenchmarkProject(b *testing.B) {
+	w, err := workload.NewWorkforce(workload.ConfigDefault())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := w.Cube
+	dept, period, account := c.DimByName(workload.DimDepartment), c.DimByName(workload.DimPeriod), c.DimByName(workload.DimAccount)
+	di, pi, ai := c.DimIndex(workload.DimDepartment), c.DimIndex(workload.DimPeriod), c.DimIndex(workload.DimAccount)
+	d := dept.MustLookup("Dept07")
+	var scope []string
+	var g core.Grid
+	for _, ch := range dept.Member(d).Children {
+		scope = append(scope, dept.Member(ch).Name)
+	}
+	for _, q := range period.Member(period.Root()).Children {
+		g.Rows = append(g.Rows, core.Tuple{{Dim: di, Member: d}, {Dim: pi, Member: q}})
+		for _, m := range period.Member(q).Children {
+			g.Rows = append(g.Rows, core.Tuple{{Dim: di, Member: d}, {Dim: pi, Member: m}})
+		}
+	}
+	for _, a := range account.Leaves() {
+		g.Cols = append(g.Cols, core.Tuple{{Dim: ai, Member: a}})
+	}
+	for _, name := range []string{workload.DimScenario, workload.DimCurrency, workload.DimVersion, workload.DimValueType} {
+		dim := c.DimByName(name)
+		g.Slicer = append(g.Slicer, core.Coord{Dim: c.DimIndex(name), Member: dim.Leaf(0).ID})
+	}
+	e, err := core.New(c, workload.DimDepartment)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The footprint the query's lowering declares: the department's
+	// leaves, every month and account, the sliced leaves.
+	fp := make(core.Footprint, c.NumDims())
+	for i := range fp {
+		fp[i] = bitset.New(c.Dim(i).NumLeaves())
+		fp[i].Add(0)
+	}
+	fp[pi].AddRange(0, period.NumLeaves())
+	fp[ai].AddRange(0, account.NumLeaves())
+	fp[di].Remove(0)
+	for _, ch := range dept.Member(d).Children {
+		fp[di].Add(dept.Member(ch).LeafOrdinal)
+	}
+	v, err := e.ExecPerspective(core.PerspectiveQuery{Members: scope, Perspectives: []int{0, 3, 6, 9},
+		Sem: perspective.Forward, Mode: perspective.Visual, Footprint: fp})
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([][]float64, len(g.Rows))
+	for i := range out {
+		out[i] = make([]float64, len(g.Cols))
+	}
+	b.Run("compiled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := v.Project(core.ExecContext{}, g, out); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(g.Rows)*len(g.Cols)), "cells/op")
+	})
+	b.Run("per-cell", func(b *testing.B) {
+		b.ReportAllocs()
+		ids := make([]dimension.MemberID, c.NumDims())
+		for i := 0; i < b.N; i++ {
+			for r, rt := range g.Rows {
+				for col, ct := range g.Cols {
+					clear(ids)
+					for _, tp := range []core.Tuple{g.Slicer, ct, rt} {
+						for _, co := range tp {
+							ids[co.Dim] = co.Member
+						}
+					}
+					val, err := algebra.CellValue(v.Input(), v.Result(), ids, perspective.Visual)
+					if err != nil {
+						b.Fatal(err)
+					}
+					out[r][col] = val
+				}
+			}
+		}
+		b.ReportMetric(float64(len(g.Rows)*len(g.Cols)), "cells/op")
+	})
 }

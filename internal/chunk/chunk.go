@@ -174,6 +174,12 @@ func (c *Chunk) Add(off int, v float64) {
 	c.Set(off, cur+v)
 }
 
+// DenseCells returns a dense chunk's cell array, Null where empty, and
+// nil for the other representations: random access without a call per
+// cell for a reader that visits chosen offsets. Readers must not write
+// it.
+func (c *Chunk) DenseCells() []float64 { return c.dense }
+
 // ForEach calls fn for every non-null cell in ascending offset order.
 func (c *Chunk) ForEach(fn func(off int, v float64) bool) {
 	if c.dense != nil {

@@ -121,15 +121,26 @@ func (o *Overlay) SetCellsAt(id, off int, cells []float64) int {
 	return n
 }
 
-// NonNull implements cube.Store. Chunks are visited in canonical ID
-// order, cells within a chunk in offset order, so iteration is
-// deterministic.
-func (o *Overlay) NonNull(fn func(addr []int, v float64) bool) {
+// ChunkIDs returns the canonical IDs of the overlay's chunks, sorted,
+// in a slice the caller owns.
+func (o *Overlay) ChunkIDs() []int {
 	ids := make([]int, 0, len(o.chunks))
 	for id := range o.chunks {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	return ids
+}
+
+// Chunk returns the chunk with canonical ID id, nil when the overlay
+// holds none. Readers must not write it.
+func (o *Overlay) Chunk(id int) *Chunk { return o.chunks[id] }
+
+// NonNull implements cube.Store. Chunks are visited in canonical ID
+// order, cells within a chunk in offset order, so iteration is
+// deterministic.
+func (o *Overlay) NonNull(fn func(addr []int, v float64) bool) {
+	ids := o.ChunkIDs()
 	addr := make([]int, o.geom.NumDims())
 	ccoord := make([]int, o.geom.NumDims())
 	stop := false

@@ -141,10 +141,7 @@ func (e *Engine) ExecPerspectiveCompressed(q PerspectiveQuery) (*View, error) {
 		base: e.store, vi: e.vi, pi: e.pi,
 		scoped: scoped, forward: target, inverse: inverse,
 	}
-	view, err := e.assemble(ms, nil, nil, q.Mode)
-	if err != nil {
-		return nil, err
-	}
+	view := e.assemble(ms, nil, nil, q.Mode)
 	view.Stats = Stats{
 		MembersInScope:  len(members),
 		SourceInstances: target.Len(),

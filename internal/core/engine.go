@@ -118,21 +118,16 @@ func (e *Engine) readStore() cube.Store {
 
 // assemble wires a result store into the view cube: under dims and
 // bindings, or the base cube's own when dims is nil, with the base
-// cube's rules.
+// cube's rules. The bindings were validated where they were made — the
+// base's when it was loaded or edited, a positive scenario's by
+// algebra.PlanSplit — so the view attaches them as they are.
 func (e *Engine) assemble(store cube.Store, dims []*dimension.Dimension,
-	bindings []*dimension.Binding, mode perspective.Mode) (*View, error) {
+	bindings []*dimension.Binding, mode perspective.Mode) *View {
 
 	if dims == nil {
 		dims, bindings = e.base.Dims(), e.base.Bindings()
 	}
-	result := cube.NewWithStore(store, dims...)
-	for _, b := range bindings {
-		if err := result.AddBinding(b); err != nil {
-			return nil, err
-		}
-	}
-	result.SetRules(e.base.Rules())
-	return &View{input: e.base, result: result, mode: mode}, nil
+	return &View{input: e.base, result: e.base.Derive(store, dims, bindings), mode: mode}
 }
 
 // sourceChunkIDs returns the chunk IDs the planner must consider: the
@@ -581,10 +576,8 @@ func (e *Engine) SimulateMultiMDX(members []string, perspectives []int, mode per
 	// merged overlay.
 	last := combined.result.Store().(*viewStore)
 	vs := &viewStore{base: e.readStore(), overlay: merged, vi: e.vi, scoped: last.scoped}
-	view, err := e.assemble(vs, nil, nil, mode)
-	if err != nil {
-		return nil, err
-	}
+	view := e.assemble(vs, nil, nil, mode)
+	view.engine, view.sourceIDs = e, e.sourceChunkIDs()
 	stats.MembersInScope = combined.Stats.MembersInScope
 	view.Stats = stats
 	return view, nil

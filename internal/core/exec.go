@@ -347,8 +347,9 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 	assembleSp := tr.Start(parent, "assemble")
 	defer assembleSp.End()
 	vs := &viewStore{base: e.readStore(), overlay: overlay, vi: e.vi, scoped: p.Scoped, baseOrd: baseOrd}
-	view, err := e.assemble(vs, newDims, newBindings, mode)
-	return view, stats, err
+	view := e.assemble(vs, newDims, newBindings, mode)
+	view.engine, view.footprint, view.sourceIDs = e, p.Footprint, p.sourceIDs
+	return view, stats, nil
 }
 
 // pinTracker enforces the executor side of the pebbling objective on a

@@ -87,8 +87,10 @@ type PhysicalPlan struct {
 	// folded into Target, the relevant chunks and the groups' masks.
 	Footprint Footprint
 	// SourceChunks is the number of materialized chunks the planner chose
-	// the relevant ones from.
+	// the relevant ones from; sourceIDs are their IDs, ascending (the
+	// compiled projection walks them for the cells the scan left alone).
 	SourceChunks int
+	sourceIDs    []int
 	// Schedule is the global chunk read order the scan follows.
 	Schedule []int
 	// Groups partitions Schedule into independent merge groups, in
@@ -203,7 +205,7 @@ func (e *Engine) buildPlan(tr *trace.Trace, target *RelocTable, scoped []bool, f
 	// differ in nothing else, so the footprint keeps or drops a group
 	// whole.
 	source := e.sourceChunkIDs()
-	p.SourceChunks = len(source)
+	p.SourceChunks, p.sourceIDs = len(source), source
 	filters := fp.chunkFilters(g, e.vi)
 	ids, keys := make([]int, 0, len(source)), make([]int, 0, len(source))
 	graph := pebble.NewGraph()

@@ -1,0 +1,927 @@
+package core
+
+import (
+	"errors"
+	"math/bits"
+	"slices"
+
+	//lint:hotpathok CellValue runs for fallback grid cells after the pass, never per chunk cell; algebra formats only errors
+	"whatifolap/internal/algebra"
+	"whatifolap/internal/chunk"
+	"whatifolap/internal/cube"
+	"whatifolap/internal/dimension"
+	"whatifolap/internal/perspective"
+	"whatifolap/internal/trace"
+)
+
+// This file is a query hot path: span recording happens here, span
+// formatting must not (no fmt import — verify.sh enforces it).
+
+// Coord pins one dimension of a grid cell to a member.
+type Coord struct {
+	Dim    int
+	Member dimension.MemberID
+}
+
+// Tuple is an ordered list of coordinates from distinct dimensions.
+type Tuple []Coord
+
+// Grid is a query's result grid as its lowering resolved it: cell
+// (i, j) names, in each dimension, its coordinate in Rows[i], else in
+// Cols[j], else in Slicer, else the dimension's root.
+type Grid struct {
+	Rows, Cols []Tuple
+	Slicer     Tuple
+}
+
+// cellIDs writes cell (i, j)'s member tuple into ids.
+func (g Grid) cellIDs(ids []dimension.MemberID, i, j int) {
+	clear(ids) // member 0 is every dimension's root
+	for _, tp := range [...]Tuple{g.Slicer, g.Cols[j], g.Rows[i]} {
+		for _, co := range tp {
+			ids[co.Dim] = co.Member
+		}
+	}
+}
+
+// ProjectStats describes one projection of a grid.
+type ProjectStats struct {
+	// Compiled counts the grid cells the accumulator pass answered (the ⊥
+	// of a hypothetical instance the input lacks included), Fallback
+	// those algebra.CellValue evaluated one by one, and Reason names why
+	// the first of those could not be compiled.
+	Compiled, Fallback int
+	Reason             string
+	// Folded counts accumulator folds, one per source cell per grid cell
+	// it feeds; ChunksRead the store chunks the pass read (the overlay's
+	// chunks are the query's own, in memory, and not counted).
+	Folded, ChunksRead int
+}
+
+// Why a grid cell falls back to per-cell evaluation.
+const (
+	reasonFormula      = "formula rule "
+	reasonMaterialized = "materialized aggregate"
+	reasonNoOverlay    = "view without an overlay"
+	reasonWide         = "more than 64 dimensions"
+)
+
+var errOffFootprint = errors.New("core: the projection reads a leaf off the footprint its view was relocated under")
+
+// A grid cell's class before it has an accumulator, and the two classes
+// that never get one.
+const (
+	cellNull     int32 = -1 // ⊥ unevaluated: names an instance the input lacks
+	cellFallback int32 = -2 // evaluated by algebra.CellValue
+	cellView     int32 = -3 // folds the view's leaf cells
+	cellInput    int32 = -4 // folds the input's leaf cells (NONVISUAL roll-up)
+)
+
+// projection is a grid compiled for one accumulator pass. A grid cell
+// is either a leaf cell, which reads one leaf of the view, or a roll-up
+// of the leaf cells below it — the view's under VISUAL, the input's
+// under NONVISUAL (Definition 4.5 retains input aggregates). Either way
+// its value is a fold of leaf cells, and a leaf cell feeds exactly the
+// grid cells whose every coordinate is its own leaf or an ancestor: the
+// ancestor-closed layout of "Hierarchical Datacubes". So instead of a
+// leaf walk per grid cell, one pass over the chunks holding the grid's
+// leaves folds each cell into every grid cell it feeds.
+type projection struct {
+	// cell[c] is the accumulator of cell c (row-major) — grid cells with
+	// one tuple and one source share it — or cellNull / cellFallback.
+	cell []int32
+	// acc[a] is accumulator a's value (Null before its first fold) under
+	// agg[a]; cnt[a] counts its folds when some accumulator averages.
+	acc []float64
+	agg []cube.AggFunc
+	cnt []int32
+	// view and input are the two cell sources, nil when no cell reads one.
+	view, input *projSource
+	stats       ProjectStats
+}
+
+// compileProjection classifies every cell of g and gives each computed
+// cell an accumulator. It reads no cell: schema supplies the result's
+// dimensions and rules (a view materializes no aggregate), input the
+// input cube NONVISUAL roll-ups are retained from. The work per cell is
+// a few bit operations on its row's, its column's and the fixed part's
+// masks (gridPart); only a cube with formula rules or materialized
+// aggregates has each cell's tuple assembled and classified one by one.
+func compileProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) *projection {
+	p := &projection{cell: make([]int32, len(g.Rows)*len(g.Cols))}
+	n := schema.NumDims()
+	if n > 64 {
+		for c := range p.cell {
+			p.cell[c] = cellFallback
+		}
+		p.stats = ProjectStats{Fallback: len(p.cell), Reason: reasonWide}
+		return p
+	}
+	full := uint64(1)<<n - 1
+	rows, cols := make([]gridPart, len(g.Rows)), make([]gridPart, len(g.Cols))
+	for i, tp := range g.Rows {
+		rows[i] = newGridPart(tp, input, schema)
+	}
+	for j, tp := range g.Cols {
+		cols[j] = newGridPart(tp, input, schema)
+	}
+	fixedTuple := make(Tuple, n, n+len(g.Slicer)) // member 0 is every dimension's root
+	for d := range fixedTuple {
+		fixedTuple[d].Dim = d
+	}
+	fixed := newGridPart(append(fixedTuple, g.Slicer...), input, schema)
+
+	// Pass 1: classes, and which parts' members each source reads.
+	perCell := len(schema.Rules().Rules()) > 0 || input.NumAggregates() > 0
+	ids := make([]dimension.MemberID, n)
+	// Per source, indexed by class − cellInput: the input's, the view's.
+	var uses [2]*partUse
+	c := 0
+	for i := range rows {
+		for j := range cols {
+			r, col := &rows[i], &cols[j]
+			cx, fx := col.mask&^r.mask, full&^(r.mask|col.mask)
+			class, reason := cellView, ""
+			if perCell {
+				g.cellIDs(ids, i, j)
+				class, reason = classifyCell(input, schema, mode, ids)
+			} else if r.leaf|col.leaf&cx|fixed.leaf&fx != full && mode != perspective.Visual {
+				class = cellInput
+				if r.hyp|col.hyp&cx|fixed.hyp&fx != 0 {
+					class = cellNull
+				}
+			}
+			p.cell[c] = class
+			c++
+			switch class {
+			case cellFallback:
+				p.stats.Fallback++
+				if p.stats.Reason == "" {
+					p.stats.Reason = reason
+				}
+				continue
+			case cellView, cellInput:
+				u := &uses[class-cellInput]
+				if *u == nil {
+					*u = &partUse{rows: make([]bool, len(rows)), cols: make([]uint64, len(cols))}
+				}
+				(*u).rows[i] = true
+				(*u).cols[j] |= cx
+				(*u).fixed |= fx
+			}
+			p.stats.Compiled++
+		}
+	}
+	defs := [2]*cube.Cube{input, schema}
+	var srcs [2]*projSource
+	var keys [2]*partKeys
+	for k, u := range uses {
+		if u != nil {
+			srcs[k] = newProjSource(defs[k].Dims())
+			keys[k] = u.compile(srcs[k], rows, cols, &fixed, len(p.cell))
+		}
+	}
+	p.input, p.view = srcs[0], srcs[1]
+
+	// Pass 2: accumulators, one per distinct (source, tuple), with the
+	// function decided once: a leaf cell's value is its one leaf's (sum
+	// of one), a roll-up's the declared aggregation (RuleSet.AggFor).
+	c = 0
+	avg := false
+	for i := range rows {
+		for j := range cols {
+			class := p.cell[c]
+			if class != cellView && class != cellInput {
+				c++
+				continue
+			}
+			r, col := &rows[i], &cols[j]
+			k := class - cellInput
+			src, def := srcs[k], defs[k]
+			key := keys[k].key(i, j, r, col, full)
+			a := src.accOf(key)
+			if a < 0 {
+				a = int32(len(p.agg))
+				src.setAcc(key, a)
+				f := cube.AggSum
+				if fx := full &^ (r.mask | col.mask); r.leaf|col.leaf&^r.mask|fixed.leaf&fx != full {
+					g.cellIDs(ids, i, j)
+					f = def.Rules().AggFor(def, ids)
+				}
+				p.agg = append(p.agg, f)
+				avg = avg || f == cube.AggAvg
+			}
+			p.cell[c] = a
+			c++
+		}
+	}
+	p.acc = make([]float64, len(p.agg))
+	for a := range p.acc {
+		p.acc[a] = cube.Null
+	}
+	if avg {
+		p.cnt = make([]int32, len(p.agg))
+	}
+	return p
+}
+
+// gridPart is a row tuple, a column tuple or the fixed part of every
+// cell (the roots under the slicer), summarized as bit masks over the
+// dimensions: those it names, those whose member there is a leaf of the
+// result, and those whose member the input lacks (a hypothetical
+// instance). A cell takes each dimension from its row, else its column,
+// else the fixed part, so its own masks are a few bit operations away.
+type gridPart struct {
+	tuple           Tuple
+	mask, leaf, hyp uint64
+}
+
+func newGridPart(tp Tuple, input, schema *cube.Cube) gridPart {
+	p := gridPart{tuple: tp}
+	for _, co := range tp {
+		bit := uint64(1) << co.Dim
+		p.mask |= bit
+		p.leaf &^= bit
+		p.hyp &^= bit
+		if schema.Dim(co.Dim).Member(co.Member).LeafOrdinal >= 0 {
+			p.leaf |= bit
+		}
+		if int(co.Member) >= input.Dim(co.Dim).NumMembers() {
+			p.hyp |= bit
+		}
+	}
+	return p
+}
+
+// each calls fn with the member the part names in each dimension of
+// dims (a tuple naming a dimension twice names its last member).
+func (p *gridPart) each(dims uint64, fn func(d int, id dimension.MemberID)) {
+	for k := len(p.tuple) - 1; k >= 0 && dims != 0; k-- {
+		if co := p.tuple[k]; dims&(1<<co.Dim) != 0 {
+			dims &^= 1 << co.Dim
+			fn(co.Dim, co.Member)
+		}
+	}
+}
+
+// partUse records which parts' members one source's cells take: every
+// dimension of a row with such a cell, per column the dimensions such a
+// cell takes from it, and the fixed part's.
+type partUse struct {
+	rows  []bool
+	cols  []uint64
+	fixed uint64
+}
+
+// compile marks the members the source's cells name, seals its key
+// space and returns the parts' key contributions.
+func (u *partUse) compile(src *projSource, rows, cols []gridPart, fixed *gridPart, cells int) *partKeys {
+	mark := func(d int, id dimension.MemberID) { src.members[d].words[id>>6] |= 1 << (id & 63) }
+	for i := range rows {
+		if u.rows[i] {
+			rows[i].each(rows[i].mask, mark)
+		}
+	}
+	for j := range cols {
+		cols[j].each(u.cols[j], mark)
+	}
+	fixed.each(u.fixed, mark)
+	src.seal(cells)
+	pk := &partKeys{src: src, row: make([]int, len(rows)), col: make([]int, len(cols)), fixed: make([]int, len(src.dims))}
+	for i := range rows {
+		if u.rows[i] {
+			pk.row[i] = pk.sum(&rows[i], rows[i].mask)
+		}
+	}
+	for j := range cols {
+		if u.cols[j] != 0 {
+			pk.col[j] = pk.sum(&cols[j], cols[j].mask)
+		}
+	}
+	fixed.each(u.fixed, func(d int, id dimension.MemberID) { pk.fixed[d] = pk.contrib(d, id) })
+	return pk
+}
+
+// partKeys are one source's key contributions: each row's and each
+// column's over the dimensions it names, and the fixed part's per
+// dimension.
+type partKeys struct {
+	src      *projSource
+	row, col []int
+	fixed    []int
+}
+
+func (pk *partKeys) contrib(d int, id dimension.MemberID) int {
+	slot, _ := pk.src.members[d].slot(id)
+	return slot * pk.src.radix[d]
+}
+
+func (pk *partKeys) sum(p *gridPart, dims uint64) int {
+	k := 0
+	p.each(dims, func(d int, id dimension.MemberID) { k += pk.contrib(d, id) })
+	return k
+}
+
+// key returns the key of cell (i, j), whose row and column parts are r
+// and col.
+func (pk *partKeys) key(i, j int, r, col *gridPart, full uint64) int {
+	k := pk.row[i]
+	if col.mask&r.mask == 0 {
+		k += pk.col[j]
+	} else {
+		k += pk.sum(col, col.mask&^r.mask)
+	}
+	for fx := full &^ (r.mask | col.mask); fx != 0; fx &= fx - 1 {
+		k += pk.fixed[bits.TrailingZeros64(fx)]
+	}
+	return k
+}
+
+// classifyCell decides where one grid cell's value comes from: the
+// view's leaves (a leaf cell, or a VISUAL roll-up), the input's (a
+// NONVISUAL roll-up), nowhere (a NONVISUAL roll-up naming a hypothetical
+// instance, ⊥ as in algebra.CellValue), or per-cell evaluation with the
+// reason why: a formula rule that defines the cell or may define a leaf
+// below it, or an aggregate the input materialized for it.
+func classifyCell(input, schema *cube.Cube, mode perspective.Mode, ids []dimension.MemberID) (int32, string) {
+	def, class := schema, cellView
+	if !schema.IsLeafCell(ids) && mode != perspective.Visual {
+		for i, id := range ids {
+			if int(id) >= input.Dim(i).NumMembers() {
+				return cellNull, ""
+			}
+		}
+		if input.NumAggregates() > 0 && !cube.IsNull(input.Value(ids)) {
+			return cellFallback, reasonMaterialized
+		}
+		def, class = input, cellInput
+	}
+	if t := def.Rules().FormulaReaches(def, ids); t != "" {
+		return cellFallback, reasonFormula + t
+	}
+	return class, ""
+}
+
+// PlanProjection classifies an engine query's grid as View.Project
+// will, reading no cell: how many cells the accumulator pass computes,
+// how many fall back and why. EXPLAIN prints it.
+func PlanProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) ProjectStats {
+	return compileProjection(input, schema, mode, g).stats
+}
+
+// Project evaluates the grid over the view into out, indexed [row][col]:
+// one accumulator pass over the chunks holding the grid's leaves — the
+// overlay's for the scoped rows, the base store's (through the scenario
+// chain, when there is one) for the rest of the view and for the input
+// — then algebra.CellValue for the cells the pass cannot express.
+// Chunks are visited in canonical ID order and cells in offset order,
+// so the result is deterministic; the context is checked between chunk
+// reads and between fallback cells. A buffer-pool fault during the pass
+// becomes a "fault" span under ec's current span.
+func (v *View) Project(ec ExecContext, g Grid, out [][]float64) (ProjectStats, error) {
+	p := compileProjection(v.input, v.result, v.mode, g)
+	if vs, ok := v.result.Store().(*viewStore); !ok || v.engine == nil {
+		// No overlay to fold (ExecPerspectiveCompressed): every cell per cell.
+		for c := range p.cell {
+			p.cell[c] = cellFallback
+		}
+		p.stats = ProjectStats{Fallback: len(p.cell), Reason: reasonNoOverlay}
+	} else if err := p.run(ec, v.engine, vs, v.footprint, v.sourceIDs); err != nil {
+		return p.stats, err
+	}
+	ids := make([]dimension.MemberID, v.result.NumDims())
+	c := 0
+	for i, row := range out {
+		for j := range row {
+			switch a := p.cell[c]; {
+			case a >= 0:
+				n := int32(1)
+				if p.cnt != nil {
+					n = p.cnt[a]
+				} else if cube.IsNull(p.acc[a]) {
+					n = 0
+				}
+				row[j] = p.agg[a].Finish(p.acc[a], int(n))
+			case a == cellNull:
+				row[j] = cube.Null
+			default:
+				if err := ec.Err(); err != nil {
+					return p.stats, err
+				}
+				g.cellIDs(ids, i, j)
+				val, err := algebra.CellValue(v.input, v.result, ids, v.mode)
+				if err != nil {
+					return p.stats, err
+				}
+				row[j] = val
+			}
+			c++
+		}
+	}
+	return p.stats, nil
+}
+
+// run is the accumulator pass: the overlay's chunks for the view's
+// scoped rows, then one walk over the base store's chunks (ids,
+// ascending) that feeds the view's unscoped rows and the input's cells
+// from a single read of each. A chunk none of whose cells feeds the
+// grid is not read.
+func (p *projection) run(ec ExecContext, e *Engine, vs *viewStore, fp Footprint, ids []int) error {
+	var fromBase, fromInput *decoder
+	if p.view != nil {
+		if err := p.view.onFootprint(fp); err != nil {
+			return err
+		}
+		og := vs.overlay.Geometry()
+		fromOverlay := newDecoder(p, p.view, og)
+		if fromOverlay.cover() {
+			ccoord := make([]int, og.NumDims())
+			for _, id := range vs.overlay.ChunkIDs() {
+				if err := ec.Err(); err != nil {
+					return err
+				}
+				og.CoordOf(id, ccoord)
+				if fromOverlay.covers(id) && fromOverlay.begin(ccoord) {
+					fromOverlay.fold(vs.overlay.Chunk(id))
+				}
+			}
+		}
+		// The base's rows in the view's ordinals (a positive scenario's
+		// varying dimension numbers them anew, through member IDs), minus
+		// the scoped ones the overlay owns.
+		fromBase = newDecoder(p, p.view, e.store.Geometry())
+		fromBase.vi, fromBase.scoped = e.vi, vs.scoped
+		if vd := p.view.dims[e.vi]; vd != e.binding.Varying {
+			fromBase.baseDim = e.binding.Varying
+		}
+		if !fromBase.cover() {
+			fromBase = nil
+		}
+	}
+	if p.input != nil {
+		if fromInput = newDecoder(p, p.input, e.store.Geometry()); !fromInput.cover() {
+			fromInput = nil
+		}
+	}
+	if fromBase == nil && fromInput == nil {
+		return nil
+	}
+	tr := trace.FromContext(ec.Ctx)
+	parent := trace.SpanFromContext(ec.Ctx)
+	g := e.store.Geometry()
+	ccoord := make([]int, g.NumDims())
+	var resolved *chunk.Chunk
+	for _, id := range ids {
+		view := fromBase != nil && fromBase.covers(id)
+		in := fromInput != nil && fromInput.covers(id)
+		if !view && !in {
+			continue
+		}
+		g.CoordOf(id, ccoord)
+		view = view && fromBase.begin(ccoord)
+		in = in && fromInput.begin(ccoord)
+		if !view && !in {
+			continue
+		}
+		if err := ec.Err(); err != nil {
+			return err
+		}
+		readStart := tr.Now()
+		ch, info := e.store.ReadChunkInfo(id)
+		p.stats.ChunksRead++
+		if info.Faulted {
+			sp := tr.Record(parent, "fault", readStart, tr.Now())
+			sp.Int("chunk", int64(id))
+			sp.IntNonZero("evictions", int64(info.Evictions))
+		}
+		if e.chain != nil {
+			if resolved == nil {
+				resolved = chunk.NewDense(g.ChunkCap())
+			}
+			ch = e.chain.Resolve(id, ch, resolved)
+		}
+		if ch == nil {
+			continue
+		}
+		if view {
+			fromBase.fold(ch)
+		}
+		if in {
+			fromInput.fold(ch)
+		}
+	}
+	return nil
+}
+
+// fold folds v into accumulator a; a negative a is a key no grid cell
+// has (the grid's tuples need not form a cross product).
+func (p *projection) fold(a int32, v float64) {
+	if a < 0 {
+		return
+	}
+	n := 1
+	if cube.IsNull(p.acc[a]) {
+		n = 0
+	}
+	p.acc[a] = p.agg[a].Apply(p.acc[a], n, v)
+	if p.cnt != nil {
+		p.cnt[a]++
+	}
+	p.stats.Folded++
+}
+
+// projSource is one cell source compiled over the grid cells that read
+// it: per dimension the distinct members they name, and the dense key
+// space of member combinations mapped to accumulators.
+type projSource struct {
+	dims []*dimension.Dimension
+	// members[d] are the members of dimension d the cells name; a
+	// member's slot is its index among them in ID order, and a cell's
+	// key the sum of its slots times radix.
+	members []memberSet
+	radix   []int
+	// byKey maps a key to its accumulator (-1: no grid cell), densely —
+	// or, when the grid's tuples leave most of the key space empty, in
+	// sparse.
+	byKey  []int32
+	sparse map[int]int32
+}
+
+func newProjSource(dims []*dimension.Dimension) *projSource {
+	s := &projSource{dims: dims, members: make([]memberSet, len(dims))}
+	for d, dim := range dims {
+		s.members[d].words = make([]uint64, (dim.NumMembers()+63)/64)
+	}
+	return s
+}
+
+// seal fixes the members and the key space of a source read by some of
+// a grid's cells.
+func (s *projSource) seal(cells int) {
+	s.radix = make([]int, len(s.dims))
+	space := 1
+	for d := len(s.dims) - 1; d >= 0; d-- {
+		s.radix[d] = space
+		if n := s.members[d].seal(); space <= 1<<40 {
+			space *= n
+		}
+	}
+	if space > 4*cells+4096 {
+		s.sparse = make(map[int]int32)
+		return
+	}
+	s.byKey = make([]int32, space)
+	for k := range s.byKey {
+		s.byKey[k] = -1
+	}
+}
+
+// memberSet is a set of one dimension's member IDs with a rank
+// directory, so that a member's slot is one popcount away.
+type memberSet struct {
+	words []uint64
+	// rank[w] counts the members in words before w.
+	rank []int32
+}
+
+// seal builds the rank directory and returns the member count.
+func (m *memberSet) seal() int {
+	m.rank = make([]int32, len(m.words))
+	n := 0
+	for w, word := range m.words {
+		m.rank[w] = int32(n)
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// slot returns id's slot, and whether the set holds id at all.
+func (m *memberSet) slot(id dimension.MemberID) (int, bool) {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	return int(m.rank[w]) + bits.OnesCount64(m.words[w]&(bit-1)), m.words[w]&bit != 0
+}
+
+// all reports whether ok holds for every member, in ID order.
+func (m *memberSet) all(ok func(id dimension.MemberID) bool) bool {
+	for w, word := range m.words {
+		for ; word != 0; word &= word - 1 {
+			if !ok(dimension.MemberID(w<<6 + bits.TrailingZeros64(word))) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (s *projSource) accOf(key int) int32 {
+	if s.sparse == nil {
+		return s.byKey[key]
+	}
+	if a, ok := s.sparse[key]; ok {
+		return a
+	}
+	return -1
+}
+
+func (s *projSource) setAcc(key int, a int32) {
+	if s.sparse == nil {
+		s.byKey[key] = a
+	} else {
+		s.sparse[key] = a
+	}
+}
+
+// onFootprint checks that every leaf the source's members cover lies on
+// the footprint the view was relocated under: a scoped cell off it
+// reads ⊥ from the overlay, so a pass folding one would be silently
+// wrong. The lowering declares the footprint from the same grid, so this
+// holds by construction; the check keeps the two honest.
+func (s *projSource) onFootprint(fp Footprint) error {
+	for d, set := range fp {
+		if set == nil {
+			continue
+		}
+		if !s.members[d].all(func(m dimension.MemberID) bool { return allLeaves(s.dims[d], m, set.Contains) }) {
+			return errOffFootprint
+		}
+	}
+	return nil
+}
+
+// allLeaves reports whether ok holds for the ordinal of every leaf at or
+// below id.
+func allLeaves(dim *dimension.Dimension, id dimension.MemberID, ok func(int) bool) bool {
+	m := dim.Member(id)
+	if m.LeafOrdinal >= 0 {
+		return ok(m.LeafOrdinal)
+	}
+	for _, ch := range m.Children {
+		if !allLeaves(dim, ch, ok) {
+			return false
+		}
+	}
+	return true
+}
+
+// digitTable is one dimension's share of decoding a chunk, for the
+// chunk coordinate it was built for: per in-chunk digit j, the key
+// contributions of the grid members the digit's leaf feeds are
+// keys[start[j]:start[j+1]], and offs holds each one's offset
+// contribution (j × the dimension's offset stride).
+type digitTable struct {
+	coord      int
+	start      []int32
+	keys, offs []int
+}
+
+// decoder decodes one geometry's chunks for one source with per-
+// dimension digit tables, the way the slab kernel decodes with strides:
+// an offset's digit in dimension d is off / stride[d] % edge[d], and a
+// cell's key the sum of its digits' key contributions — no address is
+// ever recomposed.
+type decoder struct {
+	p            *projection
+	src          *projSource
+	g            *chunk.Geometry
+	edge, stride []int
+	tables       []digitTable
+	// vi, when non-negative, is the varying dimension of a decoder
+	// reading the base's rows for the view: a scoped row is the overlay's
+	// and skipped, and a base ordinal names the view's leaf of the same
+	// member of baseDim (nil: the two dimensions are one).
+	vi      int
+	scoped  []bool
+	baseDim *dimension.Dimension
+	// filters are the dimensions whose chunk coordinates hold no leaf the
+	// source reads somewhere (cover): a chunk they rule out is not read.
+	filters []chunkFilter
+	// Per chunk: lists are the tables of the dimensions with more than
+	// one contribution, off0/key0 the sums of the others' one each, and
+	// pairs the number of (offset, key) combinations the chunk feeds.
+	// decode are the dimensions foldCell decodes — all but those a chunk
+	// spans one leaf of with one contribution, whose keys sum to key1 —
+	// and multi its scratch: a cell's contribution lists that hold more
+	// than one key.
+	lists      []*digitTable
+	off0, key0 int
+	pairs      int
+	decode     []int
+	key1       int
+	multi      [][]int
+	ch         *chunk.Chunk
+	cells      []float64
+	foldCellFn func(off int, v float64) bool
+}
+
+func newDecoder(p *projection, src *projSource, g *chunk.Geometry) *decoder {
+	n := g.NumDims()
+	k := &decoder{p: p, src: src, g: g, edge: g.ChunkDims, stride: make([]int, n),
+		tables: make([]digitTable, n), vi: -1}
+	for d := range k.tables {
+		k.stride[d] = g.OffsetStride(d)
+		k.tables[d].coord = -1
+	}
+	k.foldCellFn = k.foldCell
+	return k
+}
+
+// cover builds the decoder's chunk filters from the leaves under the
+// source's members, in the geometry's ordinals, and reports whether any
+// chunk can hold one.
+func (k *decoder) cover() bool {
+	k.filters = k.filters[:0]
+	for d := range k.src.members {
+		n := k.g.ChunksPerDim(d)
+		if n == 1 && d != k.vi {
+			continue
+		}
+		on := make([]bool, n)
+		k.src.members[d].all(func(m dimension.MemberID) bool {
+			return allLeaves(k.src.dims[d], m, func(o int) bool {
+				if o = k.geomOrdinal(d, o); o >= 0 {
+					on[o/k.edge[d]] = true
+				}
+				return true
+			})
+		})
+		if !slices.Contains(on, true) {
+			return false
+		}
+		if slices.Contains(on, false) {
+			k.filters = append(k.filters, chunkFilter{idStride: k.g.ChunkIDStride(d), n: n, on: on})
+		}
+	}
+	return true
+}
+
+// geomOrdinal maps the source's leaf ordinal o of dimension d to the
+// geometry's, or -1 when the decoder does not read it there: a scoped
+// row, a hypothetical instance the base lacks, an ordinal past the
+// geometry's extent.
+func (k *decoder) geomOrdinal(d, o int) int {
+	if d == k.vi {
+		if k.scoped[o] {
+			return -1
+		}
+		if k.baseDim != nil {
+			id := k.src.dims[d].Leaf(o).ID
+			if int(id) >= k.baseDim.NumMembers() {
+				return -1
+			}
+			o = k.baseDim.Member(id).LeafOrdinal
+		}
+	}
+	if o >= k.g.Extents[d] {
+		return -1
+	}
+	return o
+}
+
+// covers reports whether chunk id passes the decoder's filters.
+func (k *decoder) covers(id int) bool {
+	for _, f := range k.filters {
+		if !f.on[id/f.idStride%f.n] {
+			return false
+		}
+	}
+	return true
+}
+
+// begin positions the decoder on the chunk at ccoord and reports
+// whether any of its cells feeds the grid.
+func (k *decoder) begin(ccoord []int) bool {
+	k.lists, k.off0, k.key0, k.pairs = k.lists[:0], 0, 0, 1
+	k.decode, k.key1 = k.decode[:0], 0
+	for d, c := range ccoord {
+		t := &k.tables[d]
+		if t.coord != c {
+			k.build(d, c)
+		}
+		switch len(t.keys) {
+		case 0:
+			return false
+		case 1:
+			k.off0 += t.offs[0]
+			k.key0 += t.keys[0]
+		default:
+			k.lists = append(k.lists, t)
+			k.pairs *= len(t.keys)
+		}
+		if len(t.keys) == 1 && k.edge[d] == 1 {
+			k.key1 += t.keys[0]
+		} else {
+			k.decode = append(k.decode, d)
+		}
+	}
+	return true
+}
+
+// build fills dimension d's digit table for chunk coordinate c. A leaf
+// feeds its own member and each ancestor among the grid's members,
+// found by walking up its parents.
+func (k *decoder) build(d, c int) {
+	t := &k.tables[d]
+	t.coord = c
+	t.start, t.keys, t.offs = t.start[:0], t.keys[:0], t.offs[:0]
+	dim, members, radix := k.src.dims[d], &k.src.members[d], k.src.radix[d]
+	for j := 0; j < k.edge[d]; j++ {
+		t.start = append(t.start, int32(len(t.keys)))
+		o := c*k.edge[d] + j
+		if o >= k.g.Extents[d] {
+			continue
+		}
+		if d == k.vi {
+			if k.baseDim != nil {
+				o = dim.Member(k.baseDim.Leaf(o).ID).LeafOrdinal
+			}
+			if k.scoped[o] {
+				continue
+			}
+		}
+		for id := dim.Leaf(o).ID; id != dimension.None; id = dim.Member(id).Parent {
+			if slot, ok := members.slot(id); ok {
+				t.keys = append(t.keys, slot*radix)
+				t.offs = append(t.offs, j*k.stride[d])
+			}
+		}
+	}
+	t.start = append(t.start, int32(len(t.keys)))
+}
+
+// fold folds the chunk begin positioned on. A dense chunk, or one
+// holding more cells than the grid's combinations in it, is visited at
+// those combinations' offsets; a sparse or run-encoded one with fewer
+// cells is iterated and each cell decoded.
+func (k *decoder) fold(ch *chunk.Chunk) {
+	k.ch, k.cells = ch, ch.DenseCells()
+	if k.cells != nil || k.pairs <= ch.Len() {
+		k.walk(0, k.off0, k.key0)
+	} else {
+		ch.ForEach(k.foldCellFn)
+	}
+	k.ch, k.cells = nil, nil
+}
+
+// walk visits the offsets of the combinations of lists[l:] on top of
+// off and key.
+func (k *decoder) walk(l, off, key int) {
+	if l == len(k.lists) {
+		if v := k.get(off); v == v {
+			k.p.fold(k.src.accOf(key), v)
+		}
+		return
+	}
+	t := k.lists[l]
+	if l < len(k.lists)-1 {
+		for i, o := range t.offs {
+			k.walk(l+1, off+o, key+t.keys[i])
+		}
+		return
+	}
+	for i, o := range t.offs {
+		if v := k.get(off + o); v == v {
+			k.p.fold(k.src.accOf(key+t.keys[i]), v)
+		}
+	}
+}
+
+func (k *decoder) get(off int) float64 {
+	if k.cells != nil {
+		return k.cells[off]
+	}
+	return k.ch.Get(off)
+}
+
+// foldCell decodes one cell of the chunk and folds it into every grid
+// cell it feeds.
+func (k *decoder) foldCell(off int, v float64) bool {
+	key := k.key1
+	k.multi = k.multi[:0]
+	for _, d := range k.decode {
+		t := &k.tables[d]
+		j := off / k.stride[d] % k.edge[d]
+		lo, hi := t.start[j], t.start[j+1]
+		switch hi - lo {
+		case 0:
+			return true
+		case 1:
+			key += t.keys[lo]
+		default:
+			k.multi = append(k.multi, t.keys[lo:hi])
+		}
+	}
+	k.foldAll(0, key, v)
+	return true
+}
+
+// foldAll folds v under key plus every combination of one contribution
+// from each of multi[i:].
+func (k *decoder) foldAll(i, key int, v float64) {
+	if i == len(k.multi) {
+		k.p.fold(k.src.accOf(key), v)
+		return
+	}
+	for _, c := range k.multi[i] {
+		k.foldAll(i+1, key+c, v)
+	}
+}

@@ -7,6 +7,7 @@ package cube
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"whatifolap/internal/dimension"
@@ -217,6 +218,9 @@ func (c *Cube) SetValue(ids []dimension.MemberID, v float64) {
 		delete(c.derived, k)
 		return
 	}
+	if c.derived == nil { // a Derive cube materializes none until asked
+		c.derived = make(map[string]float64)
+	}
 	c.derived[k] = v
 }
 
@@ -252,6 +256,32 @@ func (c *Cube) CloneSchema() *Cube {
 	return out
 }
 
+// Derive returns a cube over store that shares c's rules, with dims and
+// bindings attached as they are: a query's result, a scenario's layered
+// snapshot — a view of c, whose dimensions may be clones of c's, or
+// extend one of them. The bindings are not re-validated: every path that
+// builds or edits a binding validates it once (AddBinding,
+// algebra.PlanSplit, a scenario's structural batch), and re-checking
+// every pair of instances' validity sets per query would only repeat
+// that work. When dims carries c's dimension names in c's order the two
+// cubes share c's name index too. It panics when a binding's dimensions
+// are not dims' — a caller bug, like a tuple of the wrong arity.
+func (c *Cube) Derive(store Store, dims []*dimension.Dimension, bindings []*dimension.Binding) *Cube {
+	out := &Cube{dims: dims, byName: c.byName, bindings: bindings, store: store, rules: c.rules}
+	if !slices.EqualFunc(dims, c.dims, func(a, b *dimension.Dimension) bool { return a.Name() == b.Name() }) {
+		out.byName = make(map[string]int, len(dims))
+		for i, d := range dims {
+			out.byName[d.Name()] = i
+		}
+	}
+	for _, b := range bindings {
+		if out.DimByName(b.Varying.Name()) != b.Varying || out.DimByName(b.Param.Name()) != b.Param {
+			panic(fmt.Sprintf("cube: binding %s/%s outside the derived cube's schema", b.Varying.Name(), b.Param.Name()))
+		}
+	}
+	return out
+}
+
 // Clone returns a deep copy of cell data sharing dimensions, bindings and
 // rules (which operators treat as immutable unless they clone them
 // explicitly, e.g. split).
@@ -262,16 +292,6 @@ func (c *Cube) Clone() *Cube {
 		out.derived[k] = v
 	}
 	return out
-}
-
-// ReplaceDim substitutes a (typically cloned and extended) dimension at
-// schema position i, along with rebased bindings. Used by the split
-// operator, which adds member instances.
-func (c *Cube) ReplaceDim(i int, d *dimension.Dimension, bindings []*dimension.Binding) {
-	delete(c.byName, c.dims[i].Name())
-	c.dims[i] = d
-	c.byName[d.Name()] = i
-	c.bindings = bindings
 }
 
 // NumCells returns the number of present leaf cells.

@@ -9,7 +9,7 @@ import (
 
 // AggFunc identifies an aggregation function used to roll leaf cells up
 // into non-leaf cells.
-type AggFunc int
+type AggFunc uint8
 
 // Supported aggregation functions. Sum is the paper's default for
 // hierarchy rollup (rule (5) in §2).
@@ -40,7 +40,7 @@ func (f AggFunc) String() string {
 
 // Apply folds v into the accumulator (acc, n), where n counts non-null
 // inputs so far.
-func (f AggFunc) apply(acc float64, n int, v float64) float64 {
+func (f AggFunc) Apply(acc float64, n int, v float64) float64 {
 	if n == 0 {
 		if f == AggCount {
 			return 1
@@ -60,7 +60,9 @@ func (f AggFunc) apply(acc float64, n int, v float64) float64 {
 	return acc
 }
 
-func (f AggFunc) finish(acc float64, n int) float64 {
+// Finish turns an accumulator over n non-null inputs into the cell
+// value: Null when nothing was folded, the mean under avg.
+func (f AggFunc) Finish(acc float64, n int) float64 {
 	if n == 0 {
 		return Null
 	}
@@ -233,18 +235,59 @@ func (rs *RuleSet) evalCell(defCube, dataCube *Cube, ids []dimension.MemberID, d
 	return rs.rollup(defCube, dataCube, ids, depth)
 }
 
-// rollup aggregates the cell's descendant leaf cells. Null inputs are
-// skipped; a cell with no non-null descendants is Null. Descendant leaf
-// cells that are themselves rule-defined are evaluated recursively.
-func (rs *RuleSet) rollup(defCube, dataCube *Cube, ids []dimension.MemberID, depth int) (float64, error) {
+// AggFor returns the function that rolls the cell's leaf descendants
+// up: the override of the cell's member in a measure dimension, else the
+// default. Every roll-up decides it here — rollup per cell, the
+// engine's compiled projection once per grid cell.
+func (rs *RuleSet) AggFor(c *Cube, ids []dimension.MemberID) AggFunc {
 	f := rs.defaultAgg
+	if len(rs.aggByName) == 0 {
+		return f
+	}
 	for i, id := range ids {
-		if defCube.dims[i].Measure() {
-			if of, ok := rs.aggByName[defCube.dims[i].Member(id).Name]; ok {
+		if c.dims[i].Measure() {
+			if of, ok := rs.aggByName[c.dims[i].Member(id).Name]; ok {
 				f = of
 			}
 		}
 	}
+	return f
+}
+
+// FormulaReaches returns the target of a formula rule that defines the
+// cell or may define one of its leaf descendants, or "" when none can:
+// then the cell's value is its leaf descendants' stored values rolled up
+// with AggFor, which is what a compiled projection computes. A rule
+// reaches a leaf below the cell when its target names a member at or
+// below the cell's coordinate in the rule's dimension; scope conditions
+// are not consulted there, so the answer errs toward "reaches".
+func (rs *RuleSet) FormulaReaches(c *Cube, ids []dimension.MemberID) string {
+	if len(rs.rules) == 0 {
+		return ""
+	}
+	if r := rs.findRule(c, ids); r != nil {
+		return r.Target
+	}
+	for _, r := range rs.rules {
+		di := c.DimIndex(r.Dim)
+		if di < 0 {
+			continue
+		}
+		d := c.dims[di]
+		for _, o := range d.LeafDescendants(ids[di]) {
+			if d.Leaf(o).Name == r.Target {
+				return r.Target
+			}
+		}
+	}
+	return ""
+}
+
+// rollup aggregates the cell's descendant leaf cells. Null inputs are
+// skipped; a cell with no non-null descendants is Null. Descendant leaf
+// cells that are themselves rule-defined are evaluated recursively.
+func (rs *RuleSet) rollup(defCube, dataCube *Cube, ids []dimension.MemberID, depth int) (float64, error) {
+	f := rs.AggFor(defCube, ids)
 	// Collect per-dimension leaf ordinal ranges.
 	leafSets := make([][]int, len(ids))
 	for i, id := range ids {
@@ -278,7 +321,7 @@ func (rs *RuleSet) rollup(defCube, dataCube *Cube, ids []dimension.MemberID, dep
 				v = dataCube.Leaf(addr)
 			}
 			if !IsNull(v) {
-				acc = f.apply(acc, n, v)
+				acc = f.Apply(acc, n, v)
 				n++
 			}
 			return nil
@@ -294,7 +337,7 @@ func (rs *RuleSet) rollup(defCube, dataCube *Cube, ids []dimension.MemberID, dep
 	if err := walk(0); err != nil {
 		return Null, err
 	}
-	return f.finish(acc, n), nil
+	return f.Finish(acc, n), nil
 }
 
 func (rs *RuleSet) evalExpr(defCube, dataCube *Cube, r *Rule, e Expr, ids []dimension.MemberID, depth int) (float64, error) {

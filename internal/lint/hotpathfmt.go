@@ -12,8 +12,9 @@ import (
 
 // HotpathFmt forbids formatting machinery on the engine's declared hot
 // paths. The span recorder (internal/trace/trace.go), the staged
-// executor's scan loop (internal/core/exec.go), the overlay write
-// path (internal/chunk/overlay.go), the scenario layer-chain read
+// executor's scan loop (internal/core/exec.go), the compiled
+// projection's accumulator pass (internal/core/project.go), the overlay
+// write path (internal/chunk/overlay.go), the scenario layer-chain read
 // path (internal/chunk/chain.go), the run-encoded chunk iterator
 // (internal/chunk/run.go) and the per-query trace-retention decision
 // (internal/obs/retain.go) hold the suite's 0-alloc-per-cell
@@ -41,7 +42,7 @@ var HotpathFmt = &analysis.Analyzer{
 }
 
 var (
-	hotpathFiles = "internal/trace/trace.go,internal/core/exec.go,internal/chunk/overlay.go,internal/chunk/chain.go,internal/chunk/run.go,internal/obs/retain.go"
+	hotpathFiles = "internal/trace/trace.go,internal/core/exec.go,internal/core/project.go,internal/chunk/overlay.go,internal/chunk/chain.go,internal/chunk/run.go,internal/obs/retain.go"
 	hotpathRoot  = ModulePath
 )
 

@@ -18,13 +18,10 @@ import (
 )
 
 // Coord pins one dimension of a cell to a member.
-type Coord struct {
-	Dim    int
-	Member dimension.MemberID
-}
+type Coord = core.Coord
 
 // Tuple is an ordered list of coordinates from distinct dimensions.
-type Tuple []Coord
+type Tuple = core.Tuple
 
 // RunContext carries per-query execution parameters through the
 // evaluator into the engine — it is the engine's ExecContext:
@@ -105,19 +102,27 @@ func (ev *Evaluator) RunQueryStatsWith(rc RunContext, q *Query) (*result.Grid, c
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	out, stats, err := ev.execute(rc, lo)
+	out, view, stats, err := ev.execute(rc, lo)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
 	tr := trace.FromContext(rc.Ctx)
-	projTraceStart := tr.Now()
+	projSp := tr.Start(trace.SpanFromContext(rc.Ctx), "project")
 	projStart := time.Now()
-	g, err := ev.project(rc, q, out, lo)
+	prc := rc
+	prc.Ctx = trace.WithSpan(rc.Ctx, projSp)
+	g, ps, err := ev.project(prc, q, out, view, lo)
+	if view != nil {
+		projSp.Int("cells_compiled", int64(ps.Compiled))
+		projSp.IntNonZero("cells_fallback", int64(ps.Fallback))
+		projSp.Int("cells_folded", int64(ps.Folded))
+		projSp.IntNonZero("chunks_read", int64(ps.ChunksRead))
+	}
+	projSp.End()
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
 	stats.ProjectMs = float64(time.Since(projStart)) / float64(time.Millisecond)
-	tr.Record(trace.SpanFromContext(rc.Ctx), "project", projTraceStart, tr.Now())
 	return g, stats, nil
 }
 
@@ -195,8 +200,19 @@ func (ev *Evaluator) Explain(q *Query) (string, error) {
 		return "", err
 	}
 	b.WriteString(describeFootprint(lo.schema, plan))
+	b.WriteString(describeProjection(core.PlanProjection(ev.cube, lo.schema, lo.mode, lo.grid.core())))
 	b.WriteString(plan.Describe())
 	return b.String(), nil
+}
+
+// describeProjection renders the projection line of an engine plan:
+// whether one accumulator pass computes the whole grid, or which cells
+// fall back to per-cell evaluation and why.
+func describeProjection(ps core.ProjectStats) string {
+	if ps.Fallback == 0 {
+		return "project: compiled\n"
+	}
+	return fmt.Sprintf("project: per-cell (%s; %d of %d cells)\n", ps.Reason, ps.Fallback, ps.Compiled+ps.Fallback)
 }
 
 // describeFootprint renders the footprint line of an engine plan: per
@@ -322,7 +338,9 @@ func (ev *Evaluator) lower(q *Query) (lowered, error) {
 // execute runs the lowered query to the scenario-transformed cube (the
 // perspective cube): on the engine under rc's context, or through the
 // optimized algebra plan.
-func (ev *Evaluator) execute(rc RunContext, lo lowered) (*cube.Cube, core.Stats, error) {
+// The engine's view comes back too: it is what the engine paths
+// project through.
+func (ev *Evaluator) execute(rc RunContext, lo lowered) (*cube.Cube, *core.View, core.Stats, error) {
 	var view *core.View
 	var err error
 	switch lo.path {
@@ -332,16 +350,16 @@ func (ev *Evaluator) execute(rc RunContext, lo lowered) (*cube.Cube, core.Stats,
 		view, err = lo.engine.ExecPerspectiveWith(rc, lo.persp)
 	case pathAlgebra:
 		if err := rc.Err(); err != nil {
-			return nil, core.Stats{}, err
+			return nil, nil, core.Stats{}, err
 		}
 		plan, _ := ev.optimize(lo.plan)
 		out, err := algebra.Execute(plan, ev.cube)
-		return out, core.Stats{}, err
+		return out, nil, core.Stats{}, err
 	}
 	if err != nil {
-		return nil, core.Stats{}, err
+		return nil, nil, core.Stats{}, err
 	}
-	return view.Result(), view.Stats, nil
+	return view.Result(), view, view.Stats, nil
 }
 
 // optimize applies the algebra rewrites to a lowered plan, returning
@@ -655,6 +673,9 @@ type grid struct {
 	colsNonEmpty, rowsNonEmpty bool
 }
 
+// core returns the grid's cells as the engine's projection reads them.
+func (gr *grid) core() core.Grid { return core.Grid{Rows: gr.rows, Cols: gr.cols, Slicer: gr.slicer} }
+
 // resolveGrid evaluates the query's axis sets and slicer against the
 // dimensions of c.
 func (ev *Evaluator) resolveGrid(c *cube.Cube, q *Query) (*grid, error) {
@@ -707,13 +728,16 @@ func (ev *Evaluator) resolveGrid(c *cube.Cube, q *Query) (*grid, error) {
 
 // project builds the output grid from the result cube out: over the
 // grid the lowering resolved, or — on the algebra path, whose result
-// schema exists only now — over the one it resolves here.
-func (ev *Evaluator) project(rc RunContext, q *Query, out *cube.Cube, lo lowered) (*result.Grid, error) {
+// schema exists only now — over the one it resolves here. An engine
+// view computes its cells in one accumulator pass (View.Project); the
+// algebra path's result evaluates cell by cell.
+func (ev *Evaluator) project(rc RunContext, q *Query, out *cube.Cube, view *core.View, lo lowered) (*result.Grid, core.ProjectStats, error) {
+	var ps core.ProjectStats
 	gr := lo.grid
 	if gr == nil {
 		var err error
 		if gr, err = ev.resolveGrid(out, q); err != nil {
-			return nil, err
+			return nil, ps, err
 		}
 	}
 	cols, rows, slicer, mode := gr.cols, gr.rows, gr.slicer, lo.mode
@@ -725,35 +749,44 @@ func (ev *Evaluator) project(rc RunContext, q *Query, out *cube.Cube, lo lowered
 	props := q.DimProperties
 	g.PropNames = append(g.PropNames, props...)
 
-	base := make([]dimension.MemberID, out.NumDims())
-	for i := 0; i < out.NumDims(); i++ {
-		base[i] = out.Dim(i).Root()
-	}
-	ids := make([]dimension.MemberID, out.NumDims())
 	for i, rt := range rows {
-		if err := rc.Err(); err != nil {
-			return nil, err
-		}
 		g.RowLabels[i] = ev.tupleLabel(out, rt)
 		if len(props) > 0 {
 			g.RowProps = append(g.RowProps, ev.rowProps(out, rt, props))
 		}
-		for j, ct := range cols {
-			copy(ids, base)
-			for _, co := range slicer {
-				ids[co.Dim] = co.Member
+	}
+	if view != nil {
+		var err error
+		if ps, err = view.Project(rc, gr.core(), g.Values); err != nil {
+			return nil, ps, err
+		}
+	} else {
+		base := make([]dimension.MemberID, out.NumDims())
+		for i := 0; i < out.NumDims(); i++ {
+			base[i] = out.Dim(i).Root()
+		}
+		ids := make([]dimension.MemberID, out.NumDims())
+		for i, rt := range rows {
+			if err := rc.Err(); err != nil {
+				return nil, ps, err
 			}
-			for _, co := range ct {
-				ids[co.Dim] = co.Member
+			for j, ct := range cols {
+				copy(ids, base)
+				for _, co := range slicer {
+					ids[co.Dim] = co.Member
+				}
+				for _, co := range ct {
+					ids[co.Dim] = co.Member
+				}
+				for _, co := range rt {
+					ids[co.Dim] = co.Member
+				}
+				v, err := algebra.CellValue(ev.cube, out, ids, mode)
+				if err != nil {
+					return nil, ps, err
+				}
+				g.Values[i][j] = v
 			}
-			for _, co := range rt {
-				ids[co.Dim] = co.Member
-			}
-			v, err := algebra.CellValue(ev.cube, out, ids, mode)
-			if err != nil {
-				return nil, err
-			}
-			g.Values[i][j] = v
 		}
 	}
 	if gr.rowsNonEmpty {
@@ -762,7 +795,7 @@ func (ev *Evaluator) project(rc RunContext, q *Query, out *cube.Cube, lo lowered
 	if gr.colsNonEmpty {
 		g.DropEmptyCols()
 	}
-	return g, nil
+	return g, ps, nil
 }
 
 // rowProps computes DIMENSION PROPERTIES values for one row: for a

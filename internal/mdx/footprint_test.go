@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -262,12 +263,57 @@ func (s *recordingStore) Get(addr []int) float64 {
 	return s.Store.Get(addr)
 }
 
-// runBothWays runs one query through the engine twice from one
-// lowering — under the footprint the lowering derived, projecting
-// through a store that checks every read against it, and under none —
-// and requires the same grid, cell for cell. It reports the engine
-// statistics of the footprinted run.
-func runBothWays(t *testing.T, label string, ev *Evaluator, src string) (core.Stats, bool) {
+// projected is one engine run of a query projected both ways: compiled
+// (View.Project, the serving path) and cell by cell (algebra.CellValue)
+// over the same view.
+type projected struct {
+	compiled, perCell *result.Grid
+	ps                core.ProjectStats
+	stats             core.Stats
+}
+
+// runProjected executes a lowered query and projects its view both
+// ways. The per-cell projection reads through a store that records any
+// read off the footprint the lowering declared; the compiled pass
+// checks its own reads against that footprint (View.Project fails on a
+// leaf off it).
+func runProjected(t *testing.T, label string, ev *Evaluator, q *Query, lo lowered) projected {
+	t.Helper()
+	var rc RunContext
+	out, view, stats, err := ev.execute(rc, lo)
+	if err != nil {
+		t.Fatalf("%s: execute: %v", label, err)
+	}
+	compiled, ps, err := ev.project(rc, q, out, view, lo)
+	if err != nil {
+		t.Fatalf("%s: compiled project: %v", label, err)
+	}
+	fp := lo.persp.Footprint
+	if lo.path == pathEngineChanges {
+		fp = lo.changes.Footprint
+	}
+	rec := &recordingStore{Store: out.Store(), fp: fp}
+	wrapped := cube.NewWithStore(rec, out.Dims()...)
+	for _, b := range out.Bindings() {
+		if err := wrapped.AddBinding(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wrapped.SetRules(out.Rules())
+	perCell, _, err := ev.project(rc, q, wrapped, nil, lo)
+	if err != nil {
+		t.Fatalf("%s: per-cell project: %v", label, err)
+	}
+	if rec.stray != nil {
+		t.Fatalf("%s: per-cell project read %v, outside the footprint", label, rec.stray)
+	}
+	return projected{compiled: compiled, perCell: perCell, ps: ps, stats: stats}
+}
+
+// lowerEngine parses and lowers a generated query, which must take an
+// engine path and declare a footprint; false means the lowering refused
+// it (e.g. a change the binding rejects).
+func lowerEngine(t *testing.T, label string, ev *Evaluator, src string) (*Query, lowered, bool) {
 	t.Helper()
 	q, err := Parse(src)
 	if err != nil {
@@ -275,69 +321,50 @@ func runBothWays(t *testing.T, label string, ev *Evaluator, src string) (core.St
 	}
 	lo, err := ev.lower(q)
 	if err != nil {
-		return core.Stats{}, false // e.g. a change the binding refuses
+		return nil, lo, false
 	}
 	if lo.path == pathAlgebra {
 		t.Fatalf("%s: engine-capable cube lowered to the algebra path\n%s", label, src)
 	}
-	fp := lo.persp.Footprint
-	if lo.path == pathEngineChanges {
-		fp = lo.changes.Footprint
-	}
-	if fp == nil {
+	if lo.persp.Footprint == nil && lo.changes.Footprint == nil {
 		t.Fatalf("%s: the lowering declared no footprint\n%s", label, src)
 	}
-	var rc RunContext
-	project := func(lo lowered, wrap func(cube.Store) cube.Store) (*result.Grid, core.Stats) {
-		out, stats, err := ev.execute(rc, lo)
-		if err != nil {
-			t.Fatalf("%s: execute: %v\n%s", label, err, src)
-		}
-		view := cube.NewWithStore(wrap(out.Store()), out.Dims()...)
-		for _, b := range out.Bindings() {
-			if err := view.AddBinding(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		view.SetRules(out.Rules())
-		g, err := ev.project(rc, q, view, lo)
-		if err != nil {
-			t.Fatalf("%s: project: %v\n%s", label, err, src)
-		}
-		return g, stats
-	}
-	rec := &recordingStore{fp: fp}
-	got, stats := project(lo, func(s cube.Store) cube.Store { rec.Store = s; return rec })
-	if rec.stray != nil {
-		t.Fatalf("%s: project read %v, outside the footprint it declared\n%s", label, rec.stray, src)
-	}
-	lo.persp.Footprint, lo.changes.Footprint = nil, nil
-	want, full := project(lo, func(s cube.Store) cube.Store { return s })
-	sameGrid(t, label+": under the footprint vs without\n"+src, got, want)
-	if stats.ChunksRead > full.ChunksRead || stats.CellsRelocated > full.CellsRelocated {
-		t.Fatalf("%s: the footprint made the engine read %d chunks and write %d cells, %d and %d without\n%s",
-			label, stats.ChunksRead, stats.CellsRelocated, full.ChunksRead, full.CellsRelocated, src)
-	}
-	return stats, true
+	return q, lo, true
 }
 
-// TestFootprintEquivalence is the footprint's property test: over
-// random axis sets (members, .Children, .Levels(n).Members, Descendants,
-// CrossJoin, tuples, sets mixing dimensions, a dimension on no axis),
-// random slicers, the five semantics × two modes and WITH CHANGES — on
-// the paper warehouse, the retail cube (formula rules), and the tiny
-// workforce cube in both benchmark layouts, with the chunks dense,
-// sparse and run-encoded, under a scenario chain
-// of depth 0 to 2 — a query answers the same grid whether the engine
-// relocates its footprint or everything; and project, watched through a
-// recording store, never reads an address off the footprint it declared,
-// which is what makes the partial overlay safe.
-func TestFootprintEquivalence(t *testing.T) {
+// runBothWays runs one query through the engine twice from one
+// lowering — under the footprint the lowering derived and under none —
+// and requires the same compiled grid, cell for cell. It reports the
+// engine statistics of the footprinted run.
+func runBothWays(t *testing.T, label string, ev *Evaluator, src string) (core.Stats, bool) {
+	t.Helper()
+	q, lo, ok := lowerEngine(t, label, ev, src)
+	if !ok {
+		return core.Stats{}, false
+	}
+	got := runProjected(t, label+"\n"+src, ev, q, lo)
+	lo.persp.Footprint, lo.changes.Footprint = nil, nil
+	full := runProjected(t, label+" (no footprint)\n"+src, ev, q, lo)
+	sameGrid(t, label+": under the footprint vs without\n"+src, got.compiled, full.compiled)
+	if got.stats.ChunksRead > full.stats.ChunksRead || got.stats.CellsRelocated > full.stats.CellsRelocated {
+		t.Fatalf("%s: the footprint made the engine read %d chunks and write %d cells, %d and %d without\n%s",
+			label, got.stats.ChunksRead, got.stats.CellsRelocated, full.stats.ChunksRead, full.stats.CellsRelocated, src)
+	}
+	return got.stats, true
+}
+
+// footprintMatrix runs fn over the property tests' corpus: random
+// queries (footprintCubes, queryGen) under the five semantics × two
+// modes and WITH CHANGES in each mode, with the chunks dense, sparse
+// and run-encoded, under a scenario chain of depth 0 to 2. fn reports
+// whether it compared the query (false: the lowering refused it) and
+// the engine statistics of the run.
+func footprintMatrix(t *testing.T, fn func(label string, ev *Evaluator, src string) (core.Stats, bool)) (ran, pruned, skipped int) {
 	sems := []perspective.Semantics{perspective.Static, perspective.Forward, perspective.Backward,
 		perspective.ExtendedForward, perspective.ExtendedBackward}
 	modes := []perspective.Mode{perspective.NonVisual, perspective.Visual}
 	seed := *footprintSeed
-	cases, ran, pruned, skipped := 0, 0, 0, 0
+	cases := 0
 	for _, fc := range footprintCubes {
 		for _, rep := range []string{"dense", "sparse", "runs"} {
 			base := fc.build(t)
@@ -387,7 +414,7 @@ func TestFootprintEquivalence(t *testing.T) {
 						with, _ = g.changes(modes[k-len(sems)*len(modes)])
 					}
 					label := fmt.Sprintf("seed %d (%s, %s, chain depth %d)", seed, fc.name, rep, depth)
-					stats, ok := runBothWays(t, label, ev, with+g.selectText())
+					stats, ok := fn(label, ev, with+g.selectText())
 					if !ok {
 						skipped++
 						continue
@@ -400,11 +427,76 @@ func TestFootprintEquivalence(t *testing.T) {
 			}
 		}
 	}
+	return ran, pruned, skipped
+}
+
+// TestFootprintEquivalence is the footprint's property test: over
+// random axis sets (members, .Children, .Levels(n).Members, Descendants,
+// CrossJoin, tuples, sets mixing dimensions, a dimension on no axis),
+// random slicers, the five semantics × two modes and WITH CHANGES — on
+// the paper warehouse, the retail cube (formula rules), and the tiny
+// workforce cube in both benchmark layouts, with the chunks dense,
+// sparse and run-encoded, under a scenario chain
+// of depth 0 to 2 — a query answers the same grid whether the engine
+// relocates its footprint or everything; and neither projection reads
+// an address off the footprint it declared, which is what makes the
+// partial overlay safe: the per-cell one, watched through a recording
+// store, and the compiled one, whose pass checks its leaves against it.
+func TestFootprintEquivalence(t *testing.T) {
+	ran, pruned, skipped := footprintMatrix(t, func(label string, ev *Evaluator, src string) (core.Stats, bool) {
+		return runBothWays(t, label, ev, src)
+	})
 	// Many grids lie where the cube holds no chunk or are roll-ups under
 	// NONVISUAL, and plan nothing; the rest must still be a corpus.
 	t.Logf("%d queries compared, %d of them planned no chunk, %d refused by the lowering", ran, pruned, skipped)
 	if *footprintCases == 0 && (skipped*10 > ran || (ran-pruned)*4 < ran || pruned*10 < ran) {
 		t.Fatalf("coverage: %d compared, %d with an empty plan, %d refused", ran, pruned, skipped)
+	}
+}
+
+// TestProjectCompiledEquivalence is the compiled projection's property
+// test over the same corpus: the grid View.Project computes in one
+// accumulator pass equals the grid algebra.CellValue computes cell by
+// cell over the same view, to 1e-9 relative with Null ≡ Null (the pass
+// folds in chunk order, not leaf order). Only the retail cube, whose
+// formula rules the pass cannot express, may fall back — and there
+// every fallback names a rule.
+func TestProjectCompiledEquivalence(t *testing.T) {
+	compiled, fallback := 0, 0
+	footprintMatrix(t, func(label string, ev *Evaluator, src string) (core.Stats, bool) {
+		q, lo, ok := lowerEngine(t, label, ev, src)
+		if !ok {
+			return core.Stats{}, false
+		}
+		got := runProjected(t, label+"\n"+src, ev, q, lo)
+		closeGrid(t, label+": compiled vs per-cell\n"+src, got.compiled, got.perCell)
+		compiled += got.ps.Compiled
+		fallback += got.ps.Fallback
+		if got.ps.Fallback > 0 && (ev.cube.Rules().Rules() == nil || !strings.HasPrefix(got.ps.Reason, "formula rule ")) {
+			t.Fatalf("%s: %d cells fell back (%s)\n%s", label, got.ps.Fallback, got.ps.Reason, src)
+		}
+		return got.stats, true
+	})
+	t.Logf("%d grid cells compiled, %d fell back", compiled, fallback)
+	if compiled == 0 || fallback == 0 {
+		t.Fatalf("coverage: %d cells compiled, %d fell back", compiled, fallback)
+	}
+}
+
+// closeGrid requires two grids to agree on labels and, cell for cell, on
+// values to 1e-9 relative (Null ≡ Null).
+func closeGrid(t *testing.T, label string, got, want *result.Grid) {
+	t.Helper()
+	if fmt.Sprint(got.ColLabels, got.RowLabels) != fmt.Sprint(want.ColLabels, want.RowLabels) {
+		t.Fatalf("%s: labels %v %v, want %v %v", label, got.ColLabels, got.RowLabels, want.ColLabels, want.RowLabels)
+	}
+	for i := range want.Values {
+		for j, w := range want.Values[i] {
+			g := got.Values[i][j]
+			if cube.IsNull(g) != cube.IsNull(w) || !cube.IsNull(w) && math.Abs(g-w) > 1e-9*math.Max(1, math.Abs(w)) {
+				t.Fatalf("%s: cell (%s, %s) = %v, want %v", label, want.RowLabels[i], want.ColLabels[j], g, w)
+			}
+		}
 	}
 }
 
@@ -533,7 +625,7 @@ FROM W WHERE ([Location].[NY], [Organization].[PTE].[Lisa])`
 		t.Fatalf("%d cells relocated for a row of %d non-null cells: %+v", stats.CellsRelocated, moved, stats)
 	}
 	lo.changes.Footprint = nil
-	if _, full, err := ev.execute(RunContext{}, lo); err != nil || full.CellsRelocated <= stats.CellsRelocated {
+	if _, _, full, err := ev.execute(RunContext{}, lo); err != nil || full.CellsRelocated <= stats.CellsRelocated {
 		t.Fatalf("without the footprint: %+v, %v", full, err)
 	}
 }

@@ -33,6 +33,9 @@ func FuzzScenarioApply(f *testing.F) {
 		`[{"op":"validity","dim":"Organization","member":"PTE/Joe","from":"Apr","to":"Feb"}]`,
 		`[{"op":"delete","cell":{"Organization":"FTE/Lisa","Time":"Jan","Location":"NY","Measures":"Salary"}}]`,
 		`[{"op":"new_member","dim":"Time","parent":"Qtr1","name":"Jan2"}]`,
+		// A second instance of a varying member, never given a window:
+		// valid everywhere, it overlaps its sibling, so the batch is refused.
+		`[{"op":"new_member","dim":"Organization","parent":"PTE","name":"Lisa"}]`,
 	} {
 		f.Add([]byte(seed))
 	}

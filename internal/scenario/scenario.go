@@ -331,6 +331,18 @@ func (s *Scenario) Apply(edits []Edit) (int64, error) {
 				}
 			}
 		}
+		// The batch's validity sets are checked once, as the batch left
+		// them: a window may take several edits to split (a new instance
+		// is valid everywhere until a validity edit gives it a window),
+		// and a new instance of an existing varying member that no edit
+		// windowed overlaps its siblings. Views and commits attach these
+		// bindings without re-validating them.
+		for _, b := range s.bindings {
+			if err := b.Validate(); err != nil {
+				restore()
+				return 0, fmt.Errorf("scenario %s: %w", s.id, err)
+			}
+		}
 		if err := s.recomputeGeometry(); err != nil {
 			restore()
 			return 0, err
@@ -370,7 +382,8 @@ func (s *Scenario) Apply(edits []Edit) (int64, error) {
 
 // applyValidity reassigns a validity window: the instance named by
 // e.Member claims parameter leaves [e.From, e.To] from its sibling
-// instances. Caller holds s.mu; dims are already private.
+// instances. Apply validates the bindings once the whole batch has
+// applied. Caller holds s.mu; dims are already private.
 func (s *Scenario) applyValidity(e Edit) error {
 	di, err := s.dimIndex(e.Dim)
 	if err != nil {
@@ -400,9 +413,6 @@ func (s *Scenario) applyValidity(e Edit) error {
 		return fmt.Errorf("scenario %s: %w", s.id, err)
 	}
 	if err := b.SetWindow(inst, lo, hi); err != nil {
-		return fmt.Errorf("scenario %s: %w", s.id, err)
-	}
-	if err := b.Validate(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.id, err)
 	}
 	return nil
@@ -437,14 +447,9 @@ func (s *Scenario) snapshot() (layers []*chunk.Layer, dims []*dimension.Dimensio
 // snapshot for cache keying.
 func (s *Scenario) View() (*cube.Cube, int64, error) {
 	layers, dims, bindings, rev := s.snapshot()
-	chain := chunk.NewChain(s.base.Store(), layers)
-	view := cube.NewWithStore(chain, dims...)
-	for _, b := range bindings {
-		if err := view.AddBinding(b); err != nil {
-			return nil, 0, fmt.Errorf("scenario %s: %w", s.id, err)
-		}
-	}
-	view.SetRules(s.base.Rules())
+	// The bindings are the base's, validated when it was loaded, or the
+	// scenario's own, validated by the structural batch that made them.
+	view := s.base.Derive(chunk.NewChain(s.base.Store(), layers), dims, bindings)
 	s.base.DerivedCells(func(ids []dimension.MemberID, v float64) bool {
 		view.SetValue(ids, v)
 		return true

@@ -549,6 +549,59 @@ WHERE ([Period].[Jan], [Scenario].[Current], [Currency].[Local], [Version].[BU V
 	}
 }
 
+// TestScenarioDuplicateInstanceValidated: a new_member naming an
+// existing varying member creates a second instance, valid everywhere
+// until a validity edit windows it. A batch that leaves it overlapping
+// its sibling is refused whole, the revision unchanged; a batch whose
+// validity edits split the windows is accepted — though after its first
+// edit the sets still overlap — and its view answers queries.
+func TestScenarioDuplicateInstanceValidated(t *testing.T) {
+	w := newWorkforce(t)
+	s, err := scenario.NewLocal("duplicate", w.Cube)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := scenario.Edit{Op: scenario.OpNewMember, Dim: workload.DimDepartment, Parent: "Dept01", Name: "Emp00030"}
+	if _, err := s.Apply([]scenario.Edit{dup}); err == nil || !strings.Contains(err.Error(), "overlapping validity sets") {
+		t.Fatalf("duplicate instance without a window: err = %v", err)
+	}
+	if info := s.Info(); info.Revision != 0 || info.NewMembers != 0 {
+		t.Fatalf("refused batch changed the scenario: %+v", info)
+	}
+	rev, err := s.Apply([]scenario.Edit{
+		dup,
+		// Dept01/Emp00030 claims the whole year, then the home instance
+		// claims the first half back.
+		{Op: scenario.OpValidity, Dim: workload.DimDepartment, Member: "Dept01/Emp00030", From: "Jan", To: "Dec"},
+		{Op: scenario.OpValidity, Dim: workload.DimDepartment, Member: "Dept00/Emp00030", From: "Jan", To: "Jun"},
+	})
+	if err != nil || rev != 1 {
+		t.Fatalf("windowed duplicate: rev %d, err %v", rev, err)
+	}
+	view, _, err := s.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range view.Bindings() {
+		if err := b.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vd := view.DimByName(workload.DimDepartment)
+	b := view.BindingFor(workload.DimDepartment)
+	for path, months := range map[string][2]int{"Dept00/Emp00030": {0, 5}, "Dept01/Emp00030": {6, 11}} {
+		vs := b.ValiditySet(vd.MustLookup(path))
+		if vs.Len() != 6 || vs.Min() != months[0] || vs.Max() != months[1] {
+			t.Fatalf("%s valid at %v, want months %d..%d", path, vs, months[0], months[1])
+		}
+	}
+	for _, mode := range allModes {
+		if _, _, err := evalScenario(s, perspectiveQuery(t, w, "DYNAMIC FORWARD", mode)); err != nil {
+			t.Fatalf("%s query over the split windows: %v", mode, err)
+		}
+	}
+}
+
 // TestScenarioConcurrentForkEditQuery races editors, forkers, queriers
 // and differs over one scenario tree. Run under -race this is the
 // subsystem's thread-safety proof: snapshots handed to queries must

@@ -33,6 +33,7 @@ stage 'go vet ./...' go vet ./...
 # to grep for and several it never could:
 #   hotpathfmt    - no fmt/reflect/log on declared hot-path files
 #                   (internal/trace/trace.go, internal/core/exec.go,
+#                   internal/core/project.go,
 #                   internal/chunk/overlay.go, internal/chunk/chain.go,
 #                   internal/chunk/run.go, internal/obs/retain.go),
 #                   including transitively
@@ -102,12 +103,14 @@ stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|Fuzz
 # planner (pebbler-vs-oracle differential tests, plan determinism, the
 # allocation pins that stand in for timing asserts on this host), the
 # query footprint (the grid-equivalence property test, the
-# random-geometry mask oracle, the masked scan's allocation pin), and
+# random-geometry mask oracle, the masked scan's allocation pin), the
+# compiled projection (its per-cell equivalence over the same corpus,
+# the report shapes it compiles, the off-footprint refusal), and
 # the server's executor (overload, close, canceled queued tasks), the
 # persister's asynchronous write-back, the catalog's leases, snapshot
 # quantiles under load and scenario commits.
 stage 'go test -race (concurrent paths)' \
-    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint|Executor|Persist|Catalog|UnderLoad|Commit' ./...
+    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint|Project|Executor|Persist|Catalog|UnderLoad|Commit' ./...
 
 # Advisory (non-fatal): known-vulnerability scan, skipped when the
 # toolchain image does not ship govulncheck or has no network.
