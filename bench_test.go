@@ -10,6 +10,9 @@
 package olap_test
 
 import (
+	"context"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,6 +23,7 @@ import (
 	"whatifolap/internal/core"
 	"whatifolap/internal/cube"
 	"whatifolap/internal/dimension"
+	"whatifolap/internal/mdx"
 	"whatifolap/internal/obs"
 	"whatifolap/internal/perspective"
 	"whatifolap/internal/scenario"
@@ -761,4 +765,66 @@ func BenchmarkProject(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(g.Rows)*len(g.Cols)), "cells/op")
 	})
+}
+
+// --- Query compile cost: the end-to-end benchmark's plan-heavy query ---
+
+// BenchmarkLowerPlanHeavy runs the plan-heavy workload's query — 30
+// changing employees named by unqualified instance path on the rows,
+// the months on the columns, one account under the slicer, NONVISUAL
+// DYNAMIC FORWARD at the quarters — on the validity-window cube
+// (ConfigDefault, flat months, period-fastest chunks, run-encoded), the
+// whole query under a trace. Besides ns/op it reports the "lower" span
+// (member resolution, the footprint) and the "project" span per op,
+// the two compile steps whose cost should follow the 30 members named
+// and not the cube's dimensions and chunk rows.
+func BenchmarkLowerPlanHeavy(b *testing.B) {
+	cfg := workload.ConfigDefault()
+	cfg.FlatMonths = true
+	cfg.ChunkDims = []int{64, 12, 1, 1, 1, 1, 1}
+	w, err := workload.NewWorkforce(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := w.Cube
+	c.Store().(*chunk.Store).Settle()
+	dept, bind := c.DimByName(workload.DimDepartment), c.BindingFor(workload.DimDepartment)
+	// One employee from each of 30 strata of the changing employees by
+	// number of moves, named by the instance valid in January.
+	byMoves := slices.Clone(w.Changing)
+	slices.SortStableFunc(byMoves, func(x, y string) int { return w.MovesOf[x] - w.MovesOf[y] })
+	var rows []string
+	for i := 0; i < 30; i++ {
+		inst := bind.InstanceAt(byMoves[i*len(byMoves)/30], 0)
+		if inst == dimension.None {
+			inst = dept.Instances(byMoves[i*len(byMoves)/30])[0]
+		}
+		rows = append(rows, "["+dept.Path(inst)+"]")
+	}
+	account := c.DimByName(workload.DimAccount).Leaf(0).Name
+	scen := c.DimByName(workload.DimScenario).Leaf(0).Name
+	q, err := mdx.Parse("WITH PERSPECTIVE {(Jan), (Apr), (Jul), (Oct)} FOR Department DYNAMIC FORWARD NONVISUAL " +
+		"SELECT {[Period].Levels(0).Members} ON COLUMNS, {" + strings.Join(rows, ", ") + "} ON ROWS FROM [App].[Db] " +
+		"WHERE ([Account].[" + account + "], [Scenario].[" + scen + "], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := mdx.NewEvaluator(c)
+	tr := trace.New(0)
+	ctx := trace.NewContext(context.Background(), tr)
+	var lowerMs, projectMs float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Reset()
+		root := tr.Start(trace.SpanRef{}, "eval")
+		if _, _, err := ev.RunQueryStatsWith(mdx.RunContext{Ctx: trace.WithSpan(ctx, root)}, q); err != nil {
+			b.Fatal(err)
+		}
+		root.End()
+		lowerMs += tr.StageMs("lower")
+		projectMs += tr.StageMs("project")
+	}
+	b.ReportMetric(lowerMs/float64(b.N), "lower_ms/op")
+	b.ReportMetric(projectMs/float64(b.N), "project_ms/op")
 }

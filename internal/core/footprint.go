@@ -115,8 +115,10 @@ type maskBuilder struct {
 	fp   Footprint
 	slab int
 	// inner and outer are the restricted dimensions faster and slower
-	// than the slab.
+	// than the slab; in and out, per group, those of them whose chunk row
+	// the footprint cuts.
 	inner, outer []int
+	in, out      []int
 }
 
 func newMaskBuilder(g *chunk.Geometry, fp Footprint, vi, pi int) *maskBuilder {
@@ -131,6 +133,22 @@ func newMaskBuilder(g *chunk.Geometry, fp Footprint, vi, pi int) *maskBuilder {
 		}
 	}
 	return mb
+}
+
+// cut appends to dst the dimensions of dims whose chunk row at rest the
+// footprint does not hold whole: only their digits can fail a cell.
+// Padding past a dimension's extent counts as held.
+func (mb *maskBuilder) cut(dst []int, rest []int, dims []int) []int {
+	for _, d := range dims {
+		cd := mb.g.ChunkDims[d]
+		for o := rest[d] * cd; o < min((rest[d]+1)*cd, mb.g.Extents[d]); o++ {
+			if !mb.fp[d].Contains(o) {
+				dst = append(dst, d)
+				break
+			}
+		}
+	}
+	return dst
 }
 
 // pass reports whether the cell at in-chunk offset off of a chunk at
@@ -150,19 +168,20 @@ func (mb *maskBuilder) pass(rest []int, dims []int, off int) bool {
 
 // forRest returns the mask of the merge group at chunk coordinate rest
 // (the varying coordinate is ignored), or nil when every cell of the
-// group's chunks passes — always, under a nil footprint.
+// group's chunks passes — always, under a nil footprint, and whenever
+// the footprint holds the group's chunk row of every restricted
+// dimension whole, which is decided once per dimension, not per offset.
 func (mb *maskBuilder) forRest(rest []int) *slabMask {
-	if len(mb.inner)+len(mb.outer) == 0 {
+	mb.in, mb.out = mb.cut(mb.in[:0], rest, mb.inner), mb.cut(mb.out[:0], rest, mb.outer)
+	if len(mb.in)+len(mb.out) == 0 {
 		return nil
 	}
 	m := &slabMask{}
-	whole := true
-	if len(mb.inner) == 0 {
+	if len(mb.in) == 0 {
 		m.runs = []offRun{{0, mb.slab}}
 	}
-	for off := 0; off < mb.slab && len(mb.inner) > 0; off++ {
-		if !mb.pass(rest, mb.inner, off) {
-			whole = false
+	for off := 0; off < mb.slab && len(mb.in) > 0; off++ {
+		if !mb.pass(rest, mb.in, off) {
 			continue
 		}
 		if n := len(m.runs); n > 0 && m.runs[n-1].hi == off {
@@ -171,17 +190,11 @@ func (mb *maskBuilder) forRest(rest []int) *slabMask {
 			m.runs = append(m.runs, offRun{off, off + 1})
 		}
 	}
-	if len(mb.outer) > 0 {
-		outer := make([]bool, mb.g.ChunkCap()/mb.slab)
-		for s := range outer {
-			outer[s] = mb.pass(rest, mb.outer, s*mb.slab)
+	if len(mb.out) > 0 {
+		m.outer = make([]bool, mb.g.ChunkCap()/mb.slab)
+		for s := range m.outer {
+			m.outer[s] = mb.pass(rest, mb.out, s*mb.slab)
 		}
-		if slices.Contains(outer, false) {
-			m.outer, whole = outer, false
-		}
-	}
-	if whole {
-		return nil
 	}
 	return m
 }

@@ -276,3 +276,66 @@ func TestFootprintPlansOnlyTheGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestFootprintEdgeOneMasksNil: on the validity-window layout every
+// dimension but the varying and the parameter one has chunk edge 1, so
+// a footprint restricting them either drops a merge group's chunks or
+// holds its chunk row whole. Every group that survives carries a nil
+// mask, decided once per dimension — building it allocates nothing —
+// and the view answers every footprint cell as the unrestricted view
+// does.
+func TestFootprintEdgeOneMasksNil(t *testing.T) {
+	cfg := workload.ConfigTiny()
+	cfg.ChunkDims = []int{16, 12, 1, 1, 1, 1, 1}
+	w, err := workload.NewWorkforce(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(w.Cube, workload.DimDepartment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := make(Footprint, w.Cube.NumDims())
+	acct, scen := w.Cube.DimIndex(workload.DimAccount), w.Cube.DimIndex(workload.DimScenario)
+	fp[acct] = bitset.FromSlice(cfg.Accounts, []int{0, 2})
+	fp[scen] = bitset.FromSlice(cfg.Scenarios, []int{1})
+	q := PerspectiveQuery{Members: w.Changing, Perspectives: []int{0, 6}, Sem: perspective.Forward, Footprint: fp}
+	p, err := e.PlanPerspective(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Groups) != 2 || p.masked {
+		t.Fatalf("%d groups, masked %v: want the two (account, scenario) pairs, unmasked", len(p.Groups), p.masked)
+	}
+	mb := newMaskBuilder(e.store.Geometry(), fp, e.vi, e.pi)
+	for _, gr := range p.Groups {
+		if gr.mask != nil || mb.forRest(gr.Rest) != nil {
+			t.Fatalf("group %v carries a mask", gr.Rest)
+		}
+		if n := testing.AllocsPerRun(10, func() { mb.forRest(gr.Rest) }); n != 0 {
+			t.Fatalf("group %v: deciding its mask allocates %.0f times, want 0", gr.Rest, n)
+		}
+	}
+	onFootprint := func(v *View) map[string]float64 {
+		cells := map[string]float64{}
+		v.Result().Store().NonNull(func(addr []int, val float64) bool {
+			if fp.has(acct, addr[acct]) && fp.has(scen, addr[scen]) {
+				cells[fmt.Sprint(addr)] = val
+			}
+			return true
+		})
+		return cells
+	}
+	got, err := e.ExecPerspective(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Footprint = nil
+	want, err := e.ExecPerspective(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := onFootprint(got), onFootprint(want); len(w) == 0 || !sameCells(w, g) {
+		t.Fatalf("footprint cells: %d under the footprint, %d without, or they differ", len(g), len(w))
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math/bits"
 	"slices"
@@ -663,15 +664,39 @@ func allLeaves(dim *dimension.Dimension, id dimension.MemberID, ok func(int) boo
 	return true
 }
 
-// digitTable is one dimension's share of decoding a chunk, for the
-// chunk coordinate it was built for: per in-chunk digit j, the key
-// contributions of the grid members the digit's leaf feeds are
-// keys[start[j]:start[j+1]], and offs holds each one's offset
-// contribution (j × the dimension's offset stride).
+// leafEntry is one (leaf, grid member) pair of a dimension's leaf
+// table: the leaf's ordinal in the decoder's geometry, its offset
+// contribution inside a chunk ((ord mod edge) × the dimension's offset
+// stride) and the member's key contribution (its slot × radix).
+type leafEntry struct {
+	ord, off int32
+	key      int
+}
+
+// digitTable is one dimension's share of decoding a chunk, for the chunk
+// coordinate it was cut for: the dimension's leaf-table entries whose
+// leaves lie in that chunk row, in ordinal order. When a chunk is
+// decoded cell by cell, start indexes them by in-chunk digit: digit j's
+// entries are e[start[j]:start[j+1]] (for coordinate indexed).
 type digitTable struct {
-	coord      int
-	start      []int32
-	keys, offs []int
+	coord, indexed int
+	e              []leafEntry
+	start          []int32
+}
+
+// index builds start for the table's coordinate, if it is not built.
+func (t *digitTable) index(edge int) {
+	if t.indexed == t.coord {
+		return
+	}
+	t.indexed, t.start = t.coord, t.start[:0]
+	i, base := 0, int32(t.coord*edge)
+	for j := int32(0); j <= int32(edge); j++ {
+		for i < len(t.e) && t.e[i].ord < base+j {
+			i++
+		}
+		t.start = append(t.start, int32(i))
+	}
 }
 
 // decoder decodes one geometry's chunks for one source with per-
@@ -684,7 +709,12 @@ type decoder struct {
 	src          *projSource
 	g            *chunk.Geometry
 	edge, stride []int
-	tables       []digitTable
+	// leaves[d] is dimension d's leaf table, compiled once per query by
+	// cover: an entry per leaf the source reads under each of its members
+	// (a leaf feeds its own member and every ancestor among them), sorted
+	// by ordinal. A chunk row's digit table is a range of it.
+	leaves [][]leafEntry
+	tables []digitTable
 	// vi, when non-negative, is the varying dimension of a decoder
 	// reading the base's rows for the view: a scoped row is the overlay's
 	// and skipped, and a base ordinal names the view's leaf of the same
@@ -700,14 +730,14 @@ type decoder struct {
 	// pairs the number of (offset, key) combinations the chunk feeds.
 	// decode are the dimensions foldCell decodes — all but those a chunk
 	// spans one leaf of with one contribution, whose keys sum to key1 —
-	// and multi its scratch: a cell's contribution lists that hold more
-	// than one key.
+	// and multi its scratch: a cell's entry lists that hold more than one
+	// key.
 	lists      []*digitTable
 	off0, key0 int
 	pairs      int
 	decode     []int
 	key1       int
-	multi      [][]int
+	multi      [][]leafEntry
 	ch         *chunk.Chunk
 	cells      []float64
 	foldCellFn func(off int, v float64) bool
@@ -716,42 +746,63 @@ type decoder struct {
 func newDecoder(p *projection, src *projSource, g *chunk.Geometry) *decoder {
 	n := g.NumDims()
 	k := &decoder{p: p, src: src, g: g, edge: g.ChunkDims, stride: make([]int, n),
-		tables: make([]digitTable, n), vi: -1}
+		leaves: make([][]leafEntry, n), tables: make([]digitTable, n), vi: -1}
 	for d := range k.tables {
 		k.stride[d] = g.OffsetStride(d)
-		k.tables[d].coord = -1
+		k.tables[d].coord, k.tables[d].indexed = -1, -1
 	}
 	k.foldCellFn = k.foldCell
 	return k
 }
 
-// cover builds the decoder's chunk filters from the leaves under the
-// source's members, in the geometry's ordinals, and reports whether any
-// chunk can hold one.
+// cover compiles the decoder's leaf tables from the leaves under the
+// source's members, in the geometry's ordinals, and its chunk filters
+// from those; it reports whether any chunk can hold a cell the source
+// reads.
 func (k *decoder) cover() bool {
 	k.filters = k.filters[:0]
 	for d := range k.src.members {
-		n := k.g.ChunksPerDim(d)
-		if n == 1 && d != k.vi {
-			continue
-		}
-		on := make([]bool, n)
-		k.src.members[d].all(func(m dimension.MemberID) bool {
-			return allLeaves(k.src.dims[d], m, func(o int) bool {
-				if o = k.geomOrdinal(d, o); o >= 0 {
-					on[o/k.edge[d]] = true
-				}
-				return true
-			})
-		})
-		if !slices.Contains(on, true) {
+		// One walk counts, so that the table is allocated once, at its size.
+		size := 0
+		k.leafPairs(d, func(int, int) { size++ })
+		if size == 0 {
 			return false
 		}
-		if slices.Contains(on, false) {
-			k.filters = append(k.filters, chunkFilter{idStride: k.g.ChunkIDStride(d), n: n, on: on})
+		tab := make([]leafEntry, 0, size)
+		edge, radix := k.edge[d], k.src.radix[d]
+		k.leafPairs(d, func(o, slot int) {
+			tab = append(tab, leafEntry{ord: int32(o), off: int32(o % edge * k.stride[d]), key: slot * radix})
+		})
+		slices.SortFunc(tab, func(a, b leafEntry) int { return cmp.Or(cmp.Compare(a.ord, b.ord), cmp.Compare(a.key, b.key)) })
+		k.leaves[d] = tab
+		if n := k.g.ChunksPerDim(d); n > 1 {
+			on := make([]bool, n)
+			for _, e := range tab {
+				on[int(e.ord)/edge] = true
+			}
+			if slices.Contains(on, false) {
+				k.filters = append(k.filters, chunkFilter{idStride: k.g.ChunkIDStride(d), n: n, on: on})
+			}
 		}
 	}
 	return true
+}
+
+// leafPairs calls fn with the geometry's ordinal of every leaf the
+// decoder reads under each of the source's members of dimension d, and
+// that member's slot.
+func (k *decoder) leafPairs(d int, fn func(o, slot int)) {
+	slot := 0
+	k.src.members[d].all(func(m dimension.MemberID) bool {
+		allLeaves(k.src.dims[d], m, func(o int) bool {
+			if o = k.geomOrdinal(d, o); o >= 0 {
+				fn(o, slot)
+			}
+			return true
+		})
+		slot++
+		return true
+	})
 }
 
 // geomOrdinal maps the source's leaf ordinal o of dimension d to the
@@ -795,20 +846,20 @@ func (k *decoder) begin(ccoord []int) bool {
 	for d, c := range ccoord {
 		t := &k.tables[d]
 		if t.coord != c {
-			k.build(d, c)
+			t.coord, t.e = c, ordRange(k.leaves[d], c*k.edge[d], (c+1)*k.edge[d])
 		}
-		switch len(t.keys) {
+		switch len(t.e) {
 		case 0:
 			return false
 		case 1:
-			k.off0 += t.offs[0]
-			k.key0 += t.keys[0]
+			k.off0 += int(t.e[0].off)
+			k.key0 += t.e[0].key
 		default:
 			k.lists = append(k.lists, t)
-			k.pairs *= len(t.keys)
+			k.pairs *= len(t.e)
 		}
-		if len(t.keys) == 1 && k.edge[d] == 1 {
-			k.key1 += t.keys[0]
+		if len(t.e) == 1 && k.edge[d] == 1 {
+			k.key1 += t.e[0].key
 		} else {
 			k.decode = append(k.decode, d)
 		}
@@ -816,36 +867,13 @@ func (k *decoder) begin(ccoord []int) bool {
 	return true
 }
 
-// build fills dimension d's digit table for chunk coordinate c. A leaf
-// feeds its own member and each ancestor among the grid's members,
-// found by walking up its parents.
-func (k *decoder) build(d, c int) {
-	t := &k.tables[d]
-	t.coord = c
-	t.start, t.keys, t.offs = t.start[:0], t.keys[:0], t.offs[:0]
-	dim, members, radix := k.src.dims[d], &k.src.members[d], k.src.radix[d]
-	for j := 0; j < k.edge[d]; j++ {
-		t.start = append(t.start, int32(len(t.keys)))
-		o := c*k.edge[d] + j
-		if o >= k.g.Extents[d] {
-			continue
-		}
-		if d == k.vi {
-			if k.baseDim != nil {
-				o = dim.Member(k.baseDim.Leaf(o).ID).LeafOrdinal
-			}
-			if k.scoped[o] {
-				continue
-			}
-		}
-		for id := dim.Leaf(o).ID; id != dimension.None; id = dim.Member(id).Parent {
-			if slot, ok := members.slot(id); ok {
-				t.keys = append(t.keys, slot*radix)
-				t.offs = append(t.offs, j*k.stride[d])
-			}
-		}
-	}
-	t.start = append(t.start, int32(len(t.keys)))
+// ordRange returns the entries of the ordinal-sorted tab whose ordinal
+// lies in [lo, hi).
+func ordRange(tab []leafEntry, lo, hi int) []leafEntry {
+	byOrd := func(e leafEntry, o int) int { return cmp.Compare(int(e.ord), o) }
+	i, _ := slices.BinarySearchFunc(tab, lo, byOrd)
+	j, _ := slices.BinarySearchFunc(tab[i:], hi, byOrd)
+	return tab[i : i+j]
 }
 
 // fold folds the chunk begin positioned on. A dense chunk, or one
@@ -857,6 +885,9 @@ func (k *decoder) fold(ch *chunk.Chunk) {
 	if k.cells != nil || k.pairs <= ch.Len() {
 		k.walk(0, k.off0, k.key0)
 	} else {
+		for _, d := range k.decode {
+			k.tables[d].index(k.edge[d])
+		}
 		ch.ForEach(k.foldCellFn)
 	}
 	k.ch, k.cells = nil, nil
@@ -873,14 +904,14 @@ func (k *decoder) walk(l, off, key int) {
 	}
 	t := k.lists[l]
 	if l < len(k.lists)-1 {
-		for i, o := range t.offs {
-			k.walk(l+1, off+o, key+t.keys[i])
+		for _, e := range t.e {
+			k.walk(l+1, off+int(e.off), key+e.key)
 		}
 		return
 	}
-	for i, o := range t.offs {
-		if v := k.get(off + o); v == v {
-			k.p.fold(k.src.accOf(key+t.keys[i]), v)
+	for _, e := range t.e {
+		if v := k.get(off + int(e.off)); v == v {
+			k.p.fold(k.src.accOf(key+e.key), v)
 		}
 	}
 }
@@ -900,28 +931,27 @@ func (k *decoder) foldCell(off int, v float64) bool {
 	for _, d := range k.decode {
 		t := &k.tables[d]
 		j := off / k.stride[d] % k.edge[d]
-		lo, hi := t.start[j], t.start[j+1]
-		switch hi - lo {
+		switch e := t.e[t.start[j]:t.start[j+1]]; len(e) {
 		case 0:
 			return true
 		case 1:
-			key += t.keys[lo]
+			key += e[0].key
 		default:
-			k.multi = append(k.multi, t.keys[lo:hi])
+			k.multi = append(k.multi, e)
 		}
 	}
 	k.foldAll(0, key, v)
 	return true
 }
 
-// foldAll folds v under key plus every combination of one contribution
-// from each of multi[i:].
+// foldAll folds v under key plus every combination of one entry from
+// each of multi[i:].
 func (k *decoder) foldAll(i, key int, v float64) {
 	if i == len(k.multi) {
 		k.p.fold(k.src.accOf(key), v)
 		return
 	}
-	for _, c := range k.multi[i] {
-		k.foldAll(i+1, key+c, v)
+	for _, e := range k.multi[i] {
+		k.foldAll(i+1, key+e.key, v)
 	}
 }

@@ -246,30 +246,53 @@ func (d *Dimension) lookupPath(path string) (MemberID, error) {
 // varying member with several instances) are an error: the caller must
 // qualify the instance or use Instances.
 func (d *Dimension) Lookup(ref string) (MemberID, error) {
-	if ref == d.name {
-		return 0, nil
-	}
-	if id, ok := d.byPath[ref]; ok {
+	if id, ok := d.Find(ref); ok {
 		return id, nil
 	}
-	if !strings.Contains(ref, "/") {
-		// Simple-name resolution: unique across all members.
-		var found []MemberID
-		for _, m := range d.members[1:] {
-			if m.Name == ref {
-				found = append(found, m.ID)
+	if strings.Contains(ref, "/") {
+		return None, fmt.Errorf("dimension %s: no member with path %q", d.name, ref)
+	}
+	if n := d.named(ref); n > 1 {
+		return None, fmt.Errorf("dimension %s: member name %q is ambiguous (%d instances); qualify with a parent path", d.name, ref, n)
+	}
+	return None, fmt.Errorf("dimension %s: no member named %q", d.name, ref)
+}
+
+// Find resolves a member reference by Lookup's rules and reports whether
+// it resolved. It formats no error and allocates nothing, so a caller
+// probing several dimensions for a reference pays nothing for the misses.
+func (d *Dimension) Find(ref string) (MemberID, bool) {
+	if ref == d.name {
+		return 0, true
+	}
+	if id, ok := d.byPath[ref]; ok {
+		return id, true
+	}
+	if strings.Contains(ref, "/") {
+		return None, false
+	}
+	// Simple-name resolution: unique across all members.
+	found := None
+	for _, m := range d.members[1:] {
+		if m.Name == ref {
+			if found != None {
+				return None, false
 			}
-		}
-		switch len(found) {
-		case 1:
-			return found[0], nil
-		case 0:
-			return None, fmt.Errorf("dimension %s: no member named %q", d.name, ref)
-		default:
-			return None, fmt.Errorf("dimension %s: member name %q is ambiguous (%d instances); qualify with a parent path", d.name, ref, len(found))
+			found = m.ID
 		}
 	}
-	return None, fmt.Errorf("dimension %s: no member with path %q", d.name, ref)
+	return found, found != None
+}
+
+// named counts the members (the root excluded) whose simple name is ref.
+func (d *Dimension) named(ref string) int {
+	n := 0
+	for _, m := range d.members[1:] {
+		if m.Name == ref {
+			n++
+		}
+	}
+	return n
 }
 
 // MustLookup is Lookup that panics on error.

@@ -84,6 +84,38 @@ func TestPathAndLookup(t *testing.T) {
 	}
 }
 
+// TestFindFollowsLookup checks that Find resolves exactly what Lookup
+// does — a path, an unambiguous simple name, the dimension name — fails
+// where Lookup fails with the texts callers print, and allocates
+// nothing on a miss.
+func TestFindFollowsLookup(t *testing.T) {
+	d := buildOrg(t)
+	for ref, want := range map[string]string{
+		"FTE/Joe":      "",
+		"Jane":         "",
+		"Organization": "",
+		"FTE":          "",
+		"Joe":          `dimension Organization: member name "Joe" is ambiguous (3 instances); qualify with a parent path`,
+		"Nobody":       `dimension Organization: no member named "Nobody"`,
+		"FTE/Jane":     `dimension Organization: no member with path "FTE/Jane"`,
+		"":             `dimension Organization: no member named ""`,
+	} {
+		fid, ok := d.Find(ref)
+		lid, err := d.Lookup(ref)
+		if ok != (err == nil) || fid != lid {
+			t.Fatalf("%q: Find = (%d, %v), Lookup = (%d, %v)", ref, fid, ok, lid, err)
+		}
+		if err != nil && err.Error() != want || err == nil && want != "" {
+			t.Fatalf("%q: Lookup error %v, want %q", ref, err, want)
+		}
+	}
+	for _, ref := range []string{"Joe", "Nobody", "FTE/Jane"} {
+		if n := testing.AllocsPerRun(100, func() { d.Find(ref) }); n != 0 {
+			t.Fatalf("Find(%q) allocates %.0f times, want 0", ref, n)
+		}
+	}
+}
+
 func TestInstances(t *testing.T) {
 	d := buildOrg(t)
 	inst := d.Instances("Joe")

@@ -96,17 +96,25 @@ func (ev *Evaluator) RunQueryWith(rc RunContext, q *Query) (*result.Grid, error)
 // RunQueryStatsWith is the one way a query executes: lower it, run the
 // lowered form (engine or algebra), project the axes. It returns engine
 // statistics when the engine path executed (zero otherwise), including
-// the per-stage wall times; the projection stage is timed here.
+// the per-stage wall times; the projection stage is timed here. Under a
+// trace, lowering — member resolution, a WITH CHANGES clause's split,
+// the footprint — is a "lower" span; when it succeeds, its path
+// attribute is the queryPath it chose (0 algebra, 1 perspective engine,
+// 2 changes engine).
 func (ev *Evaluator) RunQueryStatsWith(rc RunContext, q *Query) (*result.Grid, core.Stats, error) {
+	tr := trace.FromContext(rc.Ctx)
+	lowerSp := tr.Start(trace.SpanFromContext(rc.Ctx), "lower")
 	lo, err := ev.lower(q)
 	if err != nil {
+		lowerSp.End()
 		return nil, core.Stats{}, err
 	}
+	lowerSp.Int("path", int64(lo.path))
+	lowerSp.End()
 	out, view, stats, err := ev.execute(rc, lo)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	tr := trace.FromContext(rc.Ctx)
 	projSp := tr.Start(trace.SpanFromContext(rc.Ctx), "project")
 	projStart := time.Now()
 	prc := rc
@@ -412,14 +420,13 @@ func (ev *Evaluator) lowerToPlan(q *Query) (algebra.Plan, perspective.Mode, erro
 func (ev *Evaluator) resolvePerspectivePoints(b *dimension.Binding, points []*MemberExpr) ([]int, error) {
 	out := make([]int, 0, len(points))
 	for _, pt := range points {
-		ref := pt.Parts[len(pt.Parts)-1]
-		id, err := b.Param.Lookup(ref)
+		id, err := resolveParam(b.Param, pt)
 		if err != nil {
 			return nil, fmt.Errorf("mdx: perspective point: %w", err)
 		}
 		m := b.Param.Member(id)
 		if m.LeafOrdinal < 0 {
-			return nil, fmt.Errorf("mdx: perspective point %q is not a leaf of %s", ref, b.Param.Name())
+			return nil, fmt.Errorf("mdx: perspective point %q is not a leaf of %s", pt.Parts[len(pt.Parts)-1], b.Param.Name())
 		}
 		out = append(out, m.LeafOrdinal)
 	}
@@ -604,7 +611,7 @@ func (ev *Evaluator) resolveChanges(cc *ChangesClause) ([]algebra.Change, string
 		if b == nil {
 			return nil, "", fmt.Errorf("mdx: dimension %q has no varying binding", dimName)
 		}
-		atID, err := b.Param.Lookup(row.At.Parts[len(row.At.Parts)-1])
+		atID, err := resolveParam(b.Param, row.At)
 		if err != nil {
 			return nil, "", fmt.Errorf("mdx: change moment: %w", err)
 		}
@@ -1003,7 +1010,9 @@ func (ev *Evaluator) evalMemberSet(c *cube.Cube, m *MemberExpr) ([]Tuple, error)
 
 // resolveMember resolves a member path to (dimension index, member ID).
 // The first path part may name the dimension; otherwise all dimensions
-// are searched and the reference must be unambiguous.
+// are searched and the reference must be unambiguous. The search probes
+// with findParts, so only a reference that fails as a whole formats an
+// error.
 func (ev *Evaluator) resolveMember(c *cube.Cube, m *MemberExpr) (int, dimension.MemberID, error) {
 	if len(m.Parts) == 0 {
 		return 0, 0, fmt.Errorf("mdx: empty member reference")
@@ -1023,8 +1032,8 @@ func (ev *Evaluator) resolveMember(c *cube.Cube, m *MemberExpr) (int, dimension.
 	// Unqualified: search all dimensions.
 	foundDim, foundID := -1, dimension.None
 	for di := 0; di < c.NumDims(); di++ {
-		id, err := lookupParts(c.Dim(di), m.Parts)
-		if err != nil {
+		id, ok := findParts(c.Dim(di), m.Parts)
+		if !ok {
 			continue
 		}
 		if foundDim >= 0 {
@@ -1039,36 +1048,71 @@ func (ev *Evaluator) resolveMember(c *cube.Cube, m *MemberExpr) (int, dimension.
 	return foundDim, foundID, nil
 }
 
-// lookupParts resolves path parts within one dimension: a full path
-// first, then progressively shorter suffix interpretations (the leading
-// parts may repeat hierarchy context, e.g. [FTE].[Joe] vs [Joe]).
+// resolveParam resolves a reference to a member of the parameter
+// dimension d — a perspective point or a change moment — on its whole
+// path, which may lead with the dimension's name.
+func resolveParam(d *dimension.Dimension, m *MemberExpr) (dimension.MemberID, error) {
+	parts := m.Parts
+	if len(parts) > 1 && parts[0] == d.Name() {
+		parts = parts[1:]
+	}
+	if len(parts) == 0 {
+		return dimension.None, fmt.Errorf("mdx: empty member reference")
+	}
+	return lookupParts(d, parts)
+}
+
+// lookupParts resolves path parts within one dimension by findParts'
+// rules, with the error of the last step that failed.
 func lookupParts(d *dimension.Dimension, parts []string) (dimension.MemberID, error) {
-	if id, err := d.Lookup(strings.Join(parts, "/")); err == nil {
+	if id, ok := findParts(d, parts); ok {
 		return id, nil
 	}
-	if len(parts) == 1 {
-		return d.Lookup(parts[0])
-	}
-	// Resolve head, then walk down by child names — tolerates paths that
-	// skip intermediate levels only when unambiguous.
 	id, err := d.Lookup(parts[0])
 	if err != nil {
 		return dimension.None, err
 	}
 	for _, p := range parts[1:] {
-		next := dimension.None
-		for _, ch := range d.Member(id).Children {
-			if d.Member(ch).Name == p {
-				next = ch
-				break
-			}
-		}
+		next := childNamed(d, id, p)
 		if next == dimension.None {
 			return dimension.None, fmt.Errorf("dimension %s: %q has no child %q", d.Name(), d.Path(id), p)
 		}
 		id = next
 	}
 	return id, nil
+}
+
+// findParts resolves path parts within one dimension: a full path first,
+// then the head resolved on its own and walked down by child names (the
+// leading parts may repeat hierarchy context, e.g. [FTE].[Joe] vs [Joe],
+// and may skip intermediate levels only when unambiguous). It formats no
+// error, and joins the parts only when there are several.
+func findParts(d *dimension.Dimension, parts []string) (dimension.MemberID, bool) {
+	if len(parts) == 1 {
+		return d.Find(parts[0])
+	}
+	if id, ok := d.Find(strings.Join(parts, "/")); ok {
+		return id, true
+	}
+	id, ok := d.Find(parts[0])
+	for _, p := range parts[1:] {
+		if !ok {
+			break
+		}
+		id = childNamed(d, id, p)
+		ok = id != dimension.None
+	}
+	return id, ok
+}
+
+// childNamed returns the child of id with the given simple name, or None.
+func childNamed(d *dimension.Dimension, id dimension.MemberID, name string) dimension.MemberID {
+	for _, ch := range d.Member(id).Children {
+		if d.Member(ch).Name == name {
+			return ch
+		}
+	}
+	return dimension.None
 }
 
 func tupleKey(tp Tuple) string {

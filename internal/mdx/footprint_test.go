@@ -481,6 +481,90 @@ func TestProjectCompiledEquivalence(t *testing.T) {
 	if compiled == 0 || fallback == 0 {
 		t.Fatalf("coverage: %d cells compiled, %d fell back", compiled, fallback)
 	}
+
+	// Grids the random corpus reaches rarely, each in both modes and
+	// every chunk representation, on the tiny workforce cube.
+	const slicer = ` WHERE ([Account].[Acct001], [Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])`
+	cubes := map[string]footprintCube{}
+	for _, fc := range footprintCubes {
+		cubes[fc.name] = fc
+	}
+	for _, tc := range []struct {
+		name, cube, with, sel string
+		check                 func(t *testing.T, lo lowered, g *result.Grid)
+	}{
+		// A leaf feeds its own row and every ancestor's: Dept01, its
+		// employees and the dimension root, over the quarters and months.
+		{"leaves and ancestors", "workforce-wf", "WITH PERSPECTIVE {(Jan), (Jul)} FOR Department DYNAMIC FORWARD ",
+			`SELECT {[Period].[Q1], [Period].[Q1].Children, [Period].[Q3].[Aug]} ON COLUMNS,
+{[Department], [Department].[Dept01], [Department].[Dept01].Children} ON ROWS FROM C` + slicer, nil},
+		// The split adds the moved employee's new instance under the last
+		// department: past the base's extent, so the base decoder drops it
+		// and the overlay's chunks alone hold its row.
+		{"hypothetical instance at the end", "workforce-wf",
+			"WITH CHANGES {([Department].[Dept01].[Emp00013], [Department].[Dept01], [Department].[Dept05], [Apr])} ",
+			`SELECT {[Period].Levels(0).Members} ON COLUMNS,
+{[Department].[Dept05], [Department].[Dept05].Children, [Department].[Dept01]} ON ROWS FROM C` + slicer,
+			func(t *testing.T, lo lowered, g *result.Grid) { movedRow(t, lo, g, "Dept05", true) }},
+		// ...and under the first: every base leaf after it takes the next
+		// ordinal of the result, so the base's rows are read through
+		// baseDim.
+		{"hypothetical instance shifting the base", "workforce-wf",
+			"WITH CHANGES {([Department].[Dept01].[Emp00013], [Department].[Dept01], [Department].[Dept00], [Apr])} ",
+			`SELECT {[Period].Levels(0).Members} ON COLUMNS,
+{[Department].[Dept00], [Department].[Dept00].Children, [Department].[Dept01], [Department].[Dept01].Children} ON ROWS FROM C` + slicer,
+			func(t *testing.T, lo lowered, g *result.Grid) { movedRow(t, lo, g, "Dept00", false) }},
+		// The validity-window geometry, one account's chunk rows only.
+		{"validity window", "workforce-vw", "WITH PERSPECTIVE {(Jan), (Apr)} FOR Department EXTENDED FORWARD ",
+			`SELECT {[Period].[Q2], [Period].Levels(0).Members} ON COLUMNS,
+{[Department].[Dept02], [Department].[Dept02].Children, [Department].[Dept04].Children} ON ROWS FROM C` + slicer, nil},
+	} {
+		for _, mode := range []perspective.Mode{perspective.NonVisual, perspective.Visual} {
+			for _, rep := range []string{"dense", "sparse", "runs"} {
+				label := fmt.Sprintf("%s/%v/%s", tc.name, mode, rep)
+				t.Run(strings.ReplaceAll(label, " ", "_"), func(t *testing.T) {
+					c := cubes[tc.cube].build(t)
+					forceRepresentation(c, rep)
+					ev := NewEvaluator(c)
+					src := tc.with + mode.String() + " " + tc.sel
+					q, lo, ok := lowerEngine(t, label, ev, src)
+					if !ok {
+						t.Fatalf("the lowering refused\n%s", src)
+					}
+					got := runProjected(t, label+"\n"+src, ev, q, lo)
+					closeGrid(t, label+": compiled vs per-cell\n"+src, got.compiled, got.perCell)
+					if got.ps.Fallback > 0 || got.ps.Folded == 0 {
+						t.Fatalf("%s: %d cells fell back (%s), %d folds", label, got.ps.Fallback, got.ps.Reason, got.ps.Folded)
+					}
+					if tc.check != nil {
+						tc.check(t, lo, got.compiled)
+					}
+				})
+			}
+		}
+	}
+}
+
+// movedRow checks a "hypothetical instance" case of
+// TestProjectCompiledEquivalence: Emp00013's new instance under dept is
+// the last leaf of the result's Department dimension (atEnd) or lies
+// before base leaves, and its row holds December's value.
+func movedRow(t *testing.T, lo lowered, g *result.Grid, dept string, atEnd bool) {
+	t.Helper()
+	d := lo.schema.DimByName(workload.DimDepartment)
+	moved := d.Member(d.MustLookup(dept + "/Emp00013"))
+	if (moved.LeafOrdinal == d.NumLeaves()-1) != atEnd {
+		t.Fatalf("the moved instance has ordinal %d of %d leaves", moved.LeafOrdinal, d.NumLeaves())
+	}
+	for i, label := range g.RowLabels {
+		if label == dept+"/Emp00013" {
+			if row := g.Values[i]; cube.IsNull(row[len(row)-1]) {
+				t.Fatalf("row %s: %v, want the moved instance's December", label, row)
+			}
+			return
+		}
+	}
+	t.Fatalf("no row for %s/Emp00013 in %v", dept, g.RowLabels)
 }
 
 // closeGrid requires two grids to agree on labels and, cell for cell, on

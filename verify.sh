@@ -108,9 +108,12 @@ stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|Fuzz
 # the report shapes it compiles, the off-footprint refusal), and
 # the server's executor (overload, close, canceled queued tasks), the
 # persister's asynchronous write-back, the catalog's leases, snapshot
-# quantiles under load and scenario commits.
+# quantiles under load and scenario commits, and member resolution
+# (Dimension.Find against Lookup, the evaluator's resolution against its
+# reference chain, its allocation pin, qualified perspective points and
+# change moments), which concurrent queries run over shared dimensions.
 stage 'go test -race (concurrent paths)' \
-    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint|Project|Executor|Persist|Catalog|UnderLoad|Commit' ./...
+    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint|Project|Executor|Persist|Catalog|UnderLoad|Commit|ResolveMember|FindFollows|ParamMember' ./...
 
 # Advisory (non-fatal): known-vulnerability scan, skipped when the
 # toolchain image does not ship govulncheck or has no network.
