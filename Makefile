@@ -85,11 +85,12 @@ bench:
 # write-path comparison, the slab kernel's dense, run-encoded and
 # scenario-chain scans, the compiled projection against per-cell
 # evaluation, the plan-heavy query's compile steps (lower_ms/op and
-# project_ms/op next to the whole query's ns/op), and the trace and
+# project_ms/op next to the whole query's ns/op), the narrow-mix changes
+# query's lowering and split (lower_ms/op, split_ms/op), and the trace and
 # trace-retention overhead guards; full numbers come from `make bench`
 # or cmd/benchfig.
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkFig|BenchmarkRelocationKernel|BenchmarkRleScan|BenchmarkScanDense|BenchmarkScanChain|BenchmarkProject|BenchmarkLowerPlanHeavy|BenchmarkTrace|BenchmarkObs' -benchtime=100ms .
+	go test -run '^$$' -bench 'BenchmarkFig|BenchmarkRelocationKernel|BenchmarkRleScan|BenchmarkScanDense|BenchmarkScanChain|BenchmarkProject|BenchmarkLowerPlanHeavy|BenchmarkLowerChanges|BenchmarkTrace|BenchmarkObs' -benchtime=100ms .
 
 # CPU profile of the relocation kernel under the trace hooks; inspect
 # with `go tool pprof cpu.prof`.

@@ -828,3 +828,53 @@ func BenchmarkLowerPlanHeavy(b *testing.B) {
 	b.ReportMetric(lowerMs/float64(b.N), "lower_ms/op")
 	b.ReportMetric(projectMs/float64(b.N), "project_ms/op")
 }
+
+// BenchmarkLowerChanges runs the end-to-end benchmark's narrow-mix
+// "changes" query on ConfigDefault, the whole query under a trace: one
+// stable employee moves to another department from April, and the
+// receiving department is reported as its accounts by quarter and month.
+// Besides ns/op it reports the "lower" span and the "split" span under
+// it per op: planning the split should cost the one-row relation, not
+// the 4 500-member Department dimension.
+func BenchmarkLowerChanges(b *testing.B) {
+	w, err := workload.NewWorkforce(workload.ConfigDefault())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := w.Cube
+	dept := c.DimByName(workload.DimDepartment)
+	top := dept.Member(dept.Root()).Children
+	dest := dept.Member(top[len(top)-1])
+	var emp *dimension.Member
+	for _, id := range dept.Leaves() {
+		if m := dept.Member(id); len(dept.Instances(m.Name)) == 1 && m.Parent != dest.ID {
+			emp = m
+			break
+		}
+	}
+	scen := c.DimByName(workload.DimScenario).Leaf(0).Name
+	q, err := mdx.Parse("WITH CHANGES {([" + dept.Path(emp.ID) + "], [" + dept.Path(emp.Parent) + "], [" + dest.Name + "], [Apr])} VISUAL " +
+		"SELECT {[Account].Levels(0).Members} ON COLUMNS, {CrossJoin({[" + dest.Name + "]}, {Descendants([Period], 1, SELF_AND_AFTER)})} ON ROWS " +
+		"FROM [App].[Db] WHERE ([Scenario].[" + scen + "], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := mdx.NewEvaluator(c)
+	tr := trace.New(0)
+	ctx := trace.NewContext(context.Background(), tr)
+	var lowerMs, splitMs float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Reset()
+		root := tr.Start(trace.SpanRef{}, "eval")
+		if _, _, err := ev.RunQueryStatsWith(mdx.RunContext{Ctx: trace.WithSpan(ctx, root)}, q); err != nil {
+			b.Fatal(err)
+		}
+		root.End()
+		lowerMs += tr.StageMs("lower")
+		splitMs += tr.StageMs("split")
+	}
+	b.ReportMetric(lowerMs/float64(b.N), "lower_ms/op")
+	b.ReportMetric(splitMs/float64(b.N), "split_ms/op")
+}

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"whatifolap/internal/bitset"
 	"whatifolap/internal/cube"
@@ -57,7 +58,7 @@ func Select(cin *cube.Cube, dimName string, p Predicate) (*cube.Cube, error) {
 		nb := b.Clone(b.Varying, b.Param)
 		for o, id := range d.Leaves() {
 			if !keep[o] {
-				nb.VS[id] = bitset.New(b.Param.NumLeaves())
+				nb.Put(id, bitset.New(b.Param.NumLeaves()))
 			}
 		}
 		bs[i] = nb
@@ -142,7 +143,7 @@ func Relocate(cin *cube.Cube, b *dimension.Binding, vsOut VSFunc) (*cube.Cube, e
 	nb := b.Clone(b.Varying, b.Param)
 	for _, id := range d.Leaves() {
 		if s := vsOut(id); s != nil {
-			nb.VS[id] = s.Clone()
+			nb.Put(id, s.Clone())
 		}
 	}
 	replaceBinding(out, b, nb)
@@ -180,10 +181,13 @@ type Change struct {
 // sets, and the per-moment cell redirection map. The perspective-cube
 // engine consumes plans directly; Split materializes them on a cube.
 type SplitPlan struct {
-	// Dim is the cloned-and-extended varying dimension. Member IDs of
-	// pre-existing members are stable; leaf ordinals may differ.
+	// Dim extends the varying dimension (dimension.Extend) with the
+	// hypothetical instances R names. Every pre-existing member keeps
+	// its ID and its leaf ordinal; a new instance takes the next ordinal
+	// past the base extent.
 	Dim *dimension.Dimension
-	// Binding is the rebased binding with post-split validity sets.
+	// Binding is the rebased binding with post-split validity sets. It
+	// shares every validity set the split does not change.
 	Binding *dimension.Binding
 	// Redirect maps a source instance's leaf ID to its per-moment
 	// destination leaf ID (identity when unchanged). Instances absent
@@ -193,14 +197,18 @@ type SplitPlan struct {
 
 // PlanSplit computes the dimension extension, validity-set splits and
 // cell redirections for a positive-scenario relation R without touching
-// cell data (the metadata half of Definition 4.5).
+// cell data (the metadata half of Definition 4.5). Its cost follows |R|:
+// the dimension is extended, not copied, the binding's unchanged
+// validity sets are shared, and only the instances of the members R
+// names are validated — the base binding was validated when it was
+// built or edited.
 func PlanSplit(b *dimension.Binding, changes []Change) (*SplitPlan, error) {
 	if !b.Param.Ordered() {
 		return nil, fmt.Errorf("algebra: split: parameter dimension %s must be ordered", b.Param.Name())
 	}
 	nT := b.Param.NumLeaves()
-	nd := b.Varying.Clone()
-	nb := b.Clone(nd, b.Param)
+	nd := b.Varying.Extend()
+	nb := b.Derive(nd)
 
 	// redirect[srcLeafID][t] = destination leaf ID for cells of the
 	// source instance at moment t. Start with identity.
@@ -217,6 +225,7 @@ func PlanSplit(b *dimension.Binding, changes []Change) (*SplitPlan, error) {
 		return r
 	}
 
+	var named []string
 	for _, ch := range changes {
 		if ch.T < 0 || ch.T >= nT {
 			return nil, fmt.Errorf("algebra: split: change moment %d outside parameter dimension %s", ch.T, b.Param.Name())
@@ -233,15 +242,17 @@ func PlanSplit(b *dimension.Binding, changes []Change) (*SplitPlan, error) {
 		if nd.Member(np).LeafOrdinal >= 0 {
 			return nil, fmt.Errorf("algebra: split: new parent %q must be a non-leaf member", ch.NewParent)
 		}
-		newPath := nd.Path(np) + "/" + ch.Member
-		newID, err := nd.Lookup(newPath)
-		if err != nil {
-			// Create the new instance.
-			newID, err = nd.Add(nd.Path(np), ch.Member)
+		newID, ok := nd.Find(nd.Path(np) + "/" + ch.Member)
+		if !ok {
+			// Create the new instance, at the end of the ordinal space.
+			newID, err = nd.AddHypothetical(nd.Path(np), ch.Member)
 			if err != nil {
 				return nil, fmt.Errorf("algebra: split: %w", err)
 			}
-			nb.VS[newID] = bitset.New(nT)
+			nb.Put(newID, bitset.New(nT))
+		}
+		if !slices.Contains(named, ch.Member) {
+			named = append(named, ch.Member)
 		}
 		// Split validity: moments ≥ t migrate from old to new.
 		oldVS := nb.ValiditySet(oldID).Clone()
@@ -251,8 +262,8 @@ func PlanSplit(b *dimension.Binding, changes []Change) (*SplitPlan, error) {
 		moved.IntersectWith(oldVS)
 		oldVS.SubtractWith(moved)
 		newVS.UnionWith(moved)
-		nb.VS[oldID] = oldVS
-		nb.VS[newID] = newVS
+		nb.Put(oldID, oldVS)
+		nb.Put(newID, newVS)
 		// Record cell redirection for the moved moments.
 		r := redirectFor(oldID)
 		moved.ForEach(func(t int) { r[t] = newID })
@@ -269,14 +280,15 @@ func PlanSplit(b *dimension.Binding, changes []Change) (*SplitPlan, error) {
 			}
 		}
 	}
-	if err := nb.Validate(); err != nil {
+	slices.Sort(named)
+	if err := nb.ValidateMembers(named); err != nil {
 		return nil, fmt.Errorf("algebra: split produced invalid binding: %w", err)
 	}
 	return &SplitPlan{Dim: nd, Binding: nb, Redirect: redirect}, nil
 }
 
 // Split implements S(Cin, R) (Definition 4.5). For each change the
-// varying dimension is cloned and extended with the instance
+// varying dimension is extended with the instance
 // NewParent/Member (if absent); leaf cells of OldParent/Member at
 // moments ≥ t move to the new instance, and validity sets are split
 // accordingly. Non-leaf cells are copied unchanged (non-visual default).
@@ -322,9 +334,7 @@ func Split(cin *cube.Cube, varyingName string, changes []Change) (*cube.Cube, er
 		}
 	}
 
-	// Copy leaf cells, redirecting moved moments. Member IDs are stable
-	// across Clone, but leaf ordinals may shift after adding instances,
-	// so go through member IDs.
+	// Copy leaf cells, redirecting moved moments, through member IDs.
 	addr := make([]int, cin.NumDims())
 	cin.Store().NonNull(func(in []int, v float64) bool {
 		srcID := cin.Dim(di).Leaf(in[di]).ID
@@ -333,8 +343,6 @@ func Split(cin *cube.Cube, varyingName string, changes []Change) (*cube.Cube, er
 			dstID = r[in[pi]]
 		}
 		copy(addr, in)
-		// Recompute ordinals for every dimension against the output
-		// dims (only di can differ, but be defensive).
 		addr[di] = nd.Member(dstID).LeafOrdinal
 		out.SetLeaf(addr, v)
 		return true

@@ -162,9 +162,9 @@ func (p ValueCond) Eval(c *cube.Cube, dimIdx int, id dimension.MemberID) (bool, 
 			}
 			return !cube.IsNull(v) && p.Op.apply(v, p.Const), nil
 		}
-		di := free[k]
-		for _, leaf := range c.Dim(di).Leaves() {
-			ids[di] = leaf
+		d := c.Dim(free[k])
+		for o := 0; o < d.NumLeaves(); o++ {
+			ids[free[k]] = d.Leaf(o).ID
 			ok, err := walk(k + 1)
 			if err != nil || ok {
 				return ok, err

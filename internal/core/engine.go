@@ -234,7 +234,8 @@ func (e *Engine) planPerspective(q PerspectiveQuery) (members []string, target *
 			if o := varying.Member(inst).LeafOrdinal; o >= 0 {
 				scoped[o] = true
 			}
-			valid = append(valid, e.binding.VS[inst])
+			vs, _ := e.binding.Explicit(inst)
+			valid = append(valid, vs)
 			moved = append(moved, res.VSOut[inst])
 		}
 		for t := 0; t < nT; t++ {
@@ -303,7 +304,7 @@ func (e *Engine) ExecPerspectiveWith(ec ExecContext, q PerspectiveQuery) (*View,
 		return nil, err
 	}
 	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, plan)
-	view, stats, err := e.execute(ec, plan, nil, nil, nil, q.Mode)
+	view, stats, err := e.execute(ec, plan, nil, nil, q.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -335,13 +336,13 @@ type ChangesQuery struct {
 }
 
 // changesPlan pairs the physical plan of a positive scenario with the
-// view-assembly inputs it needs: the extended dimension set, rebased
-// bindings and the view→base ordinal remap.
+// view-assembly inputs it needs: the extended dimension set and rebased
+// bindings. The split keeps every base ordinal, so a base row is read at
+// its own ordinal.
 type changesPlan struct {
 	phys        *PhysicalPlan
 	newDims     []*dimension.Dimension
 	newBindings []*dimension.Binding
-	baseOrd     []int
 	affected    int
 }
 
@@ -377,8 +378,8 @@ func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery) (*changesPlan, err
 			affected = append(affected, ch.Member)
 		}
 	}
-	// Scope: every instance (old and new) of an affected member, in NEW
-	// ordinals.
+	// Scope: every instance (old and new) of an affected member, in the
+	// view's ordinals.
 	scoped := make([]bool, newDim.NumLeaves())
 	for _, name := range affected {
 		for _, inst := range newDim.Instances(name) {
@@ -387,8 +388,9 @@ func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery) (*changesPlan, err
 			}
 		}
 	}
-	// Relocation table indexed by OLD ordinals, destinations in NEW
-	// ordinals. Affected instances without a redirect entry copy
+	// Relocation table indexed by base ordinals, destinations in the
+	// view's: the same ordinals, or a new instance's past the base
+	// extent. Affected instances without a redirect entry copy
 	// identically (the overlay owns their rows).
 	instances := 0
 	for _, name := range affected {
@@ -414,16 +416,6 @@ func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery) (*changesPlan, err
 			}
 		}
 	}
-	// Ordinal remap for unaffected rows: view ordinal -> base ordinal.
-	baseOrd := make([]int, newDim.NumLeaves())
-	for vo := range baseOrd {
-		id := newDim.Leaf(vo).ID
-		if int(id) < oldDim.NumMembers() {
-			baseOrd[vo] = oldDim.Member(id).LeafOrdinal
-		} else {
-			baseOrd[vo] = -1 // hypothetical instance
-		}
-	}
 	// Rebase bindings.
 	newBindings := make([]*dimension.Binding, 0, len(e.base.Bindings()))
 	for _, b := range e.base.Bindings() {
@@ -442,8 +434,7 @@ func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery) (*changesPlan, err
 		return nil, err
 	}
 	return &changesPlan{
-		phys: phys, newDims: newDims, newBindings: newBindings,
-		baseOrd: baseOrd, affected: len(affected),
+		phys: phys, newDims: newDims, newBindings: newBindings, affected: len(affected),
 	}, nil
 }
 
@@ -474,7 +465,7 @@ func (e *Engine) ExecChangesWith(ec ExecContext, q ChangesQuery) (*View, error) 
 		return nil, err
 	}
 	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, cp.phys)
-	view, stats, err := e.execute(ec, cp.phys, cp.newDims, cp.newBindings, cp.baseOrd, q.Mode)
+	view, stats, err := e.execute(ec, cp.phys, cp.newDims, cp.newBindings, q.Mode)
 	if err != nil {
 		return nil, err
 	}

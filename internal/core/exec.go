@@ -297,10 +297,10 @@ func annotateScan(sp trace.SpanRef, t scanTally) {
 //	assemble wiring the overlay view cube.
 //
 // When newDims is nil the view shares the base cube's dimensions;
-// otherwise the view exposes newDims/newBindings and reads unscoped rows
-// of the base through baseOrd (positive scenarios).
+// otherwise the view exposes newDims/newBindings (positive scenarios),
+// whose varying dimension extends the base's past its extent.
 func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.Dimension,
-	newBindings []*dimension.Binding, baseOrd []int, mode perspective.Mode) (*View, Stats, error) {
+	newBindings []*dimension.Binding, mode perspective.Mode) (*View, Stats, error) {
 
 	stats := p.Stats
 
@@ -346,7 +346,7 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 	// reflect scenario edits too.
 	assembleSp := tr.Start(parent, "assemble")
 	defer assembleSp.End()
-	vs := &viewStore{base: e.readStore(), overlay: overlay, vi: e.vi, scoped: p.Scoped, baseOrd: baseOrd}
+	vs := &viewStore{base: e.readStore(), overlay: overlay, vi: e.vi, scoped: p.Scoped, extent: e.store.Geometry().Extents[e.vi]}
 	view := e.assemble(vs, newDims, newBindings, mode)
 	view.engine, view.footprint, view.sourceIDs = e, p.Footprint, p.sourceIDs
 	return view, stats, nil

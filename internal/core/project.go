@@ -447,14 +447,9 @@ func (p *projection) run(ec ExecContext, e *Engine, vs *viewStore, fp Footprint,
 				}
 			}
 		}
-		// The base's rows in the view's ordinals (a positive scenario's
-		// varying dimension numbers them anew, through member IDs), minus
-		// the scoped ones the overlay owns.
+		// The base's rows, minus the scoped ones the overlay owns.
 		fromBase = newDecoder(p, p.view, e.store.Geometry())
 		fromBase.vi, fromBase.scoped = e.vi, vs.scoped
-		if vd := p.view.dims[e.vi]; vd != e.binding.Varying {
-			fromBase.baseDim = e.binding.Varying
-		}
 		if !fromBase.cover() {
 			fromBase = nil
 		}
@@ -717,11 +712,9 @@ type decoder struct {
 	tables []digitTable
 	// vi, when non-negative, is the varying dimension of a decoder
 	// reading the base's rows for the view: a scoped row is the overlay's
-	// and skipped, and a base ordinal names the view's leaf of the same
-	// member of baseDim (nil: the two dimensions are one).
-	vi      int
-	scoped  []bool
-	baseDim *dimension.Dimension
+	// and skipped.
+	vi     int
+	scoped []bool
 	// filters are the dimensions whose chunk coordinates hold no leaf the
 	// source reads somewhere (cover): a chunk they rule out is not read.
 	filters []chunkFilter
@@ -805,24 +798,12 @@ func (k *decoder) leafPairs(d int, fn func(o, slot int)) {
 	})
 }
 
-// geomOrdinal maps the source's leaf ordinal o of dimension d to the
-// geometry's, or -1 when the decoder does not read it there: a scoped
-// row, a hypothetical instance the base lacks, an ordinal past the
-// geometry's extent.
+// geomOrdinal returns the source's leaf ordinal o of dimension d, or -1
+// when the decoder does not read it: a scoped row, or an ordinal past
+// the geometry's extent — a positive scenario's hypothetical instance,
+// which the base lacks.
 func (k *decoder) geomOrdinal(d, o int) int {
-	if d == k.vi {
-		if k.scoped[o] {
-			return -1
-		}
-		if k.baseDim != nil {
-			id := k.src.dims[d].Leaf(o).ID
-			if int(id) >= k.baseDim.NumMembers() {
-				return -1
-			}
-			o = k.baseDim.Member(id).LeafOrdinal
-		}
-	}
-	if o >= k.g.Extents[d] {
+	if d == k.vi && k.scoped[o] || o >= k.g.Extents[d] {
 		return -1
 	}
 	return o

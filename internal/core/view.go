@@ -19,9 +19,10 @@ import (
 
 // viewStore overlays relocated rows of the varying dimension on top of
 // the (unmodified) base store. Rows whose varying leaf ordinal is in
-// scope read from the overlay; all other rows read from the base,
-// optionally through an ordinal remap (positive scenarios extend the
-// varying dimension, shifting leaf ordinals).
+// scope read from the overlay; all other rows read from the base at the
+// same ordinal. A positive scenario's hypothetical instances take the
+// ordinals at and past the base's extent, which the base lacks: there
+// it reads Null.
 type viewStore struct {
 	base cube.Store
 	// overlay holds the relocated cells: the scan's one product — the
@@ -34,32 +35,19 @@ type viewStore struct {
 	// scoped marks varying leaf ordinals (in view coordinates) owned by
 	// the overlay.
 	scoped []bool
-	// baseOrd maps a view varying ordinal to the base store's varying
-	// ordinal, or -1 when the row exists only in the view (new
-	// instances). nil means identity.
-	baseOrd []int
+	// extent is the base's varying extent.
+	extent int
 }
 
-// Get implements cube.Store. The remapped read rewrites the varying
-// ordinal in the caller's address for the length of the base read and
-// restores it, rather than copying the address per cell: an address
-// belongs to the goroutine reading with it.
+// Get implements cube.Store.
 func (s *viewStore) Get(addr []int) float64 {
-	o := addr[s.vi]
-	if s.scoped[o] {
+	switch o := addr[s.vi]; {
+	case s.scoped[o]:
 		return s.overlay.Get(addr)
-	}
-	if s.baseOrd == nil {
-		return s.base.Get(addr)
-	}
-	bo := s.baseOrd[o]
-	if bo < 0 {
+	case o >= s.extent:
 		return cube.Null
 	}
-	addr[s.vi] = bo
-	v := s.base.Get(addr)
-	addr[s.vi] = o
-	return v
+	return s.base.Get(addr)
 }
 
 // Set implements cube.Store. Views are read-only products of a what-if
@@ -68,44 +56,15 @@ func (s *viewStore) Set(addr []int, v float64) {
 	panic("core: perspective views are read-only")
 }
 
-// NonNull implements cube.Store: base rows outside the scope first
-// (remapped if needed), then the overlay rows.
+// NonNull implements cube.Store: base rows outside the scope first, then
+// the overlay rows.
 func (s *viewStore) NonNull(fn func(addr []int, v float64) bool) {
-	// Invert the remap so base ordinals translate to view ordinals.
-	var toView []int
-	if s.baseOrd != nil {
-		max := 0
-		for _, bo := range s.baseOrd {
-			if bo > max {
-				max = bo
-			}
-		}
-		toView = make([]int, max+1)
-		for i := range toView {
-			toView[i] = -1
-		}
-		for vo, bo := range s.baseOrd {
-			if bo >= 0 {
-				toView[bo] = vo
-			}
-		}
-	}
 	stopped := false
-	out := make([]int, 0, 8)
 	s.base.NonNull(func(addr []int, v float64) bool {
-		vo := addr[s.vi]
-		if toView != nil {
-			if vo >= len(toView) || toView[vo] < 0 {
-				return true
-			}
-			vo = toView[vo]
-		}
-		if s.scoped[vo] {
+		if s.scoped[addr[s.vi]] {
 			return true // overlay owns this row
 		}
-		out = append(out[:0], addr...)
-		out[s.vi] = vo
-		if !fn(out, v) {
+		if !fn(addr, v) {
 			stopped = true
 			return false
 		}

@@ -18,6 +18,7 @@ package dimension
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -62,6 +63,10 @@ type Dimension struct {
 	// varying member with multiple instances.
 	instances map[string][]MemberID
 	leaves    []MemberID
+	// ext is non-nil on an extension (Extend): the members, paths,
+	// instance lists and leaves it adds to the tables above, which it
+	// shares with the dimension it extends and never writes.
+	ext *extension
 }
 
 // New creates a dimension with only a root member. Ordered marks the
@@ -100,28 +105,53 @@ func (d *Dimension) Root() MemberID { return 0 }
 // Member returns the member with the given ID. It panics on an invalid
 // ID, which indicates corrupted addressing.
 func (d *Dimension) Member(id MemberID) *Member {
-	if id < 0 || int(id) >= len(d.members) {
-		panic(fmt.Sprintf("dimension %s: invalid member id %d", d.name, id))
+	if d.ext != nil {
+		if m := d.ext.member(d, id); m != nil {
+			return m
+		}
+	} else if id >= 0 && int(id) < len(d.members) {
+		return d.members[id]
 	}
-	return d.members[id]
+	panic(fmt.Sprintf("dimension %s: invalid member id %d", d.name, id))
 }
 
 // NumMembers returns the total number of members including the root.
-func (d *Dimension) NumMembers() int { return len(d.members) }
+func (d *Dimension) NumMembers() int {
+	if d.ext != nil {
+		return len(d.members) + len(d.ext.members)
+	}
+	return len(d.members)
+}
 
 // NumLeaves returns the number of leaf members (= the dimension's extent
 // in cell addressing).
-func (d *Dimension) NumLeaves() int { return len(d.leaves) }
+func (d *Dimension) NumLeaves() int {
+	if d.ext != nil {
+		return len(d.leaves) + len(d.ext.leaves)
+	}
+	return len(d.leaves)
+}
 
 // Leaves returns the leaf member IDs in ordinal order. The returned slice
-// must not be modified.
-func (d *Dimension) Leaves() []MemberID { return d.leaves }
+// must not be modified. An extension with added leaves builds it anew on
+// each call, so a caller that indexes by ordinal or calls it inside a
+// loop uses Leaf and NumLeaves, which do not.
+func (d *Dimension) Leaves() []MemberID {
+	if d.ext == nil || len(d.ext.leaves) == 0 {
+		return d.leaves
+	}
+	return append(d.leaves[:len(d.leaves):len(d.leaves)], d.ext.leaves...)
+}
 
 // Leaf returns the leaf member at the given ordinal.
 func (d *Dimension) Leaf(ordinal int) *Member {
-	if ordinal < 0 || ordinal >= len(d.leaves) {
-		panic(fmt.Sprintf("dimension %s: leaf ordinal %d out of range [0,%d)", d.name, ordinal, len(d.leaves)))
+	if ordinal < 0 || ordinal >= d.NumLeaves() {
+		panic(fmt.Sprintf("dimension %s: leaf ordinal %d out of range [0,%d)", d.name, ordinal, d.NumLeaves()))
 	}
+	if ordinal >= len(d.leaves) {
+		return d.Member(d.ext.leaves[ordinal-len(d.leaves)])
+	}
+	// An extension never copies a base leaf: only parents gain children.
 	return d.members[d.leaves[ordinal]]
 }
 
@@ -151,7 +181,13 @@ func (d *Dimension) Path(id MemberID) string {
 //
 // Adding a leaf whose simple name already exists as a leaf elsewhere in
 // the hierarchy creates a new instance of that (varying) member.
+//
+// An extension refuses Add: renumbering would rewrite the leaf ordinals
+// of the members it shares with its base. It takes AddHypothetical.
 func (d *Dimension) Add(parentPath, name string) (MemberID, error) {
+	if d.ext != nil {
+		return None, fmt.Errorf("dimension %s: Add renumbers leaf ordinals, which an extension shares with its base; add %q with AddHypothetical", d.name, name)
+	}
 	if name == "" {
 		return None, fmt.Errorf("dimension %s: empty member name", d.name)
 	}
@@ -234,10 +270,20 @@ func (d *Dimension) lookupPath(path string) (MemberID, error) {
 	if path == "" {
 		return 0, nil
 	}
-	if id, ok := d.byPath[path]; ok {
+	if id, ok := d.pathID(path); ok {
 		return id, nil
 	}
 	return None, fmt.Errorf("dimension %s: no member with path %q", d.name, path)
+}
+
+// pathID returns the member whose path is path, in the dimension's own
+// index and then in an extension's.
+func (d *Dimension) pathID(path string) (MemberID, bool) {
+	id, ok := d.byPath[path]
+	if !ok && d.ext != nil {
+		id, ok = d.ext.byPath[path]
+	}
+	return id, ok
 }
 
 // Lookup resolves a member reference. It accepts a full path ("FTE/Joe"),
@@ -252,7 +298,7 @@ func (d *Dimension) Lookup(ref string) (MemberID, error) {
 	if strings.Contains(ref, "/") {
 		return None, fmt.Errorf("dimension %s: no member with path %q", d.name, ref)
 	}
-	if n := d.named(ref); n > 1 {
+	if _, n := d.named(ref); n > 1 {
 		return None, fmt.Errorf("dimension %s: member name %q is ambiguous (%d instances); qualify with a parent path", d.name, ref, n)
 	}
 	return None, fmt.Errorf("dimension %s: no member named %q", d.name, ref)
@@ -265,34 +311,36 @@ func (d *Dimension) Find(ref string) (MemberID, bool) {
 	if ref == d.name {
 		return 0, true
 	}
-	if id, ok := d.byPath[ref]; ok {
+	if id, ok := d.pathID(ref); ok {
 		return id, true
 	}
 	if strings.Contains(ref, "/") {
 		return None, false
 	}
 	// Simple-name resolution: unique across all members.
-	found := None
-	for _, m := range d.members[1:] {
-		if m.Name == ref {
-			if found != None {
-				return None, false
-			}
-			found = m.ID
-		}
+	if found, n := d.named(ref); n == 1 {
+		return found, true
 	}
-	return found, found != None
+	return None, false
 }
 
-// named counts the members (the root excluded) whose simple name is ref.
-func (d *Dimension) named(ref string) int {
-	n := 0
-	for _, m := range d.members[1:] {
-		if m.Name == ref {
-			n++
+// named counts the members (the root excluded) whose simple name is ref
+// and returns the last of them. A copy an extension made of a shared
+// member keeps its name, so the shared table counts for it.
+func (d *Dimension) named(ref string) (MemberID, int) {
+	found, n := None, 0
+	count := func(ms []*Member) {
+		for _, m := range ms {
+			if m.Name == ref {
+				found, n = m.ID, n+1
+			}
 		}
 	}
-	return n
+	count(d.members[1:])
+	if d.ext != nil {
+		count(d.ext.members)
+	}
+	return found, n
 }
 
 // MustLookup is Lookup that panics on error.
@@ -308,6 +356,11 @@ func (d *Dimension) MustLookup(ref string) MemberID {
 // name, in insertion order. For a non-varying member this is a single ID;
 // for an unknown name it is nil.
 func (d *Dimension) Instances(baseName string) []MemberID {
+	if d.ext != nil {
+		if ids, ok := d.ext.instances[baseName]; ok {
+			return ids
+		}
+	}
 	return d.instances[baseName]
 }
 
@@ -316,8 +369,20 @@ func (d *Dimension) Instances(baseName string) []MemberID {
 func (d *Dimension) VaryingMembers() []string {
 	var names []string
 	for name, ids := range d.instances {
+		if d.ext != nil {
+			if _, grew := d.ext.instances[name]; grew {
+				continue
+			}
+		}
 		if len(ids) > 1 {
 			names = append(names, name)
+		}
+	}
+	if d.ext != nil {
+		for name, ids := range d.ext.instances {
+			if len(ids) > 1 {
+				names = append(names, name)
+			}
 		}
 	}
 	sort.Strings(names)
@@ -411,33 +476,6 @@ func (d *Dimension) GenerationMembers(gen int) []MemberID {
 	return out
 }
 
-// Clone returns a deep copy of the dimension. Algebra operators that
-// change hierarchy structure (split) clone before mutating so that input
-// cubes remain untouched.
-func (d *Dimension) Clone() *Dimension {
-	c := &Dimension{
-		name:      d.name,
-		ordered:   d.ordered,
-		measure:   d.measure,
-		members:   make([]*Member, len(d.members)),
-		byPath:    make(map[string]MemberID, len(d.byPath)),
-		instances: make(map[string][]MemberID, len(d.instances)),
-		leaves:    append([]MemberID(nil), d.leaves...),
-	}
-	for i, m := range d.members {
-		mm := *m
-		mm.Children = append([]MemberID(nil), m.Children...)
-		c.members[i] = &mm
-	}
-	for k, v := range d.byPath {
-		c.byPath[k] = v
-	}
-	for k, v := range d.instances {
-		c.instances[k] = append([]MemberID(nil), v...)
-	}
-	return c
-}
-
 // Binding declares that varying dimension Varying changes as a function
 // of parameter dimension Param, and records the validity set of every
 // leaf member instance of Varying over the leaves of Param (paper
@@ -445,28 +483,63 @@ func (d *Dimension) Clone() *Dimension {
 type Binding struct {
 	Varying *Dimension
 	Param   *Dimension
-	// VS maps a leaf member (instance) of Varying to its validity set
-	// over Param's leaf ordinals. Instances absent from the map are valid
-	// everywhere (non-varying members need not be enumerated).
-	VS map[MemberID]*bitset.Set
+	// vs maps a leaf member (instance) of Varying to its validity set
+	// over Param's leaf ordinals. Instances absent from it (and from
+	// shared) are valid everywhere: non-varying members need not be
+	// enumerated.
+	vs map[MemberID]*bitset.Set
+	// shared, on a binding made by Derive, is the validity-set map of the
+	// binding it was derived from, read-only: vs overrides it.
+	shared map[MemberID]*bitset.Set
 }
 
 // NewBinding creates an empty binding between a varying and a parameter
 // dimension.
 func NewBinding(varying, param *Dimension) *Binding {
-	return &Binding{Varying: varying, Param: param, VS: make(map[MemberID]*bitset.Set)}
+	return &Binding{Varying: varying, Param: param, vs: make(map[MemberID]*bitset.Set)}
+}
+
+// Derive returns a binding of varying — an extension of b.Varying — to
+// b.Param that shares every validity set of b: Put overrides one without
+// touching b, and deriving costs nothing per instance. b must not change
+// while the derived binding is in use, as a published binding never
+// does. A binding derived from a derived binding shares the same map and
+// copies the (small) overrides.
+func (b *Binding) Derive(varying *Dimension) *Binding {
+	if b.shared == nil {
+		return &Binding{Varying: varying, Param: b.Param, vs: map[MemberID]*bitset.Set{}, shared: b.vs}
+	}
+	return &Binding{Varying: varying, Param: b.Param, vs: maps.Clone(b.vs), shared: b.shared}
 }
 
 // SetVS records the validity set of a member instance, given parameter
 // leaf ordinals.
 func (b *Binding) SetVS(instance MemberID, paramOrdinals ...int) {
-	b.VS[instance] = bitset.FromSlice(b.Param.NumLeaves(), paramOrdinals)
+	b.Put(instance, bitset.FromSlice(b.Param.NumLeaves(), paramOrdinals))
+}
+
+// Put records vs as the validity set of a member instance. The binding
+// holds on to vs: edit a set only before putting it, and put a clone of
+// a set read from the binding.
+func (b *Binding) Put(instance MemberID, vs *bitset.Set) {
+	b.vs[instance] = vs
+}
+
+// Explicit returns the validity set recorded for a member instance and
+// true, or nil and false when it has none (it is valid everywhere). The
+// set belongs to the binding and must not be modified.
+func (b *Binding) Explicit(instance MemberID) (*bitset.Set, bool) {
+	vs, ok := b.vs[instance]
+	if !ok && b.shared != nil {
+		vs, ok = b.shared[instance]
+	}
+	return vs, ok
 }
 
 // ValiditySet returns the validity set of the given leaf member instance.
 // Members without an explicit entry are valid at every parameter leaf.
 func (b *Binding) ValiditySet(instance MemberID) *bitset.Set {
-	if vs, ok := b.VS[instance]; ok {
+	if vs, ok := b.Explicit(instance); ok {
 		return vs
 	}
 	all := bitset.New(b.Param.NumLeaves())
@@ -479,9 +552,9 @@ func (b *Binding) ValiditySet(instance MemberID) *bitset.Set {
 // is the d_t of the paper's relocate semantics.
 func (b *Binding) InstanceAt(baseName string, t int) MemberID {
 	for _, id := range b.Varying.Instances(baseName) {
-		// Probe VS directly: ValiditySet builds a fresh all-ones set for
-		// every instance without an entry.
-		if vs, ok := b.VS[id]; ok && vs.Contains(t) || !ok && 0 <= t && t < b.Param.NumLeaves() {
+		// Probe the entry directly: ValiditySet builds a fresh all-ones
+		// set for every instance without one.
+		if vs, ok := b.Explicit(id); ok && vs.Contains(t) || !ok && 0 <= t && t < b.Param.NumLeaves() {
 			return id
 		}
 	}
@@ -491,7 +564,14 @@ func (b *Binding) InstanceAt(baseName string, t int) MemberID {
 // Validate checks the core invariant of the model: validity sets of
 // different instances of the same member never overlap (paper §2).
 func (b *Binding) Validate() error {
-	for _, name := range b.Varying.VaryingMembers() {
+	return b.ValidateMembers(b.Varying.VaryingMembers())
+}
+
+// ValidateMembers checks Validate's invariant for the instances of the
+// named members only, in the order given: what an edit of a binding
+// that was valid before must re-check.
+func (b *Binding) ValidateMembers(names []string) error {
+	for _, name := range names {
 		ids := b.Varying.Instances(name)
 		for i := 0; i < len(ids); i++ {
 			for j := i + 1; j < len(ids); j++ {
@@ -507,12 +587,15 @@ func (b *Binding) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the binding rebased onto the given cloned
-// dimensions (which must be clones of the binding's originals).
+// Clone returns a deep copy of the binding rebased onto the given
+// dimensions (extensions of the binding's own, or the same ones).
 func (b *Binding) Clone(varying, param *Dimension) *Binding {
 	c := NewBinding(varying, param)
-	for id, vs := range b.VS {
-		c.VS[id] = vs.Clone()
+	for id, vs := range b.shared {
+		c.vs[id] = vs.Clone()
+	}
+	for id, vs := range b.vs {
+		c.vs[id] = vs.Clone()
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 package dimension
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -212,16 +213,98 @@ func TestHeightLevelsGenerations(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
+// TestExtendIsIsolated: an extension takes hypothetical members at the
+// end of the ordinal space without touching its base, two extensions of
+// one base never see each other's members (their shared slices are
+// capped), an extension refuses Add, which would renumber the
+// ordinals it shares, and a plain dimension refuses AddHypothetical.
+func TestExtendIsIsolated(t *testing.T) {
 	d := buildOrg(t)
-	c := d.Clone()
-	c.MustAdd("FTE", "NewGuy")
+	fte := d.MustLookup("FTE")
+	before := fingerprint(d)
+	a, b := d.Extend(), d.Extend()
+	ga := a.mustAddHypothetical(t, "FTE", "NewGuy")
+	gb := b.mustAddHypothetical(t, "FTE", "OtherGuy")
+	jb := b.mustAddHypothetical(t, "PTE", "Lisa")
+	if got := fingerprint(d); got != before {
+		t.Fatalf("extensions changed their base:\n%s\nwant\n%s", got, before)
+	}
 	if _, err := d.Lookup("FTE/NewGuy"); err == nil {
-		t.Fatal("clone mutation leaked into original")
+		t.Fatal("an extension's member leaked into its base")
 	}
-	if d.NumLeaves() == c.NumLeaves() {
-		t.Fatal("leaf counts should differ after clone mutation")
+	if ga != gb || a.Path(ga) != "FTE/NewGuy" || b.Path(gb) != "FTE/OtherGuy" {
+		t.Fatalf("two extensions' first members: %q (%d), %q (%d)", a.Path(ga), ga, b.Path(gb), gb)
 	}
+	if _, err := a.Lookup("FTE/OtherGuy"); err == nil {
+		t.Fatal("one extension sees another's member")
+	}
+	if got, want := len(a.Member(fte).Children), len(d.Member(fte).Children)+1; got != want {
+		t.Fatalf("extension a: FTE has %d children, want %d", got, want)
+	}
+	if got := b.Member(fte).Children; got[len(got)-1] != gb {
+		t.Fatalf("extension b: FTE's children %v do not end with its member %d", got, gb)
+	}
+	// New leaves take the ordinals past the base extent; base ordinals
+	// stay.
+	if o := b.Member(jb).LeafOrdinal; o != d.NumLeaves()+1 || b.Leaf(o).ID != jb || b.NumLeaves() != d.NumLeaves()+2 {
+		t.Fatalf("PTE/Lisa: ordinal %d of %d leaves", o, b.NumLeaves())
+	}
+	for o, id := range d.Leaves() {
+		if b.Member(id).LeafOrdinal != o || b.Leaves()[o] != id {
+			t.Fatalf("base leaf %q moved in the extension", d.Path(id))
+		}
+	}
+	if got := b.Instances("Lisa"); len(got) != 2 || got[1] != jb || len(d.Instances("Lisa")) != 1 {
+		t.Fatalf("Instances(Lisa): extension %v, base %v", got, d.Instances("Lisa"))
+	}
+	if _, err := b.Lookup("Lisa"); err == nil || !strings.Contains(err.Error(), "2 instances") {
+		t.Fatalf("Lookup(Lisa) on the extension: %v", err)
+	}
+	if vm := b.VaryingMembers(); fmt.Sprint(vm) != "[Joe Lisa]" {
+		t.Fatalf("VaryingMembers on the extension = %v", vm)
+	}
+	// A name whose base instance list has spare capacity gains an
+	// instance in both extensions: neither sees the other's.
+	ja, jb2 := a.mustAddHypothetical(t, "", "Joe"), b.mustAddHypothetical(t, "", "Joe")
+	if ia, ib := a.Instances("Joe"), b.Instances("Joe"); len(ia) != 4 || ia[3] != ja || ib[3] != jb2 || len(d.Instances("Joe")) != 3 {
+		t.Fatalf("Instances(Joe): extension a %v (added %d), b %v (added %d), base %v", ia, ja, ib, jb2, d.Instances("Joe"))
+	}
+	// An extension of an extension shares its additions and adds its own.
+	c := b.Extend()
+	c.mustAddHypothetical(t, "PTE", "Ann")
+	if _, err := b.Lookup("PTE/Ann"); err == nil || c.MustLookup("FTE/OtherGuy") != gb || c.NumLeaves() != b.NumLeaves()+1 {
+		t.Fatal("an extension of an extension does not layer on it")
+	}
+	if _, err := a.Add("FTE", "Renumbered"); err == nil {
+		t.Fatal("Add on an extension should fail")
+	}
+	if _, err := d.AddHypothetical("FTE", "InPlace"); err == nil {
+		t.Fatal("AddHypothetical on a dimension that is not an extension should fail")
+	}
+	if got := fingerprint(d); got != before {
+		t.Fatal("Add on an extension, or AddHypothetical on its base, changed the base")
+	}
+}
+
+func (d *Dimension) mustAddHypothetical(t *testing.T, parent, name string) MemberID {
+	t.Helper()
+	id, err := d.AddHypothetical(parent, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// fingerprint renders every member of d — path, ordinal, children — and
+// every instance list, for before/after comparisons.
+func fingerprint(d *Dimension) string {
+	var b strings.Builder
+	for id := MemberID(0); int(id) < d.NumMembers(); id++ {
+		m := d.Member(id)
+		fmt.Fprintf(&b, "%d %q %d %v %v\n", id, d.Path(id), m.LeafOrdinal, m.Children, d.Instances(m.Name))
+	}
+	fmt.Fprintln(&b, d.Leaves(), d.VaryingMembers())
+	return b.String()
 }
 
 func TestBindingValidityAndInstanceAt(t *testing.T) {
@@ -269,9 +352,9 @@ func TestBindingClone(t *testing.T) {
 	tim := buildTime(t)
 	b := NewBinding(org, tim)
 	b.SetVS(org.MustLookup("FTE/Joe"), 0)
-	org2, tim2 := org.Clone(), tim.Clone()
+	org2, tim2 := org.Extend(), tim.Extend()
 	c := b.Clone(org2, tim2)
-	c.VS[org2.MustLookup("FTE/Joe")].Add(5)
+	c.vs[org2.MustLookup("FTE/Joe")].Add(5)
 	if b.ValiditySet(org.MustLookup("FTE/Joe")).Contains(5) {
 		t.Fatal("binding clone mutation leaked")
 	}

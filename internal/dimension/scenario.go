@@ -1,7 +1,9 @@
-// Scenario-workspace extensions: hypothetical member introduction and
-// validity-window edits. Both operate on a *clone* of the base
-// dimension owned by one scenario — the base cube's hierarchies are
-// never touched.
+// Scenario-workspace edits: hypothetical member introduction and
+// validity-window edits. A hypothetical member is added only to an
+// extension (Extend) of the base dimension, and a window is set only on
+// a binding of such an extension (Binding.Derive, Binding.Clone), each
+// owned by one scenario or one positive-scenario query — the base
+// cube's hierarchies and validity sets are never touched.
 //
 // The critical difference from Add is ordinal stability. Add renumbers
 // leaf ordinals in depth-first hierarchy order, which would shift the
@@ -20,8 +22,10 @@ import (
 )
 
 // AddHypothetical appends a hypothetical new leaf member under
-// parentPath ("" = the dimension root) without renumbering existing
-// leaf ordinals: the new member's ordinal is the previous leaf count.
+// parentPath ("" = the dimension root) of an extension (Extend) without
+// renumbering existing leaf ordinals: the new member's ordinal is the
+// previous leaf count. A dimension that is not an extension refuses it,
+// as an extension refuses Add.
 // The parent must be the root or an existing non-leaf member — placing
 // a child under a leaf would demote that leaf and force renumbering,
 // which AddHypothetical exists to avoid. Rollup routes the new
@@ -32,6 +36,9 @@ import (
 // instance of that (varying) member, to be given a validity window
 // with Binding.SetWindow.
 func (d *Dimension) AddHypothetical(parentPath, name string) (MemberID, error) {
+	if d.ext == nil {
+		return None, fmt.Errorf("dimension %s: AddHypothetical edits an extension, which leaves its base untouched; add %q to an Extend of the dimension", d.name, name)
+	}
 	if name == "" {
 		return None, fmt.Errorf("dimension %s: empty member name", d.name)
 	}
@@ -50,22 +57,18 @@ func (d *Dimension) AddHypothetical(parentPath, name string) (MemberID, error) {
 	if parentPath != "" {
 		path = parentPath + "/" + name
 	}
-	if _, dup := d.byPath[path]; dup {
+	if _, dup := d.pathID(path); dup {
 		return None, fmt.Errorf("dimension %s: member path %q already exists", d.name, path)
 	}
-	id := MemberID(len(d.members))
+	id := MemberID(d.NumMembers())
 	m := &Member{
 		ID:          id,
 		Name:        name,
 		Parent:      parent,
 		Depth:       p.Depth + 1,
-		LeafOrdinal: len(d.leaves),
+		LeafOrdinal: d.NumLeaves(),
 	}
-	d.members = append(d.members, m)
-	d.byPath[path] = id
-	p.Children = append(p.Children, id)
-	d.instances[name] = append(d.instances[name], id)
-	d.leaves = append(d.leaves, id)
+	d.ext.addHypothetical(p, m, path, d.Instances(name))
 	return id, nil
 }
 
@@ -93,17 +96,17 @@ func (b *Binding) SetWindow(instance MemberID, lo, hi int) error {
 		}
 		vs := b.ValiditySet(sib).Clone()
 		vs.SubtractWith(window)
-		b.VS[sib] = vs
+		b.Put(sib, vs)
 	}
-	if vs, ok := b.VS[instance]; ok {
+	if vs, ok := b.Explicit(instance); ok {
 		vs = vs.Clone()
 		vs.UnionWith(window)
-		b.VS[instance] = vs
+		b.Put(instance, vs)
 	} else {
 		// First explicit claim: the instance is valid exactly in the
 		// window (an implicit "valid everywhere" would overlap its
 		// siblings and break the invariant).
-		b.VS[instance] = window
+		b.Put(instance, window)
 	}
 	return nil
 }

@@ -100,11 +100,12 @@ func (ev *Evaluator) RunQueryWith(rc RunContext, q *Query) (*result.Grid, error)
 // trace, lowering — member resolution, a WITH CHANGES clause's split,
 // the footprint — is a "lower" span; when it succeeds, its path
 // attribute is the queryPath it chose (0 algebra, 1 perspective engine,
-// 2 changes engine).
+// 2 changes engine). A WITH CHANGES clause's split is a "split" span
+// under it.
 func (ev *Evaluator) RunQueryStatsWith(rc RunContext, q *Query) (*result.Grid, core.Stats, error) {
 	tr := trace.FromContext(rc.Ctx)
 	lowerSp := tr.Start(trace.SpanFromContext(rc.Ctx), "lower")
-	lo, err := ev.lower(q)
+	lo, err := ev.lower(q, tr, lowerSp)
 	if err != nil {
 		lowerSp.End()
 		return nil, core.Stats{}, err
@@ -176,7 +177,7 @@ func RenderAnalyze(tr *trace.Trace, stats core.Stats) string {
 // schedule, and the peak resident chunk count. Planning runs (it is
 // pure), but no chunks are read and nothing is executed.
 func (ev *Evaluator) Explain(q *Query) (string, error) {
-	lo, err := ev.lower(q)
+	lo, err := ev.lower(q, nil, trace.SpanRef{})
 	if err != nil {
 		return "", err
 	}
@@ -288,8 +289,9 @@ type lowered struct {
 // storage with a single what-if clause (one WITH PERSPECTIVE, or WITH
 // CHANGES alone) get the perspective-cube engine; everything else —
 // plain queries, transfers, clause combinations, map-backed cubes and
-// scenario views with new members — lowers to an algebra plan.
-func (ev *Evaluator) lower(q *Query) (lowered, error) {
+// scenario views with new members — lowers to an algebra plan. Under a
+// trace tr, the split of a WITH CHANGES clause is a span under parent.
+func (ev *Evaluator) lower(q *Query, tr *trace.Trace, parent trace.SpanRef) (lowered, error) {
 	lo := lowered{mode: perspective.NonVisual}
 	single := engineCube(ev.cube) && len(q.Transfers) == 0
 	switch {
@@ -305,10 +307,16 @@ func (ev *Evaluator) lower(q *Query) (lowered, error) {
 		// The split is metadata only: it yields the result schema, with
 		// the hypothetical instances the axes may name, before any chunk is
 		// read; the engine plans from the same split.
+		splitSp := tr.Start(parent, "split")
+		base := lo.engine.Binding().Varying
 		split, err := algebra.PlanSplit(lo.engine.Binding(), changes)
 		if err != nil {
+			splitSp.End()
 			return lo, err
 		}
+		splitSp.Int("changes", int64(len(changes)))
+		splitSp.Int("new_instances", int64(split.Dim.NumLeaves()-base.NumLeaves()))
+		splitSp.End()
 		dims := slices.Clone(ev.cube.Dims())
 		dims[ev.cube.DimIndex(varying)] = split.Dim
 		lo.schema = cube.New(dims...)

@@ -116,3 +116,50 @@ func TestExplainAnalyzeTotalsMatchStats(t *testing.T) {
 	}
 	t.Fatal("no scan span recorded")
 }
+
+// TestExplainAnalyzeSplitSpan: a WITH CHANGES clause's split is a
+// "split" span under "lower" carrying |R| and the instances it created —
+// here two rows, of which only the first makes a new instance (the
+// second moves Joe back into FTE/Joe) — and a query without the clause
+// records none.
+func TestExplainAnalyzeSplitSpan(t *testing.T) {
+	ev := NewEvaluator(paperdata.ChunkedWarehouse(nil))
+	for _, tc := range []struct {
+		query                 string
+		changes, newInstances int64
+	}{
+		{`WITH CHANGES {([FTE].[Lisa], [FTE], [PTE], [Apr]), ([Contractor].[Joe], [Contractor], [FTE], [Jun])} VISUAL
+SELECT {Descendants([Time], 1, SELF_AND_AFTER)} ON COLUMNS, {[PTE].Children} ON ROWS
+FROM Warehouse WHERE ([Location].[NY], [Measures].[Salary])`, 2, 1},
+		{explainTestQuery, 0, 0},
+	} {
+		tr := trace.New(0)
+		root := tr.Start(trace.SpanRef{}, "eval")
+		ctx := trace.WithSpan(trace.NewContext(context.Background(), tr), root)
+		if _, _, err := ev.RunQueryStatsWith(RunContext{Ctx: ctx}, MustParse(tc.query)); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		spans := tr.Spans()
+		var split []trace.Span
+		for _, s := range spans {
+			if s.Name == "split" {
+				split = append(split, s)
+			}
+		}
+		if tc.changes == 0 {
+			if len(split) != 0 {
+				t.Fatalf("a query without WITH CHANGES recorded %d split spans", len(split))
+			}
+			continue
+		}
+		if len(split) != 1 || spans[split[0].Parent].Name != "lower" {
+			t.Fatalf("split spans %+v, want one under lower", split)
+		}
+		changes, _ := split[0].Attr("changes")
+		created, _ := split[0].Attr("new_instances")
+		if changes != tc.changes || created != tc.newInstances {
+			t.Fatalf("split span: changes=%d new_instances=%d, want %d and %d", changes, created, tc.changes, tc.newInstances)
+		}
+	}
+}

@@ -319,7 +319,7 @@ func lowerEngine(t *testing.T, label string, ev *Evaluator, src string) (*Query,
 	if err != nil {
 		t.Fatalf("%s: generated query does not parse: %v\n%s", label, err, src)
 	}
-	lo, err := ev.lower(q)
+	lo, err := ev.lower(q, nil, trace.SpanRef{})
 	if err != nil {
 		return nil, lo, false
 	}
@@ -505,15 +505,16 @@ func TestProjectCompiledEquivalence(t *testing.T) {
 			"WITH CHANGES {([Department].[Dept01].[Emp00013], [Department].[Dept01], [Department].[Dept05], [Apr])} ",
 			`SELECT {[Period].Levels(0).Members} ON COLUMNS,
 {[Department].[Dept05], [Department].[Dept05].Children, [Department].[Dept01]} ON ROWS FROM C` + slicer,
-			func(t *testing.T, lo lowered, g *result.Grid) { movedRow(t, lo, g, "Dept05", true) }},
-		// ...and under the first: every base leaf after it takes the next
-		// ordinal of the result, so the base's rows are read through
-		// baseDim.
+			func(t *testing.T, lo lowered, g *result.Grid) { movedRow(t, lo, g, "Dept05") }},
+		// ...and under the first, where in hierarchy order it would shift
+		// every base leaf after it: the new instance still takes the last
+		// ordinal, so Dept00's leaves are not contiguous — its base range
+		// and the result's last leaf — and no base row is shifted.
 		{"hypothetical instance shifting the base", "workforce-wf",
 			"WITH CHANGES {([Department].[Dept01].[Emp00013], [Department].[Dept01], [Department].[Dept00], [Apr])} ",
 			`SELECT {[Period].Levels(0).Members} ON COLUMNS,
 {[Department].[Dept00], [Department].[Dept00].Children, [Department].[Dept01], [Department].[Dept01].Children} ON ROWS FROM C` + slicer,
-			func(t *testing.T, lo lowered, g *result.Grid) { movedRow(t, lo, g, "Dept00", false) }},
+			func(t *testing.T, lo lowered, g *result.Grid) { movedRow(t, lo, g, "Dept00") }},
 		// The validity-window geometry, one account's chunk rows only.
 		{"validity window", "workforce-vw", "WITH PERSPECTIVE {(Jan), (Apr)} FOR Department EXTENDED FORWARD ",
 			`SELECT {[Period].[Q2], [Period].Levels(0).Members} ON COLUMNS,
@@ -547,13 +548,13 @@ func TestProjectCompiledEquivalence(t *testing.T) {
 
 // movedRow checks a "hypothetical instance" case of
 // TestProjectCompiledEquivalence: Emp00013's new instance under dept is
-// the last leaf of the result's Department dimension (atEnd) or lies
-// before base leaves, and its row holds December's value.
-func movedRow(t *testing.T, lo lowered, g *result.Grid, dept string, atEnd bool) {
+// the last leaf of the result's Department dimension, past the base's
+// extent, and its row holds December's value.
+func movedRow(t *testing.T, lo lowered, g *result.Grid, dept string) {
 	t.Helper()
 	d := lo.schema.DimByName(workload.DimDepartment)
 	moved := d.Member(d.MustLookup(dept + "/Emp00013"))
-	if (moved.LeafOrdinal == d.NumLeaves()-1) != atEnd {
+	if moved.LeafOrdinal != d.NumLeaves()-1 || moved.LeafOrdinal != lo.engine.Binding().Varying.NumLeaves() {
 		t.Fatalf("the moved instance has ordinal %d of %d leaves", moved.LeafOrdinal, d.NumLeaves())
 	}
 	for i, label := range g.RowLabels {
@@ -681,7 +682,7 @@ func TestFootprintChangesHypotheticalInstance(t *testing.T) {
 FROM W WHERE ([Location].[NY], [Organization].[PTE].[Lisa])`
 	q := MustParse(with + sel)
 	ev := NewEvaluator(paperdata.ChunkedWarehouse(nil))
-	lo, err := ev.lower(q)
+	lo, err := ev.lower(q, nil, trace.SpanRef{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -727,7 +728,7 @@ SELECT {[Time].Children} ON COLUMNS, {[Product].Children} ON ROWS
 FROM Retail WHERE ([Market].[East].[E1], [Measures].[Margin%])`
 	q := MustParse(src)
 	ev := NewEvaluator(chunkedCopy(rt.Cube, []int{4, 5, 2, 3}))
-	lo, err := ev.lower(q)
+	lo, err := ev.lower(q, nil, trace.SpanRef{})
 	if err != nil {
 		t.Fatal(err)
 	}

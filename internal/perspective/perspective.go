@@ -126,7 +126,9 @@ type Result struct {
 // in VSOut) are not reported.
 func (r *Result) Dropped() []dimension.MemberID {
 	var out []dimension.MemberID
-	for _, id := range r.Binding.Varying.Leaves() {
+	d := r.Binding.Varying
+	for o := 0; o < d.NumLeaves(); o++ {
+		id := d.Leaf(o).ID
 		if vs, ok := r.VSOut[id]; ok && vs.IsEmpty() {
 			out = append(out, id)
 		}

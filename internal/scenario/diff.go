@@ -102,9 +102,9 @@ func cellPaths(addr []int, dimsA, dimsB []*dimension.Dimension) []string {
 	for i, o := range addr {
 		switch {
 		case o < dimsA[i].NumLeaves():
-			out[i] = dimsA[i].Path(dimsA[i].Leaves()[o])
+			out[i] = dimsA[i].Path(dimsA[i].Leaf(o).ID)
 		case o < dimsB[i].NumLeaves():
-			out[i] = dimsB[i].Path(dimsB[i].Leaves()[o])
+			out[i] = dimsB[i].Path(dimsB[i].Leaf(o).ID)
 		default:
 			out[i] = fmt.Sprintf("#%d", o)
 		}

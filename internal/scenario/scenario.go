@@ -12,9 +12,9 @@
 // Concurrency: a Scenario's mutable state (layers, dims, revision) is
 // guarded by its mutex; every edit batch produces a fresh layer and a
 // fresh layer slice, so snapshots handed to queries are immutable and
-// never race with later edits. Structural edits clone the dimension
-// set before mutating it, so views and forks holding the previous
-// dimensions stay valid.
+// never race with later edits. Structural edits extend the dimension
+// set (dimension.Extend) before mutating it, so views and forks holding
+// the previous dimensions stay valid.
 package scenario
 
 import (
@@ -205,15 +205,16 @@ func (s *Scenario) recomputeGeometry() error {
 	return nil
 }
 
-// privatize clones the current dimension set and rebases the bindings
-// onto the clones, making structural edits invisible to the base cube
-// and to forks sharing the previous set. Caller holds s.mu.
+// privatize extends the current dimension set (dimension.Extend) and
+// rebases the bindings onto the extensions, making structural edits
+// invisible to the base cube and to forks sharing the previous set.
+// Caller holds s.mu.
 func (s *Scenario) privatize() error {
 	cur, curB := s.curDims(), s.curBindings()
 	idx := make(map[*dimension.Dimension]int, len(cur))
-	clones := make([]*dimension.Dimension, len(cur))
+	exts := make([]*dimension.Dimension, len(cur))
 	for i, d := range cur {
-		clones[i] = d.Clone()
+		exts[i] = d.Extend()
 		idx[d] = i
 	}
 	nb := make([]*dimension.Binding, len(curB))
@@ -223,9 +224,9 @@ func (s *Scenario) privatize() error {
 		if !okV || !okP {
 			return fmt.Errorf("scenario %s: binding %s/%s references dimensions outside the schema", s.id, b.Varying.Name(), b.Param.Name())
 		}
-		nb[i] = b.Clone(clones[vi], clones[pi])
+		nb[i] = b.Clone(exts[vi], exts[pi])
 	}
-	s.dims, s.bindings = clones, nb
+	s.dims, s.bindings = exts, nb
 	return nil
 }
 

@@ -221,6 +221,85 @@ func TestScenarioForkBitIdenticalUntilDivergence(t *testing.T) {
 	}
 }
 
+// TestScenarioDiffNewMemberAllocs: a scenario that introduced a member
+// holds an extension of the base dimension, and rendering the cells it
+// reports must cost what it costs on a plain one — not a copy of the
+// dimension's leaf list per reported cell. Two forks make the same 16
+// edits; one also adds an employee. Their diffs against the parent
+// report the same cells and allocate alike, in both orientations.
+func TestScenarioDiffNewMemberAllocs(t *testing.T) {
+	w := newWorkforce(t)
+	m := scenario.NewManager()
+	parent, err := m.Create("base", "wf", 1, w.Cube)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edits []scenario.Edit
+	for i := 0; i < 16; i++ {
+		edits = append(edits, scenario.Edit{Op: scenario.OpSet, Value: float64(1000 + i), Cell: map[string]string{
+			workload.DimDepartment: fmt.Sprintf("Emp%05d", 20+i),
+			workload.DimPeriod:     "Mar",
+			workload.DimAccount:    "Acct001",
+		}})
+	}
+	plain, err := m.Fork(parent.ID(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := m.Fork(parent.ID(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.Apply(edits); err != nil {
+		t.Fatal(err)
+	}
+	newMember := scenario.Edit{Op: scenario.OpNewMember, Dim: workload.DimDepartment, Parent: "Dept00", Name: "EmpHypo"}
+	if _, err := grown.Apply(append([]scenario.Edit{newMember}, edits...)); err != nil {
+		t.Fatal(err)
+	}
+	for _, orient := range []struct {
+		name         string
+		plain, grown func() ([]scenario.CellDiff, error)
+	}{
+		{"edited side first", func() ([]scenario.CellDiff, error) { return scenario.Diff(plain, parent) },
+			func() ([]scenario.CellDiff, error) { return scenario.Diff(grown, parent) }},
+		{"parent first", func() ([]scenario.CellDiff, error) { return scenario.Diff(parent, plain) },
+			func() ([]scenario.CellDiff, error) { return scenario.Diff(parent, grown) }},
+	} {
+		dp, err := orient.plain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, err := orient.grown()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rp, rg := renderDiff(dp), renderDiff(dg); len(dp) != 16 || rp != rg {
+			t.Fatalf("%s: diffs differ:\nplain %s\ngrown %s", orient.name, rp, rg)
+		}
+		ap := testing.AllocsPerRun(20, func() { orient.plain() })
+		ag := testing.AllocsPerRun(20, func() { orient.grown() })
+		if ag > ap+2 {
+			t.Fatalf("%s: diff of the scenario with a new member allocates %.0f times, the plain one %.0f", orient.name, ag, ap)
+		}
+	}
+}
+
+// renderDiff prints a diff's cells with their values (nil = absent).
+func renderDiff(d []scenario.CellDiff) string {
+	var b strings.Builder
+	val := func(v *float64) string {
+		if v == nil {
+			return "nil"
+		}
+		return fmt.Sprint(*v)
+	}
+	for _, cd := range d {
+		fmt.Fprintf(&b, "%s=%s/%s;", strings.Join(cd.Cell, "|"), val(cd.A), val(cd.B))
+	}
+	return b.String()
+}
+
 // TestScenarioDiffExactCells pins diff output to exactly the edited
 // cells, with base values on the unedited side and nil for deletes.
 func TestScenarioDiffExactCells(t *testing.T) {

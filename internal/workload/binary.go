@@ -91,9 +91,15 @@ func saveBinary(c *cube.Cube, w io.Writer, withChunks bool) error {
 	for _, b := range c.Bindings() {
 		putU16(c.DimIndex(b.Varying.Name()))
 		putU16(c.DimIndex(b.Param.Name()))
-		putU32(len(b.VS))
-		for _, id := range b.Varying.Leaves() {
-			vs, ok := b.VS[id]
+		leaves, n := b.Varying.Leaves(), 0
+		for _, id := range leaves {
+			if _, ok := b.Explicit(id); ok {
+				n++
+			}
+		}
+		putU32(n)
+		for _, id := range leaves {
+			vs, ok := b.Explicit(id)
 			if !ok {
 				continue
 			}

@@ -52,7 +52,7 @@ func Save(c *cube.Cube, w io.Writer) error {
 	for _, b := range c.Bindings() {
 		fmt.Fprintf(bw, "binding,%s,%s\n", b.Varying.Name(), b.Param.Name())
 		for _, id := range b.Varying.Leaves() {
-			vs, ok := b.VS[id]
+			vs, ok := b.Explicit(id)
 			if !ok {
 				continue
 			}

@@ -111,9 +111,12 @@ stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|Fuzz
 # quantiles under load and scenario commits, and member resolution
 # (Dimension.Find against Lookup, the evaluator's resolution against its
 # reference chain, its allocation pin, qualified perspective points and
-# change moments), which concurrent queries run over shared dimensions.
+# change moments), which concurrent queries run over shared dimensions,
+# and positive-scenario splits (PlanSplit against its clone-based
+# reference, concurrent splits of one published binding, Extend's
+# isolation), whose extensions share the published dimension's tables.
 stage 'go test -race (concurrent paths)' \
-    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint|Project|Executor|Persist|Catalog|UnderLoad|Commit|ResolveMember|FindFollows|ParamMember' ./...
+    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint|Project|Executor|Persist|Catalog|UnderLoad|Commit|ResolveMember|FindFollows|ParamMember|PlanSplit|Extend' ./...
 
 # Advisory (non-fatal): known-vulnerability scan, skipped when the
 # toolchain image does not ship govulncheck or has no network.
