@@ -27,6 +27,7 @@ import (
 	"whatifolap/internal/obs"
 	"whatifolap/internal/perspective"
 	"whatifolap/internal/scenario"
+	"whatifolap/internal/segment"
 	"whatifolap/internal/simdisk"
 	"whatifolap/internal/trace"
 	"whatifolap/internal/workload"
@@ -877,4 +878,65 @@ func BenchmarkLowerChanges(b *testing.B) {
 	}
 	b.ReportMetric(lowerMs/float64(b.N), "lower_ms/op")
 	b.ReportMetric(splitMs/float64(b.N), "split_ms/op")
+}
+
+// BenchmarkDepartmentReport runs the cold-pool workload's query through
+// mdx on the ConfigDefault workforce: one department's quarters and
+// months by every account, {(Mar), (Sep)} DYNAMIC FORWARD VISUAL, the
+// department's employees in scope. "resident" reports Dept07 from the
+// in-memory store; "paged" reopens the cube from its segment file
+// behind a 1 MiB buffer pool, a tenth of its size, and cycles the
+// departments as cold-pool does, so that reads fault. The scan folds
+// the relocated cells straight into the grid's accumulators; alloc/op
+// shows that no overlay is built.
+func BenchmarkDepartmentReport(b *testing.B) {
+	w, err := workload.NewWorkforce(workload.ConfigDefault())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := w.Cube
+	c.Store().(*chunk.Store).Settle()
+	dept := c.DimByName(workload.DimDepartment)
+	var queries []*mdx.Query
+	for _, d := range dept.Member(dept.Root()).Children {
+		q, err := mdx.Parse(departmentReport(dept, d))
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	run := func(b *testing.B, c *cube.Cube, pick func(i int) *mdx.Query) {
+		ev := mdx.NewEvaluator(c)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ev.RunQueryWith(mdx.RunContext{}, pick(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("resident", func(b *testing.B) {
+		q := queries[7]
+		run(b, c, func(int) *mdx.Query { return q })
+	})
+	b.Run("paged", func(b *testing.B) {
+		paged, err := workload.NewWorkforce(workload.ConfigDefault())
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := paged.Cube.Store().(*chunk.Store)
+		st.Settle()
+		if err := segment.PageOut(st, b.TempDir()+"/wf.seg", 1<<20); err != nil {
+			b.Fatal(err)
+		}
+		run(b, paged.Cube, func(i int) *mdx.Query { return queries[i%len(queries)] })
+	})
+}
+
+// departmentReport is the text of the cold-pool query over department d.
+func departmentReport(dept *dimension.Dimension, d dimension.MemberID) string {
+	name := dept.Member(d).Name
+	return "WITH PERSPECTIVE {(Mar), (Sep)} FOR Department DYNAMIC FORWARD VISUAL " +
+		"SELECT {[Account].Levels(0).Members} ON COLUMNS, {CrossJoin({[" + name + "]}, {Descendants([Period], 1, SELF_AND_AFTER)})} ON ROWS " +
+		"FROM [App].[Db] WHERE ([Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])"
 }

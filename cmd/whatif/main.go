@@ -130,7 +130,7 @@ func main() {
 			}
 			rc.Ctx = trace.WithSpan(trace.NewContext(base, tr), root)
 		}
-		grid, stats, err := ev.RunQueryStatsWith(rc, q)
+		grid, stats, ps, err := ev.RunQueryProjectedWith(rc, q)
 		root.End()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "whatif:", err)
@@ -139,7 +139,7 @@ func main() {
 		fmt.Print(grid)
 		switch {
 		case q.Analyze:
-			fmt.Print(mdx.RenderAnalyze(tr, stats))
+			fmt.Print(mdx.RenderAnalyze(tr, stats, ps))
 		case *showTrace:
 			fmt.Print(tr.Render())
 		}

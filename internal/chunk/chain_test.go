@@ -128,7 +128,7 @@ func TestScenarioChainResolveChunk(t *testing.T) {
 		ids[id] = true
 	}
 	for id := range ids {
-		base, _ := c.ChunkBase().ReadChunkInfo(id)
+		base := c.ChunkBase().ReadChunk(id)
 		g.CoordOf(id, ccoord)
 		ch := c.Resolve(id, base, scratch)
 		if ch == nil {
@@ -206,7 +206,7 @@ func TestScenarioChainGetAllocs(t *testing.T) {
 // at zero allocations per chunk once the scratch chunk exists.
 func TestScenarioChainMergedAllocs(t *testing.T) {
 	c := chainFixture(t)
-	base, _ := c.ChunkBase().ReadChunkInfo(0)
+	base := c.ChunkBase().ReadChunk(0)
 	scratch := NewDense(c.ChunkBase().Geometry().ChunkCap())
 	cells := 0
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -280,8 +280,8 @@ func TestScenarioChainOverRunEncodedBase(t *testing.T) {
 	}
 
 	for _, id := range []int{0, 1, 2, 3} {
-		pb, _ := plainChain.ChunkBase().ReadChunkInfo(id)
-		rb, _ := rleChain.ChunkBase().ReadChunkInfo(id)
+		pb := plainChain.ChunkBase().ReadChunk(id)
+		rb := rleChain.ChunkBase().ReadChunk(id)
 		want := map[int]float64{}
 		if ch := plainChain.Resolve(id, pb, NewDense(g.ChunkCap())); ch != nil {
 			ch.ForEach(func(off int, v float64) bool {

@@ -265,11 +265,28 @@ type ReadInfo struct {
 	Pinned bool
 }
 
+// ReadError is a chunk read the backing tier could not serve: the
+// chunk's canonical ID and the tier's error, which for a segment file
+// names the file and the slot.
+type ReadError struct {
+	ID  int
+	Err error
+}
+
+func (e *ReadError) Error() string { return fmt.Sprintf("chunk: read of chunk %d: %v", e.ID, e.Err) }
+
+func (e *ReadError) Unwrap() error { return e.Err }
+
 // ReadChunk fetches the chunk with the given canonical ID, counting the
 // read and notifying the read hook. A nil return means the chunk is
-// empty (not materialized).
+// empty (not materialized). A tier fault panics: ReadChunk serves
+// readers that cannot return an error; the engine reads through
+// ReadChunkInfo.
 func (s *Store) ReadChunk(id int) *Chunk {
-	c, _ := s.ReadChunkInfo(id)
+	c, _, err := s.ReadChunkInfo(id)
+	if err != nil {
+		panic(err.Error())
+	}
 	return c
 }
 
@@ -277,20 +294,21 @@ func (s *Store) ReadChunk(id int) *Chunk {
 // pool's hit/fault/eviction/pin outcome for exactly this read. This is
 // the engine's read path — per-fault trace spans are built from the
 // returned ReadInfo rather than from global counters, so concurrent
-// queries never absorb each other's I/O.
-func (s *Store) ReadChunkInfo(id int) (*Chunk, ReadInfo) {
+// queries never absorb each other's I/O. A fault the tier fails is
+// returned as a *ReadError.
+func (s *Store) ReadChunkInfo(id int) (*Chunk, ReadInfo, error) {
 	s.reads.Add(1)
 	if rh := s.readHook.Load(); rh != nil {
 		s.callReadHook(id, *rh)
 	}
 	if s.pool == nil {
-		return s.chunks[id], ReadInfo{}
+		return s.chunks[id], ReadInfo{}, nil
 	}
 	c, fi, err := s.poolGet(id)
 	if err != nil {
-		panic(fmt.Sprintf("chunk: tier fault for chunk %d: %v", id, err))
+		return nil, ReadInfo{}, &ReadError{ID: id, Err: err}
 	}
-	return c, ReadInfo{Faulted: fi.faulted, FaultMs: fi.faultMs, Evictions: fi.evictions, Pinned: fi.pinned}
+	return c, ReadInfo{Faulted: fi.faulted, FaultMs: fi.faultMs, Evictions: fi.evictions, Pinned: fi.pinned}, nil
 }
 
 // callReadHook invokes the read hook under hookMu. The deferred unlock

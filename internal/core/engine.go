@@ -293,6 +293,29 @@ func (e *Engine) ExecPerspective(q PerspectiveQuery) (*View, error) {
 // ExecPerspectiveWith plans and runs a perspective query under an
 // explicit per-execution context: cancellation from ec.Ctx.
 func (e *Engine) ExecPerspectiveWith(ec ExecContext, q PerspectiveQuery) (*View, error) {
+	return e.runPerspective(ec, q, nil)
+}
+
+// ExecPerspectiveProjected plans and runs a perspective query and
+// projects grid g of its perspective cube into out, indexed [row][col]
+// — the cells View.Project computes over ExecPerspectiveWith's view —
+// handing out no view. The grid is compiled before the scan, so the
+// scan folds the relocated cells straight into its accumulators and no
+// overlay is built, unless a grid cell needs per-cell evaluation
+// (ProjectStats.Fused says which). The projection is a "project" stage
+// after "scan": a span under ec's current span, and Stats.ProjectMs.
+func (e *Engine) ExecPerspectiveProjected(ec ExecContext, q PerspectiveQuery, g Grid, out [][]float64) (Stats, ProjectStats, error) {
+	gp := &gridProjection{grid: g, out: out}
+	view, err := e.runPerspective(ec, q, gp)
+	if err != nil {
+		return Stats{}, gp.stats, err
+	}
+	return view.Stats, gp.stats, nil
+}
+
+// runPerspective plans and runs a perspective query, projecting its
+// view into gp when gp is non-nil.
+func (e *Engine) runPerspective(ec ExecContext, q PerspectiveQuery, gp *gridProjection) (*View, error) {
 	tr := trace.FromContext(ec.Ctx)
 	planStart := tr.Now()
 	members, target, scoped, err := e.planPerspective(q)
@@ -304,7 +327,7 @@ func (e *Engine) ExecPerspectiveWith(ec ExecContext, q PerspectiveQuery) (*View,
 		return nil, err
 	}
 	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, plan)
-	view, stats, err := e.execute(ec, plan, nil, nil, q.Mode)
+	view, stats, err := e.execute(ec, plan, nil, nil, q.Mode, gp)
 	if err != nil {
 		return nil, err
 	}
@@ -458,6 +481,25 @@ func (e *Engine) ExecChanges(q ChangesQuery) (*View, error) {
 // ExecChangesWith plans and runs a positive-scenario query under an
 // explicit per-execution context.
 func (e *Engine) ExecChangesWith(ec ExecContext, q ChangesQuery) (*View, error) {
+	return e.runChanges(ec, q, nil)
+}
+
+// ExecChangesProjected plans and runs a positive-scenario query and
+// projects grid g of its result into out, handing out no view; see
+// ExecPerspectiveProjected. g names members of the split's dimensions
+// (q.Split).
+func (e *Engine) ExecChangesProjected(ec ExecContext, q ChangesQuery, g Grid, out [][]float64) (Stats, ProjectStats, error) {
+	gp := &gridProjection{grid: g, out: out}
+	view, err := e.runChanges(ec, q, gp)
+	if err != nil {
+		return Stats{}, gp.stats, err
+	}
+	return view.Stats, gp.stats, nil
+}
+
+// runChanges plans and runs a positive-scenario query, projecting its
+// view into gp when gp is non-nil.
+func (e *Engine) runChanges(ec ExecContext, q ChangesQuery, gp *gridProjection) (*View, error) {
 	tr := trace.FromContext(ec.Ctx)
 	planStart := tr.Now()
 	cp, err := e.planChanges(tr, q)
@@ -465,7 +507,7 @@ func (e *Engine) ExecChangesWith(ec ExecContext, q ChangesQuery) (*View, error) 
 		return nil, err
 	}
 	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, cp.phys)
-	view, stats, err := e.execute(ec, cp.phys, cp.newDims, cp.newBindings, q.Mode)
+	view, stats, err := e.execute(ec, cp.phys, cp.newDims, cp.newBindings, q.Mode, gp)
 	if err != nil {
 		return nil, err
 	}

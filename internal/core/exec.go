@@ -25,8 +25,9 @@ type scanTally struct {
 	// slabs counts the slab decisions the kernel made, slabsSkipped those
 	// whose cells vanished (pruned source row or -1 destination);
 	// cellsOffGrid the cells of surviving slabs the footprint's mask kept
-	// out of the overlay.
-	slabs, slabsSkipped, cellsOffGrid int
+	// back (counted only under a recording scan span); cellsFolded the
+	// accumulator folds a fused scan made.
+	slabs, slabsSkipped, cellsOffGrid, cellsFolded int
 }
 
 // planStages names the planning sub-stages whose end offsets a plan
@@ -60,22 +61,30 @@ func recordPlanSpan(tr *trace.Trace, parent trace.SpanRef, startNs int64, p *Phy
 // both digits and with them one fate. The kernel therefore walks a span
 // of source offsets slab by slab: one relocation-table probe decides a
 // slab, the destination (chunk ID, offset) follows from strides, and the
-// slab's cells move in one overlay write. Chunk.ForEachSpan feeds it
-// every representation; a scenario chunk arrives resolved
+// slab's cells move in one write to the kernel's sink. Chunk.ForEachSpan
+// feeds it every representation; a scenario chunk arrives resolved
 // (Chain.Resolve).
 //
-// A span carries either its cells (distinct values: each surviving slab
-// is one Overlay.SetCellsAt) or one value (a run: slabs landing back to
-// back in one destination chunk — consecutive months mapping to the same
-// instance do — coalesce, so a stable member's whole validity window is
-// one Overlay.SetRunAt). Under a footprint a surviving slab moves only
-// the cells its merge group's mask passes (slabMask: one flag per slab,
-// one run list inside it, built with the plan); without one the mask is
-// the whole slab, and the writes are the same. All state lives on the
-// struct: the steady-state path allocates nothing per slab.
+// The sink is the overlay or, when the query's grid was compiled before
+// the scan, a fold (fuser): the cells go straight into the accumulators
+// of the grid cells they feed, and no overlay is built. A span carries
+// either its cells (distinct values: each surviving slab is one
+// Overlay.SetCellsAt, or one fuser.cells per mask run) or one value (a
+// run: into the overlay, slabs landing back to back in one destination
+// chunk — consecutive months mapping to the same instance do —
+// coalesce, so a stable member's whole validity window is one
+// Overlay.SetRunAt; into a fold, each mask run of a slab is one
+// fuser.run). Under a footprint a
+// surviving slab moves only the cells its merge group's mask passes
+// (slabMask: one flag per slab, one run list inside it, built with the
+// plan); without one the mask is the whole slab, and the writes are the
+// same. All state lives on the struct: the steady-state path allocates
+// nothing per slab.
 type slabKernel struct {
-	target  *RelocTable
+	target *RelocTable
+	// Exactly one of overlay and fold is the sink.
 	overlay *chunk.Overlay
+	fold    *fuser
 	vi, pi  int
 	// dimV/dimP are the chunk edges, strideV/strideP the in-chunk
 	// offset strides, of the varying and parameter dimensions; slab is
@@ -107,30 +116,39 @@ type slabKernel struct {
 	pendID, pendOff, pendLen int
 	pendVal                  float64
 	// moved counts cells written, offGrid those a surviving slab's mask
-	// kept back; slabs and skipped count slab decisions and those whose
-	// cells vanished (a run-encoded chunk counts a slab once per run
-	// entering it). promBase is the overlay's promotion count when the
-	// scan began.
+	// kept back — counted only when countOff is set, because only a
+	// recording scan span reads it; slabs and skipped count slab
+	// decisions and those whose cells vanished (a run-encoded chunk
+	// counts a slab once per run entering it). promBase is the overlay's
+	// promotion count when the scan began.
 	moved, offGrid, slabs, skipped, promBase int
+	countOff                                 bool
 }
 
-func newSlabKernel(g *chunk.Geometry, overlay *chunk.Overlay, target *RelocTable, vi, pi int) *slabKernel {
+// newSlabKernel builds the kernel over source geometry g for a sink in
+// the view geometry og: overlay, or fold when it is non-nil.
+func newSlabKernel(g, og *chunk.Geometry, overlay *chunk.Overlay, fold *fuser, target *RelocTable, vi, pi int) *slabKernel {
 	k := &slabKernel{
 		target:  target,
 		overlay: overlay,
+		fold:    fold,
 		vi:      vi,
 		pi:      pi,
 		dimV:    g.ChunkDims[vi],
 		dimP:    g.ChunkDims[pi],
 		strideV: g.OffsetStride(vi),
 		strideP: g.OffsetStride(pi),
-		// Destination IDs live in the overlay's geometry: a positive
+		// Destination IDs live in the view's geometry: a positive
 		// scenario extends the varying dimension, changing its chunk
 		// count and therefore every ID stride above it.
-		idStrideV: overlay.Geometry().ChunkIDStride(vi),
-		promBase:  overlay.Promotions(),
+		idStrideV: og.ChunkIDStride(vi),
 	}
 	k.slab = min(k.strideV, k.strideP)
+	if fold != nil {
+		fold.slab = k.slab
+	} else {
+		k.promBase = overlay.Promotions()
+	}
 	k.whole.runs = []offRun{{0, k.slab}}
 	k.scratch = make([]float64, k.slab)
 	for i := range k.scratch {
@@ -157,6 +175,9 @@ func (k *slabKernel) beginChunk(og *chunk.Geometry, ccoord []int, mask *slabMask
 	k.idBase = og.CanonicalID(ccoord)
 	ccoord[k.vi] = vc
 	k.rowEnd = 0
+	if k.fold != nil {
+		k.fold.begin(ccoord)
+	}
 }
 
 // relocateSpan relocates the source offsets [start, start+n), one slab
@@ -203,19 +224,23 @@ func (k *slabKernel) relocateSpan(start, n int, cells []float64, v float64) {
 			if k.mask.outer == nil || k.mask.outer[off/k.slab] {
 				for _, r := range k.mask.runs {
 					lo, hi := max(slabStart+r.lo, off), min(slabStart+r.hi, segEnd)
-					if lo >= hi {
-						continue
-					}
-					if cells != nil {
+					switch {
+					case lo >= hi:
+					case k.fold != nil && cells != nil:
+						moved += k.fold.cells(dst, slabStart, lo-slabStart, cells[lo-start:hi-start])
+					case k.fold != nil:
+						k.fold.run(dst, slabStart, lo-slabStart, hi-lo, v)
+						moved += hi - lo
+					case cells != nil:
 						moved += k.overlay.SetCellsAt(dstID, lo+shift, cells[lo-start:hi-start])
-					} else {
+					default:
 						k.moveRun(dstID, lo+shift, hi-lo, v)
 						moved += hi - lo
 					}
 				}
 			}
 			k.moved += moved
-			if k.masked {
+			if k.masked && k.countOff {
 				if cells != nil {
 					k.offGrid += countNonNull(cells[off-start:segEnd-start]) - moved
 				} else {
@@ -262,11 +287,15 @@ func (k *slabKernel) flush() {
 
 // finish flushes and adds the kernel's counters to the tally.
 func (k *slabKernel) finish(t *scanTally) {
-	k.flush()
 	t.cellsRelocated += k.moved
 	t.slabs += k.slabs
 	t.slabsSkipped += k.skipped
 	t.cellsOffGrid += k.offGrid
+	if k.fold != nil {
+		t.cellsFolded += k.fold.p.stats.Folded
+		return
+	}
+	k.flush()
 	t.promotions += k.overlay.Promotions() - k.promBase
 }
 
@@ -279,28 +308,44 @@ func annotateScan(sp trace.SpanRef, t scanTally) {
 	sp.IntNonZero("slabs", int64(t.slabs))
 	sp.IntNonZero("slabs_skipped", int64(t.slabsSkipped))
 	sp.IntNonZero("cells_off_grid", int64(t.cellsOffGrid))
+	sp.IntNonZero("cells_folded", int64(t.cellsFolded))
 	sp.IntNonZero("spill_faults", int64(t.spillFaults))
 	sp.IntNonZero("fault_us", int64(t.faultMs*1000))
 	sp.IntNonZero("overlay_promotions", int64(t.promotions))
 }
 
+// gridProjection is a grid the caller projects the executed view over,
+// and where: execute compiles it before the scan and fills out and
+// stats after it (ExecPerspectiveProjected).
+type gridProjection struct {
+	grid  Grid
+	out   [][]float64
+	stats ProjectStats
+}
+
 // execute runs the staged execution of a physical plan:
 //
-//	scan     chunk reads + relocation into a chunk-grained overlay, a
-//	         slab at a time (slabKernel: one table probe and one bulk
-//	         write per block of cells sharing their varying and
-//	         parameter digits, whatever the chunk's representation).
+//	assemble wiring the view cube and, given a grid (gp), compiling
+//	         the projection the scan folds into;
+//	scan     chunk reads + relocation, a slab at a time (slabKernel: one
+//	         table probe and one bulk write per block of cells sharing
+//	         their varying and parameter digits, whatever the chunk's
+//	         representation), into the grid's accumulators when every
+//	         grid cell compiled, else into a chunk-grained overlay.
 //	         One pass over the plan's global schedule on the calling
 //	         goroutine, so the resident chunk count is the pebbling
-//	         peak EXPLAIN prints and a panic unwinds through the
-//	         caller's recover;
-//	assemble wiring the overlay view cube.
+//	         peak EXPLAIN prints;
+//	project  given a grid, its cells into gp.out: the accumulators plus
+//	         the base rows the scan does not relocate (projection.run).
+//
+// The view comes back without an overlay when the scan fused: only
+// the projected entry points, which hand out no view, pass gp.
 //
 // When newDims is nil the view shares the base cube's dimensions;
 // otherwise the view exposes newDims/newBindings (positive scenarios),
 // whose varying dimension extends the base's past its extent.
 func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.Dimension,
-	newBindings []*dimension.Binding, mode perspective.Mode) (*View, Stats, error) {
+	newBindings []*dimension.Binding, mode perspective.Mode, gp *gridProjection) (*View, Stats, error) {
 
 	stats := p.Stats
 
@@ -324,10 +369,33 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 	tr := trace.FromContext(ec.Ctx)
 	parent := trace.SpanFromContext(ec.Ctx)
 
-	overlay := chunk.NewOverlay(og)
+	// Assemble the view cube. Out-of-scope rows read from the layer
+	// chain when the engine runs over a scenario, so unrelocated cells
+	// reflect scenario edits too.
+	assembleSp := tr.Start(parent, "assemble")
+	vs := &viewStore{base: e.readStore(), vi: e.vi, scoped: p.Scoped, extent: e.store.Geometry().Extents[e.vi]}
+	view := e.assemble(vs, newDims, newBindings, mode)
+	view.engine, view.footprint, view.sourceIDs = e, p.Footprint, p.sourceIDs
+	var proj *projection
+	var fold *fuser
+	if gp != nil {
+		proj = compileProjection(view.input, view.result, mode, gp.grid)
+		if proj.stats.Fallback == 0 {
+			var err error
+			if fold, err = newFuser(view, proj, og); err != nil {
+				assembleSp.End()
+				return nil, stats, err
+			}
+		}
+	}
+	assembleSp.End()
+
+	if fold == nil {
+		vs.overlay = chunk.NewOverlay(og)
+	}
 	scanSp := tr.Start(parent, "scan")
 	scanStart := time.Now()
-	scanT, err := e.scanInto(ec.Ctx, p, overlay, tr, scanSp)
+	scanT, err := e.scanInto(ec.Ctx, p, vs.overlay, fold, tr, scanSp)
 	if err != nil {
 		scanSp.End()
 		return nil, stats, err
@@ -341,15 +409,38 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 	stats.SpillFaults += scanT.spillFaults
 	stats.FaultMs += scanT.faultMs
 
-	// Assemble the view cube. Out-of-scope rows read from the layer
-	// chain when the engine runs over a scenario, so unrelocated cells
-	// reflect scenario edits too.
-	assembleSp := tr.Start(parent, "assemble")
-	defer assembleSp.End()
-	vs := &viewStore{base: e.readStore(), overlay: overlay, vi: e.vi, scoped: p.Scoped, extent: e.store.Geometry().Extents[e.vi]}
-	view := e.assemble(vs, newDims, newBindings, mode)
-	view.engine, view.footprint, view.sourceIDs = e, p.Footprint, p.sourceIDs
+	if gp != nil {
+		projStart := time.Now()
+		if err := e.projectInto(ec, view, proj, fold != nil, gp); err != nil {
+			return nil, stats, err
+		}
+		stats.ProjectMs = msSince(projStart)
+	}
 	return view, stats, nil
+}
+
+// projectInto is execute's project stage, a "project" span under ec's
+// current span: projection proj of view v's grid into gp.out — its
+// accumulators already holding the scoped cells when the scan folded
+// into them (fused), else folding them from the view's overlay — plus
+// the base rows and the cells that fall back (projection.run, emit).
+func (e *Engine) projectInto(ec ExecContext, v *View, proj *projection, fused bool, gp *gridProjection) error {
+	tr := trace.FromContext(ec.Ctx)
+	sp := tr.Start(trace.SpanFromContext(ec.Ctx), "project")
+	defer sp.End()
+	pec := ec
+	pec.Ctx = trace.WithSpan(ec.Ctx, sp)
+	proj.stats.Fused = fused
+	err := proj.run(pec, e, v.result.Store().(*viewStore), v.footprint, v.sourceIDs)
+	if err == nil {
+		err = proj.emit(pec, v, gp.grid, gp.out)
+	}
+	gp.stats = proj.stats
+	sp.Int("cells_compiled", int64(gp.stats.Compiled))
+	sp.IntNonZero("cells_fallback", int64(gp.stats.Fallback))
+	sp.Int("cells_folded", int64(gp.stats.Folded))
+	sp.IntNonZero("chunks_read", int64(gp.stats.ChunksRead))
+	return err
 }
 
 // pinTracker enforces the executor side of the pebbling objective on a
@@ -417,7 +508,8 @@ func (pt *pinTracker) releaseAll() {
 
 // scanInto reads the plan's scheduled chunks in order and hands each to the
 // slab kernel, which relocates its scoped slabs through the plan's
-// target tables into the overlay — one loop body for every chunk
+// target tables into its sink — the overlay, or the grid's accumulators
+// when fold is non-nil — one loop body for every chunk
 // representation and for scenario chunks, which the layer chain first
 // resolves into a reused dense chunk (chunks no layer touches pass
 // through as stored, and chunks only a layer holds — the planner
@@ -431,15 +523,21 @@ func (pt *pinTracker) releaseAll() {
 // Per-read attribution flows through ReadChunkInfo: a buffer-pool
 // fault sums into the tally and becomes a "fault" span under parent —
 // recorded in hindsight via tr.Now()/tr.Record, so a pool hit costs no
-// span slot (and, with tracing off, nothing at all).
-func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.Overlay,
+// span slot (and, with tracing off, nothing at all). A read the tier
+// fails ends the scan with its *chunk.ReadError, which names the chunk
+// and the segment; pins taken so far are released.
+func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.Overlay, fold *fuser,
 	tr *trace.Trace, parent trace.SpanRef) (scanTally, error) {
 
 	var tally scanTally
 	g := e.store.Geometry()
-	og := overlay.Geometry()
+	og := g // a fold needs no destination chunk IDs
+	if overlay != nil {
+		og = overlay.Geometry()
+	}
 	ccoord := make([]int, g.NumDims())
-	k := newSlabKernel(g, overlay, p.Target, e.vi, e.pi)
+	k := newSlabKernel(g, og, overlay, fold, p.Target, e.vi, e.pi)
+	k.countOff = parent.Valid()
 	var resolved *chunk.Chunk
 	if e.chain != nil {
 		resolved = chunk.NewDense(g.ChunkCap())
@@ -459,7 +557,11 @@ func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.O
 			}
 		}
 		readStart := tr.Now()
-		ch, info := e.store.ReadChunkInfo(id)
+		var ch *chunk.Chunk
+		var info chunk.ReadInfo
+		if ch, info, err = e.store.ReadChunkInfo(id); err != nil {
+			break
+		}
 		tally.chunksRead++
 		if info.Faulted {
 			tally.spillFaults++

@@ -106,7 +106,8 @@ func TestFootprintQuickRandomGeometry(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		got := chunk.NewOverlay(og)
-		tally, err := e.scanInto(nil, p, got, nil, trace.SpanRef{})
+		tr := trace.New(0) // the kernel counts cells off the grid for a recording span only
+		tally, err := e.scanInto(nil, p, got, nil, tr, tr.Start(trace.SpanRef{}, "scan"))
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -201,7 +202,8 @@ func TestFootprintScanAllocs(t *testing.T) {
 			t.Fatalf("%s: masked %v, %d chunks scheduled of %d: the footprint should mask slabs, not drop chunks", rep, p.masked, len(p.Schedule), len(full.Schedule))
 		}
 		scan := func(p *PhysicalPlan, ov *chunk.Overlay) scanTally {
-			tally, err := e.scanInto(nil, p, ov, nil, trace.SpanRef{})
+			tr := trace.New(0)
+			tally, err := e.scanInto(nil, p, ov, nil, tr, tr.Start(trace.SpanRef{}, "scan"))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,9 +54,15 @@ type ProjectStats struct {
 	Compiled, Fallback int
 	Reason             string
 	// Folded counts accumulator folds, one per source cell per grid cell
-	// it feeds; ChunksRead the store chunks the pass read (the overlay's
-	// chunks are the query's own, in memory, and not counted).
+	// it feeds — a fused scan's included; ChunksRead the store chunks the
+	// pass read (the overlay's chunks are the query's own, in memory, and
+	// not counted).
 	Folded, ChunksRead int
+	// Fused reports that the scan folded the view's relocated cells into
+	// the accumulators and built no overlay (for PlanProjection: that it
+	// would). A query projected as it runs fuses unless a cell falls
+	// back; a view a caller took was scanned into an overlay.
+	Fused bool
 }
 
 // Why a grid cell falls back to per-cell evaluation.
@@ -365,9 +371,12 @@ func classifyCell(input, schema *cube.Cube, mode perspective.Mode, ids []dimensi
 
 // PlanProjection classifies an engine query's grid as View.Project
 // will, reading no cell: how many cells the accumulator pass computes,
-// how many fall back and why. EXPLAIN prints it.
+// how many fall back and why, and whether the scan of a query executed
+// with the grid fuses. EXPLAIN prints it.
 func PlanProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) ProjectStats {
-	return compileProjection(input, schema, mode, g).stats
+	ps := compileProjection(input, schema, mode, g).stats
+	ps.Fused = ps.Fallback == 0
+	return ps
 }
 
 // Project evaluates the grid over the view into out, indexed [row][col]:
@@ -378,7 +387,10 @@ func PlanProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) Pro
 // Chunks are visited in canonical ID order and cells in offset order,
 // so the result is deterministic; the context is checked between chunk
 // reads and between fallback cells. A buffer-pool fault during the pass
-// becomes a "fault" span under ec's current span.
+// becomes a "fault" span under ec's current span; a read the tier fails
+// ends it with the *chunk.ReadError. A view is executed without a grid,
+// so its scan built the overlay (ExecPerspectiveProjected folds into
+// the grid instead).
 func (v *View) Project(ec ExecContext, g Grid, out [][]float64) (ProjectStats, error) {
 	p := compileProjection(v.input, v.result, v.mode, g)
 	if vs, ok := v.result.Store().(*viewStore); !ok || v.engine == nil {
@@ -390,6 +402,12 @@ func (v *View) Project(ec ExecContext, g Grid, out [][]float64) (ProjectStats, e
 	} else if err := p.run(ec, v.engine, vs, v.footprint, v.sourceIDs); err != nil {
 		return p.stats, err
 	}
+	return p.stats, p.emit(ec, v, g, out)
+}
+
+// emit writes the grid's cells into out: the accumulators' values, ⊥,
+// and algebra.CellValue over the view for the cells that fall back.
+func (p *projection) emit(ec ExecContext, v *View, g Grid, out [][]float64) error {
 	ids := make([]dimension.MemberID, v.result.NumDims())
 	c := 0
 	for i, row := range out {
@@ -407,43 +425,46 @@ func (v *View) Project(ec ExecContext, g Grid, out [][]float64) (ProjectStats, e
 				row[j] = cube.Null
 			default:
 				if err := ec.Err(); err != nil {
-					return p.stats, err
+					return err
 				}
 				g.cellIDs(ids, i, j)
 				val, err := algebra.CellValue(v.input, v.result, ids, v.mode)
 				if err != nil {
-					return p.stats, err
+					return err
 				}
 				row[j] = val
 			}
 			c++
 		}
 	}
-	return p.stats, nil
+	return nil
 }
 
 // run is the accumulator pass: the overlay's chunks for the view's
-// scoped rows, then one walk over the base store's chunks (ids,
-// ascending) that feeds the view's unscoped rows and the input's cells
-// from a single read of each. A chunk none of whose cells feeds the
-// grid is not read.
+// scoped rows — none when the view has no overlay, because a fused scan
+// folded them — then one walk over the base store's chunks (ids, ascending)
+// that feeds the view's unscoped rows and the input's cells from a
+// single read of each. A chunk none of whose cells feeds the grid is
+// not read.
 func (p *projection) run(ec ExecContext, e *Engine, vs *viewStore, fp Footprint, ids []int) error {
 	var fromBase, fromInput *decoder
 	if p.view != nil {
-		if err := p.view.onFootprint(fp); err != nil {
-			return err
-		}
-		og := vs.overlay.Geometry()
-		fromOverlay := newDecoder(p, p.view, og)
-		if fromOverlay.cover() {
-			ccoord := make([]int, og.NumDims())
-			for _, id := range vs.overlay.ChunkIDs() {
-				if err := ec.Err(); err != nil {
-					return err
-				}
-				og.CoordOf(id, ccoord)
-				if fromOverlay.covers(id) && fromOverlay.begin(ccoord) {
-					fromOverlay.fold(vs.overlay.Chunk(id))
+		if overlay := vs.overlay; overlay != nil {
+			if err := p.view.onFootprint(fp); err != nil {
+				return err
+			}
+			og := overlay.Geometry()
+			fromOverlay := newDecoder(p, p.view, og)
+			if fromOverlay.cover() {
+				ccoord := make([]int, og.NumDims())
+				for _, id := range overlay.ChunkIDs() {
+					if err := ec.Err(); err != nil {
+						return err
+					}
+					og.CoordOf(id, ccoord)
+					if fromOverlay.covers(id) && fromOverlay.begin(ccoord) {
+						fromOverlay.fold(overlay.Chunk(id))
+					}
 				}
 			}
 		}
@@ -483,7 +504,10 @@ func (p *projection) run(ec ExecContext, e *Engine, vs *viewStore, fp Footprint,
 			return err
 		}
 		readStart := tr.Now()
-		ch, info := e.store.ReadChunkInfo(id)
+		ch, info, err := e.store.ReadChunkInfo(id)
+		if err != nil {
+			return err
+		}
 		p.stats.ChunksRead++
 		if info.Faulted {
 			sp := tr.Record(parent, "fault", readStart, tr.Now())
@@ -509,21 +533,30 @@ func (p *projection) run(ec ExecContext, e *Engine, vs *viewStore, fp Footprint,
 	return nil
 }
 
-// fold folds v into accumulator a; a negative a is a key no grid cell
-// has (the grid's tuples need not form a cross product).
-func (p *projection) fold(a int32, v float64) {
+// fold folds n cells holding v into accumulator a, as AggFunc.Apply
+// would fold them one by one: a sum adds n·v, a count n, min and max
+// take v; a negative a is a key no grid cell has (the grid's tuples
+// need not form a cross product).
+func (p *projection) fold(a int32, v float64, n int) {
 	if a < 0 {
 		return
 	}
-	n := 1
+	f, seen := p.agg[a], 1
 	if cube.IsNull(p.acc[a]) {
-		n = 0
+		seen = 0
 	}
-	p.acc[a] = p.agg[a].Apply(p.acc[a], n, v)
+	switch {
+	case n == 1 || f == cube.AggMin || f == cube.AggMax:
+		p.acc[a] = f.Apply(p.acc[a], seen, v)
+	case f == cube.AggCount:
+		p.acc[a] = f.Apply(p.acc[a], seen, v) + float64(n-1)
+	default:
+		p.acc[a] = f.Apply(p.acc[a], seen, float64(n)*v)
+	}
 	if p.cnt != nil {
-		p.cnt[a]++
+		p.cnt[a] += int32(n)
 	}
-	p.stats.Folded++
+	p.stats.Folded += n
 }
 
 // projSource is one cell source compiled over the grid cells that read
@@ -879,7 +912,7 @@ func (k *decoder) fold(ch *chunk.Chunk) {
 func (k *decoder) walk(l, off, key int) {
 	if l == len(k.lists) {
 		if v := k.get(off); v == v {
-			k.p.fold(k.src.accOf(key), v)
+			k.p.fold(k.src.accOf(key), v, 1)
 		}
 		return
 	}
@@ -892,7 +925,7 @@ func (k *decoder) walk(l, off, key int) {
 	}
 	for _, e := range t.e {
 		if v := k.get(off + int(e.off)); v == v {
-			k.p.fold(k.src.accOf(key+e.key), v)
+			k.p.fold(k.src.accOf(key+e.key), v, 1)
 		}
 	}
 }
@@ -921,18 +954,240 @@ func (k *decoder) foldCell(off int, v float64) bool {
 			k.multi = append(k.multi, e)
 		}
 	}
-	k.foldAll(0, key, v)
+	k.foldAll(0, key, v, 1)
 	return true
 }
 
-// foldAll folds v under key plus every combination of one entry from
-// each of multi[i:].
-func (k *decoder) foldAll(i, key int, v float64) {
+// foldAll folds n cells holding v under key plus every combination of
+// one entry from each of multi[i:].
+func (k *decoder) foldAll(i, key int, v float64, n int) {
 	if i == len(k.multi) {
-		k.p.fold(k.src.accOf(key), v)
+		k.p.fold(k.src.accOf(key), v, n)
 		return
 	}
 	for _, e := range k.multi[i] {
-		k.foldAll(i+1, key+e.key, v)
+		k.foldAll(i+1, key+e.key, v, n)
+	}
+}
+
+// fuser is the slab kernel's fold sink: it folds the cells a scan
+// relocates straight into the accumulators of the grid cells they feed,
+// so a query whose grid compiled builds no overlay. Roll-up commutes
+// with a relocation that keeps a cell under its ancestors, so a
+// destination cell's grid cells follow from its destination leaves
+// alone: the varying dimension's from the destination ordinal (its
+// range of the view decoder's leaf table), every other
+// dimension's from the source offset's digits, which relocation leaves
+// as they are. A slab shares its varying and parameter digits and every
+// digit slower than it, so their share of the key is decided once per
+// slab; the digits faster than it depend only on the position in the
+// slab, so their share is one table per chunk.
+type fuser struct {
+	p *projection
+	// d is the view source's decoder over the view's geometry, whose leaf
+	// tables the fuser reads; nil when no view cell can be fed (every
+	// relocated cell is dropped).
+	d    *decoder
+	vi   int
+	slab int
+	// varE are the varying leaf-table entries of destination ordinal
+	// varDst, looked up (two binary searches) when the destination
+	// changes.
+	varDst int
+	varE   []leafEntry
+	// Per source chunk (begin): slow and fast are the dimensions other
+	// than the varying one that need decoding, split by whether a slab
+	// holds their digit constant; key1 sums the contributions of those
+	// that need none; off marks a chunk no cell of which feeds the grid.
+	slow, fast []int
+	key1       int
+	off        bool
+	// localKeys[localStart[r]:localStart[r+1]] are the key contributions
+	// of the fast digits at slab position r: one per combination of an
+	// entry from each fast dimension, none where a digit feeds no grid
+	// cell. Rebuilt when a chunk changes a fast dimension's table; empty
+	// localStart means not built.
+	localKeys  []int
+	localStart []int32
+	// Per slab (slabAt): the slab's first offset and the destination
+	// ordinal it was decided for, its key, and combo the contributions of
+	// its dimensions with more than one entry, one per combination; dead
+	// marks a slab no cell of which feeds the grid.
+	at, dst, key int
+	combo        []int
+	dead         bool
+}
+
+// newFuser returns the fold sink for projection p of view v, whose
+// scan writes in geometry og. Every cell of p must compile. A scoped
+// cell off the view's footprint reads ⊥, so a grid reading one is an
+// error here, as it is for a projection over an overlay (run).
+func newFuser(v *View, p *projection, og *chunk.Geometry) (*fuser, error) {
+	f := &fuser{p: p, vi: v.engine.vi, varDst: -1}
+	if p.view != nil {
+		if err := p.view.onFootprint(v.footprint); err != nil {
+			return nil, err
+		}
+		if d := newDecoder(p, p.view, og); d.cover() {
+			f.d = d
+		}
+	}
+	return f, nil
+}
+
+// begin positions the fuser on the source chunk at ccoord.
+func (f *fuser) begin(ccoord []int) {
+	f.slow, f.fast, f.key1, f.at = f.slow[:0], f.fast[:0], 0, -1
+	if f.off = f.d == nil; f.off {
+		return
+	}
+	d := f.d
+	moved := len(f.localStart) == 0
+	for dim, c := range ccoord {
+		if dim == f.vi {
+			continue
+		}
+		t := &d.tables[dim]
+		if t.coord != c {
+			t.coord, t.e = c, ordRange(d.leaves[dim], c*d.edge[dim], (c+1)*d.edge[dim])
+			moved = true
+		}
+		switch {
+		case len(t.e) == 0:
+			f.off = true
+			if moved {
+				f.localStart = f.localStart[:0] // built for tables this chunk changed
+			}
+			return
+		case len(t.e) == 1 && d.edge[dim] == 1:
+			f.key1 += t.e[0].key
+		default:
+			t.index(d.edge[dim])
+			if d.stride[dim] >= f.slab {
+				f.slow = append(f.slow, dim)
+			} else {
+				f.fast = append(f.fast, dim)
+			}
+		}
+	}
+	if moved {
+		f.localKeys, f.localStart = f.localKeys[:0], append(f.localStart[:0], 0)
+		for r := 0; r < f.slab; r++ {
+			if key, ok := f.keyOf(f.fast, 0, r); ok {
+				f.localKeys = f.expand(f.localKeys, 0, key)
+			}
+			f.localStart = append(f.localStart, int32(len(f.localKeys)))
+		}
+	}
+}
+
+// keyOf adds to key the contributions of dims' digits at offset off of
+// the current chunk, leaving the dimensions with several in the
+// decoder's multi; false means a digit feeds no grid cell.
+func (f *fuser) keyOf(dims []int, key, off int) (int, bool) {
+	f.d.multi = f.d.multi[:0]
+	for _, dim := range dims {
+		t := &f.d.tables[dim]
+		j := off / f.d.stride[dim] % f.d.edge[dim]
+		if !f.add(&key, t.e[t.start[j]:t.start[j+1]]) {
+			return 0, false
+		}
+	}
+	return key, true
+}
+
+// add adds a dimension's entries to the key being built: one adds its
+// contribution, several are a multi list; none reports that the cell
+// feeds no grid cell.
+func (f *fuser) add(key *int, e []leafEntry) bool {
+	switch len(e) {
+	case 0:
+		return false
+	case 1:
+		*key += e[0].key
+	default:
+		f.d.multi = append(f.d.multi, e)
+	}
+	return true
+}
+
+// expand appends key plus every combination of one entry from each of
+// the decoder's multi[i:] to keys.
+func (f *fuser) expand(keys []int, i, key int) []int {
+	if i == len(f.d.multi) {
+		return append(keys, key)
+	}
+	for _, e := range f.d.multi[i] {
+		keys = f.expand(keys, i+1, key+e.key)
+	}
+	return keys
+}
+
+// slabAt decides the slab at source offset slab, whose cells land on
+// destination ordinal dst, and reports whether any of its cells can feed
+// the grid.
+func (f *fuser) slabAt(dst, slab int) bool {
+	if f.off {
+		return false
+	}
+	if slab != f.at || dst != f.dst {
+		f.at, f.dst, f.combo = slab, dst, f.combo[:0]
+		if dst != f.varDst {
+			f.varDst, f.varE = dst, ordRange(f.d.leaves[f.vi], dst, dst+1)
+		}
+		var ok bool
+		if f.key, ok = f.keyOf(f.slow, f.key1, slab); ok {
+			ok = f.add(&f.key, f.varE)
+		}
+		if f.dead = !ok; ok {
+			f.combo = f.expand(f.combo, 0, 0)
+		}
+	}
+	return !f.dead
+}
+
+// fold folds n cells holding v at slab position r into every grid cell
+// they feed.
+func (f *fuser) fold(r int, v float64, n int) {
+	for _, k := range f.localKeys[f.localStart[r]:f.localStart[r+1]] {
+		for _, c := range f.combo {
+			f.p.fold(f.d.src.accOf(f.key+k+c), v, n)
+		}
+	}
+}
+
+// cells folds the cells at positions r, r+1, … of the slab at source
+// offset slab, relocated to destination ordinal dst, and returns how
+// many are not Null — the count an overlay write reports.
+func (f *fuser) cells(dst, slab, r int, cells []float64) int {
+	live := f.slabAt(dst, slab)
+	n := 0
+	for i, v := range cells {
+		if v == v {
+			n++
+			if live {
+				f.fold(r+i, v, 1)
+			}
+		}
+	}
+	return n
+}
+
+// run folds n cells holding v at positions r, r+1, … of the slab at
+// source offset slab, relocated to destination ordinal dst. Consecutive
+// cells feeding the same grid cells fold as one fold of that many equal
+// cells.
+func (f *fuser) run(dst, slab, r, n int, v float64) {
+	if !f.slabAt(dst, slab) {
+		return
+	}
+	local := func(r int) []int { return f.localKeys[f.localStart[r]:f.localStart[r+1]] }
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && slices.Equal(local(r+j), local(r+i)) {
+			j++
+		}
+		f.fold(r+i, v, j-i)
+		i = j
 	}
 }

@@ -77,7 +77,7 @@ func assertKernelMatchesOracle(t *testing.T, label string, e, oracle *Engine, p 
 	want := chunk.NewOverlay(og)
 	scanned, relocated := perCellScan(oracle, p.Schedule, p.Target, want)
 	got := chunk.NewOverlay(og)
-	tally, err := e.scanInto(nil, p, got, nil, trace.SpanRef{})
+	tally, err := e.scanInto(nil, p, got, nil, nil, trace.SpanRef{})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -570,7 +570,7 @@ func TestSlabKernelScanAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		scan := func(ov *chunk.Overlay) scanTally {
-			tally, err := e.scanInto(nil, p, ov, nil, trace.SpanRef{})
+			tally, err := e.scanInto(nil, p, ov, nil, nil, trace.SpanRef{})
 			if err != nil {
 				t.Fatal(err)
 			}

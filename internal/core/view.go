@@ -25,11 +25,11 @@ import (
 // it reads Null.
 type viewStore struct {
 	base cube.Store
-	// overlay holds the relocated cells: the scan's one product — the
-	// single task's overlay, or the first task's after it absorbed the
-	// others — or the multi-MDX simulation's merged overlay. Reads of
-	// scoped rows resolve here with pure integer (chunkID, offset)
-	// arithmetic and one map probe.
+	// overlay holds the relocated cells: the scan's product, or the
+	// multi-MDX simulation's merged overlay. Reads of scoped rows resolve
+	// here with pure integer (chunkID, offset) arithmetic and one map
+	// probe. It is nil only in the view a fused scan projects from inside
+	// the engine (execute), which no caller receives.
 	overlay *chunk.Overlay
 	vi      int
 	// scoped marks varying leaf ordinals (in view coordinates) owned by

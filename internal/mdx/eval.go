@@ -96,43 +96,61 @@ func (ev *Evaluator) RunQueryWith(rc RunContext, q *Query) (*result.Grid, error)
 // RunQueryStatsWith is the one way a query executes: lower it, run the
 // lowered form (engine or algebra), project the axes. It returns engine
 // statistics when the engine path executed (zero otherwise), including
-// the per-stage wall times; the projection stage is timed here. Under a
+// the per-stage wall times; the projection stage is timed too. Under a
 // trace, lowering — member resolution, a WITH CHANGES clause's split,
 // the footprint — is a "lower" span; when it succeeds, its path
 // attribute is the queryPath it chose (0 algebra, 1 perspective engine,
 // 2 changes engine). A WITH CHANGES clause's split is a "split" span
 // under it.
 func (ev *Evaluator) RunQueryStatsWith(rc RunContext, q *Query) (*result.Grid, core.Stats, error) {
+	g, stats, _, err := ev.RunQueryProjectedWith(rc, q)
+	return g, stats, err
+}
+
+// RunQueryProjectedWith is RunQueryStatsWith that also reports how an
+// engine path projected the grid — folded into the scan, or over an
+// overlay and why — which RenderAnalyze prints; nil on the algebra
+// path. The engine paths hand the engine the grid the lowering
+// resolved and receive its cells (ExecPerspectiveProjected), with the
+// "project" span its own; the algebra path projects its result cube
+// cell by cell under a "project" span here.
+func (ev *Evaluator) RunQueryProjectedWith(rc RunContext, q *Query) (*result.Grid, core.Stats, *core.ProjectStats, error) {
 	tr := trace.FromContext(rc.Ctx)
 	lowerSp := tr.Start(trace.SpanFromContext(rc.Ctx), "lower")
 	lo, err := ev.lower(q, tr, lowerSp)
 	if err != nil {
 		lowerSp.End()
-		return nil, core.Stats{}, err
+		return nil, core.Stats{}, nil, err
 	}
 	lowerSp.Int("path", int64(lo.path))
 	lowerSp.End()
-	out, view, stats, err := ev.execute(rc, lo)
+	if lo.path != pathAlgebra {
+		g := ev.newGrid(lo.schema, lo.grid, q)
+		stats, ps, err := ev.execute(rc, lo, g.Values)
+		if err != nil {
+			return nil, core.Stats{}, nil, err
+		}
+		lo.grid.trim(g)
+		return g, stats, &ps, nil
+	}
+	if err := rc.Err(); err != nil {
+		return nil, core.Stats{}, nil, err
+	}
+	plan, _ := ev.optimize(lo.plan)
+	out, err := algebra.Execute(plan, ev.cube)
 	if err != nil {
-		return nil, core.Stats{}, err
+		return nil, core.Stats{}, nil, err
 	}
 	projSp := tr.Start(trace.SpanFromContext(rc.Ctx), "project")
 	projStart := time.Now()
 	prc := rc
 	prc.Ctx = trace.WithSpan(rc.Ctx, projSp)
-	g, ps, err := ev.project(prc, q, out, view, lo)
-	if view != nil {
-		projSp.Int("cells_compiled", int64(ps.Compiled))
-		projSp.IntNonZero("cells_fallback", int64(ps.Fallback))
-		projSp.Int("cells_folded", int64(ps.Folded))
-		projSp.IntNonZero("chunks_read", int64(ps.ChunksRead))
-	}
+	g, err := ev.project(prc, q, out, lo.mode)
 	projSp.End()
 	if err != nil {
-		return nil, core.Stats{}, err
+		return nil, core.Stats{}, nil, err
 	}
-	stats.ProjectMs = float64(time.Since(projStart)) / float64(time.Millisecond)
-	return g, stats, nil
+	return g, core.Stats{ProjectMs: float64(time.Since(projStart)) / float64(time.Millisecond)}, nil, nil
 }
 
 // ExplainAnalyze executes the query under a fresh span trace and
@@ -143,20 +161,22 @@ func (ev *Evaluator) ExplainAnalyze(rc RunContext, q *Query) (string, *result.Gr
 	tr := trace.New(0)
 	root := tr.Start(trace.SpanRef{}, "eval")
 	rc.Ctx = trace.WithSpan(trace.NewContext(rc.Context(), tr), root)
-	g, stats, err := ev.RunQueryStatsWith(rc, q)
+	g, stats, ps, err := ev.RunQueryProjectedWith(rc, q)
 	root.End()
 	if err != nil {
 		return "", nil, stats, err
 	}
-	return RenderAnalyze(tr, stats), g, stats, nil
+	return RenderAnalyze(tr, stats, ps), g, stats, nil
 }
 
 // RenderAnalyze renders a finished query's span tree followed by
 // per-stage totals, which reconcile with stats (the trace and the stats
-// time the same stage boundaries, so they agree to clock resolution).
+// time the same stage boundaries, so they agree to clock resolution),
+// and, for an engine path, how it projected the grid (ps, from
+// RunQueryProjectedWith; nil prints no such line).
 // It is the text half of EXPLAIN ANALYZE, for callers that ran the
 // query under a trace they already hold (the daemon's pooled one).
-func RenderAnalyze(tr *trace.Trace, stats core.Stats) string {
+func RenderAnalyze(tr *trace.Trace, stats core.Stats, ps *core.ProjectStats) string {
 	var b strings.Builder
 	b.WriteString(tr.Render())
 	fmt.Fprintf(&b, "totals: plan=%.3fms scan=%.3fms project=%.3fms\n",
@@ -167,6 +187,9 @@ func RenderAnalyze(tr *trace.Trace, stats core.Stats) string {
 		fmt.Fprintf(&b, " spill_faults=%d fault_ms=%.3f", stats.SpillFaults, stats.FaultMs)
 	}
 	b.WriteByte('\n')
+	if ps != nil {
+		fmt.Fprintf(&b, "project: %s\n", describeProjection(*ps))
+	}
 	return b.String()
 }
 
@@ -209,19 +232,26 @@ func (ev *Evaluator) Explain(q *Query) (string, error) {
 		return "", err
 	}
 	b.WriteString(describeFootprint(lo.schema, plan))
-	b.WriteString(describeProjection(core.PlanProjection(ev.cube, lo.schema, lo.mode, lo.grid.core())))
+	fmt.Fprintf(&b, "project: %s\n", describeProjection(core.PlanProjection(ev.cube, lo.schema, lo.mode, lo.grid.core())))
 	b.WriteString(plan.Describe())
 	return b.String(), nil
 }
 
-// describeProjection renders the projection line of an engine plan:
-// whether one accumulator pass computes the whole grid, or which cells
-// fall back to per-cell evaluation and why.
+// describeProjection renders how an engine query's grid is projected,
+// the text after "project: " on EXPLAIN's projection line: "fused" when
+// the scan folds the scoped cells straight into the grid's accumulators;
+// otherwise some cells fall back to per-cell evaluation, so the scan
+// builds an overlay, and the line names why: "compiled (overlay: why;
+// k of n cells per-cell)", or "per-cell (why; k of n cells)" when no
+// cell compiles.
 func describeProjection(ps core.ProjectStats) string {
-	if ps.Fallback == 0 {
-		return "project: compiled\n"
+	switch total := ps.Compiled + ps.Fallback; {
+	case ps.Fused:
+		return "fused"
+	case ps.Fallback == total:
+		return fmt.Sprintf("per-cell (%s; %d of %d cells)", ps.Reason, ps.Fallback, total)
 	}
-	return fmt.Sprintf("project: per-cell (%s; %d of %d cells)\n", ps.Reason, ps.Fallback, ps.Compiled+ps.Fallback)
+	return fmt.Sprintf("compiled (overlay: %s; %d of %d cells per-cell)", ps.Reason, ps.Fallback, ps.Compiled+ps.Fallback)
 }
 
 // describeFootprint renders the footprint line of an engine plan: per
@@ -351,31 +381,15 @@ func (ev *Evaluator) lower(q *Query, tr *trace.Trace, parent trace.SpanRef) (low
 	return lo, err
 }
 
-// execute runs the lowered query to the scenario-transformed cube (the
-// perspective cube): on the engine under rc's context, or through the
-// optimized algebra plan.
-// The engine's view comes back too: it is what the engine paths
-// project through.
-func (ev *Evaluator) execute(rc RunContext, lo lowered) (*cube.Cube, *core.View, core.Stats, error) {
-	var view *core.View
-	var err error
-	switch lo.path {
-	case pathEngineChanges:
-		view, err = lo.engine.ExecChangesWith(rc, lo.changes)
-	case pathEnginePerspective:
-		view, err = lo.engine.ExecPerspectiveWith(rc, lo.persp)
-	case pathAlgebra:
-		if err := rc.Err(); err != nil {
-			return nil, nil, core.Stats{}, err
-		}
-		plan, _ := ev.optimize(lo.plan)
-		out, err := algebra.Execute(plan, ev.cube)
-		return out, nil, core.Stats{}, err
+// execute runs an engine-path lowering and projects the grid the
+// lowering resolved into values, indexed [row][col]: the engine folds
+// the relocated cells into the grid during its scan and hands out no
+// view.
+func (ev *Evaluator) execute(rc RunContext, lo lowered, values [][]float64) (core.Stats, core.ProjectStats, error) {
+	if lo.path == pathEngineChanges {
+		return lo.engine.ExecChangesProjected(rc, lo.changes, lo.grid.core(), values)
 	}
-	if err != nil {
-		return nil, nil, core.Stats{}, err
-	}
-	return view.Result(), view, view.Stats, nil
+	return lo.engine.ExecPerspectiveProjected(rc, lo.persp, lo.grid.core(), values)
 }
 
 // optimize applies the algebra rewrites to a lowered plan, returning
@@ -741,76 +755,73 @@ func (ev *Evaluator) resolveGrid(c *cube.Cube, q *Query) (*grid, error) {
 	return gr, nil
 }
 
-// project builds the output grid from the result cube out: over the
-// grid the lowering resolved, or — on the algebra path, whose result
-// schema exists only now — over the one it resolves here. An engine
-// view computes its cells in one accumulator pass (View.Project); the
-// algebra path's result evaluates cell by cell.
-func (ev *Evaluator) project(rc RunContext, q *Query, out *cube.Cube, view *core.View, lo lowered) (*result.Grid, core.ProjectStats, error) {
-	var ps core.ProjectStats
-	gr := lo.grid
-	if gr == nil {
-		var err error
-		if gr, err = ev.resolveGrid(out, q); err != nil {
-			return nil, ps, err
+// project builds the output grid from the algebra path's result cube
+// out, whose schema exists only now: it resolves the query's grid over
+// out and evaluates it cell by cell under mode.
+func (ev *Evaluator) project(rc RunContext, q *Query, out *cube.Cube, mode perspective.Mode) (*result.Grid, error) {
+	gr, err := ev.resolveGrid(out, q)
+	if err != nil {
+		return nil, err
+	}
+	g := ev.newGrid(out, gr, q)
+	base := make([]dimension.MemberID, out.NumDims())
+	for i := 0; i < out.NumDims(); i++ {
+		base[i] = out.Dim(i).Root()
+	}
+	ids := make([]dimension.MemberID, out.NumDims())
+	for i, rt := range gr.rows {
+		if err := rc.Err(); err != nil {
+			return nil, err
+		}
+		for j, ct := range gr.cols {
+			copy(ids, base)
+			for _, co := range gr.slicer {
+				ids[co.Dim] = co.Member
+			}
+			for _, co := range ct {
+				ids[co.Dim] = co.Member
+			}
+			for _, co := range rt {
+				ids[co.Dim] = co.Member
+			}
+			v, err := algebra.CellValue(ev.cube, out, ids, mode)
+			if err != nil {
+				return nil, err
+			}
+			g.Values[i][j] = v
 		}
 	}
-	cols, rows, slicer, mode := gr.cols, gr.rows, gr.slicer, lo.mode
+	gr.trim(g)
+	return g, nil
+}
 
-	g := result.New(len(rows), len(cols))
-	for j, tp := range cols {
-		g.ColLabels[j] = ev.tupleLabel(out, tp)
+// newGrid returns the output grid of grid gr over cube c, labelled,
+// with the requested dimension properties and its values still to fill.
+func (ev *Evaluator) newGrid(c *cube.Cube, gr *grid, q *Query) *result.Grid {
+	g := result.New(len(gr.rows), len(gr.cols))
+	for j, tp := range gr.cols {
+		g.ColLabels[j] = ev.tupleLabel(c, tp)
 	}
 	props := q.DimProperties
 	g.PropNames = append(g.PropNames, props...)
-
-	for i, rt := range rows {
-		g.RowLabels[i] = ev.tupleLabel(out, rt)
+	for i, rt := range gr.rows {
+		g.RowLabels[i] = ev.tupleLabel(c, rt)
 		if len(props) > 0 {
-			g.RowProps = append(g.RowProps, ev.rowProps(out, rt, props))
+			g.RowProps = append(g.RowProps, ev.rowProps(c, rt, props))
 		}
 	}
-	if view != nil {
-		var err error
-		if ps, err = view.Project(rc, gr.core(), g.Values); err != nil {
-			return nil, ps, err
-		}
-	} else {
-		base := make([]dimension.MemberID, out.NumDims())
-		for i := 0; i < out.NumDims(); i++ {
-			base[i] = out.Dim(i).Root()
-		}
-		ids := make([]dimension.MemberID, out.NumDims())
-		for i, rt := range rows {
-			if err := rc.Err(); err != nil {
-				return nil, ps, err
-			}
-			for j, ct := range cols {
-				copy(ids, base)
-				for _, co := range slicer {
-					ids[co.Dim] = co.Member
-				}
-				for _, co := range ct {
-					ids[co.Dim] = co.Member
-				}
-				for _, co := range rt {
-					ids[co.Dim] = co.Member
-				}
-				v, err := algebra.CellValue(ev.cube, out, ids, mode)
-				if err != nil {
-					return nil, ps, err
-				}
-				g.Values[i][j] = v
-			}
-		}
-	}
+	return g
+}
+
+// trim drops the empty rows and columns of g where the query asked
+// for NON EMPTY.
+func (gr *grid) trim(g *result.Grid) {
 	if gr.rowsNonEmpty {
 		g.DropEmptyRows()
 	}
 	if gr.colsNonEmpty {
 		g.DropEmptyCols()
 	}
-	return g, ps, nil
 }
 
 // rowProps computes DIMENSION PROPERTIES values for one row: for a

@@ -263,51 +263,76 @@ func (s *recordingStore) Get(addr []int) float64 {
 	return s.Store.Get(addr)
 }
 
-// projected is one engine run of a query projected both ways: compiled
-// (View.Project, the serving path) and cell by cell (algebra.CellValue)
-// over the same view.
+// projected is one engine query projected three ways: fused (the
+// serving path — the engine folds the relocated cells into the grid
+// during its scan), over an overlay (View.Project of the same query run
+// to a view) and cell by cell (algebra.CellValue over that view).
 type projected struct {
-	compiled, perCell *result.Grid
-	ps                core.ProjectStats
-	stats             core.Stats
+	compiled, overlay, perCell *result.Grid
+	ps                         core.ProjectStats
+	stats                      core.Stats
 }
 
-// runProjected executes a lowered query and projects its view both
-// ways. The per-cell projection reads through a store that records any
-// read off the footprint the lowering declared; the compiled pass
-// checks its own reads against that footprint (View.Project fails on a
-// leaf off it).
+// runProjected runs a lowered query as it is served, then runs it to a
+// view and projects that view compiled and cell by cell. The fused
+// answer must agree with the overlay's to rounding: a fused scan folds
+// in the plan's read order, the pass over an overlay in chunk order,
+// and a run's equal cells as one product. The per-cell projection reads
+// through a store that records any read off the footprint the lowering
+// declared; the compiled passes check their own reads against that
+// footprint (the engine fails on a leaf off it).
 func runProjected(t *testing.T, label string, ev *Evaluator, q *Query, lo lowered) projected {
 	t.Helper()
 	var rc RunContext
-	out, view, stats, err := ev.execute(rc, lo)
+	compiled := ev.newGrid(lo.schema, lo.grid, q)
+	stats, ps, err := ev.execute(rc, lo, compiled.Values)
 	if err != nil {
 		t.Fatalf("%s: execute: %v", label, err)
 	}
-	compiled, ps, err := ev.project(rc, q, out, view, lo)
-	if err != nil {
-		t.Fatalf("%s: compiled project: %v", label, err)
+	lo.grid.trim(compiled)
+	if ps.Fused != (ps.Fallback == 0) {
+		t.Fatalf("%s: fused %v with %d of %d cells per-cell (%s)", label, ps.Fused, ps.Fallback, ps.Compiled+ps.Fallback, ps.Reason)
 	}
+	var view *core.View
+	if lo.path == pathEngineChanges {
+		view, err = lo.engine.ExecChangesWith(rc, lo.changes)
+	} else {
+		view, err = lo.engine.ExecPerspectiveWith(rc, lo.persp)
+	}
+	if err != nil {
+		t.Fatalf("%s: execute to a view: %v", label, err)
+	}
+	overlay := ev.newGrid(lo.schema, lo.grid, q)
+	ps2, err := view.Project(rc, lo.grid.core(), overlay.Values)
+	if err != nil {
+		t.Fatalf("%s: project over the overlay: %v", label, err)
+	}
+	lo.grid.trim(overlay)
+	if ps2.Fused {
+		t.Fatalf("%s: a view projected reports %+v", label, ps2)
+	}
+	closeGrid(t, label+": fused vs overlay", compiled, overlay)
 	fp := lo.persp.Footprint
 	if lo.path == pathEngineChanges {
 		fp = lo.changes.Footprint
 	}
-	rec := &recordingStore{Store: out.Store(), fp: fp}
-	wrapped := cube.NewWithStore(rec, out.Dims()...)
-	for _, b := range out.Bindings() {
+	res := view.Result()
+	rec := &recordingStore{Store: res.Store(), fp: fp}
+	wrapped := cube.NewWithStore(rec, res.Dims()...)
+	for _, b := range res.Bindings() {
 		if err := wrapped.AddBinding(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wrapped.SetRules(out.Rules())
-	perCell, _, err := ev.project(rc, q, wrapped, nil, lo)
+	wrapped.SetRules(res.Rules())
+	perCell, err := ev.project(rc, q, wrapped, lo.mode)
 	if err != nil {
 		t.Fatalf("%s: per-cell project: %v", label, err)
 	}
 	if rec.stray != nil {
 		t.Fatalf("%s: per-cell project read %v, outside the footprint", label, rec.stray)
 	}
-	return projected{compiled: compiled, perCell: perCell, ps: ps, stats: stats}
+	return projected{compiled: compiled, overlay: overlay, perCell: perCell, ps: ps, stats: stats}
 }
 
 // lowerEngine parses and lowers a generated query, which must take an
@@ -334,8 +359,9 @@ func lowerEngine(t *testing.T, label string, ev *Evaluator, src string) (*Query,
 
 // runBothWays runs one query through the engine twice from one
 // lowering — under the footprint the lowering derived and under none —
-// and requires the same compiled grid, cell for cell. It reports the
-// engine statistics of the footprinted run.
+// and requires the same grid over the overlay, cell for cell (each
+// fused answer agrees with its overlay's to rounding, runProjected). It
+// reports the engine statistics of the footprinted run.
 func runBothWays(t *testing.T, label string, ev *Evaluator, src string) (core.Stats, bool) {
 	t.Helper()
 	q, lo, ok := lowerEngine(t, label, ev, src)
@@ -345,7 +371,7 @@ func runBothWays(t *testing.T, label string, ev *Evaluator, src string) (core.St
 	got := runProjected(t, label+"\n"+src, ev, q, lo)
 	lo.persp.Footprint, lo.changes.Footprint = nil, nil
 	full := runProjected(t, label+" (no footprint)\n"+src, ev, q, lo)
-	sameGrid(t, label+": under the footprint vs without\n"+src, got.compiled, full.compiled)
+	sameGrid(t, label+": under the footprint vs without\n"+src, got.overlay, full.overlay)
 	if got.stats.ChunksRead > full.stats.ChunksRead || got.stats.CellsRelocated > full.stats.CellsRelocated {
 		t.Fatalf("%s: the footprint made the engine read %d chunks and write %d cells, %d and %d without\n%s",
 			label, got.stats.ChunksRead, got.stats.CellsRelocated, full.stats.ChunksRead, full.stats.CellsRelocated, src)
@@ -710,8 +736,12 @@ FROM W WHERE ([Location].[NY], [Organization].[PTE].[Lisa])`
 		t.Fatalf("%d cells relocated for a row of %d non-null cells: %+v", stats.CellsRelocated, moved, stats)
 	}
 	lo.changes.Footprint = nil
-	if _, _, full, err := ev.execute(RunContext{}, lo); err != nil || full.CellsRelocated <= stats.CellsRelocated {
-		t.Fatalf("without the footprint: %+v, %v", full, err)
+	full, err := lo.engine.ExecChangesWith(RunContext{}, lo.changes)
+	if err != nil {
+		t.Fatalf("without the footprint: %v", err)
+	}
+	if full.Stats.CellsRelocated <= stats.CellsRelocated {
+		t.Fatalf("without the footprint: %+v", full.Stats)
 	}
 }
 

@@ -1,0 +1,361 @@
+package mdx
+
+import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"whatifolap/internal/chunk"
+	"whatifolap/internal/cube"
+	"whatifolap/internal/perspective"
+	"whatifolap/internal/scenario"
+	"whatifolap/internal/segment"
+	"whatifolap/internal/trace"
+	"whatifolap/internal/workload"
+)
+
+// fusedReports are the report shapes the benchmark serves, as
+// TestProjectCompiledReports draws them, under one semantics and mode —
+// the department report, the leaf report, the roll-up and the employee
+// query — plus a leaf report of the first and the last instance, whose
+// varying leaves are too scattered for an index spanning them, and the
+// changes query, whose new instance takes an ordinal past the base's
+// extent.
+func fusedReports(t *testing.T, c *cube.Cube, sem perspective.Semantics, mode perspective.Mode) map[string]string {
+	const (
+		slicer   = "[Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue]"
+		accounts = "{[Account].Levels(0).Members}"
+		periods  = "{Descendants([Period], 1, SELF_AND_AFTER)}"
+	)
+	b := c.BindingFor(workload.DimDepartment)
+	emp := b.Varying.Path(b.InstanceAt(b.Varying.VaryingMembers()[0], 0))
+	first, last := b.Varying.Path(b.Varying.Leaf(0).ID), b.Varying.Path(b.Varying.Leaf(b.Varying.NumLeaves()-1).ID)
+	with := fmt.Sprintf("WITH PERSPECTIVE {(Jan), (Apr), (Jul), (Oct)} FOR Department %v %v ", sem, mode)
+	return map[string]string{
+		"department": with + `SELECT ` + accounts + ` ON COLUMNS, {CrossJoin({[Dept01]}, ` + periods + `)} ON ROWS FROM [App].[Db] WHERE (` + slicer + `)`,
+		"leaf-report": with + `SELECT {[Period].Levels(0).Members} ON COLUMNS, {[Dept00].Children, [Dept02].Children} ON ROWS
+FROM [App].[Db] WHERE ([Account].[Acct001], ` + slicer + `)`,
+		"rollup": with + `SELECT {[Period].Levels(1).Members} ON COLUMNS, {[Department].Levels(1).Members} ON ROWS
+FROM [App].[Db] WHERE ([Account].[Acct002], ` + slicer + `)`,
+		"employee": with + `SELECT ` + accounts + ` ON COLUMNS, {CrossJoin({[` + emp + `]}, ` + periods + `)} ON ROWS FROM [App].[Db] WHERE (` + slicer + `)`,
+		"scattered": with + `SELECT {[Period].Levels(0).Members} ON COLUMNS, {[` + first + `], [` + last + `]} ON ROWS
+FROM [App].[Db] WHERE ([Account].[Acct001], ` + slicer + `)`,
+		"changes": fmt.Sprintf("WITH CHANGES {([Dept00].[Emp00030], [Dept00], [Dept01], [Apr])} %v ", mode) +
+			`SELECT ` + accounts + ` ON COLUMNS, {CrossJoin({[Dept01]}, ` + periods + `)} ON ROWS FROM [App].[Db] WHERE (` + slicer + `)`,
+	}
+}
+
+// fusedStorages builds the tiny workforce cube on each storage the
+// fused scan must agree on: as generated, every chunk sparse, the
+// validity-window shape run-encoded, paged from a segment file behind a
+// pool of three chunks, and under a scenario chain of two layers.
+var fusedStorages = []struct {
+	name  string
+	build func(t *testing.T) *cube.Cube
+}{
+	{"dense", func(t *testing.T) *cube.Cube { return tinyWorkforce(t, nil) }},
+	{"sparse", func(t *testing.T) *cube.Cube {
+		c := tinyWorkforce(t, nil)
+		forceRepresentation(c, "sparse")
+		return c
+	}},
+	{"runs", func(t *testing.T) *cube.Cube {
+		c := tinyWorkforce(t, func(cfg *workload.WorkforceConfig) {
+			cfg.FlatMonths = true
+			cfg.ChunkDims = []int{16, 12, 1, 1, 1, 1, 1}
+		})
+		forceRepresentation(c, "runs")
+		return c
+	}},
+	{"paged", func(t *testing.T) *cube.Cube {
+		c := tinyWorkforce(t, nil)
+		st := c.Store().(*chunk.Store)
+		if err := segment.PageOut(st, filepath.Join(t.TempDir(), "wf.seg"), 3*8*st.Geometry().ChunkCap()); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}},
+	{"chain", func(t *testing.T) *cube.Cube {
+		base := tinyWorkforce(t, nil)
+		sc, err := scenario.NewLocal("fused", base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for layer := 1; layer <= 2; layer++ {
+			var edits []scenario.Edit
+			n := 0
+			base.Store().NonNull(func(addr []int, v float64) bool {
+				if n++; n%7 == layer {
+					cell := make(map[string]string, len(addr))
+					for i, o := range addr {
+						cell[base.Dim(i).Name()] = base.Dim(i).Path(base.Dim(i).Leaf(o).ID)
+					}
+					edits = append(edits, scenario.Edit{Op: scenario.OpSet, Cell: cell, Value: v + float64(layer)})
+				}
+				return len(edits) < 40
+			})
+			if _, err := sc.Apply(edits); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, _, err := sc.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}},
+}
+
+func tinyWorkforce(t *testing.T, edit func(*workload.WorkforceConfig)) *cube.Cube {
+	t.Helper()
+	cfg := workload.ConfigTiny()
+	if edit != nil {
+		edit(&cfg)
+	}
+	w, err := workload.NewWorkforce(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Cube
+}
+
+// TestFusedEquivalence: the benchmark's report shapes under the five
+// semantics × two modes, and the changes query in each mode, answer the
+// same grid fused (the scan folds into the grid's accumulators), over an
+// overlay (executed without the grid) and cell by cell
+// (algebra.CellValue over the view read as a cube) — on every storage:
+// dense, sparse, run-encoded, paged behind a small pool, and under a
+// scenario chain. Each report compiles whole, so each fuses.
+func TestFusedEquivalence(t *testing.T) {
+	sems := []perspective.Semantics{perspective.Static, perspective.Forward, perspective.Backward,
+		perspective.ExtendedForward, perspective.ExtendedBackward}
+	for _, st := range fusedStorages {
+		t.Run(st.name, func(t *testing.T) {
+			ev := NewEvaluator(st.build(t))
+			for _, sem := range sems {
+				for _, mode := range []perspective.Mode{perspective.NonVisual, perspective.Visual} {
+					for name, src := range fusedReports(t, ev.cube, sem, mode) {
+						if name == "changes" && sem != perspective.Static {
+							continue // one changes query per mode
+						}
+						label := fmt.Sprintf("%s %s %v %v", st.name, name, sem, mode)
+						q, lo, ok := lowerEngine(t, label, ev, src)
+						if !ok {
+							t.Fatalf("%s: the lowering refused\n%s", label, src)
+						}
+						got := runProjected(t, label+"\n"+src, ev, q, lo)
+						closeGrid(t, label+": fused vs per-cell\n"+src, got.compiled, got.perCell)
+						if !got.ps.Fused {
+							t.Fatalf("%s: not fused: %+v", label, got.ps)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFusedRunSpans: a run span folds as AggFunc.Apply folds its cells
+// one by one, under every aggregation. The values are made constant
+// across accounts and scenarios and every chunk run-encoded, so a slab's
+// cells — accounts × scenarios — are one run. With Account and Scenario
+// on no axis and in no slicer, all of them feed the same grid cells, so
+// each segment folds as one fold of that many equal cells; with the
+// accounts on the columns, a run's neighbours feed the same grid cells
+// in pairs — the two scenarios of one account — and fold apart from the
+// next pair.
+func TestFusedRunSpans(t *testing.T) {
+	w, err := workload.NewWorkforce(workload.ConfigTiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ai, si := w.Cube.DimIndex(workload.DimAccount), w.Cube.DimIndex(workload.DimScenario)
+	st := w.Cube.Store().(*chunk.Store)
+	flat := chunk.NewStore(st.Geometry())
+	st.NonNull(func(addr []int, v float64) bool {
+		a, s := addr[ai], addr[si]
+		addr[ai], addr[si] = 0, 0
+		base := st.Get(addr)
+		addr[ai], addr[si] = a, s
+		flat.Set(addr, base)
+		return true
+	})
+	c := cube.NewWithStore(flat, w.Cube.Dims()...)
+	for _, b := range w.Cube.Bindings() {
+		if err := c.AddBinding(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forceRepresentation(c, "runs")
+	runs := 0
+	for _, id := range flat.ChunkIDs() {
+		if flat.PeekChunk(id).Rep() == chunk.RunEncoded {
+			runs++
+		}
+	}
+	if runs == 0 {
+		t.Fatal("no chunk is run-encoded")
+	}
+	for _, f := range []cube.AggFunc{cube.AggSum, cube.AggAvg, cube.AggMin, cube.AggMax, cube.AggCount} {
+		rules := cube.NewRuleSet()
+		rules.SetDefaultAgg(f)
+		c.SetRules(rules)
+		ev := NewEvaluator(c)
+		for _, mode := range []string{"VISUAL", "NONVISUAL"} {
+			with := `WITH PERSPECTIVE {(Feb), (Jul)} FOR Department DYNAMIC FORWARD ` + mode + `
+`
+			checkCompiled(t, fmt.Sprintf("%v %s whole slab", f, mode), ev, with+`SELECT {Descendants([Period], 1, SELF_AND_AFTER)} ON COLUMNS, {[Dept01], [Dept01].Children} ON ROWS
+FROM [App].[Db] WHERE ([Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])`)
+			checkCompiled(t, fmt.Sprintf("%v %s by account", f, mode), ev, with+`SELECT {[Account], [Account].Levels(0).Members} ON COLUMNS, {[Dept01], [Dept01].Children} ON ROWS
+FROM [App].[Db] WHERE ([Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])`)
+		}
+	}
+}
+
+// TestFusedFoldIsOverwrite: a fused scan adds a relocated cell into its
+// accumulators where an overlay write overwrites, so the two agree only
+// if no two source cells of one plan reach the same destination cell.
+// Every plan of the report corpus — five semantics × two modes, and the
+// changes query — maps at most one source instance to each destination
+// instance at each parameter leaf.
+func TestFusedFoldIsOverwrite(t *testing.T) {
+	c := tinyWorkforce(t, nil)
+	ev := NewEvaluator(c)
+	nT := c.BindingFor(workload.DimDepartment).Param.NumLeaves()
+	for _, sem := range []perspective.Semantics{perspective.Static, perspective.Forward, perspective.Backward,
+		perspective.ExtendedForward, perspective.ExtendedBackward} {
+		for _, mode := range []perspective.Mode{perspective.NonVisual, perspective.Visual} {
+			for name, src := range fusedReports(t, c, sem, mode) {
+				label := fmt.Sprintf("%s %v %v", name, sem, mode)
+				q, lo, ok := lowerEngine(t, label, ev, src)
+				if !ok {
+					t.Fatalf("%s: the lowering refused", label)
+				}
+				lo.persp.Footprint, lo.changes.Footprint = nil, nil // every destination, on the grid or not
+				var err error
+				plan, err := lo.engine.PlanPerspective(lo.persp)
+				if q.Changes != nil {
+					plan, err = lo.engine.PlanChanges(lo.changes)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				sources := 0
+				for tl := 0; tl < nT; tl++ {
+					seen := map[int]int{}
+					for src := 0; src < lo.engine.Binding().Varying.NumLeaves(); src++ {
+						row := plan.Target.Row(src)
+						if row == nil || row[tl] < 0 {
+							continue
+						}
+						sources++
+						if prev, dup := seen[row[tl]]; dup {
+							t.Fatalf("%s: sources %d and %d both reach destination %d at parameter leaf %d", label, prev, src, row[tl], tl)
+						}
+						seen[row[tl]] = src
+					}
+				}
+				if sources == 0 {
+					t.Fatalf("%s: the plan relocates nothing", label)
+				}
+			}
+		}
+	}
+}
+
+// faultyTier is a segment file as the buffer pool sees it, failing
+// every read after the first ok ones the way a bad disk does: with the
+// error a segment file returns for a checksum mismatch.
+type faultyTier struct {
+	capacity int
+	recs     map[int][]byte
+	ok       int32
+	reads    atomic.Int32
+}
+
+var errBadSlot = errors.New("slot CRC mismatch")
+
+func (f *faultyTier) ReadChunkAt(id int) (*chunk.Chunk, float64, error) {
+	if f.reads.Add(1) > f.ok {
+		return nil, 0, fmt.Errorf("segment /data/wf.seg: slot %d: %w", id, errBadSlot)
+	}
+	rec, ok := f.recs[id]
+	if !ok {
+		return nil, 0, nil
+	}
+	c, err := chunk.DecodeChunk(rec, f.capacity)
+	return c, 0, err
+}
+
+func (f *faultyTier) Contains(id int) bool { _, ok := f.recs[id]; return ok }
+func (f *faultyTier) Cells(id int) int     { return chunk.RecordCells(f.recs[id]) }
+
+func (f *faultyTier) IDs() []int {
+	ids := make([]int, 0, len(f.recs))
+	for id := range f.recs {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// TestFusedTierFault: a chunk read the tier fails is an error of the
+// query, not a panic — called here with no recover on the stack, so a
+// panic would fail the test binary. It names the chunk and the segment,
+// and the pins the scan took are released. The fault lands in the
+// fused scan (a VISUAL department report) and in the projection's base
+// pass (a NONVISUAL roll-up, whose scan reads nothing) — served, and
+// run to a view (ExecPerspectiveWith) whose scan builds an overlay and
+// projected over it (View.Project).
+func TestFusedTierFault(t *testing.T) {
+	c := tinyWorkforce(t, nil)
+	st := c.Store().(*chunk.Store)
+	tier := &faultyTier{capacity: st.Geometry().ChunkCap(), recs: map[int][]byte{}}
+	for _, id := range st.ChunkIDs() {
+		tier.recs[id] = chunk.EncodeChunk(st.PeekChunk(id))
+	}
+	if err := st.AttachTier(tier, 1); err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(c)
+	reports := fusedReports(t, c, perspective.Forward, perspective.Visual)
+	for _, tc := range []struct{ name, src string }{
+		{"scan", reports["department"]},
+		{"project", strings.Replace(reports["rollup"], "VISUAL", "NONVISUAL", 1)},
+	} {
+		q := MustParse(tc.src)
+		lo, err := ev.lower(q, nil, trace.SpanRef{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, way := range []struct {
+			name string
+			run  func() error
+		}{
+			{"served", func() error { _, _, err := ev.RunQueryStatsWith(RunContext{}, q); return err }},
+			{"view", func() error {
+				view, err := lo.engine.ExecPerspectiveWith(RunContext{}, lo.persp)
+				if err != nil {
+					return err
+				}
+				_, err = view.Project(RunContext{}, lo.grid.core(), ev.newGrid(lo.schema, lo.grid, q).Values)
+				return err
+			}},
+		} {
+			for _, ok := range []int32{0, 2} {
+				tier.ok = tier.reads.Load() + ok
+				err := way.run()
+				var re *chunk.ReadError
+				if !errors.As(err, &re) || !errors.Is(err, errBadSlot) || !strings.Contains(err.Error(), "/data/wf.seg") ||
+					!strings.Contains(err.Error(), fmt.Sprintf("chunk %d", re.ID)) {
+					t.Fatalf("%s %s after %d good reads: %v, want the tier's read error naming the chunk and the segment", tc.name, way.name, ok, err)
+				}
+				if pinned := st.SpillStats().Pinned; pinned != 0 {
+					t.Fatalf("%s %s: %d chunks still pinned after the fault", tc.name, way.name, pinned)
+				}
+			}
+		}
+	}
+}

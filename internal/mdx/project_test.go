@@ -13,10 +13,11 @@ import (
 // projectAttrs are the project span's attributes.
 var projectAttrs = map[string][]string{"project": {"cells_compiled", "cells_fallback", "cells_folded"}}
 
-// checkCompiled runs one engine query three ways — compiled, cell by
-// cell over the same view, and under EXPLAIN — and requires the two
+// checkCompiled runs one engine query as it is served, cell by cell
+// over a view of it (runProjected) and under EXPLAIN, and requires the
 // grids to agree, the span and EXPLAIN to report the whole grid
-// compiled, and the pass to have folded something.
+// compiled and fused into the scan, and the pass to have folded
+// something.
 func checkCompiled(t *testing.T, label string, ev *Evaluator, src string) {
 	t.Helper()
 	q, lo, ok := lowerEngine(t, label, ev, src)
@@ -26,7 +27,7 @@ func checkCompiled(t *testing.T, label string, ev *Evaluator, src string) {
 	got := runProjected(t, label, ev, q, lo)
 	closeGrid(t, label+": compiled vs per-cell", got.compiled, got.perCell)
 	cells := len(lo.grid.rows) * len(lo.grid.cols)
-	if got.ps.Compiled != cells || got.ps.Fallback != 0 || got.ps.Folded == 0 {
+	if got.ps.Compiled != cells || got.ps.Fallback != 0 || got.ps.Folded == 0 || !got.ps.Fused {
 		t.Fatalf("%s: %+v for a grid of %d cells", label, got.ps, cells)
 	}
 	attrs := spanAttrs(t, ev, q, projectAttrs)
@@ -40,8 +41,8 @@ func checkCompiled(t *testing.T, label string, ev *Evaluator, src string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text, "\nproject: compiled\n") {
-		t.Fatalf("%s: EXPLAIN has no compiled projection:\n%s", label, text)
+	if !strings.Contains(text, "\nproject: fused\n") {
+		t.Fatalf("%s: EXPLAIN has no fused projection:\n%s", label, text)
 	}
 }
 

@@ -92,7 +92,11 @@ func mustFault(t *testing.T, s *chunk.Store) {
 	t.Helper()
 	for pass := 0; pass < 2; pass++ {
 		for _, id := range s.ChunkIDs() {
-			if _, info := s.ReadChunkInfo(id); info.Faulted {
+			_, info, err := s.ReadChunkInfo(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Faulted {
 				return
 			}
 		}

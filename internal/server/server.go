@@ -455,6 +455,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, resolve func
 
 	var grid *result.Grid
 	var stats core.Stats
+	var ps *core.ProjectStats
 	err = s.exec.Do(ctx, func(ctx context.Context) error {
 		// The worker's context goes straight into the engine through an
 		// explicit RunContext — no mutation of shared evaluator or
@@ -468,7 +469,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, resolve func
 		}
 		ctx = trace.WithSpan(trace.NewContext(ctx, tr), root)
 		rc := mdx.RunContext{Ctx: ctx}
-		grid, stats, runErr = mdx.NewEvaluator(t.cube).RunQueryStatsWith(rc, q)
+		grid, stats, ps, runErr = mdx.NewEvaluator(t.cube).RunQueryProjectedWith(rc, q)
 		return runErr
 	})
 	// The retained trace ID travels in a header, like cache state: the
@@ -500,7 +501,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, resolve func
 		// EXPLAIN ANALYZE executed like any query; only the body differs.
 		s.observeServed(key, started)
 		writeJSON(w, http.StatusOK, explainResponse{
-			responseHead: key.head(), Analyze: true, Explain: mdx.RenderAnalyze(tr, stats), Stats: &qs,
+			responseHead: key.head(), Analyze: true, Explain: mdx.RenderAnalyze(tr, stats, ps), Stats: &qs,
 		})
 		return
 	}

@@ -116,7 +116,7 @@ stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|Fuzz
 # reference, concurrent splits of one published binding, Extend's
 # isolation), whose extensions share the published dimension's tables.
 stage 'go test -race (concurrent paths)' \
-    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint|Project|Executor|Persist|Catalog|UnderLoad|Commit|ResolveMember|FindFollows|ParamMember|PlanSplit|Extend' ./...
+    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint|Project|Executor|Persist|Catalog|UnderLoad|Commit|ResolveMember|FindFollows|ParamMember|PlanSplit|Extend|Fused' ./...
 
 # Advisory (non-fatal): known-vulnerability scan, skipped when the
 # toolchain image does not ship govulncheck or has no network.
