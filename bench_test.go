@@ -189,25 +189,11 @@ func BenchmarkFig13Members(b *testing.B) {
 
 // --- Relocation kernel: overlay write path ---
 
-// BenchmarkRelocationKernel replays one query's relocation stream into
-// each overlay write path: the legacy string-keyed cube.MemStore (one
-// address-key allocation per relocated cell) against the chunk-native
-// chunk.Overlay (integer (chunkID, offset) arithmetic, allocation-free
-// once destination chunks exist). Divide allocs/op by cells/op for the
+// BenchmarkRelocationKernelChunkNative replays one query's relocation
+// stream into the chunk-native chunk.Overlay one cell at a time:
+// integer (chunkID, offset) arithmetic, allocation-free once
+// destination chunks exist. Divide allocs/op by cells/op for the
 // per-cell figure recorded in BENCH_overlay_kernel.json.
-func BenchmarkRelocationKernelMemStore(b *testing.B) {
-	k, err := bench.NewKernel(benchWorkforce(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	var cells int
-	for i := 0; i < b.N; i++ {
-		cells = k.RunMemStore()
-	}
-	b.ReportMetric(float64(cells), "cells/op")
-}
-
 func BenchmarkRelocationKernelChunkNative(b *testing.B) {
 	k, err := bench.NewKernel(benchWorkforce(b))
 	if err != nil {
@@ -445,39 +431,6 @@ func BenchmarkAblationChunkRep(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkAblationCompression(b *testing.B) {
-	// Materialized overlay vs. relocation-mapping representation of the
-	// perspective cube (§8 future work).
-	w := benchWorkforce(b)
-	e := newBenchEngine(b)
-	q := core.PerspectiveQuery{
-		Members: w.Changing, Perspectives: []int{0, 6},
-		Sem: perspective.Forward, Mode: perspective.NonVisual,
-	}
-	b.Run("materialized", func(b *testing.B) {
-		var bytes int
-		for i := 0; i < b.N; i++ {
-			v, err := e.ExecPerspective(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bytes = v.Stats.CellsRelocated * (4*w.Cube.NumDims() + 8)
-		}
-		b.ReportMetric(float64(bytes), "repr_bytes")
-	})
-	b.Run("compressed", func(b *testing.B) {
-		var bytes int
-		for i := 0; i < b.N; i++ {
-			v, err := e.ExecPerspectiveCompressed(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bytes = v.Stats.CompressedBytes
-		}
-		b.ReportMetric(float64(bytes), "repr_bytes")
-	})
 }
 
 // --- Supporting micro-benchmarks ---

@@ -9,11 +9,11 @@
 //	benchfig -fig 11            # perspectives vs. query time (§6.1)
 //	benchfig -fig 12            # chunk co-location vs. query time (§6.2)
 //	benchfig -fig 13            # varying members vs. query time (§6.3)
-//	benchfig -fig overlay-kernel  # overlay write path: MemStore vs chunk-native
+//	benchfig -fig overlay-kernel  # overlay write path: per cell vs per slab
 //	benchfig -fig rle-scan        # the scan by source chunk representation
 //	benchfig -fig plan            # planning cost vs scan cost, by scope size
 //	benchfig -fig obs-overhead    # trace-retention cost on the traced replay
-//	benchfig -fig ablation-pebble | ablation-mode | ablation-rep | ablation-compress
+//	benchfig -fig ablation-pebble | ablation-mode | ablation-rep
 //	benchfig -fig all
 //	benchfig -fig 11 -employees 20250 -accounts 100 -scenarios 5  # paper scale
 package main
@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 11, 12, 13, overlay-kernel, rle-scan, plan, obs-overhead, ablation-pebble, ablation-mode, ablation-rep, ablation-compress, all")
+		fig       = flag.String("fig", "all", "figure to regenerate: 11, 12, 13, overlay-kernel, rle-scan, plan, obs-overhead, ablation-pebble, ablation-mode, ablation-rep, all")
 		reps      = flag.Int("reps", 3, "repetitions per point (fastest wins)")
 		employees = flag.Int("employees", 0, "workforce scale override")
 		accounts  = flag.Int("accounts", 0, "accounts override")
@@ -58,7 +58,7 @@ func main() {
 		"11": true, "13": true, "overlay-kernel": true,
 		"obs-overhead": true, "plan": true,
 		"ablation-pebble": true, "ablation-mode": true,
-		"ablation-rep": true, "ablation-compress": true, "all": true,
+		"ablation-rep": true, "all": true,
 	}
 	var w *workload.Workforce
 	if needWorkforce[*fig] {
@@ -86,8 +86,6 @@ func main() {
 		ablationMode(w, *reps)
 	case "ablation-rep":
 		ablationRep(w, *reps)
-	case "ablation-compress":
-		ablationCompress(w, *reps)
 	case "rle-scan":
 		// rle-scan generates its own validity-window cube (FlatMonths,
 		// period-fastest chunks), so the shared workforce is not used.
@@ -104,7 +102,6 @@ func main() {
 		ablationPebble(w)
 		ablationMode(w, *reps)
 		ablationRep(w, *reps)
-		ablationCompress(w, *reps)
 		rleScan(*reps)
 		planCost(w, *reps)
 		obsOverhead(w, *reps)
@@ -211,8 +208,8 @@ func planCost(w *workload.Workforce, reps int) {
 }
 
 func overlayKernel(w *workload.Workforce, reps int) {
-	fmt.Println("# Overlay kernel — relocation write path: legacy MemStore, chunk-native")
-	fmt.Println("# per cell, chunk-native per slab (what the scan does)")
+	fmt.Println("# Overlay kernel — relocation write path: chunk-native per cell,")
+	fmt.Println("# chunk-native per slab (what the scan does)")
 	fmt.Println("# identical relocation stream (dynamic forward over all changing employees,")
 	fmt.Println("# 4 perspectives {Jan,Apr,Jul,Oct}) replayed into each overlay store")
 	fmt.Println("kernel,cells,wall_ms,cells_per_sec,allocs_per_cell,steady_allocs_per_cell")
@@ -277,19 +274,6 @@ func ablationRep(w *workload.Workforce, reps int) {
 	}
 	for _, r := range rows {
 		fmt.Printf("%s,%d,%.3f\n", r.Representation, r.StoreBytes, r.QueryMS)
-	}
-	fmt.Println()
-}
-
-func ablationCompress(w *workload.Workforce, reps int) {
-	fmt.Println("# Ablation — perspective-cube compression (§8 future work)")
-	fmt.Println("representation,bytes,build_ms,read_ms")
-	rows, err := bench.AblationCompression(w, reps)
-	if err != nil {
-		fatal(err)
-	}
-	for _, r := range rows {
-		fmt.Printf("%s,%d,%.3f,%.3f\n", r.Representation, r.Bytes, r.BuildMS, r.ReadMS)
 	}
 	fmt.Println()
 }

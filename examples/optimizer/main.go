@@ -1,6 +1,8 @@
-// Optimizer: the three §8 future-work directions of the paper, live —
-// algebraic what-if plan optimization, workload-aware view selection,
-// and perspective-cube compression.
+// Optimizer: two of the paper's §8 future-work directions, live —
+// algebraic what-if plan optimization and workload-aware view
+// selection. (The third, perspective-cube compression, is the engine's
+// fused scan: a served query folds relocated cells straight into its
+// grid and builds no perspective cube.)
 //
 // Run with: go run ./examples/optimizer
 package main
@@ -11,7 +13,6 @@ import (
 
 	"whatifolap/internal/algebra"
 	"whatifolap/internal/chunk"
-	"whatifolap/internal/core"
 	"whatifolap/internal/lattice"
 	"whatifolap/internal/paperdata"
 	"whatifolap/internal/perspective"
@@ -21,7 +22,6 @@ import (
 func main() {
 	planOptimization()
 	viewSelection()
-	compression()
 }
 
 // planOptimization rewrites a what-if operator plan using the algebraic
@@ -94,54 +94,6 @@ func viewSelection() {
 		fmt.Printf("  pick %d: view %v (est. %.0f rows), benefit %.0f\n",
 			i+1, v, sizes[v], sel.Benefits[i])
 	}
-	fmt.Printf("weighted workload cost: %.0f -> %.0f (%.1fx better)\n\n",
+	fmt.Printf("weighted workload cost: %.0f -> %.0f (%.1fx better)\n",
 		sel.CostBefore, sel.CostAfter, sel.CostBefore/sel.CostAfter)
-}
-
-// compression contrasts the materialized perspective cube with the
-// relocation-mapping representation (paper §8: "compression of
-// perspective cubes").
-func compression() {
-	fmt.Println("== Perspective-cube compression ==")
-	w, err := workload.NewWorkforce(workload.ConfigTiny())
-	if err != nil {
-		log.Fatal(err)
-	}
-	e, err := core.New(w.Cube, workload.DimDepartment)
-	if err != nil {
-		log.Fatal(err)
-	}
-	q := core.PerspectiveQuery{
-		Members:      w.Changing,
-		Perspectives: []int{0, 6},
-		Sem:          perspective.Forward,
-		Mode:         perspective.NonVisual,
-	}
-	mat, err := e.ExecPerspective(q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	comp, err := e.ExecPerspectiveCompressed(q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	matBytes := mat.Stats.CellsRelocated * (4*w.Cube.NumDims() + 8)
-	fmt.Printf("materialized: %6d cells relocated  (~%d bytes), %d chunk reads\n",
-		mat.Stats.CellsRelocated, matBytes, mat.Stats.ChunksRead)
-	fmt.Printf("compressed:   %6d cells relocated  (%d mapping bytes), %d chunk reads\n",
-		comp.Stats.CellsRelocated, comp.Stats.CompressedBytes, comp.Stats.ChunksRead)
-	// Identical answers either way.
-	name := w.Changing[0]
-	inst := w.Cube.BindingFor(workload.DimDepartment).InstanceAt(name, 0)
-	dept := w.Cube.DimByName(workload.DimDepartment)
-	path := dept.Path(inst)
-	a, err := mat.CellRefs(path, "Q1", "Acct000", "Current", "Local", "BU Version_1", "HSP_InputValue")
-	if err != nil {
-		log.Fatal(err)
-	}
-	b, err := comp.CellRefs(path, "Q1", "Acct000", "Current", "Local", "BU Version_1", "HSP_InputValue")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("same Q1 aggregate for %s through both: %.2f == %.2f\n", path, a, b)
 }

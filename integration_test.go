@@ -1,7 +1,7 @@
 // Integration tests: the full pipeline — workload generation, extended
-// MDX, the algebra operators, the chunked engine (materialized and
-// compressed) — cross-validated against each other on randomized
-// datasets and queries.
+// MDX, the algebra operators, the chunked engine (read as a cube, and
+// projected into a grid as a served query is) — cross-validated against
+// each other on randomized datasets and queries.
 package olap_test
 
 import (
@@ -40,8 +40,11 @@ func memCopy(c *cube.Cube) *cube.Cube {
 
 // TestQuickEnginePathsAgreeOnRandomWorkforces is the central
 // cross-validation property: for random small workforces and random
-// perspective queries, the algebra pipeline, the materialized engine,
-// and the compressed engine produce identical leaf cells.
+// perspective queries, the algebra pipeline, the engine's view read as
+// a cube, and the served path — a leaf report of the scoped instances
+// projected as the scan runs, in a randomly drawn mode — produce
+// identical leaf cells. The report must fuse: the scan folds its cells
+// into the grid and builds no overlay.
 func TestQuickEnginePathsAgreeOnRandomWorkforces(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -70,9 +73,11 @@ func TestQuickEnginePathsAgreeOnRandomWorkforces(t *testing.T) {
 			pts[i] = r.Intn(cfg.Months)
 		}
 		scope := w.Changing[:1+r.Intn(len(w.Changing))]
+		mode := []perspective.Mode{perspective.NonVisual, perspective.Visual}[r.Intn(2)]
 
 		// Algebra reference.
-		ref, err := algebra.ApplyPerspectives(memCopy(w.Cube), workload.DimDepartment, sem, pts)
+		input := memCopy(w.Cube)
+		ref, err := algebra.ApplyPerspectives(input, workload.DimDepartment, sem, pts)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -83,13 +88,8 @@ func TestQuickEnginePathsAgreeOnRandomWorkforces(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		q := core.PerspectiveQuery{Members: scope, Perspectives: pts, Sem: sem, Mode: perspective.NonVisual}
+		q := core.PerspectiveQuery{Members: scope, Perspectives: pts, Sem: sem, Mode: mode}
 		mat, err := e.ExecPerspective(q)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		comp, err := e.ExecPerspectiveCompressed(q)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -100,30 +100,84 @@ func TestQuickEnginePathsAgreeOnRandomWorkforces(t *testing.T) {
 		// of every instance of every scoped member.
 		dept := w.Cube.DimByName(workload.DimDepartment)
 		inScope := map[int]bool{}
+		var rows []core.Tuple
 		for _, name := range scope {
 			for _, inst := range dept.Instances(name) {
 				inScope[dept.Member(inst).LeafOrdinal] = true
+				rows = append(rows, core.Tuple{{Dim: 0, Member: inst}})
 			}
 		}
+		same := func(got, want float64) bool {
+			return math.IsNaN(want) == math.IsNaN(got) && (math.IsNaN(want) || math.Abs(want-got) <= 1e-9)
+		}
 		agree := true
-		probe := func(addr []int, want float64) {
-			for _, got := range []float64{
-				mat.Result().Leaf(addr),
-				comp.Result().Leaf(addr),
-			} {
-				if math.IsNaN(want) != math.IsNaN(got) || (!math.IsNaN(want) && math.Abs(want-got) > 1e-9) {
-					t.Logf("seed %d %v %v: cell %v = %v, want %v", seed, sem, pts, addr, got, want)
+		// All reference cells in scope must appear in the engine's view.
+		ref.Store().NonNull(func(addr []int, v float64) bool {
+			if inScope[addr[0]] {
+				if got := mat.Result().Leaf(addr); !same(got, v) {
+					t.Logf("seed %d %v %v: cell %v = %v, want %v", seed, sem, pts, addr, got, v)
+					agree = false
+				}
+			}
+			return agree
+		})
+
+		// The served path: the scoped instances down the rows, every
+		// month × account across the columns, the first leaf of each
+		// other dimension in the slicer.
+		pi, ai := w.Cube.DimIndex(workload.DimPeriod), w.Cube.DimIndex(workload.DimAccount)
+		grid := core.Grid{Rows: rows}
+		for _, m := range w.Cube.Dim(pi).Leaves() {
+			for _, a := range w.Cube.Dim(ai).Leaves() {
+				grid.Cols = append(grid.Cols, core.Tuple{{Dim: pi, Member: m}, {Dim: ai, Member: a}})
+			}
+		}
+		for d := 0; d < w.Cube.NumDims(); d++ {
+			if d != 0 && d != pi && d != ai {
+				grid.Slicer = append(grid.Slicer, core.Coord{Dim: d, Member: w.Cube.Dim(d).Leaf(0).ID})
+			}
+		}
+		out := make([][]float64, len(grid.Rows))
+		for i := range out {
+			out[i] = make([]float64, len(grid.Cols))
+		}
+		_, ps, err := e.ExecPerspectiveProjected(core.ExecContext{}, q, grid, out)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if !ps.Fused {
+			t.Logf("seed %d %v %v %v: the leaf report did not fuse: %+v", seed, sem, pts, mode, ps)
+			return false
+		}
+		ids := make([]dimension.MemberID, w.Cube.NumDims())
+		held := 0
+		for i, row := range out {
+			for j, got := range row {
+				if !math.IsNaN(got) {
+					held++
+				}
+				clear(ids)
+				for _, tp := range [...]core.Tuple{grid.Slicer, grid.Cols[j], grid.Rows[i]} {
+					for _, co := range tp {
+						ids[co.Dim] = co.Member
+					}
+				}
+				want, err := algebra.CellValue(input, ref, ids, mode)
+				if err != nil {
+					t.Log(err)
+					return false
+				}
+				if !same(got, want) {
+					t.Logf("seed %d %v %v %v: served cell (%d, %d) = %v, want %v", seed, sem, pts, mode, i, j, got, want)
 					agree = false
 				}
 			}
 		}
-		// All reference cells in scope must appear in both engine views.
-		ref.Store().NonNull(func(addr []int, v float64) bool {
-			if inScope[addr[0]] {
-				probe(addr, v)
-			}
-			return agree
-		})
+		if held == 0 {
+			t.Logf("seed %d %v %v %v: the leaf report holds no cell", seed, sem, pts, mode)
+			return false
+		}
 		// And scoped engine cells must not exceed the reference: count.
 		countScoped := func(c *cube.Cube) int {
 			n := 0
@@ -136,9 +190,8 @@ func TestQuickEnginePathsAgreeOnRandomWorkforces(t *testing.T) {
 			return n
 		}
 		nRef := countScoped(ref)
-		if countScoped(mat.Result()) != nRef || countScoped(comp.Result()) != nRef {
-			t.Logf("seed %d %v %v: scoped cell counts diverge (ref %d, mat %d, comp %d)",
-				seed, sem, pts, nRef, countScoped(mat.Result()), countScoped(comp.Result()))
+		if nMat := countScoped(mat.Result()); nMat != nRef {
+			t.Logf("seed %d %v %v: scoped cell counts diverge (ref %d, engine %d)", seed, sem, pts, nRef, nMat)
 			return false
 		}
 		return agree

@@ -434,88 +434,6 @@ func AblationMode(w *workload.Workforce, employees, reps int) ([]ModeRow, error)
 	return rows, nil
 }
 
-// CompressionRow compares the materialized perspective cube against the
-// mapping-compressed representation (§8 future work).
-type CompressionRow struct {
-	Representation string
-	// Bytes is the representation's footprint: relocated overlay cells
-	// for materialized, mapping entries for compressed.
-	Bytes int
-	// BuildMS is the time to produce the view.
-	BuildMS float64
-	// ReadMS is the time to read every scoped leaf cell once.
-	ReadMS float64
-}
-
-// AblationCompression runs a forward query over all changing employees
-// both ways and measures footprint, build time, and scoped read time.
-func AblationCompression(w *workload.Workforce, reps int) ([]CompressionRow, error) {
-	e, err := core.New(w.Cube, workload.DimDepartment)
-	if err != nil {
-		return nil, err
-	}
-	q := core.PerspectiveQuery{
-		Members:      w.Changing,
-		Perspectives: []int{0, 6},
-		Sem:          perspective.Forward,
-		Mode:         perspective.NonVisual,
-	}
-	dims := w.Cube.NumDims()
-	var rows []CompressionRow
-	for _, compressed := range []bool{false, true} {
-		label := "materialized overlay"
-		if compressed {
-			label = "relocation mapping"
-		}
-		var view *core.View
-		buildMS, err := timeIt(reps, func() error {
-			var err error
-			if compressed {
-				view, err = e.ExecPerspectiveCompressed(q)
-			} else {
-				view, err = e.ExecPerspective(q)
-			}
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		bytes := view.Stats.CompressedBytes
-		if !compressed {
-			// Overlay cells: address key plus value per relocated cell.
-			bytes = view.Stats.CellsRelocated * (4*dims + 8)
-		}
-		// Read every scoped employee's cells for one account through
-		// the view.
-		dept := w.Cube.DimByName(workload.DimDepartment)
-		tuple := make([]dimension.MemberID, dims)
-		for i := range tuple {
-			tuple[i] = w.Cube.Dim(i).Leaf(0).ID
-		}
-		readMS, err := timeIt(reps, func() error {
-			for _, name := range w.Changing {
-				for _, inst := range dept.Instances(name) {
-					for m := 0; m < w.Config.Months; m++ {
-						tuple[0] = inst
-						tuple[1] = w.Cube.Dim(1).Leaf(m).ID
-						if _, err := view.Cell(tuple); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, CompressionRow{
-			Representation: label, Bytes: bytes, BuildMS: buildMS, ReadMS: readMS,
-		})
-	}
-	return rows, nil
-}
-
 // RepRow compares chunk representations.
 type RepRow struct {
 	Representation string

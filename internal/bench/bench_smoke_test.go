@@ -41,13 +41,6 @@ func TestSmokeAll(t *testing.T) {
 	if _, err := AblationChunkRep(w, 1); err != nil {
 		t.Fatal(err)
 	}
-	comp, err := AblationCompression(w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comp) != 2 || comp[1].Bytes >= comp[0].Bytes {
-		t.Fatalf("compression should shrink the representation: %+v", comp)
-	}
 }
 
 // TestModeledColumnsPinned pins the seek model's figure columns — Fig 12's

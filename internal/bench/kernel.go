@@ -7,7 +7,6 @@ import (
 
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/core"
-	"whatifolap/internal/cube"
 	"whatifolap/internal/perspective"
 	"whatifolap/internal/trace"
 	"whatifolap/internal/workload"
@@ -17,14 +16,12 @@ import (
 // standard workload query (dynamic forward over every changing
 // employee, 4 perspectives) and materializes its relocation stream —
 // the (destination address, value) writes the scan emits — once.
-// RunMemStore and RunChunkNative then replay the identical stream into
-// the legacy string-keyed cube.MemStore and the chunk-native
-// chunk.Overlay respectively, so the comparison isolates the overlay
-// write path: per cell, MemStore encodes an address key (allocating) and
-// probes a string map, while Overlay does integer (chunkID, offset)
-// arithmetic and writes in place. RunSlab replays the same cells the way
-// the engine's scan now writes them — grouped into the slabs they left
-// their source chunks in, one Overlay.SetCellsAt per slab.
+// RunChunkNative then replays the identical stream into a chunk.Overlay
+// one cell at a time — integer (chunkID, offset) arithmetic, written in
+// place — and RunSlab the way the engine's scan writes it: grouped into
+// the slabs the cells left their source chunks in, one
+// Overlay.SetCellsAt per slab. The comparison isolates the overlay
+// write path.
 type Kernel struct {
 	geom *chunk.Geometry
 	// slabs is the stream regrouped by destination slab, in stream
@@ -118,12 +115,6 @@ func NewKernel(w *workload.Workforce) (*Kernel, error) {
 // Cells returns the number of relocated cells per run.
 func (k *Kernel) Cells() int { return len(k.vals) }
 
-// RunMemStore replays the relocation stream into a fresh legacy
-// MemStore and returns the number of cells written.
-func (k *Kernel) RunMemStore() int {
-	return k.replayMemStore(cube.NewMemStore(k.geom.NumDims()))
-}
-
 // RunChunkNative replays the relocation stream into a fresh
 // chunk-grained Overlay and returns the number of cells written.
 func (k *Kernel) RunChunkNative() int {
@@ -163,14 +154,6 @@ func (k *Kernel) ReplayTraced(tr *trace.Trace, parent trace.SpanRef, ov *chunk.O
 	return len(k.vals)
 }
 
-func (k *Kernel) replayMemStore(ms *cube.MemStore) int {
-	d := k.geom.NumDims()
-	for i, v := range k.vals {
-		ms.Set(k.addrs[i*d:(i+1)*d], v)
-	}
-	return len(k.vals)
-}
-
 func (k *Kernel) replayOverlay(ov *chunk.Overlay) int {
 	d := k.geom.NumDims()
 	for i, v := range k.vals {
@@ -198,8 +181,7 @@ type KernelRow struct {
 	AllocsPerCell float64
 	// SteadyAllocsPerCell replays the stream into an already-warm
 	// destination: the per-cell write cost once destination chunks
-	// exist. Chunk-native and slab are 0 here (integer arithmetic only);
-	// the MemStore path pays its address-key allocations on every write.
+	// exist: 0 for both paths (integer arithmetic only).
 	SteadyAllocsPerCell float64
 }
 
@@ -212,14 +194,12 @@ func RelocationKernel(w *workload.Workforce, reps int) ([]KernelRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	warmMem := cube.NewMemStore(k.geom.NumDims())
 	warmOv, warmSlab := chunk.NewOverlay(k.geom), chunk.NewOverlay(k.geom)
 	variants := []struct {
 		name   string
 		run    func() int
 		replay func()
 	}{
-		{"memstore", k.RunMemStore, func() { k.replayMemStore(warmMem) }},
 		{"chunk-native", k.RunChunkNative, func() { k.replayOverlay(warmOv) }},
 		{"slab", k.RunSlab, func() { k.replaySlabs(warmSlab) }},
 	}

@@ -608,7 +608,7 @@ func (e *Engine) SimulateMultiMDX(members []string, perspectives []int, mode per
 	// Reuse the last view's scope (identical across the runs) with the
 	// merged overlay.
 	last := combined.result.Store().(*viewStore)
-	vs := &viewStore{base: e.readStore(), overlay: merged, vi: e.vi, scoped: last.scoped}
+	vs := &viewStore{base: last.base, overlay: merged, vi: e.vi, scoped: last.scoped, extent: last.extent}
 	view := e.assemble(vs, nil, nil, mode)
 	view.engine, view.sourceIDs = e, e.sourceChunkIDs()
 	stats.MembersInScope = combined.Stats.MembersInScope

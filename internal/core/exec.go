@@ -14,13 +14,76 @@ import (
 // This file is a query hot path: span recording happens here, span
 // formatting must not (no fmt import — verify.sh enforces it).
 
+// readTally counts one pass's chunk reads (chunkReader).
+type readTally struct {
+	chunksRead  int
+	spillFaults int
+	faultMs     float64 // wall time of those faults: tier read + decode
+}
+
+// addReads adds a pass's chunk reads to the stats.
+func (s *Stats) addReads(t readTally) {
+	s.ChunksRead += t.chunksRead
+	s.SpillFaults += t.spillFaults
+	s.FaultMs += t.faultMs
+}
+
+// chunkReader is the one chunk-read step of a query's two passes, the
+// scan and the projection's base pass: a read through the buffer pool,
+// whose fault sums into the tally and becomes a "fault" span under
+// parent — recorded in hindsight via tr.Now()/tr.Record, so a pool hit
+// costs no span slot (and, with tracing off, nothing at all) — then,
+// under a scenario, the layer chain's resolve into one reused dense
+// chunk. A caller may act between the two (the scan pins).
+type chunkReader struct {
+	readTally
+	e        *Engine
+	tr       *trace.Trace
+	parent   trace.SpanRef
+	resolved *chunk.Chunk
+}
+
+// read reads chunk id from the store. A read the tier fails returns
+// its *chunk.ReadError, which names the chunk and the segment.
+func (r *chunkReader) read(id int) (*chunk.Chunk, error) {
+	readStart := r.tr.Now()
+	ch, info, err := r.e.store.ReadChunkInfo(id)
+	if err != nil {
+		return nil, err
+	}
+	r.chunksRead++
+	if info.Faulted {
+		r.spillFaults++
+		r.faultMs += info.FaultMs
+		sp := r.tr.Record(r.parent, "fault", readStart, r.tr.Now())
+		sp.Int("chunk", int64(id))
+		sp.IntNonZero("evictions", int64(info.Evictions))
+		if info.Pinned {
+			sp.Int("pinned", 1)
+		}
+	}
+	return ch, nil
+}
+
+// resolve returns chunk id as the query sees it: ch as read or, under a
+// layer chain, resolved with the layers' edits (chunks only a layer
+// holds resolve from nothing). A resolved chunk is good until the next
+// resolve.
+func (r *chunkReader) resolve(id int, ch *chunk.Chunk) *chunk.Chunk {
+	if r.e.chain == nil {
+		return ch
+	}
+	if r.resolved == nil {
+		r.resolved = chunk.NewDense(r.e.store.Geometry().ChunkCap())
+	}
+	return r.e.chain.Resolve(id, ch, r.resolved)
+}
+
 // scanTally accumulates the scan's counters.
 type scanTally struct {
-	chunksRead     int
+	readTally
 	cellsScanned   int
 	cellsRelocated int
-	spillFaults    int
-	faultMs        float64 // wall time of those faults: tier read + decode
 	promotions     int
 	// slabs counts the slab decisions the kernel made, slabsSkipped those
 	// whose cells vanished (pruned source row or -1 destination);
@@ -403,15 +466,15 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 	stats.ScanMs = msSince(scanStart)
 	annotateScan(scanSp, scanT)
 	scanSp.End()
-	stats.ChunksRead += scanT.chunksRead
+	stats.addReads(scanT.readTally)
 	stats.CellsScanned += scanT.cellsScanned
 	stats.CellsRelocated += scanT.cellsRelocated
-	stats.SpillFaults += scanT.spillFaults
-	stats.FaultMs += scanT.faultMs
 
 	if gp != nil {
 		projStart := time.Now()
-		if err := e.projectInto(ec, view, proj, fold != nil, gp); err != nil {
+		err := e.projectInto(ec, view, proj, fold != nil, gp)
+		stats.addReads(proj.reads)
+		if err != nil {
 			return nil, stats, err
 		}
 		stats.ProjectMs = msSince(projStart)
@@ -511,21 +574,16 @@ func (pt *pinTracker) releaseAll() {
 // target tables into its sink — the overlay, or the grid's accumulators
 // when fold is non-nil — one loop body for every chunk
 // representation and for scenario chunks, which the layer chain first
-// resolves into a reused dense chunk (chunks no layer touches pass
-// through as stored, and chunks only a layer holds — the planner
-// scheduled them from the chain's chunk-ID union — resolve from
-// nothing). Cells scanned are the non-null cells the chunks read hold
-// (Chunk.Len, the resolved count under a chain), whether or not a slab
-// decision ever looked at them. The context, when non-nil, is checked
-// before every chunk read. The plan is only read, so concurrent queries
-// may share it.
+// resolves (chunkReader; the planner scheduled chunks only a layer
+// holds from the chain's chunk-ID union). Cells scanned are the
+// non-null cells the chunks read hold (Chunk.Len, the resolved count
+// under a chain), whether or not a slab decision ever looked at them.
+// The context, when non-nil, is checked before every chunk read. The
+// plan is only read, so concurrent queries may share it.
 //
-// Per-read attribution flows through ReadChunkInfo: a buffer-pool
-// fault sums into the tally and becomes a "fault" span under parent —
-// recorded in hindsight via tr.Now()/tr.Record, so a pool hit costs no
-// span slot (and, with tracing off, nothing at all). A read the tier
-// fails ends the scan with its *chunk.ReadError, which names the chunk
-// and the segment; pins taken so far are released.
+// Reads go through chunkReader, whose faults become "fault" spans
+// under parent. A read the tier fails ends the scan with its
+// *chunk.ReadError; pins taken so far are released.
 func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.Overlay, fold *fuser,
 	tr *trace.Trace, parent trace.SpanRef) (scanTally, error) {
 
@@ -538,10 +596,7 @@ func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.O
 	ccoord := make([]int, g.NumDims())
 	k := newSlabKernel(g, og, overlay, fold, p.Target, e.vi, e.pi)
 	k.countOff = parent.Valid()
-	var resolved *chunk.Chunk
-	if e.chain != nil {
-		resolved = chunk.NewDense(g.ChunkCap())
-	}
+	r := &chunkReader{e: e, tr: tr, parent: parent}
 
 	var pins *pinTracker
 	if e.store.Pooled() && p.Stats.MergeEdges > 0 {
@@ -556,30 +611,14 @@ func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.O
 				break
 			}
 		}
-		readStart := tr.Now()
 		var ch *chunk.Chunk
-		var info chunk.ReadInfo
-		if ch, info, err = e.store.ReadChunkInfo(id); err != nil {
+		if ch, err = r.read(id); err != nil {
 			break
-		}
-		tally.chunksRead++
-		if info.Faulted {
-			tally.spillFaults++
-			tally.faultMs += info.FaultMs
-			sp := tr.Record(parent, "fault", readStart, tr.Now())
-			sp.Int("chunk", int64(id))
-			sp.IntNonZero("evictions", int64(info.Evictions))
-			if info.Pinned {
-				sp.Int("pinned", 1)
-			}
 		}
 		if pins != nil {
 			pins.scanned(id)
 		}
-		if e.chain != nil {
-			ch = e.chain.Resolve(id, ch, resolved)
-		}
-		if ch == nil {
+		if ch = r.resolve(id, ch); ch == nil {
 			continue
 		}
 		g.CoordOf(id, ccoord)
@@ -588,5 +627,6 @@ func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.O
 		ch.ForEachSpan(k.slab, k.scratch, k.relocateSpan)
 	}
 	k.finish(&tally)
+	tally.readTally = r.readTally
 	return tally, err
 }

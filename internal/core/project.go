@@ -69,7 +69,6 @@ type ProjectStats struct {
 const (
 	reasonFormula      = "formula rule "
 	reasonMaterialized = "materialized aggregate"
-	reasonNoOverlay    = "view without an overlay"
 	reasonWide         = "more than 64 dimensions"
 )
 
@@ -105,6 +104,8 @@ type projection struct {
 	// view and input are the two cell sources, nil when no cell reads one.
 	view, input *projSource
 	stats       ProjectStats
+	// reads are the base pass's chunk reads (run).
+	reads readTally
 }
 
 // compileProjection classifies every cell of g and gives each computed
@@ -393,13 +394,7 @@ func PlanProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) Pro
 // the grid instead).
 func (v *View) Project(ec ExecContext, g Grid, out [][]float64) (ProjectStats, error) {
 	p := compileProjection(v.input, v.result, v.mode, g)
-	if vs, ok := v.result.Store().(*viewStore); !ok || v.engine == nil {
-		// No overlay to fold (ExecPerspectiveCompressed): every cell per cell.
-		for c := range p.cell {
-			p.cell[c] = cellFallback
-		}
-		p.stats = ProjectStats{Fallback: len(p.cell), Reason: reasonNoOverlay}
-	} else if err := p.run(ec, v.engine, vs, v.footprint, v.sourceIDs); err != nil {
+	if err := p.run(ec, v.engine, v.result.Store().(*viewStore), v.footprint, v.sourceIDs); err != nil {
 		return p.stats, err
 	}
 	return p.stats, p.emit(ec, v, g, out)
@@ -483,11 +478,10 @@ func (p *projection) run(ec ExecContext, e *Engine, vs *viewStore, fp Footprint,
 	if fromBase == nil && fromInput == nil {
 		return nil
 	}
-	tr := trace.FromContext(ec.Ctx)
-	parent := trace.SpanFromContext(ec.Ctx)
+	r := &chunkReader{e: e, tr: trace.FromContext(ec.Ctx), parent: trace.SpanFromContext(ec.Ctx)}
+	defer func() { p.reads, p.stats.ChunksRead = r.readTally, r.chunksRead }()
 	g := e.store.Geometry()
 	ccoord := make([]int, g.NumDims())
-	var resolved *chunk.Chunk
 	for _, id := range ids {
 		view := fromBase != nil && fromBase.covers(id)
 		in := fromInput != nil && fromInput.covers(id)
@@ -503,24 +497,11 @@ func (p *projection) run(ec ExecContext, e *Engine, vs *viewStore, fp Footprint,
 		if err := ec.Err(); err != nil {
 			return err
 		}
-		readStart := tr.Now()
-		ch, info, err := e.store.ReadChunkInfo(id)
+		ch, err := r.read(id)
 		if err != nil {
 			return err
 		}
-		p.stats.ChunksRead++
-		if info.Faulted {
-			sp := tr.Record(parent, "fault", readStart, tr.Now())
-			sp.Int("chunk", int64(id))
-			sp.IntNonZero("evictions", int64(info.Evictions))
-		}
-		if e.chain != nil {
-			if resolved == nil {
-				resolved = chunk.NewDense(g.ChunkCap())
-			}
-			ch = e.chain.Resolve(id, ch, resolved)
-		}
-		if ch == nil {
+		if ch = r.resolve(id, ch); ch == nil {
 			continue
 		}
 		if view {

@@ -17,8 +17,8 @@ import (
 	"whatifolap/internal/perspective"
 )
 
-// viewStore overlays relocated rows of the varying dimension on top of
-// the (unmodified) base store. Rows whose varying leaf ordinal is in
+// viewStore, the engine's one read-through store, overlays relocated
+// rows of the varying dimension on top of the (unmodified) base store. Rows whose varying leaf ordinal is in
 // scope read from the overlay; all other rows read from the base at the
 // same ordinal. A positive scenario's hypothetical instances take the
 // ordinals at and past the base's extent, which the base lacks: there
@@ -110,8 +110,7 @@ type View struct {
 	// engine and footprint are the engine whose overlay the result's
 	// viewStore holds and the footprint that overlay was relocated under,
 	// sourceIDs the store's chunk IDs, ascending, as the plan listed them:
-	// what the compiled projection (Project) reads. engine is nil for a
-	// view without an overlay (ExecPerspectiveCompressed).
+	// what the compiled projection (Project) reads.
 	engine    *Engine
 	footprint Footprint
 	sourceIDs []int
@@ -163,10 +162,13 @@ type Stats struct {
 	// RelevantChunks is the number of materialized chunks holding those
 	// rows.
 	RelevantChunks int
-	// ChunksRead counts chunk reads performed (≥ RelevantChunks only if
-	// re-reads happen; the engine reads each relevant chunk once).
+	// ChunksRead counts the chunk reads of the scan and, when the query
+	// was projected as it ran (ExecPerspectiveProjected), of the
+	// projection's base pass (ProjectStats.ChunksRead), which may read a
+	// chunk the scan read too.
 	ChunksRead int
-	// CellsRelocated counts leaf cells written into the overlay.
+	// CellsRelocated counts leaf cells the scan moved: written into the
+	// overlay, or folded into the grid's accumulators when it fused.
 	CellsRelocated int
 	// CellsScanned counts source cells the scan visited (non-null
 	// cells iterated across scheduled chunks; run-encoded chunks count
@@ -195,16 +197,14 @@ type Stats struct {
 	// Ranges is the number of perspective ranges processed (dynamic
 	// semantics only).
 	Ranges int
-	// SpillFaults counts chunk reads this query satisfied from the
-	// segment file (buffer-pool misses), else 0 on an unpooled store.
+	// SpillFaults counts the chunk reads of ChunksRead this query
+	// satisfied from the segment file (buffer-pool misses), else 0 on an
+	// unpooled store.
 	SpillFaults int
 	// FaultMs is the wall time those faults took inside the buffer pool
-	// (tier read, checksum, decode) — the part of ScanMs a cold pool
-	// costs.
+	// (tier read, checksum, decode) — the part of ScanMs and ProjectMs a
+	// cold pool costs.
 	FaultMs float64
-	// CompressedBytes is the relocation-mapping footprint when the
-	// query ran compressed (ExecPerspectiveCompressed), else 0.
-	CompressedBytes int
 }
 
 // Add accumulates s2 into s (used by the multiple-MDX simulation, which

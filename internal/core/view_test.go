@@ -5,7 +5,6 @@ import (
 
 	"whatifolap/internal/algebra"
 	"whatifolap/internal/paperdata"
-	"whatifolap/internal/perspective"
 )
 
 // TestViewBaseReadAllocatesNothing pins the read every WITH CHANGES
@@ -58,40 +57,5 @@ func TestViewBaseReadAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { vs.Get(addr) }); allocs != 0 {
 		t.Fatalf("an unscoped read allocates %.0f times, want 0", allocs)
-	}
-}
-
-// TestCompressedScopedReadAllocatesNothing pins the compressed view's
-// scoped read: it follows the inverse mapping by rewriting the varying
-// ordinal in the caller's address, not by copying the address.
-func TestCompressedScopedReadAllocatesNothing(t *testing.T) {
-	e := newEngine(t)
-	v, err := e.ExecPerspectiveCompressed(PerspectiveQuery{
-		Members: []string{"Joe"}, Perspectives: []int{paperdata.Feb, paperdata.Apr},
-		Sem: perspective.Forward, Mode: perspective.Visual,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := v.Result().Store().(*mappedStore)
-	// A scoped cell whose value the mapping moved from another instance.
-	var addr []int
-	ms.NonNull(func(a []int, _ float64) bool {
-		if o := a[e.vi]; ms.scoped[o] && ms.inverse.Row(o)[a[e.pi]] != o {
-			addr = append([]int(nil), a...)
-			return false
-		}
-		return true
-	})
-	if addr == nil {
-		t.Fatal("no relocated scoped cell; the mapped branch is not exercised")
-	}
-	want := append([]int(nil), addr...)
-	want[e.vi] = ms.inverse.Row(addr[e.vi])[addr[e.pi]]
-	if got := ms.Get(addr); got != e.store.Get(want) {
-		t.Fatalf("mapped read = %v, base holds %v", got, e.store.Get(want))
-	}
-	if allocs := testing.AllocsPerRun(100, func() { ms.Get(addr) }); allocs != 0 {
-		t.Fatalf("a mapped read allocates %.0f times, want 0", allocs)
 	}
 }

@@ -653,8 +653,9 @@ func spanAttrs(t *testing.T, ev *Evaluator, q *Query, attrs map[string][]string)
 
 // TestFootprintEmptyPlansNothing: a NONVISUAL grid of roll-ups retains
 // every cell from the input (Definition 4.5), so its footprint is empty
-// and the engine plans, reads and relocates nothing, while the answer
-// is the plain SELECT's.
+// and the engine plans nothing and its scan reads and relocates nothing
+// — every chunk read is the projection's, of the input's cells — while
+// the answer is the plain SELECT's.
 func TestFootprintEmptyPlansNothing(t *testing.T) {
 	w, err := workload.NewWorkforce(workload.ConfigTiny())
 	if err != nil {
@@ -665,7 +666,7 @@ func TestFootprintEmptyPlansNothing(t *testing.T) {
 FROM [App].[Db] WHERE ([Account].[Acct001], [Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])`
 	for _, mode := range []string{"NONVISUAL", "VISUAL"} {
 		q := MustParse("WITH PERSPECTIVE {(Jan), (Jul)} FOR Department DYNAMIC FORWARD " + mode + " " + sel)
-		g, stats, err := ev.RunQueryStatsWith(RunContext{}, q)
+		g, stats, ps, err := ev.RunQueryProjectedWith(RunContext{}, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -680,8 +681,8 @@ FROM [App].[Db] WHERE ([Account].[Acct001], [Scenario].[Current], [Currency].[Lo
 			}
 			continue
 		}
-		if stats.ChunksRead != 0 || stats.CellsRelocated != 0 || stats.MergeGroups != 0 {
-			t.Fatalf("NONVISUAL roll-up: %+v, want no chunk read", stats)
+		if stats.ChunksRead != ps.ChunksRead || stats.CellsRelocated != 0 || stats.MergeGroups != 0 {
+			t.Fatalf("NONVISUAL roll-up: %+v (projection %+v), want no chunk read by the scan", stats, *ps)
 		}
 		if stats.MembersInScope == 0 {
 			t.Fatalf("the scope is the departments' members whatever the footprint: %+v", stats)

@@ -1,6 +1,7 @@
 package mdx
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -357,5 +358,64 @@ func TestFusedTierFault(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFusedFaultsCounted: a served query's SpillFaults, FaultMs and
+// ChunksRead count the chunk reads of both its passes — the scan's and
+// the projection's base pass — on the cube paged behind a three-chunk
+// pool. So SpillFaults equals the "fault" spans in the query's trace,
+// and ChunksRead the chunks_read of its scan and project spans. A
+// NONVISUAL roll-up reads only in the base pass.
+func TestFusedFaultsCounted(t *testing.T) {
+	var ev *Evaluator
+	for _, st := range fusedStorages {
+		if st.name == "paged" {
+			ev = NewEvaluator(st.build(t))
+		}
+	}
+	total := 0
+	for _, sem := range []perspective.Semantics{perspective.Static, perspective.Forward, perspective.Backward,
+		perspective.ExtendedForward, perspective.ExtendedBackward} {
+		for _, mode := range []perspective.Mode{perspective.NonVisual, perspective.Visual} {
+			for name, src := range fusedReports(t, ev.cube, sem, mode) {
+				if name == "changes" && sem != perspective.Static {
+					continue // one changes query per mode
+				}
+				label := fmt.Sprintf("%s %v %v", name, sem, mode)
+				tr := trace.New(0)
+				root := tr.Start(trace.SpanRef{}, "eval")
+				rc := RunContext{Ctx: trace.WithSpan(trace.NewContext(context.Background(), tr), root)}
+				_, stats, err := ev.RunQueryStatsWith(rc, MustParse(src))
+				root.End()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if tr.Dropped() != 0 {
+					t.Fatalf("%s: %d spans dropped", label, tr.Dropped())
+				}
+				faults, reads := 0, int64(0)
+				for _, sp := range tr.Spans() {
+					switch sp.Name {
+					case "fault":
+						faults++
+					case "scan", "project":
+						n, _ := sp.Attr("chunks_read")
+						reads += n
+					}
+				}
+				if stats.SpillFaults != faults || int64(stats.ChunksRead) != reads {
+					t.Fatalf("%s: stats count %d faults and %d chunk reads, the trace %d and %d\n%s",
+						label, stats.SpillFaults, stats.ChunksRead, faults, reads, tr.Render())
+				}
+				if (faults > 0) != (stats.FaultMs > 0) {
+					t.Fatalf("%s: %d faults took %v ms", label, faults, stats.FaultMs)
+				}
+				total += faults
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("no query faulted: the pool holds the whole cube")
 	}
 }

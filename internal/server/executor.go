@@ -67,12 +67,15 @@ func (e *Executor) work() {
 	}
 }
 
+// errQueryPanicked wraps the error runGuarded makes of a panic.
+var errQueryPanicked = errors.New("server: query panicked")
+
 // runGuarded executes the task function, converting a panic into an
 // error so one poisoned query cannot take down the daemon's worker.
 func runGuarded(t *task) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("server: query panicked: %v", r)
+			err = fmt.Errorf("%w: %v", errQueryPanicked, r)
 		}
 	}()
 	return t.fn(t.ctx)

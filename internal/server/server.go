@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"whatifolap/internal/chunk"
 	"whatifolap/internal/core"
 	"whatifolap/internal/cube"
 	"whatifolap/internal/mdx"
@@ -549,7 +550,9 @@ func gridCells(g *result.Grid) int64 {
 	return n
 }
 
-// writeQueryError maps execution errors to status codes and counters.
+// writeQueryError maps execution errors to status codes and counters:
+// what the client can fix (a bad query) is 422, what it cannot (a
+// panic, a failed storage read) 500 and 503.
 func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
@@ -564,9 +567,15 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.Canceled):
 		s.metrics.Canceled.Add(1)
 		writeJSON(w, StatusClientClosedRequest, errorResponse{"query canceled"})
-	case strings.HasPrefix(err.Error(), "server: query panicked"):
+	case errors.Is(err, errQueryPanicked):
 		s.metrics.QueryErrors.Add(1)
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
+	case errors.As(err, new(*chunk.ReadError)):
+		// The storage tier failed a chunk read (the error names the chunk
+		// and the segment): the query was fine, the server could not
+		// serve it.
+		s.metrics.QueryErrors.Add(1)
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{err.Error()})
 	default:
 		s.metrics.QueryErrors.Add(1)
 		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{err.Error()})

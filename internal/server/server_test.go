@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -383,5 +385,79 @@ WHERE ([Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [Valu
 	decode(t, do(t, h, "POST", "/query", queryRequest{Cube: "wf", Query: query}), http.StatusOK, &resp)
 	if resp.Stats.MergeEdges == 0 {
 		t.Fatal("the query's plan has no merge edges: nothing would be pinned")
+	}
+}
+
+// failingTier is a segment file as the buffer pool sees it, failing
+// every read after the first ok ones with the error a segment file
+// returns for a checksum mismatch.
+type failingTier struct {
+	capacity int
+	recs     map[int][]byte
+	ok       int32
+	reads    atomic.Int32
+}
+
+func (f *failingTier) ReadChunkAt(id int) (*chunk.Chunk, float64, error) {
+	if f.reads.Add(1) > f.ok {
+		return nil, 0, fmt.Errorf("segment /data/wf.seg: slot %d: slot CRC mismatch", id)
+	}
+	rec, ok := f.recs[id]
+	if !ok {
+		return nil, 0, nil
+	}
+	c, err := chunk.DecodeChunk(rec, f.capacity)
+	return c, 0, err
+}
+
+func (f *failingTier) Contains(id int) bool { _, ok := f.recs[id]; return ok }
+func (f *failingTier) Cells(id int) int     { return chunk.RecordCells(f.recs[id]) }
+
+func (f *failingTier) IDs() []int {
+	ids := make([]int, 0, len(f.recs))
+	for id := range f.recs {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// TestServerTierFaultIs503: a chunk read the storage tier fails is the
+// server's failure, not the client's. The query answers 503 with the
+// tier's error, which names the chunk and the segment; it counts as a
+// query error; and the pins the scan took are released.
+func TestServerTierFaultIs503(t *testing.T) {
+	s, w := newWorkforceServer(t, Config{})
+	h := s.Handler()
+	st := w.Cube.Store().(*chunk.Store)
+	tier := &failingTier{capacity: st.Geometry().ChunkCap(), recs: map[int][]byte{}, ok: 4}
+	for _, id := range st.ChunkIDs() {
+		tier.recs[id] = chunk.EncodeChunk(st.PeekChunk(id))
+	}
+	if err := st.AttachTier(tier, 1); err != nil {
+		t.Fatal(err)
+	}
+	query := `
+WITH PERSPECTIVE {(Jan), (Apr), (Jul), (Oct)} FOR Department DYNAMIC FORWARD VISUAL
+SELECT {[Account].Levels(0).Members} ON COLUMNS, {[Department].Levels(0).Members} ON ROWS
+FROM [App].[Db]
+WHERE ([Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])`
+
+	pinned := 0 // the hook runs under the store's hook mutex
+	st.SetReadHook(func(int) { pinned = max(pinned, st.SpillStats().Pinned) })
+	errorsBefore := s.Metrics().Snapshot().QueryErrors
+	rec := do(t, h, "POST", "/query", queryRequest{Cube: "wf", Query: query})
+	st.SetReadHook(nil)
+	if body := rec.Body.String(); rec.Code != http.StatusServiceUnavailable ||
+		!strings.Contains(body, "/data/wf.seg") || !strings.Contains(body, "read of chunk") {
+		t.Fatalf("tier fault = %d %s, want 503 naming the chunk and the segment", rec.Code, body)
+	}
+	if pinned == 0 {
+		t.Fatal("no chunk was pinned before the fault; test is vacuous")
+	}
+	if got := s.Metrics().Snapshot().QueryErrors; got != errorsBefore+1 {
+		t.Fatalf("query_errors = %d, want %d", got, errorsBefore+1)
+	}
+	if p := st.SpillStats().Pinned; p != 0 {
+		t.Fatalf("%d chunks still pinned after the fault", p)
 	}
 }

@@ -147,13 +147,53 @@ func TestSegmentTierEquivalenceAllSemantics(t *testing.T) {
 			}
 			assertViewsBitIdentical(t, memView, segView, mode)
 
-			// The compressed execution path reads chunks in a different
-			// order; it must agree through the tier as well.
-			segComp, err := segEng.ExecPerspectiveCompressed(q)
-			if err != nil {
-				t.Fatalf("%v/%v segment compressed: %v", sem, mode, err)
+			// The served path folds the scan into the grid and reads the
+			// base's rows in a second pass; both passes fault through the
+			// tier, and both runs follow one plan, so the grids are
+			// bit-identical.
+			memGrid, segGrid := fusedGrid(t, memCube, memEng, q), fusedGrid(t, segCube, segEng, q)
+			for i := range memGrid {
+				for j, want := range memGrid[i] {
+					if got := segGrid[i][j]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v/%v fused cell (%d, %d): segment %v, memory %v", sem, mode, i, j, got, want)
+					}
+				}
 			}
-			assertViewsBitIdentical(t, memView, segComp, mode)
 		}
 	}
+}
+
+// fusedGrid runs q on e, the engine over c, on the served path —
+// projected into a grid of every Organization group and leaf by every
+// Time quarter and month, at (NY, Salary) — and fails unless the scan
+// fused. Members are looked up by name in c's own dimensions.
+func fusedGrid(t *testing.T, c *cube.Cube, e *core.Engine, q core.PerspectiveQuery) [][]float64 {
+	t.Helper()
+	var g core.Grid
+	coord := func(d int, ref string) core.Coord { return core.Coord{Dim: d, Member: c.Dim(d).MustLookup(ref)} }
+	for _, ref := range []string{"Organization", "FTE", "PTE", "Contractor"} {
+		g.Rows = append(g.Rows, core.Tuple{coord(0, ref)})
+	}
+	for _, id := range c.Dim(0).Leaves() {
+		g.Rows = append(g.Rows, core.Tuple{{Dim: 0, Member: id}})
+	}
+	for _, ref := range []string{"Time", "Qtr1", "Qtr2"} {
+		g.Cols = append(g.Cols, core.Tuple{coord(2, ref)})
+	}
+	for _, id := range c.Dim(2).Leaves() {
+		g.Cols = append(g.Cols, core.Tuple{{Dim: 2, Member: id}})
+	}
+	g.Slicer = core.Tuple{coord(1, "NY"), coord(3, "Salary")}
+	out := make([][]float64, len(g.Rows))
+	for i := range out {
+		out[i] = make([]float64, len(g.Cols))
+	}
+	_, ps, err := e.ExecPerspectiveProjected(core.ExecContext{}, q, g, out)
+	if err != nil {
+		t.Fatalf("%v/%v fused: %v", q.Sem, q.Mode, err)
+	}
+	if !ps.Fused {
+		t.Fatalf("%v/%v: the grid did not fuse: %+v", q.Sem, q.Mode, ps)
+	}
+	return out
 }

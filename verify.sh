@@ -66,6 +66,26 @@ stage 'lint directive audit' sh scripts/lint-stats.sh --check
 
 stage 'go build ./...' go build ./...
 
+# The examples are the first programs a reader runs: build each one and
+# run it, so an example that panics or exits non-zero fails the gate
+# (its output is printed then). All four finish in well under a second.
+examples_run() {
+    exdir="${TMPDIR:-/tmp}/whatif-examples.$$"
+    mkdir -p "$exdir"
+    for d in examples/*/; do
+        name=$(basename "$d")
+        go build -o "$exdir/$name" "./$d"
+        if ! "$exdir/$name" >"$exdir/$name.out" 2>&1; then
+            echo "verify: example $name failed:"
+            cat "$exdir/$name.out"
+            rm -rf "$exdir"
+            return 1
+        fi
+    done
+    rm -rf "$exdir"
+}
+stage 'examples (build + run)' examples_run
+
 # benchmark/ is a module of its own (replace whatifolap => ../), so the
 # stages above never see it: a deleted or re-signed engine method would
 # break it silently. Type-check it against the engine API here.
