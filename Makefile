@@ -1,4 +1,4 @@
-.PHONY: verify test fuzz lint lint-fix lint-stats loc bench bench-smoke prof scenario-demo segment-smoke obs-demo
+.PHONY: verify test fuzz lint lint-fix lint-stats loc loc-delta bench bench-smoke prof scenario-demo segment-smoke obs-demo
 
 verify:
 	./verify.sh
@@ -55,6 +55,14 @@ lint-stats:
 # dropped). `sh scripts/loc.sh DIR` counts a clone of another commit.
 loc:
 	sh scripts/loc.sh
+
+# The change in those counts from REV (default HEAD, so: the uncommitted
+# edits) to the working tree, per package that moved and in total — the
+# before/after a CHANGES entry reports. `make loc-delta REV=HEAD~1`
+# compares against an older commit.
+REV ?= HEAD
+loc-delta:
+	sh scripts/loc-delta.sh $(REV)
 
 # Live curl session against an ephemeral whatifd on 127.0.0.1:18080
 # (override with SCENARIO_DEMO_PORT): create a scenario on the

@@ -18,7 +18,6 @@ import (
 
 	"whatifolap/internal/algebra"
 	"whatifolap/internal/bench"
-	"whatifolap/internal/bitset"
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/core"
 	"whatifolap/internal/cube"
@@ -535,31 +534,48 @@ func BenchmarkRleScan(b *testing.B) {
 
 // --- Slab kernel: whole queries over dense chunks and a scenario chain ---
 
-// benchScan runs the standard serial forward query on c, under the
-// footprint fp if any, and reports the scan stage's share (scan_ms) next
-// to ns/op and allocs/op: the CI-side guard for the slab kernel, whose
-// allocations — not its timings, on this host — are what a regression
-// shows up in first.
-func benchScan(b *testing.B, c *cube.Cube, members []string, fp core.Footprint) {
+// benchScan runs the standard serial forward query on c — to a view,
+// or projected into grid g when g is non-nil, under the footprint the
+// engine derives from it — and reports the scan stage's share (scan_ms)
+// next to ns/op and allocs/op: the CI-side guard for the slab kernel,
+// whose allocations — not its timings, on this host — are what a
+// regression shows up in first.
+func benchScan(b *testing.B, c *cube.Cube, members []string, g *core.Grid) {
 	e, err := core.New(c, workload.DimDepartment)
 	if err != nil {
 		b.Fatal(err)
 	}
 	q := core.PerspectiveQuery{
 		Members: members, Perspectives: []int{0, 3, 6, 9},
-		Sem: perspective.Forward, Mode: perspective.NonVisual, Footprint: fp,
+		Sem: perspective.Forward, Mode: perspective.NonVisual,
+	}
+	var out [][]float64
+	if g != nil {
+		q.Mode = perspective.Visual
+		out = make([][]float64, len(g.Rows))
+		for i := range out {
+			out[i] = make([]float64, len(g.Cols))
+		}
 	}
 	var cells int
 	var scanMs float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := e.ExecPerspective(q)
+		var st core.Stats
+		if g != nil {
+			st, _, err = e.ExecPerspectiveProjected(core.ExecContext{}, q, *g, out)
+		} else {
+			var v *core.View
+			if v, err = e.ExecPerspective(q); err == nil {
+				st = v.Stats
+			}
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		cells = v.Stats.CellsRelocated
-		scanMs += v.Stats.ScanMs
+		cells = st.CellsRelocated
+		scanMs += st.ScanMs
 	}
 	b.ReportMetric(float64(cells), "cells_relocated")
 	b.ReportMetric(scanMs/float64(b.N), "scan_ms")
@@ -573,19 +589,27 @@ func BenchmarkScanDense(b *testing.B) {
 	benchScan(b, w.Cube, w.Changing, nil)
 }
 
-// BenchmarkScanDenseFootprint is the same scan under the footprint of a
-// one-account, one-scenario report: every slab survives and its mask
-// passes one cell of it (of four, on the bench cube) — the mask path's
-// number outside the daemon (make bench-smoke picks it up by
-// BenchmarkScanDense's name).
+// BenchmarkScanDenseFootprint is the same scan for a one-account,
+// one-scenario report — a VISUAL row per instance of the scoped members,
+// sliced on the first account and scenario — whose footprint the engine
+// derives from the grid: every slab survives and its mask passes one
+// cell of it (of four, on the bench cube), and the scan folds into the
+// grid — the mask path's number outside the daemon (make bench-smoke
+// picks it up by BenchmarkScanDense's name).
 func BenchmarkScanDenseFootprint(b *testing.B) {
 	w := benchWorkforce(b)
-	fp := make(core.Footprint, w.Cube.NumDims())
-	for _, name := range []string{workload.DimAccount, workload.DimScenario} {
-		d := w.Cube.DimIndex(name)
-		fp[d] = bitset.FromSlice(w.Cube.Dim(d).NumLeaves(), []int{0})
+	c := w.Cube
+	dept, di := c.DimByName(workload.DimDepartment), c.DimIndex(workload.DimDepartment)
+	g := core.Grid{Cols: []core.Tuple{{}}}
+	for _, name := range w.Changing {
+		for _, inst := range dept.Instances(name) {
+			g.Rows = append(g.Rows, core.Tuple{{Dim: di, Member: inst}})
+		}
 	}
-	benchScan(b, w.Cube, w.Changing, fp)
+	for _, name := range []string{workload.DimAccount, workload.DimScenario} {
+		g.Slicer = append(g.Slicer, core.Coord{Dim: c.DimIndex(name), Member: c.DimByName(name).Leaf(0).ID})
+	}
+	benchScan(b, c, w.Changing, &g)
 }
 
 // BenchmarkScanChain is the scenario feeder: the same query through a
@@ -666,21 +690,8 @@ func BenchmarkProject(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The footprint the query's lowering declares: the department's
-	// leaves, every month and account, the sliced leaves.
-	fp := make(core.Footprint, c.NumDims())
-	for i := range fp {
-		fp[i] = bitset.New(c.Dim(i).NumLeaves())
-		fp[i].Add(0)
-	}
-	fp[pi].AddRange(0, period.NumLeaves())
-	fp[ai].AddRange(0, account.NumLeaves())
-	fp[di].Remove(0)
-	for _, ch := range dept.Member(d).Children {
-		fp[di].Add(dept.Member(ch).LeafOrdinal)
-	}
 	v, err := e.ExecPerspective(core.PerspectiveQuery{Members: scope, Perspectives: []int{0, 3, 6, 9},
-		Sem: perspective.Forward, Mode: perspective.Visual, Footprint: fp})
+		Sem: perspective.Forward, Mode: perspective.Visual})
 	if err != nil {
 		b.Fatal(err)
 	}

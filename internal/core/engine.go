@@ -51,8 +51,9 @@ func (o ReadOrder) String() string {
 // Engine evaluates what-if queries over a chunk-backed cube with one
 // varying dimension binding, as a staged pipeline: Plan* builds an
 // inspectable PhysicalPlan (target pruning, merge groups, dependency
-// graph, read schedule), Exec* executes it (scan → relocate →
-// assemble) on the calling goroutine.
+// graph, read schedule) — under the footprint of the query's grid, which
+// the engine compiles first, when there is one — and Exec* plans and
+// executes it (assemble → scan → project) on the calling goroutine.
 //
 // Concurrency: configure an engine (SetReadOrder) before sharing it;
 // after that, the Plan*, Exec* and Simulate* methods mutate no engine
@@ -130,6 +131,15 @@ func (e *Engine) assemble(store cube.Store, dims []*dimension.Dimension,
 	return &View{input: e.base, result: e.base.Derive(store, dims, bindings), mode: mode}
 }
 
+// newView assembles the view a query answers through, over a viewStore
+// whose scope execute wires from the plan.
+func (e *Engine) newView(dims []*dimension.Dimension, bindings []*dimension.Binding, mode perspective.Mode) *View {
+	vs := &viewStore{base: e.readStore(), vi: e.vi, extent: e.store.Geometry().Extents[e.vi]}
+	v := e.assemble(vs, dims, bindings, mode)
+	v.engine = e
+	return v
+}
+
 // sourceChunkIDs returns the chunk IDs the planner must consider: the
 // base store's materialized chunks, unioned with chunks only the
 // scenario layer chain holds (edited cells may land in chunks the base
@@ -170,19 +180,6 @@ type PerspectiveQuery struct {
 	Perspectives []int
 	Sem          perspective.Semantics
 	Mode         perspective.Mode
-	// Footprint, when non-nil, declares the leaf cells of the perspective
-	// cube the caller will read; the engine relocates no other cell, and
-	// the view answers no other read of a scoped row (see Footprint).
-	Footprint Footprint
-}
-
-// checkFootprint validates a caller's footprint against a result cube
-// whose varying dimension has nVarying leaves.
-func (e *Engine) checkFootprint(fp Footprint, nVarying int) error {
-	if fp == nil {
-		return nil
-	}
-	return fp.check(e.leafCounts(nVarying))
 }
 
 // leafCounts returns the leaf count per dimension of a result cube
@@ -196,22 +193,20 @@ func (e *Engine) leafCounts(nVarying int) []int {
 	return leaves
 }
 
-// planPerspective resolves the query scope and builds the relocation
-// table: for every source instance ordinal, the destination ordinal per
-// parameter leaf (-1 = the cell vanishes, or lands off the footprint).
-func (e *Engine) planPerspective(q PerspectiveQuery) (members []string, target *RelocTable, scoped []bool, err error) {
-	members = q.Members
+// planPerspective resolves the query scope, builds the relocation table
+// — for every source instance ordinal, the destination ordinal per
+// parameter leaf (-1 = the cell vanishes, or lands off footprint fp) —
+// and plans it under fp (nil: none). It also returns the number of
+// members in scope.
+func (e *Engine) planPerspective(tr *trace.Trace, q PerspectiveQuery, fp Footprint) (*PhysicalPlan, int, error) {
+	members := q.Members
 	if len(members) == 0 {
 		members = e.binding.Varying.VaryingMembers()
 	}
 	varying := e.binding.Varying
-	fp := q.Footprint
-	if err := e.checkFootprint(fp, varying.NumLeaves()); err != nil {
-		return nil, nil, nil, err
-	}
 	res, err := perspective.ApplyMembers(q.Sem, e.binding, q.Perspectives, members)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, 0, err
 	}
 	nT := e.binding.Param.NumLeaves()
 
@@ -220,8 +215,8 @@ func (e *Engine) planPerspective(q PerspectiveQuery) (members []string, target *
 	for _, name := range members {
 		instances += len(varying.Instances(name))
 	}
-	target = newRelocTable(e.store.Geometry(), e.vi, nT, instances)
-	scoped = make([]bool, varying.NumLeaves())
+	target := newRelocTable(e.store.Geometry(), e.vi, nT, instances)
+	scoped := make([]bool, varying.NumLeaves())
 	// valid and moved hold, per instance of the member at hand, its
 	// validity set (nil: no entry, valid at every parameter leaf) and its
 	// set under the scenario (nil: it vanishes) — looked up once per
@@ -268,19 +263,31 @@ func (e *Engine) planPerspective(q PerspectiveQuery) (members []string, target *
 			}
 		}
 	}
-	return members, target, scoped, nil
+	p, err := e.buildPlan(tr, target, scoped, fp)
+	return p, len(members), err
 }
 
-// PlanPerspective builds the physical plan for a perspective query
-// without executing it (no chunk I/O): explain output, tests and
-// benchmarks inspect the merge groups, read schedule and pebbling peak
-// from it.
+// PlanPerspective builds the physical plan ExecPerspectiveWith runs for
+// a perspective query, without executing it (no chunk I/O) and without
+// a footprint: tests and benchmarks inspect the merge groups, read
+// schedule and pebbling peak from it.
 func (e *Engine) PlanPerspective(q PerspectiveQuery) (*PhysicalPlan, error) {
-	_, target, scoped, err := e.planPerspective(q)
+	p, _, err := e.planPerspective(nil, q, nil)
+	return p, err
+}
+
+// PlanPerspectiveProjected plans a perspective query as
+// ExecPerspectiveProjected runs it with grid g, reading no chunk: the
+// physical plan, under the footprint g's compiled projection reads, and
+// how g projects — the cells the accumulator pass computes, those that
+// fall back and why, and whether the scan fuses. EXPLAIN prints both.
+func (e *Engine) PlanPerspectiveProjected(q PerspectiveQuery, g Grid) (*PhysicalPlan, ProjectStats, error) {
+	gp := &gridProjection{grid: g}
+	p, _, err := e.planPerspective(nil, q, gp.compile(e.newView(nil, nil, q.Mode)))
 	if err != nil {
-		return nil, err
+		return nil, ProjectStats{}, err
 	}
-	return e.buildPlan(nil, target, scoped, q.Footprint)
+	return p, gp.proj.planned(), nil
 }
 
 // ExecPerspective plans and runs a perspective query, returning the
@@ -291,7 +298,8 @@ func (e *Engine) ExecPerspective(q PerspectiveQuery) (*View, error) {
 }
 
 // ExecPerspectiveWith plans and runs a perspective query under an
-// explicit per-execution context: cancellation from ec.Ctx.
+// explicit per-execution context: cancellation from ec.Ctx. The view is
+// planned without a footprint, so it answers every cell.
 func (e *Engine) ExecPerspectiveWith(ec ExecContext, q PerspectiveQuery) (*View, error) {
 	return e.runPerspective(ec, q, nil)
 }
@@ -299,11 +307,13 @@ func (e *Engine) ExecPerspectiveWith(ec ExecContext, q PerspectiveQuery) (*View,
 // ExecPerspectiveProjected plans and runs a perspective query and
 // projects grid g of its perspective cube into out, indexed [row][col]
 // — the cells View.Project computes over ExecPerspectiveWith's view —
-// handing out no view. The grid is compiled before the scan, so the
-// scan folds the relocated cells straight into its accumulators and no
-// overlay is built, unless a grid cell needs per-cell evaluation
-// (ProjectStats.Fused says which). The projection is a "project" stage
-// after "scan": a span under ec's current span, and Stats.ProjectMs.
+// handing out no view. The grid is compiled before planning, so the
+// engine relocates only the leaf cells g reads from the result (its
+// footprint), and the scan folds them straight into the grid's
+// accumulators and builds no overlay, unless a grid cell needs per-cell
+// evaluation (ProjectStats.Fused says which). The projection is a
+// "project" stage after "scan": a span under ec's current span, and
+// Stats.ProjectMs.
 func (e *Engine) ExecPerspectiveProjected(ec ExecContext, q PerspectiveQuery, g Grid, out [][]float64) (Stats, ProjectStats, error) {
 	gp := &gridProjection{grid: g, out: out}
 	view, err := e.runPerspective(ec, q, gp)
@@ -317,27 +327,24 @@ func (e *Engine) ExecPerspectiveProjected(ec ExecContext, q PerspectiveQuery, g 
 // view into gp when gp is non-nil.
 func (e *Engine) runPerspective(ec ExecContext, q PerspectiveQuery, gp *gridProjection) (*View, error) {
 	tr := trace.FromContext(ec.Ctx)
-	planStart := tr.Now()
-	members, target, scoped, err := e.planPerspective(q)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := e.buildPlan(tr, target, scoped, q.Footprint)
+	start := tr.Now()
+	view := e.newView(nil, nil, q.Mode)
+	fp := gp.compile(view)
+	planStart := gp.recordCompile(ec, start)
+	plan, members, err := e.planPerspective(tr, q, fp)
 	if err != nil {
 		return nil, err
 	}
 	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, plan)
-	view, stats, err := e.execute(ec, plan, nil, nil, q.Mode, gp)
-	if err != nil {
+	if err := e.execute(ec, plan, view, gp); err != nil {
 		return nil, err
 	}
-	stats.MembersInScope = len(members)
+	view.Stats.MembersInScope = members
 	if q.Sem.Dynamic() {
 		if norm, err := perspective.NormalizePerspectives(e.binding.Param, q.Perspectives); err == nil {
-			stats.Ranges = len(norm)
+			view.Stats.Ranges = len(norm)
 		}
 	}
-	view.Stats = stats
 	return view, nil
 }
 
@@ -352,43 +359,28 @@ type ChangesQuery struct {
 	// the split's dimension before the engine runs; nil has the engine
 	// compute it.
 	Split *algebra.SplitPlan
-	// Footprint, when non-nil, declares the leaf cells of the result cube
-	// (whose varying dimension is the split's) the caller will read; see
-	// PerspectiveQuery.Footprint.
-	Footprint Footprint
 }
 
-// changesPlan pairs the physical plan of a positive scenario with the
-// view-assembly inputs it needs: the extended dimension set and rebased
-// bindings. The split keeps every base ordinal, so a base row is read at
-// its own ordinal.
-type changesPlan struct {
-	phys        *PhysicalPlan
-	newDims     []*dimension.Dimension
-	newBindings []*dimension.Binding
-	affected    int
-}
-
-// planChanges resolves a positive scenario into a physical plan plus
-// the extended-dimension assembly inputs.
-func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery) (*changesPlan, error) {
+// splitOf returns the split of q's change relation: q.Split, else
+// algebra.PlanSplit's.
+func (e *Engine) splitOf(q ChangesQuery) (*algebra.SplitPlan, error) {
 	if len(q.Changes) == 0 {
 		return nil, fmt.Errorf("core: empty change relation")
 	}
-	plan := q.Split
-	if plan == nil {
-		var err error
-		if plan, err = algebra.PlanSplit(e.binding, q.Changes); err != nil {
-			return nil, err
-		}
+	if q.Split != nil {
+		return q.Split, nil
 	}
+	return algebra.PlanSplit(e.binding, q.Changes)
+}
+
+// planChanges plans a positive scenario, whose change relation splits
+// the varying dimension as split does, under footprint fp (nil: none).
+// It also returns the number of affected members. The split keeps every
+// base ordinal, so a base row is read at its own ordinal.
+func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery, split *algebra.SplitPlan, fp Footprint) (*PhysicalPlan, int, error) {
 	oldDim := e.binding.Varying
-	newDim := plan.Dim
+	newDim := split.Dim
 	nT := e.binding.Param.NumLeaves()
-	fp := q.Footprint
-	if err := e.checkFootprint(fp, newDim.NumLeaves()); err != nil {
-		return nil, err
-	}
 
 	// Affected base members: those named by any change, in the order the
 	// relation first names them (a plan is a deterministic value, down to
@@ -427,7 +419,7 @@ func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery) (*changesPlan, err
 				continue
 			}
 			row := target.add(srcOrd)
-			redir := plan.Redirect[inst]
+			redir := split.Redirect[inst]
 			for t := 0; t < nT; t++ {
 				dstID := inst
 				if redir != nil {
@@ -439,36 +431,51 @@ func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery) (*changesPlan, err
 			}
 		}
 	}
-	// Rebase bindings.
-	newBindings := make([]*dimension.Binding, 0, len(e.base.Bindings()))
-	for _, b := range e.base.Bindings() {
-		if b == e.binding {
-			newBindings = append(newBindings, plan.Binding)
-		} else {
-			newBindings = append(newBindings, b)
-		}
-	}
-	newDims := make([]*dimension.Dimension, e.base.NumDims())
-	copy(newDims, e.base.Dims())
-	newDims[e.vi] = newDim
-
-	phys, err := e.buildPlan(tr, target, scoped, fp)
-	if err != nil {
-		return nil, err
-	}
-	return &changesPlan{
-		phys: phys, newDims: newDims, newBindings: newBindings, affected: len(affected),
-	}, nil
+	p, err := e.buildPlan(tr, target, scoped, fp)
+	return p, len(affected), err
 }
 
-// PlanChanges builds the physical plan for a positive scenario without
-// executing it (no chunk I/O).
+// changesView assembles a positive scenario's view: the base's
+// dimensions with the varying one split extends, whose binding stands in
+// for the base's.
+func (e *Engine) changesView(split *algebra.SplitPlan, mode perspective.Mode) *View {
+	bindings := make([]*dimension.Binding, 0, len(e.base.Bindings()))
+	for _, b := range e.base.Bindings() {
+		if b == e.binding {
+			b = split.Binding
+		}
+		bindings = append(bindings, b)
+	}
+	dims := slices.Clone(e.base.Dims())
+	dims[e.vi] = split.Dim
+	return e.newView(dims, bindings, mode)
+}
+
+// PlanChanges builds the physical plan ExecChangesWith runs for a
+// positive scenario, without executing it (no chunk I/O) and without a
+// footprint.
 func (e *Engine) PlanChanges(q ChangesQuery) (*PhysicalPlan, error) {
-	cp, err := e.planChanges(nil, q)
+	split, err := e.splitOf(q)
 	if err != nil {
 		return nil, err
 	}
-	return cp.phys, nil
+	p, _, err := e.planChanges(nil, q, split, nil)
+	return p, err
+}
+
+// PlanChangesProjected plans a positive scenario as ExecChangesProjected
+// runs it with grid g; see PlanPerspectiveProjected.
+func (e *Engine) PlanChangesProjected(q ChangesQuery, g Grid) (*PhysicalPlan, ProjectStats, error) {
+	split, err := e.splitOf(q)
+	if err != nil {
+		return nil, ProjectStats{}, err
+	}
+	gp := &gridProjection{grid: g}
+	p, _, err := e.planChanges(nil, q, split, gp.compile(e.changesView(split, q.Mode)))
+	if err != nil {
+		return nil, ProjectStats{}, err
+	}
+	return p, gp.proj.planned(), nil
 }
 
 // ExecChanges plans and runs a positive-scenario query. The result
@@ -479,7 +486,8 @@ func (e *Engine) ExecChanges(q ChangesQuery) (*View, error) {
 }
 
 // ExecChangesWith plans and runs a positive-scenario query under an
-// explicit per-execution context.
+// explicit per-execution context; like ExecPerspectiveWith's, its view
+// answers every cell.
 func (e *Engine) ExecChangesWith(ec ExecContext, q ChangesQuery) (*View, error) {
 	return e.runChanges(ec, q, nil)
 }
@@ -501,18 +509,23 @@ func (e *Engine) ExecChangesProjected(ec ExecContext, q ChangesQuery, g Grid, ou
 // view into gp when gp is non-nil.
 func (e *Engine) runChanges(ec ExecContext, q ChangesQuery, gp *gridProjection) (*View, error) {
 	tr := trace.FromContext(ec.Ctx)
-	planStart := tr.Now()
-	cp, err := e.planChanges(tr, q)
+	start := tr.Now()
+	split, err := e.splitOf(q)
 	if err != nil {
 		return nil, err
 	}
-	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, cp.phys)
-	view, stats, err := e.execute(ec, cp.phys, cp.newDims, cp.newBindings, q.Mode, gp)
+	view := e.changesView(split, q.Mode)
+	fp := gp.compile(view)
+	planStart := gp.recordCompile(ec, start)
+	plan, affected, err := e.planChanges(tr, q, split, fp)
 	if err != nil {
 		return nil, err
 	}
-	stats.MembersInScope = cp.affected
-	view.Stats = stats
+	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, plan)
+	if err := e.execute(ec, plan, view, gp); err != nil {
+		return nil, err
+	}
+	view.Stats.MembersInScope = affected
 	return view, nil
 }
 

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"whatifolap/internal/chunk"
-	"whatifolap/internal/dimension"
-	"whatifolap/internal/perspective"
 	"whatifolap/internal/trace"
 )
 
@@ -378,90 +376,100 @@ func annotateScan(sp trace.SpanRef, t scanTally) {
 }
 
 // gridProjection is a grid the caller projects the executed view over,
-// and where: execute compiles it before the scan and fills out and
-// stats after it (ExecPerspectiveProjected).
+// and where: compile compiles it into proj before planning, and execute
+// fills out and stats after the scan (ExecPerspectiveProjected).
 type gridProjection struct {
 	grid  Grid
 	out   [][]float64
+	proj  *projection
 	stats ProjectStats
 }
 
-// execute runs the staged execution of a physical plan:
+// compile compiles the grid over the schema of view — the query's
+// result cube, known before any chunk is read — and returns the
+// footprint the plan relocates (projection.footprint). A nil gp compiles
+// nothing and plans under no footprint, so the view is complete.
+func (gp *gridProjection) compile(view *View) Footprint {
+	if gp == nil {
+		return nil
+	}
+	gp.proj = compileProjection(view.input, view.result, view.mode, gp.grid)
+	return gp.proj.footprint(view.result)
+}
+
+// recordCompile claims a hindsight "compile" span under ec's current span
+// from start to now — the result cube's schema and gp's compile, which
+// run before planning — and returns now, where the "plan" span starts,
+// so plan.targets times the relocation table alone. A nil gp records
+// nothing.
+func (gp *gridProjection) recordCompile(ec ExecContext, start int64) int64 {
+	tr := trace.FromContext(ec.Ctx)
+	now := tr.Now()
+	if gp != nil {
+		tr.Record(trace.SpanFromContext(ec.Ctx), "compile", start, now)
+	}
+	return now
+}
+
+// execute runs the staged execution of physical plan p for view, the
+// query's assembled result cube, and leaves its statistics in
+// view.Stats:
 //
-//	assemble wiring the view cube and, given a grid (gp), compiling
-//	         the projection the scan folds into;
+//	assemble wiring the plan's scope into the view and the scan's sink:
+//	         the grid's accumulators when gp's projection compiled every
+//	         cell, else a chunk-grained overlay;
 //	scan     chunk reads + relocation, a slab at a time (slabKernel: one
 //	         table probe and one bulk write per block of cells sharing
 //	         their varying and parameter digits, whatever the chunk's
-//	         representation), into the grid's accumulators when every
-//	         grid cell compiled, else into a chunk-grained overlay.
-//	         One pass over the plan's global schedule on the calling
-//	         goroutine, so the resident chunk count is the pebbling
-//	         peak EXPLAIN prints;
+//	         representation), into that sink. One pass over the plan's
+//	         global schedule on the calling goroutine, so the resident
+//	         chunk count is the pebbling peak EXPLAIN prints;
 //	project  given a grid, its cells into gp.out: the accumulators plus
 //	         the base rows the scan does not relocate (projection.run).
 //
-// The view comes back without an overlay when the scan fused: only
-// the projected entry points, which hand out no view, pass gp.
-//
-// When newDims is nil the view shares the base cube's dimensions;
-// otherwise the view exposes newDims/newBindings (positive scenarios),
-// whose varying dimension extends the base's past its extent.
-func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.Dimension,
-	newBindings []*dimension.Binding, mode perspective.Mode, gp *gridProjection) (*View, Stats, error) {
-
-	stats := p.Stats
+// The view keeps no overlay when the scan fused: only the projected
+// entry points, which hand out no view, pass gp. A positive scenario's
+// view extends the varying dimension past the base's extent.
+func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, view *View, gp *gridProjection) error {
+	stats := &view.Stats
+	*stats = p.Stats
 
 	// The overlay's geometry matches the base store's, except that a
 	// positive scenario extends the varying dimension with hypothetical
 	// instances whose ordinals lie beyond the base extent.
 	og := e.store.Geometry()
-	if newDims != nil {
+	if n := view.result.Dim(e.vi).NumLeaves(); n > og.Extents[e.vi] {
 		ext := make([]int, len(og.Extents))
 		copy(ext, og.Extents)
-		if n := newDims[e.vi].NumLeaves(); n > ext[e.vi] {
-			ext[e.vi] = n
-		}
+		ext[e.vi] = n
 		var err error
-		og, err = chunk.NewGeometry(ext, og.ChunkDims)
-		if err != nil {
-			return nil, stats, err
+		if og, err = chunk.NewGeometry(ext, og.ChunkDims); err != nil {
+			return err
 		}
 	}
 
 	tr := trace.FromContext(ec.Ctx)
 	parent := trace.SpanFromContext(ec.Ctx)
 
-	// Assemble the view cube. Out-of-scope rows read from the layer
-	// chain when the engine runs over a scenario, so unrelocated cells
-	// reflect scenario edits too.
+	// Out-of-scope rows read from the layer chain when the engine runs
+	// over a scenario, so unrelocated cells reflect scenario edits too.
 	assembleSp := tr.Start(parent, "assemble")
-	vs := &viewStore{base: e.readStore(), vi: e.vi, scoped: p.Scoped, extent: e.store.Geometry().Extents[e.vi]}
-	view := e.assemble(vs, newDims, newBindings, mode)
-	view.engine, view.footprint, view.sourceIDs = e, p.Footprint, p.sourceIDs
-	var proj *projection
+	vs := view.result.Store().(*viewStore)
+	vs.scoped, view.sourceIDs = p.Scoped, p.sourceIDs
 	var fold *fuser
-	if gp != nil {
-		proj = compileProjection(view.input, view.result, mode, gp.grid)
-		if proj.stats.Fallback == 0 {
-			var err error
-			if fold, err = newFuser(view, proj, og); err != nil {
-				assembleSp.End()
-				return nil, stats, err
-			}
-		}
+	if gp != nil && gp.proj.stats.Fallback == 0 {
+		fold = newFuser(view, gp.proj, og)
+	} else {
+		vs.overlay = chunk.NewOverlay(og)
 	}
 	assembleSp.End()
 
-	if fold == nil {
-		vs.overlay = chunk.NewOverlay(og)
-	}
 	scanSp := tr.Start(parent, "scan")
 	scanStart := time.Now()
 	scanT, err := e.scanInto(ec.Ctx, p, vs.overlay, fold, tr, scanSp)
 	if err != nil {
 		scanSp.End()
-		return nil, stats, err
+		return err
 	}
 	stats.ScanMs = msSince(scanStart)
 	annotateScan(scanSp, scanT)
@@ -472,29 +480,30 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, newDims []*dimension.D
 
 	if gp != nil {
 		projStart := time.Now()
-		err := e.projectInto(ec, view, proj, fold != nil, gp)
-		stats.addReads(proj.reads)
+		err := e.projectInto(ec, view, gp, fold != nil)
+		stats.addReads(gp.proj.reads)
 		if err != nil {
-			return nil, stats, err
+			return err
 		}
 		stats.ProjectMs = msSince(projStart)
 	}
-	return view, stats, nil
+	return nil
 }
 
 // projectInto is execute's project stage, a "project" span under ec's
-// current span: projection proj of view v's grid into gp.out — its
+// current span: gp's projection of view v's grid into gp.out — its
 // accumulators already holding the scoped cells when the scan folded
 // into them (fused), else folding them from the view's overlay — plus
 // the base rows and the cells that fall back (projection.run, emit).
-func (e *Engine) projectInto(ec ExecContext, v *View, proj *projection, fused bool, gp *gridProjection) error {
+func (e *Engine) projectInto(ec ExecContext, v *View, gp *gridProjection, fused bool) error {
 	tr := trace.FromContext(ec.Ctx)
 	sp := tr.Start(trace.SpanFromContext(ec.Ctx), "project")
 	defer sp.End()
 	pec := ec
 	pec.Ctx = trace.WithSpan(ec.Ctx, sp)
+	proj := gp.proj
 	proj.stats.Fused = fused
-	err := proj.run(pec, e, v.result.Store().(*viewStore), v.footprint, v.sourceIDs)
+	err := proj.run(pec, e, v.result.Store().(*viewStore), v.sourceIDs)
 	if err == nil {
 		err = proj.emit(pec, v, gp.grid, gp.out)
 	}

@@ -1,28 +1,30 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"whatifolap/internal/bitset"
 	"whatifolap/internal/chunk"
+	"whatifolap/internal/cube"
+	"whatifolap/internal/dimension"
 )
 
 // Footprint is the set of leaf cells of a query's result cube that the
-// query's caller will read: per dimension in schema order, the leaf
-// ordinals (of the result cube — a positive scenario's varying entry
-// counts the hypothetical instances too) a read can name. A nil entry
-// leaves its dimension unrestricted; a nil Footprint restricts nothing.
+// query's grid reads: per dimension in schema order, the leaf ordinals
+// (of the result cube — a positive scenario's varying entry counts the
+// hypothetical instances too) a read can name. A nil entry leaves its
+// dimension unrestricted; a nil Footprint restricts nothing. The engine
+// derives it from the grid it compiles (projection.footprint) and plans
+// under it; no caller declares one.
 //
 // It complements the scope. The scope (PerspectiveQuery.Members, the
 // members a change relation names) says which varying members' rows the
-// overlay owns; the footprint says which cells of those rows anyone will
-// look at, so the engine relocates only those: it is the slice/dice that
-// commutes with relocation (algebra.pushable, rule 4), applied to the
-// physical plan. A scoped cell off the footprint reads ⊥ from the
-// resulting view whatever the scenario holds there, so a view built
-// under a footprint answers exactly the reads the footprint declared and
-// must not outlive the query that declared them.
+// overlay owns; the footprint says which cells of those rows the grid
+// will look at, so the engine relocates only those: it is the slice/dice
+// that commutes with relocation (algebra.pushable, rule 4), applied to
+// the physical plan. A scoped cell off the footprint reads ⊥ whatever
+// the scenario holds there, which is why only the projected entry
+// points, which hand out no view, plan under one.
 type Footprint []*bitset.Set
 
 // has reports whether leaf ordinal o of dimension d is on the footprint.
@@ -30,18 +32,36 @@ func (f Footprint) has(d, o int) bool {
 	return f == nil || f[d] == nil || f[d].Contains(o)
 }
 
-// check validates a caller's footprint against the result cube's leaf
-// counts per dimension.
-func (f Footprint) check(leaves []int) error {
-	if len(f) != len(leaves) {
-		return fmt.Errorf("core: footprint names %d dimensions, the cube has %d", len(f), len(leaves))
+// footprint returns the leaf cells of the result, whose schema p was
+// compiled over, that the grid reads: per dimension, the leaves under
+// the members its compiled view cells and its fallback cells that read
+// the result name — every other cell is retained from the input or ⊥.
+// A dimension a formula rule targets or references stays open (nil):
+// evaluating Margin reads Sales and COGS, whatever the grid names. A
+// grid too wide to compile has no footprint.
+func (p *projection) footprint(schema *cube.Cube) Footprint {
+	if p.stats.Reason == reasonWide {
+		return nil
 	}
-	for d, set := range f {
-		if set != nil && set.Universe() != leaves[d] {
-			return fmt.Errorf("core: footprint of dimension %d is over %d leaves, the result cube has %d", d, set.Universe(), leaves[d])
+	open := schema.Rules().FormulaDims()
+	fp := make(Footprint, schema.NumDims())
+	for d := range fp {
+		dim := schema.Dim(d)
+		if open[dim.Name()] {
+			continue
 		}
+		set := bitset.New(dim.NumLeaves())
+		add := func(o int) bool { set.Add(o); return true }
+		each := func(m dimension.MemberID) bool { return allLeaves(dim, m, add) }
+		if p.view != nil {
+			p.view.members[d].all(each)
+		}
+		if p.fallback != nil {
+			p.fallback[d].all(each)
+		}
+		fp[d] = set
 	}
-	return nil
+	return fp
 }
 
 // cells returns the number of leaf cells on the footprint of a result

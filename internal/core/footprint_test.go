@@ -160,6 +160,22 @@ func TestFootprintQuickRandomGeometry(t *testing.T) {
 	}
 }
 
+// execUnder runs q to a view as ExecPerspectiveWith does, but planned
+// under footprint fp: the planner's own parameter, which the exported
+// entry points set only from a grid they compile.
+func execUnder(t *testing.T, e *Engine, q PerspectiveQuery, fp Footprint) *View {
+	t.Helper()
+	p, _, err := e.planPerspective(nil, q, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := e.newView(nil, nil, q.Mode)
+	if err := e.execute(ExecContext{}, p, v, nil); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // workforceFootprint restricts a tiny workforce cube to one account and
 // one scenario: inside a (quarter, every account, every scenario) chunk
 // that is one cell of each twenty-cell slab.
@@ -193,8 +209,7 @@ func TestFootprintScanAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.Footprint = workforceFootprint(w.Cube)
-		p, err := e.PlanPerspective(q)
+		p, _, err := e.planPerspective(nil, q, workforceFootprint(w.Cube))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,8 +242,7 @@ func TestFootprintScanAllocs(t *testing.T) {
 // TestFootprintPlansOnlyTheGrid checks the plan-level effects on the
 // validity-window layout, where every (account, scenario) pair is a
 // merge group: a footprint of one pair keeps one group of eight; an
-// empty footprint plans and reads nothing; a footprint over the wrong
-// schema is refused.
+// empty footprint plans and reads nothing.
 func TestFootprintPlansOnlyTheGrid(t *testing.T) {
 	cfg := workload.ConfigTiny()
 	cfg.ChunkDims = []int{16, 12, 1, 1, 1, 1, 1}
@@ -245,8 +259,8 @@ func TestFootprintPlansOnlyTheGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Footprint = workforceFootprint(w.Cube)
-	one, err := e.PlanPerspective(q)
+	fp := workforceFootprint(w.Cube)
+	one, _, err := e.planPerspective(nil, q, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,22 +274,9 @@ func TestFootprintPlansOnlyTheGrid(t *testing.T) {
 		t.Fatalf("source chunks: %d under the footprint, %d without, %d scheduled", one.SourceChunks, full.SourceChunks, len(full.Schedule))
 	}
 
-	q.Footprint[w.Cube.DimIndex(workload.DimPeriod)] = bitset.New(cfg.Months)
-	v, err := e.ExecPerspective(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := v.Stats; s.ChunksRead != 0 || s.CellsRelocated != 0 || s.SourceInstances != 0 {
+	fp[w.Cube.DimIndex(workload.DimPeriod)] = bitset.New(cfg.Months)
+	if s := execUnder(t, e, q, fp).Stats; s.ChunksRead != 0 || s.CellsRelocated != 0 || s.SourceInstances != 0 {
 		t.Fatalf("empty footprint: %+v, want nothing read", s)
-	}
-
-	short := make(Footprint, w.Cube.NumDims())
-	short[e.vi] = bitset.New(3)
-	for name, fp := range map[string]Footprint{"arity": make(Footprint, 2), "universe": short} {
-		q.Footprint = fp
-		if _, err := e.PlanPerspective(q); err == nil {
-			t.Fatalf("%s: a footprint over another schema was accepted", name)
-		}
 	}
 }
 
@@ -301,8 +302,8 @@ func TestFootprintEdgeOneMasksNil(t *testing.T) {
 	acct, scen := w.Cube.DimIndex(workload.DimAccount), w.Cube.DimIndex(workload.DimScenario)
 	fp[acct] = bitset.FromSlice(cfg.Accounts, []int{0, 2})
 	fp[scen] = bitset.FromSlice(cfg.Scenarios, []int{1})
-	q := PerspectiveQuery{Members: w.Changing, Perspectives: []int{0, 6}, Sem: perspective.Forward, Footprint: fp}
-	p, err := e.PlanPerspective(q)
+	q := PerspectiveQuery{Members: w.Changing, Perspectives: []int{0, 6}, Sem: perspective.Forward}
+	p, _, err := e.planPerspective(nil, q, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,11 +329,7 @@ func TestFootprintEdgeOneMasksNil(t *testing.T) {
 		})
 		return cells
 	}
-	got, err := e.ExecPerspective(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Footprint = nil
+	got := execUnder(t, e, q, fp)
 	want, err := e.ExecPerspective(q)
 	if err != nil {
 		t.Fatal(err)

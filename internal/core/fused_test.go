@@ -1,12 +1,9 @@
 package core
 
 import (
-	"errors"
 	"runtime"
 	"testing"
 
-	"whatifolap/internal/bitset"
-	"whatifolap/internal/paperdata"
 	"whatifolap/internal/perspective"
 	"whatifolap/internal/workload"
 )
@@ -99,29 +96,5 @@ func TestFusedAllocs(t *testing.T) {
 	withFold, withOverlay := bytes(fused), bytes(unfused)
 	if saved := uint64(overlay.MemBytes()); withFold+saved/2 > withOverlay {
 		t.Fatalf("fused query allocates %d B, over an overlay %d B: the overlay's %d B were not saved", withFold, withOverlay, saved)
-	}
-}
-
-// TestFusedOffFootprintFails: a fused scan refuses a grid naming a leaf
-// off the footprint its view is relocated under, as the projection
-// over an overlay does (TestProjectOffFootprintFails).
-func TestFusedOffFootprintFails(t *testing.T) {
-	e := newEngine(t)
-	c := e.base
-	org, loc, tim, meas := c.Dim(0), c.Dim(1), c.Dim(2), c.Dim(3)
-	fp := make(Footprint, c.NumDims())
-	fp[2] = bitset.New(tim.NumLeaves())
-	fp[2].Add(paperdata.Apr)
-	g := Grid{
-		Rows:   []Tuple{{{Dim: 0, Member: org.MustLookup("PTE")}}},
-		Cols:   []Tuple{{{Dim: 2, Member: tim.Leaf(paperdata.Mar).ID}}},
-		Slicer: Tuple{{Dim: 1, Member: loc.MustLookup("NY")}, {Dim: 3, Member: meas.MustLookup("Salary")}},
-	}
-	_, _, err := e.ExecPerspectiveProjected(ExecContext{}, PerspectiveQuery{
-		Members: []string{"Joe"}, Perspectives: []int{paperdata.Feb, paperdata.Apr},
-		Sem: perspective.Forward, Mode: perspective.Visual, Footprint: fp,
-	}, g, [][]float64{{0}})
-	if !errors.Is(err, errOffFootprint) {
-		t.Fatalf("a grid off the footprint: err = %v, want errOffFootprint", err)
 	}
 }

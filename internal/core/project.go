@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"errors"
 	"math/bits"
 	"slices"
 
@@ -59,7 +58,7 @@ type ProjectStats struct {
 	// not counted).
 	Folded, ChunksRead int
 	// Fused reports that the scan folded the view's relocated cells into
-	// the accumulators and built no overlay (for PlanProjection: that it
+	// the accumulators and built no overlay (for Plan*Projected: that it
 	// would). A query projected as it runs fuses unless a cell falls
 	// back; a view a caller took was scanned into an overlay.
 	Fused bool
@@ -71,8 +70,6 @@ const (
 	reasonMaterialized = "materialized aggregate"
 	reasonWide         = "more than 64 dimensions"
 )
-
-var errOffFootprint = errors.New("core: the projection reads a leaf off the footprint its view was relocated under")
 
 // A grid cell's class before it has an accumulator, and the two classes
 // that never get one.
@@ -103,7 +100,10 @@ type projection struct {
 	cnt []int32
 	// view and input are the two cell sources, nil when no cell reads one.
 	view, input *projSource
-	stats       ProjectStats
+	// fallback marks, per dimension, the members the fallback cells that
+	// read the result name (footprint); nil when there are none.
+	fallback []memberSet
+	stats    ProjectStats
 	// reads are the base pass's chunk reads (run).
 	reads readTally
 }
@@ -166,6 +166,9 @@ func compileProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) 
 				p.stats.Fallback++
 				if p.stats.Reason == "" {
 					p.stats.Reason = reason
+				}
+				if mode == perspective.Visual || schema.IsLeafCell(ids) {
+					p.markFallback(schema, ids)
 				}
 				continue
 			case cellView, cellInput:
@@ -284,7 +287,7 @@ type partUse struct {
 // compile marks the members the source's cells name, seals its key
 // space and returns the parts' key contributions.
 func (u *partUse) compile(src *projSource, rows, cols []gridPart, fixed *gridPart, cells int) *partKeys {
-	mark := func(d int, id dimension.MemberID) { src.members[d].words[id>>6] |= 1 << (id & 63) }
+	mark := func(d int, id dimension.MemberID) { src.members[d].add(id) }
 	for i := range rows {
 		if u.rows[i] {
 			rows[i].each(rows[i].mask, mark)
@@ -370,12 +373,23 @@ func classifyCell(input, schema *cube.Cube, mode perspective.Mode, ids []dimensi
 	return class, ""
 }
 
-// PlanProjection classifies an engine query's grid as View.Project
-// will, reading no cell: how many cells the accumulator pass computes,
-// how many fall back and why, and whether the scan of a query executed
-// with the grid fuses. EXPLAIN prints it.
-func PlanProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) ProjectStats {
-	ps := compileProjection(input, schema, mode, g).stats
+// markFallback marks the members of a fallback cell that reads the
+// result: a leaf cell, or any cell under VISUAL (algebra.CellValue reads
+// a NONVISUAL roll-up from the input).
+func (p *projection) markFallback(schema *cube.Cube, ids []dimension.MemberID) {
+	if p.fallback == nil {
+		p.fallback = newMemberSets(schema.Dims())
+	}
+	for d, id := range ids {
+		p.fallback[d].add(id)
+	}
+}
+
+// planned returns the stats of the compiled grid as a query executed
+// with it would report them before running: Fused when no cell falls
+// back.
+func (p *projection) planned() ProjectStats {
+	ps := p.stats
 	ps.Fused = ps.Fallback == 0
 	return ps
 }
@@ -390,11 +404,11 @@ func PlanProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) Pro
 // reads and between fallback cells. A buffer-pool fault during the pass
 // becomes a "fault" span under ec's current span; a read the tier fails
 // ends it with the *chunk.ReadError. A view is executed without a grid,
-// so its scan built the overlay (ExecPerspectiveProjected folds into
-// the grid instead).
+// so its scan built the overlay of every scoped cell
+// (ExecPerspectiveProjected folds into the grid instead).
 func (v *View) Project(ec ExecContext, g Grid, out [][]float64) (ProjectStats, error) {
 	p := compileProjection(v.input, v.result, v.mode, g)
-	if err := p.run(ec, v.engine, v.result.Store().(*viewStore), v.footprint, v.sourceIDs); err != nil {
+	if err := p.run(ec, v.engine, v.result.Store().(*viewStore), v.sourceIDs); err != nil {
 		return p.stats, err
 	}
 	return p.stats, p.emit(ec, v, g, out)
@@ -441,13 +455,10 @@ func (p *projection) emit(ec ExecContext, v *View, g Grid, out [][]float64) erro
 // that feeds the view's unscoped rows and the input's cells from a
 // single read of each. A chunk none of whose cells feeds the grid is
 // not read.
-func (p *projection) run(ec ExecContext, e *Engine, vs *viewStore, fp Footprint, ids []int) error {
+func (p *projection) run(ec ExecContext, e *Engine, vs *viewStore, ids []int) error {
 	var fromBase, fromInput *decoder
 	if p.view != nil {
 		if overlay := vs.overlay; overlay != nil {
-			if err := p.view.onFootprint(fp); err != nil {
-				return err
-			}
 			og := overlay.Geometry()
 			fromOverlay := newDecoder(p, p.view, og)
 			if fromOverlay.cover() {
@@ -558,11 +569,7 @@ type projSource struct {
 }
 
 func newProjSource(dims []*dimension.Dimension) *projSource {
-	s := &projSource{dims: dims, members: make([]memberSet, len(dims))}
-	for d, dim := range dims {
-		s.members[d].words = make([]uint64, (dim.NumMembers()+63)/64)
-	}
-	return s
+	return &projSource{dims: dims, members: newMemberSets(dims)}
 }
 
 // seal fixes the members and the key space of a source read by some of
@@ -593,6 +600,18 @@ type memberSet struct {
 	// rank[w] counts the members in words before w.
 	rank []int32
 }
+
+// newMemberSets returns an empty memberSet for each of dims.
+func newMemberSets(dims []*dimension.Dimension) []memberSet {
+	sets := make([]memberSet, len(dims))
+	for d, dim := range dims {
+		sets[d].words = make([]uint64, (dim.NumMembers()+63)/64)
+	}
+	return sets
+}
+
+// add puts id in the set.
+func (m *memberSet) add(id dimension.MemberID) { m.words[id>>6] |= 1 << (id & 63) }
 
 // seal builds the rank directory and returns the member count.
 func (m *memberSet) seal() int {
@@ -639,23 +658,6 @@ func (s *projSource) setAcc(key int, a int32) {
 	} else {
 		s.sparse[key] = a
 	}
-}
-
-// onFootprint checks that every leaf the source's members cover lies on
-// the footprint the view was relocated under: a scoped cell off it
-// reads ⊥ from the overlay, so a pass folding one would be silently
-// wrong. The lowering declares the footprint from the same grid, so this
-// holds by construction; the check keeps the two honest.
-func (s *projSource) onFootprint(fp Footprint) error {
-	for d, set := range fp {
-		if set == nil {
-			continue
-		}
-		if !s.members[d].all(func(m dimension.MemberID) bool { return allLeaves(s.dims[d], m, set.Contains) }) {
-			return errOffFootprint
-		}
-	}
-	return nil
 }
 
 // allLeaves reports whether ok holds for the ordinal of every leaf at or
@@ -1000,20 +1002,17 @@ type fuser struct {
 }
 
 // newFuser returns the fold sink for projection p of view v, whose
-// scan writes in geometry og. Every cell of p must compile. A scoped
-// cell off the view's footprint reads ⊥, so a grid reading one is an
-// error here, as it is for a projection over an overlay (run).
-func newFuser(v *View, p *projection, og *chunk.Geometry) (*fuser, error) {
+// scan writes in geometry og. Every cell of p must compile, and the
+// plan's footprint must be p's own (projection.footprint), so that every
+// leaf the view cells read was relocated.
+func newFuser(v *View, p *projection, og *chunk.Geometry) *fuser {
 	f := &fuser{p: p, vi: v.engine.vi, varDst: -1}
 	if p.view != nil {
-		if err := p.view.onFootprint(v.footprint); err != nil {
-			return nil, err
-		}
 		if d := newDecoder(p, p.view, og); d.cover() {
 			f.d = d
 		}
 	}
-	return f, nil
+	return f
 }
 
 // begin positions the fuser on the source chunk at ccoord.

@@ -273,16 +273,20 @@ func TestSlabKernelMatchesPerCell(t *testing.T) {
 				q := kc.changes(c)
 				q.Mode = mode
 				label := fmt.Sprintf("%s/%s/changes/%v", kc.name, rep, mode)
-				cp, err := e.planChanges(nil, q)
+				split, err := e.splitOf(q)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				p, _, err := e.planChanges(nil, q, split, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				g := e.store.Geometry()
-				og := extendedGeometry(t, g, e.vi, cp.newDims[e.vi].NumLeaves())
+				og := extendedGeometry(t, g, e.vi, split.Dim.NumLeaves())
 				if og.Extents[e.vi] == g.Extents[e.vi] {
 					t.Fatalf("%s: changes did not extend the varying dimension", label)
 				}
-				assertKernelMatchesOracle(t, label, e, oracle, cp.phys, og)
+				assertKernelMatchesOracle(t, label, e, oracle, p, og)
 			}
 		}
 	}

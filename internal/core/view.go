@@ -107,12 +107,10 @@ type View struct {
 	input  *cube.Cube
 	result *cube.Cube
 	mode   perspective.Mode
-	// engine and footprint are the engine whose overlay the result's
-	// viewStore holds and the footprint that overlay was relocated under,
+	// engine is the engine whose overlay the result's viewStore holds,
 	// sourceIDs the store's chunk IDs, ascending, as the plan listed them:
 	// what the compiled projection (Project) reads.
 	engine    *Engine
-	footprint Footprint
 	sourceIDs []int
 	// Stats describes how the engine executed the query.
 	Stats Stats

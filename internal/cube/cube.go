@@ -195,7 +195,7 @@ func (c *Cube) Value(ids []dimension.MemberID) float64 {
 	}
 	*buf = addr
 	addrPool.Put(buf)
-	if leaf {
+	if leaf || len(c.derived) == 0 {
 		return v
 	}
 	if v, ok := c.derived[derivedKey(ids)]; ok {

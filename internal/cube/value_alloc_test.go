@@ -32,4 +32,16 @@ func TestValueAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { c.Value(ids) }); allocs != 0 {
 		t.Fatalf("a leaf read allocates %.0f times, want 0", allocs)
 	}
+	// A non-leaf read of a cube that materialized no aggregate has no
+	// derived table to look in.
+	root := make([]dimension.MemberID, len(dims))
+	for i, d := range dims {
+		root[i] = d.Root()
+	}
+	if got := c.Value(root); !IsNull(got) || c.NumAggregates() != 0 {
+		t.Fatalf("root Value = %v with %d aggregates, want Null", got, c.NumAggregates())
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { c.Value(root) }); allocs != 0 {
+		t.Fatalf("a non-leaf read allocates %.0f times, want 0", allocs)
+	}
 }

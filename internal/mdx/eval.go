@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"whatifolap/internal/algebra"
-	"whatifolap/internal/bitset"
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/core"
 	"whatifolap/internal/cube"
@@ -97,11 +96,10 @@ func (ev *Evaluator) RunQueryWith(rc RunContext, q *Query) (*result.Grid, error)
 // lowered form (engine or algebra), project the axes. It returns engine
 // statistics when the engine path executed (zero otherwise), including
 // the per-stage wall times; the projection stage is timed too. Under a
-// trace, lowering — member resolution, a WITH CHANGES clause's split,
-// the footprint — is a "lower" span; when it succeeds, its path
-// attribute is the queryPath it chose (0 algebra, 1 perspective engine,
-// 2 changes engine). A WITH CHANGES clause's split is a "split" span
-// under it.
+// trace, lowering — member resolution, a WITH CHANGES clause's split —
+// is a "lower" span; when it succeeds, its path attribute is the
+// queryPath it chose (0 algebra, 1 perspective engine, 2 changes
+// engine). A WITH CHANGES clause's split is a "split" span under it.
 func (ev *Evaluator) RunQueryStatsWith(rc RunContext, q *Query) (*result.Grid, core.Stats, error) {
 	g, stats, _, err := ev.RunQueryProjectedWith(rc, q)
 	return g, stats, err
@@ -206,15 +204,16 @@ func (ev *Evaluator) Explain(q *Query) (string, error) {
 	}
 	var b strings.Builder
 	var plan *core.PhysicalPlan
+	var ps core.ProjectStats
 	switch lo.path {
 	case pathEngineChanges:
 		fmt.Fprintf(&b, "path: perspective-cube engine (positive scenario, %d change rows)\n", len(q.Changes.Rows))
-		plan, err = lo.engine.PlanChanges(lo.changes)
+		plan, ps, err = lo.engine.PlanChangesProjected(lo.changes, lo.grid.core())
 	case pathEnginePerspective:
 		pc := q.Perspectives[0]
 		fmt.Fprintf(&b, "path: perspective-cube engine (%v on %s, %d perspectives, %v)\n",
 			pc.Sem, pc.Varying, len(pc.Points), pc.Mode)
-		plan, err = lo.engine.PlanPerspective(lo.persp)
+		plan, ps, err = lo.engine.PlanPerspectiveProjected(lo.persp, lo.grid.core())
 	case pathAlgebra:
 		fmt.Fprintf(&b, "path: algebra\nplan:      %s\n", lo.plan)
 		opt, rewrites := ev.optimize(lo.plan)
@@ -232,7 +231,7 @@ func (ev *Evaluator) Explain(q *Query) (string, error) {
 		return "", err
 	}
 	b.WriteString(describeFootprint(lo.schema, plan))
-	fmt.Fprintf(&b, "project: %s\n", describeProjection(core.PlanProjection(ev.cube, lo.schema, lo.mode, lo.grid.core())))
+	fmt.Fprintf(&b, "project: %s\n", describeProjection(ps))
 	b.WriteString(plan.Describe())
 	return b.String(), nil
 }
@@ -298,17 +297,17 @@ type lowered struct {
 	path queryPath
 	mode perspective.Mode
 	// engine serves the two engine paths; persp or changes is its query
-	// (scope members, perspective points / change rows resolved, the
-	// footprint of the grid declared).
+	// (scope members, perspective points / change rows resolved). The
+	// engine derives the footprint from the grid it compiles.
 	engine  *core.Engine
 	persp   core.PerspectiveQuery
 	changes core.ChangesQuery
 	// schema and grid, on the engine paths, are the result cube's schema
 	// — known before anything runs: the input's, with the varying
 	// dimension a WITH CHANGES clause splits — and the axes and slicer
-	// resolved against it, once, for the scope, the footprint and the
-	// projection. The algebra path learns its schema by executing, and
-	// resolves its grid when it projects.
+	// resolved against it, once, for the scope and the projection. The
+	// algebra path learns its schema by executing, and resolves its grid
+	// when it projects.
 	schema *cube.Cube
 	grid   *grid
 	// plan is the unoptimized operator plan of the algebra path.
@@ -354,8 +353,7 @@ func (ev *Evaluator) lower(q *Query, tr *trace.Trace, parent trace.SpanRef) (low
 		if lo.grid, err = ev.resolveGrid(lo.schema, q); err != nil {
 			return lo, err
 		}
-		lo.changes = core.ChangesQuery{Changes: changes, Mode: lo.mode, Split: split,
-			Footprint: footprint(lo.schema, lo.grid, lo.mode)}
+		lo.changes = core.ChangesQuery{Changes: changes, Mode: lo.mode, Split: split}
 		return lo, nil
 	case single && q.Changes == nil && len(q.Perspectives) == 1:
 		pc := q.Perspectives[0]
@@ -372,7 +370,7 @@ func (ev *Evaluator) lower(q *Query, tr *trace.Trace, parent trace.SpanRef) (low
 			return lo, err
 		}
 		lo.persp = core.PerspectiveQuery{Members: lo.grid.scopeMembers(b, ev.cube.DimIndex(pc.Varying)),
-			Perspectives: points, Sem: pc.Sem, Mode: pc.Mode, Footprint: footprint(lo.schema, lo.grid, lo.mode)}
+			Perspectives: points, Sem: pc.Sem, Mode: pc.Mode}
 		lo.engine, err = core.New(ev.cube, pc.Varying)
 		return lo, err
 	}
@@ -488,84 +486,6 @@ func (gr *grid) scopeMembers(b *dimension.Binding, vi int) []string {
 		}
 	}
 	return names
-}
-
-// footprint computes the query's leaf footprint — what core.Footprint
-// promises the engine: per dimension of the result schema, the leaf
-// ordinals a cell of the grid can make project read from the result
-// cube. A cell's coordinate in a dimension is the member its row tuple
-// names, else its column tuple's, else the slicer's, else the root.
-// Under VISUAL a cell rolls up the leaf descendants of each coordinate;
-// under NONVISUAL only an all-leaf cell reads the result at all — every
-// other one is retained from the input (Definition 4.5) — so a
-// coordinate contributes itself if it is a leaf and nothing otherwise,
-// and a grid of roll-ups has an empty footprint. A dimension a formula
-// rule targets or references stays open (nil): evaluating Margin reads
-// Sales and COGS, whatever the grid names.
-func footprint(schema *cube.Cube, gr *grid, mode perspective.Mode) core.Footprint {
-	open := schema.Rules().FormulaDims()
-	fp := make(core.Footprint, schema.NumDims())
-	for d := range fp {
-		if dim := schema.Dim(d); !open[dim.Name()] {
-			fp[d] = bitset.New(dim.NumLeaves())
-		}
-	}
-	expanded := map[Coord]bool{}
-	add := func(co Coord) {
-		set := fp[co.Dim]
-		if set == nil {
-			return
-		}
-		dim := schema.Dim(co.Dim)
-		switch o := dim.Member(co.Member).LeafOrdinal; {
-		case o >= 0:
-			set.Add(o)
-		case mode == perspective.Visual && !expanded[co]:
-			expanded[co] = true
-			for _, o := range dim.LeafDescendants(co.Member) {
-				set.Add(o)
-			}
-		}
-	}
-	// named[d] counts the axes every tuple of which names dimension d; a
-	// dimension neither axis always names also takes its default member.
-	// (seen stamps a dimension with the last tuple that named it, so a
-	// tuple naming it twice counts once.)
-	named := make([]int, len(fp))
-	inTuples := make([]int, len(fp))
-	seen := make([]int, len(fp))
-	stamp := 0
-	for _, tuples := range [][]Tuple{gr.cols, gr.rows} {
-		clear(inTuples)
-		for _, tp := range tuples {
-			stamp++
-			for _, co := range tp {
-				add(co)
-				if seen[co.Dim] != stamp {
-					seen[co.Dim] = stamp
-					inTuples[co.Dim]++
-				}
-			}
-		}
-		for d, n := range inTuples {
-			if n == len(tuples) {
-				named[d]++
-			}
-		}
-	}
-	for d := range fp {
-		if named[d] > 0 {
-			continue
-		}
-		def := Coord{Dim: d, Member: schema.Dim(d).Root()}
-		for _, co := range gr.slicer {
-			if co.Dim == d {
-				def = co
-			}
-		}
-		add(def)
-	}
-	return fp
 }
 
 // resolveTransfer maps a TRANSFER clause onto the algebra operator:

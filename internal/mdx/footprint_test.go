@@ -264,13 +264,35 @@ func (s *recordingStore) Get(addr []int) float64 {
 }
 
 // projected is one engine query projected three ways: fused (the
-// serving path — the engine folds the relocated cells into the grid
-// during its scan), over an overlay (View.Project of the same query run
-// to a view) and cell by cell (algebra.CellValue over that view).
+// serving path — the engine relocates the footprint it derives from the
+// grid and folds it into the grid during its scan), over an overlay
+// (View.Project of the same query run to a view, which relocates every
+// scoped cell) and cell by cell (algebra.CellValue over that view).
+// stats are the served run's, full the view's plus its projection's
+// chunk reads.
 type projected struct {
 	compiled, overlay, perCell *result.Grid
 	ps                         core.ProjectStats
-	stats                      core.Stats
+	stats, full                core.Stats
+}
+
+// servedPlan returns the plan a lowered query is served under — with the
+// footprint the engine derives from its grid — and how the grid
+// projects, as EXPLAIN prints them.
+func servedPlan(t *testing.T, lo lowered) (*core.PhysicalPlan, core.ProjectStats) {
+	t.Helper()
+	var plan *core.PhysicalPlan
+	var ps core.ProjectStats
+	var err error
+	if lo.path == pathEngineChanges {
+		plan, ps, err = lo.engine.PlanChangesProjected(lo.changes, lo.grid.core())
+	} else {
+		plan, ps, err = lo.engine.PlanPerspectiveProjected(lo.persp, lo.grid.core())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan, ps
 }
 
 // runProjected runs a lowered query as it is served, then runs it to a
@@ -278,9 +300,8 @@ type projected struct {
 // answer must agree with the overlay's to rounding: a fused scan folds
 // in the plan's read order, the pass over an overlay in chunk order,
 // and a run's equal cells as one product. The per-cell projection reads
-// through a store that records any read off the footprint the lowering
-// declared; the compiled passes check their own reads against that
-// footprint (the engine fails on a leaf off it).
+// through a store that records any read off the footprint the served
+// plan relocates.
 func runProjected(t *testing.T, label string, ev *Evaluator, q *Query, lo lowered) projected {
 	t.Helper()
 	var rc RunContext
@@ -311,13 +332,17 @@ func runProjected(t *testing.T, label string, ev *Evaluator, q *Query, lo lowere
 	if ps2.Fused {
 		t.Fatalf("%s: a view projected reports %+v", label, ps2)
 	}
-	closeGrid(t, label+": fused vs overlay", compiled, overlay)
-	fp := lo.persp.Footprint
-	if lo.path == pathEngineChanges {
-		fp = lo.changes.Footprint
+	if ps.Fused {
+		closeGrid(t, label+": fused vs overlay", compiled, overlay)
+	} else {
+		// A served grid with a fallback cell projects its footprinted
+		// overlay in chunk order, as the view's complete one is: the
+		// two must agree bit for bit.
+		sameGrid(t, label+": served overlay vs complete overlay", compiled, overlay)
 	}
+	plan, _ := servedPlan(t, lo)
 	res := view.Result()
-	rec := &recordingStore{Store: res.Store(), fp: fp}
+	rec := &recordingStore{Store: res.Store(), fp: plan.Footprint}
 	wrapped := cube.NewWithStore(rec, res.Dims()...)
 	for _, b := range res.Bindings() {
 		if err := wrapped.AddBinding(b); err != nil {
@@ -332,12 +357,14 @@ func runProjected(t *testing.T, label string, ev *Evaluator, q *Query, lo lowere
 	if rec.stray != nil {
 		t.Fatalf("%s: per-cell project read %v, outside the footprint", label, rec.stray)
 	}
-	return projected{compiled: compiled, overlay: overlay, perCell: perCell, ps: ps, stats: stats}
+	full := view.Stats
+	full.ChunksRead += ps2.ChunksRead
+	return projected{compiled: compiled, overlay: overlay, perCell: perCell, ps: ps, stats: stats, full: full}
 }
 
 // lowerEngine parses and lowers a generated query, which must take an
-// engine path and declare a footprint; false means the lowering refused
-// it (e.g. a change the binding rejects).
+// engine path whose plan has a footprint; false means the lowering
+// refused it (e.g. a change the binding rejects).
 func lowerEngine(t *testing.T, label string, ev *Evaluator, src string) (*Query, lowered, bool) {
 	t.Helper()
 	q, err := Parse(src)
@@ -351,17 +378,18 @@ func lowerEngine(t *testing.T, label string, ev *Evaluator, src string) (*Query,
 	if lo.path == pathAlgebra {
 		t.Fatalf("%s: engine-capable cube lowered to the algebra path\n%s", label, src)
 	}
-	if lo.persp.Footprint == nil && lo.changes.Footprint == nil {
-		t.Fatalf("%s: the lowering declared no footprint\n%s", label, src)
+	if plan, _ := servedPlan(t, lo); plan.Footprint == nil {
+		t.Fatalf("%s: the engine derived no footprint\n%s", label, src)
 	}
 	return q, lo, true
 }
 
-// runBothWays runs one query through the engine twice from one
-// lowering — under the footprint the lowering derived and under none —
-// and requires the same grid over the overlay, cell for cell (each
-// fused answer agrees with its overlay's to rounding, runProjected). It
-// reports the engine statistics of the footprinted run.
+// runBothWays runs one query through the engine both ways from one
+// lowering — served, under the footprint the engine derives from the
+// grid, and to a view, which relocates every scoped cell — and requires
+// the same grid to rounding (runProjected), with no more chunks read or
+// cells relocated under the footprint. It reports the engine statistics
+// of the served run.
 func runBothWays(t *testing.T, label string, ev *Evaluator, src string) (core.Stats, bool) {
 	t.Helper()
 	q, lo, ok := lowerEngine(t, label, ev, src)
@@ -369,12 +397,9 @@ func runBothWays(t *testing.T, label string, ev *Evaluator, src string) (core.St
 		return core.Stats{}, false
 	}
 	got := runProjected(t, label+"\n"+src, ev, q, lo)
-	lo.persp.Footprint, lo.changes.Footprint = nil, nil
-	full := runProjected(t, label+" (no footprint)\n"+src, ev, q, lo)
-	sameGrid(t, label+": under the footprint vs without\n"+src, got.overlay, full.overlay)
-	if got.stats.ChunksRead > full.stats.ChunksRead || got.stats.CellsRelocated > full.stats.CellsRelocated {
+	if got.stats.ChunksRead > got.full.ChunksRead || got.stats.CellsRelocated > got.full.CellsRelocated {
 		t.Fatalf("%s: the footprint made the engine read %d chunks and write %d cells, %d and %d without\n%s",
-			label, got.stats.ChunksRead, got.stats.CellsRelocated, full.stats.ChunksRead, full.stats.CellsRelocated, src)
+			label, got.stats.ChunksRead, got.stats.CellsRelocated, got.full.ChunksRead, got.full.CellsRelocated, src)
 	}
 	return got.stats, true
 }
@@ -464,10 +489,10 @@ func footprintMatrix(t *testing.T, fn func(label string, ev *Evaluator, src stri
 // workforce cube in both benchmark layouts, with the chunks dense,
 // sparse and run-encoded, under a scenario chain
 // of depth 0 to 2 — a query answers the same grid whether the engine
-// relocates its footprint or everything; and neither projection reads
-// an address off the footprint it declared, which is what makes the
-// partial overlay safe: the per-cell one, watched through a recording
-// store, and the compiled one, whose pass checks its leaves against it.
+// relocates the footprint it derives from the grid or everything; and
+// the per-cell projection, watched through a recording store, reads no
+// address off that footprint, which is what makes relocating only it
+// safe.
 func TestFootprintEquivalence(t *testing.T) {
 	ran, pruned, skipped := footprintMatrix(t, func(label string, ev *Evaluator, src string) (core.Stats, bool) {
 		return runBothWays(t, label, ev, src)
@@ -714,9 +739,10 @@ FROM W WHERE ([Location].[NY], [Organization].[PTE].[Lisa])`
 		t.Fatal(err)
 	}
 	vi := lo.schema.DimIndex("Organization")
-	if fp := lo.changes.Footprint; fp == nil || fp[vi].Len() != 1 ||
+	plan, _ := servedPlan(t, lo)
+	if fp := plan.Footprint; fp == nil || fp[vi].Len() != 1 ||
 		fp[vi].Min() != lo.schema.Dim(vi).Member(lo.schema.Dim(vi).MustLookup("PTE/Lisa")).LeafOrdinal {
-		t.Fatalf("varying footprint = %v, want the hypothetical instance PTE/Lisa alone", lo.changes.Footprint)
+		t.Fatalf("varying footprint = %v, want the hypothetical instance PTE/Lisa alone", plan.Footprint)
 	}
 	g, stats, err := ev.RunQueryStatsWith(RunContext{}, q)
 	if err != nil {
@@ -736,7 +762,6 @@ FROM W WHERE ([Location].[NY], [Organization].[PTE].[Lisa])`
 	if moved == 0 || stats.CellsRelocated != moved {
 		t.Fatalf("%d cells relocated for a row of %d non-null cells: %+v", stats.CellsRelocated, moved, stats)
 	}
-	lo.changes.Footprint = nil
 	full, err := lo.engine.ExecChangesWith(RunContext{}, lo.changes)
 	if err != nil {
 		t.Fatalf("without the footprint: %v", err)
@@ -763,7 +788,8 @@ FROM Retail WHERE ([Market].[East].[E1], [Measures].[Margin%])`
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := lo.persp.Footprint
+	plan, _ := servedPlan(t, lo)
+	fp := plan.Footprint
 	if fp[lo.schema.DimIndex("Measures")] != nil || fp[lo.schema.DimIndex("Market")].Len() != 1 {
 		t.Fatalf("footprint = %v, want Measures open and Market one leaf", fp)
 	}
@@ -796,6 +822,88 @@ FROM Retail WHERE ([Market].[East].[E1], [Measures].[Margin%])`
 	}
 	if !strings.Contains(text, "\nfootprint: none (formula rules reach every dimension)\n") {
 		t.Fatalf("EXPLAIN under all-reaching rules:\n%s", text)
+	}
+}
+
+// TestFootprintFallbackCellsRead: on the retail cube every Margin cell
+// falls back to per-cell evaluation, which reads the result cube's
+// leaves for a leaf cell and, under VISUAL, for a roll-up — so a grid
+// whose only result-reading cells fall back still plans the leaves under
+// them, and answers as the general path does. Were fallback cells left
+// out of the footprint, the scoped products' rows would be relocated
+// nowhere and read ⊥.
+func TestFootprintFallbackCellsRead(t *testing.T) {
+	rt, err := workload.NewRetailByTime(workload.ConfigRetail())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(chunkedCopy(rt.Cube, []int{4, 5, 2, 3}))
+	for _, src := range []string{
+		`WITH PERSPECTIVE {(Jan)} FOR Product DYNAMIC FORWARD NONVISUAL
+SELECT {[Measures].[Margin]} ON COLUMNS, {[Product].Levels(0).Members} ON ROWS
+FROM Retail WHERE ([Market].[East].[E1], [Time].[Mar])`,
+		`WITH PERSPECTIVE {(Jan)} FOR Product DYNAMIC FORWARD VISUAL
+SELECT {[Measures].[Margin]} ON COLUMNS, {[Product].Children} ON ROWS
+FROM Retail WHERE ([Market].[East])`,
+	} {
+		q := MustParse(src)
+		lo, err := ev.lower(q, nil, trace.SpanRef{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, stats, err := ev.RunQueryStatsWith(RunContext{}, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewEvaluator(rt.Cube).Run(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGrid(t, "Margin cells that fall back\n"+src, g, want)
+		if stats.CellsRelocated == 0 {
+			t.Fatalf("nothing relocated: %+v\n%s", stats, src)
+		}
+		plan, ps := servedPlan(t, lo)
+		market := plan.Footprint[lo.schema.DimIndex("Market")]
+		if ps.Compiled != 0 || ps.Fallback == 0 || market == nil || market.Len() == 0 || plan.Stats.RelevantChunks == 0 {
+			t.Fatalf("%+v, Market footprint %v, %d chunks planned: want every cell per-cell and the leaves under them planned\n%s",
+				ps, market, plan.Stats.RelevantChunks, src)
+		}
+	}
+}
+
+// TestFootprintNonVisualLeafCellsOnly: under NONVISUAL a roll-up cell is
+// retained from the input, so an employee × {quarter, month} grid plans
+// the footprint of its leaf cells alone — the month, not the quarter's
+// months — and answers what the complete view does cell by cell.
+func TestFootprintNonVisualLeafCellsOnly(t *testing.T) {
+	src := `WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD NONVISUAL
+SELECT {[Time].[Qtr1], [Time].[Qtr2].[Apr]} ON COLUMNS, {[PTE].Children} ON ROWS
+FROM W WHERE ([Location].[NY], [Measures].[Salary])`
+	ev := NewEvaluator(paperdata.ChunkedWarehouse(nil))
+	q, lo, ok := lowerEngine(t, "employee × {quarter, month}", ev, src)
+	if !ok {
+		t.Fatal("the lowering refused")
+	}
+	plan, _ := servedPlan(t, lo)
+	want := map[string][]string{"Organization": {"PTE/Tom", "PTE/Dave", "PTE/Joe"}, "Time": {"Qtr2/Apr"}, "Location": {"East/NY"}, "Measures": {"Compensation/Salary"}}
+	for name, refs := range want {
+		d := lo.schema.DimIndex(name)
+		dim := lo.schema.Dim(d)
+		set := plan.Footprint[d]
+		if set == nil || set.Len() != len(refs) {
+			t.Fatalf("%s footprint = %v, want %v", name, set, refs)
+		}
+		for _, ref := range refs {
+			if !set.Contains(dim.Member(dim.MustLookup(ref)).LeafOrdinal) {
+				t.Fatalf("%s footprint = %v, want %v", name, set, refs)
+			}
+		}
+	}
+	got := runProjected(t, src, ev, q, lo)
+	sameGrid(t, "served vs the complete view cell by cell", got.compiled, got.perCell)
+	if got.stats.CellsRelocated == 0 || got.stats.CellsRelocated >= got.full.CellsRelocated {
+		t.Fatalf("%d cells relocated under the footprint, %d without", got.stats.CellsRelocated, got.full.CellsRelocated)
 	}
 }
 

@@ -235,7 +235,6 @@ func TestFusedFoldIsOverwrite(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s: the lowering refused", label)
 				}
-				lo.persp.Footprint, lo.changes.Footprint = nil, nil // every destination, on the grid or not
 				var err error
 				plan, err := lo.engine.PlanPerspective(lo.persp)
 				if q.Changes != nil {

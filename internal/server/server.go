@@ -479,7 +479,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, resolve func
 		w.Header().Set("X-Trace-Id", id)
 	}
 	if err != nil {
-		s.writeQueryError(w, err)
+		s.writeQueryError(w, key, err)
 		return
 	}
 	// Only the engine records a plan span, and before any fault span,
@@ -550,10 +550,10 @@ func gridCells(g *result.Grid) int64 {
 	return n
 }
 
-// writeQueryError maps execution errors to status codes and counters:
-// what the client can fix (a bad query) is 422, what it cannot (a
-// panic, a failed storage read) 500 and 503.
-func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
+// writeQueryError maps the errors of the query key names to status codes
+// and counters: what the client can fix (a bad query) is 422, what it
+// cannot (a panic, a failed storage read) 500 and 503.
+func (s *Server) writeQueryError(w http.ResponseWriter, key cacheKey, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		s.metrics.Overloaded.Add(1)
@@ -572,10 +572,10 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
 	case errors.As(err, new(*chunk.ReadError)):
 		// The storage tier failed a chunk read (the error names the chunk
-		// and the segment): the query was fine, the server could not
-		// serve it.
+		// and the segment; the message adds the cube and its version): the
+		// query was fine, the server could not serve it.
 		s.metrics.QueryErrors.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{err.Error()})
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{fmt.Sprintf("cube %s version %d: %v", key.Cube, key.Version, err)})
 	default:
 		s.metrics.QueryErrors.Add(1)
 		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{err.Error()})

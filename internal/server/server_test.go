@@ -447,9 +447,16 @@ WHERE ([Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [Valu
 	errorsBefore := s.Metrics().Snapshot().QueryErrors
 	rec := do(t, h, "POST", "/query", queryRequest{Cube: "wf", Query: query})
 	st.SetReadHook(nil)
+	snap, err := s.catalog.Acquire("wf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := snap.Version
+	snap.Release()
 	if body := rec.Body.String(); rec.Code != http.StatusServiceUnavailable ||
-		!strings.Contains(body, "/data/wf.seg") || !strings.Contains(body, "read of chunk") {
-		t.Fatalf("tier fault = %d %s, want 503 naming the chunk and the segment", rec.Code, body)
+		!strings.Contains(body, "/data/wf.seg") || !strings.Contains(body, "read of chunk") ||
+		!strings.Contains(body, fmt.Sprintf("cube wf version %d:", version)) {
+		t.Fatalf("tier fault = %d %s, want 503 naming the cube, its version %d, the chunk and the segment", rec.Code, body, version)
 	}
 	if pinned == 0 {
 		t.Fatal("no chunk was pinned before the fault; test is vacuous")

@@ -125,7 +125,7 @@ stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|Fuzz
 # query footprint (the grid-equivalence property test, the
 # random-geometry mask oracle, the masked scan's allocation pin), the
 # compiled projection (its per-cell equivalence over the same corpus,
-# the report shapes it compiles, the off-footprint refusal), and
+# the report shapes it compiles, the derived footprint), and
 # the server's executor (overload, close, canceled queued tasks), the
 # persister's asynchronous write-back, the catalog's leases, snapshot
 # quantiles under load and scenario commits, and member resolution
