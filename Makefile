@@ -98,7 +98,7 @@ bench:
 # trace-retention overhead guards; full numbers come from `make bench`
 # or cmd/benchfig.
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkFig|BenchmarkRelocationKernel|BenchmarkRleScan|BenchmarkScanDense|BenchmarkScanChain|BenchmarkProject|BenchmarkLowerPlanHeavy|BenchmarkLowerChanges|BenchmarkDepartmentReport|BenchmarkTrace|BenchmarkObs' -benchtime=100ms .
+	go test -run '^$$' -bench 'BenchmarkFig|BenchmarkRelocationKernel|BenchmarkRleScan|BenchmarkScanDense|BenchmarkScanChain|BenchmarkProject|BenchmarkLowerPlanHeavy|BenchmarkLowerChanges|BenchmarkDepartmentReport|BenchmarkFormulaReport|BenchmarkTrace|BenchmarkObs' -benchtime=100ms .
 
 # CPU profile of the relocation kernel under the trace hooks; inspect
 # with `go tool pprof cpu.prof`.

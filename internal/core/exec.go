@@ -85,9 +85,9 @@ type scanTally struct {
 	promotions     int
 	// slabs counts the slab decisions the kernel made, slabsSkipped those
 	// whose cells vanished (pruned source row or -1 destination);
-	// cellsOffGrid the cells of surviving slabs the footprint's mask kept
-	// back (counted only under a recording scan span); cellsFolded the
-	// accumulator folds a fused scan made.
+	// cellsOffGrid the non-null cells of surviving slabs a fold fed to no
+	// grid cell (counted only under a recording scan span); cellsFolded
+	// the accumulator folds a fused scan made.
 	slabs, slabsSkipped, cellsOffGrid, cellsFolded int
 }
 
@@ -128,19 +128,18 @@ func recordPlanSpan(tr *trace.Trace, parent trace.SpanRef, startNs int64, p *Phy
 //
 // The sink is the overlay or, when the query's grid was compiled before
 // the scan, a fold (fuser): the cells go straight into the accumulators
-// of the grid cells they feed, and no overlay is built. A span carries
-// either its cells (distinct values: each surviving slab is one
-// Overlay.SetCellsAt, or one fuser.cells per mask run) or one value (a
-// run: into the overlay, slabs landing back to back in one destination
-// chunk — consecutive months mapping to the same instance do —
-// coalesce, so a stable member's whole validity window is one
-// Overlay.SetRunAt; into a fold, each mask run of a slab is one
-// fuser.run). Under a footprint a
-// surviving slab moves only the cells its merge group's mask passes
-// (slabMask: one flag per slab, one run list inside it, built with the
-// plan); without one the mask is the whole slab, and the writes are the
-// same. All state lives on the struct: the steady-state path allocates
-// nothing per slab.
+// of the grid cells they feed, and no overlay is built. The sink is the
+// scan's only cell filter inside a chunk. A fold decides each slab
+// (fuser.slabAt: dead when its slower digits or its destination feed no
+// grid cell) and folds only its live runs, the slab positions whose
+// faster digits feed one; an overlay takes every cell the table moves.
+// A span carries either its cells (distinct values: a surviving slab is
+// one Overlay.SetCellsAt, or one fuser.relocate) or one value (a run:
+// into the overlay, slabs landing back to back in one destination chunk
+// — consecutive months mapping to the same instance do — coalesce, so a
+// stable member's whole validity window is one Overlay.SetRunAt; into a
+// fold, each live run of a slab is one fuser.run). All state lives on the struct: the steady-state path
+// allocates nothing per slab.
 type slabKernel struct {
 	target *RelocTable
 	// Exactly one of overlay and fold is the sink.
@@ -157,18 +156,12 @@ type slabKernel struct {
 	idStrideV int
 	// scratch is ForEachSpan's slab buffer for sparse chunks.
 	scratch []float64
-	// whole is the mask of a chunk wholly on the footprint: one run, the
-	// slab.
-	whole slabMask
-	// Per-chunk state, set by beginChunk. mask is the chunk's merge
-	// group's (masked: it is not the whole slab), rowOf the relocation
-	// table's index of the chunk's varying coordinate. row is the relocation row of varying digit digitV, which
-	// holds up to offset rowEnd: when the varying digit is the slower one
-	// (the workforce layout) consecutive slabs share it, and the digit is
-	// derived and the table probed once per digit block, not once per
-	// slab.
-	mask           *slabMask
-	masked         bool
+	// Per-chunk state, set by beginChunk. rowOf is the relocation table's
+	// index of the chunk's varying coordinate, row the relocation row of
+	// varying digit digitV, which holds up to offset rowEnd: when the
+	// varying digit is the slower one (the workforce layout) consecutive
+	// slabs share it, and the digit is derived and the table probed once
+	// per digit block, not once per slab.
 	rowOf          []int32
 	baseP, idBase  int
 	row            []int
@@ -176,9 +169,10 @@ type slabKernel struct {
 	// Pending coalesced destination run.
 	pendID, pendOff, pendLen int
 	pendVal                  float64
-	// moved counts cells written, offGrid those a surviving slab's mask
-	// kept back — counted only when countOff is set, because only a
-	// recording scan span reads it; slabs and skipped count slab
+	// moved counts cells written or folded, offGrid the non-null cells of
+	// surviving slabs a fold fed to no grid cell — counted only when
+	// countOff is set, because only a recording scan span reads it; slabs
+	// and skipped count slab
 	// decisions and those whose cells vanished (a run-encoded chunk
 	// counts a slab once per run entering it). promBase is the overlay's
 	// promotion count when the scan began.
@@ -210,7 +204,6 @@ func newSlabKernel(g, og *chunk.Geometry, overlay *chunk.Overlay, fold *fuser, t
 	} else {
 		k.promBase = overlay.Promotions()
 	}
-	k.whole.runs = []offRun{{0, k.slab}}
 	k.scratch = make([]float64, k.slab)
 	for i := range k.scratch {
 		k.scratch[i] = math.NaN()
@@ -221,14 +214,9 @@ func newSlabKernel(g, og *chunk.Geometry, overlay *chunk.Overlay, fold *fuser, t
 // beginChunk positions the kernel on a source chunk: ccoord is the
 // chunk's coordinate in the source geometry and idBase the overlay-
 // geometry canonical ID of the same coordinate with the varying
-// coordinate zeroed (destination ID = idBase + dstChunkCoord·stride);
-// mask is its merge group's, nil for a chunk wholly on the footprint.
+// coordinate zeroed (destination ID = idBase + dstChunkCoord·stride).
 // ccoord is restored before returning.
-func (k *slabKernel) beginChunk(og *chunk.Geometry, ccoord []int, mask *slabMask) {
-	k.mask, k.masked = mask, mask != nil
-	if !k.masked {
-		k.mask = &k.whole
-	}
+func (k *slabKernel) beginChunk(og *chunk.Geometry, ccoord []int) {
 	vc := ccoord[k.vi]
 	k.rowOf = k.target.index[vc]
 	k.baseP = ccoord[k.pi] * k.dimP
@@ -248,7 +236,8 @@ func (k *slabKernel) beginChunk(og *chunk.Geometry, ccoord []int, mask *slabMask
 // varying digit, skipped as one block — when the row sends its parameter
 // leaf to -1, or when that leaf lies past the parameter extent: a partial
 // last chunk's padding, which a dense span covers too. A surviving slab
-// moves the cells its chunk's mask passes.
+// moves what its sink takes: into an overlay every cell, into a fold
+// the cells of its live runs, unless the fold declares it dead.
 func (k *slabKernel) relocateSpan(start, n int, cells []float64, v float64) {
 	for off, end := start, start+n; off < end; {
 		if off >= k.rowEnd { // spans ascend, so this is the next digit block
@@ -278,34 +267,24 @@ func (k *slabKernel) relocateSpan(start, n int, cells []float64, v float64) {
 			k.skipped++
 		} else {
 			dst := k.row[pOrd]
-			dstID := k.idBase + dst/k.dimV*k.idStrideV
-			shift := (dst%k.dimV - k.digitV) * k.strideV // destination offset - source offset
-			slabStart := off - off%k.slab
-			moved := 0
-			if k.mask.outer == nil || k.mask.outer[off/k.slab] {
-				for _, r := range k.mask.runs {
-					lo, hi := max(slabStart+r.lo, off), min(slabStart+r.hi, segEnd)
-					switch {
-					case lo >= hi:
-					case k.fold != nil && cells != nil:
-						moved += k.fold.cells(dst, slabStart, lo-slabStart, cells[lo-start:hi-start])
-					case k.fold != nil:
-						k.fold.run(dst, slabStart, lo-slabStart, hi-lo, v)
-						moved += hi - lo
-					case cells != nil:
-						moved += k.overlay.SetCellsAt(dstID, lo+shift, cells[lo-start:hi-start])
-					default:
-						k.moveRun(dstID, lo+shift, hi-lo, v)
-						moved += hi - lo
-					}
-				}
+			var span []float64
+			if cells != nil {
+				span = cells[off-start : segEnd-start]
 			}
-			k.moved += moved
-			if k.masked && k.countOff {
-				if cells != nil {
-					k.offGrid += countNonNull(cells[off-start:segEnd-start]) - moved
+			if k.fold != nil {
+				moved := k.fold.relocate(dst, off-off%k.slab, off, segEnd, span, v)
+				k.moved += moved
+				if k.countOff {
+					k.offGrid += countNonNull(span, segEnd-off) - moved
+				}
+			} else {
+				dstID := k.idBase + dst/k.dimV*k.idStrideV
+				dstOff := off + (dst%k.dimV-k.digitV)*k.strideV // moved along the varying digit
+				if span != nil {
+					k.moved += k.overlay.SetCellsAt(dstID, dstOff, span)
 				} else {
-					k.offGrid += segEnd - off - moved
+					k.moveRun(dstID, dstOff, segEnd-off, v)
+					k.moved += segEnd - off
 				}
 			}
 		}
@@ -313,9 +292,13 @@ func (k *slabKernel) relocateSpan(start, n int, cells []float64, v float64) {
 	}
 }
 
-// countNonNull counts the cells that are not Null.
-func countNonNull(cells []float64) int {
-	n := 0
+// countNonNull counts the cells of a span of n that are not Null: all n
+// of a run's (cells nil).
+func countNonNull(cells []float64, n int) int {
+	if cells == nil {
+		return n
+	}
+	n = 0
 	for _, c := range cells {
 		if c == c {
 			n++
@@ -631,7 +614,7 @@ func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.O
 			continue
 		}
 		g.CoordOf(id, ccoord)
-		k.beginChunk(og, ccoord, p.maskOf(id))
+		k.beginChunk(og, ccoord)
 		tally.cellsScanned += ch.Len()
 		ch.ForEachSpan(k.slab, k.scratch, k.relocateSpan)
 	}

@@ -22,8 +22,15 @@ import (
 // overlay owns; the footprint says which cells of those rows the grid
 // will look at, so the engine relocates only those: it is the slice/dice
 // that commutes with relocation (algebra.pushable, rule 4), applied to
-// the physical plan. A scoped cell off the footprint reads ⊥ whatever
-// the scenario holds there, which is why only the projected entry
+// the physical plan — in two places. The relocation table sends a
+// varying destination or a parameter leaf off it to -1, and a chunk
+// whose coordinate in another dimension holds no footprint leaf is not
+// scheduled. Inside a scheduled chunk the scan's sink is the only cell
+// filter: a fold reads the cells its leaf tables route to a grid cell,
+// an overlay takes every cell the table moves. So a scoped cell off the
+// footprint in the varying or the parameter dimension reads ⊥, and one
+// off it elsewhere reads ⊥ when its chunk was not scheduled, whatever
+// the scenario holds there — which is why only the projected entry
 // points, which hand out no view, plan under one.
 type Footprint []*bitset.Set
 
@@ -97,124 +104,18 @@ func (f Footprint) chunkFilters(g *chunk.Geometry, vi int) []chunkFilter {
 		if set == nil || d == vi {
 			continue
 		}
-		on := make([]bool, g.ChunksPerDim(d))
-		for _, o := range set.Slice() {
-			on[o/g.ChunkDims[d]] = true
-		}
-		if slices.Contains(on, false) {
-			out = append(out, chunkFilter{idStride: g.ChunkIDStride(d), n: len(on), on: on})
+		if cf, cuts := newChunkFilter(g, d, set.ForEach); cuts {
+			out = append(out, cf)
 		}
 	}
 	return out
 }
 
-// offRun is a run [lo, hi) of offsets relative to a slab's start.
-type offRun struct{ lo, hi int }
-
-// slabMask is one merge group's share of the footprint, in the form the
-// slab kernel applies: the dimensions other than the varying and the
-// parameter one, whose chunk coordinates the group's chunks share. A
-// slab holds the digits of the dimensions slower than it constant and
-// runs over those faster than it, so the mask factors the same way: one
-// flag per slab of the chunk for the slower digits, one run list inside
-// the slab for the faster ones. The varying and parameter digits are
-// not its business — the relocation table carries their share of the
-// footprint as -1 entries.
-type slabMask struct {
-	// runs are the on-footprint offset intervals of one slab, ascending
-	// and disjoint.
-	runs []offRun
-	// outer[s] reports whether slab s of the chunk (offset / slab length)
-	// has every slower digit on the footprint; nil when they all have.
-	outer []bool
-}
-
-// maskBuilder builds the slab masks of one plan's merge groups.
-type maskBuilder struct {
-	g    *chunk.Geometry
-	fp   Footprint
-	slab int
-	// inner and outer are the restricted dimensions faster and slower
-	// than the slab; in and out, per group, those of them whose chunk row
-	// the footprint cuts.
-	inner, outer []int
-	in, out      []int
-}
-
-func newMaskBuilder(g *chunk.Geometry, fp Footprint, vi, pi int) *maskBuilder {
-	mb := &maskBuilder{g: g, fp: fp, slab: min(g.OffsetStride(vi), g.OffsetStride(pi))}
-	for d, set := range fp {
-		switch {
-		case set == nil || d == vi || d == pi:
-		case g.OffsetStride(d) < mb.slab:
-			mb.inner = append(mb.inner, d)
-		default:
-			mb.outer = append(mb.outer, d)
-		}
-	}
-	return mb
-}
-
-// cut appends to dst the dimensions of dims whose chunk row at rest the
-// footprint does not hold whole: only their digits can fail a cell.
-// Padding past a dimension's extent counts as held.
-func (mb *maskBuilder) cut(dst []int, rest []int, dims []int) []int {
-	for _, d := range dims {
-		cd := mb.g.ChunkDims[d]
-		for o := rest[d] * cd; o < min((rest[d]+1)*cd, mb.g.Extents[d]); o++ {
-			if !mb.fp[d].Contains(o) {
-				dst = append(dst, d)
-				break
-			}
-		}
-	}
-	return dst
-}
-
-// pass reports whether the cell at in-chunk offset off of a chunk at
-// coordinate rest has its digit of every dimension in dims on the
-// footprint. Padding past a dimension's extent passes: no cell lives
-// there, and counting it in keeps a fully covered chunk's mask whole.
-func (mb *maskBuilder) pass(rest []int, dims []int, off int) bool {
-	for _, d := range dims {
-		cd := mb.g.ChunkDims[d]
-		o := rest[d]*cd + off/mb.g.OffsetStride(d)%cd
-		if o < mb.g.Extents[d] && !mb.fp[d].Contains(o) {
-			return false
-		}
-	}
-	return true
-}
-
-// forRest returns the mask of the merge group at chunk coordinate rest
-// (the varying coordinate is ignored), or nil when every cell of the
-// group's chunks passes — always, under a nil footprint, and whenever
-// the footprint holds the group's chunk row of every restricted
-// dimension whole, which is decided once per dimension, not per offset.
-func (mb *maskBuilder) forRest(rest []int) *slabMask {
-	mb.in, mb.out = mb.cut(mb.in[:0], rest, mb.inner), mb.cut(mb.out[:0], rest, mb.outer)
-	if len(mb.in)+len(mb.out) == 0 {
-		return nil
-	}
-	m := &slabMask{}
-	if len(mb.in) == 0 {
-		m.runs = []offRun{{0, mb.slab}}
-	}
-	for off := 0; off < mb.slab && len(mb.in) > 0; off++ {
-		if !mb.pass(rest, mb.in, off) {
-			continue
-		}
-		if n := len(m.runs); n > 0 && m.runs[n-1].hi == off {
-			m.runs[n-1].hi++
-		} else {
-			m.runs = append(m.runs, offRun{off, off + 1})
-		}
-	}
-	if len(mb.out) > 0 {
-		m.outer = make([]bool, mb.g.ChunkCap()/mb.slab)
-		for s := range m.outer {
-			m.outer[s] = mb.pass(rest, mb.out, s*mb.slab)
-		}
-	}
-	return m
+// newChunkFilter returns the filter of dimension d of g that passes the
+// chunk coordinates holding a leaf ordinal each yields, and whether it
+// rules out any: one that does not is not worth testing.
+func newChunkFilter(g *chunk.Geometry, d int, each func(yield func(o int))) (chunkFilter, bool) {
+	on := make([]bool, g.ChunksPerDim(d))
+	each(func(o int) { on[o/g.ChunkDims[d]] = true })
+	return chunkFilter{idStride: g.ChunkIDStride(d), n: len(on), on: on}, slices.Contains(on, false)
 }

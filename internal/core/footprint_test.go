@@ -51,18 +51,52 @@ func randomFootprint(rng *rand.Rand, leaves []int) Footprint {
 	return fp
 }
 
+// plannerTable returns the relocation table a planner leaves under
+// footprint fp: hand's, with the destinations and parameter leaves off
+// fp sent to -1.
+func plannerTable(e *Engine, hand *RelocTable, fp Footprint) *RelocTable {
+	g := e.store.Geometry()
+	table := newRelocTable(g, e.vi, g.Extents[e.pi], 0)
+	hand.each(func(src int, row []int) {
+		table.add(src)
+		for leaf, dst := range row {
+			if dst >= 0 && fp.has(e.vi, dst) && fp.has(e.pi, leaf) {
+				table.Row(src)[leaf] = dst
+			}
+		}
+	})
+	return table
+}
+
+// onFootprint keeps the cells of an overlay whose every coordinate is on
+// fp, as address → value bit pattern.
+func onFootprint(ov *chunk.Overlay, fp Footprint) map[string]uint64 {
+	cells := make(map[string]uint64)
+	ov.NonNull(func(addr []int, v float64) bool {
+		for d := range addr {
+			if !fp.has(d, addr[d]) {
+				return true
+			}
+		}
+		cells[fmt.Sprint(addr)] = math.Float64bits(v)
+		return true
+	})
+	return cells
+}
+
 // TestFootprintQuickRandomGeometry is the footprint's oracle test below
-// the query layer. Over the slab kernel's random geometries,
-// representations and relocation tables, under random footprints, the
-// planner's three uses of a footprint — -1 table entries, the relevant-
-// chunk filter, the groups' slab masks — leave in the overlay exactly
-// the cells a per-cell scan of every chunk of the store relocates onto
-// the footprint; the cells a surviving slab held back are counted off
-// the grid; and a footprint open in every dimension plans and writes
-// what no footprint does.
+// the query layer, on the overlay sink. Over the slab kernel's random
+// geometries, representations and relocation tables, under random
+// footprints, the planner's two uses of a footprint — -1 table entries
+// and the relevant-chunk filter — leave in the overlay exactly what a
+// per-cell scan of the scheduled chunks relocates through the planner's
+// table: the overlay filters nothing else, and counts nothing off the
+// grid. Every cell a per-cell scan of the whole store relocates onto the
+// footprint is among them, and a footprint open in every dimension
+// plans what no footprint does.
 func TestFootprintQuickRandomGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	masked, outerMasked, filtered, emptied := 0, 0, 0, 0
+	offFootprint, filtered, emptied := 0, 0, 0
 	for i := 0; i < 1000; i++ {
 		e, hand, og := randomKernelCase(rng)
 		g := e.store.Geometry()
@@ -73,33 +107,7 @@ func TestFootprintQuickRandomGeometry(t *testing.T) {
 			fp = make(Footprint, g.NumDims()) // open everywhere
 		}
 		label += fmt.Sprint(" footprint ", fp)
-
-		// The table as a planner leaves it: destinations and parameter
-		// leaves off the footprint are -1.
-		table := newRelocTable(g, e.vi, g.Extents[e.pi], 0)
-		hand.Target.each(func(src int, row []int) {
-			table.add(src)
-			for leaf, dst := range row {
-				if dst >= 0 && fp.has(e.vi, dst) && fp.has(e.pi, leaf) {
-					table.Row(src)[leaf] = dst
-				}
-			}
-		})
-
-		// Oracle: every chunk of the store, cell by cell, then the
-		// footprint of the remaining dimensions cell by cell.
-		all := chunk.NewOverlay(og)
-		perCellScan(e, e.store.ChunkIDs(), table, all)
-		want := make(map[string]uint64)
-		all.NonNull(func(addr []int, v float64) bool {
-			for d := range addr {
-				if !fp.has(d, addr[d]) {
-					return true
-				}
-			}
-			want[fmt.Sprint(addr)] = math.Float64bits(v)
-			return true
-		})
+		table := plannerTable(e, hand.Target, fp)
 
 		p, err := e.buildPlan(nil, table, make([]bool, og.Extents[e.vi]), fp)
 		if err != nil {
@@ -111,20 +119,25 @@ func TestFootprintQuickRandomGeometry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		gb := dumpBits(got)
-		if len(gb) != len(want) || tally.cellsRelocated != len(want) {
-			t.Fatalf("%s: overlay holds %d cells, %d counted relocated; the oracle has %d on the footprint", label, len(gb), tally.cellsRelocated, len(want))
+		want := chunk.NewOverlay(og)
+		_, scheduled := perCellScan(e, p.Schedule, table, want)
+		wb, gb := dumpBits(want), dumpBits(got)
+		if len(gb) != len(wb) || tally.cellsRelocated != scheduled || tally.cellsOffGrid != 0 {
+			t.Fatalf("%s: overlay holds %d cells, %d counted relocated, %d off the grid; the scheduled chunks relocate %d",
+				label, len(gb), tally.cellsRelocated, tally.cellsOffGrid, scheduled)
 		}
-		for k, w := range want {
+		for k, w := range wb {
 			if v, ok := gb[k]; !ok || v != w {
 				t.Fatalf("%s: cell %s = %#x (present %v), oracle %#x", label, k, v, ok, w)
 			}
 		}
-		// What the scheduled chunks relocate cell by cell is what the
-		// kernel wrote plus what its masks held back.
-		_, scheduled := perCellScan(e, p.Schedule, table, chunk.NewOverlay(og))
-		if tally.cellsRelocated+tally.cellsOffGrid != scheduled {
-			t.Fatalf("%s: %d cells written + %d off the grid, the scheduled chunks relocate %d", label, tally.cellsRelocated, tally.cellsOffGrid, scheduled)
+		all := chunk.NewOverlay(og)
+		perCellScan(e, e.store.ChunkIDs(), table, all)
+		on := onFootprint(all, fp)
+		for k, w := range on {
+			if v, ok := gb[k]; !ok || v != w {
+				t.Fatalf("%s: footprint cell %s = %#x (present %v), whole-store oracle %#x", label, k, v, ok, w)
+			}
 		}
 
 		if i%10 == 0 {
@@ -133,19 +146,13 @@ func TestFootprintQuickRandomGeometry(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.Stats.PlanMs, plain.Stats.PlanMs = 0, 0
-			if fmt.Sprint(p.Schedule, p.Stats) != fmt.Sprint(plain.Schedule, plain.Stats) || p.masked || tally.cellsOffGrid != 0 {
-				t.Fatalf("%s: an open footprint plans %v %+v (masked %v, %d cells off grid), no footprint %v %+v",
-					label, p.Schedule, p.Stats, p.masked, tally.cellsOffGrid, plain.Schedule, plain.Stats)
+			if fmt.Sprint(p.Schedule, p.Stats) != fmt.Sprint(plain.Schedule, plain.Stats) {
+				t.Fatalf("%s: an open footprint plans %v %+v, no footprint %v %+v",
+					label, p.Schedule, p.Stats, plain.Schedule, plain.Stats)
 			}
 		}
-		for _, mg := range p.Groups {
-			if mg.mask != nil {
-				masked++
-				if mg.mask.outer != nil {
-					outerMasked++
-				}
-				break
-			}
+		if len(onFootprint(got, fp)) < len(gb) {
+			offFootprint++ // the overlay took cells the footprint cuts
 		}
 		if p.chunksPruned > 0 {
 			filtered++
@@ -154,9 +161,145 @@ func TestFootprintQuickRandomGeometry(t *testing.T) {
 			emptied++ // the table moves cells, none of them onto the grid
 		}
 	}
-	if masked < 100 || outerMasked < 50 || filtered < 150 || emptied < 30 {
-		t.Fatalf("coverage: %d plans with a slab mask (%d with slower digits masked), %d with chunks filtered, %d emptied, of 1000",
-			masked, outerMasked, filtered, emptied)
+	if offFootprint < 100 || filtered < 150 || emptied < 30 {
+		t.Fatalf("coverage: %d overlays holding cells off the footprint, %d plans with chunks filtered, %d emptied, of 1000",
+			offFootprint, filtered, emptied)
+	}
+}
+
+// randomGrid draws a grid over the flat cube schema: each dimension on
+// the rows, on the columns, under the slicer or on no axis, and each
+// tuple's member there the root now and then, else a random leaf.
+func randomGrid(rng *rand.Rand, schema *cube.Cube) Grid {
+	role := make([]int, schema.NumDims()) // 0 rows, 1 columns, 2 slicer, 3 no axis
+	for d := range role {
+		role[d] = rng.Intn(4)
+	}
+	tuple := func(r int) Tuple {
+		var tp Tuple
+		for d, rd := range role {
+			if rd != r {
+				continue
+			}
+			dim := schema.Dim(d)
+			m := dim.Root()
+			if rng.Intn(4) > 0 {
+				m = dim.Leaf(rng.Intn(dim.NumLeaves())).ID
+			}
+			tp = append(tp, Coord{Dim: d, Member: m})
+		}
+		return tp
+	}
+	g := Grid{Slicer: tuple(2)}
+	for i := 1 + rng.Intn(4); i > 0; i-- {
+		g.Rows = append(g.Rows, tuple(0))
+	}
+	for j := 1 + rng.Intn(4); j > 0; j-- {
+		g.Cols = append(g.Cols, tuple(1))
+	}
+	return g
+}
+
+// TestFootprintFusedQuickRandomGeometry is the fold sink's oracle test.
+// Over the slab kernel's random geometries, representations and
+// relocation tables, a random VISUAL grid is compiled, planned under the
+// footprint it derives and scanned into its accumulators: the fold's
+// live runs and dead slabs are the scan's only cell filter. Each grid
+// cell equals View.Cell over a view holding every cell the table
+// relocates; the scan counts relocated exactly the relocated cells on
+// the footprint, and off the grid the rest of those the scheduled
+// chunks relocate.
+func TestFootprintFusedQuickRandomGeometry(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	fastCut, slowCut, edgeOne, partial, folded := 0, 0, 0, 0, 0
+	for i := 0; i < 1500; i++ {
+		e, hand, og := randomKernelCase(rng)
+		g := e.store.Geometry()
+		e.base = flatCube(g.Extents)
+		schema := flatCube(og.Extents)
+		grid := randomGrid(rng, schema)
+		proj := compileProjection(e.base, schema, perspective.Visual, grid)
+		fp := proj.footprint(schema)
+		label := fmt.Sprintf("case %d: extents %v chunks %v vi=%d pi=%d overlay %v grid %v footprint %v",
+			i, g.Extents, g.ChunkDims, e.vi, e.pi, og.Extents, grid, fp)
+		if proj.stats.Fallback != 0 {
+			t.Fatalf("%s: %+v, want every cell compiled", label, proj.stats)
+		}
+		scoped := make([]bool, og.Extents[e.vi])
+		for o := range scoped {
+			scoped[o] = true
+		}
+		table := plannerTable(e, hand.Target, fp)
+		p, err := e.buildPlan(nil, table, scoped, fp)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+
+		// The oracle view: every row scoped, its overlay every cell the
+		// unrestricted table relocates.
+		all := chunk.NewOverlay(og)
+		perCellScan(e, e.store.ChunkIDs(), hand.Target, all)
+		vs := &viewStore{base: e.store, overlay: all, vi: e.vi, scoped: scoped, extent: g.Extents[e.vi]}
+		v := &View{input: e.base, result: cube.NewWithStore(vs, schema.Dims()...), mode: perspective.Visual, engine: e}
+
+		tr := trace.New(0)
+		tally, err := e.scanInto(nil, p, nil, newFuser(v, proj, og), tr, tr.Start(trace.SpanRef{}, "scan"))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		out := make([][]float64, len(grid.Rows))
+		for r := range out {
+			out[r] = make([]float64, len(grid.Cols))
+		}
+		if err := proj.emit(ExecContext{}, v, grid, out); err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]dimension.MemberID, schema.NumDims())
+		for r := range out {
+			for c, got := range out[r] {
+				grid.cellIDs(ids, r, c)
+				want, err := v.Cell(ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cube.IsNull(got) != cube.IsNull(want) || !cube.IsNull(got) && math.Abs(got-want) > 1e-9*max(1, math.Abs(want)) {
+					t.Fatalf("%s: cell (%d, %d) %v = %v, View.Cell %v", label, r, c, ids, got, want)
+				}
+			}
+		}
+		onGrid := len(onFootprint(all, fp))
+		_, scheduled := perCellScan(e, p.Schedule, table, chunk.NewOverlay(og))
+		if tally.cellsRelocated != onGrid || tally.cellsRelocated+tally.cellsOffGrid != scheduled {
+			t.Fatalf("%s: %d cells relocated and %d off the grid; %d relocated cells on the footprint, %d from the scheduled chunks",
+				label, tally.cellsRelocated, tally.cellsOffGrid, onGrid, scheduled)
+		}
+
+		slab := min(g.OffsetStride(e.vi), g.OffsetStride(e.pi))
+		for d, set := range fp {
+			if d == e.vi || d == e.pi || set == nil || set.Len() == og.Extents[d] {
+				continue
+			}
+			if g.OffsetStride(d) < slab {
+				fastCut++
+			} else {
+				slowCut++
+			}
+		}
+		for d, n := range g.Extents {
+			if g.ChunkDims[d] == 1 {
+				edgeOne++
+			}
+			if n%g.ChunkDims[d] != 0 {
+				partial++
+			}
+		}
+		if tally.cellsRelocated > 0 {
+			folded++
+		}
+	}
+	if fastCut < 80 || slowCut < 200 || edgeOne < 500 || partial < 500 || folded < 500 {
+		t.Fatalf("coverage: %d dimensions cut faster than the slab, %d slower, %d of edge 1, %d with a partial last chunk; %d of 1500 cases folded a cell",
+			fastCut, slowCut, edgeOne, partial, folded)
 	}
 }
 
@@ -188,11 +331,32 @@ func workforceFootprint(c *cube.Cube) Footprint {
 	return fp
 }
 
-// TestFootprintScanAllocs pins the mask path at the slab kernel's
-// constant (TestSlabKernelScanAllocs): a warm scan under a footprint
-// that masks every slab allocates no more than one without, whatever
-// the representation — nothing per slab, per run of the mask or per
-// cell — and writes a twentieth of the cells.
+// accountReport is a VISUAL report on one account and one scenario of
+// a tiny workforce cube: a row per instance of the changing employees,
+// sliced on the first account and the first scenario. Inside a
+// (quarter, every account, every scenario) chunk its fold takes one cell
+// of each twenty-cell slab.
+func accountReport(w *workload.Workforce) Grid {
+	c := w.Cube
+	dept, di := c.DimByName(workload.DimDepartment), c.DimIndex(workload.DimDepartment)
+	g := Grid{Cols: []Tuple{{}}}
+	for _, name := range w.Changing {
+		for _, inst := range dept.Instances(name) {
+			g.Rows = append(g.Rows, Tuple{{Dim: di, Member: inst}})
+		}
+	}
+	for _, name := range []string{workload.DimAccount, workload.DimScenario} {
+		g.Slicer = append(g.Slicer, Coord{Dim: c.DimIndex(name), Member: c.DimByName(name).Leaf(0).ID})
+	}
+	return g
+}
+
+// TestFootprintScanAllocs pins the fused scan's live runs at the slab
+// kernel's constant (TestSlabKernelScanAllocs): a warm fused scan of a
+// report whose fold takes one cell of each slab allocates a constant,
+// whatever the representation — nothing per slab, per live run or per
+// cell — folds a twentieth of the cells a scan without a footprint
+// relocates, and counts the rest off the grid.
 func TestFootprintScanAllocs(t *testing.T) {
 	for _, rep := range []string{"dense", "sparse", "runs"} {
 		w, err := workload.NewWorkforce(workload.ConfigTiny())
@@ -204,36 +368,38 @@ func TestFootprintScanAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := PerspectiveQuery{Members: w.Changing, Perspectives: []int{0, 3, 6, 9}, Sem: perspective.Forward}
+		q := PerspectiveQuery{Members: w.Changing, Perspectives: []int{0, 3, 6, 9}, Sem: perspective.Forward, Mode: perspective.Visual}
 		full, err := e.PlanPerspective(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, _, err := e.planPerspective(nil, q, workforceFootprint(w.Cube))
+		view := e.newView(nil, nil, q.Mode)
+		gp := &gridProjection{grid: accountReport(w)}
+		p, _, err := e.planPerspective(nil, q, gp.compile(view))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !p.masked || len(p.Schedule) != len(full.Schedule) {
-			t.Fatalf("%s: masked %v, %d chunks scheduled of %d: the footprint should mask slabs, not drop chunks", rep, p.masked, len(p.Schedule), len(full.Schedule))
+		if len(p.Schedule) != len(full.Schedule) {
+			t.Fatalf("%s: %d chunks scheduled of %d: the footprint should cut slabs, not drop chunks", rep, len(p.Schedule), len(full.Schedule))
 		}
-		scan := func(p *PhysicalPlan, ov *chunk.Overlay) scanTally {
+		fold := newFuser(view, gp.proj, e.store.Geometry())
+		scan := func(p *PhysicalPlan, ov *chunk.Overlay, fold *fuser) scanTally {
 			tr := trace.New(0)
-			tally, err := e.scanInto(nil, p, ov, nil, tr, tr.Start(trace.SpanRef{}, "scan"))
+			tally, err := e.scanInto(nil, p, ov, fold, tr, tr.Start(trace.SpanRef{}, "scan"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return tally
 		}
-		warm := chunk.NewOverlay(e.store.Geometry())
-		tally, whole := scan(p, warm), scan(full, chunk.NewOverlay(e.store.Geometry()))
+		tally, whole := scan(p, nil, fold), scan(full, chunk.NewOverlay(e.store.Geometry()), nil)
 		slab := w.Config.Accounts * w.Config.Scenarios
 		if tally.cellsRelocated == 0 || tally.cellsRelocated*slab != whole.cellsRelocated ||
 			tally.cellsRelocated+tally.cellsOffGrid != whole.cellsRelocated || whole.cellsOffGrid != 0 {
-			t.Fatalf("%s: %d cells written and %d off the grid under the footprint, %d and %d without", rep,
+			t.Fatalf("%s: %d cells folded and %d off the grid under the footprint, %d and %d relocated without", rep,
 				tally.cellsRelocated, tally.cellsOffGrid, whole.cellsRelocated, whole.cellsOffGrid)
 		}
-		if allocs := testing.AllocsPerRun(10, func() { scan(p, warm) }); allocs > 8 {
-			t.Fatalf("%s: a warm masked scan of %d cells in %d slabs allocates %.0f times, want a constant ≤ 8",
+		if allocs := testing.AllocsPerRun(10, func() { scan(p, nil, fold) }); allocs > 8 {
+			t.Fatalf("%s: a warm fused scan of %d cells in %d slabs allocates %.0f times, want a constant ≤ 8",
 				rep, tally.cellsRelocated, tally.slabs, allocs)
 		}
 	}
@@ -241,8 +407,9 @@ func TestFootprintScanAllocs(t *testing.T) {
 
 // TestFootprintPlansOnlyTheGrid checks the plan-level effects on the
 // validity-window layout, where every (account, scenario) pair is a
-// merge group: a footprint of one pair keeps one group of eight; an
-// empty footprint plans and reads nothing.
+// merge group: a footprint of one pair keeps one group of eight, and the
+// view planned under it answers every footprint cell as the
+// unrestricted view does; an empty footprint plans and reads nothing.
 func TestFootprintPlansOnlyTheGrid(t *testing.T) {
 	cfg := workload.ConfigTiny()
 	cfg.ChunkDims = []int{16, 12, 1, 1, 1, 1, 1}
@@ -265,61 +432,17 @@ func TestFootprintPlansOnlyTheGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := cfg.Accounts * cfg.Scenarios
-	if len(full.Groups) != groups || len(one.Groups) != 1 || one.masked ||
+	if len(full.Groups) != groups || len(one.Groups) != 1 ||
 		len(one.Schedule)*groups != len(full.Schedule) || one.chunksPruned != len(full.Schedule)-len(one.Schedule) {
-		t.Fatalf("one (account, scenario) of %d: %d groups and %d chunks of %d and %d, %d pruned, masked %v",
-			groups, len(one.Groups), len(one.Schedule), len(full.Groups), len(full.Schedule), one.chunksPruned, one.masked)
+		t.Fatalf("one (account, scenario) of %d: %d groups and %d chunks of %d and %d, %d pruned",
+			groups, len(one.Groups), len(one.Schedule), len(full.Groups), len(full.Schedule), one.chunksPruned)
 	}
 	if one.SourceChunks != full.SourceChunks || one.SourceChunks < len(full.Schedule) {
 		t.Fatalf("source chunks: %d under the footprint, %d without, %d scheduled", one.SourceChunks, full.SourceChunks, len(full.Schedule))
 	}
 
-	fp[w.Cube.DimIndex(workload.DimPeriod)] = bitset.New(cfg.Months)
-	if s := execUnder(t, e, q, fp).Stats; s.ChunksRead != 0 || s.CellsRelocated != 0 || s.SourceInstances != 0 {
-		t.Fatalf("empty footprint: %+v, want nothing read", s)
-	}
-}
-
-// TestFootprintEdgeOneMasksNil: on the validity-window layout every
-// dimension but the varying and the parameter one has chunk edge 1, so
-// a footprint restricting them either drops a merge group's chunks or
-// holds its chunk row whole. Every group that survives carries a nil
-// mask, decided once per dimension — building it allocates nothing —
-// and the view answers every footprint cell as the unrestricted view
-// does.
-func TestFootprintEdgeOneMasksNil(t *testing.T) {
-	cfg := workload.ConfigTiny()
-	cfg.ChunkDims = []int{16, 12, 1, 1, 1, 1, 1}
-	w, err := workload.NewWorkforce(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(w.Cube, workload.DimDepartment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := make(Footprint, w.Cube.NumDims())
 	acct, scen := w.Cube.DimIndex(workload.DimAccount), w.Cube.DimIndex(workload.DimScenario)
-	fp[acct] = bitset.FromSlice(cfg.Accounts, []int{0, 2})
-	fp[scen] = bitset.FromSlice(cfg.Scenarios, []int{1})
-	q := PerspectiveQuery{Members: w.Changing, Perspectives: []int{0, 6}, Sem: perspective.Forward}
-	p, _, err := e.planPerspective(nil, q, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Groups) != 2 || p.masked {
-		t.Fatalf("%d groups, masked %v: want the two (account, scenario) pairs, unmasked", len(p.Groups), p.masked)
-	}
-	mb := newMaskBuilder(e.store.Geometry(), fp, e.vi, e.pi)
-	for _, gr := range p.Groups {
-		if gr.mask != nil || mb.forRest(gr.Rest) != nil {
-			t.Fatalf("group %v carries a mask", gr.Rest)
-		}
-		if n := testing.AllocsPerRun(10, func() { mb.forRest(gr.Rest) }); n != 0 {
-			t.Fatalf("group %v: deciding its mask allocates %.0f times, want 0", gr.Rest, n)
-		}
-	}
-	onFootprint := func(v *View) map[string]float64 {
+	footprintCells := func(v *View) map[string]float64 {
 		cells := map[string]float64{}
 		v.Result().Store().NonNull(func(addr []int, val float64) bool {
 			if fp.has(acct, addr[acct]) && fp.has(scen, addr[scen]) {
@@ -329,12 +452,16 @@ func TestFootprintEdgeOneMasksNil(t *testing.T) {
 		})
 		return cells
 	}
-	got := execUnder(t, e, q, fp)
 	want, err := e.ExecPerspective(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, w := onFootprint(got), onFootprint(want); len(w) == 0 || !sameCells(w, g) {
+	if g, w := footprintCells(execUnder(t, e, q, fp)), footprintCells(want); len(w) == 0 || !sameCells(w, g) {
 		t.Fatalf("footprint cells: %d under the footprint, %d without, or they differ", len(g), len(w))
+	}
+
+	fp[w.Cube.DimIndex(workload.DimPeriod)] = bitset.New(cfg.Months)
+	if s := execUnder(t, e, q, fp).Stats; s.ChunksRead != 0 || s.CellsRelocated != 0 || s.SourceInstances != 0 {
+		t.Fatalf("empty footprint: %+v, want nothing read", s)
 	}
 }

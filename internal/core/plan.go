@@ -63,9 +63,6 @@ type MergeGroup struct {
 	// Peak is the peak co-resident chunk count when the group's
 	// schedule is pebbled on its own subgraph.
 	Peak int
-	// mask is the group's share of the plan's footprint, nil when every
-	// cell of its chunks is on it.
-	mask *slabMask
 }
 
 // PhysicalPlan is the engine's inspectable physical execution plan for
@@ -84,7 +81,7 @@ type PhysicalPlan struct {
 	// Scoped marks varying leaf ordinals owned by the query's overlay.
 	Scoped []bool
 	// Footprint is the query's footprint (nil: none declared), already
-	// folded into Target, the relevant chunks and the groups' masks.
+	// folded into Target and the relevant chunks.
 	Footprint Footprint
 	// SourceChunks is the number of materialized chunks the planner chose
 	// the relevant ones from; sourceIDs are their IDs, ascending (the
@@ -112,31 +109,19 @@ type PhysicalPlan struct {
 
 	// The executor's dense form of Neighbors: graph is the one merge
 	// dependency graph over all groups, nodes the chunk ID per node
-	// number (the relevant IDs, ascending), label and slot the chunk's
-	// group and its index in that group's Chunks per node. Merge partners
-	// share a group, so slots order them as the global schedule does.
-	graph       *pebble.Graph
-	nodes       []int
-	label, slot []int32
-	// masked reports that some group carries a mask; footprintCells and
-	// chunksPruned are the plan span's attributes: leaf cells on the
-	// footprint, and chunks holding source rows that it took off the
-	// schedule.
-	masked                       bool
+	// number (the relevant IDs, ascending), slot the chunk's index in its
+	// group's Chunks per node. Merge partners share a group, so slots
+	// order them as the global schedule does.
+	graph *pebble.Graph
+	nodes []int
+	slot  []int32
+	// footprintCells and chunksPruned are the plan span's attributes:
+	// leaf cells on the footprint, and chunks holding source rows that it
+	// took off the schedule.
 	footprintCells, chunksPruned int
 	// stageNs are trace offsets closing the planning sub-stages targets,
 	// graph, pebble and groups (zero with tracing off).
 	stageNs [len(planStages)]int64
-}
-
-// maskOf returns the mask of scheduled chunk id's merge group: nil for
-// a chunk wholly on the footprint — every chunk of a plan without one.
-func (p *PhysicalPlan) maskOf(id int) *slabMask {
-	if !p.masked {
-		return nil
-	}
-	i, _ := p.graph.Index(id)
-	return p.Groups[p.label[i]].mask
 }
 
 // transfer is a cross-chunk relocation: cells of parameter chunk
@@ -281,16 +266,14 @@ func (e *Engine) buildPlan(tr *trace.Trace, target *RelocTable, scoped []bool, f
 	p.Groups = make([]MergeGroup, len(keys))
 	chunks := make([]int, n)
 	rests := make([]int, len(keys)*g.NumDims())
-	masks := newMaskBuilder(g, fp, e.vi, e.pi)
 	for gi, key := range keys {
 		rest := rests[gi*g.NumDims() : (gi+1)*g.NumDims() : (gi+1)*g.NumDims()]
 		g.CoordOf(key, rest)
 		rest[e.vi] = -1
-		p.Groups[gi] = MergeGroup{Rest: rest, Chunks: chunks[:0:sizes[gi]], Edges: stats[gi].Edges, Peak: stats[gi].Peak, mask: masks.forRest(rest)}
-		p.masked = p.masked || p.Groups[gi].mask != nil
+		p.Groups[gi] = MergeGroup{Rest: rest, Chunks: chunks[:0:sizes[gi]], Edges: stats[gi].Edges, Peak: stats[gi].Peak}
 		chunks = chunks[sizes[gi]:]
 	}
-	p.nodes, p.graph, p.label, p.slot = ids, graph, label, slot
+	p.nodes, p.graph, p.slot = ids, graph, slot
 	for _, id := range p.Schedule {
 		i, _ := graph.Index(id)
 		mg := &p.Groups[label[i]]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -69,6 +70,7 @@ const (
 	reasonFormula      = "formula rule "
 	reasonMaterialized = "materialized aggregate"
 	reasonWide         = "more than 64 dimensions"
+	reasonKeySpace     = "more member combinations than an int holds"
 )
 
 // A grid cell's class before it has an accumulator, and the two classes
@@ -187,9 +189,13 @@ func compileProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) 
 	var srcs [2]*projSource
 	var keys [2]*partKeys
 	for k, u := range uses {
-		if u != nil {
-			srcs[k] = newProjSource(defs[k].Dims())
-			keys[k] = u.compile(srcs[k], rows, cols, &fixed, len(p.cell))
+		if u == nil {
+			continue
+		}
+		srcs[k] = newProjSource(defs[k].Dims())
+		if keys[k] = u.compile(srcs[k], rows, cols, &fixed, len(p.cell)); keys[k] == nil {
+			srcs[k] = nil
+			p.fallBack(g, schema, cellInput+int32(k))
 		}
 	}
 	p.input, p.view = srcs[0], srcs[1]
@@ -285,7 +291,8 @@ type partUse struct {
 }
 
 // compile marks the members the source's cells name, seals its key
-// space and returns the parts' key contributions.
+// space and returns the parts' key contributions — nil when the key
+// space does not fit an int.
 func (u *partUse) compile(src *projSource, rows, cols []gridPart, fixed *gridPart, cells int) *partKeys {
 	mark := func(d int, id dimension.MemberID) { src.members[d].add(id) }
 	for i := range rows {
@@ -297,7 +304,9 @@ func (u *partUse) compile(src *projSource, rows, cols []gridPart, fixed *gridPar
 		cols[j].each(u.cols[j], mark)
 	}
 	fixed.each(u.fixed, mark)
-	src.seal(cells)
+	if !src.seal(cells) {
+		return nil
+	}
 	pk := &partKeys{src: src, row: make([]int, len(rows)), col: make([]int, len(cols)), fixed: make([]int, len(src.dims))}
 	for i := range rows {
 		if u.rows[i] {
@@ -382,6 +391,28 @@ func (p *projection) markFallback(schema *cube.Cube, ids []dimension.MemberID) {
 	}
 	for d, id := range ids {
 		p.fallback[d].add(id)
+	}
+}
+
+// fallBack sends every cell of class to per-cell evaluation, because
+// its source's key space does not fit an int. A view cell reads the
+// result, so its members join the footprint.
+func (p *projection) fallBack(g Grid, schema *cube.Cube, class int32) {
+	ids := make([]dimension.MemberID, schema.NumDims())
+	for c, cl := range p.cell {
+		if cl != class {
+			continue
+		}
+		p.cell[c] = cellFallback
+		p.stats.Compiled--
+		p.stats.Fallback++
+		if p.stats.Reason == "" {
+			p.stats.Reason = reasonKeySpace
+		}
+		if class == cellView {
+			g.cellIDs(ids, c/len(g.Cols), c%len(g.Cols))
+			p.markFallback(schema, ids)
+		}
 	}
 }
 
@@ -573,24 +604,29 @@ func newProjSource(dims []*dimension.Dimension) *projSource {
 }
 
 // seal fixes the members and the key space of a source read by some of
-// a grid's cells.
-func (s *projSource) seal(cells int) {
+// a grid's cells — a dimension's radix is the product of the member
+// counts of the dimensions after it — and reports whether every key
+// fits an int.
+func (s *projSource) seal(cells int) bool {
 	s.radix = make([]int, len(s.dims))
 	space := 1
 	for d := len(s.dims) - 1; d >= 0; d-- {
 		s.radix[d] = space
-		if n := s.members[d].seal(); space <= 1<<40 {
-			space *= n
+		hi, lo := bits.Mul64(uint64(space), uint64(s.members[d].seal()))
+		if hi != 0 || lo > math.MaxInt {
+			return false
 		}
+		space = int(lo)
 	}
 	if space > 4*cells+4096 {
 		s.sparse = make(map[int]int32)
-		return
+		return true
 	}
 	s.byKey = make([]int32, space)
 	for k := range s.byKey {
 		s.byKey[k] = -1
 	}
+	return true
 }
 
 // memberSet is a set of one dimension's member IDs with a rank
@@ -784,14 +820,16 @@ func (k *decoder) cover() bool {
 		})
 		slices.SortFunc(tab, func(a, b leafEntry) int { return cmp.Or(cmp.Compare(a.ord, b.ord), cmp.Compare(a.key, b.key)) })
 		k.leaves[d] = tab
-		if n := k.g.ChunksPerDim(d); n > 1 {
-			on := make([]bool, n)
+		if k.g.ChunksPerDim(d) == 1 {
+			continue
+		}
+		ords := func(yield func(o int)) {
 			for _, e := range tab {
-				on[int(e.ord)/edge] = true
+				yield(int(e.ord))
 			}
-			if slices.Contains(on, false) {
-				k.filters = append(k.filters, chunkFilter{idStride: k.g.ChunkIDStride(d), n: n, on: on})
-			}
+		}
+		if cf, cuts := newChunkFilter(k.g, d, ords); cuts {
+			k.filters = append(k.filters, cf)
 		}
 	}
 	return true
@@ -964,7 +1002,10 @@ func (k *decoder) foldAll(i, key int, v float64, n int) {
 // as they are. A slab shares its varying and parameter digits and every
 // digit slower than it, so their share of the key is decided once per
 // slab; the digits faster than it depend only on the position in the
-// slab, so their share is one table per chunk.
+// slab, so their share is one table per chunk. The same tables are the
+// scan's cell filter: a slab none of whose cells feeds a grid cell is
+// dead (slabAt), and of a live one only the positions whose faster
+// digits feed one (live) are folded.
 type fuser struct {
 	p *projection
 	// d is the view source's decoder over the view's geometry, whose leaf
@@ -988,10 +1029,12 @@ type fuser struct {
 	// localKeys[localStart[r]:localStart[r+1]] are the key contributions
 	// of the fast digits at slab position r: one per combination of an
 	// entry from each fast dimension, none where a digit feeds no grid
-	// cell. Rebuilt when a chunk changes a fast dimension's table; empty
-	// localStart means not built.
+	// cell. live are the runs of positions that have some: the cells of a
+	// slab the scan folds. Rebuilt when a chunk changes a fast dimension's
+	// table; empty localStart means not built.
 	localKeys  []int
 	localStart []int32
+	live       []liveRun
 	// Per slab (slabAt): the slab's first offset and the destination
 	// ordinal it was decided for, its key, and combo the contributions of
 	// its dimensions with more than one entry, one per combination; dead
@@ -1051,15 +1094,23 @@ func (f *fuser) begin(ccoord []int) {
 		}
 	}
 	if moved {
-		f.localKeys, f.localStart = f.localKeys[:0], append(f.localStart[:0], 0)
+		f.localKeys, f.localStart, f.live = f.localKeys[:0], append(f.localStart[:0], 0), f.live[:0]
 		for r := 0; r < f.slab; r++ {
 			if key, ok := f.keyOf(f.fast, 0, r); ok {
 				f.localKeys = f.expand(f.localKeys, 0, key)
+				if n := len(f.live); n > 0 && f.live[n-1].hi == r {
+					f.live[n-1].hi++
+				} else {
+					f.live = append(f.live, liveRun{r, r + 1})
+				}
 			}
 			f.localStart = append(f.localStart, int32(len(f.localKeys)))
 		}
 	}
 }
+
+// liveRun is a run [lo, hi) of slab positions.
+type liveRun struct{ lo, hi int }
 
 // keyOf adds to key the contributions of dims' digits at offset off of
 // the current chunk, leaving the dimensions with several in the
@@ -1136,31 +1187,39 @@ func (f *fuser) fold(r int, v float64, n int) {
 	}
 }
 
-// cells folds the cells at positions r, r+1, … of the slab at source
-// offset slab, relocated to destination ordinal dst, and returns how
-// many are not Null — the count an overlay write reports.
-func (f *fuser) cells(dst, slab, r int, cells []float64) int {
-	live := f.slabAt(dst, slab)
+// relocate folds the cells at source offsets [lo, hi) of the slab at
+// offset at, relocated to destination ordinal dst — cells[i] is the one
+// at lo+i or, cells nil, every one holds v — and returns how many cells
+// it folded that are not Null: none of a dead slab, else those of its
+// live runs.
+func (f *fuser) relocate(dst, at, lo, hi int, cells []float64, v float64) int {
+	if !f.slabAt(dst, at) {
+		return 0
+	}
 	n := 0
-	for i, v := range cells {
-		if v == v {
-			n++
-			if live {
-				f.fold(r+i, v, 1)
+	for _, r := range f.live {
+		a, b := max(at+r.lo, lo), min(at+r.hi, hi)
+		switch {
+		case a >= b:
+		case cells == nil:
+			f.run(a-at, b-a, v)
+			n += b - a
+		default:
+			for i, c := range cells[a-lo : b-lo] {
+				if c == c {
+					f.fold(a-at+i, c, 1)
+					n++
+				}
 			}
 		}
 	}
 	return n
 }
 
-// run folds n cells holding v at positions r, r+1, … of the slab at
-// source offset slab, relocated to destination ordinal dst. Consecutive
-// cells feeding the same grid cells fold as one fold of that many equal
-// cells.
-func (f *fuser) run(dst, slab, r, n int, v float64) {
-	if !f.slabAt(dst, slab) {
-		return
-	}
+// run folds n cells holding v at positions r, r+1, … of the slab slabAt
+// decided. Consecutive cells feeding the same grid cells fold as one
+// fold of that many equal cells.
+func (f *fuser) run(r, n int, v float64) {
 	local := func(r int) []int { return f.localKeys[f.localStart[r]:f.localStart[r+1]] }
 	for i := 0; i < n; {
 		j := i + 1

@@ -123,7 +123,8 @@ stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|Fuzz
 # planner (pebbler-vs-oracle differential tests, plan determinism, the
 # allocation pins that stand in for timing asserts on this host), the
 # query footprint (the grid-equivalence property test, the
-# random-geometry mask oracle, the masked scan's allocation pin), the
+# random-geometry oracles of the overlay and the fold sink, the fused
+# live-run scan's allocation pin), the
 # compiled projection (its per-cell equivalence over the same corpus,
 # the report shapes it compiles, the derived footprint), and
 # the server's executor (overload, close, canceled queued tasks), the
