@@ -78,6 +78,30 @@ func ReleaseRecordBuf(b *[]byte) {
 	}
 }
 
+// denseFrames holds dense arrays of evicted chunks that no reader can
+// see any more (the buffer pool's recycle): a cold scan faults and
+// evicts about one chunk per read, so the next fault's decode fills the
+// array the last eviction freed instead of making, zeroing and
+// Null-filling a fresh one.
+var denseFrames sync.Pool // of *[]float64
+
+// denseFrame returns a Null-filled array of capacity cells: a recycled
+// one when the free list offers one of that capacity, else a new one.
+func denseFrame(capacity int) []float64 {
+	var d []float64
+	if f, _ := denseFrames.Get().(*[]float64); f != nil && cap(*f) == capacity {
+		d = (*f)[:capacity]
+	} else {
+		d = make([]float64, capacity)
+	}
+	nullFill(d)
+	return d
+}
+
+// recycleDenseFrame hands a dense array to the next denseFrame. The
+// caller must guarantee nothing reads or writes it afterwards.
+func recycleDenseFrame(d *[]float64) { denseFrames.Put(d) }
+
 // RecordCells sizes an encoded chunk record (cell count) from its
 // header, without decoding the cells. Pair records are sized from the
 // byte length; run records carry the count in their header.
@@ -129,8 +153,9 @@ func putCell(cells []byte, off int, v float64) []byte {
 // decodeChunk deserializes a record written by encodeChunk into the
 // chunk it will end as, in one pass: a run record restores run-encoded
 // (a tier fault never silently decompresses), a pair record whose count
-// is past sparseThreshold fills one dense array by offset, any other
-// fills exact-length sparse slices. The chunk shares no memory with buf.
+// is past sparseThreshold fills one dense array by offset (recycled
+// where the pool freed one, denseFrame), any other fills exact-length
+// sparse slices. The chunk shares no memory with buf.
 //
 // Only records encodeChunk can emit are accepted: the byte length must
 // match the header, offsets must ascend strictly below capacity, and no
@@ -158,8 +183,7 @@ func decodeChunk(buf []byte, capacity int) (*Chunk, error) {
 	}
 	dense := c.Occupancy() > sparseThreshold
 	if dense {
-		c.dense = make([]float64, capacity)
-		nullFill(c.dense)
+		c.dense = denseFrame(capacity)
 	} else {
 		c.offs = make([]int32, n)
 		c.vals = make([]float64, n)

@@ -349,7 +349,7 @@ func BenchmarkDecodeChunk(b *testing.B) {
 	for _, d := range []struct {
 		name   string
 		decode func([]byte, int) (*Chunk, error)
-	}{{"onepass", decodeChunk}, {"reference", refDecodeChunk}} {
+	}{{"onepass", decodeChunk}, {"recycled", decodeRecycled}, {"reference", refDecodeChunk}} {
 		b.Run(d.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(rec)))
@@ -360,6 +360,16 @@ func BenchmarkDecodeChunk(b *testing.B) {
 			}
 		})
 	}
+}
+
+// decodeRecycled is a steady-state pool fault: the decode, then the
+// eviction that hands the dense array to the next one.
+func decodeRecycled(rec []byte, capacity int) (*Chunk, error) {
+	c, err := decodeChunk(rec, capacity)
+	if err == nil && c.dense != nil {
+		recycleDenseFrame(&c.dense)
+	}
+	return c, err
 }
 
 var codecSink []byte

@@ -25,6 +25,21 @@ import (
 // a resident Clone, and a change that must last is published as a new
 // version. No eviction does I/O, so nothing under the pool lock touches
 // storage.
+//
+// Frame reuse: a cold scan faults and evicts about one chunk per read,
+// and each fault decodes into a fresh dense array while its eviction
+// hands an identical one to the GC. So an evicted chunk's dense array
+// goes back to the decoder (denseFrame in codec.go) — but only when no
+// reader can still see it. The engine's reads are leased (Lease.Read):
+// the chunk stays the reader's until Release, and an eviction that
+// finds it leased leaves the hand-back to the last Release. Every other
+// read (Get, NonNull, Clone, PeekChunk, ReadChunk) has no release to
+// wait for, so the chunk it returns is marked escaped and its array is
+// never reused; so are the chunks resident when the tier was attached,
+// which their builder may still hold. Lease and escape are set under
+// mu in the critical section that finds or inserts the chunk, so no
+// eviction can slip between the lookup and the mark. A lease never
+// released costs one array to the GC, never a wrong cell.
 
 // Tier is the storage beneath the buffer pool: an immutable keyed set
 // of serialized chunks the pool faults from. Implementations must be
@@ -35,6 +50,8 @@ import (
 type Tier interface {
 	// ReadChunkAt loads the chunk with the given canonical ID. It
 	// returns (nil, 0, nil) when the tier does not hold the chunk. The
+	// chunk must be a fresh decode nobody else holds: the pool may hand
+	// its dense array to a later decode once it is evicted. The
 	// float64 is always 0 — the pool measures fault wall time itself —
 	// and remains only because benchmark/layers.go reads three results.
 	ReadChunkAt(id int) (*Chunk, float64, error)
@@ -48,10 +65,20 @@ type Tier interface {
 	Cells(id int) int
 }
 
-// lruNode is one resident chunk's slot in the intrusive recency list.
-type lruNode struct {
+// frame is one resident chunk's slot in the pool: its place in the
+// intrusive recency list and who may still see it. Guarded by the
+// owning Store's mu.
+type frame struct {
 	id         int
-	prev, next *lruNode
+	c          *Chunk
+	prev, next *frame
+	// leases counts the Leases holding c; escaped marks c handed out
+	// without one, so its dense array is never reused. evicted marks a
+	// frame dropped from the resident set while leased: the last
+	// Release hands its array back.
+	leases  int
+	escaped bool
+	evicted bool
 }
 
 // bufferPool is the Store's paging state over a backing Tier. All
@@ -60,10 +87,10 @@ type lruNode struct {
 type bufferPool struct {
 	tier   Tier
 	budget int // resident byte budget
-	// nodes maps resident chunk ids to their recency-list slot; head is
-	// the least recently used, tail the most. touch is O(1).
-	nodes      map[int]*lruNode
-	head, tail *lruNode
+	// frames maps resident chunk ids to their slots; head is the least
+	// recently used, tail the most. touch is O(1).
+	frames     map[int]*frame
+	head, tail *frame
 	// pins counts Pin calls per chunk id; a pinned chunk is never
 	// evicted. Pins are independent of residency so a Pin racing an
 	// eviction still protects the next fault-in.
@@ -75,20 +102,24 @@ type bufferPool struct {
 	residentBytes int
 	faults        int
 	evictions     int
+	// leases counts outstanding leased reads; recycled the dense arrays
+	// handed back to the decoder.
+	leases   int
+	recycled int
 }
 
 func newBufferPool(t Tier, budgetBytes int) *bufferPool {
 	return &bufferPool{
 		tier:     t,
 		budget:   budgetBytes,
-		nodes:    make(map[int]*lruNode),
+		frames:   make(map[int]*frame),
 		pins:     make(map[int]int),
 		inflight: make(map[int]chan struct{}),
 	}
 }
 
-// lruPushBack appends a node as most recently used.
-func (p *bufferPool) lruPushBack(n *lruNode) {
+// lruPushBack appends a frame as most recently used.
+func (p *bufferPool) lruPushBack(n *frame) {
 	n.prev, n.next = p.tail, nil
 	if p.tail != nil {
 		p.tail.next = n
@@ -98,8 +129,8 @@ func (p *bufferPool) lruPushBack(n *lruNode) {
 	p.tail = n
 }
 
-// lruRemove unlinks a node.
-func (p *bufferPool) lruRemove(n *lruNode) {
+// lruRemove unlinks a frame.
+func (p *bufferPool) lruRemove(n *frame) {
 	if n.prev != nil {
 		n.prev.next = n.next
 	} else {
@@ -113,27 +144,58 @@ func (p *bufferPool) lruRemove(n *lruNode) {
 	n.prev, n.next = nil, nil
 }
 
-// touch marks a resident chunk as recently used, inserting it when it
-// has no slot yet. O(1), unlike the slice scan it replaced.
-func (p *bufferPool) touch(id int) {
-	if n, ok := p.nodes[id]; ok {
-		if p.tail != n {
-			p.lruRemove(n)
-			p.lruPushBack(n)
-		}
-		return
+// touch marks a resident chunk as recently used, in O(1).
+func (p *bufferPool) touch(f *frame) {
+	if p.tail != f {
+		p.lruRemove(f)
+		p.lruPushBack(f)
 	}
-	n := &lruNode{id: id}
-	p.nodes[id] = n
-	p.lruPushBack(n)
 }
 
-// drop removes a chunk's recency slot, if any.
-func (p *bufferPool) drop(id int) {
-	if n, ok := p.nodes[id]; ok {
-		p.lruRemove(n)
-		delete(p.nodes, id)
+// insert gives a newly resident chunk its slot, most recently used.
+func (p *bufferPool) insert(id int, c *Chunk) *frame {
+	f := &frame{id: id, c: c}
+	p.frames[id] = f
+	p.lruPushBack(f)
+	p.residentBytes += c.MemBytes()
+	return f
+}
+
+// hold marks a frame as seen by a reader: leased to l, which holds
+// nothing, or escaped when l is nil.
+func (p *bufferPool) hold(f *frame, l *Lease) {
+	if l == nil {
+		f.escaped = true
+		return
 	}
+	f.leases++
+	p.leases++
+	l.f = f
+}
+
+// release gives back the frame l holds, if any (none when l is nil);
+// the last lease on an evicted frame recycles it.
+func (p *bufferPool) release(l *Lease) {
+	if l == nil || l.f == nil {
+		return
+	}
+	f := l.f
+	l.f = nil
+	f.leases--
+	p.leases--
+	if f.leases == 0 && f.evicted {
+		p.recycle(f)
+	}
+}
+
+// recycle hands an evicted frame's dense array to the decoder unless
+// the chunk escaped; the frame is done either way.
+func (p *bufferPool) recycle(f *frame) {
+	if !f.escaped && f.c.dense != nil {
+		recycleDenseFrame(&f.c.dense)
+		p.recycled++
+	}
+	f.c = nil
 }
 
 // AttachTier puts the store's chunks behind a backing tier with a
@@ -156,8 +218,8 @@ func (s *Store) AttachTier(t Tier, budgetBytes int) error {
 	}
 	p := newBufferPool(t, budgetBytes)
 	for id, c := range s.chunks {
-		p.touch(id)
-		p.residentBytes += c.MemBytes()
+		// Built before the attach: whoever built it may hold it still.
+		p.insert(id, c).escaped = true
 	}
 	s.pool = p
 	s.ids.Store(nil) // the tier may hold chunks the store never saw
@@ -181,6 +243,13 @@ type SpillStats struct {
 	Evictions int
 	// Pinned is the number of distinct chunk ids currently pinned.
 	Pinned int
+	// Leased counts outstanding leased reads (Lease.Read not yet
+	// released); 0 whenever no scan is running.
+	Leased int
+	// Recycled counts evicted dense arrays the pool handed back for the
+	// next fault's decode to reuse. On a dense cube, Faults − Recycled
+	// approximates the fresh dense arrays the faults allocated.
+	Recycled int
 	// ResidentBytes is the pool's byte accounting of resident chunks —
 	// what the eviction budget compares against. After the attach it
 	// changes only on a fault or an eviction: a paged store is
@@ -203,6 +272,8 @@ func (s *Store) SpillStats() SpillStats {
 		Faults:        p.faults,
 		Evictions:     p.evictions,
 		Pinned:        len(p.pins),
+		Leased:        p.leases,
+		Recycled:      p.recycled,
 		ResidentBytes: p.residentBytes,
 	}
 }
@@ -246,13 +317,14 @@ func (s *Store) Unpin(id int) {
 // chunkAt returns the chunk for id, faulting it in from the backing
 // tier when necessary. It returns nil when the chunk exists nowhere.
 // With a tier attached, lookups go through the pool (short map/recency
-// critical sections under mu, fault I/O outside it); without one, the
-// resident map is read directly (safe for concurrent readers).
+// critical sections under mu, fault I/O outside it) and the chunk
+// escapes: its frame is never reused. Without one, the resident map is
+// read directly (safe for concurrent readers).
 func (s *Store) chunkAt(id int) *Chunk {
 	if s.pool == nil {
 		return s.chunks[id]
 	}
-	c, _, err := s.poolGet(id)
+	c, _, err := s.poolGet(id, nil)
 	if err != nil {
 		panic(fmt.Sprintf("chunk: tier fault for chunk %d: %v", id, err))
 	}
@@ -273,14 +345,19 @@ type faultInfo struct {
 // poolGet is the buffer pool's lookup: resident hit, wait on an
 // in-flight fault, or fault in. The tier read runs outside mu so
 // concurrent fault-ins of different chunks overlap; per-chunk
-// in-flight channels prevent duplicate reads of the same chunk.
-func (s *Store) poolGet(id int) (*Chunk, faultInfo, error) {
+// in-flight channels prevent duplicate reads of the same chunk. The
+// chunk returned is leased to l — which gives back what it held first —
+// or, when l is nil, escapes.
+func (s *Store) poolGet(id int, l *Lease) (*Chunk, faultInfo, error) {
 	p := s.pool
 	var fi faultInfo
 	for {
 		s.mu.Lock()
-		if c, ok := s.chunks[id]; ok {
-			p.touch(id)
+		p.release(l)
+		if f, ok := p.frames[id]; ok {
+			c := f.c // an eviction may clear f.c once mu is released
+			p.touch(f)
+			p.hold(f, l)
 			fi.pinned = p.pins[id] > 0
 			s.mu.Unlock()
 			return c, fi, nil
@@ -317,8 +394,7 @@ func (s *Store) poolGet(id int) (*Chunk, faultInfo, error) {
 		}
 		// The tier keeps its copy, so a later eviction is a free drop.
 		s.chunks[id] = c
-		p.touch(id)
-		p.residentBytes += c.MemBytes()
+		p.hold(p.insert(id, c), l)
 		p.faults++
 		fi.faulted = true
 		// A transient pin keeps this fault's own chunk out of the
@@ -342,34 +418,60 @@ func (s *Store) poolGet(id int) (*Chunk, faultInfo, error) {
 // resident set until it fits the budget (always keeping at least one
 // chunk resident), returning the number evicted. The tier holds every
 // resident chunk, so a drop does no I/O. Pinned chunks are skipped and
-// keep their recency position. Caller holds mu.
+// keep their recency position; leased ones are dropped all the same,
+// their frames recycled at the last Release. Caller holds mu.
 func (s *Store) evictLocked() int {
 	p := s.pool
 	if p == nil {
 		return 0
 	}
 	evicted := 0
-	n := p.head
-	for p.residentBytes > p.budget && len(p.nodes) > 1 && n != nil {
-		next := n.next
-		if p.pins[n.id] > 0 {
-			n = next
+	f := p.head
+	for p.residentBytes > p.budget && len(p.frames) > 1 && f != nil {
+		next := f.next
+		if p.pins[f.id] > 0 {
+			f = next
 			continue
 		}
-		victim := n.id
-		c, ok := s.chunks[victim]
-		if !ok {
-			// Defensive: a node without a resident chunk is stale.
-			p.drop(victim)
-			n = next
-			continue
-		}
-		p.residentBytes -= c.MemBytes()
+		p.residentBytes -= f.c.MemBytes()
 		p.evictions++
 		evicted++
-		delete(s.chunks, victim)
-		p.drop(victim)
-		n = next
+		delete(s.chunks, f.id)
+		delete(p.frames, f.id)
+		p.lruRemove(f)
+		if f.leases > 0 {
+			f.evicted = true
+		} else {
+			p.recycle(f)
+		}
+		f = next
 	}
 	return evicted
+}
+
+// Lease is one reader's hold on the pooled chunk it read last: Read
+// returns a chunk whose frame no other fault reuses until the next Read
+// or Release, and a reader that folds each chunk before reading the
+// next holds exactly the chunk it is folding. Take one with
+// Store.Lease, read through it, and Release it on every path; one
+// goroutine uses a lease at a time. On a store without a tier it is a
+// counted read and nothing else.
+type Lease struct {
+	s *Store
+	f *frame
+}
+
+// Lease returns an empty lease on the store's chunks.
+func (s *Store) Lease() Lease { return Lease{s: s} }
+
+// Release gives back the chunk the lease holds, if any: from then on
+// the caller must not touch it. Releasing twice is a no-op.
+func (l *Lease) Release() {
+	if l.f == nil {
+		return
+	}
+	s := l.s
+	s.mu.Lock()
+	s.pool.release(l)
+	s.mu.Unlock()
 }

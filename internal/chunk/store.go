@@ -19,7 +19,8 @@ import (
 //
 // Concurrency: a fully loaded store is safe for concurrent *readers*
 // (Get, ReadChunk, PeekChunk, NonNull, ChunkIDs, SpillStats, Pin,
-// Unpin) — read accounting is atomic, the read hook is swapped
+// Unpin, and Leases, each used by one goroutine) — read accounting is
+// atomic, the read hook is swapped
 // atomically (SetReadHook is safe against concurrent readers), and
 // segment fault-ins go through the buffer pool, which overlaps distinct
 // chunks' I/O and deduplicates same-chunk faults. Mutation (Set,
@@ -279,24 +280,32 @@ func (e *ReadError) Unwrap() error { return e.Err }
 
 // ReadChunk fetches the chunk with the given canonical ID, counting the
 // read and notifying the read hook. A nil return means the chunk is
-// empty (not materialized). A tier fault panics: ReadChunk serves
-// readers that cannot return an error; the engine reads through
-// ReadChunkInfo.
+// empty (not materialized). The read is unleased: the caller may keep
+// the chunk as long as it likes, so on a paged store its frame is never
+// reused. A tier fault panics: ReadChunk serves readers that cannot
+// return an error; the engine reads through a Lease.
 func (s *Store) ReadChunk(id int) *Chunk {
-	c, _, err := s.ReadChunkInfo(id)
+	c, _, err := s.read(id, nil)
 	if err != nil {
 		panic(err.Error())
 	}
 	return c
 }
 
-// ReadChunkInfo is ReadChunk with per-read attribution: the buffer
-// pool's hit/fault/eviction/pin outcome for exactly this read. This is
-// the engine's read path — per-fault trace spans are built from the
-// returned ReadInfo rather than from global counters, so concurrent
-// queries never absorb each other's I/O. A fault the tier fails is
-// returned as a *ReadError.
-func (s *Store) ReadChunkInfo(id int) (*Chunk, ReadInfo, error) {
+// Read is the engine's chunk read: ReadChunk with per-read attribution
+// — the buffer pool's hit/fault/eviction/pin outcome for exactly this
+// read, from which the engine builds per-fault trace spans rather than
+// from global counters, so concurrent queries never absorb each other's
+// I/O — and leased. It first gives back the chunk the lease held; the
+// chunk it returns is the caller's until the next Read or Release, and
+// no fault reuses its frame before then. A fault the tier fails is
+// returned as a *ReadError, and the lease then holds nothing.
+func (l *Lease) Read(id int) (*Chunk, ReadInfo, error) { return l.s.read(id, l) }
+
+// read counts a chunk read, notifies the read hook and fetches the
+// chunk: on a paged store through the pool, leased to l or, when l is
+// nil, escaped.
+func (s *Store) read(id int, l *Lease) (*Chunk, ReadInfo, error) {
 	s.reads.Add(1)
 	if rh := s.readHook.Load(); rh != nil {
 		s.callReadHook(id, *rh)
@@ -304,7 +313,7 @@ func (s *Store) ReadChunkInfo(id int) (*Chunk, ReadInfo, error) {
 	if s.pool == nil {
 		return s.chunks[id], ReadInfo{}, nil
 	}
-	c, fi, err := s.poolGet(id)
+	c, fi, err := s.poolGet(id, l)
 	if err != nil {
 		return nil, ReadInfo{}, &ReadError{ID: id, Err: err}
 	}
@@ -321,7 +330,8 @@ func (s *Store) callReadHook(id int, fn func(int)) {
 }
 
 // PeekChunk fetches a chunk without read accounting (metadata scans).
-// Spilled chunks still fault in.
+// Spilled chunks still fault in, and, as with ReadChunk, the caller may
+// keep the chunk: on a paged store its frame is never reused.
 func (s *Store) PeekChunk(id int) *Chunk { return s.chunkAt(id) }
 
 // PutChunk installs a chunk at the given canonical ID, replacing any

@@ -33,19 +33,26 @@ func (s *Stats) addReads(t readTally) {
 // costs no span slot (and, with tracing off, nothing at all) — then,
 // under a scenario, the layer chain's resolve into one reused dense
 // chunk. A caller may act between the two (the scan pins).
+//
+// Reads are leased: the chunk read last stays the pass's, its frame
+// out of reuse, until the next read gives it back — the pass folds
+// each chunk before reading the next — and the pass releases the lease
+// on every exit.
 type chunkReader struct {
 	readTally
 	e        *Engine
+	lease    *chunk.Lease
 	tr       *trace.Trace
 	parent   trace.SpanRef
 	resolved *chunk.Chunk
 }
 
-// read reads chunk id from the store. A read the tier fails returns
-// its *chunk.ReadError, which names the chunk and the segment.
+// read reads chunk id from the store, giving back the chunk read
+// before. A read the tier fails returns its *chunk.ReadError, which
+// names the chunk and the segment.
 func (r *chunkReader) read(id int) (*chunk.Chunk, error) {
 	readStart := r.tr.Now()
-	ch, info, err := r.e.store.ReadChunkInfo(id)
+	ch, info, err := r.lease.Read(id)
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +582,7 @@ func (pt *pinTracker) releaseAll() {
 //
 // Reads go through chunkReader, whose faults become "fault" spans
 // under parent. A read the tier fails ends the scan with its
-// *chunk.ReadError; pins taken so far are released.
+// *chunk.ReadError; pins taken so far and the lease are released.
 func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.Overlay, fold *fuser,
 	tr *trace.Trace, parent trace.SpanRef) (scanTally, error) {
 
@@ -588,7 +595,9 @@ func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.O
 	ccoord := make([]int, g.NumDims())
 	k := newSlabKernel(g, og, overlay, fold, p.Target, e.vi, e.pi)
 	k.countOff = parent.Valid()
-	r := &chunkReader{e: e, tr: tr, parent: parent}
+	lease := e.store.Lease()
+	defer lease.Release()
+	r := &chunkReader{e: e, lease: &lease, tr: tr, parent: parent}
 
 	var pins *pinTracker
 	if e.store.Pooled() && p.Stats.MergeEdges > 0 {

@@ -520,7 +520,9 @@ func (p *projection) run(ec ExecContext, e *Engine, vs *viewStore, ids []int) er
 	if fromBase == nil && fromInput == nil {
 		return nil
 	}
-	r := &chunkReader{e: e, tr: trace.FromContext(ec.Ctx), parent: trace.SpanFromContext(ec.Ctx)}
+	lease := e.store.Lease()
+	defer lease.Release()
+	r := &chunkReader{e: e, lease: &lease, tr: trace.FromContext(ec.Ctx), parent: trace.SpanFromContext(ec.Ctx)}
 	defer func() { p.reads, p.stats.ChunksRead = r.readTally, r.chunksRead }()
 	g := e.store.Geometry()
 	ccoord := make([]int, g.NumDims())

@@ -36,7 +36,7 @@ var (
 	}, ",")
 	ctxflowReadCalls = strings.Join([]string{
 		ModulePath + "/internal/chunk.Store.ReadChunk",
-		ModulePath + "/internal/chunk.Store.ReadChunkInfo",
+		ModulePath + "/internal/chunk.Lease.Read",
 	}, ",")
 )
 

@@ -100,7 +100,7 @@ func TestLintMonotonicFix(t *testing.T) {
 func TestLintReleasePair(t *testing.T) {
 	override(t, &releasepairPkgs, "pairx")
 	override(t, &releasepairPairs,
-		"pairx.Mu.Lock:Unlock,pairx.Pool.Pin:Unpin@1,pairx.T.Start:End,pairx.NewRes:Seal")
+		"pairx.Mu.Lock:Unlock,pairx.Pool.Pin:Unpin@1,pairx.T.Start:End,pairx.NewRes:Seal,pairx.Store.Lease:Release")
 	linttest.Run(t, "testdata", ReleasePair, "pairx")
 }
 
@@ -111,7 +111,7 @@ func TestLintReleasePair(t *testing.T) {
 func TestLintReleasePairFix(t *testing.T) {
 	override(t, &releasepairPkgs, "pairx")
 	override(t, &releasepairPairs,
-		"pairx.Mu.Lock:Unlock,pairx.Pool.Pin:Unpin@1,pairx.T.Start:End,pairx.NewRes:Seal")
+		"pairx.Mu.Lock:Unlock,pairx.Pool.Pin:Unpin@1,pairx.T.Start:End,pairx.NewRes:Seal,pairx.Store.Lease:Release")
 	srcRoot := filepath.Join(t.TempDir(), "src")
 	pairDir := filepath.Join(srcRoot, "pairx")
 	if err := os.MkdirAll(pairDir, 0o755); err != nil {

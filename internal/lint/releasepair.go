@@ -23,11 +23,12 @@ import (
 //     clears the obligation.
 //   - result pairs: the acquire returns the resource and the release
 //     is a method on the result (sp := tr.Start(...) / sp.End(),
-//     NewLayer/Seal). Ownership transfer ends the obligation:
-//     returning the resource, passing it as an argument, storing it
-//     anywhere, or sending it on a channel all count as handing the
-//     release duty to someone else. Plain method calls on the resource
-//     (sp.Int(...)) do not.
+//     NewLayer/Seal, lease := store.Lease() / lease.Release()).
+//     Ownership transfer ends the obligation: returning the resource,
+//     passing it as an argument, storing it anywhere, or sending it on
+//     a channel all count as handing the release duty to someone else.
+//     Method calls on the resource (sp.Int(...), ch, info, err :=
+//     lease.Read(id)) do not, whether statements or expressions.
 //
 // The analysis is a forward may-held dataflow over the CFG: a resource
 // held at a return or panic exit is reported at that exit. When the
@@ -37,7 +38,7 @@ import (
 // on the acquire (or the exit) is the reviewed escape hatch.
 var ReleasePair = &analysis.Analyzer{
 	Name:     "releasepair",
-	Doc:      "paired operations (Lock/Unlock, Pin/Unpin, span Start/End, NewLayer/Seal) must balance on every path, including early returns and panics",
+	Doc:      "paired operations (Lock/Unlock, Pin/Unpin, span Start/End, NewLayer/Seal, Lease/Release) must balance on every path, including early returns and panics",
 	Run:      runReleasePair,
 	Requires: []*analysis.Analyzer{ssax.Analyzer},
 }
@@ -57,6 +58,7 @@ var (
 		ModulePath + "/internal/chunk.Store.Pin:Unpin@1",
 		ModulePath + "/internal/trace.Trace.Start:End",
 		ModulePath + "/internal/chunk.NewLayer:Seal",
+		ModulePath + "/internal/chunk.Store.Lease:Release",
 	}, ",")
 )
 
@@ -441,19 +443,30 @@ func (ra *pairAnalysis) localVar(e ast.Expr) *types.Var {
 }
 
 // escapeUses drops result-mode obligations whose resource appears
-// anywhere in exprs: the release duty went with the value.
+// anywhere in exprs: the release duty went with the value. A method
+// call on a held resource is a use in place, not a hand-off, wherever
+// it sits (v, err := l.Read(id) keeps l's obligation): only its
+// arguments can carry a resource away.
 func (ra *pairAnalysis) escapeUses(st pairState, exprs []ast.Expr) {
 	for _, e := range exprs {
 		if e == nil {
 			continue
 		}
 		ast.Inspect(e, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if v, ok := ra.pass.TypesInfo.Uses[id].(*types.Var); ok {
-				delete(st, varID(v))
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+					if v := ra.localVar(sel.X); v != nil {
+						if _, held := st[varID(v)]; held {
+							ra.escapeUses(st, n.Args)
+							return false
+						}
+					}
+				}
+			case *ast.Ident:
+				if v, ok := ra.pass.TypesInfo.Uses[n].(*types.Var); ok {
+					delete(st, varID(v))
+				}
 			}
 			return true
 		})

@@ -123,3 +123,33 @@ func pairokBare(m *Mu, c bool) {
 	}
 	m.Unlock()
 }
+
+// A read through the lease keeps the release duty: the early return on
+// a read error leaks the lease.
+func leaseLeak(s *Store, ids []int) (int, error) {
+	l := s.Lease()
+	sum := 0
+	for _, id := range ids {
+		v, err := l.Read(id)
+		if err != nil {
+			return 0, err // want `not released on this return path`
+		}
+		sum += v
+	}
+	l.Release()
+	return sum, nil
+}
+
+func leaseDeferred(s *Store, ids []int) (int, error) {
+	l := s.Lease()
+	defer l.Release()
+	sum := 0
+	for _, id := range ids {
+		v, err := l.Read(id)
+		if err != nil {
+			return 0, err
+		}
+		sum += v
+	}
+	return sum, nil
+}

@@ -505,6 +505,32 @@ func TestFootprintEquivalence(t *testing.T) {
 	}
 }
 
+// TestFootprintCorpusReplays: the property tests' corpus is a function
+// of its seed. Built twice in one process — cubes, scenario layers and
+// queries — it draws the same query texts, so a failing seed replays.
+// (A generator that numbered a dimension's members in map order once
+// made one seed name a different instance of a moved employee from
+// build to build.)
+func TestFootprintCorpusReplays(t *testing.T) {
+	corpus := func() []string {
+		var srcs []string
+		footprintMatrix(t, func(label string, _ *Evaluator, src string) (core.Stats, bool) {
+			srcs = append(srcs, label+"\n"+src)
+			return core.Stats{}, true
+		})
+		return srcs
+	}
+	first, second := corpus(), corpus()
+	if len(first) != len(second) {
+		t.Fatalf("the corpus drew %d queries, then %d", len(first), len(second))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("query %d differs between two builds:\n%s\n---\n%s", i, first[i], second[i])
+		}
+	}
+}
+
 // TestProjectCompiledEquivalence is the compiled projection's property
 // test over the same corpus: the grid View.Project computes in one
 // accumulator pass equals the grid algebra.CellValue computes cell by

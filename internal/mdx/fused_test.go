@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -304,7 +305,7 @@ func (f *faultyTier) IDs() []int {
 // TestFusedTierFault: a chunk read the tier fails is an error of the
 // query, not a panic — called here with no recover on the stack, so a
 // panic would fail the test binary. It names the chunk and the segment,
-// and the pins the scan took are released. The fault lands in the
+// and the pins the scan took and its lease are released. The fault lands in the
 // fused scan (a VISUAL department report) and in the projection's base
 // pass (a NONVISUAL roll-up, whose scan reads nothing) — served, and
 // run to a view (ExecPerspectiveWith) whose scan builds an overlay and
@@ -352,11 +353,69 @@ func TestFusedTierFault(t *testing.T) {
 					!strings.Contains(err.Error(), fmt.Sprintf("chunk %d", re.ID)) {
 					t.Fatalf("%s %s after %d good reads: %v, want the tier's read error naming the chunk and the segment", tc.name, way.name, ok, err)
 				}
-				if pinned := st.SpillStats().Pinned; pinned != 0 {
-					t.Fatalf("%s %s: %d chunks still pinned after the fault", tc.name, way.name, pinned)
+				if ps := st.SpillStats(); ps.Pinned != 0 || ps.Leased != 0 {
+					t.Fatalf("%s %s: %d chunks still pinned, %d leases outstanding after the fault", tc.name, way.name, ps.Pinned, ps.Leased)
 				}
 			}
 		}
+	}
+}
+
+// TestColdQueryRecyclesFrames: served queries over the paged storage
+// fault chunk after chunk through a three-chunk pool, and each fault's
+// decode fills a dense array an eviction freed instead of a fresh one.
+// So the queries allocate a bounded number of dense arrays, not one per
+// fault: over what the same queries allocate on the resident cube, the
+// paged run's faults add less than a quarter of the dense arrays they
+// decode. (A GC may empty the free list once or twice; the race
+// detector drops frames at random, so the pin does not run under it.)
+func TestColdQueryRecyclesFrames(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops frames at random under the race detector")
+	}
+	const rounds = 10
+	measure := func(storage string) (alloc uint64, ps chunk.SpillStats, frame uint64) {
+		var c *cube.Cube
+		for _, st := range fusedStorages {
+			if st.name == storage {
+				c = st.build(t)
+			}
+		}
+		ev := NewEvaluator(c)
+		st := c.Store().(*chunk.Store)
+		var qs []*Query
+		for _, name := range []string{"department", "leaf-report", "employee", "scattered"} {
+			qs = append(qs, MustParse(fusedReports(t, c, perspective.Forward, perspective.Visual)[name]))
+		}
+		run := func() {
+			for _, q := range qs {
+				if _, _, err := ev.RunQueryStatsWith(RunContext{}, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run() // evict what the attach left resident
+		before := st.SpillStats()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < rounds; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		after := st.SpillStats()
+		after.Faults -= before.Faults
+		after.Recycled -= before.Recycled
+		return m1.TotalAlloc - m0.TotalAlloc, after, uint64(8 * st.Geometry().ChunkCap())
+	}
+	resident, _, _ := measure("dense")
+	paged, ps, frame := measure("paged")
+	t.Logf("%d faults recycled %d dense arrays of %d B; %d B allocated paged, %d B resident", ps.Faults, ps.Recycled, frame, paged, resident)
+	if ps.Faults < 20*rounds || ps.Recycled < ps.Faults/2 {
+		t.Fatalf("%d faults recycled %d dense arrays: too few for the pin to show anything", ps.Faults, ps.Recycled)
+	}
+	if paged > resident+uint64(ps.Faults)*frame/4 {
+		t.Fatalf("%d faults allocated %d B over the resident run's %d B: a quarter of their %d B of dense arrays or more",
+			ps.Faults, paged-resident, resident, uint64(ps.Faults)*frame)
 	}
 }
 

@@ -90,9 +90,11 @@ func TestSegmentRoundTrip(t *testing.T) {
 // mustFault reads chunks until one faults through the segment tier.
 func mustFault(t *testing.T, s *chunk.Store) {
 	t.Helper()
+	lease := s.Lease()
+	defer lease.Release()
 	for pass := 0; pass < 2; pass++ {
 		for _, id := range s.ChunkIDs() {
-			_, info, err := s.ReadChunkInfo(id)
+			_, info, err := lease.Read(id)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -278,6 +278,8 @@ func (c *Catalog) PoolStats() chunk.SpillStats {
 		total.Faults += ps.Faults
 		total.Evictions += ps.Evictions
 		total.Pinned += ps.Pinned
+		total.Leased += ps.Leased
+		total.Recycled += ps.Recycled
 		total.ResidentBytes += ps.ResidentBytes
 	}
 	return total

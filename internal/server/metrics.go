@@ -370,6 +370,10 @@ type PoolSnapshot struct {
 	Evictions      int `json:"evictions"`
 	Pinned         int `json:"pinned"`
 	ResidentBytes  int `json:"resident_bytes"`
+	// FramesRecycled counts evicted dense arrays handed back for reuse:
+	// Faults − FramesRecycled approximates the fresh dense arrays the
+	// faults allocated.
+	FramesRecycled int `json:"frames_recycled"`
 }
 
 // Snapshot captures the current metric values.
@@ -445,6 +449,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 			Evictions:      ps.Evictions,
 			Pinned:         ps.Pinned,
 			ResidentBytes:  ps.ResidentBytes,
+			FramesRecycled: ps.Recycled,
 		}
 	}
 	return s

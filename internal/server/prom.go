@@ -69,6 +69,7 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	writePromGauge(w, "whatif_pool_pinned", "Chunk ids currently pinned in the buffer pools.", float64(s.Pool.Pinned))
 	writePromCounter(w, "whatif_pool_evictions_total", "Chunks evicted from the buffer pools.", int64(s.Pool.Evictions))
 	writePromCounter(w, "whatif_pool_faults_total", "Chunk fault-ins from the backing tiers.", int64(s.Pool.Faults))
+	writePromCounter(w, "whatif_pool_frames_recycled_total", "Evicted dense chunk arrays handed back for the next fault to decode into.", int64(s.Pool.FramesRecycled))
 
 	if len(s.BySemantics) > 0 {
 		fmt.Fprintf(w, "# HELP whatif_queries_by_semantics_total Queries by perspective semantics.\n")

@@ -229,13 +229,18 @@ func NewWorkforce(cfg WorkforceConfig) (*Workforce, error) {
 			}
 			series[m] = cur
 		}
-		// Validity sets per distinct department.
-		monthsByDept := map[int][]int{}
+		// Validity sets per distinct department, walked in department
+		// order: a new instance's member ID must not depend on map
+		// order, or one seed builds different IDs.
+		monthsByDept := make([][]int, cfg.Departments)
 		for m, d := range series {
 			monthsByDept[d] = append(monthsByDept[d], m)
 		}
 		instAt[e] = make([]dimension.MemberID, cfg.Months)
 		for d, months := range monthsByDept {
+			if months == nil {
+				continue
+			}
 			path := deptNames[d] + "/" + empNames[e]
 			id, err := dept.Lookup(path)
 			if err != nil {

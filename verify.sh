@@ -45,7 +45,7 @@ stage 'go vet ./...' go vet ./...
 #   lockguard     - no blocking calls (disk, segment, obs sinks) while
 #                   chunk-store mutexes are held
 #   monotonic     - span-recording paths stay on the monotonic clock
-#   releasepair   - every acquire (Lock, Pin, span Start, NewLayer)
+#   releasepair   - every acquire (Lock, Pin, span Start, NewLayer, Lease)
 #                   is released on every path, including early
 #                   returns and panics
 # Each diagnostic names the rule and the fix; escape hatches are
@@ -115,8 +115,10 @@ stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|Fuzz
 # slow-query log, EXPLAIN, the metrics-history collector, tail-sampled
 # trace retention, the event log, and the whatif -top view), the
 # scenario workspace fork/edit/query races, the storage tier (segment
-# reads, manifest commits, background write-back), the lint suite's
-# analyzer/driver tests, the run-encoded representation (value-run scan
+# reads, manifest commits, background write-back), the buffer pool's
+# read leases (leased holders across concurrent faults that recycle
+# evicted frames, unleased holders whose frames never recycle), the
+# lint suite's analyzer/driver tests, the run-encoded representation (value-run scan
 # equivalence, the daemon's run-encoded kill -9 restart), the slab
 # relocation kernel (per-cell-oracle equivalence over fixtures, random
 # geometries and scenario chains, and its allocation pins), the dense
@@ -137,7 +139,7 @@ stage 'fuzz seeds' go test -count=1 -run '^(FuzzDecodeChunk|FuzzOpenSegment|Fuzz
 # reference, concurrent splits of one published binding, Extend's
 # isolation), whose extensions share the published dimension's tables.
 stage 'go test -race (concurrent paths)' \
-    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint|Project|Executor|Persist|Catalog|UnderLoad|Commit|ResolveMember|FindFollows|ParamMember|PlanSplit|Extend|Fused' ./...
+    go test -race -run 'Concurrent|Server|Cache|Scan|Pool|Overlay|Kernel|Trace|Slowlog|Explain|Lint|Scenario|Segment|Manifest|Writeback|Run|Rle|History|Retain|Event|Top|Pebble|Plan|Slab|Footprint|Project|Executor|Persist|Catalog|UnderLoad|Commit|ResolveMember|FindFollows|ParamMember|PlanSplit|Extend|Fused|Lease' ./...
 
 # Advisory (non-fatal): known-vulnerability scan, skipped when the
 # toolchain image does not ship govulncheck or has no network.
