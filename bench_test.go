@@ -11,6 +11,7 @@ package olap_test
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -895,6 +896,73 @@ func BenchmarkDepartmentReport(b *testing.B) {
 		}
 		run(b, paged.Cube, func(i int) *mdx.Query { return queries[i%len(queries)] })
 	})
+}
+
+// BenchmarkBroadScanReport runs the broad-scan workload's report shapes
+// through mdx on the ConfigDefault workforce: the leaf report (eight
+// departments' employees by month, DYNAMIC FORWARD NONVISUAL) and the
+// department roll-up by quarter under STATIC VISUAL, DYNAMIC FORWARD
+// VISUAL and STATIC NONVISUAL, each at {(Jan), (Apr), (Jul), (Oct)}.
+// "resident" reads the in-memory store; "paged" reopens the cube from
+// its segment file behind a 1 MiB buffer pool, a tenth of its size. It
+// reports chunks_read/op, spill_faults/op and members_moved/op: most of
+// a report's scope are Φ's fixed points, which the engine reads as base
+// rows and does not plan, and the scan reads each chunk once. The
+// NONVISUAL roll-up reads no relocated cell and moves no member.
+func BenchmarkBroadScanReport(b *testing.B) {
+	const slicer = "[Account].[Acct001], [Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue]"
+	with := func(sem, mode string) string {
+		return "WITH PERSPECTIVE {(Jan), (Apr), (Jul), (Oct)} FOR Department " + sem + " " + mode + " "
+	}
+	var depts []string
+	for d := 0; d < 8; d++ {
+		depts = append(depts, fmt.Sprintf("[Dept%02d].Children", d))
+	}
+	rollup := "SELECT {[Period].Levels(1).Members} ON COLUMNS, {[Department].Levels(1).Members} ON ROWS FROM [App].[Db] WHERE (" + slicer + ")"
+	shapes := []struct{ name, src string }{
+		{"leaf-report", with("DYNAMIC FORWARD", "NONVISUAL") + "SELECT {[Period].Levels(0).Members} ON COLUMNS, {" +
+			strings.Join(depts, ", ") + "} ON ROWS FROM [App].[Db] WHERE (" + slicer + ")"},
+		{"rollup-static-visual", with("STATIC", "VISUAL") + rollup},
+		{"rollup-forward-visual", with("DYNAMIC FORWARD", "VISUAL") + rollup},
+		{"rollup-static-nonvisual", with("STATIC", "NONVISUAL") + rollup},
+	}
+	for _, tier := range []string{"resident", "paged"} {
+		w, err := workload.NewWorkforce(workload.ConfigDefault())
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := w.Cube.Store().(*chunk.Store)
+		st.Settle()
+		if tier == "paged" {
+			if err := segment.PageOut(st, b.TempDir()+"/wf.seg", 1<<20); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ev := mdx.NewEvaluator(w.Cube)
+		for _, sh := range shapes {
+			q, err := mdx.Parse(sh.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(tier+"/"+sh.name, func(b *testing.B) {
+				var reads, faults, moved int
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, stats, err := ev.RunQueryStatsWith(mdx.RunContext{}, q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					reads += stats.ChunksRead
+					faults += stats.SpillFaults
+					moved += stats.MembersMoved
+				}
+				b.ReportMetric(float64(reads)/float64(b.N), "chunks_read/op")
+				b.ReportMetric(float64(faults)/float64(b.N), "spill_faults/op")
+				b.ReportMetric(float64(moved)/float64(b.N), "members_moved/op")
+			})
+		}
+	}
 }
 
 // BenchmarkFormulaReport runs a retail Margin report through mdx: the

@@ -194,44 +194,57 @@ func (e *Engine) leafCounts(nVarying int) []int {
 }
 
 // planPerspective resolves the query scope, builds the relocation table
-// — for every source instance ordinal, the destination ordinal per
-// parameter leaf (-1 = the cell vanishes, or lands off footprint fp) —
-// and plans it under fp (nil: none). It also returns the number of
-// members in scope.
-func (e *Engine) planPerspective(tr *trace.Trace, q PerspectiveQuery, fp Footprint) (*PhysicalPlan, int, error) {
+// — for every source instance ordinal of a member Φ moves, the
+// destination ordinal per parameter leaf (-1 = the cell vanishes, or
+// lands off footprint fp) — and plans it under fp (nil: none). Φ's fixed
+// points (perspective.FixedPoint) stay out of the table and the scope:
+// their cells are base rows, read where they are. When fp holds no
+// varying or no parameter leaf, the grid reads no cell of the result's
+// scoped rows and nothing is planned. The plan's Stats count the members
+// in scope and those Φ moves.
+func (e *Engine) planPerspective(tr *trace.Trace, q PerspectiveQuery, fp Footprint) (*PhysicalPlan, error) {
 	members := q.Members
 	if len(members) == 0 {
 		members = e.binding.Varying.VaryingMembers()
 	}
+	var moved []string
+	if !fp.empty(e.vi) && !fp.empty(e.pi) {
+		for _, name := range members {
+			if !perspective.FixedPoint(e.binding, name) {
+				moved = append(moved, name)
+			}
+		}
+	}
+	// Φ over no member still checks the perspective set.
 	varying := e.binding.Varying
-	res, err := perspective.ApplyMembers(q.Sem, e.binding, q.Perspectives, members)
+	res, err := perspective.ApplyMembers(q.Sem, e.binding, q.Perspectives, moved)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	nT := e.binding.Param.NumLeaves()
 
-	// Every instance of a scoped member can be a source; none other can.
+	// Every instance of a moved member can be a source; none other can.
 	instances := 0
-	for _, name := range members {
+	for _, name := range moved {
 		instances += len(varying.Instances(name))
 	}
 	target := newRelocTable(e.store.Geometry(), e.vi, nT, instances)
 	scoped := make([]bool, varying.NumLeaves())
-	// valid and moved hold, per instance of the member at hand, its
+	// valid and out hold, per instance of the member at hand, its
 	// validity set (nil: no entry, valid at every parameter leaf) and its
 	// set under the scenario (nil: it vanishes) — looked up once per
 	// member, not once per (member, leaf).
-	var valid, moved []*bitset.Set
-	for _, name := range members {
+	var valid, out []*bitset.Set
+	for _, name := range moved {
 		insts := varying.Instances(name)
-		valid, moved = valid[:0], moved[:0]
+		valid, out = valid[:0], out[:0]
 		for _, inst := range insts {
 			if o := varying.Member(inst).LeafOrdinal; o >= 0 {
 				scoped[o] = true
 			}
 			vs, _ := e.binding.Explicit(inst)
 			valid = append(valid, vs)
-			moved = append(moved, res.VSOut[inst])
+			out = append(out, res.VSOut[inst])
 		}
 		for t := 0; t < nT; t++ {
 			if !fp.has(e.pi, t) {
@@ -249,7 +262,7 @@ func (e *Engine) planPerspective(tr *trace.Trace, q PerspectiveQuery, fp Footpri
 				continue
 			}
 			dst := dimension.None
-			for i, vs := range moved {
+			for i, vs := range out {
 				if vs != nil && vs.Contains(t) {
 					dst = insts[i]
 					break
@@ -264,7 +277,11 @@ func (e *Engine) planPerspective(tr *trace.Trace, q PerspectiveQuery, fp Footpri
 		}
 	}
 	p, err := e.buildPlan(tr, target, scoped, fp)
-	return p, len(members), err
+	if err != nil {
+		return nil, err
+	}
+	p.Stats.MembersInScope, p.Stats.MembersMoved = len(members), len(moved)
+	return p, nil
 }
 
 // PlanPerspective builds the physical plan ExecPerspectiveWith runs for
@@ -272,8 +289,7 @@ func (e *Engine) planPerspective(tr *trace.Trace, q PerspectiveQuery, fp Footpri
 // a footprint: tests and benchmarks inspect the merge groups, read
 // schedule and pebbling peak from it.
 func (e *Engine) PlanPerspective(q PerspectiveQuery) (*PhysicalPlan, error) {
-	p, _, err := e.planPerspective(nil, q, nil)
-	return p, err
+	return e.planPerspective(nil, q, nil)
 }
 
 // PlanPerspectiveProjected plans a perspective query as
@@ -283,10 +299,11 @@ func (e *Engine) PlanPerspective(q PerspectiveQuery) (*PhysicalPlan, error) {
 // fall back and why, and whether the scan fuses. EXPLAIN prints both.
 func (e *Engine) PlanPerspectiveProjected(q PerspectiveQuery, g Grid) (*PhysicalPlan, ProjectStats, error) {
 	gp := &gridProjection{grid: g}
-	p, _, err := e.planPerspective(nil, q, gp.compile(e.newView(nil, nil, q.Mode)))
+	p, err := e.planPerspective(nil, q, gp.compile(e.newView(nil, nil, q.Mode)))
 	if err != nil {
 		return nil, ProjectStats{}, err
 	}
+	gp.proj.baseFold(e, p)
 	return p, gp.proj.planned(), nil
 }
 
@@ -331,7 +348,7 @@ func (e *Engine) runPerspective(ec ExecContext, q PerspectiveQuery, gp *gridProj
 	view := e.newView(nil, nil, q.Mode)
 	fp := gp.compile(view)
 	planStart := gp.recordCompile(ec, start)
-	plan, members, err := e.planPerspective(tr, q, fp)
+	plan, err := e.planPerspective(tr, q, fp)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +356,6 @@ func (e *Engine) runPerspective(ec ExecContext, q PerspectiveQuery, gp *gridProj
 	if err := e.execute(ec, plan, view, gp); err != nil {
 		return nil, err
 	}
-	view.Stats.MembersInScope = members
 	if q.Sem.Dynamic() {
 		if norm, err := perspective.NormalizePerspectives(e.binding.Param, q.Perspectives); err == nil {
 			view.Stats.Ranges = len(norm)
@@ -375,9 +391,9 @@ func (e *Engine) splitOf(q ChangesQuery) (*algebra.SplitPlan, error) {
 
 // planChanges plans a positive scenario, whose change relation splits
 // the varying dimension as split does, under footprint fp (nil: none).
-// It also returns the number of affected members. The split keeps every
-// base ordinal, so a base row is read at its own ordinal.
-func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery, split *algebra.SplitPlan, fp Footprint) (*PhysicalPlan, int, error) {
+// The split keeps every base ordinal, so a base row is read at its own
+// ordinal. Every member a change names is in scope and moves.
+func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery, split *algebra.SplitPlan, fp Footprint) (*PhysicalPlan, error) {
 	oldDim := e.binding.Varying
 	newDim := split.Dim
 	nT := e.binding.Param.NumLeaves()
@@ -432,7 +448,11 @@ func (e *Engine) planChanges(tr *trace.Trace, q ChangesQuery, split *algebra.Spl
 		}
 	}
 	p, err := e.buildPlan(tr, target, scoped, fp)
-	return p, len(affected), err
+	if err != nil {
+		return nil, err
+	}
+	p.Stats.MembersInScope, p.Stats.MembersMoved = len(affected), len(affected)
+	return p, nil
 }
 
 // changesView assembles a positive scenario's view: the base's
@@ -459,8 +479,7 @@ func (e *Engine) PlanChanges(q ChangesQuery) (*PhysicalPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, _, err := e.planChanges(nil, q, split, nil)
-	return p, err
+	return e.planChanges(nil, q, split, nil)
 }
 
 // PlanChangesProjected plans a positive scenario as ExecChangesProjected
@@ -471,10 +490,11 @@ func (e *Engine) PlanChangesProjected(q ChangesQuery, g Grid) (*PhysicalPlan, Pr
 		return nil, ProjectStats{}, err
 	}
 	gp := &gridProjection{grid: g}
-	p, _, err := e.planChanges(nil, q, split, gp.compile(e.changesView(split, q.Mode)))
+	p, err := e.planChanges(nil, q, split, gp.compile(e.changesView(split, q.Mode)))
 	if err != nil {
 		return nil, ProjectStats{}, err
 	}
+	gp.proj.baseFold(e, p)
 	return p, gp.proj.planned(), nil
 }
 
@@ -517,7 +537,7 @@ func (e *Engine) runChanges(ec ExecContext, q ChangesQuery, gp *gridProjection) 
 	view := e.changesView(split, q.Mode)
 	fp := gp.compile(view)
 	planStart := gp.recordCompile(ec, start)
-	plan, affected, err := e.planChanges(tr, q, split, fp)
+	plan, err := e.planChanges(tr, q, split, fp)
 	if err != nil {
 		return nil, err
 	}
@@ -525,7 +545,6 @@ func (e *Engine) runChanges(ec ExecContext, q ChangesQuery, gp *gridProjection) 
 	if err := e.execute(ec, plan, view, gp); err != nil {
 		return nil, err
 	}
-	view.Stats.MembersInScope = affected
 	return view, nil
 }
 
@@ -624,7 +643,7 @@ func (e *Engine) SimulateMultiMDX(members []string, perspectives []int, mode per
 	vs := &viewStore{base: last.base, overlay: merged, vi: e.vi, scoped: last.scoped, extent: last.extent}
 	view := e.assemble(vs, nil, nil, mode)
 	view.engine, view.sourceIDs = e, e.sourceChunkIDs()
-	stats.MembersInScope = combined.Stats.MembersInScope
+	stats.MembersInScope, stats.MembersMoved = combined.Stats.MembersInScope, combined.Stats.MembersMoved
 	view.Stats = stats
 	return view, nil
 }

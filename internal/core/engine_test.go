@@ -577,3 +577,61 @@ func TestEngineOverSpilledStore(t *testing.T) {
 		t.Fatal("query over a spilled store should fault chunks")
 	}
 }
+
+// TestFixedPointScope: Φ's fixed points — and only they — stay out of
+// the scope. On the paper cube with Tom re-bound as a March hire (one
+// instance, valid on [Mar, Dec)), a STATIC {Jan} query over Tom, Dave
+// and Joe moves Tom and Joe but not Dave, whose one instance is valid
+// all year: Dave's row is a base row, Tom's and Joe's are scoped, and
+// every cell of Tom's vanishes, as the algebra's reference says.
+func TestFixedPointScope(t *testing.T) {
+	hire := func(c *cube.Cube) *cube.Cube {
+		b := c.BindingFor("Organization")
+		var months []int
+		for m := paperdata.Mar; m <= paperdata.Dec; m++ {
+			months = append(months, m)
+		}
+		b.SetVS(b.Varying.MustLookup("PTE/Tom"), months...)
+		return c
+	}
+	memRef := hire(paperdata.Warehouse())
+	e, err := New(hire(paperdata.ChunkedWarehouse(nil)), "Organization")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := algebra.ApplyPerspectives(memRef, "Organization", perspective.Static, []int{paperdata.Jan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	org := e.binding.Varying
+	for _, mode := range []perspective.Mode{perspective.NonVisual, perspective.Visual} {
+		v, err := e.ExecPerspective(PerspectiveQuery{
+			Members:      []string{"Tom", "Dave", "Joe"},
+			Perspectives: []int{paperdata.Jan},
+			Sem:          perspective.Static,
+			Mode:         mode,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Stats.MembersInScope != 3 || v.Stats.MembersMoved != 2 {
+			t.Fatalf("%v: %d members in scope, %d moved; want 3 and 2 (Dave is a fixed point)", mode, v.Stats.MembersInScope, v.Stats.MembersMoved)
+		}
+		scoped := v.result.Store().(*viewStore).scoped
+		for path, want := range map[string]bool{"PTE/Tom": true, "PTE/Dave": false, "FTE/Joe": true, "PTE/Joe": true, "Contractor/Joe": true} {
+			if got := scoped[org.Member(org.MustLookup(path)).LeafOrdinal]; got != want {
+				t.Fatalf("%v: %s scoped = %v, want %v", mode, path, got, want)
+			}
+		}
+		assertCubesAgree(t, v, ref, memRef, mode)
+		for m := paperdata.Jan; m <= paperdata.Jun; m++ {
+			got, err := v.CellRefs("PTE/Tom", "NY", v.Result().Dim(2).Path(v.Result().Dim(2).Leaf(m).ID), "Salary")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cube.IsNull(got) {
+				t.Fatalf("%v: Tom's salary in month %d = %v, want it dropped under STATIC {Jan}", mode, m, got)
+			}
+		}
+	}
+}

@@ -12,31 +12,31 @@ import (
 // This file is a query hot path: span recording happens here, span
 // formatting must not (no fmt import — verify.sh enforces it).
 
-// readTally counts one pass's chunk reads (chunkReader).
+// readTally counts a scan's chunk reads (chunkReader).
 type readTally struct {
 	chunksRead  int
 	spillFaults int
 	faultMs     float64 // wall time of those faults: tier read + decode
 }
 
-// addReads adds a pass's chunk reads to the stats.
+// addReads adds a scan's chunk reads to the stats.
 func (s *Stats) addReads(t readTally) {
 	s.ChunksRead += t.chunksRead
 	s.SpillFaults += t.spillFaults
 	s.FaultMs += t.faultMs
 }
 
-// chunkReader is the one chunk-read step of a query's two passes, the
-// scan and the projection's base pass: a read through the buffer pool,
-// whose fault sums into the tally and becomes a "fault" span under
-// parent — recorded in hindsight via tr.Now()/tr.Record, so a pool hit
-// costs no span slot (and, with tracing off, nothing at all) — then,
-// under a scenario, the layer chain's resolve into one reused dense
-// chunk. A caller may act between the two (the scan pins).
+// chunkReader is the chunk-read step of a query's one chunk loop
+// (scanInto): a read through the buffer pool, whose fault sums into the
+// tally and becomes a "fault" span under parent — recorded in hindsight
+// via tr.Now()/tr.Record, so a pool hit costs no span slot (and, with
+// tracing off, nothing at all) — then, under a scenario, the layer
+// chain's resolve into one reused dense chunk. A caller may act between
+// the two (the scan pins).
 //
-// Reads are leased: the chunk read last stays the pass's, its frame
-// out of reuse, until the next read gives it back — the pass folds
-// each chunk before reading the next — and the pass releases the lease
+// Reads are leased: the chunk read last stays the scan's, its frame
+// out of reuse, until the next read gives it back — the scan folds
+// each chunk before reading the next — and the scan releases the lease
 // on every exit.
 type chunkReader struct {
 	readTally
@@ -93,9 +93,8 @@ type scanTally struct {
 	// slabs counts the slab decisions the kernel made, slabsSkipped those
 	// whose cells vanished (pruned source row or -1 destination);
 	// cellsOffGrid the non-null cells of surviving slabs a fold fed to no
-	// grid cell (counted only under a recording scan span); cellsFolded
-	// the accumulator folds a fused scan made.
-	slabs, slabsSkipped, cellsOffGrid, cellsFolded int
+	// grid cell (counted only under a recording scan span).
+	slabs, slabsSkipped, cellsOffGrid int
 }
 
 // planStages names the planning sub-stages whose end offsets a plan
@@ -113,6 +112,7 @@ func recordPlanSpan(tr *trace.Trace, parent trace.SpanRef, startNs int64, p *Phy
 	sp.Int("chunks", int64(len(p.Schedule)))
 	sp.IntNonZero("merge_edges", int64(p.Stats.MergeEdges))
 	sp.IntNonZero("pebbling_peak", int64(p.Stats.PeakResidentChunks))
+	sp.IntNonZero("members_moved", int64(p.Stats.MembersMoved))
 	sp.IntNonZero("footprint_cells", int64(p.footprintCells))
 	sp.IntNonZero("chunks_pruned", int64(p.chunksPruned))
 	for i, name := range planStages {
@@ -343,7 +343,6 @@ func (k *slabKernel) finish(t *scanTally) {
 	t.slabsSkipped += k.skipped
 	t.cellsOffGrid += k.offGrid
 	if k.fold != nil {
-		t.cellsFolded += k.fold.p.stats.Folded
 		return
 	}
 	k.flush()
@@ -359,7 +358,6 @@ func annotateScan(sp trace.SpanRef, t scanTally) {
 	sp.IntNonZero("slabs", int64(t.slabs))
 	sp.IntNonZero("slabs_skipped", int64(t.slabsSkipped))
 	sp.IntNonZero("cells_off_grid", int64(t.cellsOffGrid))
-	sp.IntNonZero("cells_folded", int64(t.cellsFolded))
 	sp.IntNonZero("spill_faults", int64(t.spillFaults))
 	sp.IntNonZero("fault_us", int64(t.faultMs*1000))
 	sp.IntNonZero("overlay_promotions", int64(t.promotions))
@@ -405,17 +403,23 @@ func (gp *gridProjection) recordCompile(ec ExecContext, start int64) int64 {
 // query's assembled result cube, and leaves its statistics in
 // view.Stats:
 //
-//	assemble wiring the plan's scope into the view and the scan's sink:
+//	assemble wiring the plan's scope into the view and the scan's sinks:
 //	         the grid's accumulators when gp's projection compiled every
-//	         cell, else a chunk-grained overlay;
-//	scan     chunk reads + relocation, a slab at a time (slabKernel: one
-//	         table probe and one bulk write per block of cells sharing
-//	         their varying and parameter digits, whatever the chunk's
-//	         representation), into that sink. One pass over the plan's
-//	         global schedule on the calling goroutine, so the resident
-//	         chunk count is the pebbling peak EXPLAIN prints;
-//	project  given a grid, its cells into gp.out: the accumulators plus
-//	         the base rows the scan does not relocate (projection.run).
+//	         cell, else a chunk-grained overlay; and, given a grid, its
+//	         base fold (projection.baseFold), which adds to the
+//	         schedule the chunks the grid reads outside the relocated
+//	         rows;
+//	scan     one loop over the plan's schedule, then those base-only
+//	         chunks, reading each chunk once (scanInto): relocation a
+//	         slab at a time (slabKernel: one table probe and one bulk
+//	         write per block of cells sharing their varying and parameter
+//	         digits, whatever the chunk's representation) into the sink,
+//	         and the base fold's cells from the same read. On the calling
+//	         goroutine, so the resident chunk count is the pebbling peak
+//	         EXPLAIN prints;
+//	project  given a grid, its cells into gp.out: the accumulators, the
+//	         overlay's cells when the scan did not fuse, and the cells
+//	         that fall back (projectInto).
 //
 // The view keeps no overlay when the scan fused: only the projected
 // entry points, which hand out no view, pass gp. A positive scenario's
@@ -452,11 +456,17 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, view *View, gp *gridPr
 	} else {
 		vs.overlay = chunk.NewOverlay(og)
 	}
+	var base *baseFold
+	if gp != nil {
+		base = gp.proj.baseFold(e, p)
+	}
+	assembleSp.IntNonZero("base_chunks", int64(len(p.BaseChunks)))
 	assembleSp.End()
 
 	scanSp := tr.Start(parent, "scan")
 	scanStart := time.Now()
-	scanT, err := e.scanInto(ec.Ctx, p, vs.overlay, fold, tr, scanSp)
+	scanT, err := e.scanInto(ec.Ctx, p, vs.overlay, fold, base, tr, scanSp)
+	stats.addReads(scanT.readTally)
 	if err != nil {
 		scanSp.End()
 		return err
@@ -464,15 +474,13 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, view *View, gp *gridPr
 	stats.ScanMs = msSince(scanStart)
 	annotateScan(scanSp, scanT)
 	scanSp.End()
-	stats.addReads(scanT.readTally)
 	stats.CellsScanned += scanT.cellsScanned
 	stats.CellsRelocated += scanT.cellsRelocated
 
 	if gp != nil {
 		projStart := time.Now()
-		err := e.projectInto(ec, view, gp, fold != nil)
-		stats.addReads(gp.proj.reads)
-		if err != nil {
+		gp.proj.stats.ChunksRead = len(p.BaseChunks)
+		if err := e.projectInto(ec, view, gp, fold != nil); err != nil {
 			return err
 		}
 		stats.ProjectMs = msSince(projStart)
@@ -482,9 +490,9 @@ func (e *Engine) execute(ec ExecContext, p *PhysicalPlan, view *View, gp *gridPr
 
 // projectInto is execute's project stage, a "project" span under ec's
 // current span: gp's projection of view v's grid into gp.out — its
-// accumulators already holding the scoped cells when the scan folded
-// into them (fused), else folding them from the view's overlay — plus
-// the base rows and the cells that fall back (projection.run, emit).
+// accumulators already holding the scan's folds, of the scoped cells too
+// when it fused — plus the overlay's cells when it did not, and the
+// cells that fall back (projection.foldOverlay, emit).
 func (e *Engine) projectInto(ec ExecContext, v *View, gp *gridProjection, fused bool) error {
 	tr := trace.FromContext(ec.Ctx)
 	sp := tr.Start(trace.SpanFromContext(ec.Ctx), "project")
@@ -493,7 +501,7 @@ func (e *Engine) projectInto(ec ExecContext, v *View, gp *gridProjection, fused 
 	pec.Ctx = trace.WithSpan(ec.Ctx, sp)
 	proj := gp.proj
 	proj.stats.Fused = fused
-	err := proj.run(pec, e, v.result.Store().(*viewStore), v.sourceIDs)
+	err := proj.foldOverlay(pec, v.result.Store().(*viewStore).overlay)
 	if err == nil {
 		err = proj.emit(pec, v, gp.grid, gp.out)
 	}
@@ -501,7 +509,6 @@ func (e *Engine) projectInto(ec ExecContext, v *View, gp *gridProjection, fused 
 	sp.Int("cells_compiled", int64(gp.stats.Compiled))
 	sp.IntNonZero("cells_fallback", int64(gp.stats.Fallback))
 	sp.Int("cells_folded", int64(gp.stats.Folded))
-	sp.IntNonZero("chunks_read", int64(gp.stats.ChunksRead))
 	return err
 }
 
@@ -568,22 +575,26 @@ func (pt *pinTracker) releaseAll() {
 	}
 }
 
-// scanInto reads the plan's scheduled chunks in order and hands each to the
-// slab kernel, which relocates its scoped slabs through the plan's
-// target tables into its sink — the overlay, or the grid's accumulators
-// when fold is non-nil — one loop body for every chunk
-// representation and for scenario chunks, which the layer chain first
-// resolves (chunkReader; the planner scheduled chunks only a layer
-// holds from the chain's chunk-ID union). Cells scanned are the
-// non-null cells the chunks read hold (Chunk.Len, the resolved count
-// under a chain), whether or not a slab decision ever looked at them.
-// The context, when non-nil, is checked before every chunk read. The
-// plan is only read, so concurrent queries may share it.
+// scanInto is a query's one chunk loop: it reads the plan's scheduled
+// chunks in order, then its base-only chunks (p.BaseChunks: ascending
+// IDs, no merge edges, no pins), each once. A scheduled chunk goes to the slab kernel,
+// which relocates its scoped slabs through the plan's target tables
+// into its sink — the overlay, or the grid's accumulators when fold is
+// non-nil — one loop body for every chunk representation and for
+// scenario chunks, which the layer chain first resolves (chunkReader;
+// the planner scheduled chunks only a layer holds from the chain's
+// chunk-ID union). From the same read base, when non-nil, folds the
+// cells of the view's unscoped rows and of the input the grid reads.
+// Cells scanned are the non-null cells the scheduled chunks hold
+// (Chunk.Len, the resolved count under a chain), whether or not a slab
+// decision ever looked at them. The context, when non-nil, is checked
+// before every chunk read. The plan is only read, so concurrent queries
+// may share it; View.Project runs the loop on an empty one.
 //
 // Reads go through chunkReader, whose faults become "fault" spans
 // under parent. A read the tier fails ends the scan with its
 // *chunk.ReadError; pins taken so far and the lease are released.
-func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.Overlay, fold *fuser,
+func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.Overlay, fold *fuser, base *baseFold,
 	tr *trace.Trace, parent trace.SpanRef) (scanTally, error) {
 
 	var tally scanTally
@@ -593,8 +604,12 @@ func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.O
 		og = overlay.Geometry()
 	}
 	ccoord := make([]int, g.NumDims())
-	k := newSlabKernel(g, og, overlay, fold, p.Target, e.vi, e.pi)
-	k.countOff = parent.Valid()
+	var k *slabKernel
+	if len(p.Schedule) > 0 {
+		k = newSlabKernel(g, og, overlay, fold, p.Target, e.vi, e.pi)
+		k.countOff = parent.Valid()
+	}
+	visit := len(p.Schedule) + len(p.BaseChunks)
 	lease := e.store.Lease()
 	defer lease.Release()
 	r := &chunkReader{e: e, lease: &lease, tr: tr, parent: parent}
@@ -606,28 +621,43 @@ func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.O
 	}
 
 	var err error
-	for _, id := range p.Schedule {
+	for i := 0; i < visit; i++ {
+		scheduled := i < len(p.Schedule)
+		var id int
+		if scheduled {
+			id = p.Schedule[i]
+		} else {
+			id = p.BaseChunks[i-len(p.Schedule)]
+		}
 		if ctx != nil {
 			if err = ctx.Err(); err != nil {
 				break
 			}
 		}
+		g.CoordOf(id, ccoord)
+		folds := base != nil && base.begin(id, ccoord)
 		var ch *chunk.Chunk
 		if ch, err = r.read(id); err != nil {
 			break
 		}
-		if pins != nil {
+		if scheduled && pins != nil {
 			pins.scanned(id)
 		}
 		if ch = r.resolve(id, ch); ch == nil {
 			continue
 		}
-		g.CoordOf(id, ccoord)
-		k.beginChunk(og, ccoord)
-		tally.cellsScanned += ch.Len()
-		ch.ForEachSpan(k.slab, k.scratch, k.relocateSpan)
+		if scheduled {
+			k.beginChunk(og, ccoord)
+			tally.cellsScanned += ch.Len()
+			ch.ForEachSpan(k.slab, k.scratch, k.relocateSpan)
+		}
+		if folds {
+			base.fold(ch)
+		}
 	}
-	k.finish(&tally)
+	if k != nil {
+		k.finish(&tally)
+	}
 	tally.readTally = r.readTally
 	return tally, err
 }

@@ -39,6 +39,13 @@ func (f Footprint) has(d, o int) bool {
 	return f == nil || f[d] == nil || f[d].Contains(o)
 }
 
+// empty reports whether no leaf of dimension d is on the footprint. A
+// footprint empty in the varying or the parameter dimension leaves the
+// grid no cell of a relocated row to read: planPerspective runs no Φ.
+func (f Footprint) empty(d int) bool {
+	return f != nil && f[d] != nil && f[d].IsEmpty()
+}
+
 // footprint returns the leaf cells of the result, whose schema p was
 // compiled over, that the grid reads: per dimension, the leaves under
 // the members its compiled view cells and its fallback cells that read

@@ -115,7 +115,7 @@ func TestFootprintQuickRandomGeometry(t *testing.T) {
 		}
 		got := chunk.NewOverlay(og)
 		tr := trace.New(0) // the kernel counts cells off the grid for a recording span only
-		tally, err := e.scanInto(nil, p, got, nil, tr, tr.Start(trace.SpanRef{}, "scan"))
+		tally, err := e.scanInto(nil, p, got, nil, nil, tr, tr.Start(trace.SpanRef{}, "scan"))
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -243,7 +243,7 @@ func TestFootprintFusedQuickRandomGeometry(t *testing.T) {
 		v := &View{input: e.base, result: cube.NewWithStore(vs, schema.Dims()...), mode: perspective.Visual, engine: e}
 
 		tr := trace.New(0)
-		tally, err := e.scanInto(nil, p, nil, newFuser(v, proj, og), tr, tr.Start(trace.SpanRef{}, "scan"))
+		tally, err := e.scanInto(nil, p, nil, newFuser(v, proj, og), nil, tr, tr.Start(trace.SpanRef{}, "scan"))
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -308,7 +308,7 @@ func TestFootprintFusedQuickRandomGeometry(t *testing.T) {
 // entry points set only from a grid they compile.
 func execUnder(t *testing.T, e *Engine, q PerspectiveQuery, fp Footprint) *View {
 	t.Helper()
-	p, _, err := e.planPerspective(nil, q, fp)
+	p, err := e.planPerspective(nil, q, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestFootprintScanAllocs(t *testing.T) {
 		}
 		view := e.newView(nil, nil, q.Mode)
 		gp := &gridProjection{grid: accountReport(w)}
-		p, _, err := e.planPerspective(nil, q, gp.compile(view))
+		p, err := e.planPerspective(nil, q, gp.compile(view))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +385,7 @@ func TestFootprintScanAllocs(t *testing.T) {
 		fold := newFuser(view, gp.proj, e.store.Geometry())
 		scan := func(p *PhysicalPlan, ov *chunk.Overlay, fold *fuser) scanTally {
 			tr := trace.New(0)
-			tally, err := e.scanInto(nil, p, ov, fold, tr, tr.Start(trace.SpanRef{}, "scan"))
+			tally, err := e.scanInto(nil, p, ov, fold, nil, tr, tr.Start(trace.SpanRef{}, "scan"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -427,7 +427,7 @@ func TestFootprintPlansOnlyTheGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := workforceFootprint(w.Cube)
-	one, _, err := e.planPerspective(nil, q, fp)
+	one, err := e.planPerspective(nil, q, fp)
 	if err != nil {
 		t.Fatal(err)
 	}

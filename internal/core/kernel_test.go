@@ -172,7 +172,7 @@ func TestKernelAmortizedAllocsPerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov := chunk.NewOverlay(e.store.Geometry())
-	tally, err := e.scanInto(nil, plan, ov, nil, nil, trace.SpanRef{})
+	tally, err := e.scanInto(nil, plan, ov, nil, nil, nil, trace.SpanRef{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestKernelAmortizedAllocsPerCell(t *testing.T) {
 		t.Fatal("no cells relocated; test is vacuous")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.scanInto(nil, plan, ov, nil, nil, trace.SpanRef{}); err != nil {
+		if _, err := e.scanInto(nil, plan, ov, nil, nil, nil, trace.SpanRef{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -90,6 +90,11 @@ type PhysicalPlan struct {
 	sourceIDs    []int
 	// Schedule is the global chunk read order the scan follows.
 	Schedule []int
+	// BaseChunks are the chunks the scan reads after the schedule, in
+	// ascending ID, for the grid's base and input cells alone: set when
+	// the plan is made for a grid (Plan*Projected, and the projected
+	// Exec* entry points as they assemble).
+	BaseChunks []int
 	// Groups partitions Schedule into independent merge groups, in
 	// ascending order of masked chunk ID (the canonical ID of Rest with
 	// the varying coordinate zeroed) — row-major over the non-varying
@@ -158,6 +163,14 @@ func (e *Engine) buildPlan(tr *trace.Trace, target *RelocTable, scoped []bool, f
 	})
 	p.Stats.SourceInstances = target.Len()
 	p.stageNs[0] = tr.Now()
+	source := e.sourceChunkIDs()
+	p.SourceChunks, p.sourceIDs = len(source), source
+	if target.Len() == 0 {
+		// No source row: no relevant chunk, merge graph or schedule.
+		p.Stats.PlanMs = msSince(start)
+		p.stageNs[1], p.stageNs[2], p.stageNs[3] = p.stageNs[0], p.stageNs[0], p.stageNs[0]
+		return p, nil
+	}
 
 	// Varying chunk coordinates holding source rows, and the distinct
 	// cross-chunk transfers, sorted so that one parameter coordinate's
@@ -189,8 +202,6 @@ func (e *Engine) buildPlan(tr *trace.Trace, target *RelocTable, scoped []bool, f
 	// group is its masked ID (varying coordinate zeroed): merge partners
 	// differ in nothing else, so the footprint keeps or drops a group
 	// whole.
-	source := e.sourceChunkIDs()
-	p.SourceChunks, p.sourceIDs = len(source), source
 	filters := fp.chunkFilters(g, e.vi)
 	ids, keys := make([]int, 0, len(source)), make([]int, 0, len(source))
 	graph := pebble.NewGraph()
@@ -301,8 +312,8 @@ func (e *Engine) buildPlan(tr *trace.Trace, target *RelocTable, scoped []bool, f
 // the read schedule, and the merge-group partition.
 func (p *PhysicalPlan) Describe() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "physical plan: %d relevant chunks, %d merge groups, %d merge edges\n",
-		p.Stats.RelevantChunks, p.Stats.MergeGroups, p.Stats.MergeEdges)
+	fmt.Fprintf(&b, "physical plan: scope %d members, %d moved by Φ; %d relevant chunks, %d base-only chunks, %d merge groups, %d merge edges\n",
+		p.Stats.MembersInScope, p.Stats.MembersMoved, p.Stats.RelevantChunks, len(p.BaseChunks), p.Stats.MergeGroups, p.Stats.MergeEdges)
 	fmt.Fprintf(&b, "  read order %s, peak resident chunks %d\n", p.Order, p.Stats.PeakResidentChunks)
 	fmt.Fprintf(&b, "  schedule:  %s\n", formatIDs(p.Schedule, 16))
 	for i, mg := range p.Groups {

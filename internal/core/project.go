@@ -55,8 +55,9 @@ type ProjectStats struct {
 	Reason             string
 	// Folded counts accumulator folds, one per source cell per grid cell
 	// it feeds — a fused scan's included; ChunksRead the store chunks the
-	// pass read (the overlay's chunks are the query's own, in memory, and
-	// not counted).
+	// scan read for the grid's base and input cells alone, past the
+	// plan's schedule (the overlay's chunks are the query's own, in
+	// memory, and not counted).
 	Folded, ChunksRead int
 	// Fused reports that the scan folded the view's relocated cells into
 	// the accumulators and built no overlay (for Plan*Projected: that it
@@ -106,8 +107,6 @@ type projection struct {
 	// read the result name (footprint); nil when there are none.
 	fallback []memberSet
 	stats    ProjectStats
-	// reads are the base pass's chunk reads (run).
-	reads readTally
 }
 
 // compileProjection classifies every cell of g and gives each computed
@@ -427,19 +426,28 @@ func (p *projection) planned() ProjectStats {
 
 // Project evaluates the grid over the view into out, indexed [row][col]:
 // one accumulator pass over the chunks holding the grid's leaves — the
-// overlay's for the scoped rows, the base store's (through the scenario
-// chain, when there is one) for the rest of the view and for the input
-// — then algebra.CellValue for the cells the pass cannot express.
-// Chunks are visited in canonical ID order and cells in offset order,
-// so the result is deterministic; the context is checked between chunk
-// reads and between fallback cells. A buffer-pool fault during the pass
-// becomes a "fault" span under ec's current span; a read the tier fails
-// ends it with the *chunk.ReadError. A view is executed without a grid,
-// so its scan built the overlay of every scoped cell
+// base store's (through the scenario chain, when there is one) for the
+// view's unscoped rows and for the input, read by the engine's chunk
+// loop (scanInto) on an empty schedule, then the overlay's for the
+// scoped rows — then algebra.CellValue for the cells the pass cannot
+// express. Chunks are visited in canonical ID order and cells in offset
+// order, so the result is deterministic; the context is checked between
+// chunk reads and between fallback cells. A buffer-pool fault during the
+// pass becomes a "fault" span under ec's current span; a read the tier
+// fails ends it with the *chunk.ReadError. A view is executed without a
+// grid, so its scan built the overlay of every scoped cell
 // (ExecPerspectiveProjected folds into the grid instead).
 func (v *View) Project(ec ExecContext, g Grid, out [][]float64) (ProjectStats, error) {
 	p := compileProjection(v.input, v.result, v.mode, g)
-	if err := p.run(ec, v.engine, v.result.Store().(*viewStore), v.sourceIDs); err != nil {
+	vs := v.result.Store().(*viewStore)
+	plan := &PhysicalPlan{Scoped: vs.scoped, sourceIDs: v.sourceIDs}
+	base := p.baseFold(v.engine, plan)
+	p.stats.ChunksRead = len(plan.BaseChunks)
+	_, err := v.engine.scanInto(ec.Ctx, plan, nil, nil, base, trace.FromContext(ec.Ctx), trace.SpanFromContext(ec.Ctx))
+	if err == nil {
+		err = p.foldOverlay(ec, vs.overlay)
+	}
+	if err != nil {
 		return p.stats, err
 	}
 	return p.stats, p.emit(ec, v, g, out)
@@ -480,82 +488,96 @@ func (p *projection) emit(ec ExecContext, v *View, g Grid, out [][]float64) erro
 	return nil
 }
 
-// run is the accumulator pass: the overlay's chunks for the view's
-// scoped rows — none when the view has no overlay, because a fused scan
-// folded them — then one walk over the base store's chunks (ids, ascending)
-// that feeds the view's unscoped rows and the input's cells from a
-// single read of each. A chunk none of whose cells feeds the grid is
-// not read.
-func (p *projection) run(ec ExecContext, e *Engine, vs *viewStore, ids []int) error {
-	var fromBase, fromInput *decoder
-	if p.view != nil {
-		if overlay := vs.overlay; overlay != nil {
-			og := overlay.Geometry()
-			fromOverlay := newDecoder(p, p.view, og)
-			if fromOverlay.cover() {
-				ccoord := make([]int, og.NumDims())
-				for _, id := range overlay.ChunkIDs() {
-					if err := ec.Err(); err != nil {
-						return err
-					}
-					og.CoordOf(id, ccoord)
-					if fromOverlay.covers(id) && fromOverlay.begin(ccoord) {
-						fromOverlay.fold(overlay.Chunk(id))
-					}
-				}
-			}
-		}
-		// The base's rows, minus the scoped ones the overlay owns.
-		fromBase = newDecoder(p, p.view, e.store.Geometry())
-		fromBase.vi, fromBase.scoped = e.vi, vs.scoped
-		if !fromBase.cover() {
-			fromBase = nil
-		}
-	}
-	if p.input != nil {
-		if fromInput = newDecoder(p, p.input, e.store.Geometry()); !fromInput.cover() {
-			fromInput = nil
-		}
-	}
-	if fromBase == nil && fromInput == nil {
+// foldOverlay folds the overlay's chunks into the view cells that read
+// them: the scoped rows of a view whose scan did not fuse. A nil overlay
+// — the scan folded them — has none.
+func (p *projection) foldOverlay(ec ExecContext, overlay *chunk.Overlay) error {
+	if p.view == nil || overlay == nil {
 		return nil
 	}
-	lease := e.store.Lease()
-	defer lease.Release()
-	r := &chunkReader{e: e, lease: &lease, tr: trace.FromContext(ec.Ctx), parent: trace.SpanFromContext(ec.Ctx)}
-	defer func() { p.reads, p.stats.ChunksRead = r.readTally, r.chunksRead }()
-	g := e.store.Geometry()
-	ccoord := make([]int, g.NumDims())
-	for _, id := range ids {
-		view := fromBase != nil && fromBase.covers(id)
-		in := fromInput != nil && fromInput.covers(id)
-		if !view && !in {
-			continue
-		}
-		g.CoordOf(id, ccoord)
-		view = view && fromBase.begin(ccoord)
-		in = in && fromInput.begin(ccoord)
-		if !view && !in {
-			continue
-		}
+	og := overlay.Geometry()
+	d := newDecoder(p, p.view, og)
+	if !d.cover() {
+		return nil
+	}
+	ccoord := make([]int, og.NumDims())
+	for _, id := range overlay.ChunkIDs() {
 		if err := ec.Err(); err != nil {
 			return err
 		}
-		ch, err := r.read(id)
-		if err != nil {
-			return err
-		}
-		if ch = r.resolve(id, ch); ch == nil {
-			continue
-		}
-		if view {
-			fromBase.fold(ch)
-		}
-		if in {
-			fromInput.fold(ch)
+		og.CoordOf(id, ccoord)
+		if d.covers(id) && d.begin(ccoord) {
+			d.fold(overlay.Chunk(id))
 		}
 	}
 	return nil
+}
+
+// baseFold folds, from the chunk reads of the engine's one chunk loop
+// (scanInto), the cells a projection reads outside the relocated rows:
+// the view's unscoped rows, which are the base's at the same ordinal,
+// and the input's cells (NONVISUAL roll-ups). inView and inInput say
+// which decoder feeds the grid from the chunk begin positioned on.
+type baseFold struct {
+	view, input     *decoder
+	inView, inInput bool
+}
+
+// baseFold returns p's base fold over engine e's store under plan: the
+// view's rows but those plan.Scoped leaves to the overlay or the scan.
+// It sets plan.BaseChunks to the chunks of the plan's source IDs that
+// the fold reads and the plan does not schedule, ascending: the loop
+// visits them after the schedule. It returns nil when no chunk holds a
+// cell the fold reads.
+func (p *projection) baseFold(e *Engine, plan *PhysicalPlan) *baseFold {
+	var b baseFold
+	g := e.store.Geometry()
+	if p.view != nil {
+		d := newDecoder(p, p.view, g)
+		if d.vi, d.scoped = e.vi, plan.Scoped; d.cover() {
+			b.view = d
+		}
+	}
+	if p.input != nil {
+		if d := newDecoder(p, p.input, g); d.cover() {
+			b.input = d
+		}
+	}
+	if b.view == nil && b.input == nil {
+		return nil
+	}
+	scheduled := plan.nodes
+	for _, id := range plan.sourceIDs {
+		for len(scheduled) > 0 && scheduled[0] < id {
+			scheduled = scheduled[1:]
+		}
+		if len(scheduled) > 0 && scheduled[0] == id {
+			continue
+		}
+		if b.view != nil && b.view.covers(id) || b.input != nil && b.input.covers(id) {
+			plan.BaseChunks = append(plan.BaseChunks, id)
+		}
+	}
+	return &b
+}
+
+// begin positions the decoders on chunk id at ccoord and reports whether
+// either feeds the grid from it.
+func (b *baseFold) begin(id int, ccoord []int) bool {
+	b.inView = b.view != nil && b.view.covers(id) && b.view.begin(ccoord)
+	b.inInput = b.input != nil && b.input.covers(id) && b.input.begin(ccoord)
+	return b.inView || b.inInput
+}
+
+// fold folds the chunk begin positioned on, as read (resolved under a
+// layer chain).
+func (b *baseFold) fold(ch *chunk.Chunk) {
+	if b.inView {
+		b.view.fold(ch)
+	}
+	if b.inInput {
+		b.input.fold(ch)
+	}
 }
 
 // fold folds n cells holding v into accumulator a, as AggFunc.Apply

@@ -77,7 +77,7 @@ func assertKernelMatchesOracle(t *testing.T, label string, e, oracle *Engine, p 
 	want := chunk.NewOverlay(og)
 	scanned, relocated := perCellScan(oracle, p.Schedule, p.Target, want)
 	got := chunk.NewOverlay(og)
-	tally, err := e.scanInto(nil, p, got, nil, nil, trace.SpanRef{})
+	tally, err := e.scanInto(nil, p, got, nil, nil, nil, trace.SpanRef{})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -277,7 +277,7 @@ func TestSlabKernelMatchesPerCell(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				p, _, err := e.planChanges(nil, q, split, nil)
+				p, err := e.planChanges(nil, q, split, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -574,7 +574,7 @@ func TestSlabKernelScanAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		scan := func(ov *chunk.Overlay) scanTally {
-			tally, err := e.scanInto(nil, p, ov, nil, nil, trace.SpanRef{})
+			tally, err := e.scanInto(nil, p, ov, nil, nil, nil, trace.SpanRef{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -152,18 +152,23 @@ func (v *View) CellRefs(refs ...string) (float64, error) {
 
 // Stats describes one engine execution.
 type Stats struct {
-	// MembersInScope is the number of base members the query covered.
-	MembersInScope int
-	// SourceInstances is the number of member instances whose rows the
-	// engine had to read.
+	// MembersInScope is the number of base members the query covered,
+	// MembersMoved those it planned relocation for: the members Φ moves
+	// (a fixed point of Φ is read as a base row, perspective.FixedPoint;
+	// none when the grid reads no cell of a relocated row), or a change
+	// relation's members.
+	MembersInScope, MembersMoved int
+	// SourceInstances is the number of instances of the moved members
+	// whose rows the scan relocates.
 	SourceInstances int
 	// RelevantChunks is the number of materialized chunks holding those
-	// rows.
+	// rows: the plan's schedule.
 	RelevantChunks int
-	// ChunksRead counts the chunk reads of the scan and, when the query
-	// was projected as it ran (ExecPerspectiveProjected), of the
-	// projection's base pass (ProjectStats.ChunksRead), which may read a
-	// chunk the scan read too.
+	// ChunksRead counts the scan's chunk reads: its schedule and, when
+	// the query was projected as it ran (ExecPerspectiveProjected), the
+	// chunks it read for the grid's base and input cells alone
+	// (ProjectStats.ChunksRead). Each is read once, so it is the number
+	// of distinct chunks the query read.
 	ChunksRead int
 	// CellsRelocated counts leaf cells the scan moved: written into the
 	// overlay, or folded into the grid's accumulators when it fused.
@@ -209,6 +214,7 @@ type Stats struct {
 // sums the work of its individual queries).
 func (s *Stats) Add(s2 Stats) {
 	s.MembersInScope += s2.MembersInScope
+	s.MembersMoved += s2.MembersMoved
 	s.SourceInstances += s2.SourceInstances
 	s.RelevantChunks += s2.RelevantChunks
 	s.ChunksRead += s2.ChunksRead

@@ -25,7 +25,9 @@ import (
 // query — plus a leaf report of the first and the last instance, whose
 // varying leaves are too scattered for an index spanning them, and the
 // changes query, whose new instance takes an ordinal past the base's
-// extent.
+// extent. The broad-scan workload's shapes are here too: its leaf
+// report over up to eight departments' children ("broad-leaf"), mostly
+// Φ's fixed points, and its static and dynamic roll-ups ("rollup").
 func fusedReports(t *testing.T, c *cube.Cube, sem perspective.Semantics, mode perspective.Mode) map[string]string {
 	const (
 		slicer   = "[Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue]"
@@ -35,6 +37,10 @@ func fusedReports(t *testing.T, c *cube.Cube, sem perspective.Semantics, mode pe
 	b := c.BindingFor(workload.DimDepartment)
 	emp := b.Varying.Path(b.InstanceAt(b.Varying.VaryingMembers()[0], 0))
 	first, last := b.Varying.Path(b.Varying.Leaf(0).ID), b.Varying.Path(b.Varying.Leaf(b.Varying.NumLeaves()-1).ID)
+	var depts []string
+	for _, d := range b.Varying.Member(0).Children[:min(8, len(b.Varying.Member(0).Children))] {
+		depts = append(depts, "["+b.Varying.Path(d)+"].Children")
+	}
 	with := fmt.Sprintf("WITH PERSPECTIVE {(Jan), (Apr), (Jul), (Oct)} FOR Department %v %v ", sem, mode)
 	return map[string]string{
 		"department": with + `SELECT ` + accounts + ` ON COLUMNS, {CrossJoin({[Dept01]}, ` + periods + `)} ON ROWS FROM [App].[Db] WHERE (` + slicer + `)`,
@@ -43,6 +49,8 @@ FROM [App].[Db] WHERE ([Account].[Acct001], ` + slicer + `)`,
 		"rollup": with + `SELECT {[Period].Levels(1).Members} ON COLUMNS, {[Department].Levels(1).Members} ON ROWS
 FROM [App].[Db] WHERE ([Account].[Acct002], ` + slicer + `)`,
 		"employee": with + `SELECT ` + accounts + ` ON COLUMNS, {CrossJoin({[` + emp + `]}, ` + periods + `)} ON ROWS FROM [App].[Db] WHERE (` + slicer + `)`,
+		"broad-leaf": with + `SELECT {[Period].Levels(0).Members} ON COLUMNS, {` + strings.Join(depts, ", ") + `} ON ROWS
+FROM [App].[Db] WHERE ([Account].[Acct003], ` + slicer + `)`,
 		"scattered": with + `SELECT {[Period].Levels(0).Members} ON COLUMNS, {[` + first + `], [` + last + `]} ON ROWS
 FROM [App].[Db] WHERE ([Account].[Acct001], ` + slicer + `)`,
 		"changes": fmt.Sprintf("WITH CHANGES {([Dept00].[Emp00030], [Dept00], [Dept01], [Apr])} %v ", mode) +
@@ -420,11 +428,11 @@ func TestColdQueryRecyclesFrames(t *testing.T) {
 }
 
 // TestFusedFaultsCounted: a served query's SpillFaults, FaultMs and
-// ChunksRead count the chunk reads of both its passes — the scan's and
-// the projection's base pass — on the cube paged behind a three-chunk
-// pool. So SpillFaults equals the "fault" spans in the query's trace,
-// and ChunksRead the chunks_read of its scan and project spans. A
-// NONVISUAL roll-up reads only in the base pass.
+// ChunksRead count every chunk read of its one chunk loop — the
+// schedule's and the base-only chunks' — on the cube paged behind a
+// three-chunk pool. So SpillFaults equals the "fault" spans in the
+// query's trace, and ChunksRead the chunks_read of its scan span. A
+// NONVISUAL roll-up reads base-only chunks alone.
 func TestFusedFaultsCounted(t *testing.T) {
 	var ev *Evaluator
 	for _, st := range fusedStorages {
@@ -457,7 +465,7 @@ func TestFusedFaultsCounted(t *testing.T) {
 					switch sp.Name {
 					case "fault":
 						faults++
-					case "scan", "project":
+					case "scan":
 						n, _ := sp.Attr("chunks_read")
 						reads += n
 					}
@@ -475,5 +483,75 @@ func TestFusedFaultsCounted(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no query faulted: the pool holds the whole cube")
+	}
+}
+
+// TestFusedOneReadPerChunk: a served query reads each chunk once — the
+// scan's schedule and the chunks the grid's base and input cells need
+// are one loop — so on the cube paged behind a three-chunk pool, once
+// the pool holds none of its chunks, the VISUAL WITH CHANGES report
+// faults once per distinct chunk, 4 faults for 4 chunks, and
+// Stats.ChunksRead is the number of distinct chunks read. (When the
+// projection walked the base in a pass of its own, that report faulted
+// six times for four chunks, re-reading what the scan had just read.)
+func TestFusedOneReadPerChunk(t *testing.T) {
+	var c *cube.Cube
+	for _, st := range fusedStorages {
+		if st.name == "paged" {
+			c = st.build(t)
+		}
+	}
+	ev := NewEvaluator(c)
+	q := MustParse(fusedReports(t, c, perspective.Static, perspective.Visual)["changes"])
+	store := c.Store().(*chunk.Store)
+	var reads []int
+	store.SetReadHook(func(id int) { reads = append(reads, id) })
+	defer store.SetReadHook(nil)
+	run := func() (*trace.Trace, int, int) {
+		reads = reads[:0]
+		tr := trace.New(0)
+		root := tr.Start(trace.SpanRef{}, "eval")
+		rc := RunContext{Ctx: trace.WithSpan(trace.NewContext(context.Background(), tr), root)}
+		_, stats, err := ev.RunQueryStatsWith(rc, q)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, stats.ChunksRead, stats.SpillFaults
+	}
+	run()
+	read := map[int]bool{}
+	for _, id := range reads {
+		read[id] = true
+	}
+	// Cool the pool: every other chunk read after the report's.
+	for _, id := range store.ChunkIDs() {
+		if !read[id] {
+			store.ReadChunk(id)
+		}
+	}
+	tr, chunksRead, spillFaults := run()
+	distinct := map[int]bool{}
+	for _, id := range reads {
+		distinct[id] = true
+	}
+	faulted := map[int64]bool{}
+	for _, sp := range tr.Spans() {
+		if sp.Name != "fault" {
+			continue
+		}
+		id, _ := sp.Attr("chunk")
+		if faulted[id] {
+			t.Fatalf("chunk %d faulted twice\n%s", id, tr.Render())
+		}
+		faulted[id] = true
+	}
+	if len(reads) != len(distinct) || chunksRead != len(distinct) {
+		t.Fatalf("%d chunk reads of %d distinct chunks, stats %d: want each chunk read once\n%s",
+			len(reads), len(distinct), chunksRead, tr.Render())
+	}
+	if len(distinct) != 4 || len(faulted) != 4 || spillFaults != 4 {
+		t.Fatalf("%d distinct chunks read, %d faults (stats %d): want 4 and 4\n%s",
+			len(distinct), len(faulted), spillFaults, tr.Render())
 	}
 }

@@ -162,6 +162,26 @@ func ApplyMembers(sem Semantics, b *dimension.Binding, perspectives []int, baseN
 	return apply(sem, b, perspectives, ids)
 }
 
+// FixedPoint reports whether Φ maps base member name to itself under
+// every semantics and every perspective set: the member has exactly one
+// instance, valid at every parameter leaf (b holds no validity set for
+// it, or a full one). Such an instance is valid at every perspective, so
+// Φs keeps its set, and its stretch under the dynamic semantics covers
+// every leaf from the first perspective on (back to the last), the rest
+// being its own validity retained or extended. Identity is the unit of
+// Φ's composition: the engine reads a fixed point's cells where they
+// are, as base rows, and plans nothing for it. A member with one
+// instance valid on part of the parameter is no fixed point: STATIC
+// {Jan} drops a March hire.
+func FixedPoint(b *dimension.Binding, name string) bool {
+	insts := b.Varying.Instances(name)
+	if len(insts) != 1 {
+		return false
+	}
+	vs, _ := b.Explicit(insts[0])
+	return vs == nil || vs.Len() == b.Param.NumLeaves()
+}
+
 func apply(sem Semantics, b *dimension.Binding, perspectives []int, ids []dimension.MemberID) (*Result, error) {
 	ps, err := NormalizePerspectives(b.Param, perspectives)
 	if err != nil {

@@ -436,3 +436,59 @@ func BenchmarkApplyMembersScoped(b *testing.B) {
 		}
 	}
 }
+
+// TestFixedPoint: a member with one instance valid at every leaf — no
+// entry in the binding, or a full one — is a fixed point of Φ: under all
+// five semantics and every non-empty perspective set of a 6-leaf ordered
+// parameter, Φ returns its input. A single instance valid on part of the
+// parameter, and a member with two instances, are not fixed points.
+func TestFixedPoint(t *testing.T) {
+	const n = 6
+	param := dimension.New("P", true)
+	for i := 0; i < n; i++ {
+		param.MustAdd("", "t"+string(rune('0'+i)))
+	}
+	varying := dimension.New("V", false)
+	for _, path := range [][2]string{{"", "g"}, {"g", "open"}, {"g", "full"}, {"g", "hire"}, {"g", "mover"}, {"", "h"}, {"h", "mover"}} {
+		varying.MustAdd(path[0], path[1])
+	}
+	b := dimension.NewBinding(varying, param)
+	b.SetVS(varying.MustLookup("g/full"), 0, 1, 2, 3, 4, 5)
+	b.SetVS(varying.MustLookup("g/hire"), 2, 3, 4, 5)
+	b.SetVS(varying.MustLookup("g/mover"), 0, 1, 2)
+	b.SetVS(varying.MustLookup("h/mover"), 3, 4, 5)
+	for name, want := range map[string]bool{"open": true, "full": true, "hire": false, "mover": false, "nobody": false} {
+		if got := FixedPoint(b, name); got != want {
+			t.Fatalf("FixedPoint(%s) = %v, want %v", name, got, want)
+		}
+	}
+	all := bitset.New(n)
+	all.AddRange(0, n)
+	for _, sem := range []Semantics{Static, Forward, ExtendedForward, Backward, ExtendedBackward} {
+		for mask := 1; mask < 1<<n; mask++ {
+			var ps []int
+			for p := 0; p < n; p++ {
+				if mask&(1<<p) != 0 {
+					ps = append(ps, p)
+				}
+			}
+			r, err := ApplyMembers(sem, b, ps, []string{"open", "full"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range []string{"g/open", "g/full"} {
+				if got := vs(t, r, path); !got.Equal(all) {
+					t.Fatalf("%v %v: Φ(%s) = %v, want its input %v", sem, ps, path, got, all)
+				}
+			}
+		}
+	}
+	// The hire is not: STATIC {t0} drops it.
+	r, err := ApplyMembers(Static, b, []int{0}, []string{"hire"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := vs(t, r, "g/hire"); !got.IsEmpty() {
+		t.Fatalf("STATIC {t0}: Φ(g/hire) = %v, want it dropped", got)
+	}
+}

@@ -147,8 +147,8 @@ func TestSegmentTierEquivalenceAllSemantics(t *testing.T) {
 			}
 			assertViewsBitIdentical(t, memView, segView, mode)
 
-			// The served path folds the scan into the grid and reads the
-			// base's rows in a second pass; both passes fault through the
+			// The served path folds the scan into the grid, the base's rows
+			// from the same chunk reads; every read faults through the
 			// tier, and both runs follow one plan, so the grids are
 			// bit-identical.
 			memGrid, segGrid := fusedGrid(t, memCube, memEng, q), fusedGrid(t, segCube, segEng, q)
