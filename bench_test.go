@@ -795,6 +795,82 @@ func BenchmarkLowerPlanHeavy(b *testing.B) {
 	b.ReportMetric(projectMs/float64(b.N), "project_ms/op")
 }
 
+// BenchmarkPlanHypothetical times two served queries whole, under a
+// trace, with the binding's Φ memo cold (dropped before every query, as
+// over a freshly published binding) and warm: the plan-heavy query — 30
+// changing employees by stratum of moves on the validity-window cube,
+// EXTENDED DYNAMIC FORWARD at the quarters — and the broad-scan VISUAL
+// department roll-up (DYNAMIC FORWARD, quarters, ConfigDefault). Next
+// to ns/op and B/op it reports the "plan" span per op and its share of
+// the query, the only share the memo can move.
+func BenchmarkPlanHypothetical(b *testing.B) {
+	const slicer = "[Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue]"
+	vwCfg := workload.ConfigDefault()
+	vwCfg.FlatMonths, vwCfg.ChunkDims = true, []int{64, 12, 1, 1, 1, 1, 1}
+	for _, shape := range []struct {
+		name string
+		cfg  workload.WorkforceConfig
+		src  func(w *workload.Workforce) string
+	}{
+		{"plan-heavy", vwCfg, func(w *workload.Workforce) string {
+			dept, bind := w.Cube.DimByName(workload.DimDepartment), w.Cube.BindingFor(workload.DimDepartment)
+			byMoves := slices.Clone(w.Changing)
+			slices.SortStableFunc(byMoves, func(x, y string) int { return w.MovesOf[x] - w.MovesOf[y] })
+			var rows []string
+			for i := 0; i < 30; i++ {
+				inst := bind.InstanceAt(byMoves[i*len(byMoves)/30], 0)
+				if inst == dimension.None {
+					inst = dept.Instances(byMoves[i*len(byMoves)/30])[0]
+				}
+				rows = append(rows, "["+dept.Path(inst)+"]")
+			}
+			return "WITH PERSPECTIVE {(Jan), (Apr), (Jul), (Oct)} FOR Department EXTENDED DYNAMIC FORWARD NONVISUAL " +
+				"SELECT {[Period].Levels(0).Members} ON COLUMNS, {" + strings.Join(rows, ", ") + "} ON ROWS FROM [App].[Db] " +
+				"WHERE ([Account].[Acct001], [Scenario].[Current], " + slicer + ")"
+		}},
+		{"broad-scan-rollup", workload.ConfigDefault(), func(*workload.Workforce) string {
+			return "WITH PERSPECTIVE {(Jan), (Apr), (Jul), (Oct)} FOR Department DYNAMIC FORWARD VISUAL " +
+				"SELECT {[Period].Levels(1).Members} ON COLUMNS, {[Department].Levels(1).Members} ON ROWS FROM [App].[Db] " +
+				"WHERE ([Account].[Acct001], [Scenario].[Current], " + slicer + ")"
+		}},
+	} {
+		w, err := workload.NewWorkforce(shape.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.Cube.Store().(*chunk.Store).Settle()
+		q, err := mdx.Parse(shape.src(w))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ev, bind := mdx.NewEvaluator(w.Cube), w.Cube.BindingFor(workload.DimDepartment)
+		for _, memo := range []string{"cold", "warm"} {
+			b.Run(shape.name+"/"+memo, func(b *testing.B) {
+				tr := trace.New(0)
+				ctx := trace.NewContext(context.Background(), tr)
+				var planMs, totalMs float64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if memo == "cold" {
+						bind.SetDerived(nil)
+					}
+					tr.Reset()
+					root := tr.Start(trace.SpanRef{}, "eval")
+					if _, _, err := ev.RunQueryStatsWith(mdx.RunContext{Ctx: trace.WithSpan(ctx, root)}, q); err != nil {
+						b.Fatal(err)
+					}
+					root.End()
+					planMs += tr.StageMs("plan")
+					totalMs += tr.StageMs("eval")
+				}
+				b.ReportMetric(planMs/float64(b.N), "plan_ms/op")
+				b.ReportMetric(planMs/totalMs, "plan_share")
+			})
+		}
+	}
+}
+
 // BenchmarkLowerChanges runs the end-to-end benchmark's narrow-mix
 // "changes" query on ConfigDefault, the whole query under a trace: one
 // stable employee moves to another department from April, and the

@@ -174,8 +174,15 @@ func (e *Engine) Binding() *dimension.Binding { return e.binding }
 // semantics and non-leaf evaluation mode.
 type PerspectiveQuery struct {
 	// Members are base names of varying-dimension members in the query
-	// scope. Empty means every member with more than one instance.
+	// scope, as a library caller names them: the engine turns them into
+	// Scope's leaf ordinals, and an unknown name is an error.
 	Members []string
+	// Scope, when non-nil, is the scope as leaf ordinals of the varying
+	// dimension, as mdx resolves it from a grid: every member with an
+	// instance among them is in scope, and Members is not read. A scope
+	// that names no member (an empty Scope, or none and no Members) is
+	// every member with more than one instance.
+	Scope *bitset.Set
 	// Perspectives are parameter-dimension leaf ordinals.
 	Perspectives []int
 	Sem          perspective.Semantics
@@ -193,86 +200,80 @@ func (e *Engine) leafCounts(nVarying int) []int {
 	return leaves
 }
 
-// planPerspective resolves the query scope, builds the relocation table
-// — for every source instance ordinal of a member Φ moves, the
+// planPerspective resolves the query scope to base members, copies the
+// relocation rows of those Φ moves from the binding's memo for the
+// hypothetical (planIndex) — for every source instance ordinal, the
 // destination ordinal per parameter leaf (-1 = the cell vanishes, or
-// lands off footprint fp) — and plans it under fp (nil: none). Φ's fixed
-// points (perspective.FixedPoint) stay out of the table and the scope:
-// their cells are base rows, read where they are. When fp holds no
-// varying or no parameter leaf, the grid reads no cell of the result's
-// scoped rows and nothing is planned. The plan's Stats count the members
-// in scope and those Φ moves.
+// lands off footprint fp) — and plans them under fp (nil: none). Φ's
+// fixed points stay out of the table and the scope: their cells are base
+// rows, read where they are. When fp holds no varying or no parameter
+// leaf, the grid reads no cell of the result's scoped rows and nothing
+// is planned. The plan's Stats count the members in scope and those Φ
+// moves; PhiCached says whether the memo held the hypothetical.
 func (e *Engine) planPerspective(tr *trace.Trace, q PerspectiveQuery, fp Footprint) (*PhysicalPlan, error) {
-	members := q.Members
-	if len(members) == 0 {
-		members = e.binding.Varying.VaryingMembers()
+	x := e.planIndex()
+	scope := q.Scope
+	if scope != nil && scope.Universe() != len(x.member) {
+		return nil, fmt.Errorf("core: scope over %d leaves; dimension %s has %d", scope.Universe(), e.binding.Varying.Name(), len(x.member))
 	}
-	var moved []string
-	if !fp.empty(e.vi) && !fp.empty(e.pi) {
-		for _, name := range members {
-			if !perspective.FixedPoint(e.binding, name) {
-				moved = append(moved, name)
-			}
+	if scope == nil && len(q.Members) > 0 {
+		var err error
+		if scope, err = x.scopeOf(e.binding.Varying, q.Members); err != nil {
+			return nil, err
 		}
 	}
 	// Φ over no member still checks the perspective set.
-	varying := e.binding.Varying
-	res, err := perspective.ApplyMembers(q.Sem, e.binding, q.Perspectives, moved)
+	phi, cached, err := x.rows(e.binding, q.Sem, q.Perspectives)
 	if err != nil {
 		return nil, err
 	}
-	nT := e.binding.Param.NumLeaves()
+	plan := !fp.empty(e.vi) && !fp.empty(e.pi)
+	var moved []int32
+	inScope := 0
+	if scope == nil || scope.IsEmpty() {
+		// The default scope: every member with more than one instance,
+		// none of them a fixed point.
+		for m := range x.slot {
+			if x.instAt[m+1]-x.instAt[m] > 1 {
+				inScope++
+				if plan {
+					moved = append(moved, x.slot[m])
+				}
+			}
+		}
+	} else {
+		seen := bitset.New(len(x.slot))
+		scope.ForEach(func(o int) {
+			if m := int(x.member[o]); !seen.Contains(m) {
+				seen.Add(m)
+				inScope++
+				if plan && x.slot[m] >= 0 {
+					moved = append(moved, x.slot[m])
+				}
+			}
+		})
+	}
 
 	// Every instance of a moved member can be a source; none other can.
+	nT := x.nT
 	instances := 0
-	for _, name := range moved {
-		instances += len(varying.Instances(name))
+	for _, k := range moved {
+		instances += len(x.instances(x.movable[k]))
 	}
 	target := newRelocTable(e.store.Geometry(), e.vi, nT, instances)
-	scoped := make([]bool, varying.NumLeaves())
-	// valid and out hold, per instance of the member at hand, its
-	// validity set (nil: no entry, valid at every parameter leaf) and its
-	// set under the scenario (nil: it vanishes) — looked up once per
-	// member, not once per (member, leaf).
-	var valid, out []*bitset.Set
-	for _, name := range moved {
-		insts := varying.Instances(name)
-		valid, out = valid[:0], out[:0]
-		for _, inst := range insts {
-			if o := varying.Member(inst).LeafOrdinal; o >= 0 {
-				scoped[o] = true
-			}
-			vs, _ := e.binding.Explicit(inst)
-			valid = append(valid, vs)
-			out = append(out, res.VSOut[inst])
+	scoped := make([]bool, len(x.member))
+	for _, k := range moved {
+		for _, o := range x.instances(x.movable[k]) {
+			scoped[o] = true
 		}
-		for t := 0; t < nT; t++ {
-			if !fp.has(e.pi, t) {
+		src, dst := x.src[int(k)*nT:int(k+1)*nT], phi.dst[int(k)*nT:int(k+1)*nT]
+		for t, s := range src {
+			if s < 0 || !fp.has(e.pi, t) {
 				continue
 			}
-			// The source is d_t, the instance valid at t (Binding.InstanceAt).
-			src := dimension.None
-			for i, vs := range valid {
-				if vs == nil || vs.Contains(t) {
-					src = insts[i]
-					break
-				}
-			}
-			if src == dimension.None {
-				continue
-			}
-			dst := dimension.None
-			for i, vs := range out {
-				if vs != nil && vs.Contains(t) {
-					dst = insts[i]
-					break
-				}
-			}
-			row := target.add(varying.Member(src).LeafOrdinal)
-			if dst != dimension.None {
-				if o := varying.Member(dst).LeafOrdinal; fp.has(e.vi, o) {
-					row[t] = o
-				}
+			row := target.add(int(s))
+			if d := int(dst[t]); d >= 0 && fp.has(e.vi, d) {
+				row[t] = d
 			}
 		}
 	}
@@ -280,7 +281,7 @@ func (e *Engine) planPerspective(tr *trace.Trace, q PerspectiveQuery, fp Footpri
 	if err != nil {
 		return nil, err
 	}
-	p.Stats.MembersInScope, p.Stats.MembersMoved = len(members), len(moved)
+	p.Stats.MembersInScope, p.Stats.MembersMoved, p.PhiCached = inScope, len(moved), cached
 	return p, nil
 }
 

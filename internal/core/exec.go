@@ -115,6 +115,9 @@ func recordPlanSpan(tr *trace.Trace, parent trace.SpanRef, startNs int64, p *Phy
 	sp.IntNonZero("members_moved", int64(p.Stats.MembersMoved))
 	sp.IntNonZero("footprint_cells", int64(p.footprintCells))
 	sp.IntNonZero("chunks_pruned", int64(p.chunksPruned))
+	if p.PhiCached {
+		sp.Int("phi_cached", 1)
+	}
 	for i, name := range planStages {
 		tr.Record(sp, name, startNs, p.stageNs[i])
 		startNs = p.stageNs[i]

@@ -111,6 +111,11 @@ type PhysicalPlan struct {
 	// relevant chunks, merge edges and groups, the pebbling peak, and
 	// the planning wall time.
 	Stats Stats
+	// PhiCached reports that a perspective plan found Φ's relocation rows
+	// for its hypothetical in the binding's memo and made no Φ call
+	// (planIndex); it is the only field a warm plan and a cold one differ
+	// in, with Stats.PlanMs.
+	PhiCached bool
 
 	// The executor's dense form of Neighbors: graph is the one merge
 	// dependency graph over all groups, nodes the chunk ID per node

@@ -21,6 +21,7 @@ import (
 	"maps"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"whatifolap/internal/bitset"
 )
@@ -491,6 +492,10 @@ type Binding struct {
 	// shared, on a binding made by Derive, is the validity-set map of the
 	// binding it was derived from, read-only: vs overrides it.
 	shared map[MemberID]*bitset.Set
+	// derived is what a reader computed from the sets above and keeps
+	// with the binding (Derived), so that it dies with the binding; Put
+	// drops it.
+	derived atomic.Pointer[any]
 }
 
 // NewBinding creates an empty binding between a varying and a parameter
@@ -523,7 +528,24 @@ func (b *Binding) SetVS(instance MemberID, paramOrdinals ...int) {
 // a set read from the binding.
 func (b *Binding) Put(instance MemberID, vs *bitset.Set) {
 	b.vs[instance] = vs
+	b.derived.Store(nil)
 }
+
+// Derived returns the value last kept with SetDerived, or nil when none
+// is kept: none was, or a Put has edited the binding since. Readers use
+// it to compute a function of the binding's sets once per published
+// binding and share it (the engine's planning index).
+func (b *Binding) Derived() any {
+	if p := b.derived.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// SetDerived keeps v with the binding for Derived to return until the
+// next Put. Concurrent callers may race; the last one wins, so v must
+// be a pure function of the binding.
+func (b *Binding) SetDerived(v any) { b.derived.Store(&v) }
 
 // Explicit returns the validity set recorded for a member instance and
 // true, or nil and false when it has none (it is valid everywhere). The

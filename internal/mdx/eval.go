@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"whatifolap/internal/algebra"
+	"whatifolap/internal/bitset"
 	"whatifolap/internal/chunk"
 	"whatifolap/internal/core"
 	"whatifolap/internal/cube"
@@ -170,8 +171,10 @@ func (ev *Evaluator) ExplainAnalyze(rc RunContext, q *Query) (string, *result.Gr
 // RenderAnalyze renders a finished query's span tree followed by
 // per-stage totals, which reconcile with stats (the trace and the stats
 // time the same stage boundaries, so they agree to clock resolution),
-// and, for an engine path, how it projected the grid (ps, from
-// RunQueryProjectedWith; nil prints no such line).
+// and, for an engine path, whether its plan copied Φ's relocation rows
+// from the binding's memo ("plan: cached", the plan span's phi_cached)
+// or evaluated Φ ("plan: computed"), and how it projected the grid (ps,
+// from RunQueryProjectedWith; nil prints no such line).
 // It is the text half of EXPLAIN ANALYZE, for callers that ran the
 // query under a trace they already hold (the daemon's pooled one).
 func RenderAnalyze(tr *trace.Trace, stats core.Stats, ps *core.ProjectStats) string {
@@ -185,6 +188,16 @@ func RenderAnalyze(tr *trace.Trace, stats core.Stats, ps *core.ProjectStats) str
 		fmt.Fprintf(&b, " spill_faults=%d fault_ms=%.3f", stats.SpillFaults, stats.FaultMs)
 	}
 	b.WriteByte('\n')
+	for _, sp := range tr.Spans() {
+		if sp.Name == "plan" {
+			if _, cached := sp.Attr("phi_cached"); cached {
+				b.WriteString("plan: cached\n")
+			} else {
+				b.WriteString("plan: computed\n")
+			}
+			break
+		}
+	}
 	if ps != nil {
 		fmt.Fprintf(&b, "project: %s\n", describeProjection(*ps))
 	}
@@ -255,7 +268,8 @@ func describeProjection(ps core.ProjectStats) string {
 
 // describeFootprint renders the footprint line of an engine plan: per
 // dimension of the result schema, how many of its leaves the grid can
-// read, and what that left of the cube's chunks.
+// read, and what that left of the cube's chunks — those the scan reads
+// to relocate, and those it reads for base and input cells alone.
 func describeFootprint(schema *cube.Cube, plan *core.PhysicalPlan) string {
 	var parts []string
 	restricted := false
@@ -271,8 +285,8 @@ func describeFootprint(schema *cube.Cube, plan *core.PhysicalPlan) string {
 	if !restricted {
 		return "footprint: none (formula rules reach every dimension)\n"
 	}
-	return fmt.Sprintf("footprint: %s; %d of %d source chunks on the grid\n",
-		strings.Join(parts, ", "), plan.Stats.RelevantChunks, plan.SourceChunks)
+	return fmt.Sprintf("footprint: %s; %d relocated and %d base-only of %d source chunks on the grid\n",
+		strings.Join(parts, ", "), plan.Stats.RelevantChunks, len(plan.BaseChunks), plan.SourceChunks)
 }
 
 // queryPath names the three ways a lowered query executes.
@@ -297,7 +311,7 @@ type lowered struct {
 	path queryPath
 	mode perspective.Mode
 	// engine serves the two engine paths; persp or changes is its query
-	// (scope members, perspective points / change rows resolved). The
+	// (scope leaves, perspective points / change rows resolved). The
 	// engine derives the footprint from the grid it compiles.
 	engine  *core.Engine
 	persp   core.PerspectiveQuery
@@ -369,7 +383,7 @@ func (ev *Evaluator) lower(q *Query, tr *trace.Trace, parent trace.SpanRef) (low
 		if lo.grid, err = ev.resolveGrid(lo.schema, q); err != nil {
 			return lo, err
 		}
-		lo.persp = core.PerspectiveQuery{Members: lo.grid.scopeMembers(b, ev.cube.DimIndex(pc.Varying)),
+		lo.persp = core.PerspectiveQuery{Scope: lo.grid.scopeLeaves(b.Varying, ev.cube.DimIndex(pc.Varying)),
 			Perspectives: points, Sem: pc.Sem, Mode: pc.Mode}
 		lo.engine, err = core.New(ev.cube, pc.Varying)
 		return lo, err
@@ -453,39 +467,34 @@ func (ev *Evaluator) resolvePerspectivePoints(b *dimension.Binding, points []*Me
 	return out, nil
 }
 
-// scopeMembers extracts the varying-dimension base members the grid
-// references (vi is the varying dimension's index), to bound the
-// engine's work (paper §6.3). An empty result defers to the engine's
-// default scope.
-func (gr *grid) scopeMembers(b *dimension.Binding, vi int) []string {
-	seen := map[string]bool{}
-	var names []string
-	add := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
+// scopeLeaves returns the leaf ordinals of the varying dimension d
+// (index vi) at or below the members the grid names there: the scope
+// that bounds the engine's work (paper §6.3), each member with an
+// instance among them. A grid that names none yields an empty set,
+// which defers to the engine's default scope.
+func (gr *grid) scopeLeaves(d *dimension.Dimension, vi int) *bitset.Set {
+	scope := bitset.New(d.NumLeaves())
+	var add func(id dimension.MemberID)
+	add = func(id dimension.MemberID) {
+		m := d.Member(id)
+		if m.LeafOrdinal >= 0 {
+			scope.Add(m.LeafOrdinal)
+			return
+		}
+		for _, c := range m.Children {
+			add(c)
 		}
 	}
 	for _, tuples := range [][]Tuple{gr.cols, gr.rows, {gr.slicer}} {
 		for _, tp := range tuples {
 			for _, co := range tp {
-				if co.Dim != vi {
-					continue
-				}
-				m := b.Varying.Member(co.Member)
-				if m.LeafOrdinal >= 0 {
-					add(m.Name)
-					continue
-				}
-				// A non-leaf scope member covers all varying members
-				// below it.
-				for _, o := range b.Varying.LeafDescendants(co.Member) {
-					add(b.Varying.Leaf(o).Name)
+				if co.Dim == vi {
+					add(co.Member)
 				}
 			}
 		}
 	}
-	return names
+	return scope
 }
 
 // resolveTransfer maps a TRANSFER clause onto the algebra operator:

@@ -146,10 +146,12 @@ func Apply(sem Semantics, b *dimension.Binding, perspectives []int) (*Result, er
 }
 
 // ApplyMembers computes Φ only for the instances of the given base
-// members. The perspective-cube engine uses this to keep planning cost
-// proportional to the query's scope (the paper's §6.3: "ensuring that
-// the instance merge operation is confined to query result sections
-// with varying members ensures efficient computation").
+// members. The perspective-cube engine calls it once per hypothetical
+// over the members Φ can move — no fixed point — and keeps the result
+// with the binding, so planning stays confined to the varying members
+// (the paper's §6.3: "ensuring that the instance merge operation is
+// confined to query result sections with varying members ensures
+// efficient computation").
 func ApplyMembers(sem Semantics, b *dimension.Binding, perspectives []int, baseNames []string) (*Result, error) {
 	var ids []dimension.MemberID
 	for _, name := range baseNames {

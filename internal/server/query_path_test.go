@@ -49,7 +49,7 @@ const (
 		`"rows":["PTE/Tom","PTE/Dave","PTE/Joe"],` +
 		`"values":[[30,10,10,10,30,10,10,10,null,null,null,null,null,null,null,null],[null,null,null,null,null,null,null,null,null,null,null,null,null,null,null,null],[40,null,10,30,null,null,null,null,null,null,null,null,null,null,null,null]],` +
 		`"stats":{"members_in_scope":3,"chunks_read":4,"cells_relocated":2,"merge_edges":1,"merge_groups":2}}` + "\n"
-	goldenExplain      = `"analyze":false,"explain":"path: perspective-cube engine (DYNAMIC FORWARD on Organization, 2 perspectives, VISUAL)\nfootprint: Organization 3/8, Location 1/8, Time 12/12, Measures 1/4; 4 of 8 source chunks on the grid\nproject: fused\nphysical plan: scope 3 members, 1 moved by Φ; 4 relevant chunks, 0 base-only chunks, 2 merge groups, 1 merge edges\n  read order pebbling, peak resident chunks 2\n  schedule:  [24 48 26 50]\n  group 0   rest=(·,0,0,0): 2 chunks [24 48], 1 edges, peak 2\n  group 1   rest=(·,0,1,0): 2 chunks [26 50], 0 edges, peak 1\n"}` + "\n"
+	goldenExplain      = `"analyze":false,"explain":"path: perspective-cube engine (DYNAMIC FORWARD on Organization, 2 perspectives, VISUAL)\nfootprint: Organization 3/8, Location 1/8, Time 12/12, Measures 1/4; 4 relocated and 0 base-only of 8 source chunks on the grid\nproject: fused\nphysical plan: scope 3 members, 1 moved by Φ; 4 relevant chunks, 0 base-only chunks, 2 merge groups, 1 merge edges\n  read order pebbling, peak resident chunks 2\n  schedule:  [24 48 26 50]\n  group 0   rest=(·,0,0,0): 2 chunks [24 48], 1 edges, peak 2\n  group 1   rest=(·,0,1,0): 2 chunks [26 50], 0 edges, peak 1\n"}` + "\n"
 	goldenPlainHead    = `{"cube":"paper","version":1,`
 	goldenScenarioHead = `{"cube":"paper","version":1,"scenario":"s1","scenario_revision":0,`
 )
