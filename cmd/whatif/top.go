@@ -11,13 +11,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"whatifolap/internal/obs"
 	"whatifolap/internal/server"
 )
 
@@ -73,8 +74,10 @@ func fetchHistory(ctx context.Context, client *http.Client, base string) (server
 // view fits a terminal row.
 const topSparkWidth = 60
 
-// renderTop formats one dashboard frame from a history snapshot. Pure:
-// no clock reads, no IO — now is the caller's.
+// renderTop formats one dashboard frame from a history snapshot: a row
+// per server.TopRows entry, each history key as its label and the
+// newest sample's value, then a sparkline per plotted key. Pure: no
+// clock reads, no IO — now is the caller's.
 func renderTop(base string, h server.HistoryResponse, now time.Time) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "whatif -top  %s  %s\n", base, now.Format("15:04:05"))
@@ -86,63 +89,55 @@ func renderTop(base string, h server.HistoryResponse, now time.Time) string {
 	fmt.Fprintf(&b, "samples %d/%d (total %d), interval %.0fms\n\n",
 		len(h.Samples), h.Cap, h.Total, h.IntervalMs)
 
-	fmt.Fprintf(&b, "  qps      %8.1f   queries %6d   errors %5d   slow %5d\n",
-		last.QPS, last.Queries, last.Errors, last.SlowQueries)
-	fmt.Fprintf(&b, "  latency  p50 %.2fms  p95 %.2fms  p99 %.2fms\n",
-		last.P50Ms, last.P95Ms, last.P99Ms)
-	fmt.Fprintf(&b, "  cache    %s hit ratio   %d hits / %d misses   %s of %s limit\n",
-		ratioStr(last.CacheHitRatio), last.CacheHits, last.CacheMisses,
-		byteStr(int64(last.CacheBytes)), byteStr(int64(last.CacheLimitBytes)))
-	fmt.Fprintf(&b, "  scan amp %s   %d scanned / %d returned cells\n",
-		ampStr(last.ScanAmplification), last.CellsScanned, last.CellsReturned)
-	fmt.Fprintf(&b, "  queue    %d deep   writeback %d pending   segment read %.2fms\n",
-		last.QueueDepth, last.WritebackPending, last.SegmentReadMs)
-	fmt.Fprintf(&b, "  pool     %s resident (%d chunks, %d spilled)   pinned %d   evictions %d   faults %d\n",
-		byteStr(int64(last.PoolResidentBytes)), last.PoolResidentChunks, last.PoolSpilledChunks,
-		last.PoolPinned, last.PoolEvictions, last.PoolFaults)
-	fmt.Fprintf(&b, "  traces   %d retained, %s\n\n",
-		last.RetainedTraces, byteStr(int64(last.RetainedTraceBytes)))
-
-	spark := func(label string, pick func(obs.Sample) float64) {
-		vals := make([]float64, 0, topSparkWidth)
-		start := 0
-		if len(h.Samples) > topSparkWidth {
-			start = len(h.Samples) - topSparkWidth
+	rows := server.TopRows()
+	for _, row := range rows {
+		cols := make([]string, len(row.Keys))
+		for i, k := range row.Keys {
+			v, _ := last.Get(k)
+			cols[i] = topLabel(row.Name, k) + " " + topValue(k, v)
 		}
-		for _, s := range h.Samples[start:] {
-			vals = append(vals, pick(s))
-		}
-		fmt.Fprintf(&b, "  %-9s %s\n", label, sparkline(vals))
+		fmt.Fprintf(&b, "  %-9s %s\n", row.Name, strings.Join(cols, "   "))
 	}
-	spark("qps", func(s obs.Sample) float64 { return s.QPS })
-	spark("p95 ms", func(s obs.Sample) float64 { return s.P95Ms })
-	spark("hit%", func(s obs.Sample) float64 { return max0(s.CacheHitRatio) })
-	spark("scan amp", func(s obs.Sample) float64 { return max0(s.ScanAmplification) })
+	b.WriteString("\n")
+
+	start := max(0, len(h.Samples)-topSparkWidth)
+	for _, row := range rows {
+		for _, k := range row.Spark {
+			vals := make([]float64, 0, topSparkWidth)
+			for _, s := range h.Samples[start:] {
+				v, _ := s.Get(k)
+				vals = append(vals, max(v, 0)) // -1 sentinels plot as baseline
+			}
+			fmt.Fprintf(&b, "  %-18s %s\n", k, sparkline(vals))
+		}
+	}
 	return b.String()
 }
 
-// max0 clamps the -1 "no observations" sentinel to 0 for plotting.
-func max0(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
+// topLabel is a key's label in its row: the row's name and the unit the
+// value carries trimmed off (pool_resident_bytes in row pool: resident).
+func topLabel(row, key string) string {
+	return strings.TrimSuffix(strings.TrimSuffix(strings.TrimPrefix(key, row+"_"), "_bytes"), "_ms")
 }
 
-func ratioStr(v float64) string {
-	if v < 0 {
-		return "   --"
+// topValue formats a value by its key's unit suffix. A negative value is
+// a ratio's "nothing this interval" sentinel and shows as "--".
+func topValue(key string, v float64) string {
+	switch {
+	case v < 0:
+		return "--"
+	case strings.HasSuffix(key, "_bytes"):
+		return byteStr(int64(v))
+	case strings.HasSuffix(key, "_ratio"):
+		return fmt.Sprintf("%.1f%%", v*100)
+	case strings.HasSuffix(key, "_amplification"):
+		return fmt.Sprintf("%.1fx", v)
+	case strings.HasSuffix(key, "_ms"):
+		return fmt.Sprintf("%.2fms", v)
+	case v == math.Trunc(v):
+		return strconv.FormatFloat(v, 'f', 0, 64)
 	}
-	return fmt.Sprintf("%5.1f", v*100) + "%"
-}
-
-// ampStr formats the scan-amplification ratio (cells scanned per cell
-// returned); -1 means nothing was returned this interval.
-func ampStr(v float64) string {
-	if v < 0 {
-		return "   --"
-	}
-	return fmt.Sprintf("%5.1fx", v)
+	return fmt.Sprintf("%.1f", v)
 }
 
 func byteStr(n int64) string {

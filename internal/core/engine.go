@@ -353,7 +353,7 @@ func (e *Engine) runPerspective(ec ExecContext, q PerspectiveQuery, gp *gridProj
 	if err != nil {
 		return nil, err
 	}
-	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, plan)
+	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, plan, true)
 	if err := e.execute(ec, plan, view, gp); err != nil {
 		return nil, err
 	}
@@ -542,7 +542,7 @@ func (e *Engine) runChanges(ec ExecContext, q ChangesQuery, gp *gridProjection) 
 	if err != nil {
 		return nil, err
 	}
-	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, plan)
+	recordPlanSpan(tr, trace.SpanFromContext(ec.Ctx), planStart, plan, false)
 	if err := e.execute(ec, plan, view, gp); err != nil {
 		return nil, err
 	}

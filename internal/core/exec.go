@@ -104,9 +104,11 @@ var planStages = [...]string{"plan.targets", "plan.graph", "plan.pebble", "plan.
 
 // recordPlanSpan claims a hindsight "plan" span covering the planning
 // stage with the plan's shape as attributes, and under it one child per
-// sub-stage, so a slow plan names the step that was slow. No-op with
-// tracing off.
-func recordPlanSpan(tr *trace.Trace, parent trace.SpanRef, startNs int64, p *PhysicalPlan) {
+// sub-stage, so a slow plan names the step that was slow. A perspective
+// plan (phi) also records phi_cached: 1 when Φ's relocation rows came
+// from the binding's memo, 0 when Φ was evaluated; a changes plan
+// evaluates no Φ and records neither. No-op with tracing off.
+func recordPlanSpan(tr *trace.Trace, parent trace.SpanRef, startNs int64, p *PhysicalPlan, phi bool) {
 	sp := tr.Record(parent, "plan", startNs, tr.Now())
 	sp.Int("merge_groups", int64(len(p.Groups)))
 	sp.Int("chunks", int64(len(p.Schedule)))
@@ -115,8 +117,12 @@ func recordPlanSpan(tr *trace.Trace, parent trace.SpanRef, startNs int64, p *Phy
 	sp.IntNonZero("members_moved", int64(p.Stats.MembersMoved))
 	sp.IntNonZero("footprint_cells", int64(p.footprintCells))
 	sp.IntNonZero("chunks_pruned", int64(p.chunksPruned))
-	if p.PhiCached {
-		sp.Int("phi_cached", 1)
+	if phi {
+		cached := int64(0)
+		if p.PhiCached {
+			cached = 1
+		}
+		sp.Int("phi_cached", cached)
 	}
 	for i, name := range planStages {
 		tr.Record(sp, name, startNs, p.stageNs[i])

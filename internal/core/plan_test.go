@@ -159,7 +159,7 @@ func TestPlanSubStageSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range []*trace.Trace{nil, trace.New(1 << 12)} {
-		if allocs := testing.AllocsPerRun(100, func() { recordPlanSpan(rec, trace.SpanRef{}, 0, p) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { recordPlanSpan(rec, trace.SpanRef{}, 0, p, true) }); allocs != 0 {
 			t.Fatalf("recording the plan spans allocates %v times (tracing on: %v)", allocs, rec != nil)
 		}
 	}

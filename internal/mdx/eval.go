@@ -171,9 +171,10 @@ func (ev *Evaluator) ExplainAnalyze(rc RunContext, q *Query) (string, *result.Gr
 // RenderAnalyze renders a finished query's span tree followed by
 // per-stage totals, which reconcile with stats (the trace and the stats
 // time the same stage boundaries, so they agree to clock resolution),
-// and, for an engine path, whether its plan copied Φ's relocation rows
-// from the binding's memo ("plan: cached", the plan span's phi_cached)
-// or evaluated Φ ("plan: computed"), and how it projected the grid (ps,
+// and, for a perspective plan, whether it copied Φ's relocation rows
+// from the binding's memo ("plan: cached", the plan span's phi_cached
+// of 1) or evaluated Φ ("plan: computed", phi_cached 0) — a changes plan
+// evaluates no Φ and prints neither — and how it projected the grid (ps,
 // from RunQueryProjectedWith; nil prints no such line).
 // It is the text half of EXPLAIN ANALYZE, for callers that ran the
 // query under a trace they already hold (the daemon's pooled one).
@@ -189,8 +190,8 @@ func RenderAnalyze(tr *trace.Trace, stats core.Stats, ps *core.ProjectStats) str
 	}
 	b.WriteByte('\n')
 	for _, sp := range tr.Spans() {
-		if sp.Name == "plan" {
-			if _, cached := sp.Attr("phi_cached"); cached {
+		if cached, phi := sp.Attr("phi_cached"); sp.Name == "plan" && phi {
+			if cached != 0 {
 				b.WriteString("plan: cached\n")
 			} else {
 				b.WriteString("plan: computed\n")

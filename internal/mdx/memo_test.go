@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"whatifolap/internal/chunk"
+	"whatifolap/internal/paperdata"
 	"whatifolap/internal/perspective"
 	"whatifolap/internal/result"
 	"whatifolap/internal/workload"
@@ -94,5 +95,39 @@ FROM [App].[Db] WHERE ([Account].[Acct001], [Scenario].[Current], [Currency].[Lo
 	want := fmt.Sprintf("; 0 relocated and %d base-only of %d source chunks on the grid\n", stats.ChunksRead, source)
 	if !strings.Contains(text, want) {
 		t.Fatalf("footprint line does not count the %d base-only chunks:\n%s", stats.ChunksRead, text)
+	}
+}
+
+// TestPlanMemoLineOnPerspectivePlansOnly: EXPLAIN ANALYZE prints "plan:
+// cached" / "plan: computed" for a perspective plan, which consults Φ,
+// and neither for a WITH CHANGES plan, which evaluates no Φ — its plan
+// span carries no phi_cached, so the memo counters skip it too.
+func TestPlanMemoLineOnPerspectivePlansOnly(t *testing.T) {
+	ev := NewEvaluator(paperdata.ChunkedWarehouse(nil))
+	for _, tc := range []struct {
+		src, want string
+	}{
+		{`WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD VISUAL
+SELECT {[Time].[Qtr2]} ON COLUMNS, {[PTE], [FTE]} ON ROWS
+FROM Warehouse WHERE ([Location].[NY], [Measures].[Salary])`, "plan: computed\n"},
+		{`WITH CHANGES {([FTE].[Lisa], [FTE], [PTE], [Apr])} VISUAL
+SELECT {[Time].[Qtr2]} ON COLUMNS, {[PTE], [FTE]} ON ROWS
+FROM Warehouse WHERE ([Location].[NY], [Measures].[Salary])`, ""},
+	} {
+		text, _, _, err := ev.ExplainAnalyze(RunContext{}, MustParse(tc.src))
+		if err != nil {
+			t.Fatalf("%v\n%s", err, tc.src)
+		}
+		if !strings.Contains(text, "  plan ") {
+			t.Fatalf("no plan span: the query did not run on the engine:\n%s", text)
+		}
+		for _, line := range []string{"plan: cached\n", "plan: computed\n"} {
+			if got := strings.Contains(text, line); got != (line == tc.want) {
+				t.Fatalf("%q printed: %v, want %v:\n%s", strings.TrimSpace(line), got, line == tc.want, text)
+			}
+		}
+		if strings.Contains(text, "phi_cached") != (tc.want != "") {
+			t.Fatalf("phi_cached on the plan span of\n%s\n%s", tc.src, text)
+		}
 	}
 }

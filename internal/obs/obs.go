@@ -27,68 +27,71 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
+	"strconv"
 	"sync"
 )
 
 // Sample is one interval observation of the serving layer, produced by
-// the collector at a fixed cadence. Counter-like fields are deltas over
-// the interval, gauge-like fields are the value at sample time. Ratio
-// fields use -1 for "no observations this interval" so a quiet server
-// is distinguishable from a 0% one.
+// the collector at a fixed cadence: when it was taken, the wall time
+// since the previous sample (what the deltas are over), and the
+// declared metric values under their wire keys, in declaration order
+// (internal/server's MetricsSnapshot tags declare them). Counters are
+// deltas over the interval, gauges the level at sample time; ratios are
+// -1 when the interval saw nothing to divide, so a quiet server is
+// distinguishable from a 0% one. On the wire a sample is one flat JSON
+// object.
 type Sample struct {
-	// UnixMs is the sample timestamp; IntervalMs the wall time since
-	// the previous sample (what the deltas are over).
-	UnixMs     int64   `json:"unix_ms"`
-	IntervalMs float64 `json:"interval_ms"`
+	UnixMs     int64
+	IntervalMs float64
+	// Keys is shared by every sample of one collector: read-only.
+	Keys   []string
+	Values []float64
+}
 
-	// Query flow over the interval.
-	Queries     int64   `json:"queries"`
-	Errors      int64   `json:"errors"`
-	SlowQueries int64   `json:"slow_queries"`
-	QPS         float64 `json:"qps"`
+// Get returns the value under key and whether the sample holds it.
+func (s Sample) Get(key string) (float64, bool) {
+	for i, k := range s.Keys {
+		if k == key {
+			return s.Values[i], true
+		}
+	}
+	return 0, false
+}
 
-	// Result cache over the interval. CacheHitRatio is -1 when the
-	// interval saw no lookups.
-	CacheHits     int64   `json:"cache_hits"`
-	CacheMisses   int64   `json:"cache_misses"`
-	CacheHitRatio float64 `json:"cache_hit_ratio"`
+// MarshalJSON writes the flat object: unix_ms, interval_ms, then each
+// key in order.
+func (s Sample) MarshalJSON() ([]byte, error) {
+	b := strconv.AppendInt([]byte(`{"unix_ms":`), s.UnixMs, 10)
+	b = strconv.AppendFloat(append(b, `,"interval_ms":`...), s.IntervalMs, 'f', -1, 64)
+	for i, k := range s.Keys {
+		b = append(strconv.AppendQuote(append(b, ','), k), ':')
+		b = strconv.AppendFloat(b, s.Values[i], 'f', -1, 64)
+	}
+	return append(b, '}'), nil
+}
 
-	// Interval latency quantiles from the latency histogram's bucket
-	// deltas; all zero when no query completed in the interval.
-	P50Ms float64 `json:"p50_ms"`
-	P95Ms float64 `json:"p95_ms"`
-	P99Ms float64 `json:"p99_ms"`
-
-	// Scan amplification: source cells visited per result cell
-	// returned over the interval (-1 when nothing was returned).
-	// Cache hits return cells without scanning, so a warming cache
-	// drives this toward zero — the trend ROADMAP item 2 watches.
-	CellsScanned      int64   `json:"cells_scanned"`
-	CellsReturned     int64   `json:"cells_returned"`
-	ScanAmplification float64 `json:"scan_amplification"`
-
-	// SegmentReadMs is the mean durable-tier fault-in latency over the
-	// interval (0 when no segment read happened).
-	SegmentReadMs float64 `json:"segment_read_ms"`
-
-	// Serving gauges at sample time.
-	QueueDepth       int   `json:"queue_depth"`
-	CacheBytes       int   `json:"cache_bytes"`
-	CacheLimitBytes  int   `json:"cache_limit_bytes"`
-	WritebackPending int64 `json:"writeback_pending"`
-
-	// Buffer-pool state: gauges at sample time plus interval deltas of
-	// the pool's monotone counters.
-	PoolResidentBytes  int   `json:"pool_resident_bytes"`
-	PoolResidentChunks int   `json:"pool_resident_chunks"`
-	PoolSpilledChunks  int   `json:"pool_spilled_chunks"`
-	PoolPinned         int   `json:"pool_pinned"`
-	PoolEvictions      int64 `json:"pool_evictions"`
-	PoolFaults         int64 `json:"pool_faults"`
-
-	// Retained-trace ring occupancy at sample time.
-	RetainedTraces     int `json:"retained_traces"`
-	RetainedTraceBytes int `json:"retained_trace_bytes"`
+// UnmarshalJSON reads the flat object back, keeping the key order.
+func (s *Sample) UnmarshalJSON(data []byte) error {
+	*s = Sample{}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	tok, err := dec.Token() // the opening brace
+	for err == nil && dec.More() {
+		var v float64
+		if tok, err = dec.Token(); err == nil {
+			err = dec.Decode(&v)
+		}
+		switch k, _ := tok.(string); k {
+		case "unix_ms":
+			s.UnixMs = int64(v)
+		case "interval_ms":
+			s.IntervalMs = v
+		default:
+			s.Keys, s.Values = append(s.Keys, k), append(s.Values, v)
+		}
+	}
+	return err
 }
 
 // DefaultHistorySize is the sample capacity NewHistory(0) allocates:

@@ -319,3 +319,32 @@ func TestRetainBoundsHealthySamples(t *testing.T) {
 		t.Fatalf("ring accounts %d bytes, its traces %d", st.Bytes, bytes)
 	}
 }
+
+// TestSampleJSONRoundTrip: a sample is one flat JSON object — unix_ms,
+// interval_ms, then its keys in order — and decodes back to the same
+// keys, order and values.
+func TestSampleJSONRoundTrip(t *testing.T) {
+	in := Sample{UnixMs: 1760000000123, IntervalMs: 999.5, Keys: []string{"queries", "cache_hit_ratio", "p50_ms"}, Values: []float64{3, -1, 0.25}}
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"unix_ms":1760000000123,"interval_ms":999.5,"queries":3,"cache_hit_ratio":-1,"p50_ms":0.25}`; string(b) != want {
+		t.Fatalf("marshal = %s, want %s", b, want)
+	}
+	var out Sample
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.UnixMs != in.UnixMs || out.IntervalMs != in.IntervalMs || strings.Join(out.Keys, ",") != strings.Join(in.Keys, ",") {
+		t.Fatalf("round trip = %+v, want %+v", out, in)
+	}
+	for i, k := range in.Keys {
+		if v, ok := out.Get(k); !ok || v != in.Values[i] {
+			t.Fatalf("Get(%q) = %v, %v; want %v", k, v, ok, in.Values[i])
+		}
+	}
+	if err := json.Unmarshal([]byte(`{"queries":"x"}`), &out); err == nil {
+		t.Fatal("a non-numeric value decoded without error")
+	}
+}

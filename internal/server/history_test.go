@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"whatifolap/internal/chunk"
+	"whatifolap/internal/obs"
 )
 
 func TestHistogramQuantileEdgeCases(t *testing.T) {
@@ -133,29 +133,44 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 		t.Fatalf("history = total %d, %d samples; want 1", hist.Total, len(hist.Samples))
 	}
 	sm := hist.Samples[0]
-	if sm.Queries != 2 || sm.CacheHits != 1 || sm.CacheMisses != 1 {
+	get := func(sm obs.Sample, key string) float64 {
+		t.Helper()
+		v, ok := sm.Get(key)
+		if !ok {
+			t.Fatalf("sample lacks %q: %+v", key, sm)
+		}
+		return v
+	}
+	if get(sm, "queries") != 2 || get(sm, "cache_hits") != 1 || get(sm, "cache_misses") != 1 {
 		t.Fatalf("sample flow = %+v, want 2 queries, 1 hit, 1 miss", sm)
 	}
-	if math.Abs(sm.CacheHitRatio-0.5) > 1e-9 {
-		t.Fatalf("cache hit ratio = %v, want 0.5", sm.CacheHitRatio)
+	if math.Abs(get(sm, "cache_hit_ratio")-0.5) > 1e-9 {
+		t.Fatalf("cache hit ratio = %v, want 0.5", get(sm, "cache_hit_ratio"))
 	}
-	if sm.CacheBytes <= 0 || sm.CacheLimitBytes != initialCacheLimit {
-		t.Fatalf("cache gauges = %d bytes under a %d limit, want a body under the initial limit", sm.CacheBytes, sm.CacheLimitBytes)
+	if get(sm, "cache_bytes") <= 0 || get(sm, "cache_limit_bytes") != initialCacheLimit {
+		t.Fatalf("cache gauges = %v bytes under a %v limit, want a body under the initial limit", get(sm, "cache_bytes"), get(sm, "cache_limit_bytes"))
 	}
-	if sm.CellsScanned <= 0 || sm.CellsReturned <= 0 {
-		t.Fatalf("cells scanned/returned = %d/%d, want positive", sm.CellsScanned, sm.CellsReturned)
+	scanned, returned := get(sm, "cells_scanned"), get(sm, "cells_returned")
+	if scanned <= 0 || returned <= 0 {
+		t.Fatalf("cells scanned/returned = %v/%v, want positive", scanned, returned)
 	}
-	if want := float64(sm.CellsScanned) / float64(sm.CellsReturned); math.Abs(sm.ScanAmplification-want) > 1e-9 {
-		t.Fatalf("scan amplification = %v, want %v", sm.ScanAmplification, want)
+	if want := scanned / returned; math.Abs(get(sm, "scan_amplification")-want) > 1e-9 {
+		t.Fatalf("scan amplification = %v, want %v", get(sm, "scan_amplification"), want)
 	}
-	if sm.P50Ms <= 0 || sm.P99Ms < sm.P50Ms {
-		t.Fatalf("interval quantiles p50=%v p99=%v", sm.P50Ms, sm.P99Ms)
+	if get(sm, "p50_ms") <= 0 || get(sm, "p99_ms") < get(sm, "p50_ms") {
+		t.Fatalf("interval quantiles p50=%v p99=%v", get(sm, "p50_ms"), get(sm, "p99_ms"))
 	}
-	if sm.QPS <= 0 || sm.IntervalMs <= 0 {
-		t.Fatalf("qps=%v interval=%vms, want positive", sm.QPS, sm.IntervalMs)
+	if get(sm, "qps") <= 0 || sm.IntervalMs <= 0 {
+		t.Fatalf("qps=%v interval=%vms, want positive", get(sm, "qps"), sm.IntervalMs)
 	}
-	if sm.PoolResidentChunks <= 0 {
-		t.Fatalf("pool resident chunks = %d, want positive (chunked cube)", sm.PoolResidentChunks)
+	if get(sm, "pool_resident_chunks") <= 0 {
+		t.Fatalf("pool resident chunks = %v, want positive (chunked cube)", get(sm, "pool_resident_chunks"))
+	}
+	// The paper query plans a perspective: Φ is evaluated once, then
+	// the memo serves it (the repeat was a result-cache hit and planned
+	// nothing).
+	if get(sm, "plan_memo_misses") != 1 || get(sm, "plan_memo_hits") != 0 {
+		t.Fatalf("plan memo = %v hits, %v misses, want 0 and 1", get(sm, "plan_memo_hits"), get(sm, "plan_memo_misses"))
 	}
 
 	// A quiet second interval: deltas zero, ratios use the -1 sentinel
@@ -170,7 +185,7 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 		t.Fatalf("history has %d samples, want 2", len(hist.Samples))
 	}
 	quiet := hist.Samples[1]
-	if quiet.Queries != 0 || quiet.CacheHitRatio != -1 || quiet.ScanAmplification != -1 {
+	if get(quiet, "queries") != 0 || get(quiet, "cache_hit_ratio") != -1 || get(quiet, "scan_amplification") != -1 {
 		t.Fatalf("quiet sample = %+v, want zero flow and -1 ratios", quiet)
 	}
 }
@@ -354,8 +369,8 @@ func TestHistoryEvictionPressureEvents(t *testing.T) {
 
 	// Substitute a synthetic pool so the test controls eviction deltas.
 	evictions := 0
-	s.metrics.poolStats = func() chunk.SpillStats {
-		return chunk.SpillStats{Evictions: evictions, ResidentBytes: 1 << 20}
+	s.metrics.gauges = func(ms *MetricsSnapshot) {
+		ms.Pool = PoolSnapshot{Evictions: evictions, ResidentBytes: 1 << 20}
 	}
 	s.sampler = newObsSampler(s)
 
@@ -395,10 +410,10 @@ func TestHistoryEvictionPressureEvents(t *testing.T) {
 	if len(samples) != 4 {
 		t.Fatalf("history has %d samples, want 4", len(samples))
 	}
-	wantDeltas := []int64{5, 4, 0, 0}
+	wantDeltas := []float64{5, 4, 0, 0}
 	for i, want := range wantDeltas {
-		if samples[i].PoolEvictions != want {
-			t.Fatalf("sample %d eviction delta = %d, want %d", i, samples[i].PoolEvictions, want)
+		if got, _ := samples[i].Get("pool_evictions"); got != want {
+			t.Fatalf("sample %d eviction delta = %v, want %v", i, got, want)
 		}
 	}
 }

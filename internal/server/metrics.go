@@ -1,14 +1,11 @@
 package server
 
 import (
-	"sort"
-	"sync"
+	"reflect"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
-
-	"whatifolap/internal/chunk"
-	"whatifolap/internal/core"
-	"whatifolap/internal/trace"
 )
 
 // latencyBucketsMs are the upper bounds (milliseconds) of the latency
@@ -29,31 +26,8 @@ var chunksReadBuckets = []float64{
 	1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000,
 }
 
-// histogram is a fixed-bucket histogram with atomic counters, in the
-// style of expvar: cheap to update from many goroutines, read by
-// snapshotting. Buckets are cumulative only at exposition time; counts
-// here are per-bucket, and the observation count is their total. The
-// sum is kept in micro-units so it stays a single atomic integer.
-type histogram struct {
-	bounds   []float64
-	counts   []atomic.Int64 // len(bounds)+1; the last bucket is +Inf
-	sumMicro atomic.Int64
-}
-
 func newHistogram(bounds []float64) *histogram {
 	return &histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-}
-
-// observe records one value (milliseconds for duration histograms).
-func (h *histogram) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.sumMicro.Add(int64(v * 1e6))
-}
-
-// observeDuration records one duration in milliseconds.
-func (h *histogram) observeDuration(d time.Duration) {
-	h.observe(float64(d) / float64(time.Millisecond))
 }
 
 // histReading is one read of a histogram's buckets and sum. Everything
@@ -95,19 +69,14 @@ func (r histReading) count() int64 {
 }
 
 // summary is the reading's count, mean and p50/p95/p99 — zero when it
-// holds no observation.
+// holds no observation — carrying the reading itself.
 func (r histReading) summary() LatencySnapshot {
-	n := r.count()
-	if n == 0 {
-		return LatencySnapshot{}
+	s := LatencySnapshot{reading: r}
+	if s.Count = r.count(); s.Count > 0 {
+		s.MeanMs = float64(r.sumMicro) / 1e6 / float64(s.Count)
+		s.P50Ms, s.P95Ms, s.P99Ms = r.quantile(0.50), r.quantile(0.95), r.quantile(0.99)
 	}
-	return LatencySnapshot{
-		Count:  n,
-		MeanMs: float64(r.sumMicro) / 1e6 / float64(n),
-		P50Ms:  r.quantile(0.50),
-		P95Ms:  r.quantile(0.95),
-		P99Ms:  r.quantile(0.99),
-	}
+	return s
 }
 
 // quantile estimates the q-th quantile (0 < q < 1) with linear
@@ -145,159 +114,28 @@ func (r histReading) quantile(q float64) float64 {
 	return r.bounds[len(r.bounds)-1]
 }
 
-// LatencySnapshot summarizes the latency histogram.
+// LatencySnapshot summarizes one histogram reading (milliseconds for
+// the duration histograms) and carries it, for the Prometheus buckets
+// and the history collector's interval differencing.
 type LatencySnapshot struct {
 	Count  int64   `json:"count"`
 	MeanMs float64 `json:"mean_ms"`
 	P50Ms  float64 `json:"p50_ms"`
 	P95Ms  float64 `json:"p95_ms"`
 	P99Ms  float64 `json:"p99_ms"`
-}
 
-// Metrics is the serving layer's observability surface: expvar-style
-// counters, latency and trace-derived histograms, and gauges sampled at
-// snapshot time. All update paths are atomic; one Metrics is shared by
-// the executor, cache and HTTP handlers. Exposed as JSON (Snapshot) and
-// Prometheus text format (WriteProm).
-type Metrics struct {
-	start time.Time
-
-	QueriesServed atomic.Int64 // queries answered successfully (incl. cache hits)
-	QueryErrors   atomic.Int64 // parse/eval failures
-	Overloaded    atomic.Int64 // admissions rejected by the full queue
-	Canceled      atomic.Int64 // queries abandoned by client cancellation
-	TimedOut      atomic.Int64 // queries abandoned by deadline
-	CacheHits     atomic.Int64
-	CacheMisses   atomic.Int64
-	SlowQueries   atomic.Int64 // queries recorded in the slow-query log
-
-	// CellsScanned / CellsReturned feed the scan-amplification ratio:
-	// source cells visited by chunk scans vs. result-grid cells
-	// returned to clients (cache hits return without scanning).
-	CellsScanned  atomic.Int64
-	CellsReturned atomic.Int64
-
-	latency *histogram
-
-	// Trace-derived histograms, fed by ObserveTrace from each query's
-	// span tree: chunk reads per query and segment fault-in durations.
-	chunksRead    *histogram
-	segmentReadMs *histogram
-
-	// Per-stage pipeline time accumulators (microseconds) plus the
-	// sample count, fed by ObserveStages after engine-backed queries.
-	stagePlanUs    atomic.Int64
-	stageScanUs    atomic.Int64
-	stageProjectUs atomic.Int64
-	stageCount     atomic.Int64
-
-	mu    sync.Mutex
-	bySem map[string]int64
-	// byScenario attributes scenario-path queries: count and cumulative
-	// latency per scenario id. A counter pair, not a labeled histogram —
-	// scenario ids are unbounded, so per-id buckets would blow up the
-	// exposition cardinality.
-	byScenario map[string]*scenarioStat
-
-	// queueDepth, cacheBytes, cacheLimit, writebackPending and poolStats
-	// are sampled at snapshot time. writebackPending is nil unless a
-	// persister is attached (whatifd -data-dir); poolStats sums the
-	// buffer pools of the catalog's current cube versions.
-	queueDepth       func() int
-	cacheBytes       func() int
-	cacheLimit       func() int
-	writebackPending func() int64
-	poolStats        func() chunk.SpillStats
-}
-
-// scenarioStat accumulates one scenario's query attribution.
-type scenarioStat struct {
-	count     int64
-	latencyUs int64
-}
-
-// ScenarioSnapshot reports one scenario's served queries and mean
-// latency at snapshot time.
-type ScenarioSnapshot struct {
-	Queries       int64   `json:"queries"`
-	LatencySumMs  float64 `json:"latency_sum_ms"`
-	LatencyMeanMs float64 `json:"latency_mean_ms"`
+	reading histReading
 }
 
 // NewMetrics creates an empty metrics set.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		start:         time.Now(),
-		bySem:         make(map[string]int64),
-		byScenario:    make(map[string]*scenarioStat),
-		latency:       newHistogram(latencyBucketsMs),
-		chunksRead:    newHistogram(chunksReadBuckets),
-		segmentReadMs: newHistogram(spanBucketsMs),
+		start:       time.Now(),
+		byScenario:  make(map[string]*scenarioStat),
+		latency:     newHistogram(latencyBucketsMs),
+		chunksRead:  newHistogram(chunksReadBuckets),
+		segmentRead: newHistogram(spanBucketsMs),
 	}
-}
-
-// ObserveLatency records one successful query execution time.
-func (m *Metrics) ObserveLatency(d time.Duration) { m.latency.observeDuration(d) }
-
-// ObserveCells records one query's scan amplification inputs: source
-// cells the engine visited and result cells returned to the client.
-func (m *Metrics) ObserveCells(scanned, returned int64) {
-	m.CellsScanned.Add(scanned)
-	m.CellsReturned.Add(returned)
-}
-
-// ObserveStages records one query's staged-pipeline timings
-// (plan / scan / project) from the engine stats.
-func (m *Metrics) ObserveStages(s core.Stats) {
-	m.stagePlanUs.Add(int64(s.PlanMs * 1000))
-	m.stageScanUs.Add(int64(s.ScanMs * 1000))
-	m.stageProjectUs.Add(int64(s.ProjectMs * 1000))
-	m.stageCount.Add(1)
-}
-
-// ObserveTrace folds one finished query's span tree into the
-// trace-derived histograms: "scan" spans contribute the query's chunk
-// reads, each "fault" span (a segment read) its fault-in duration. Call
-// after the traced execution has returned (snapshotting must not race
-// recording).
-func (m *Metrics) ObserveTrace(spans []trace.Span) {
-	var chunks int64
-	sawScan := false
-	for _, s := range spans {
-		switch s.Name {
-		case "scan":
-			sawScan = true
-			if v, ok := s.Attr("chunks_read"); ok {
-				chunks += v
-			}
-		case "fault":
-			m.segmentReadMs.observe(s.Ms())
-		}
-	}
-	if sawScan {
-		m.chunksRead.observe(float64(chunks))
-	}
-}
-
-// CountSemantics bumps the per-semantics query breakdown.
-func (m *Metrics) CountSemantics(sem string) {
-	m.mu.Lock()
-	m.bySem[sem]++
-	m.mu.Unlock()
-}
-
-// ObserveScenario attributes one served scenario-path query to its
-// scenario id.
-func (m *Metrics) ObserveScenario(id string, d time.Duration) {
-	m.mu.Lock()
-	st := m.byScenario[id]
-	if st == nil {
-		st = &scenarioStat{}
-		m.byScenario[id] = st
-	}
-	st.count++
-	st.latencyUs += int64(d / time.Microsecond)
-	m.mu.Unlock()
 }
 
 // ForgetScenario drops a deleted scenario's attribution, so by_scenario
@@ -308,72 +146,155 @@ func (m *Metrics) ForgetScenario(id string) {
 	m.mu.Unlock()
 }
 
-// StageSnapshot reports the mean per-stage pipeline time, in
-// milliseconds, over the queries observed so far.
-type StageSnapshot struct {
-	Count     int64   `json:"count"`
-	PlanMs    float64 `json:"plan_ms"`
-	ScanMs    float64 `json:"scan_ms"`
-	ProjectMs float64 `json:"project_ms"`
-}
-
-// MetricsSnapshot is the JSON shape served at /metrics.
+// MetricsSnapshot is the JSON shape served at /metrics, and each of its
+// fields that carries a prom or hist tag — in place, or in a struct it
+// nests — is one metric's declaration: the only place its names, type
+// and help are written. WriteProm, the history sampler and whatif -top
+// walk the declarations in field order:
+//
+//	json   the /metrics key ("-": not in the body)
+//	prom   "family,type": the Prometheus family and its type, counter,
+//	       gauge or histogram (a LatencySnapshot's buckets)
+//	help   the family's HELP line
+//	label  on a map: the label its keys go under, one sample per key; a
+//	       map of structs exposes each prom-tagged element field
+//	hist   "key[=Member],...": the /metrics/history keys; on a
+//	       histogram, Member names the summary field the key reads
+//	top    "row[,spark]": the whatif -top row that shows the hist keys,
+//	       and whether each is plotted
+//
+// A history sample holds counters as interval deltas, histograms as the
+// interval's summary and every other field at its level (since).
 type MetricsSnapshot struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	QueriesServed int64   `json:"queries_served"`
-	QueryErrors   int64   `json:"query_errors"`
-	Overloaded    int64   `json:"overloaded"`
-	Canceled      int64   `json:"canceled"`
-	TimedOut      int64   `json:"timed_out"`
-	CacheHits     int64   `json:"cache_hits"`
-	CacheMisses   int64   `json:"cache_misses"`
-	CacheHitRatio float64 `json:"cache_hit_ratio"`
-	CacheBytes    int     `json:"cache_bytes"`
+	UptimeSeconds float64 `json:"uptime_seconds" prom:"whatif_uptime_seconds,gauge" help:"Seconds since the server started."`
+	// QPS is queries served per second: over the uptime here, over the
+	// interval in a history sample.
+	QPS           float64 `json:"-" hist:"qps" top:"queries,spark"`
+	QueriesServed int64   `json:"queries_served" prom:"whatif_queries_served_total,counter" help:"Queries answered successfully, including cache hits." hist:"queries" top:"queries"`
+	QueryErrors   int64   `json:"query_errors" prom:"whatif_query_errors_total,counter" help:"Queries that failed to parse or evaluate." hist:"errors" top:"queries"`
+	Overloaded    int64   `json:"overloaded" prom:"whatif_overloaded_total,counter" help:"Admissions rejected because the executor queue was full."`
+	Canceled      int64   `json:"canceled" prom:"whatif_canceled_total,counter" help:"Queries abandoned by client cancellation."`
+	TimedOut      int64   `json:"timed_out" prom:"whatif_timed_out_total,counter" help:"Queries abandoned at their deadline."`
+	CacheHits     int64   `json:"cache_hits" prom:"whatif_cache_hits_total,counter" help:"Result-cache hits." hist:"cache_hits" top:"cache"`
+	CacheMisses   int64   `json:"cache_misses" prom:"whatif_cache_misses_total,counter" help:"Result-cache misses." hist:"cache_misses" top:"cache"`
+	// CacheHitRatio is hits over lookups: 0 without a lookup here, -1 in
+	// a history sample of an interval without one.
+	CacheHitRatio float64 `json:"cache_hit_ratio" hist:"cache_hit_ratio" top:"cache,spark"`
+	CacheBytes    int     `json:"cache_bytes" prom:"whatif_cache_bytes,gauge" help:"Bytes held by the result cache." hist:"cache_bytes" top:"cache"`
 	// CacheLimitBytes is what the result cache may hold now: it grows
 	// from a small start toward Config.CacheBytes as reuse is observed.
-	CacheLimitBytes int   `json:"cache_limit_bytes"`
-	QueueDepth      int   `json:"queue_depth"`
-	SlowQueries     int64 `json:"slow_queries"`
-	// CellsScanned/CellsReturned are lifetime totals;
-	// ScanAmplification their ratio (0 until something was returned).
-	CellsScanned      int64   `json:"cells_scanned"`
-	CellsReturned     int64   `json:"cells_returned"`
-	ScanAmplification float64 `json:"scan_amplification"`
+	CacheLimitBytes int   `json:"cache_limit_bytes" prom:"whatif_cache_limit_bytes,gauge" help:"Bytes the result cache may hold now; grows with observed reuse, up to the configured budget." hist:"cache_limit_bytes" top:"cache"`
+	QueueDepth      int   `json:"queue_depth" prom:"whatif_queue_depth,gauge" help:"Queries waiting in the executor queue." hist:"queue_depth" top:"queue"`
+	SlowQueries     int64 `json:"slow_queries" prom:"whatif_slow_queries_total,counter" help:"Queries recorded in the slow-query log." hist:"slow_queries" top:"queries"`
+	// ScanAmplification is CellsScanned over CellsReturned (0 until
+	// something was returned; -1 in a history sample of such an
+	// interval). A warming cache drives it toward zero: hits return
+	// cells without scanning.
+	CellsScanned      int64   `json:"cells_scanned" prom:"whatif_cells_scanned_total,counter" help:"Source cells visited by chunk scans." hist:"cells_scanned" top:"scan"`
+	CellsReturned     int64   `json:"cells_returned" prom:"whatif_cells_returned_total,counter" help:"Result-grid cells returned to clients." hist:"cells_returned" top:"scan"`
+	ScanAmplification float64 `json:"scan_amplification" hist:"scan_amplification" top:"scan,spark"`
+	PlanMemoHits      int64   `json:"plan_memo_hits" prom:"whatif_plan_memo_hits_total,counter" help:"Perspective plans that copied Φ's relocation rows from the binding's memo." hist:"plan_memo_hits" top:"plan"`
+	PlanMemoMisses    int64   `json:"plan_memo_misses" prom:"whatif_plan_memo_misses_total,counter" help:"Perspective plans that evaluated Φ." hist:"plan_memo_misses" top:"plan"`
 	// WritebackPending counts segment write-backs queued or in flight;
 	// always 0 without a data directory.
-	WritebackPending int64 `json:"writeback_pending"`
+	WritebackPending int64 `json:"writeback_pending" prom:"whatif_writeback_pending,gauge" help:"Segment write-backs queued or in flight." hist:"writeback_pending" top:"queue"`
 	// Pool aggregates buffer-pool state over the catalog's current
 	// cube versions.
-	Pool PoolSnapshot `json:"pool"`
-	// SegmentRead summarizes durable segment fault-in latency.
-	SegmentRead LatencySnapshot  `json:"segment_read_ms"`
-	Latency     LatencySnapshot  `json:"latency"`
-	Stages      StageSnapshot    `json:"stage_ms"`
-	BySemantics map[string]int64 `json:"by_semantics"`
+	Pool        PoolSnapshot    `json:"pool"`
+	SegmentRead LatencySnapshot `json:"segment_read_ms" prom:"whatif_segment_read_ms,histogram" help:"Durable segment fault-in duration in milliseconds." hist:"segment_read_ms=MeanMs" top:"queue"`
+	Latency     LatencySnapshot `json:"latency" prom:"whatif_query_latency_ms,histogram" help:"End-to-end query latency in milliseconds." hist:"p50_ms=P50Ms,p95_ms=P95Ms,p99_ms=P99Ms" top:"latency,spark"`
+	ChunksRead  LatencySnapshot `json:"-" prom:"whatif_query_chunks_read,histogram" help:"Chunks read per engine-backed query."`
+	// Stages holds the mean per-stage times, StageTotalMs their sums.
+	Stages       StageSnapshot      `json:"stage_ms"`
+	StageTotalMs map[string]float64 `json:"-" prom:"whatif_stage_ms_total,counter" label:"stage" help:"Cumulative pipeline stage time in milliseconds."`
+	BySemantics  map[string]int64   `json:"by_semantics" prom:"whatif_queries_by_semantics_total,counter" label:"semantics" help:"Queries by perspective semantics."`
 	// ByScenario attributes scenario-path queries per scenario id;
 	// absent when no scenario query has been served.
-	ByScenario map[string]ScenarioSnapshot `json:"by_scenario,omitempty"`
+	ByScenario map[string]ScenarioSnapshot `json:"by_scenario,omitempty" label:"scenario"`
+	// RetainedTraces/RetainedTraceBytes are the trace ring's occupancy.
+	RetainedTraces     int `json:"-" hist:"retained_traces" top:"traces"`
+	RetainedTraceBytes int `json:"-" hist:"retained_trace_bytes" top:"traces"`
 
-	// at is when the snapshot was taken; latency and segmentRead are the
-	// readings Latency and SegmentRead summarize. The history collector
-	// differences two snapshots through them.
-	at                   time.Time
-	latency, segmentRead histReading
+	at time.Time // when the snapshot was taken
 }
 
 // PoolSnapshot is the buffer-pool aggregate in MetricsSnapshot:
 // chunk.SpillStats summed across cubes, with JSON names.
 type PoolSnapshot struct {
-	ResidentChunks int `json:"resident_chunks"`
-	SpilledChunks  int `json:"spilled_chunks"`
-	Faults         int `json:"faults"`
-	Evictions      int `json:"evictions"`
-	Pinned         int `json:"pinned"`
-	ResidentBytes  int `json:"resident_bytes"`
+	ResidentChunks int `json:"resident_chunks" prom:"whatif_pool_resident_chunks,gauge" help:"Chunks resident in the buffer pools." hist:"pool_resident_chunks" top:"pool"`
+	SpilledChunks  int `json:"spilled_chunks" prom:"whatif_pool_spilled_chunks,gauge" help:"Chunks held only by the buffer pools' backing tiers." hist:"pool_spilled_chunks" top:"pool"`
+	Faults         int `json:"faults" prom:"whatif_pool_faults_total,counter" help:"Chunk fault-ins from the backing tiers." hist:"pool_faults" top:"pool"`
+	Evictions      int `json:"evictions" prom:"whatif_pool_evictions_total,counter" help:"Chunks evicted from the buffer pools." hist:"pool_evictions" top:"pool"`
+	Pinned         int `json:"pinned" prom:"whatif_pool_pinned,gauge" help:"Chunk ids currently pinned in the buffer pools." hist:"pool_pinned" top:"pool"`
+	ResidentBytes  int `json:"resident_bytes" prom:"whatif_pool_resident_bytes,gauge" help:"Bytes of chunk data resident in the buffer pools." hist:"pool_resident_bytes" top:"pool"`
 	// FramesRecycled counts evicted dense arrays handed back for reuse:
 	// Faults − FramesRecycled approximates the fresh dense arrays the
 	// faults allocated.
-	FramesRecycled int `json:"frames_recycled"`
+	FramesRecycled int `json:"frames_recycled" prom:"whatif_pool_frames_recycled_total,counter" help:"Evicted dense chunk arrays handed back for the next fault to decode into." hist:"pool_frames_recycled" top:"pool"`
+}
+
+// StageSnapshot reports the mean per-stage pipeline time, in
+// milliseconds, over the engine-run queries observed so far.
+type StageSnapshot struct {
+	Count     int64   `json:"count" prom:"whatif_stage_queries_total,counter" help:"Engine-backed queries contributing to stage totals."`
+	PlanMs    float64 `json:"plan_ms"`
+	ScanMs    float64 `json:"scan_ms"`
+	ProjectMs float64 `json:"project_ms"`
+}
+
+// ScenarioSnapshot reports one scenario's served queries and mean
+// latency at snapshot time.
+type ScenarioSnapshot struct {
+	Queries       int64   `json:"queries" prom:"whatif_scenario_queries_total,counter" help:"Queries served per scenario workspace."`
+	LatencySumMs  float64 `json:"latency_sum_ms" prom:"whatif_scenario_latency_ms_total,counter" help:"Cumulative query latency per scenario workspace in milliseconds."`
+	LatencyMeanMs float64 `json:"latency_mean_ms"`
+}
+
+// fields calls fn for each exported field of struct type t in
+// declaration order, with its index path under index; a nested struct
+// stands for its own fields, unless a prom tag declares it a histogram.
+func fields(t reflect.Type, index []int, fn func(f reflect.StructField, index []int)) {
+	for i := 0; i < t.NumField(); i++ {
+		switch f, idx := t.Field(i), append(slices.Clip(index), i); {
+		case !f.IsExported():
+		case f.Type.Kind() == reflect.Struct && f.Tag.Get("prom") == "":
+			fields(f.Type, idx, fn)
+		default:
+			fn(f, idx)
+		}
+	}
+}
+
+// history calls fn for each /metrics/history key s declares, in order,
+// with the declaring field and the value the key reads: the field
+// itself, or the member of a histogram summary its hist tag names.
+func (s *MetricsSnapshot) history(fn func(f reflect.StructField, key string, v float64)) {
+	sv := reflect.ValueOf(s).Elem()
+	fields(sv.Type(), nil, func(f reflect.StructField, index []int) {
+		for _, k := range strings.FieldsFunc(f.Tag.Get("hist"), func(r rune) bool { return r == ',' }) {
+			key, member, _ := strings.Cut(k, "=")
+			v := sv.FieldByIndex(index)
+			if v.Kind() == reflect.Struct {
+				v = v.FieldByName(member)
+			}
+			fn(f, key, num(v))
+		}
+	})
+}
+
+// historyKeys are the declared history keys in order, shared by every
+// sample the collector takes.
+var historyKeys = func() (keys []string) {
+	new(MetricsSnapshot).history(func(_ reflect.StructField, key string, _ float64) { keys = append(keys, key) })
+	return keys
+}()
+
+// num reads a declared scalar as a float.
+func num(v reflect.Value) float64 {
+	if v.CanInt() {
+		return float64(v.Int())
+	}
+	return v.Float()
 }
 
 // Snapshot captures the current metric values.
@@ -381,76 +302,104 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	now := time.Now()
 	s := MetricsSnapshot{
 		UptimeSeconds: now.Sub(m.start).Seconds(),
-		QueriesServed: m.QueriesServed.Load(),
-		QueryErrors:   m.QueryErrors.Load(),
-		Overloaded:    m.Overloaded.Load(),
-		Canceled:      m.Canceled.Load(),
-		TimedOut:      m.TimedOut.Load(),
-		CacheHits:     m.CacheHits.Load(),
-		CacheMisses:   m.CacheMisses.Load(),
-		SlowQueries:   m.SlowQueries.Load(),
-		CellsScanned:  m.CellsScanned.Load(),
-		CellsReturned: m.CellsReturned.Load(),
+		SegmentRead:   m.segmentRead.read().summary(),
+		Latency:       m.latency.read().summary(),
+		ChunksRead:    m.chunksRead.read().summary(),
 		BySemantics:   make(map[string]int64),
 		at:            now,
-		latency:       m.latency.read(),
-		segmentRead:   m.segmentReadMs.read(),
 	}
+	// Each exported counter loads into the declaration of its name.
+	mv, sv := reflect.ValueOf(m).Elem(), reflect.ValueOf(&s).Elem()
+	for i := 0; i < mv.NumField(); i++ {
+		if f := mv.Type().Field(i); f.IsExported() {
+			sv.FieldByName(f.Name).SetInt(mv.Field(i).Addr().Interface().(*atomic.Int64).Load())
+		}
+	}
+	if n := m.stageCount.Load(); n > 0 {
+		plan, scan, project := float64(m.stagePlanUs.Load())/1000, float64(m.stageScanUs.Load())/1000, float64(m.stageProjectUs.Load())/1000
+		s.StageTotalMs = map[string]float64{"plan": plan, "scan": scan, "project": project}
+		s.Stages = StageSnapshot{Count: n, PlanMs: plan / float64(n), ScanMs: scan / float64(n), ProjectMs: project / float64(n)}
+	}
+	for i := range m.bySem {
+		if v := m.bySem[i].Load(); v > 0 {
+			s.BySemantics[queryClasses[i]] = v
+		}
+	}
+	m.mu.Lock()
+	if len(m.byScenario) > 0 {
+		s.ByScenario = make(map[string]ScenarioSnapshot, len(m.byScenario))
+		for id, st := range m.byScenario {
+			sum := float64(st.latencyUs) / 1000
+			s.ByScenario[id] = ScenarioSnapshot{Queries: st.count, LatencySumMs: sum, LatencyMeanMs: sum / float64(st.count)}
+		}
+	}
+	m.mu.Unlock()
+	if m.gauges != nil {
+		m.gauges(&s)
+	}
+	s.derive(s.UptimeSeconds, 0)
+	return s
+}
+
+// derive computes the ratios over the snapshot's counters, which span
+// seconds; none is a ratio's value when its denominator is zero.
+func (s *MetricsSnapshot) derive(seconds, none float64) {
+	s.CacheHitRatio, s.ScanAmplification = none, none
 	if lookups := s.CacheHits + s.CacheMisses; lookups > 0 {
 		s.CacheHitRatio = float64(s.CacheHits) / float64(lookups)
 	}
 	if s.CellsReturned > 0 {
 		s.ScanAmplification = float64(s.CellsScanned) / float64(s.CellsReturned)
 	}
-	s.Latency = s.latency.summary()
-	s.SegmentRead = s.segmentRead.summary()
-	if n := m.stageCount.Load(); n > 0 {
-		s.Stages = StageSnapshot{
-			Count:     n,
-			PlanMs:    float64(m.stagePlanUs.Load()) / 1000 / float64(n),
-			ScanMs:    float64(m.stageScanUs.Load()) / 1000 / float64(n),
-			ProjectMs: float64(m.stageProjectUs.Load()) / 1000 / float64(n),
-		}
+	if seconds > 0 {
+		s.QPS = float64(s.QueriesServed) / seconds
 	}
-	m.mu.Lock()
-	for k, v := range m.bySem {
-		s.BySemantics[k] = v
-	}
-	if len(m.byScenario) > 0 {
-		s.ByScenario = make(map[string]ScenarioSnapshot, len(m.byScenario))
-		for id, st := range m.byScenario {
-			snap := ScenarioSnapshot{
-				Queries:      st.count,
-				LatencySumMs: float64(st.latencyUs) / 1000,
+}
+
+// since is the interval from prev to s: each declared counter becomes
+// its delta and each histogram the summary of the observations between
+// the two readings, while gauges keep s's level; the ratios are then
+// derived over the interval, -1 when it saw nothing to divide.
+func (s MetricsSnapshot) since(prev MetricsSnapshot) MetricsSnapshot {
+	cv, pv := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&prev).Elem()
+	fields(cv.Type(), nil, func(f reflect.StructField, index []int) {
+		switch _, kind, _ := strings.Cut(f.Tag.Get("prom"), ","); kind {
+		case "counter":
+			if c := cv.FieldByIndex(index); c.CanInt() {
+				c.SetInt(c.Int() - pv.FieldByIndex(index).Int())
 			}
-			if st.count > 0 {
-				snap.LatencyMeanMs = snap.LatencySumMs / float64(st.count)
-			}
-			s.ByScenario[id] = snap
+		case "histogram":
+			h := cv.FieldByIndex(index).Addr().Interface().(*LatencySnapshot)
+			*h = h.reading.minus(pv.FieldByIndex(index).Interface().(LatencySnapshot).reading).summary()
 		}
-	}
-	m.mu.Unlock()
-	if m.queueDepth != nil {
-		s.QueueDepth = m.queueDepth()
-	}
-	if m.cacheBytes != nil {
-		s.CacheBytes = m.cacheBytes()
-		s.CacheLimitBytes = m.cacheLimit()
-	}
-	if m.writebackPending != nil {
-		s.WritebackPending = m.writebackPending()
-	}
-	if m.poolStats != nil {
-		ps := m.poolStats()
-		s.Pool = PoolSnapshot{
-			ResidentChunks: ps.Resident,
-			SpilledChunks:  ps.Spilled,
-			Faults:         ps.Faults,
-			Evictions:      ps.Evictions,
-			Pinned:         ps.Pinned,
-			ResidentBytes:  ps.ResidentBytes,
-			FramesRecycled: ps.Recycled,
-		}
-	}
+	})
+	s.derive(s.at.Sub(prev.at).Seconds(), -1)
 	return s
+}
+
+// TopRow is one row of the whatif -top view: its name, the history
+// keys it shows in declaration order, and those of them it plots.
+type TopRow struct {
+	Name        string
+	Keys, Spark []string
+}
+
+// TopRows lists the rows the declarations' top tags name, each where
+// its first declaration stands.
+func TopRows() (rows []TopRow) {
+	new(MetricsSnapshot).history(func(f reflect.StructField, key string, _ float64) {
+		row, spark, _ := strings.Cut(f.Tag.Get("top"), ",")
+		if row == "" {
+			return
+		}
+		i := slices.IndexFunc(rows, func(r TopRow) bool { return r.Name == row })
+		if i < 0 {
+			i, rows = len(rows), append(rows, TopRow{Name: row})
+		}
+		rows[i].Keys = append(rows[i].Keys, key)
+		if spark == "spark" {
+			rows[i].Spark = append(rows[i].Spark, key)
+		}
+	})
+	return rows
 }

@@ -9,6 +9,7 @@ package server
 
 import (
 	"net/http"
+	"reflect"
 	"strconv"
 	"time"
 
@@ -36,77 +37,46 @@ func newObsSampler(s *Server) *obsSampler {
 }
 
 // sample differences the current metrics snapshot against the previous
-// tick's, pushes one obs.Sample into the history ring, and emits
-// eviction-pressure edge events. Counters become interval deltas —
-// the latency and segment-read histograms bucket by bucket, so the
-// quantiles and mean are the interval's — and gauges are read as they
-// stand in the current snapshot.
+// tick's (since), pushes the interval's declared history values as one
+// obs.Sample into the history ring, and emits eviction-pressure edge
+// events.
 func (sm *obsSampler) sample() {
 	cur, prev := sm.s.metrics.Snapshot(), sm.prev
 	sm.prev = cur
-	interval := cur.at.Sub(prev.at)
-	lat := cur.latency.minus(prev.latency).summary()
-
-	out := obs.Sample{
-		UnixMs:        cur.at.UnixMilli(),
-		IntervalMs:    float64(interval) / float64(time.Millisecond),
-		Queries:       cur.QueriesServed - prev.QueriesServed,
-		Errors:        cur.QueryErrors - prev.QueryErrors,
-		SlowQueries:   cur.SlowQueries - prev.SlowQueries,
-		CacheHits:     cur.CacheHits - prev.CacheHits,
-		CacheMisses:   cur.CacheMisses - prev.CacheMisses,
-		CellsScanned:  cur.CellsScanned - prev.CellsScanned,
-		CellsReturned: cur.CellsReturned - prev.CellsReturned,
-		P50Ms:         lat.P50Ms,
-		P95Ms:         lat.P95Ms,
-		P99Ms:         lat.P99Ms,
-		SegmentReadMs: cur.segmentRead.minus(prev.segmentRead).summary().MeanMs,
-
-		QueueDepth:       cur.QueueDepth,
-		CacheBytes:       cur.CacheBytes,
-		CacheLimitBytes:  cur.CacheLimitBytes,
-		WritebackPending: cur.WritebackPending,
-
-		PoolResidentBytes:  cur.Pool.ResidentBytes,
-		PoolResidentChunks: cur.Pool.ResidentChunks,
-		PoolSpilledChunks:  cur.Pool.SpilledChunks,
-		PoolPinned:         cur.Pool.Pinned,
-		PoolEvictions:      int64(cur.Pool.Evictions - prev.Pool.Evictions),
-		PoolFaults:         int64(cur.Pool.Faults - prev.Pool.Faults),
-	}
-	if interval > 0 {
-		out.QPS = float64(out.Queries) / interval.Seconds()
-	}
-	if lookups := out.CacheHits + out.CacheMisses; lookups > 0 {
-		out.CacheHitRatio = float64(out.CacheHits) / float64(lookups)
-	} else {
-		out.CacheHitRatio = -1
-	}
-	if out.CellsReturned > 0 {
-		out.ScanAmplification = float64(out.CellsScanned) / float64(out.CellsReturned)
-	} else {
-		out.ScanAmplification = -1
-	}
-
-	rs := sm.s.traces.Stats()
-	out.RetainedTraces = rs.Count
-	out.RetainedTraceBytes = rs.Bytes
-
-	sm.s.history.Add(out)
+	d := cur.since(prev)
+	vals := make([]float64, 0, len(historyKeys))
+	d.history(func(_ reflect.StructField, _ string, v float64) { vals = append(vals, v) })
+	sm.s.history.Add(obs.Sample{
+		UnixMs:     cur.at.UnixMilli(),
+		IntervalMs: float64(cur.at.Sub(prev.at)) / float64(time.Millisecond),
+		Keys:       historyKeys,
+		Values:     vals,
+	})
 
 	// Eviction-pressure edges: the pool started (or stopped) evicting
 	// this interval.
-	if out.PoolEvictions > 0 && !sm.underPressure {
+	fields := map[string]string{"resident_bytes": strconv.Itoa(d.Pool.ResidentBytes)}
+	if d.Pool.Evictions > 0 && !sm.underPressure {
 		sm.underPressure = true
-		sm.s.events.Log("eviction_pressure", map[string]string{
-			"evictions":      strconv.FormatInt(out.PoolEvictions, 10),
-			"resident_bytes": strconv.Itoa(out.PoolResidentBytes),
-		})
-	} else if out.PoolEvictions == 0 && sm.underPressure {
+		fields["evictions"] = strconv.Itoa(d.Pool.Evictions)
+		sm.s.events.Log("eviction_pressure", fields)
+	} else if d.Pool.Evictions == 0 && sm.underPressure {
 		sm.underPressure = false
-		sm.s.events.Log("eviction_pressure_cleared", map[string]string{
-			"resident_bytes": strconv.Itoa(out.PoolResidentBytes),
-		})
+		sm.s.events.Log("eviction_pressure_cleared", fields)
+	}
+}
+
+// gauges fills a metrics snapshot's levels: the executor queue, the
+// result cache, the buffer pools of the catalog's current cube
+// versions, the trace ring and, with a persister (whatifd -data-dir),
+// the write-back backlog.
+func (s *Server) gauges(ms *MetricsSnapshot) {
+	ms.QueueDepth, ms.CacheBytes, ms.CacheLimitBytes = s.exec.QueueDepth(), s.cache.Bytes(), s.cache.Limit()
+	ps, rs := s.catalog.PoolStats(), s.traces.Stats()
+	ms.Pool = PoolSnapshot{ps.Resident, ps.Spilled, ps.Faults, ps.Evictions, ps.Pinned, ps.ResidentBytes, ps.Recycled}
+	ms.RetainedTraces, ms.RetainedTraceBytes = rs.Count, rs.Bytes
+	if p := s.catalog.Persister(); p != nil {
+		ms.WritebackPending = p.Pending()
 	}
 }
 

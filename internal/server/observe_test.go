@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +14,9 @@ import (
 	"time"
 
 	"whatifolap/internal/core"
+	"whatifolap/internal/mdx"
+	"whatifolap/internal/perspective"
+	"whatifolap/internal/result"
 	"whatifolap/internal/trace"
 )
 
@@ -136,23 +140,32 @@ func promParse(t *testing.T, text string) map[string]float64 {
 	return samples
 }
 
+// queryTrace is a finished engine query's span tree: a perspective
+// plan that evaluated Φ, a scan of chunks chunk reads, and one fault.
+func queryTrace(chunks int64) []trace.Span {
+	tr := trace.New(0)
+	root := tr.Start(trace.SpanRef{}, "eval")
+	plan := tr.Start(root, "plan")
+	plan.Int("phi_cached", 0)
+	plan.End()
+	scan := tr.Start(root, "scan")
+	scan.Int("chunks_read", chunks)
+	tr.Start(scan, "fault").End()
+	scan.End()
+	root.End()
+	return tr.Spans()
+}
+
 func TestPromExpositionRoundTrip(t *testing.T) {
 	m := NewMetrics()
 	m.QueriesServed.Add(3)
 	m.CacheHits.Add(1)
 	m.CacheMisses.Add(2)
-	m.CountSemantics("dynamic-forward")
+	m.bySem[classSemantics+int(perspective.Forward)].Add(1)
+	m.ObserveScenario("s1", 3*time.Millisecond)
 	m.ObserveLatency(2 * time.Millisecond)
 	m.ObserveLatency(700 * time.Millisecond)
-	m.ObserveStages(core.Stats{PlanMs: 1, ScanMs: 4, ProjectMs: 2})
-
-	tr := trace.New(0)
-	root := tr.Start(trace.SpanRef{}, "eval")
-	scan := tr.Start(root, "scan")
-	scan.Int("chunks_read", 7)
-	scan.End()
-	root.End()
-	m.ObserveTrace(tr.Spans())
+	m.observeQuery(queryTrace(7), core.Stats{PlanMs: 1, ScanMs: 4, ProjectMs: 2}, nil)
 
 	var buf bytes.Buffer
 	m.WriteProm(&buf)
@@ -188,16 +201,159 @@ func TestPromExpositionRoundTrip(t *testing.T) {
 	if got := samples["whatif_stage_ms_total{stage=\"scan\"}"]; math.Abs(got-4) > 0.01 {
 		t.Fatalf("stage scan total = %v, want 4", got)
 	}
+	if got := samples["whatif_plan_memo_misses_total"]; got != 1 {
+		t.Fatalf("plan memo misses = %v, want 1", got)
+	}
 
-	// Every histogram family renders the full structure.
-	for _, fam := range []string{
-		"whatif_query_latency_ms", "whatif_query_chunks_read", "whatif_segment_read_ms",
-	} {
-		for _, suf := range []string{`_bucket{le="+Inf"}`, "_sum", "_count"} {
-			if _, ok := samples[fam+suf]; !ok {
-				t.Fatalf("family %s missing %s sample", fam, suf)
+	// Every declared family renders: a histogram its full structure, a
+	// labeled family one sample per key, any other its one sample.
+	for _, fam := range promFamilies() {
+		switch {
+		case fam.kind == "histogram":
+			for _, suf := range []string{`_bucket{le="+Inf"}`, "_sum", "_count"} {
+				if _, ok := samples[fam.name+suf]; !ok {
+					t.Fatalf("family %s missing %s sample", fam.name, suf)
+				}
+			}
+		case fam.label != "":
+			n := 0
+			for k := range samples {
+				if strings.HasPrefix(k, fam.name+"{"+fam.label+"=") {
+					n++
+				}
+			}
+			if n == 0 {
+				t.Fatalf("labeled family %s has no sample", fam.name)
+			}
+		default:
+			if _, ok := samples[fam.name]; !ok {
+				t.Fatalf("family %s has no sample", fam.name)
 			}
 		}
+	}
+}
+
+// promFamily is one declared Prometheus family: the field declaring
+// it, and its name, type, help and (on a map's family) label.
+type promFamily struct{ field, name, kind, help, label string }
+
+// promFamilies lists the declared families in declaration order.
+func promFamilies() (fams []promFamily) {
+	fields(reflect.TypeOf(MetricsSnapshot{}), nil, func(f reflect.StructField, _ []int) {
+		add := func(tag reflect.StructTag) {
+			if name, kind, _ := strings.Cut(tag.Get("prom"), ","); name != "" {
+				fams = append(fams, promFamily{f.Name, name, kind, tag.Get("help"), f.Tag.Get("label")})
+			}
+		}
+		if f.Type.Kind() == reflect.Map && f.Type.Elem().Kind() == reflect.Struct {
+			fields(f.Type.Elem(), nil, func(ef reflect.StructField, _ []int) { add(ef.Tag) })
+		} else {
+			add(f.Tag)
+		}
+	})
+	return fams
+}
+
+// TestMetricDeclarationsOnEverySurface: each declaration appears on
+// every surface its tags name — its JSON key on /metrics, its family
+// with HELP and TYPE on the Prometheus exposition, its history keys in
+// each /metrics/history sample, its -top row — and no family or history
+// key is declared twice.
+func TestMetricDeclarationsOnEverySurface(t *testing.T) {
+	s := newPaperServer(t, Config{CacheBytes: 1 << 20, ObsInterval: -1})
+	h := s.Handler()
+	var sc scenarioInfoJSON
+	decode(t, do(t, h, "POST", "/scenarios", map[string]string{"name": "decl"}), http.StatusCreated, &sc)
+	decode(t, do(t, h, "POST", "/scenarios/"+sc.ID+"/query", queryRequest{Query: paperQuery}), http.StatusOK, nil)
+	s.sampler.sample()
+
+	get := func(path string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	lines, err := wireJSONPaths(get("/metrics"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := strings.Join(lines, "\n") + "\n"
+	prom := string(get("/metrics?format=prom"))
+	var hist HistoryResponse
+	if err := json.Unmarshal(get("/metrics/history"), &hist); err != nil || len(hist.Samples) != 1 {
+		t.Fatalf("history = %+v, %v; want one sample", hist, err)
+	}
+	sample := hist.Samples[0]
+	topKeys := map[string]string{}
+	for _, row := range TopRows() {
+		for _, k := range row.Keys {
+			topKeys[k] = row.Name
+		}
+	}
+
+	families := map[string]bool{}
+	for _, fam := range promFamilies() {
+		if families[fam.name] {
+			t.Errorf("%s: family %s declared twice", fam.field, fam.name)
+		}
+		families[fam.name] = true
+		for _, want := range []string{"# HELP " + fam.name + " " + fam.help + "\n", "# TYPE " + fam.name + " " + fam.kind + "\n"} {
+			if fam.help == "" || !strings.Contains(prom, want) {
+				t.Errorf("%s: prom exposition lacks %q", fam.field, want)
+			}
+		}
+	}
+	snapType := reflect.TypeOf(MetricsSnapshot{})
+	fields(snapType, nil, func(f reflect.StructField, index []int) {
+		if f.Tag.Get("prom") == "" && f.Tag.Get("hist") == "" && f.Tag.Get("label") == "" {
+			return
+		}
+		var jsonPath []string
+		for i := range index {
+			name, _, _ := strings.Cut(snapType.FieldByIndex(index[:i+1]).Tag.Get("json"), ",")
+			jsonPath = append(jsonPath, name)
+		}
+		if jp := strings.Join(jsonPath, "."); !strings.Contains(jp, "-") && !strings.Contains("\n"+paths, "\n"+jp) {
+			t.Errorf("%s: no /metrics key %s", f.Name, jp)
+		}
+	})
+	keys := map[string]bool{}
+	new(MetricsSnapshot).history(func(f reflect.StructField, key string, _ float64) {
+		if keys[key] {
+			t.Errorf("%s: history key %s declared twice", f.Name, key)
+		}
+		keys[key] = true
+		if _, ok := sample.Get(key); !ok {
+			t.Errorf("%s: history sample lacks %s", f.Name, key)
+		}
+		if row, _, _ := strings.Cut(f.Tag.Get("top"), ","); row != "" && topKeys[key] != row {
+			t.Errorf("%s: -top row %q lacks %s", f.Name, row, key)
+		}
+	})
+	if len(sample.Keys) != len(keys) || len(keys) == 0 {
+		t.Errorf("history sample holds %d keys, %d declared", len(sample.Keys), len(keys))
+	}
+}
+
+// TestObserveQueryZeroAllocs pins the per-query feed, and the query
+// class count, at zero allocations.
+func TestObserveQueryZeroAllocs(t *testing.T) {
+	m := NewMetrics()
+	spans := queryTrace(3)
+	grid := &result.Grid{Values: [][]float64{{1, 2}, {3, 4}}}
+	stats := core.Stats{PlanMs: 0.1, ScanMs: 0.2, CellsScanned: 8}
+	if allocs := testing.AllocsPerRun(100, func() { m.observeQuery(spans, stats, grid) }); allocs != 0 {
+		t.Fatalf("observeQuery: %v allocs per query, want 0", allocs)
+	}
+	q := mdx.MustParse(paperQuery)
+	if allocs := testing.AllocsPerRun(100, func() { m.bySem[classify(q)].Add(1) }); allocs != 0 {
+		t.Fatalf("query class count: %v allocs per query, want 0", allocs)
+	}
+	if got := m.Snapshot().BySemantics["dynamic-forward"]; got != 101 {
+		t.Fatalf("by_semantics dynamic-forward = %d, want 101", got)
 	}
 }
 
@@ -227,15 +383,7 @@ FROM W WHERE ([Location].[NY], [Measures].[Salary])`
 
 func TestConcurrentMetricsTraceObservers(t *testing.T) {
 	m := NewMetrics()
-	tr := trace.New(0)
-	root := tr.Start(trace.SpanRef{}, "eval")
-	sc := tr.Start(root, "scan")
-	sc.Int("chunks_read", 3)
-	f := tr.Start(sc, "fault")
-	f.End()
-	sc.End()
-	root.End()
-	spans := tr.Spans()
+	spans := queryTrace(3)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -243,10 +391,9 @@ func TestConcurrentMetricsTraceObservers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				m.ObserveStages(core.Stats{PlanMs: 0.1, ScanMs: 0.2})
-				m.ObserveTrace(spans)
+				m.observeQuery(spans, core.Stats{PlanMs: 0.1, ScanMs: 0.2}, nil)
 				m.ObserveLatency(time.Duration(i) * time.Microsecond)
-				m.CountSemantics("plain")
+				m.bySem[classPlain].Add(1)
 				m.QueriesServed.Add(1)
 			}
 		}()
@@ -267,9 +414,12 @@ func TestConcurrentMetricsTraceObservers(t *testing.T) {
 	if s.QueriesServed != 800 || s.Latency.Count != 800 {
 		t.Fatalf("lost updates: served=%d latency=%d, want 800/800", s.QueriesServed, s.Latency.Count)
 	}
-	if m.chunksRead.read().count() != 800 || m.segmentReadMs.read().count() != 800 {
+	if m.chunksRead.read().count() != 800 || m.segmentRead.read().count() != 800 {
 		t.Fatalf("lost trace observations: chunks=%d faults=%d",
-			m.chunksRead.read().count(), m.segmentReadMs.read().count())
+			m.chunksRead.read().count(), m.segmentRead.read().count())
+	}
+	if s.Stages.Count != 800 || s.PlanMemoMisses != 800 || s.BySemantics["plain"] != 800 {
+		t.Fatalf("lost updates: stages=%d memo misses=%d plain=%d, want 800 each", s.Stages.Count, s.PlanMemoMisses, s.BySemantics["plain"])
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -31,6 +30,7 @@ import (
 	"whatifolap/internal/cube"
 	"whatifolap/internal/mdx"
 	"whatifolap/internal/obs"
+	"whatifolap/internal/perspective"
 	"whatifolap/internal/result"
 	"whatifolap/internal/scenario"
 	"whatifolap/internal/trace"
@@ -150,14 +150,7 @@ func New(catalog *Catalog, cfg Config) *Server {
 		cfg:       cfg,
 	}
 	s.tracePool.New = func() interface{} { return trace.New(0) }
-	s.metrics.queueDepth = s.exec.QueueDepth
-	s.metrics.cacheBytes = s.cache.Bytes
-	s.metrics.cacheLimit = s.cache.Limit
-	s.metrics.poolStats = catalog.PoolStats
-	if p := catalog.Persister(); p != nil {
-		s.metrics.writebackPending = p.Pending
-	}
-
+	s.metrics.gauges = s.gauges
 	s.events = cfg.Events
 	if s.events == nil {
 		s.events = obs.NewEventLog(0, nil)
@@ -418,7 +411,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, resolve func
 		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
 		return
 	}
-	s.metrics.CountSemantics(classify(q))
+	s.metrics.bySem[classify(q)].Add(1)
 
 	ctx := r.Context()
 	timeout := s.cfg.DefaultTimeout
@@ -482,15 +475,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, resolve func
 		s.writeQueryError(w, key, err)
 		return
 	}
-	// Only the engine records a plan span, and before any fault span,
-	// so a full span buffer cannot drop it: algebra-path queries have
-	// no plan or scan time to add to the stage totals.
-	spans := tr.Spans()
-	if slices.ContainsFunc(spans, func(sp trace.Span) bool { return sp.Name == "plan" }) {
-		s.metrics.ObserveStages(stats)
-	}
-	s.metrics.ObserveTrace(spans)
-	s.metrics.ObserveCells(int64(stats.CellsScanned), gridCells(grid))
+	s.metrics.observeQuery(tr.Spans(), stats, grid)
 	qs := queryStats{
 		MembersInScope: stats.MembersInScope,
 		ChunksRead:     stats.ChunksRead,
@@ -537,19 +522,6 @@ func (s *Server) observeServed(key cacheKey, started time.Time) {
 	}
 }
 
-// gridCells counts result cells — the denominator of the scan
-// amplification ratio tracked at /metrics and /metrics/history.
-func gridCells(g *result.Grid) int64 {
-	if g == nil {
-		return 0
-	}
-	var n int64
-	for _, row := range g.Values {
-		n += int64(len(row))
-	}
-	return n
-}
-
 // writeQueryError maps the errors of the query key names to status codes
 // and counters: what the client can fix (a bad query) is 422, what it
 // cannot (a panic, a failed storage read) 500 and 503.
@@ -582,21 +554,41 @@ func (s *Server) writeQueryError(w http.ResponseWriter, key cacheKey, err error)
 	}
 }
 
+// The query classes by_semantics counts: four shapes, then one per
+// perspective semantics (classSemantics + the semantics).
+const (
+	classPlain = iota
+	classChanges
+	classTransfer
+	classMixed
+	classSemantics
+	nQueryClasses = classSemantics + int(perspective.ExtendedBackward) + 1
+)
+
+// queryClasses names the classes, the by_semantics keys: a semantics
+// is its MDX spelling in lower case, words joined by '-'.
+var queryClasses = func() (names [nQueryClasses]string) {
+	copy(names[:], []string{"plain", "changes", "transfer", "mixed"})
+	for c := classSemantics; c < nQueryClasses; c++ {
+		names[c] = strings.ReplaceAll(strings.ToLower(perspective.Semantics(c-classSemantics).String()), " ", "-")
+	}
+	return names
+}()
+
 // classify buckets a parsed query for the per-semantics metric.
-func classify(q *mdx.Query) string {
+func classify(q *mdx.Query) int {
 	nP, nT := len(q.Perspectives), len(q.Transfers)
 	switch {
 	case q.Changes == nil && nP == 0 && nT == 0:
-		return "plain"
+		return classPlain
 	case q.Changes != nil && nP == 0 && nT == 0:
-		return "changes"
+		return classChanges
 	case q.Changes == nil && nP == 0 && nT > 0:
-		return "transfer"
+		return classTransfer
 	case q.Changes == nil && nP == 1 && nT == 0:
-		sem := strings.ToLower(q.Perspectives[0].Sem.String())
-		return strings.ReplaceAll(sem, " ", "-")
+		return classSemantics + int(q.Perspectives[0].Sem)
 	}
-	return "mixed"
+	return classMixed
 }
 
 func (s *Server) handleCubes(w http.ResponseWriter, r *http.Request) {

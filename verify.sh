@@ -35,8 +35,9 @@ stage 'go vet ./...' go vet ./...
 #                   (internal/trace/trace.go, internal/core/exec.go,
 #                   internal/core/project.go,
 #                   internal/chunk/overlay.go, internal/chunk/chain.go,
-#                   internal/chunk/run.go, internal/obs/retain.go),
-#                   including transitively
+#                   internal/chunk/run.go, internal/obs/retain.go,
+#                   and the //lint:hotpath-marked
+#                   internal/server/counters.go), including transitively
 #                   re-exported formatting and per-call errors.New
 #   semexhaustive - switches over the five query semantics (paper §3)
 #                   and the eval mode must cover every constant
