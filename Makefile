@@ -94,11 +94,13 @@ bench:
 # scenario-chain scans, the compiled projection against per-cell
 # evaluation, the plan-heavy query's compile steps (lower_ms/op and
 # project_ms/op next to the whole query's ns/op), the narrow-mix changes
-# query's lowering and split (lower_ms/op, split_ms/op), and the trace and
-# trace-retention overhead guards; full numbers come from `make bench`
-# or cmd/benchfig.
+# query's lowering and split (lower_ms/op, split_ms/op), the plan memo
+# (plan_ms/op, plan_share), the broad-scan reports with the share of
+# each stage (compile_ms/op, assemble_ms/op, scan_ms/op), and the trace
+# and trace-retention overhead guards — the served leaf report's among
+# them; full numbers come from `make bench` or cmd/benchfig.
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkFig|BenchmarkRelocationKernel|BenchmarkRleScan|BenchmarkScanDense|BenchmarkScanChain|BenchmarkProject|BenchmarkLowerPlanHeavy|BenchmarkLowerChanges|BenchmarkDepartmentReport|BenchmarkFormulaReport|BenchmarkTrace|BenchmarkObs' -benchtime=100ms .
+	go test -run '^$$' -bench 'BenchmarkFig|BenchmarkRelocationKernel|BenchmarkRleScan|BenchmarkScanDense|BenchmarkScanChain|BenchmarkProject|BenchmarkLowerPlanHeavy|BenchmarkLowerChanges|BenchmarkPlanHypothetical|BenchmarkDepartmentReport|BenchmarkBroadScanReport|BenchmarkFormulaReport|BenchmarkTrace|BenchmarkObs' -benchtime=100ms .
 
 # CPU profile of the relocation kernel under the trace hooks; inspect
 # with `go tool pprof cpu.prof`.

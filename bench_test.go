@@ -254,6 +254,68 @@ func BenchmarkTraceOn(b *testing.B) {
 	b.ReportMetric(float64(cells), "cells/op")
 }
 
+// leafReport is the broad-scan workload's leaf report on the
+// ConfigDefault workforce, run through mdx: eight departments' employees
+// by month under DYNAMIC FORWARD NONVISUAL at the quarters, the query
+// whose scan the served path's trace hooks cost the most on.
+func leafReport(b *testing.B) (*mdx.Evaluator, *mdx.Query) {
+	b.Helper()
+	w, err := workload.NewWorkforce(workload.ConfigDefault())
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.Cube.Store().(*chunk.Store).Settle()
+	var depts []string
+	for d := 0; d < 8; d++ {
+		depts = append(depts, fmt.Sprintf("[Dept%02d].Children", d))
+	}
+	q, err := mdx.Parse("WITH PERSPECTIVE {(Jan), (Apr), (Jul), (Oct)} FOR Department DYNAMIC FORWARD NONVISUAL " +
+		"SELECT {[Period].Levels(0).Members} ON COLUMNS, {" + strings.Join(depts, ", ") + "} ON ROWS FROM [App].[Db] " +
+		"WHERE ([Account].[Acct001], [Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue])")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return mdx.NewEvaluator(w.Cube), q
+}
+
+// BenchmarkTraceLeafReportOff is the served path's tracing gate, off:
+// the broad-scan leaf report through mdx with no recorder — the
+// compile, plan, scan and project stages with every span hook a nil
+// check. BenchmarkTraceLeafReportOn runs it under a pooled recorder as
+// whatifd does; BENCH_trace_overhead.json records the pair's ratio,
+// which must stay within 2%.
+func BenchmarkTraceLeafReportOff(b *testing.B) {
+	ev, q := leafReport(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ev.RunQueryWith(mdx.RunContext{}, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTraceLeafReportOn is BenchmarkTraceLeafReportOff under a
+// recorder taken from a pool and reset after each query, as whatifd's
+// serveQuery does: the spans of every stage, and the scan's counters,
+// recorded into a buffer that is reused.
+func BenchmarkTraceLeafReportOn(b *testing.B) {
+	ev, q := leafReport(b)
+	pool := sync.Pool{New: func() any { return trace.New(0) }}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := pool.Get().(*trace.Trace)
+		root := tr.Start(trace.SpanRef{}, "eval")
+		if _, err := ev.RunQueryWith(mdx.RunContext{Ctx: trace.WithSpan(trace.NewContext(context.Background(), tr), root)}, q); err != nil {
+			b.Fatal(err)
+		}
+		root.End()
+		tr.Reset()
+		pool.Put(tr)
+	}
+}
+
 // BenchmarkRelocationKernelSteady is the untraced steady-state baseline
 // BenchmarkTraceOff is measured against.
 func BenchmarkRelocationKernelSteady(b *testing.B) {
@@ -984,7 +1046,11 @@ func BenchmarkDepartmentReport(b *testing.B) {
 // reports chunks_read/op, spill_faults/op and members_moved/op: most of
 // a report's scope are Φ's fixed points, which the engine reads as base
 // rows and does not plan, and the scan reads each chunk once. The
-// NONVISUAL roll-up reads no relocated cell and moves no member.
+// NONVISUAL roll-up reads no relocated cell and moves no member. Each
+// query runs under a pooled-size recorder, as whatifd runs it, and the
+// benchmark reports its "compile", "assemble" and "scan" spans per op
+// (compile_ms/op, assemble_ms/op, scan_ms/op) next to ns/op: the share
+// of the query each stage owns.
 func BenchmarkBroadScanReport(b *testing.B) {
 	const slicer = "[Account].[Acct001], [Scenario].[Current], [Currency].[Local], [Version].[BU Version_1], [ValueType].[HSP_InputValue]"
 	with := func(sem, mode string) string {
@@ -1022,20 +1088,32 @@ func BenchmarkBroadScanReport(b *testing.B) {
 			}
 			b.Run(tier+"/"+sh.name, func(b *testing.B) {
 				var reads, faults, moved int
+				var compileMs, assembleMs, scanMs float64
+				tr := trace.New(0)
+				ctx := trace.NewContext(context.Background(), tr)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, stats, err := ev.RunQueryStatsWith(mdx.RunContext{}, q)
+					tr.Reset()
+					root := tr.Start(trace.SpanRef{}, "eval")
+					_, stats, err := ev.RunQueryStatsWith(mdx.RunContext{Ctx: trace.WithSpan(ctx, root)}, q)
+					root.End()
 					if err != nil {
 						b.Fatal(err)
 					}
 					reads += stats.ChunksRead
 					faults += stats.SpillFaults
 					moved += stats.MembersMoved
+					compileMs += tr.StageMs("compile")
+					assembleMs += tr.StageMs("assemble")
+					scanMs += tr.StageMs("scan")
 				}
 				b.ReportMetric(float64(reads)/float64(b.N), "chunks_read/op")
 				b.ReportMetric(float64(faults)/float64(b.N), "spill_faults/op")
 				b.ReportMetric(float64(moved)/float64(b.N), "members_moved/op")
+				b.ReportMetric(compileMs/float64(b.N), "compile_ms/op")
+				b.ReportMetric(assembleMs/float64(b.N), "assemble_ms/op")
+				b.ReportMetric(scanMs/float64(b.N), "scan_ms/op")
 			})
 		}
 	}

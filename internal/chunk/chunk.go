@@ -54,6 +54,23 @@ func NewDense(capacity int) *Chunk {
 	return c
 }
 
+// NewDenseFrame returns an empty dense chunk of the given capacity for
+// scratch use, its array taken from the free list evicted frames feed
+// (denseFrame) when one of that capacity is there. Recycle hands it
+// back.
+func NewDenseFrame(capacity int) *Chunk {
+	return &Chunk{cap: capacity, dense: denseFrame(capacity)}
+}
+
+// Recycle hands a dense chunk's array to the free list NewDenseFrame and
+// the buffer pool's decodes take from. Nothing may use the chunk, or a
+// slice of its cells, afterwards.
+func (c *Chunk) Recycle() {
+	if c.dense != nil {
+		recycleDenseFrame(&c.dense)
+	}
+}
+
 // nullFill sets every cell of d to Null.
 func nullFill(d []float64) {
 	nan := math.NaN()

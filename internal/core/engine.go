@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"whatifolap/internal/algebra"
 	"whatifolap/internal/bitset"
@@ -141,24 +140,44 @@ func (e *Engine) newView(dims []*dimension.Dimension, bindings []*dimension.Bind
 }
 
 // sourceChunkIDs returns the chunk IDs the planner must consider: the
-// base store's materialized chunks, unioned with chunks only the
-// scenario layer chain holds (edited cells may land in chunks the base
-// never materialized).
+// base store's materialized chunks, merged with those only the scenario
+// layer chain holds (edited cells may land in chunks the base never
+// materialized).
 func (e *Engine) sourceChunkIDs() []int {
 	ids := e.store.ChunkIDs()
 	if e.chain == nil {
 		return ids
 	}
-	seen := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		seen[id] = true
-	}
-	for _, id := range e.chain.LayerChunkIDs() {
-		if !seen[id] {
-			ids = append(ids, id)
+	return mergeIDs(ids, e.chain.LayerChunkIDs())
+}
+
+// mergeIDs merges the ascending IDs of more into the ascending ids, an
+// ID in both once: it grows ids by the IDs only more holds and fills it
+// from the back, so it needs no set.
+func mergeIDs(ids, more []int) []int {
+	extra := 0
+	for i, j := 0, 0; j < len(more); j++ {
+		for i < len(ids) && ids[i] < more[j] {
+			i++
+		}
+		if i == len(ids) || ids[i] != more[j] {
+			extra++
 		}
 	}
-	sort.Ints(ids)
+	n := len(ids)
+	ids = slices.Grow(ids, extra)[:n+extra]
+	for i, j, k := n-1, len(more)-1, n+extra-1; j >= 0; k-- {
+		if i >= 0 && ids[i] >= more[j] {
+			if ids[i] == more[j] {
+				j--
+			}
+			ids[k] = ids[i]
+			i--
+		} else {
+			ids[k] = more[j]
+			j--
+		}
+	}
 	return ids
 }
 

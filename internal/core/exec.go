@@ -72,16 +72,26 @@ func (r *chunkReader) read(id int) (*chunk.Chunk, error) {
 
 // resolve returns chunk id as the query sees it: ch as read or, under a
 // layer chain, resolved with the layers' edits (chunks only a layer
-// holds resolve from nothing). A resolved chunk is good until the next
-// resolve.
+// holds resolve from nothing) into one dense frame off the free list. A
+// resolved chunk is good until the next resolve, and the frame until
+// release.
 func (r *chunkReader) resolve(id int, ch *chunk.Chunk) *chunk.Chunk {
 	if r.e.chain == nil {
 		return ch
 	}
 	if r.resolved == nil {
-		r.resolved = chunk.NewDense(r.e.store.Geometry().ChunkCap())
+		r.resolved = chunk.NewDenseFrame(r.e.store.Geometry().ChunkCap())
 	}
 	return r.e.chain.Resolve(id, ch, r.resolved)
+}
+
+// release hands the resolve frame back to the free list: the scan is
+// over, and nothing it folded into keeps a chunk.
+func (r *chunkReader) release() {
+	if r.resolved != nil {
+		r.resolved.Recycle()
+		r.resolved = nil
+	}
 }
 
 // scanTally accumulates the scan's counters.
@@ -177,7 +187,8 @@ type slabKernel struct {
 	// varying digit digitV, which holds up to offset rowEnd: when the
 	// varying digit is the slower one (the workforce layout) consecutive
 	// slabs share it, and the digit is derived and the table probed once
-	// per digit block, not once per slab.
+	// per digit block, not once per slab. A nil row holds up to the next
+	// block whose digit has a row (rowGap), or the chunk's end.
 	rowOf          []int32
 	baseP, idBase  int
 	row            []int
@@ -248,8 +259,9 @@ func (k *slabKernel) beginChunk(og *chunk.Geometry, ccoord []int) {
 // relocateSpan relocates the source offsets [start, start+n), one slab
 // (or the part of one the span covers) per step: cells[i] is the cell at
 // start+i, or cells is nil and every cell holds v. A slab vanishes when
-// its source row was pruned — and then so does every other slab of its
-// varying digit, skipped as one block — when the row sends its parameter
+// its source row was pruned — and then so does every other slab up to
+// the next digit block whose varying digit has a row, skipped (and
+// counted) as one stretch — when the row sends its parameter
 // leaf to -1, or when that leaf lies past the parameter extent: a partial
 // last chunk's padding, which a dense span covers too. A surviving slab
 // moves what its sink takes: into an overlay every cell, into a fold
@@ -263,8 +275,12 @@ func (k *slabKernel) relocateSpan(start, n int, cells []float64, v float64) {
 			if k.rowOf != nil && k.rowOf[k.digitV] >= 0 {
 				w := k.target.width
 				k.row = k.target.rows[int(k.rowOf[k.digitV])*w:][:w]
+				k.rowEnd = (block + 1) * k.strideV
+			} else if gap := k.rowGap(); gap > 0 {
+				k.rowEnd = (block + gap) * k.strideV
+			} else {
+				k.rowEnd = math.MaxInt
 			}
-			k.rowEnd = (block + 1) * k.strideV
 		}
 		if k.row == nil {
 			segEnd := min(k.rowEnd, end)
@@ -306,6 +322,27 @@ func (k *slabKernel) relocateSpan(start, n int, cells []float64, v float64) {
 		}
 		off = segEnd
 	}
+}
+
+// rowGap returns how many digit blocks on from the one of varying digit
+// digitV the next block whose digit has a relocation row begins — the
+// digits repeat when the varying dimension is not the slowest — or 0
+// when no digit of the chunk has one.
+func (k *slabKernel) rowGap() int {
+	if k.rowOf == nil {
+		return 0
+	}
+	for d := k.digitV + 1; d < k.dimV; d++ {
+		if k.rowOf[d] >= 0 {
+			return d - k.digitV
+		}
+	}
+	for d := 0; d <= k.digitV; d++ {
+		if k.rowOf[d] >= 0 {
+			return d + k.dimV - k.digitV
+		}
+	}
+	return 0
 }
 
 // countNonNull counts the cells of a span of n that are not Null: all n
@@ -622,6 +659,7 @@ func (e *Engine) scanInto(ctx context.Context, p *PhysicalPlan, overlay *chunk.O
 	lease := e.store.Lease()
 	defer lease.Release()
 	r := &chunkReader{e: e, lease: &lease, tr: tr, parent: parent}
+	defer r.release()
 
 	var pins *pinTracker
 	if e.store.Pooled() && p.Stats.MergeEdges > 0 {

@@ -65,8 +65,7 @@ func (p *projection) footprint(schema *cube.Cube) Footprint {
 			continue
 		}
 		set := bitset.New(dim.NumLeaves())
-		add := func(o int) bool { set.Add(o); return true }
-		each := func(m dimension.MemberID) bool { return allLeaves(dim, m, add) }
+		each := func(m dimension.MemberID) bool { dim.LeafRanges(m, set.AddRange); return true }
 		if p.view != nil {
 			p.view.members[d].all(each)
 		}

@@ -208,7 +208,8 @@ func randomGrid(rng *rand.Rand, schema *cube.Cube) Grid {
 // cell equals View.Cell over a view holding every cell the table
 // relocates; the scan counts relocated exactly the relocated cells on
 // the footprint, and off the grid the rest of those the scheduled
-// chunks relocate.
+// chunks relocate; its slab counters are those of one decision per slab
+// (perSlabCounts), whatever blocks the kernel jumps.
 func TestFootprintFusedQuickRandomGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	fastCut, slowCut, edgeOne, partial, folded := 0, 0, 0, 0, 0
@@ -266,6 +267,10 @@ func TestFootprintFusedQuickRandomGeometry(t *testing.T) {
 					t.Fatalf("%s: cell (%d, %d) %v = %v, View.Cell %v", label, r, c, ids, got, want)
 				}
 			}
+		}
+		if slabs, skipped := perSlabCounts(t, e, p); tally.slabs != slabs || tally.slabsSkipped != skipped {
+			t.Fatalf("%s: the fused scan counted %d slabs, %d skipped; one decision per slab counts %d, %d",
+				label, tally.slabs, tally.slabsSkipped, slabs, skipped)
 		}
 		onGrid := len(onFootprint(all, fp))
 		_, scheduled := perCellScan(e, p.Schedule, table, chunk.NewOverlay(og))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -112,10 +111,14 @@ type projection struct {
 // compileProjection classifies every cell of g and gives each computed
 // cell an accumulator. It reads no cell: schema supplies the result's
 // dimensions and rules (a view materializes no aggregate), input the
-// input cube NONVISUAL roll-ups are retained from. The work per cell is
-// a few bit operations on its row's, its column's and the fixed part's
-// masks (gridPart); only a cube with formula rules or materialized
-// aggregates has each cell's tuple assembled and classified one by one.
+// input cube NONVISUAL roll-ups are retained from. What a cell takes
+// from its column and the fixed part — which dimensions, whether their
+// members are leaves or hypothetical, their key contribution — depends
+// on its row only through the dimensions the row names, so it is
+// decided once per column for each run of rows naming the same ones
+// (colSide), and the work per cell is an OR, a compare and an add;
+// only a cube with formula rules or materialized aggregates has each
+// cell's tuple assembled and classified one by one.
 func compileProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) *projection {
 	p := &projection{cell: make([]int32, len(g.Rows)*len(g.Cols))}
 	n := schema.NumDims()
@@ -139,6 +142,10 @@ func compileProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) 
 		fixedTuple[d].Dim = d
 	}
 	fixed := newGridPart(append(fixedTuple, g.Slicer...), input, schema)
+	sides := make([]colSide, len(cols))
+	// newRowMask reports whether row i names other dimensions than the
+	// row before it, so that the column sides must be decided anew.
+	newRowMask := func(i int) bool { return i == 0 || rows[i].mask != rows[i-1].mask }
 
 	// Pass 1: classes, and which parts' members each source reads.
 	perCell := len(schema.Rules().Rules()) > 0 || input.NumAggregates() > 0
@@ -147,16 +154,19 @@ func compileProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) 
 	var uses [2]*partUse
 	c := 0
 	for i := range rows {
-		for j := range cols {
-			r, col := &rows[i], &cols[j]
-			cx, fx := col.mask&^r.mask, full&^(r.mask|col.mask)
+		r := &rows[i]
+		if newRowMask(i) {
+			sideOf(sides, cols, &fixed, r.mask, full)
+		}
+		for j := range sides {
+			s := &sides[j]
 			class, reason := cellView, ""
 			if perCell {
 				g.cellIDs(ids, i, j)
 				class, reason = classifyCell(input, schema, mode, ids)
-			} else if r.leaf|col.leaf&cx|fixed.leaf&fx != full && mode != perspective.Visual {
+			} else if r.leaf|s.leaf != full && mode != perspective.Visual {
 				class = cellInput
-				if r.hyp|col.hyp&cx|fixed.hyp&fx != 0 {
+				if r.hyp|s.hyp != 0 {
 					class = cellNull
 				}
 			}
@@ -173,13 +183,14 @@ func compileProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) 
 				}
 				continue
 			case cellView, cellInput:
-				u := &uses[class-cellInput]
-				if *u == nil {
-					*u = &partUse{rows: make([]bool, len(rows)), cols: make([]uint64, len(cols))}
+				u := uses[class-cellInput]
+				if u == nil {
+					u = &partUse{rows: make([]bool, len(rows)), cols: make([]uint64, len(cols))}
+					uses[class-cellInput] = u
 				}
-				(*u).rows[i] = true
-				(*u).cols[j] |= cx
-				(*u).fixed |= fx
+				u.rows[i] = true
+				u.cols[j] |= s.cx
+				u.fixed |= s.fx
 			}
 			p.stats.Compiled++
 		}
@@ -201,28 +212,39 @@ func compileProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) 
 
 	// Pass 2: accumulators, one per distinct (source, tuple), with the
 	// function decided once: a leaf cell's value is its one leaf's (sum
-	// of one), a roll-up's the declared aggregation (RuleSet.AggFor).
+	// of one), a roll-up's the declared aggregation (RuleSet.AggFor). A
+	// cell's key is its row's contribution plus its column side's.
+	p.agg = make([]cube.AggFunc, 0, p.stats.Compiled)
+	var colKeys [2][]int
 	c = 0
 	avg := false
 	for i := range rows {
-		for j := range cols {
+		r := &rows[i]
+		if newRowMask(i) {
+			sideOf(sides, cols, &fixed, r.mask, full)
+			for k, pk := range keys {
+				if pk != nil {
+					colKeys[k] = pk.columns(colKeys[k], cols, sides)
+				}
+			}
+		}
+		for j := range sides {
 			class := p.cell[c]
 			if class != cellView && class != cellInput {
 				c++
 				continue
 			}
-			r, col := &rows[i], &cols[j]
 			k := class - cellInput
-			src, def := srcs[k], defs[k]
-			key := keys[k].key(i, j, r, col, full)
+			src := srcs[k]
+			key := keys[k].row[i] + colKeys[k][j]
 			a := src.accOf(key)
 			if a < 0 {
 				a = int32(len(p.agg))
 				src.setAcc(key, a)
 				f := cube.AggSum
-				if fx := full &^ (r.mask | col.mask); r.leaf|col.leaf&^r.mask|fixed.leaf&fx != full {
+				if r.leaf|sides[j].leaf != full {
 					g.cellIDs(ids, i, j)
-					f = def.Rules().AggFor(def, ids)
+					f = defs[k].Rules().AggFor(defs[k], ids)
 				}
 				p.agg = append(p.agg, f)
 				avg = avg || f == cube.AggAvg
@@ -239,6 +261,23 @@ func compileProjection(input, schema *cube.Cube, mode perspective.Mode, g Grid) 
 		p.cnt = make([]int32, len(p.agg))
 	}
 	return p
+}
+
+// colSide is what a column gives the cells of the rows naming one set of
+// dimensions (rmask): the dimensions they take from it (cx) and from the
+// fixed part (fx), and among those the ones whose member there is a leaf
+// of the result and a hypothetical instance the input lacks.
+type colSide struct {
+	cx, fx, leaf, hyp uint64
+}
+
+// sideOf fills sides with the column sides of cols for rows naming rmask.
+func sideOf(sides []colSide, cols []gridPart, fixed *gridPart, rmask, full uint64) {
+	for j := range cols {
+		col := &cols[j]
+		cx, fx := col.mask&^rmask, full&^(rmask|col.mask)
+		sides[j] = colSide{cx: cx, fx: fx, leaf: col.leaf&cx | fixed.leaf&fx, hyp: col.hyp&cx | fixed.hyp&fx}
+	}
 }
 
 // gridPart is a row tuple, a column tuple or the fixed part of every
@@ -341,19 +380,28 @@ func (pk *partKeys) sum(p *gridPart, dims uint64) int {
 	return k
 }
 
-// key returns the key of cell (i, j), whose row and column parts are r
-// and col.
-func (pk *partKeys) key(i, j int, r, col *gridPart, full uint64) int {
-	k := pk.row[i]
-	if col.mask&r.mask == 0 {
-		k += pk.col[j]
-	} else {
-		k += pk.sum(col, col.mask&^r.mask)
+// columns returns, in dst, each column's side of the key of a cell in
+// the rows sides was decided for: its own contribution over the
+// dimensions the row leaves it, plus the fixed part's over the rest —
+// summed once per distinct fx, which columns mostly share.
+func (pk *partKeys) columns(dst []int, cols []gridPart, sides []colSide) []int {
+	dst = dst[:0]
+	fxSum, fxMask := 0, uint64(0)
+	for j := range cols {
+		s := &sides[j]
+		k := pk.col[j]
+		if s.cx != cols[j].mask {
+			k = pk.sum(&cols[j], s.cx)
+		}
+		if j == 0 || s.fx != fxMask {
+			fxSum, fxMask = 0, s.fx
+			for fx := s.fx; fx != 0; fx &= fx - 1 {
+				fxSum += pk.fixed[bits.TrailingZeros64(fx)]
+			}
+		}
+		dst = append(dst, k+fxSum)
 	}
-	for fx := full &^ (r.mask | col.mask); fx != 0; fx &= fx - 1 {
-		k += pk.fixed[bits.TrailingZeros64(fx)]
-	}
-	return k
+	return dst
 }
 
 // classifyCell decides where one grid cell's value comes from: the
@@ -720,21 +768,6 @@ func (s *projSource) setAcc(key int, a int32) {
 	}
 }
 
-// allLeaves reports whether ok holds for the ordinal of every leaf at or
-// below id.
-func allLeaves(dim *dimension.Dimension, id dimension.MemberID, ok func(int) bool) bool {
-	m := dim.Member(id)
-	if m.LeafOrdinal >= 0 {
-		return ok(m.LeafOrdinal)
-	}
-	for _, ch := range m.Children {
-		if !allLeaves(dim, ch, ok) {
-			return false
-		}
-	}
-	return true
-}
-
 // leafEntry is one (leaf, grid member) pair of a dimension's leaf
 // table: the leaf's ordinal in the decoder's geometry, its offset
 // contribution inside a chunk ((ord mod edge) × the dimension's offset
@@ -782,9 +815,11 @@ type decoder struct {
 	edge, stride []int
 	// leaves[d] is dimension d's leaf table, compiled once per query by
 	// cover: an entry per leaf the source reads under each of its members
-	// (a leaf feeds its own member and every ancestor among them), sorted
-	// by ordinal. A chunk row's digit table is a range of it.
+	// (a leaf feeds its own member and every ancestor among them), in
+	// (ordinal, key) order. Chunk coordinate c's digit table is its range
+	// [cstart[d][c], cstart[d][c+1]).
 	leaves [][]leafEntry
+	cstart [][]int32
 	tables []digitTable
 	// vi, when non-negative, is the varying dimension of a decoder
 	// reading the base's rows for the view: a scoped row is the overlay's
@@ -807,6 +842,14 @@ type decoder struct {
 	decode     []int
 	key1       int
 	multi      [][]leafEntry
+	// covered is cover's scratch: the leaf ordinals under the source's
+	// members of one dimension. slots are the slots of the source's
+	// members at or above member above of dimension aboveDim, innermost
+	// first: the path above the last leaf appendLeaf took.
+	covered    []uint64
+	slots      []int
+	aboveDim   int
+	above      dimension.MemberID
 	ch         *chunk.Chunk
 	cells      []float64
 	foldCellFn func(off int, v float64) bool
@@ -815,7 +858,7 @@ type decoder struct {
 func newDecoder(p *projection, src *projSource, g *chunk.Geometry) *decoder {
 	n := g.NumDims()
 	k := &decoder{p: p, src: src, g: g, edge: g.ChunkDims, stride: make([]int, n),
-		leaves: make([][]leafEntry, n), tables: make([]digitTable, n), vi: -1}
+		leaves: make([][]leafEntry, n), cstart: make([][]int32, n), tables: make([]digitTable, n), vi: -1, aboveDim: -1}
 	for d := range k.tables {
 		k.stride[d] = g.OffsetStride(d)
 		k.tables[d].coord, k.tables[d].indexed = -1, -1
@@ -824,56 +867,138 @@ func newDecoder(p *projection, src *projSource, g *chunk.Geometry) *decoder {
 	return k
 }
 
-// cover compiles the decoder's leaf tables from the leaves under the
-// source's members, in the geometry's ordinals, and its chunk filters
-// from those; it reports whether any chunk can hold a cell the source
-// reads.
+// cover compiles the decoder's leaf tables, in the geometry's ordinals,
+// and its chunk filters from those; it reports whether any chunk can
+// hold a cell the source reads.
 func (k *decoder) cover() bool {
 	k.filters = k.filters[:0]
 	for d := range k.src.members {
-		// One walk counts, so that the table is allocated once, at its size.
-		size := 0
-		k.leafPairs(d, func(int, int) { size++ })
-		if size == 0 {
+		if !k.coverDim(d) {
 			return false
 		}
-		tab := make([]leafEntry, 0, size)
-		edge, radix := k.edge[d], k.src.radix[d]
-		k.leafPairs(d, func(o, slot int) {
-			tab = append(tab, leafEntry{ord: int32(o), off: int32(o % edge * k.stride[d]), key: slot * radix})
-		})
-		slices.SortFunc(tab, func(a, b leafEntry) int { return cmp.Or(cmp.Compare(a.ord, b.ord), cmp.Compare(a.key, b.key)) })
-		k.leaves[d] = tab
 		if k.g.ChunksPerDim(d) == 1 {
 			continue
 		}
-		ords := func(yield func(o int)) {
-			for _, e := range tab {
-				yield(int(e.ord))
+		cs, edge := k.cstart[d], k.edge[d]
+		nonEmpty := func(yield func(o int)) {
+			for c := 0; c+1 < len(cs); c++ {
+				if cs[c] < cs[c+1] {
+					yield(c * edge)
+				}
 			}
 		}
-		if cf, cuts := newChunkFilter(k.g, d, ords); cuts {
+		if cf, cuts := newChunkFilter(k.g, d, nonEmpty); cuts {
 			k.filters = append(k.filters, cf)
 		}
 	}
 	return true
 }
 
-// leafPairs calls fn with the geometry's ordinal of every leaf the
-// decoder reads under each of the source's members of dimension d, and
-// that member's slot.
-func (k *decoder) leafPairs(d int, fn func(o, slot int)) {
-	slot := 0
-	k.src.members[d].all(func(m dimension.MemberID) bool {
-		allLeaves(k.src.dims[d], m, func(o int) bool {
-			if o = k.geomOrdinal(d, o); o >= 0 {
-				fn(o, slot)
+// coverDim builds dimension d's leaf table and its chunk starts, and
+// reports whether the table has an entry. The leaves under the source's
+// members are the union of their leaf ranges (Dimension.LeafRanges)
+// less those the decoder does not read (geomOrdinal), and each member
+// has an entry per such leaf in its ranges, which sizes the table
+// exactly; each leaf, in ascending order, then takes its entries
+// (appendLeaf).
+func (k *decoder) coverDim(d int) bool {
+	dim, set := k.src.dims[d], &k.src.members[d]
+	words := (dim.NumLeaves() + 63) / 64
+	if cap(k.covered) < words {
+		k.covered = make([]uint64, words)
+	}
+	covered := k.covered[:words]
+	clear(covered)
+	set.all(func(m dimension.MemberID) bool {
+		dim.LeafRanges(m, func(lo, hi int) {
+			for o := lo; o < hi; o++ {
+				covered[o>>6] |= 1 << (o & 63)
 			}
-			return true
 		})
-		slot++
 		return true
 	})
+	for w, word := range covered {
+		for ; word != 0; word &= word - 1 {
+			if o := w<<6 + bits.TrailingZeros64(word); k.geomOrdinal(d, o) < 0 {
+				covered[w] &^= 1 << (o & 63)
+			}
+		}
+	}
+	size := 0
+	set.all(func(m dimension.MemberID) bool {
+		dim.LeafRanges(m, func(lo, hi int) { size += onesIn(covered, lo, hi) })
+		return true
+	})
+	tab := make([]leafEntry, 0, size)
+	for w, word := range covered {
+		for ; word != 0; word &= word - 1 {
+			tab = k.appendLeaf(tab, d, w<<6+bits.TrailingZeros64(word))
+		}
+	}
+	k.leaves[d] = tab
+	cs, edge := make([]int32, k.g.ChunksPerDim(d)+1), k.edge[d]
+	i := 0
+	for c := range cs {
+		for i < len(tab) && int(tab[i].ord) < c*edge {
+			i++
+		}
+		cs[c] = int32(i)
+	}
+	k.cstart[d] = cs
+	return len(tab) > 0
+}
+
+// onesIn counts the ordinals of [lo, hi) in the bit set words.
+func onesIn(words []uint64, lo, hi int) int {
+	n := 0
+	for lo < hi {
+		b := lo & 63
+		span := min(64-b, hi-lo)
+		word := words[lo>>6] >> b
+		if span < 64 {
+			word &= 1<<span - 1
+		}
+		n += bits.OnesCount64(word)
+		lo += span
+	}
+	return n
+}
+
+// appendLeaf appends to tab the entries of leaf ordinal o of dimension
+// d: one per source member on the leaf's path, outermost first — a
+// member's ID, and so its slot and key, is above its ancestors'. The
+// members above the leaf are found walking up from its parent, unless
+// the last leaf appended had the same parent.
+func (k *decoder) appendLeaf(tab []leafEntry, d, o int) []leafEntry {
+	dim, set, radix := k.src.dims[d], &k.src.members[d], k.src.radix[d]
+	leaf := dim.Leaf(o)
+	if d != k.aboveDim || leaf.Parent != k.above {
+		k.aboveDim, k.above, k.slots = d, leaf.Parent, k.slots[:0]
+		for id := leaf.Parent; id != dimension.None; id = dim.Member(id).Parent {
+			if slot, ok := set.slot(id); ok {
+				k.slots = append(k.slots, slot)
+			}
+		}
+	}
+	e := leafEntry{ord: int32(o), off: int32(o % k.edge[d] * k.stride[d])}
+	for i := len(k.slots) - 1; i >= 0; i-- {
+		e.key = k.slots[i] * radix
+		tab = append(tab, e)
+	}
+	if slot, ok := set.slot(leaf.ID); ok {
+		e.key = slot * radix
+		tab = append(tab, e)
+	}
+	return tab
+}
+
+// leafEntries appends to e the leaf-table entries of leaf ordinal o of
+// dimension d, as cover lays them out, without searching the table.
+func (k *decoder) leafEntries(d, o int, e []leafEntry) []leafEntry {
+	if k.geomOrdinal(d, o) < 0 {
+		return e
+	}
+	return k.appendLeaf(e, d, o)
 }
 
 // geomOrdinal returns the source's leaf ordinal o of dimension d, or -1
@@ -905,7 +1030,7 @@ func (k *decoder) begin(ccoord []int) bool {
 	for d, c := range ccoord {
 		t := &k.tables[d]
 		if t.coord != c {
-			t.coord, t.e = c, ordRange(k.leaves[d], c*k.edge[d], (c+1)*k.edge[d])
+			t.coord, t.e = c, k.chunkRow(d, c)
 		}
 		switch len(t.e) {
 		case 0:
@@ -926,13 +1051,10 @@ func (k *decoder) begin(ccoord []int) bool {
 	return true
 }
 
-// ordRange returns the entries of the ordinal-sorted tab whose ordinal
-// lies in [lo, hi).
-func ordRange(tab []leafEntry, lo, hi int) []leafEntry {
-	byOrd := func(e leafEntry, o int) int { return cmp.Compare(int(e.ord), o) }
-	i, _ := slices.BinarySearchFunc(tab, lo, byOrd)
-	j, _ := slices.BinarySearchFunc(tab[i:], hi, byOrd)
-	return tab[i : i+j]
+// chunkRow returns dimension d's leaf-table entries in chunk coordinate c.
+func (k *decoder) chunkRow(d, c int) []leafEntry {
+	cs := k.cstart[d]
+	return k.leaves[d][cs[c]:cs[c+1]]
 }
 
 // fold folds the chunk begin positioned on. A dense chunk, or one
@@ -1039,8 +1161,8 @@ type fuser struct {
 	vi   int
 	slab int
 	// varE are the varying leaf-table entries of destination ordinal
-	// varDst, looked up (two binary searches) when the destination
-	// changes.
+	// varDst: one per view member on the destination leaf's path, found
+	// walking up from the leaf when the destination changes.
 	varDst int
 	varE   []leafEntry
 	// Per source chunk (begin): slow and fast are the dimensions other
@@ -1096,7 +1218,7 @@ func (f *fuser) begin(ccoord []int) {
 		}
 		t := &d.tables[dim]
 		if t.coord != c {
-			t.coord, t.e = c, ordRange(d.leaves[dim], c*d.edge[dim], (c+1)*d.edge[dim])
+			t.coord, t.e = c, d.chunkRow(dim, c)
 			moved = true
 		}
 		switch {
@@ -1188,7 +1310,7 @@ func (f *fuser) slabAt(dst, slab int) bool {
 	if slab != f.at || dst != f.dst {
 		f.at, f.dst, f.combo = slab, dst, f.combo[:0]
 		if dst != f.varDst {
-			f.varDst, f.varE = dst, ordRange(f.d.leaves[f.vi], dst, dst+1)
+			f.varDst, f.varE = dst, f.d.leafEntries(f.vi, dst, f.varE[:0])
 		}
 		var ok bool
 		if f.key, ok = f.keyOf(f.slow, f.key1, slab); ok {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"whatifolap/internal/chunk"
@@ -261,6 +263,30 @@ func TestScanReleasesEveryPoolPin(t *testing.T) {
 		}
 		if n := st.SpillStats().Pinned; n != 0 {
 			t.Fatalf("cancelled=%v: %d chunks still pinned after the scan (%d held at peak)", cancelled, n, held)
+		}
+	}
+}
+
+// TestMergeIDs: merging a scenario chain's chunk IDs into the base's
+// gives their sorted union, each ID once, on random sorted lists that
+// overlap, nest, interleave and are empty.
+func TestMergeIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for i := 0; i < 500; i++ {
+		draw := func() []int {
+			var ids []int
+			for n := rng.Intn(12); n > 0; n-- {
+				ids = append(ids, rng.Intn(30))
+			}
+			slices.Sort(ids)
+			return slices.Compact(ids)
+		}
+		ids, more := draw(), draw()
+		want := append(slices.Clone(ids), more...)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if got := mergeIDs(slices.Clone(ids), more); !slices.Equal(got, want) {
+			t.Fatalf("mergeIDs(%v, %v) = %v, want %v", ids, more, got, want)
 		}
 	}
 }

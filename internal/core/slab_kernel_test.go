@@ -101,7 +101,54 @@ func assertKernelMatchesOracle(t *testing.T, label string, e, oracle *Engine, p 
 	if tally.slabsSkipped > tally.slabs || (relocated > 0 && tally.slabs == tally.slabsSkipped) {
 		t.Fatalf("%s: %d slabs, %d skipped, %d cells relocated", label, tally.slabs, tally.slabsSkipped, relocated)
 	}
+	if slabs, skipped := perSlabCounts(t, e, p); tally.slabs != slabs || tally.slabsSkipped != skipped {
+		t.Fatalf("%s: kernel counted %d slabs, %d skipped; one decision per slab counts %d, %d",
+			label, tally.slabs, tally.slabsSkipped, slabs, skipped)
+	}
 	return tally
+}
+
+// perSlabCounts counts the slab decisions of a scan of p's schedule one
+// slab at a time — a slab per aligned block of the smaller of the
+// varying and parameter strides that a span of the chunk as read enters,
+// skipped when its varying ordinal has no relocation row or its row no
+// destination at its parameter leaf — without the kernel's jumps over
+// digit blocks that have no row.
+func perSlabCounts(t *testing.T, e *Engine, p *PhysicalPlan) (slabs, skipped int) {
+	t.Helper()
+	g := e.store.Geometry()
+	dimV, dimP := g.ChunkDims[e.vi], g.ChunkDims[e.pi]
+	strideV, strideP := g.OffsetStride(e.vi), g.OffsetStride(e.pi)
+	slab := min(strideV, strideP)
+	scratch := make([]float64, slab)
+	for i := range scratch {
+		scratch[i] = math.NaN()
+	}
+	lease := e.store.Lease()
+	defer lease.Release()
+	r := &chunkReader{e: e, lease: &lease}
+	defer r.release()
+	ccoord := make([]int, g.NumDims())
+	for _, id := range p.Schedule {
+		ch, err := r.read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ch = r.resolve(id, ch); ch == nil {
+			continue
+		}
+		g.CoordOf(id, ccoord)
+		ch.ForEachSpan(slab, scratch, func(start, n int, _ []float64, _ float64) {
+			for off, end := start, start+n; off < end; off = min(off-off%slab+slab, end) {
+				slabs++
+				row := p.Target.Row(ccoord[e.vi]*dimV + off/strideV%dimV)
+				if pOrd := ccoord[e.pi]*dimP + off/strideP%dimP; row == nil || pOrd >= len(row) || row[pOrd] < 0 {
+					skipped++
+				}
+			}
+		})
+	}
+	return slabs, skipped
 }
 
 // The source representations the kernel's feeders cover.

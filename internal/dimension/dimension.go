@@ -19,6 +19,7 @@ package dimension
 import (
 	"fmt"
 	"maps"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -58,7 +59,10 @@ type Dimension struct {
 	measure bool
 
 	members []*Member
-	byPath  map[string]MemberID
+	// paths[id] is member id's path, the string byPath holds: a member's
+	// path never changes, so Add appends it and Path is a slice read.
+	paths  []string
+	byPath map[string]MemberID
 	// instances maps a base name to all leaf members carrying it, in
 	// insertion order. A member with len(instances[name]) > 1 is a
 	// varying member with multiple instances.
@@ -68,6 +72,54 @@ type Dimension struct {
 	// instance lists and leaves it adds to the tables above, which it
 	// shares with the dimension it extends and never writes.
 	ext *extension
+	// idx is the index readers derive from the tables above (index), nil
+	// until the first reader builds it; Add drops it. An extension keeps
+	// none: it reads its base's.
+	idx atomic.Pointer[index]
+}
+
+// index is what a dimension derives from its member table for readers,
+// once: per member, its height and the range [lo, hi) of the leaf
+// ordinals at or below it — depth-first numbering (renumberLeaves) gives
+// a member's leaves consecutive ordinals, so the leaves under any member
+// are one range.
+type index struct {
+	lo, hi, height []int32
+}
+
+// index returns the dimension's index, building and publishing it on
+// first use. Concurrent first readers may each build one; they are
+// equal, and the last stored wins. An extension reads its base's, which
+// covers every member the extension shares.
+func (d *Dimension) index() *index {
+	if d.ext != nil {
+		return d.ext.base.index()
+	}
+	if x := d.idx.Load(); x != nil {
+		return x
+	}
+	n := len(d.members)
+	x := &index{lo: make([]int32, n), hi: make([]int32, n), height: make([]int32, n)}
+	for id, m := range d.members {
+		if m.LeafOrdinal >= 0 {
+			x.lo[id], x.hi[id] = int32(m.LeafOrdinal), int32(m.LeafOrdinal)+1
+		} else {
+			x.lo[id], x.hi[id] = math.MaxInt32, 0
+		}
+	}
+	// A member's ID is above its parent's (Add appends under an existing
+	// parent), so one pass down the IDs folds every subtree into its
+	// parent after the subtree is complete.
+	for id := n - 1; id > 0; id-- {
+		p := d.members[id].Parent
+		x.lo[p], x.hi[p] = min(x.lo[p], x.lo[id]), max(x.hi[p], x.hi[id])
+		x.height[p] = max(x.height[p], x.height[id]+1)
+	}
+	if x.lo[0] > x.hi[0] { // a root with no leaves
+		x.lo[0], x.hi[0] = 0, 0
+	}
+	d.idx.Store(x)
+	return x
 }
 
 // New creates a dimension with only a root member. Ordered marks the
@@ -83,6 +135,7 @@ func New(name string, ordered bool) *Dimension {
 	}
 	root := &Member{ID: 0, Name: name, Parent: None, Depth: 0, LeafOrdinal: -1}
 	d.members = append(d.members, root)
+	d.paths = append(d.paths, "")
 	return d
 }
 
@@ -157,22 +210,45 @@ func (d *Dimension) Leaf(ordinal int) *Member {
 }
 
 // Path returns the root-to-member path of a member, e.g. "FTE/Joe". The
-// root itself has the empty path.
+// root itself has the empty path. It reads the path Add (or, for a
+// member an extension added, AddHypothetical) recorded, and allocates
+// nothing.
 func (d *Dimension) Path(id MemberID) string {
-	m := d.Member(id)
-	if m.Parent == None {
-		return ""
+	if id >= 0 && int(id) < len(d.paths) {
+		return d.paths[id]
 	}
-	parts := []string{}
-	for m.Parent != None {
-		parts = append(parts, m.Name)
-		m = d.Member(m.Parent)
+	if d.ext != nil {
+		if i := int(id) - len(d.paths); i >= 0 && i < len(d.ext.paths) {
+			return d.ext.paths[i]
+		}
 	}
-	// Reverse.
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
+	d.Member(id) // panics on an invalid ID
+	return ""
+}
+
+// LeafRanges calls fn with the ranges [lo, hi) of the leaf ordinals at or
+// below member id (the member itself if it is a leaf), ascending and
+// disjoint: one range, read from the index — and on an extension one
+// more for each leaf it added below id, whose ordinal lies past the
+// leaves of its base (AddHypothetical).
+func (d *Dimension) LeafRanges(id MemberID, fn func(lo, hi int)) {
+	if id >= 0 && int(id) < len(d.members) {
+		x := d.index()
+		if lo, hi := x.lo[id], x.hi[id]; lo < hi {
+			fn(int(lo), int(hi))
+		}
+	} else {
+		d.Member(id) // an extension's own member, or a panic
 	}
-	return strings.Join(parts, "/")
+	if d.ext == nil {
+		return
+	}
+	for _, l := range d.ext.leaves {
+		if d.IsDescendant(l, id) {
+			o := d.Member(l).LeafOrdinal
+			fn(o, o+1)
+		}
+	}
 }
 
 // Add appends a new member with the given simple name under the parent
@@ -210,6 +286,7 @@ func (d *Dimension) Add(parentPath, name string) (MemberID, error) {
 	id := MemberID(len(d.members))
 	m := &Member{ID: id, Name: name, Parent: parent, Depth: p.Depth + 1, LeafOrdinal: -1}
 	d.members = append(d.members, m)
+	d.paths = append(d.paths, path)
 	d.byPath[path] = id
 	wasLeaf := p.IsLeaf() && p.Parent != None
 	p.Children = append(p.Children, id)
@@ -220,6 +297,7 @@ func (d *Dimension) Add(parentPath, name string) (MemberID, error) {
 	}
 	d.instances[name] = append(d.instances[name], id)
 	d.renumberLeaves()
+	d.idx.Store(nil)
 	return id, nil
 }
 
@@ -406,34 +484,26 @@ func (d *Dimension) IsDescendant(id, ancestor MemberID) bool {
 // given member (the member itself if it is a leaf), in ordinal order.
 func (d *Dimension) LeafDescendants(id MemberID) []int {
 	var out []int
-	var walk func(MemberID)
-	walk = func(x MemberID) {
-		m := d.Member(x)
-		if m.IsLeaf() && m.Parent != None {
-			out = append(out, m.LeafOrdinal)
-			return
+	d.LeafRanges(id, func(lo, hi int) {
+		for o := lo; o < hi; o++ {
+			out = append(out, o)
 		}
-		for _, c := range m.Children {
-			walk(c)
-		}
-	}
-	walk(id)
-	sort.Ints(out)
+	})
 	return out
 }
 
 // Height returns the number of edges on the longest root-to-leaf path of
-// the member's subtree: leaves have height 0.
+// the member's subtree: leaves have height 0. An extension adds leaves
+// only, under members that are not leaves, so a member it shares keeps
+// its base height — but a childless root that gained a leaf.
 func (d *Dimension) Height(id MemberID) int {
-	m := d.Member(id)
-	if m.IsLeaf() {
+	if id < 0 || int(id) >= len(d.members) {
+		d.Member(id) // an extension's own member, a leaf, or a panic
 		return 0
 	}
-	h := 0
-	for _, c := range m.Children {
-		if ch := d.Height(c) + 1; ch > h {
-			h = ch
-		}
+	h := int(d.index().height[id])
+	if h == 0 && !d.Member(id).IsLeaf() {
+		h = 1
 	}
 	return h
 }

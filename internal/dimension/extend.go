@@ -8,8 +8,13 @@ import "maps"
 // an earlier extension are capped, so that two extensions of one
 // dimension never append into the same backing array.
 type extension struct {
-	// members are the added members; the first has ID len(base table).
+	// base is the dimension whose tables the extension shares — never
+	// itself an extension — and whose index it reads.
+	base *Dimension
+	// members are the added members; the first has ID len(base table),
+	// and paths[i] is members[i]'s path.
 	members []*Member
+	paths   []string
 	// cow holds the extension's copies of members whose Children grew —
 	// a parent of an added member. Member resolves through it first.
 	cow map[MemberID]*Member
@@ -37,13 +42,16 @@ func (d *Dimension) Extend() *Dimension {
 	e := &Dimension{
 		name: d.name, ordered: d.ordered, measure: d.measure,
 		members:   d.members[:len(d.members):len(d.members)],
+		paths:     d.paths[:len(d.paths):len(d.paths)],
 		byPath:    d.byPath,
 		instances: d.instances,
 		leaves:    d.leaves[:len(d.leaves):len(d.leaves)],
-		ext:       &extension{},
+		ext:       &extension{base: d},
 	}
 	if p := d.ext; p != nil {
+		e.ext.base = p.base
 		e.ext.members = p.members[:len(p.members):len(p.members)]
+		e.ext.paths = p.paths[:len(p.paths):len(p.paths)]
 		e.ext.leaves = p.leaves[:len(p.leaves):len(p.leaves)]
 		e.ext.cow = maps.Clone(p.cow)
 		e.ext.byPath = maps.Clone(p.byPath)
@@ -78,6 +86,7 @@ func (x *extension) addHypothetical(parent, m *Member, path string, instances []
 	p.Children = append(parent.Children[:len(parent.Children):len(parent.Children)], m.ID)
 	x.cow[p.ID] = &p
 	x.members = append(x.members, m)
+	x.paths = append(x.paths, path)
 	x.byPath[path] = m.ID
 	x.instances[m.Name] = append(instances[:len(instances):len(instances)], m.ID)
 	x.leaves = append(x.leaves, m.ID)

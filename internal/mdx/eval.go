@@ -475,22 +475,11 @@ func (ev *Evaluator) resolvePerspectivePoints(b *dimension.Binding, points []*Me
 // which defers to the engine's default scope.
 func (gr *grid) scopeLeaves(d *dimension.Dimension, vi int) *bitset.Set {
 	scope := bitset.New(d.NumLeaves())
-	var add func(id dimension.MemberID)
-	add = func(id dimension.MemberID) {
-		m := d.Member(id)
-		if m.LeafOrdinal >= 0 {
-			scope.Add(m.LeafOrdinal)
-			return
-		}
-		for _, c := range m.Children {
-			add(c)
-		}
-	}
 	for _, tuples := range [][]Tuple{gr.cols, gr.rows, {gr.slicer}} {
 		for _, tp := range tuples {
 			for _, co := range tp {
 				if co.Dim == vi {
-					add(co.Member)
+					d.LeafRanges(co.Member, scope.AddRange)
 				}
 			}
 		}
@@ -782,17 +771,25 @@ func (ev *Evaluator) rowProps(c *cube.Cube, row Tuple, props []string) []string 
 	return out
 }
 
+// tupleLabel labels a grid row or column: its members' paths, the
+// root's as the dimension's name, joined by " / ". A one-member tuple's
+// label is the path string its dimension records, not a copy.
 func (ev *Evaluator) tupleLabel(c *cube.Cube, tp Tuple) string {
-	if len(tp) == 0 {
+	label := func(co Coord) string {
+		if p := c.Dim(co.Dim).Path(co.Member); p != "" {
+			return p
+		}
+		return c.Dim(co.Dim).Name()
+	}
+	switch len(tp) {
+	case 0:
 		return "(all)"
+	case 1:
+		return label(tp[0])
 	}
 	parts := make([]string, len(tp))
 	for i, co := range tp {
-		p := c.Dim(co.Dim).Path(co.Member)
-		if p == "" {
-			p = c.Dim(co.Dim).Name()
-		}
-		parts[i] = p
+		parts[i] = label(co)
 	}
 	return strings.Join(parts, " / ")
 }

@@ -3,10 +3,8 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 
-	"whatifolap/internal/result"
 	"whatifolap/internal/scenario"
 )
 
@@ -123,21 +121,6 @@ func (s *Server) handleScenarioQuery(w http.ResponseWriter, r *http.Request) {
 			cube: view, layers: info.Layers, overridden: info.CellsOverridden,
 		}, 0, nil
 	})
-}
-
-// gridValues converts a grid's NaN cells to JSON nulls.
-func gridValues(g *result.Grid) [][]*float64 {
-	values := make([][]*float64, len(g.Values))
-	for i, row := range g.Values {
-		values[i] = make([]*float64, len(row))
-		for j, v := range row {
-			if !math.IsNaN(v) {
-				v := v
-				values[i][j] = &v
-			}
-		}
-	}
-	return values
 }
 
 // scenarioDiffResponse is the GET /scenarios/{id}/diff body.

@@ -276,7 +276,9 @@ type responseHead struct {
 
 // queryResponse is the success body of POST /query and POST
 // /scenarios/{id}/query. Values use null for the meaningless cell ⊥
-// (NaN is not valid JSON).
+// (NaN is not valid JSON). It declares the wire format and is what a
+// client decodes; the server writes the same bytes without building it
+// (encodeQueryResponse).
 type queryResponse struct {
 	responseHead
 	Columns   []string     `json:"columns"`
@@ -491,15 +493,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, resolve func
 		})
 		return
 	}
-	body, err := json.Marshal(queryResponse{
-		responseHead: key.head(),
-		Columns:      grid.ColLabels,
-		Rows:         grid.RowLabels,
-		PropNames:    grid.PropNames,
-		RowProps:     grid.RowProps,
-		Values:       gridValues(grid),
-		Stats:        qs,
-	})
+	body, err := encodeQueryResponse(key.head(), grid, qs)
 	if err != nil {
 		s.metrics.QueryErrors.Add(1)
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
